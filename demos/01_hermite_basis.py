@@ -14,7 +14,6 @@ from gaussherm import (
     analyze,
     hermite_phi,
     hermite_phi_all,
-    inner_product,
     mehler_closed_form,
     mehler_partial_sum,
     sample,
@@ -40,7 +39,7 @@ print(f"\nmax |<phi_j, phi_k> - delta_jk| over j,k <= 40: "
 
 # the plain Gaussian is 2^{-1/4} phi_0 exactly
 g1 = sample(lambda xs: np.exp(-0.5 * xs**2), grid)
-print(f"<e^(-x^2/2), phi_0> = {inner_product(g1, 0).real:.12f}"
+print(f"<e^(-x^2/2), phi_0> = {analyze(g1, 0).coeffs[0].real:.12f}"
       f"   (2^-0.25 = {2**-0.25:.12f})")
 
 # analyze / synthesize round trip on a generic smooth function

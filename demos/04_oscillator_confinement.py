@@ -15,7 +15,6 @@ import numpy as np
 
 from gaussherm import (
     ConfinementParams,
-    EvolutionState,
     confinement_check,
     confinement_constant,
     evolve_gaussian,
@@ -38,8 +37,7 @@ for t in (-math.pi / 8, 0.0, math.pi / 8):
     print(f"  t = {t:+.4f}: Re b = {bt.real:.6f}"
           f"   (tanh beta = {math.tanh(beta):.6f}, coth beta = {1/math.tanh(beta):.6f})")
 
-state = EvolutionState(0.0, sq)
-report = confinement_check(state, beta, beta, default_t_grid(64))
+report = confinement_check(sq, beta, beta, default_t_grid(64))
 print(f"\ntwo-sided envelope scan at gamma = beta (the borderline class):")
 print(f"  sup over t of the envelope constant: {report.sup_constant:.8f}"
       f"   ((1-r)^-1/2 = {(1-r)**-0.5:.8f})")
@@ -49,14 +47,14 @@ i_star = int(np.argmin(np.abs(report.ts - 3 * math.pi / 8)))
 print(f"  time-side constant at t = 3pi/8 (= -pi/8 mod pi/2): "
       f"{report.psi_constants[i_star]:.8f}   ((1+r)^-1/2 = {(1+r)**-0.5:.8f})")
 
-probe = sharp_confinement_probe(state, beta)
+probe = sharp_confinement_probe(sq, beta)
 print(f"  refining the t grid twofold moves the sup by {probe.sup_change:.2e}"
       f" -> stable: {probe.stable}")
 
 # the provable regime needs gamma < beta; its constant is assembled from
 # the measured coefficient decay and the closed-form Mehler sum
 gamma, gamma_p = 0.45, 0.475
-rep = confinement_check(state, beta, gamma, default_t_grid(64))
+rep = confinement_check(sq, beta, gamma, default_t_grid(64))
 coeffs = hermite_coeffs(sq, 80).coeffs
 k = np.arange(81)
 nz = np.abs(coeffs) > 0
@@ -70,6 +68,6 @@ print(f"  assembled bound, sharp split:        "
 print(f"  assembled bound, traditional split:  "
       f"{confinement_constant(params, m_const):.6f}")
 
-rep_bad = confinement_check(state, beta, 0.6, default_t_grid(64))
+rep_bad = confinement_check(sq, beta, 0.6, default_t_grid(64))
 print(f"\ngamma = 0.6 > beta: divergence detected at t = {rep_bad.first_divergent_t:.5f}"
       f" (the envelope of tanh(0.6) is too tight for this flow)")

@@ -26,7 +26,6 @@ from .hermite import (
     fourier_sampled,
     hermite_phi,
     hermite_phi_all,
-    inner_product,
     mehler_closed_form,
     mehler_partial_sum,
     synthesize,
@@ -77,7 +76,6 @@ from .decay import (
 from .oscillator import (
     ConfinementParams,
     ConfinementReport,
-    EvolutionState,
     confinement_check,
     confinement_constant,
     evolve_expansion,

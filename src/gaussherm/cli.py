@@ -21,7 +21,7 @@ import os
 import re
 import sys
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import gammaln
@@ -33,7 +33,7 @@ from . import oscillator as osc
 from . import weighted as wt
 from .errors import NumericalDomainError
 from .grid import GridSpec, SampledFunction, norm_sq
-from .hermite import HermiteExpansion, fourier_expansion, synthesize, unit_expansion
+from .hermite import HermiteExpansion, hermite_phi_all, synthesize, unit_expansion
 from .verify import VerifyConfig, run_all
 
 
@@ -49,7 +49,6 @@ class RunConfig:
     t_grid_size: int = 64
     output_format: str = "csv"
     output_path: str | None = None
-    tolerances: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.kmax < 1:
@@ -58,9 +57,6 @@ class RunConfig:
             raise CliParseError(f"t-grid size must be >= 1, got {self.t_grid_size}")
         if self.output_format not in ("csv", "json"):
             raise CliParseError(f"format must be csv or json, got {self.output_format!r}")
-        for name, value in self.tolerances.items():
-            if not (isinstance(value, (int, float)) and value > 0):
-                raise CliParseError(f"tolerance {name!r} must be positive, got {value!r}")
 
     @property
     def grid(self) -> GridSpec:
@@ -77,7 +73,6 @@ _CONFIG_KEYS = {
     "t_grid_size": "t_grid_size",
     "format": "output_format",
     "out": "output_path",
-    "tolerances": "tolerances",
 }
 
 
@@ -107,6 +102,17 @@ _COMPLEX_RE = re.compile(
     r"^(?P<re>[+-]?\d+(?:\.\d*)?(?:[eE][+-]?\d+)?)"
     r"(?:(?P<im>[+-]\d*(?:\.\d*)?(?:[eE][+-]?\d+)?)[ij])?$"
 )
+
+
+def _float_list(text: str, flag: str) -> list[float]:
+    """Comma list of finite floats given to a list-valued flag."""
+    try:
+        values = [float(t) for t in text.split(",")]
+    except ValueError as exc:
+        raise CliParseError(f"bad {flag} list: {exc}") from exc
+    if not all(math.isfinite(v) for v in values):
+        raise CliParseError(f"{flag} values must be finite, got {text!r}")
+    return values
 
 
 def parse_complex(text: str) -> complex:
@@ -230,14 +236,19 @@ def _sampled(inp: InputSpec, cfg: RunConfig) -> SampledFunction:
     return synthesize(inp.expansion, cfg.grid)
 
 
-def _membership_constant(inp: InputSpec, a: float, cfg: RunConfig) -> float | None:
-    """Measured class constant at parameter a, or None if not a member."""
+def _envelope_reports(inp: InputSpec, a: float, cfg: RunConfig):
+    """Time- and frequency-side envelope reports of the input at parameter a:
+    closed form for a Gaussian, a grid scan of both sides for an expansion."""
     if inp.gaussian is not None:
         mem = ga.envelope_membership(inp.gaussian, a)
-        return mem.constant
-    f = _sampled(inp, cfg)
-    t_rep = dc.envelope_scan(f, a)
-    f_rep = dc.envelope_scan(synthesize(fourier_expansion(inp.expansion), cfg.grid), a)
+        return mem.time_report, mem.frequency_report
+    side_p, side_f = next(osc.flow_sides(inp.expansion, [0.0], cfg.grid))
+    return dc.envelope_scan(side_p, a), dc.envelope_scan(side_f, a)
+
+
+def _membership_constant(inp: InputSpec, a: float, cfg: RunConfig) -> float | None:
+    """Measured class constant at parameter a, or None if not a member."""
+    t_rep, f_rep = _envelope_reports(inp, a, cfg)
     if t_rep.divergent or f_rep.divergent:
         return None
     return max(t_rep.constant, f_rep.constant)
@@ -334,12 +345,7 @@ def cmd_coeffs(args, cfg: RunConfig) -> tuple[str, int]:
 def cmd_envelope(args, cfg: RunConfig) -> tuple[str, int]:
     inp = parse_input_spec(args.input)
     a = args.a if args.a is not None else (inp.default_a or 0.5)
-    if inp.gaussian is not None:
-        t_rep = ga.envelope_constant(inp.gaussian, a)
-        f_rep = ga.envelope_constant(ga.fourier_gaussian(inp.gaussian), a)
-    else:
-        t_rep = dc.envelope_scan(_sampled(inp, cfg), a)
-        f_rep = dc.envelope_scan(synthesize(fourier_expansion(inp.expansion), cfg.grid), a)
+    t_rep, f_rep = _envelope_reports(inp, a, cfg)
     member = not (t_rep.divergent or f_rep.divergent)
     header = ["side", "a", "constant", "argmax_x", "divergent"]
     rows = [
@@ -375,27 +381,18 @@ def cmd_bargmann(args, cfg: RunConfig) -> tuple[str, int]:
     return render_table(header, rows, cfg.output_format, meta), 0
 
 
-def _evolution_state(inp: InputSpec) -> osc.EvolutionState:
-    rep = inp.gaussian if inp.gaussian is not None else inp.expansion
-    return osc.EvolutionState(0.0, rep)
-
-
 def cmd_evolve(args, cfg: RunConfig) -> tuple[str, int]:
     inp = parse_input_spec(args.input)
     a = args.a if args.a is not None else (inp.default_a or 0.5)
     if args.times:
-        try:
-            ts = [float(t) for t in args.times.split(",")]
-        except ValueError as exc:
-            raise CliParseError(f"bad --times list: {exc}") from exc
+        ts = _float_list(args.times, "--times")
     else:
         ts = list(osc.default_t_grid(cfg.t_grid_size))
-    state = _evolution_state(inp)
+    psi0 = inp.gaussian if inp.gaussian is not None else inp.expansion
     header = ["t", "norm_sq", "envelope_constant_time", "envelope_constant_frequency",
               "divergent_time", "divergent_frequency"]
     rows = []
-    for t in ts:
-        side_p, side_f = osc.sampled_sides(state, t, cfg.grid)
+    for t, (side_p, side_f) in zip(ts, osc.flow_sides(psi0, ts, cfg.grid)):
         rep_p = dc.envelope_scan(side_p, a)
         rep_f = dc.envelope_scan(side_f, a)
         rows.append([
@@ -409,9 +406,9 @@ def cmd_evolve(args, cfg: RunConfig) -> tuple[str, int]:
 
 def cmd_confine(args, cfg: RunConfig) -> tuple[str, int]:
     inp = parse_input_spec(args.input)
-    state = _evolution_state(inp)
+    psi0 = inp.gaussian if inp.gaussian is not None else inp.expansion
     ts = osc.default_t_grid(cfg.t_grid_size)
-    report = osc.confinement_check(state, args.beta, args.gamma, ts, cfg.grid)
+    report = osc.confinement_check(psi0, args.beta, args.gamma, ts, cfg.grid)
     if report.divergent:
         raise _Divergence(
             f"envelope at a = tanh({args.gamma}) = {report.a:.6f} diverges along the flow; "
@@ -437,13 +434,10 @@ def cmd_norms(args, cfg: RunConfig) -> tuple[str, int]:
         header = ["n", "closed_norm_sq", "lower_bound", "quadrature_norm_sq"]
         rows = []
         grid = cfg.grid
-        from .hermite import hermite_phi
-
-        for n in range(cfg.kmax + 1):
+        for n, phi_n in enumerate(hermite_phi_all(cfg.kmax, grid.xs)):
             quad = math.nan
             try:
-                f = SampledFunction(grid, hermite_phi(n, grid.xs).astype(complex))
-                quad = wt.weighted_norm_sq(f, a, kmax=n)
+                quad = wt.weighted_norm_sq(SampledFunction(grid, phi_n), a, kmax=n)
             except NumericalDomainError:
                 pass
             rows.append([
@@ -455,10 +449,7 @@ def cmd_norms(args, cfg: RunConfig) -> tuple[str, int]:
         meta = {"command": "norms", "input": None, "a": a}
         return render_table(header, rows, cfg.output_format, meta), 0
     inp = parse_input_spec(args.input)
-    try:
-        a_list = [float(t) for t in args.a_list.split(",")]
-    except ValueError as exc:
-        raise CliParseError(f"bad --a-list: {exc}") from exc
+    a_list = _float_list(args.a_list, "--a-list")
     f = _sampled(inp, cfg)
     header = ["a", "norm_sq"]
     rows = []
@@ -495,7 +486,7 @@ def cmd_verify_all(args, cfg: RunConfig) -> tuple[str, int]:
             "config": {
                 "grid_L": cfg.grid_l,
                 "grid_N": cfg.grid_n,
-                "kmax": cfg.kmax,
+                "kmax": vcfg.kmax,
                 "t_grid_size": cfg.t_grid_size,
             },
         }

@@ -18,7 +18,7 @@ from scipy.special import gammaln
 
 from .errors import FitError
 from .grid import SampledFunction, norm_sq
-from .hermite import HermiteExpansion, fourier_sampled, hermite_phi, inner_product
+from .hermite import HermiteExpansion, analyze, fourier_sampled, hermite_phi_all
 
 #: Coefficient magnitudes below this are treated as numerical zeros in fits.
 NOISE_FLOOR = 1e-250
@@ -241,10 +241,8 @@ def hardy_classify(f: SampledFunction, a: float) -> HardyReport:
     member = not (t_rep.divergent or f_rep.divergent)
     residual = None
     if member and a >= 1.0:
-        c0 = inner_product(f, 0)
-        diff = SampledFunction(
-            f.grid, f.values - c0 * hermite_phi(0, f.grid.xs)
-        )
+        c0 = analyze(f, 0).coeffs[0]
+        diff = SampledFunction(f.grid, f.values - c0 * hermite_phi_all(0, f.grid.xs)[0])
         residual = math.sqrt(max(norm_sq(diff), 0.0))
     return HardyReport(
         a=a,

@@ -106,17 +106,11 @@ def hermite_phi_all(kmax: int, xs) -> np.ndarray:
 
 
 def hermite_phi(k: int, xs) -> np.ndarray:
-    """Evaluate the k-th dm-normalized Hermite function at the given points."""
+    """Evaluate the k-th dm-normalized Hermite function at the given points
+    (row k of :func:`hermite_phi_all`)."""
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
-    xs = np.atleast_1d(np.asarray(xs, dtype=float))
-    p_prev = PHI0_AT_ZERO * np.exp(-0.5 * xs * xs)
-    if k == 0:
-        return _flush_subnormal(p_prev)
-    p = np.sqrt(2.0) * xs * p_prev
-    for j in range(1, k):
-        p, p_prev = xs * np.sqrt(2.0 / (j + 1)) * p - np.sqrt(j / (j + 1)) * p_prev, p
-    return _flush_subnormal(p)
+    return hermite_phi_all(k, xs)[k]
 
 
 def band_limit(grid: GridSpec) -> int:
@@ -132,16 +126,6 @@ def _check_band_limit(grid: GridSpec, k: int):
             f"k={k} exceeds the grid band limit {kmax} "
             f"(turning point sqrt(2k+1) > {BAND_LIMIT_FRACTION}*L)"
         )
-
-
-def inner_product(f: SampledFunction, k: int) -> complex:
-    """Quadrature approximation of <f, phi_k> = integral f(x) phi_k(x) dm."""
-    if k < 0:
-        raise ValueError(f"k must be >= 0, got {k}")
-    _check_band_limit(f.grid, k)
-    w = trapezoid_weights(f.grid.num_points, f.grid.spacing)
-    phi = hermite_phi(k, f.grid.xs)
-    return complex(np.sum(f.values * phi * w) / SQRT_2PI)
 
 
 def analyze(f: SampledFunction, kmax: int) -> HermiteExpansion:

@@ -22,17 +22,8 @@ import numpy as np
 from .decay import envelope_scan
 from .errors import AliasingError
 from .gaussians import GeneralizedGaussian, fourier_gaussian
-from .grid import DEFAULT_GRID, GridSpec
-from .hermite import HermiteExpansion, fourier_expansion, synthesize
-
-
-@dataclass(frozen=True)
-class EvolutionState:
-    """A state of the oscillator flow at time t, represented either by a
-    Hermite coefficient vector or by a generalized Gaussian."""
-
-    t: float
-    rep: HermiteExpansion | GeneralizedGaussian
+from .grid import DEFAULT_GRID, GridSpec, SampledFunction
+from .hermite import HermiteExpansion, fourier_expansion, hermite_phi_all
 
 
 def evolve_expansion(e: HermiteExpansion, t: float) -> HermiteExpansion:
@@ -69,13 +60,6 @@ def evolve_gaussian(g: GeneralizedGaussian, t: float) -> GeneralizedGaussian:
         root_prev = val
     amp = g.amplitude * cmath.exp(1j * t) * root_prev
     return GeneralizedGaussian(amp, b_at(t))
-
-
-def evolve_state(state: EvolutionState, t: float) -> EvolutionState:
-    """Evolve a state by time t (relative to the state's own clock)."""
-    if isinstance(state.rep, GeneralizedGaussian):
-        return EvolutionState(state.t + t, evolve_gaussian(state.rep, t))
-    return EvolutionState(state.t + t, evolve_expansion(state.rep, t))
 
 
 def fourier_time_shift_check(e: HermiteExpansion, t: float) -> float:
@@ -160,17 +144,27 @@ def default_t_grid(size: int = 64) -> np.ndarray:
     return np.arange(size) * (0.5 * math.pi / size)
 
 
-def sampled_sides(state: EvolutionState, t: float, grid: GridSpec):
-    """Samples of psi_t and of its Fourier transform."""
-    if isinstance(state.rep, GeneralizedGaussian):
-        gt = evolve_gaussian(state.rep, t)
-        return gt.sample(grid), fourier_gaussian(gt).sample(grid)
-    et = evolve_expansion(state.rep, t)
-    return synthesize(et, grid), synthesize(fourier_expansion(et), grid)
+def flow_sides(psi0: HermiteExpansion | GeneralizedGaussian, ts, grid: GridSpec = DEFAULT_GRID):
+    """Yield (samples of psi_t, samples of its Fourier transform) for each t.
+
+    A Gaussian is sampled in closed form.  An expansion's basis is built
+    once; each side is then ``coeffs @ phi`` of the evolved (and, for the
+    frequency side, (-i)^k-rotated) coefficients, one time at a time.
+    """
+    if isinstance(psi0, GeneralizedGaussian):
+        for t in ts:
+            gt = evolve_gaussian(psi0, float(t))
+            yield gt.sample(grid), fourier_gaussian(gt).sample(grid)
+        return
+    phi = hermite_phi_all(len(psi0) - 1, grid.xs).astype(complex)
+    for t in ts:
+        et = evolve_expansion(psi0, float(t))
+        yield (SampledFunction(grid, et.coeffs @ phi),
+               SampledFunction(grid, fourier_expansion(et).coeffs @ phi))
 
 
 def confinement_check(
-    psi0: EvolutionState,
+    psi0: HermiteExpansion | GeneralizedGaussian,
     beta: float,
     gamma: float,
     t_grid=None,
@@ -191,8 +185,7 @@ def confinement_check(
     four_c = np.empty(ts.size)
     divergent = False
     first_bad = None
-    for i, t in enumerate(ts):
-        side_p, side_f = sampled_sides(psi0, float(t), grid)
+    for i, (t, (side_p, side_f)) in enumerate(zip(ts, flow_sides(psi0, ts, grid))):
         rep_p = envelope_scan(side_p, a)
         rep_f = envelope_scan(side_f, a)
         psi_c[i] = rep_p.constant
@@ -228,7 +221,7 @@ class ProbeReport:
 
 
 def sharp_confinement_probe(
-    psi0: EvolutionState,
+    psi0: HermiteExpansion | GeneralizedGaussian,
     beta: float,
     t_grid=None,
     grid: GridSpec = DEFAULT_GRID,

@@ -21,8 +21,8 @@ from . import decay as dc
 from . import gaussians as ga
 from . import oscillator as osc
 from . import weighted as wt
-from .grid import DEFAULT_GRID, GridSpec, sample
-from .hermite import HermiteExpansion, analyze, hermite_phi
+from .grid import DEFAULT_GRID, GridSpec, SampledFunction
+from .hermite import HermiteExpansion, analyze, hermite_phi_all
 
 
 @dataclass(frozen=True)
@@ -61,12 +61,11 @@ def _log_target_uphi(k: int) -> float:
 def criterion_normalization_pins(cfg: VerifyConfig) -> CriterionResult:
     """phi_0(0) = 2**0.25 to 1e-12 and U(phi_k)(w) = w^k/sqrt(2^k k!) to
     1e-8 relative at ten points on the ring |w| = 3, k <= 20."""
-    pin_dev = abs(float(hermite_phi(0, [0.0])[0]) - 2.0 ** 0.25)
+    pin_dev = abs(float(hermite_phi_all(0, [0.0])[0, 0]) - 2.0 ** 0.25)
     ws = 3.0 * np.exp(2j * math.pi * np.arange(10) / 10)
     worst_rel = 0.0
-    for k in range(21):
-        fk = sample(lambda xs: hermite_phi(k, xs), cfg.grid)
-        num = bg.bargmann_numeric(fk, ws)
+    for k, phi_k in enumerate(hermite_phi_all(20, cfg.grid.xs)):
+        num = bg.bargmann_numeric(SampledFunction(cfg.grid, phi_k), ws)
         target = ws ** k / math.exp(_log_target_uphi(k))
         worst_rel = max(worst_rel, float(np.max(np.abs(num - target) / np.abs(target))))
     return _result(
@@ -86,9 +85,8 @@ def criterion_reflection_identity(cfg: VerifyConfig) -> CriterionResult:
     """U(fhat)(w) = Uf(-iw) to 1e-8 for phi_k (k <= 20), the Gaussian of
     width 0.5, and boundary chirps."""
     worst = 0.0
-    for k in range(21):
-        fk = sample(lambda xs: hermite_phi(k, xs), cfg.grid)
-        worst = max(worst, bg.reflection_check(fk, _REFLECTION_WS))
+    for phi_k in hermite_phi_all(20, cfg.grid.xs):
+        worst = max(worst, bg.reflection_check(SampledFunction(cfg.grid, phi_k), _REFLECTION_WS))
     worst = max(worst, bg.reflection_check(ga.gaussian(0.5).sample(cfg.grid), _REFLECTION_WS))
     for alpha in (0.2, 0.27465, 0.5):
         f = ga.boundary_chirp(alpha).sample(cfg.grid)
@@ -231,9 +229,9 @@ def criterion_confinement(cfg: VerifyConfig) -> CriterionResult:
     constant with measured coefficient decay."""
     beta = 0.5
     r = math.exp(-2 * beta)
-    state = osc.EvolutionState(0.0, ga.squeezed_state(beta))
+    sq = ga.squeezed_state(beta)
     ts = osc.default_t_grid(cfg.t_grid_size)
-    rep = osc.confinement_check(state, beta, beta, ts, cfg.grid)
+    rep = osc.confinement_check(sq, beta, beta, ts, cfg.grid)
     t_star = 3 * math.pi / 8  # -pi/8 mod pi/2
     dist = float(np.min(np.abs(rep.attained_ts - t_star)))
     sup_dev = abs(rep.sup_constant - (1 - r) ** -0.5)
@@ -241,8 +239,8 @@ def criterion_confinement(cfg: VerifyConfig) -> CriterionResult:
     psi_dev = abs(rep.psi_constants[i_star] - (1 + r) ** -0.5)
     divergence = rep.divergent
     gamma, gamma_p = 0.45, 0.475
-    rep2 = osc.confinement_check(state, beta, gamma, ts, cfg.grid)
-    coeffs = ga.hermite_coeffs(ga.squeezed_state(beta), 80).coeffs
+    rep2 = osc.confinement_check(sq, beta, gamma, ts, cfg.grid)
+    coeffs = ga.hermite_coeffs(sq, 80).coeffs
     k = np.arange(81)
     nz = np.abs(coeffs) > 0
     m_const = float(np.max(np.abs(coeffs[nz]) * np.exp(gamma_p * k[nz])))
@@ -269,10 +267,10 @@ def criterion_weighted_norm_identities(cfg: VerifyConfig) -> CriterionResult:
     (n <= 30, a in {0.2, 0.5, 0.8}); the generating function matches its
     partial sums to 1e-8; the mu -> 1 collapse gives exactly 1."""
     worst_rel = 0.0
+    phis = hermite_phi_all(30, cfg.wide_grid.xs)
     for a in (0.2, 0.5, 0.8):
-        for n in range(31):
-            f = sample(lambda xs: hermite_phi(n, xs), cfg.wide_grid)
-            quad = wt.weighted_norm_sq(f, a, kmax=n)
+        for n, phi_n in enumerate(phis):
+            quad = wt.weighted_norm_sq(SampledFunction(cfg.wide_grid, phi_n), a, kmax=n)
             closed = wt.phi_weighted_norm_sq(n, a)
             worst_rel = max(worst_rel, abs(quad - closed) / closed)
     gf_dev = 0.0
@@ -348,7 +346,7 @@ def criterion_hardy_threshold(cfg: VerifyConfig) -> CriterionResult:
     the coefficient bound decreases toward 0 as a -> 1."""
     rep = dc.hardy_classify(ga.gaussian(1.0).sample(cfg.grid), 1.0)
     residual = rep.ground_state_residual if rep.member else math.inf
-    f2 = sample(lambda xs: hermite_phi(2, xs), cfg.grid)
+    f2 = SampledFunction(cfg.grid, hermite_phi_all(2, cfg.grid.xs)[2])
     rep2 = dc.hardy_classify(f2, 1.0)
     monotone = True
     for k in (1, 2, 5, 10, 20):

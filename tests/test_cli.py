@@ -75,6 +75,10 @@ def test_load_config_precedence(tmp_path):
     bad.write_text(json.dumps({"unknown_key": 1}))
     with pytest.raises(CliParseError):
         load_config(str(bad), {})
+    stale = tmp_path / "stale.json"
+    stale.write_text(json.dumps({"kmax": 12, "tolerances": {"reflection": 1e-8}}))
+    with pytest.raises(CliParseError, match="unknown config key 'tolerances'"):
+        load_config(str(stale), {})
 
 
 def test_coeffs_table_structure(tmp_path):
@@ -190,6 +194,38 @@ def test_evolve_times(tmp_path):
     assert n1 == pytest.approx(n0, rel=1e-10)  # the flow is unitary
 
 
+@pytest.mark.parametrize("argv", [
+    ["evolve", "squeezed:beta=0.5", "--times", "0,inf"],
+    ["norms", "gaussian:b=0.5", "--a-list", "0.2,nan"],
+], ids=["evolve-times-inf", "norms-a-list-nan"])
+def test_non_finite_list_values_exit_2(argv, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and "finite" in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["confine", "hermite:k=4", "--beta", "0.75", "--gamma", "0.5"],
+    ["evolve", "hermite:k=4", "--a", "0.4"],
+], ids=["confine", "evolve"])
+def test_expansion_flow_builds_basis_once(argv, monkeypatch, tmp_path):
+    import gaussherm.hermite as hermite
+
+    build = hermite.hermite_phi_all
+    kmaxes = []
+
+    def counting(kmax, xs):
+        kmaxes.append(kmax)
+        return build(kmax, xs)
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("gaussherm") and getattr(mod, "hermite_phi_all", None) is build:
+            monkeypatch.setattr(mod, "hermite_phi_all", counting)
+    assert main([*argv, "--t-grid", "16", "--out", str(tmp_path / "o.csv")]) == 0
+    assert kmaxes == [4]
+
+
 def test_bargmann_table(tmp_path):
     out = tmp_path / "b.csv"
     assert main(["bargmann", "gaussian:b=0.5", "--w-count", "8", "--out", str(out)]) == 0
@@ -203,7 +239,7 @@ def test_bargmann_table(tmp_path):
 
 def test_verify_all_json_schema_and_exit(tmp_path):
     out = tmp_path / "v.json"
-    code = main(["verify-all", "--format", "json", "--out", str(out)])
+    code = main(["verify-all", "--format", "json", "--kmax", "20", "--out", str(out)])
     assert code == 0
     data = json.loads(out.read_text())
     assert data["all_pass"] is True
@@ -213,6 +249,7 @@ def test_verify_all_json_schema_and_exit(tmp_path):
         assert crit["pass"] is True
         assert isinstance(crit["measured"], float)
     assert set(data["config"]) == {"grid_L", "grid_N", "kmax", "t_grid_size"}
+    assert data["config"]["kmax"] == 60  # the criteria ran with max(kmax, 60)
 
 
 def test_csv_outputs_are_deterministic(tmp_path):

@@ -17,7 +17,6 @@ from gaussherm.hermite import (
     fourier_sampled_direct,
     hermite_phi,
     hermite_phi_all,
-    inner_product,
     mehler_closed_form,
     mehler_partial_sum,
     synthesize,
@@ -44,11 +43,26 @@ def test_phi2_against_explicit_polynomial():
     assert hermite_phi(2, xs) == pytest.approx(phi2_explicit(xs), abs=1e-14)
 
 
-def test_phi_all_matches_single():
-    xs = np.linspace(-6, 6, 31)
-    table = hermite_phi_all(12, xs)
-    for k in (0, 3, 7, 12):
-        assert table[k] == pytest.approx(hermite_phi(k, xs), abs=0, rel=1e-14)
+def test_phi_against_mpmath_closed_form():
+    """2^{1/4} (2^k k!)^{-1/2} H_k(x) e^{-x^2/2} at 50 digits, including the
+    classically forbidden region |x| > sqrt(2k+1)."""
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 50
+    xs = [0.0, 0.37, -1.3, 2.9, -5.5, 8.25, -11.0, 13.7, -18.0, 24.5, -30.0]
+    table = hermite_phi_all(81, xs)
+    for k in (0, 1, 5, 40, 81):
+        single = hermite_phi(k, xs)
+        for j, x in enumerate(xs):
+            xm = mp.mpf(x)
+            expected = float(
+                mp.mpf(2) ** mp.mpf("0.25") / mp.sqrt(mp.mpf(2) ** k * mp.factorial(k))
+                * mp.hermite(k, xm) * mp.exp(-xm * xm / 2)
+            )
+            if abs(expected) < np.finfo(float).tiny:
+                assert table[k, j] == 0.0 and single[j] == 0.0
+            else:
+                assert abs(table[k, j] - expected) <= 1e-12 * abs(expected)
+                assert abs(single[j] - expected) <= 1e-12 * abs(expected)
 
 
 def test_recurrence_against_extended_precision():
@@ -89,19 +103,17 @@ def test_orthonormality_on_default_grid(grid):
 
 
 @pytest.mark.parametrize("k,expected", [(0, 2.0 ** -0.25), (2, 0.0)])
-def test_inner_product_gaussian_oracle(grid, k, expected):
+def test_analyze_gaussian_oracle(grid, k, expected):
     # oracle: e^{-x^2/2} = 2^{-1/4} phi_0 exactly (Gaussian integral)
     f = sample(lambda xs: np.exp(-0.5 * xs ** 2), grid)
-    assert inner_product(f, k) == pytest.approx(expected, abs=1e-10)
+    assert analyze(f, k).coeffs[k] == pytest.approx(expected, abs=1e-10)
 
 
-def test_inner_product_band_limit(grid):
+def test_analyze_band_limit(grid):
     f = sample(lambda xs: np.exp(-0.5 * xs ** 2), grid)
-    kbad = band_limit(grid) + 1
+    analyze(f, band_limit(grid))
     with pytest.raises(BandLimitError):
-        inner_product(f, kbad)
-    with pytest.raises(BandLimitError):
-        analyze(f, kbad)
+        analyze(f, band_limit(grid) + 1)
 
 
 def test_analyze_parseval(grid):

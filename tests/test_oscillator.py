@@ -14,15 +14,21 @@ from gaussherm.gaussians import (
     hermite_coeffs,
     squeezed_state,
 )
-from gaussherm.hermite import HermiteExpansion, analyze, unit_expansion
+from gaussherm.hermite import (
+    HermiteExpansion,
+    analyze,
+    fourier_expansion,
+    synthesize,
+    unit_expansion,
+)
 from gaussherm.oscillator import (
     ConfinementParams,
-    EvolutionState,
     confinement_check,
     confinement_constant,
     default_t_grid,
     evolve_expansion,
     evolve_gaussian,
+    flow_sides,
     fourier_time_shift_check,
     sharp_confinement_probe,
     time_average_projection,
@@ -140,15 +146,37 @@ def test_confinement_constant_values():
     assert confinement_constant(wide, 1.0) == pytest.approx(mehler, rel=1e-8)
 
 
+def test_flow_sides_expansion_matches_synthesis(grid, rng):
+    e = HermiteExpansion(rng.normal(size=12) + 1j * rng.normal(size=12))
+    ts = default_t_grid(8)
+    sides = list(flow_sides(e, ts, grid))
+    assert len(sides) == ts.size
+    for t, (side_p, side_f) in zip(ts, sides):
+        et = evolve_expansion(e, float(t))
+        assert np.array_equal(side_p.values, synthesize(et, grid).values)
+        assert np.array_equal(side_f.values, synthesize(fourier_expansion(et), grid).values)
+
+
+def test_flow_sides_gaussian_is_closed_form(grid):
+    sq = squeezed_state(BETA)
+    ts = [0.0, 0.4, 2.1]
+    sides = list(flow_sides(sq, ts, grid))
+    assert len(sides) == len(ts)
+    for t, (side_p, side_f) in zip(ts, sides):
+        gt = evolve_gaussian(sq, t)
+        assert np.array_equal(side_p.values, gt.sample(grid).values)
+        assert np.array_equal(side_f.values, fourier_gaussian(gt).sample(grid).values)
+
+
 def test_confinement_check_ground_state(grid):
-    state = EvolutionState(0.0, GeneralizedGaussian(2 ** 0.25, 1.0))
+    state = GeneralizedGaussian(2 ** 0.25, 1.0)
     rep = confinement_check(state, 1.0, 0.9, default_t_grid(16), grid)
     assert not rep.divergent
     assert rep.psi_constants == pytest.approx(np.full(16, 2 ** 0.25), rel=1e-12)
 
 
 def test_confinement_check_squeezed_at_gamma_beta(grid):
-    state = EvolutionState(0.0, squeezed_state(BETA))
+    state = squeezed_state(BETA)
     rep = confinement_check(state, BETA, BETA, default_t_grid(64), grid)
     assert not rep.divergent
     assert rep.sup_constant == pytest.approx((1 - R) ** -0.5, rel=1e-10)
@@ -160,15 +188,15 @@ def test_confinement_check_squeezed_at_gamma_beta(grid):
 
 def test_confinement_check_expansion_rep_agrees(grid):
     ts = default_t_grid(8)
-    g_state = EvolutionState(0.0, squeezed_state(BETA))
-    e_state = EvolutionState(0.0, hermite_coeffs(squeezed_state(BETA), 70))
+    g_state = squeezed_state(BETA)
+    e_state = hermite_coeffs(squeezed_state(BETA), 70)
     rep_g = confinement_check(g_state, BETA, 0.45, ts, grid)
     rep_e = confinement_check(e_state, BETA, 0.45, ts, grid)
     assert rep_e.psi_constants == pytest.approx(rep_g.psi_constants, rel=1e-8)
 
 
 def test_confinement_check_divergence_reported(grid):
-    state = EvolutionState(0.0, squeezed_state(BETA))
+    state = squeezed_state(BETA)
     rep = confinement_check(state, BETA, 0.6, default_t_grid(16), grid)
     assert rep.divergent
     assert rep.first_divergent_t is not None
@@ -176,7 +204,7 @@ def test_confinement_check_divergence_reported(grid):
 
 def test_confinement_dominated_by_assembled_constant(grid):
     gamma, gamma_p = 0.45, 0.475
-    state = EvolutionState(0.0, squeezed_state(BETA))
+    state = squeezed_state(BETA)
     rep = confinement_check(state, BETA, gamma, default_t_grid(32), grid)
     coeffs = hermite_coeffs(squeezed_state(BETA), 80).coeffs
     k = np.arange(81)
@@ -188,7 +216,7 @@ def test_confinement_dominated_by_assembled_constant(grid):
 
 
 def test_sharp_confinement_probe_stable(grid):
-    state = EvolutionState(0.0, squeezed_state(BETA))
+    state = squeezed_state(BETA)
     probe = sharp_confinement_probe(state, BETA, default_t_grid(32), grid)
     assert probe.stable
     assert probe.sup_change < 1e-6
