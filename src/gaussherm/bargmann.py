@@ -23,11 +23,11 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import EdgeDecayError, NumericalDomainError
 from .grid import SampledFunction
 from .hermite import EDGE_DECAY_REL, HermiteExpansion, fourier_sampled
+from .special import gammaln
 
 LOG2 = math.log(2.0)
 _BARGMANN_PREF = 1.0 / (2.0 ** 0.25 * math.pi ** 0.5)

@@ -24,7 +24,6 @@ import tempfile
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from . import bargmann as bg
 from . import decay as dc
@@ -34,6 +33,7 @@ from . import weighted as wt
 from .errors import NumericalDomainError
 from .grid import GridSpec, SampledFunction, norm_sq
 from .hermite import HermiteExpansion, hermite_phi_all, synthesize, unit_expansion
+from .special import gammaln
 from .verify import VerifyConfig, run_all
 
 

@@ -14,11 +14,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import FitError
 from .grid import SampledFunction, norm_sq
 from .hermite import HermiteExpansion, analyze, fourier_sampled, hermite_phi_all
+from .special import gammaln
 
 #: Coefficient magnitudes below this are treated as numerical zeros in fits.
 NOISE_FLOOR = 1e-250

@@ -15,11 +15,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .decay import EnvelopeReport
 from .grid import DEFAULT_GRID, GridSpec, SampledFunction
 from .hermite import HermiteExpansion
+from .special import gammaln
 
 LOG2 = math.log(2.0)
 

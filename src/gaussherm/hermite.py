@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.signal import czt
 
 from .errors import BandLimitError, EdgeDecayError
 from .grid import DEFAULT_GRID, SQRT_2PI, GridSpec, SampledFunction, trapezoid_weights
@@ -140,7 +139,9 @@ def analyze(f: SampledFunction, kmax: int) -> HermiteExpansion:
 
 
 def synthesize(e: HermiteExpansion, grid: GridSpec = DEFAULT_GRID) -> SampledFunction:
-    """Pointwise sum_k coeffs[k] * phi_k(x) on the grid."""
+    """Pointwise sum_k coeffs[k] * phi_k(x) on the grid; refused, like
+    :func:`analyze`, when phi_{len(e)-1} is past the grid's band limit."""
+    _check_band_limit(grid, len(e) - 1)
     phi = hermite_phi_all(len(e) - 1, grid.xs)
     return SampledFunction(grid, e.coeffs @ phi)
 
@@ -168,9 +169,10 @@ def fourier_sampled(f: SampledFunction) -> SampledFunction:
     evaluated on the same grid.
 
     The output frequencies coincide with the input grid rather than the FFT
-    grid 2*pi/(N h), so the discretized integral is evaluated with a chirp-z
-    transform (Bluestein) instead of a plain FFT.  Requires f to have decayed
-    at the grid edges.
+    grid 2*pi/(N h), so the discretized integral is a chirp-z transform
+    (Rabiner, Schafer and Rader 1969), evaluated as one FFT convolution after
+    Bluestein's (1970) split jm = (j^2 + m^2 - (m-j)^2)/2.  Requires f to have
+    decayed at the grid edges.
     """
     _check_edge_decay(f.values, "input of fourier_sampled")
     grid = f.grid
@@ -178,20 +180,16 @@ def fourier_sampled(f: SampledFunction) -> SampledFunction:
     x0 = -grid.half_width
     n = grid.num_points
     # fhat(xi_m) = h/sqrt(2 pi) e^{-i x0 xi_m} sum_j [f_j e^{-i j h x0}] e^{-i j m h^2}
-    g = f.values * np.exp(-1j * h * x0 * np.arange(n))
-    spiral = czt(g, m=n, w=np.exp(-1j * h * h), a=1.0 + 0.0j)
+    j = np.arange(n)
+    chirp = np.exp(-0.5j * h * h * (j * j))
+    size = 1 << (2 * n - 2).bit_length()
+    kernel = np.zeros(size, dtype=complex)
+    kernel[:n] = chirp.conj()
+    kernel[size - n + 1:] = chirp[:0:-1].conj()
+    g = f.values * np.exp(-1j * h * x0 * j) * chirp
+    spiral = chirp * np.fft.ifft(np.fft.fft(g, size) * np.fft.fft(kernel))[:n]
     vals = (h / SQRT_2PI) * np.exp(-1j * x0 * grid.xs) * spiral
     return SampledFunction(grid, vals)
-
-
-def fourier_sampled_direct(f: SampledFunction) -> SampledFunction:
-    """O(N^2) reference implementation of :func:`fourier_sampled` (same grid,
-    same trapezoid-free Riemann sum); kept as an independent cross-check."""
-    _check_edge_decay(f.values, "input of fourier_sampled_direct")
-    xs = f.grid.xs
-    kernel = np.exp(-1j * np.outer(xs, xs))
-    vals = (f.grid.spacing / SQRT_2PI) * (kernel @ f.values)
-    return SampledFunction(f.grid, vals)
 
 
 def mehler_closed_form(x: float, w: float) -> float:

@@ -23,7 +23,7 @@ from .decay import envelope_scan
 from .errors import AliasingError
 from .gaussians import GeneralizedGaussian, fourier_gaussian
 from .grid import DEFAULT_GRID, GridSpec, SampledFunction
-from .hermite import HermiteExpansion, fourier_expansion, hermite_phi_all
+from .hermite import HermiteExpansion, _check_band_limit, fourier_expansion, hermite_phi_all
 
 
 def evolve_expansion(e: HermiteExpansion, t: float) -> HermiteExpansion:
@@ -149,13 +149,16 @@ def flow_sides(psi0: HermiteExpansion | GeneralizedGaussian, ts, grid: GridSpec 
 
     A Gaussian is sampled in closed form.  An expansion's basis is built
     once; each side is then ``coeffs @ phi`` of the evolved (and, for the
-    frequency side, (-i)^k-rotated) coefficients, one time at a time.
+    frequency side, (-i)^k-rotated) coefficients, one time at a time.  An
+    expansion past the grid's band limit is refused (``BandLimitError``)
+    when the first pair is drawn.
     """
     if isinstance(psi0, GeneralizedGaussian):
         for t in ts:
             gt = evolve_gaussian(psi0, float(t))
             yield gt.sample(grid), fourier_gaussian(gt).sample(grid)
         return
+    _check_band_limit(grid, len(psi0) - 1)
     phi = hermite_phi_all(len(psi0) - 1, grid.xs).astype(complex)
     for t in ts:
         et = evolve_expansion(psi0, float(t))

@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from . import bargmann as bg
 from . import decay as dc
@@ -23,6 +22,7 @@ from . import oscillator as osc
 from . import weighted as wt
 from .grid import DEFAULT_GRID, GridSpec, SampledFunction
 from .hermite import HermiteExpansion, analyze, hermite_phi_all
+from .special import gammaln
 
 
 @dataclass(frozen=True)

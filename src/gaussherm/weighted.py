@@ -19,11 +19,11 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import EdgeDecayError, NumericalDomainError
 from .grid import SQRT_2PI, SampledFunction, trapezoid
 from .hermite import analyze, fourier_expansion, fourier_sampled, synthesize
+from .special import gammaln
 
 LOG2 = math.log(2.0)
 
@@ -99,15 +99,10 @@ def _logsumexp_sorted(log_terms: np.ndarray) -> float:
 
 
 def _log_norm_terms(n: int, log_inv_mu: float) -> np.ndarray:
+    """log of Q_k Q_{n-k} mu^{-k}, k = 0..n (the terms of the norm sum)."""
     k = np.arange(n + 1, dtype=float)
-    return (
-        gammaln(2 * k + 1)
-        + gammaln(2 * (n - k) + 1)
-        - 2 * gammaln(k + 1)
-        - 2 * gammaln(n - k + 1)
-        - 2 * n * LOG2
-        + k * log_inv_mu
-    )
+    log_q = log_central_binomial(k)
+    return log_q + log_q[::-1] + k * log_inv_mu
 
 
 def phi_weighted_norm_sq(n: int, a: float) -> float:

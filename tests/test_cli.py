@@ -184,6 +184,20 @@ def test_norms_with_input(tmp_path):
     assert vals[0.5] == pytest.approx(1.0, rel=1e-9)  # ||g_1||_{1/2}^2 = 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["evolve", "--times", "0"],
+    ["envelope"],
+    ["confine", "--beta", "0.75", "--gamma", "0.5"],
+], ids=["evolve", "envelope", "confine"])
+def test_expansion_past_band_limit_exits_3(argv, capsys, tmp_path):
+    # the default grid resolves phi_k up to k = 81
+    out = tmp_path / "o.csv"
+    assert main([argv[0], "hermite:k=82", *argv[1:], "--out", str(out)]) == 3
+    assert "band limit" in capsys.readouterr().err
+    assert not out.exists()
+    assert main([argv[0], "hermite:k=81", *argv[1:], "--out", str(out)]) == 0
+
+
 def test_evolve_times(tmp_path):
     out = tmp_path / "ev.csv"
     assert main(["evolve", "squeezed:beta=0.5", "--times", "0,0.39269908169872414",
@@ -258,6 +272,14 @@ def test_csv_outputs_are_deterministic(tmp_path):
         assert main(["coeffs", "chirp:alpha=0.27465", "--kmax", "20",
                      "--out", str(path)]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_import_loads_no_scipy():
+    code = ("import sys, gaussherm.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "[]"
 
 
 def test_cli_subprocess_entry_point(tmp_path):

@@ -7,14 +7,13 @@ import numpy as np
 import pytest
 
 from gaussherm.errors import BandLimitError, EdgeDecayError
-from gaussherm.grid import GridSpec, SampledFunction, norm_sq, sample
+from gaussherm.grid import SQRT_2PI, GridSpec, SampledFunction, norm_sq, sample
 from gaussherm.hermite import (
     HermiteExpansion,
     analyze,
     band_limit,
     fourier_expansion,
     fourier_sampled,
-    fourier_sampled_direct,
     hermite_phi,
     hermite_phi_all,
     mehler_closed_form,
@@ -116,6 +115,17 @@ def test_analyze_band_limit(grid):
         analyze(f, band_limit(grid) + 1)
 
 
+def test_synthesize_band_limit(grid):
+    # phi_k past the band limit runs off the grid (||phi_200||^2 reads 0.587
+    # on the default grid), so synthesis is refused like analysis
+    kmax = band_limit(grid)
+    assert norm_sq(synthesize(unit_expansion(kmax), grid)) == pytest.approx(1.0, abs=1e-10)
+    with pytest.raises(BandLimitError):
+        synthesize(unit_expansion(kmax + 1), grid)
+    with pytest.raises(BandLimitError):
+        synthesize(unit_expansion(0, length=kmax + 2), grid)
+
+
 def test_analyze_parseval(grid):
     f0 = sample(lambda xs: hermite_phi(0, xs), grid)
     e = analyze(f0, 30)
@@ -182,12 +192,38 @@ def test_fourier_sampled_phi1_eigenfunction(grid):
     assert np.max(np.abs(fourier_sampled(f).values - (-1j) * f.values)) < 1e-8
 
 
+def fourier_sampled_direct(values, grid):
+    """O(N^2) reference for fourier_sampled: the Riemann sum
+    h/sqrt(2 pi) sum_j f(x_j) e^{-i xi x_j} at every grid point xi, taken
+    over row blocks of the kernel to bound memory.  ``values`` is (N, M):
+    one column per input."""
+    xs = grid.xs
+    out = np.empty(values.shape, dtype=complex)
+    for lo in range(0, xs.size, 512):
+        out[lo:lo + 512] = np.exp(-1j * np.outer(xs[lo:lo + 512], xs)) @ values
+    return (grid.spacing / SQRT_2PI) * out
+
+
 def test_fourier_sampled_matches_direct_reference():
     g = GridSpec(12.0, 256)
     f = sample(lambda xs: np.exp(-0.5 * xs ** 2) * (1 + 0.3 * xs + 0.2j * xs ** 2), g)
     a = fourier_sampled(f).values
-    b = fourier_sampled_direct(f).values
+    b = fourier_sampled_direct(f.values[:, None], g)[:, 0]
     assert np.max(np.abs(a - b)) < 1e-12
+
+
+@pytest.mark.parametrize("grid_", [GridSpec(16.0, 4096), GridSpec(16.0, 2048),
+                                   GridSpec(12.0, 4096), GridSpec(24.0, 6144)],
+                         ids=["default", "N2048", "L12", "wide"])
+def test_fourier_sampled_matches_direct_sum(grid_):
+    xs = grid_.xs
+    widths = [0.3, 1.0, 2.5, 0.7 + 0.4j, 2.0 - 0.5j]
+    inputs = [np.exp(-0.5 * b * xs ** 2) for b in widths]
+    inputs.append(np.exp(-0.3 * xs ** 2) * (1 + xs - 0.3j * xs ** 3))
+    ref = fourier_sampled_direct(np.stack(inputs, axis=1), grid_)
+    for i, values in enumerate(inputs):
+        got = fourier_sampled(SampledFunction(grid_, values)).values
+        assert np.max(np.abs(got - ref[:, i])) <= 1e-14 * np.max(np.abs(ref[:, i]))
 
 
 def test_fourier_sampled_fourth_power_identity(grid):

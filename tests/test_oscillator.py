@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from gaussherm.errors import AliasingError
+from gaussherm.errors import AliasingError, BandLimitError
 from gaussherm.gaussians import (
     GeneralizedGaussian,
     fourier_gaussian,
@@ -17,6 +17,7 @@ from gaussherm.gaussians import (
 from gaussherm.hermite import (
     HermiteExpansion,
     analyze,
+    band_limit,
     fourier_expansion,
     synthesize,
     unit_expansion,
@@ -155,6 +156,13 @@ def test_flow_sides_expansion_matches_synthesis(grid, rng):
         et = evolve_expansion(e, float(t))
         assert np.array_equal(side_p.values, synthesize(et, grid).values)
         assert np.array_equal(side_f.values, synthesize(fourier_expansion(et), grid).values)
+
+
+def test_flow_sides_expansion_band_limit(grid):
+    kmax = band_limit(grid)
+    assert len(list(flow_sides(unit_expansion(kmax), [0.0, 1.0], grid))) == 2
+    with pytest.raises(BandLimitError):
+        next(flow_sides(unit_expansion(kmax + 1), [0.0], grid))
 
 
 def test_flow_sides_gaussian_is_closed_form(grid):
