@@ -111,7 +111,7 @@ def _float_list(text: str, flag: str) -> list[float]:
     except ValueError as exc:
         raise CliParseError(f"bad {flag} list: {exc}") from exc
     if not all(math.isfinite(v) for v in values):
-        raise CliParseError(f"{flag} values must be finite, got {text!r}")
+        raise CliParseError(f"{flag} must be finite, got {text!r}")
     return values
 
 
@@ -581,6 +581,9 @@ def main(argv=None) -> int:
         "output_path": args.output_path,
     }
     try:
+        for dest in ("a", "w_ring", "beta", "gamma"):  # argparse's float() takes inf, nan
+            if getattr(args, dest, None) is not None:
+                _float_list(repr(getattr(args, dest)), "--" + dest.replace("_", "-"))
         cfg = load_config(args.config, overrides)
         text, code = args.fn(args, cfg)
         write_output(text, cfg.output_path)

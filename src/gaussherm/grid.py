@@ -21,7 +21,7 @@ class GridSpec:
     Parameters
     ----------
     half_width : float
-        L > 0, in x-units.
+        Finite L > 0, in x-units.
     num_points : int
         Even, at least 16.  Spacing is h = 2L/N and x = 0 is the point
         with index N/2.
@@ -31,8 +31,8 @@ class GridSpec:
     num_points: int = 4096
 
     def __post_init__(self):
-        if not self.half_width > 0:
-            raise ValueError(f"half_width must be positive, got {self.half_width}")
+        if not 0 < self.half_width < np.inf:
+            raise ValueError(f"half_width must be positive and finite, got {self.half_width}")
         if self.num_points < 16 or self.num_points % 2 != 0:
             raise ValueError(
                 f"num_points must be even and >= 16, got {self.num_points}"

@@ -159,8 +159,8 @@ def criterion_contour_machinery(cfg: VerifyConfig) -> CriterionResult:
     d1 = mu + (1 - mu) * math.sin(theta0) ** 2
     d2 = math.sqrt(mu) * math.sin(2 * theta0)
     cont_dev = abs(d1 - d2) / d1
-    ij = {n: math.exp(bg.optimal_contour(n, mu).log_i - bg.optimal_contour(n, mu).log_j)
-          for n in (10, 50, 200)}
+    contours = {n: bg.optimal_contour(n, mu) for n in (10, 50, 200)}
+    ij = {n: math.exp(cb.log_i - cb.log_j) for n, cb in contours.items()}
     decreasing = ij[10] > ij[50] > ij[200]
     alpha = 0.27465
     a = math.tanh(2 * alpha)

@@ -161,10 +161,12 @@ def generating_function_check(a: float, w: float, nmax: int) -> tuple[float, flo
     else:
         log_absw = math.log(abs(w))
         sign = np.sign(w) ** np.arange(nmax + 1)
+        j = np.arange(nmax + 1, dtype=float)
+        log_q = log_central_binomial(j)  # slice k is _log_norm_terms(k, -log mu)
         log_terms = np.array(
             [
                 -0.5 * math.log1p(-a)
-                + _logsumexp_sorted(_log_norm_terms(k, -math.log(mu)))
+                + _logsumexp_sorted(log_q[: k + 1] + log_q[k::-1] - j[: k + 1] * math.log(mu))
                 + k * log_absw
                 for k in range(nmax + 1)
             ]

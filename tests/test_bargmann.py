@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from gaussherm.bargmann import (
-    adaptive_simpson,
     bargmann_numeric,
     cauchy_coeff_bound,
     expansion_to_taylor,
@@ -235,9 +234,48 @@ def test_cauchy_bound_dominates_and_is_not_sharp():
     assert ratios[-1] > ratios[0]  # bound/coefficient ratio grows without bound
 
 
-def test_adaptive_simpson_on_known_integral():
-    val = adaptive_simpson(math.sin, 0.0, math.pi, 1e-12)
-    assert val == pytest.approx(2.0, abs=1e-11)
+def _contour_logs_mpmath(n, mu):
+    """log I and log J of the optimized contour at 30 digits.
+
+    I is integrated normalized by u(theta0)**half (mpmath's error estimate
+    is absolute), with breakpoints at the integrands' features: I's peak at
+    theta0, of width ~2 sqrt(mu)/((1-mu) n); the arclength factor's
+    near-kink at t = mu; J's peak at pi/4, of width ~1/sqrt(n).
+    """
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(30):
+        m = mp.mpf(mu)
+        half = mp.mpf(n - 2) / 2
+        theta0 = mp.atan(mp.sqrt(m))
+        u0 = 2 * m / (1 + m)
+        width = 2 * mp.sqrt(m) / ((1 - m) * n)
+        inner = {theta0 - c * width for c in (1, 4, 16, 64)} | {m}
+        pts_i = [mp.mpf(0), *sorted(p for p in inner if 0 < p < theta0), theta0]
+        inner = {mp.pi / 4 - c / mp.sqrt(n) for c in (1, 4, 16)}
+        pts_j = [theta0, *sorted(p for p in inner if theta0 < p), mp.pi / 4]
+
+        def integrand_i(t):
+            s2 = mp.sin(t) ** 2
+            return ((m + (1 - m) * s2) / u0) ** half * mp.sqrt(m * m + (1 - m * m) * s2)
+
+        i_val, i_err = mp.quad(integrand_i, pts_i, error=True)
+        j_val, j_err = mp.quad(lambda t: mp.sin(2 * t) ** half, pts_j, error=True)
+        assert i_err < 1e-20 * i_val and j_err < 1e-20 * j_val
+        return (
+            float(half * mp.log(u0) + mp.log(i_val)),
+            float(n * mp.log(m) / 4 + mp.log(j_val)),
+        )
+
+
+@pytest.mark.parametrize("mu", [1e-3, 1 / 3, 0.9, 0.999])
+@pytest.mark.parametrize("n", [2, 3, 10, 317, 10**4])
+def test_contour_integrals_against_mpmath(n, mu):
+    ref_i, ref_j = _contour_logs_mpmath(n, mu)
+    cb = optimal_contour(n, mu)
+    # 1e-12 absolute on the logs, plus one ulp: at n = 10^4 the logs reach
+    # ~3e4 in magnitude, where a double cannot come closer than ~3.6e-12
+    assert abs(cb.log_i - ref_i) <= 1e-12 + math.ulp(ref_i)
+    assert abs(cb.log_j - ref_j) <= 1e-12 + math.ulp(ref_j)
 
 
 def test_contour_radius_continuity_and_symmetry():
@@ -279,8 +317,8 @@ def test_gamma_ratio_simple_constant_fails_only_at_n2():
 
 def test_contour_i_is_small_compared_to_j():
     mu = 1 / 3
-    ij = [math.exp(optimal_contour(n, mu).log_i - optimal_contour(n, mu).log_j)
-          for n in (10, 50, 200)]
+    contours = [optimal_contour(n, mu) for n in (10, 50, 200)]
+    ij = [math.exp(cb.log_i - cb.log_j) for cb in contours]
     assert ij[0] > ij[1] > ij[2]
     assert ij[2] < 0.1
 

@@ -220,6 +220,30 @@ def test_non_finite_list_values_exit_2(argv, capsys):
 
 
 @pytest.mark.parametrize("argv", [
+    ["envelope", "gaussian:b=0.5", "--a", "nan"],
+    ["bargmann", "gaussian:b=0.5", "--w-ring", "nan"],
+    ["evolve", "gaussian:b=0.5", "--a", "nan"],
+    ["coeffs", "gaussian:b=0.5", "--a", "inf"],
+    ["confine", "gaussian:b=0.5", "--beta", "nan", "--gamma", "0.5"],
+    ["confine", "gaussian:b=0.5", "--beta", "0.3", "--gamma", "inf"],
+    ["envelope", "hermite:k=3", "--grid-L", "inf"],
+], ids=["envelope-a-nan", "bargmann-w-ring-nan", "evolve-a-nan", "coeffs-a-inf",
+        "confine-beta-nan", "confine-gamma-inf", "envelope-grid-L-inf"])
+def test_non_finite_float_flags_exit_2(argv, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and "finite" in captured.err
+
+
+def test_non_finite_config_grid_l_exits_2(tmp_path, capsys):
+    cfg_file = tmp_path / "c.json"
+    cfg_file.write_text(json.dumps({"grid_L": math.inf}))
+    assert main(["envelope", "hermite:k=3", "--config", str(cfg_file)]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("argv", [
     ["confine", "hermite:k=4", "--beta", "0.75", "--gamma", "0.5"],
     ["evolve", "hermite:k=4", "--a", "0.4"],
 ], ids=["confine", "evolve"])
@@ -275,8 +299,10 @@ def test_csv_outputs_are_deterministic(tmp_path):
 
 
 def test_import_loads_no_scipy():
+    """Nor numpy.polynomial, a few ms of set-up nothing at import needs."""
     code = ("import sys, gaussherm.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'"
+            " or m.startswith('numpy.polynomial')))")
     res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert res.returncode == 0, res.stderr
     assert res.stdout.strip() == "[]"

@@ -11,6 +11,9 @@ def test_grid_validation():
         GridSpec(0.0, 64)
     with pytest.raises(ValueError):
         GridSpec(-2.0, 64)
+    for bad in (np.inf, np.nan):
+        with pytest.raises(ValueError):
+            GridSpec(bad, 64)
     with pytest.raises(ValueError):
         GridSpec(8.0, 8)  # below the minimum point count
     with pytest.raises(ValueError):

@@ -13,6 +13,8 @@ from gaussherm.hermite import hermite_phi
 from gaussherm.oscillator import default_t_grid, evolve_gaussian
 from gaussherm.weighted import (
     WeakConfinementParams,
+    _log_norm_terms,
+    _logsumexp_sorted,
     central_binomial,
     central_binomial_certificate,
     central_binomial_convolution,
@@ -108,6 +110,22 @@ def test_generating_function_more_points():
     for a, w, nmax in ((0.2, 0.5, 400), (0.2, -0.3, 300), (0.5, 0.25, 400)):
         lhs, rhs = generating_function_check(a, w, nmax)
         assert abs(lhs - rhs) < 1e-8
+
+
+@pytest.mark.parametrize("a, w, nmax", [(0.5, 0.25, 400), (0.2, 0.5, 400), (0.2, -0.3, 300)])
+def test_generating_function_matches_per_k_norm_terms(a, w, nmax):
+    """The partial sum built from one sliced Q table is bit-identical to
+    building each k's norm terms afresh."""
+    log_inv_mu = -math.log((1 - a) / (1 + a))
+    log_terms = np.array([
+        -0.5 * math.log1p(-a) + _logsumexp_sorted(_log_norm_terms(k, log_inv_mu))
+        + k * math.log(abs(w))
+        for k in range(nmax + 1)
+    ])
+    top = log_terms.max()
+    sign = np.sign(w) ** np.arange(nmax + 1)
+    expected = float(math.exp(top) * np.sum(sign * np.exp(log_terms - top)))
+    assert generating_function_check(a, w, nmax)[0] == expected
 
 
 def test_generating_function_w_zero():
