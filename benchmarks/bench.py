@@ -1,0 +1,101 @@
+"""In-process timings of gaussherm's kernels and verify criteria.
+
+Run from the root of a checkout (the package is taken from its ``src``)::
+
+    python3 benchmarks/bench.py --label basis_cache --repeats 7
+
+Each item is called once untimed (so lazy set-up and caches are warm, as
+they are for every request after the first in a long-lived process), then
+``--repeats`` times under ``time.perf_counter``.  The median, min and max of
+those repeats are printed and written, with the machine's nproc and the
+Python and numpy versions, to ``BENCH_<label>.json`` at the checkout root.
+Timings are noisy on a shared machine: compare two labels only when both
+files come from the same machine, and read the min/max spread first.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import sys
+import time
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "src"))
+
+import numpy as np  # noqa: E402
+
+from gaussherm import verify  # noqa: E402
+from gaussherm.grid import DEFAULT_GRID, sample  # noqa: E402
+from gaussherm.hermite import analyze, fourier_sampled, hermite_phi_all, synthesize  # noqa: E402
+
+
+def items():
+    """(name, zero-argument callable) pairs, in report order."""
+    grid = DEFAULT_GRID
+    f = sample(lambda xs: (1.0 + 0.5j * xs) * np.exp(-(0.4 - 0.3j) * xs * xs), grid)
+    cfg = verify.VerifyConfig()
+    out = [
+        ("hermite_phi_all K=60 N=4096", lambda: hermite_phi_all(60, grid.xs)),
+        ("analyze+synthesize K=60 N=4096", lambda: synthesize(analyze(f, 60), grid)),
+        ("fourier_sampled N=4096", lambda: fourier_sampled(f)),
+    ]
+    for fn in verify.ALL_CRITERIA:
+        out.append((f"verify.{fn.__name__.removeprefix('criterion_')}",
+                    lambda fn=fn: fn(cfg)))
+    # one criterion repeated alone keeps its own grid's basis cached; the
+    # whole suite, as verify-all runs it, switches grids between criteria
+    out.append(("verify.run_all", lambda: verify.run_all(cfg)))
+    return out
+
+
+def time_item(fn, repeats: int) -> dict:
+    fn()
+    times = []
+    for _ in range(repeats):
+        start = time.perf_counter()
+        fn()
+        times.append(time.perf_counter() - start)
+    return {
+        "median_ms": 1e3 * statistics.median(times),
+        "min_ms": 1e3 * min(times),
+        "max_ms": 1e3 * max(times),
+        "repeats": repeats,
+    }
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--label", required=True, help="names the output BENCH_<label>.json")
+    parser.add_argument("--repeats", type=int, default=7, help="timed calls per item")
+    args = parser.parse_args(argv)
+    if args.repeats < 1:
+        parser.error("--repeats must be >= 1")
+    results = {}
+    for name, fn in items():
+        results[name] = time_item(fn, args.repeats)
+        r = results[name]
+        print(f"{name:45s} median {r['median_ms']:9.3f} ms  "
+              f"min {r['min_ms']:9.3f}  max {r['max_ms']:9.3f}")
+    payload = {
+        "label": args.label,
+        "machine": {
+            "nproc": os.cpu_count(),
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+        },
+        "timings": results,
+    }
+    path = os.path.join(ROOT, f"BENCH_{args.label}.json")
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, indent=2)
+        fh.write("\n")
+    print(f"wrote {path}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

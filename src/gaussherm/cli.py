@@ -32,7 +32,7 @@ from . import oscillator as osc
 from . import weighted as wt
 from .errors import NumericalDomainError
 from .grid import GridSpec, SampledFunction, norm_sq
-from .hermite import HermiteExpansion, hermite_phi_all, synthesize, unit_expansion
+from .hermite import HermiteExpansion, band_limit, grid_basis, synthesize, unit_expansion
 from .special import gammaln
 from .verify import VerifyConfig, run_all
 
@@ -434,12 +434,15 @@ def cmd_norms(args, cfg: RunConfig) -> tuple[str, int]:
         header = ["n", "closed_norm_sq", "lower_bound", "quadrature_norm_sq"]
         rows = []
         grid = cfg.grid
-        for n, phi_n in enumerate(hermite_phi_all(cfg.kmax, grid.xs)):
+        resolved = min(cfg.kmax, band_limit(grid))  # rows past it print nan, unbuilt
+        phis = grid_basis(grid, resolved) if resolved >= 0 else ()
+        for n in range(cfg.kmax + 1):
             quad = math.nan
-            try:
-                quad = wt.weighted_norm_sq(SampledFunction(grid, phi_n), a, kmax=n)
-            except NumericalDomainError:
-                pass
+            if n <= resolved:
+                try:
+                    quad = wt.weighted_norm_sq(SampledFunction(grid, phis[n]), a, kmax=n)
+                except NumericalDomainError:
+                    pass
             rows.append([
                 n,
                 wt.phi_weighted_norm_sq(n, a),
@@ -586,7 +589,12 @@ def main(argv=None) -> int:
                 _float_list(repr(getattr(args, dest)), "--" + dest.replace("_", "-"))
         cfg = load_config(args.config, overrides)
         text, code = args.fn(args, cfg)
-        write_output(text, cfg.output_path)
+        try:
+            write_output(text, cfg.output_path)
+        except OSError as exc:
+            raise CliParseError(
+                f"cannot write {cfg.output_path or 'stdout'}: {exc.strerror or exc}"
+            ) from exc
         return code
     except CliParseError as exc:
         print(f"error: {exc}", file=sys.stderr)

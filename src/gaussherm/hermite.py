@@ -127,23 +127,51 @@ def _check_band_limit(grid: GridSpec, k: int):
         )
 
 
-def analyze(f: SampledFunction, kmax: int) -> HermiteExpansion:
-    """Hermite coefficients <f, phi_k> for k = 0..kmax, by quadrature."""
+#: (grid, read-only basis) of :func:`grid_basis`.  Replaced, never written
+#: in place, so a caller holding rows of an older basis still reads them.
+_GRID_BASIS: tuple[GridSpec, np.ndarray] | None = None
+
+
+def grid_basis(grid: GridSpec, kmax: int) -> np.ndarray:
+    """Read-only rows phi_0..phi_kmax on ``grid.xs``, shape (kmax+1, N);
+    refused (``BandLimitError``) past the grid's band limit.
+
+    One basis is cached: that of the last grid asked for, rebuilt by
+    :func:`hermite_phi_all` when a larger kmax is asked for on it and
+    replaced when another grid is.  A row prefix of the recurrence does not
+    depend on how far it runs, so the rows equal a fresh
+    ``hermite_phi_all(kmax, grid.xs)`` bit for bit, and the cache never
+    holds more than ``band_limit(grid) + 1`` rows.
+    """
+    global _GRID_BASIS
     if kmax < 0:
         raise ValueError(f"kmax must be >= 0, got {kmax}")
-    _check_band_limit(f.grid, kmax)
+    _check_band_limit(grid, kmax)
+    cached = _GRID_BASIS
+    if cached is None or cached[0] != grid or cached[1].shape[0] <= kmax:
+        phi = hermite_phi_all(kmax, grid.xs)
+        phi.flags.writeable = False
+        cached = _GRID_BASIS = (grid, phi)
+    return cached[1][: kmax + 1]
+
+
+def _dot_real(c: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """c @ m for complex c and real m, as two real products: a mixed-dtype
+    ``@`` would first copy m to complex."""
+    return c.real @ m + 1j * (c.imag @ m)
+
+
+def analyze(f: SampledFunction, kmax: int) -> HermiteExpansion:
+    """Hermite coefficients <f, phi_k> for k = 0..kmax, by quadrature."""
+    phi = grid_basis(f.grid, kmax)
     w = trapezoid_weights(f.grid.num_points, f.grid.spacing)
-    phi = hermite_phi_all(kmax, f.grid.xs)
-    coeffs = phi @ (f.values * w) / SQRT_2PI
-    return HermiteExpansion(coeffs)
+    return HermiteExpansion(_dot_real(f.values * w, phi.T) / SQRT_2PI)
 
 
 def synthesize(e: HermiteExpansion, grid: GridSpec = DEFAULT_GRID) -> SampledFunction:
     """Pointwise sum_k coeffs[k] * phi_k(x) on the grid; refused, like
     :func:`analyze`, when phi_{len(e)-1} is past the grid's band limit."""
-    _check_band_limit(grid, len(e) - 1)
-    phi = hermite_phi_all(len(e) - 1, grid.xs)
-    return SampledFunction(grid, e.coeffs @ phi)
+    return SampledFunction(grid, _dot_real(e.coeffs, grid_basis(grid, len(e) - 1)))
 
 
 def fourier_expansion(e: HermiteExpansion) -> HermiteExpansion:

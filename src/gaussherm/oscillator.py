@@ -23,7 +23,7 @@ from .decay import envelope_scan
 from .errors import AliasingError
 from .gaussians import GeneralizedGaussian, fourier_gaussian
 from .grid import DEFAULT_GRID, GridSpec, SampledFunction
-from .hermite import HermiteExpansion, _check_band_limit, fourier_expansion, hermite_phi_all
+from .hermite import HermiteExpansion, _dot_real, fourier_expansion, grid_basis
 
 
 def evolve_expansion(e: HermiteExpansion, t: float) -> HermiteExpansion:
@@ -147,9 +147,10 @@ def default_t_grid(size: int = 64) -> np.ndarray:
 def flow_sides(psi0: HermiteExpansion | GeneralizedGaussian, ts, grid: GridSpec = DEFAULT_GRID):
     """Yield (samples of psi_t, samples of its Fourier transform) for each t.
 
-    A Gaussian is sampled in closed form.  An expansion's basis is built
-    once; each side is then ``coeffs @ phi`` of the evolved (and, for the
-    frequency side, (-i)^k-rotated) coefficients, one time at a time.  An
+    A Gaussian is sampled in closed form.  An expansion's sides are
+    ``coeffs @ phi`` of the evolved (and, for the frequency side,
+    (-i)^k-rotated) coefficients against the grid's cached real basis
+    (:func:`~gaussherm.hermite.grid_basis`), one time at a time.  An
     expansion past the grid's band limit is refused (``BandLimitError``)
     when the first pair is drawn.
     """
@@ -158,12 +159,11 @@ def flow_sides(psi0: HermiteExpansion | GeneralizedGaussian, ts, grid: GridSpec 
             gt = evolve_gaussian(psi0, float(t))
             yield gt.sample(grid), fourier_gaussian(gt).sample(grid)
         return
-    _check_band_limit(grid, len(psi0) - 1)
-    phi = hermite_phi_all(len(psi0) - 1, grid.xs).astype(complex)
+    phi = grid_basis(grid, len(psi0) - 1)
     for t in ts:
         et = evolve_expansion(psi0, float(t))
-        yield (SampledFunction(grid, et.coeffs @ phi),
-               SampledFunction(grid, fourier_expansion(et).coeffs @ phi))
+        yield (SampledFunction(grid, _dot_real(et.coeffs, phi)),
+               SampledFunction(grid, _dot_real(fourier_expansion(et).coeffs, phi)))
 
 
 def confinement_check(

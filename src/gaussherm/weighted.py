@@ -57,8 +57,9 @@ def weighted_norm_sq(f: SampledFunction, a: float, kmax: int | None = None) -> f
     refuses the computation.  For smooth, effectively band-limited f, pass
     ``kmax``: the Fourier side is then synthesized from the Hermite
     expansion through kmax, whose basis values are computed by the stable
-    recurrence with full relative accuracy at all magnitudes, so the
-    weighted tail stays honest.
+    recurrence with full relative accuracy at all magnitudes.  The
+    coefficients themselves still carry quadrature noise, which the weight
+    amplifies in the tail; the edge check does not bound that error.
     """
     xs = f.grid.xs
     h = f.grid.spacing

@@ -175,6 +175,18 @@ def test_norms_table(tmp_path):
         assert q == pytest.approx(c, rel=1e-6)
 
 
+@pytest.mark.parametrize("grid_l,resolved", [(8.0, 19), (1.0, -1)])
+def test_norms_table_past_band_limit_is_nan(tmp_path, grid_l, resolved):
+    out = tmp_path / "n.csv"
+    assert main(["norms", "--kmax", "22", "--a", "0.3", "--grid-L", str(grid_l),
+                 "--grid-N", "1024", "--out", str(out)]) == 0
+    rows = out.read_bytes().decode().strip().split("\r\n")[1:]
+    quad = [float(r.split(",")[3]) for r in rows]
+    assert len(quad) == 23
+    assert all(math.isnan(q) for q in quad[resolved + 1:])
+    assert all(math.isfinite(q) for q in quad[:min(resolved + 1, 10)])
+
+
 def test_norms_with_input(tmp_path):
     out = tmp_path / "n.csv"
     assert main(["norms", "gaussian:b=1", "--a-list", "0.2,0.5", "--kmax", "8",
@@ -260,8 +272,37 @@ def test_expansion_flow_builds_basis_once(argv, monkeypatch, tmp_path):
     for name, mod in list(sys.modules.items()):
         if name.startswith("gaussherm") and getattr(mod, "hermite_phi_all", None) is build:
             monkeypatch.setattr(mod, "hermite_phi_all", counting)
+    monkeypatch.setattr(hermite, "_GRID_BASIS", None)
     assert main([*argv, "--t-grid", "16", "--out", str(tmp_path / "o.csv")]) == 0
     assert kmaxes == [4]
+    # a repeat on the same grid reads the cached basis
+    assert main([*argv, "--t-grid", "16", "--out", str(tmp_path / "o.csv")]) == 0
+    assert kmaxes == [4]
+
+
+def test_warm_expansion_envelope_allocates_no_basis(tmp_path):
+    """Once the grid's real basis is cached, an expansion's t = 0 sides are
+    two real products against it: no (K+1) x N basis is allocated."""
+    import tracemalloc
+
+    argv = ["envelope", "hermite:k=81", "--out", str(tmp_path / "o.csv")]
+    assert main(argv) == 0
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2e6  # one real 82 x 4096 basis is 2.7 MB
+
+
+def test_out_into_missing_directory_exits_2(tmp_path, capsys):
+    out = tmp_path / "missing" / "x.csv"
+    assert main(["envelope", "gaussian:b=0.5", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot write {out}")
+    assert not out.parent.exists()
 
 
 def test_bargmann_table(tmp_path):

@@ -6,14 +6,16 @@ import math
 import numpy as np
 import pytest
 
+import gaussherm.hermite as hermite
 from gaussherm.errors import BandLimitError, EdgeDecayError
-from gaussherm.grid import SQRT_2PI, GridSpec, SampledFunction, norm_sq, sample
+from gaussherm.grid import SQRT_2PI, GridSpec, SampledFunction, norm_sq, sample, trapezoid_weights
 from gaussherm.hermite import (
     HermiteExpansion,
     analyze,
     band_limit,
     fourier_expansion,
     fourier_sampled,
+    grid_basis,
     hermite_phi,
     hermite_phi_all,
     mehler_closed_form,
@@ -99,6 +101,77 @@ def test_orthonormality_on_default_grid(grid):
     w[-1] *= 0.5
     gram = (table * w) @ table.T / math.sqrt(2 * math.pi)
     assert np.max(np.abs(gram - np.eye(41))) < 1e-10
+
+
+@pytest.fixture()
+def counted_builds(monkeypatch):
+    """Empty the grid-basis cache and record the kmax of every basis build."""
+    build = hermite.hermite_phi_all
+    kmaxes = []
+
+    def counting(kmax, xs):
+        kmaxes.append(kmax)
+        return build(kmax, xs)
+
+    monkeypatch.setattr(hermite, "hermite_phi_all", counting)
+    monkeypatch.setattr(hermite, "_GRID_BASIS", None)
+    return kmaxes
+
+
+def test_grid_basis_rows_match_a_fresh_build(grid, counted_builds):
+    grid_basis(grid, 40)
+    for k in (0, 17, 40, 60, band_limit(grid)):  # below, at and above the cached size
+        assert np.array_equal(grid_basis(grid, k), hermite_phi_all(k, grid.xs))
+    assert counted_builds == [40, 60, band_limit(grid)]
+
+
+def test_grid_basis_is_read_only(grid):
+    phi = grid_basis(grid, 10)
+    with pytest.raises(ValueError):
+        phi[0, 0] = 1.0
+    with pytest.raises(ValueError):
+        phi[3] *= 2.0
+
+
+def test_grid_basis_holds_one_grid(grid, counted_builds):
+    other = GridSpec(12.0, 2048)
+    grid_basis(grid, 30)
+    grid_basis(other, 20)
+    cached_grid, cached_phi = hermite._GRID_BASIS
+    assert cached_grid == other and cached_phi.shape == (21, other.num_points)
+    grid_basis(grid, 10)  # the first grid was evicted: built again
+    assert counted_builds == [30, 20, 10]
+    assert hermite._GRID_BASIS[0] == grid
+
+
+def test_grid_basis_past_band_limit_builds_nothing(grid, counted_builds):
+    grid_basis(grid, 5)
+    with pytest.raises(BandLimitError):
+        grid_basis(grid, band_limit(grid) + 1)
+    assert counted_builds == [5]
+    assert hermite._GRID_BASIS[1].shape[0] == 6
+
+
+def test_real_basis_products_match_complex_cast(grid, rng):
+    """analyze, synthesize and flow_sides against the products with a
+    complex copy of the basis they replaced."""
+    from gaussherm.oscillator import evolve_expansion, flow_sides
+
+    k = 50
+    phi_c = hermite_phi_all(k, grid.xs).astype(complex)
+    f = sample(lambda xs: (1.0 + 0.5j * xs - 0.2 * xs ** 3) * np.exp(-(0.4 - 0.3j) * xs ** 2), grid)
+    w = trapezoid_weights(grid.num_points, grid.spacing)
+    old = phi_c @ (f.values * w) / SQRT_2PI
+    assert np.max(np.abs(analyze(f, k).coeffs - old)) <= 1e-14 * np.max(np.abs(old))
+    e = HermiteExpansion(rng.normal(size=k + 1) + 1j * rng.normal(size=k + 1))
+    old = e.coeffs @ phi_c
+    assert np.max(np.abs(synthesize(e, grid).values - old)) <= 1e-14 * np.max(np.abs(old))
+    ts = [0.0, 0.3, 2.2]
+    for t, (side_p, side_f) in zip(ts, flow_sides(e, ts, grid)):
+        et = evolve_expansion(e, t)
+        for side, c in ((side_p, et.coeffs), (side_f, fourier_expansion(et).coeffs)):
+            old = c @ phi_c
+            assert np.max(np.abs(side.values - old)) <= 1e-14 * np.max(np.abs(old))
 
 
 @pytest.mark.parametrize("k,expected", [(0, 2.0 ** -0.25), (2, 0.0)])

@@ -42,6 +42,24 @@ def test_phi_weighted_norm_first_excited():
     assert phi_weighted_norm_sq(1, 0.5) == pytest.approx(0.5 ** -1.5, rel=1e-14)
 
 
+@pytest.mark.parametrize("a", [0.2, 0.5, 0.8])
+def test_phi_weighted_norm_against_mpmath_sum(a):
+    """The closed-form sum at 50 digits with exact central binomials, n <= 200.
+
+    The package sums in log scale from lgamma values up to lgamma(401) ~ 2000,
+    whose ulp is 2.3e-13, so a few such ulps is the attainable relative error
+    (measured: 5.3e-13)."""
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 50
+    central = [mp.binomial(2 * k, k) for k in range(201)]
+    am = mp.mpf(a)
+    inv_mu = (1 + am) / (1 - am)
+    for n in [*range(31), 50, 81, 100, 137, 150, 183, 199, 200]:
+        total = mp.fsum(central[k] * central[n - k] * inv_mu ** k for k in range(n + 1))
+        expected = total / (mp.mpf(4) ** n * mp.sqrt(1 - am))
+        assert abs(phi_weighted_norm_sq(n, a) - expected) <= 2e-12 * expected
+
+
 def test_phi_weighted_norm_domain():
     with pytest.raises(NumericalDomainError):
         phi_weighted_norm_sq(3, 0.0)
