@@ -28,7 +28,7 @@ sys.path.insert(0, os.path.join(ROOT, "src"))
 
 import numpy as np  # noqa: E402
 
-from gaussherm import verify  # noqa: E402
+from gaussherm import gaussians, verify, weighted  # noqa: E402
 from gaussherm.grid import DEFAULT_GRID, sample  # noqa: E402
 from gaussherm.hermite import analyze, fourier_sampled, hermite_phi_all, synthesize  # noqa: E402
 
@@ -37,11 +37,16 @@ def items():
     """(name, zero-argument callable) pairs, in report order."""
     grid = DEFAULT_GRID
     f = sample(lambda xs: (1.0 + 0.5j * xs) * np.exp(-(0.4 - 0.3j) * xs * xs), grid)
+    squeezed = gaussians.hermite_coeffs(gaussians.squeezed_state(0.5), 81)
     cfg = verify.VerifyConfig()
     out = [
         ("hermite_phi_all K=60 N=4096", lambda: hermite_phi_all(60, grid.xs)),
         ("analyze+synthesize K=60 N=4096", lambda: synthesize(analyze(f, 60), grid)),
         ("fourier_sampled N=4096", lambda: fourier_sampled(f)),
+        ("central_binomial_certificate beta=1.1",
+         lambda: weighted.central_binomial_certificate(1.1)),
+        ("expansion_weighted_norm_sq K=81",
+         lambda: weighted.expansion_weighted_norm_sq(squeezed, 0.4)),
     ]
     for fn in verify.ALL_CRITERIA:
         out.append((f"verify.{fn.__name__.removeprefix('criterion_')}",

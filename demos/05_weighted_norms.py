@@ -10,36 +10,33 @@ geometric coefficient decay, and in the self-dual limit forces Gaussians.
 
 import math
 
-import numpy as np
-
 from gaussherm import (
     DEFAULT_GRID,
     WeakConfinementParams,
     central_binomial,
     central_binomial_certificate,
     confined_coeff_bound,
+    expansion_weighted_norm_sq,
     gaussian,
     generating_function_check,
     hermite_coeffs,
+    hermite_phi_all,
     phi_weighted_norm_lower,
     phi_weighted_norm_sq,
     selfdual_norm_bound,
     squeezed_state,
     weak_confinement_chain,
-    weighted_norm,
-    weighted_norm_sq,
+    weighted_energy_rows,
+    weighted_norm_sq_gaussian,
 )
-from gaussherm.grid import sample
-from gaussherm.hermite import hermite_phi
 from gaussherm.oscillator import default_t_grid, evolve_gaussian
 
 a = 0.5
-print(f"weighted norms at a = {a}:")
+quad = weighted_energy_rows(hermite_phi_all(10, DEFAULT_GRID.xs), DEFAULT_GRID, a)
+print(f"weighted norms at a = {a} (quadrature: time side alone, as |phi_n hat| = |phi_n|):")
 print("   n   closed form      quadrature       single-term lower bound")
 for n in (0, 1, 4, 10):
-    f = sample(lambda xs: hermite_phi(n, xs), DEFAULT_GRID)
-    quad = weighted_norm_sq(f, a, kmax=n)
-    print(f"  {n:2d}   {phi_weighted_norm_sq(n, a):14.8f}  {quad:14.8f}"
+    print(f"  {n:2d}   {phi_weighted_norm_sq(n, a):14.8f}  {quad[n]:14.8f}"
           f"  {phi_weighted_norm_lower(n, a):14.8f}")
 
 lhs, rhs = generating_function_check(a, 0.25, 200)
@@ -59,21 +56,22 @@ beta = 0.5
 sq = squeezed_state(beta)
 a = math.tanh(0.45)
 cert2 = central_binomial_certificate(2.0)
-big_c = max(
-    weighted_norm(evolve_gaussian(sq, float(t)).sample(DEFAULT_GRID), a, kmax=80)
-    for t in default_t_grid(64)
-)
+big_c = math.sqrt(max(
+    weighted_norm_sq_gaussian(evolve_gaussian(sq, float(t)), a) for t in default_t_grid(64)
+))
 print(f"\nuniform-in-time norm of the squeezed flow at a = tanh(0.45): C = {big_c:.6f}")
+gram = expansion_weighted_norm_sq(hermite_coeffs(sq, 300), a)
+print(f"  ||psi_0||_a^2: closed form {weighted_norm_sq_gaussian(sq, a):.12f}, "
+      f"Gram form of 300 coefficients {gram:.12f}")
 coeffs = hermite_coeffs(sq, 40).coeffs
 print("   k   |<psi_0, phi_k>|   bound (C/A) (1-a)^1/4 k^1/2 mu^{k/2}")
 for k in (2, 8, 16, 32):
     print(f"  {k:2d}   {abs(coeffs[k]):14.6e}    "
           f"{confined_coeff_bound(k, a, big_c, 1.0, cert2):14.6e}")
 
-g1 = gaussian(1.0).sample(DEFAULT_GRID)
 print("\nself-dual members saturate ||f||_b <= 2^-1/4 (1-b)^-1/4:")
 for b in (0.2, 0.5, 0.8):
-    nb = math.sqrt(weighted_norm_sq(g1, b, kmax=8))
+    nb = math.sqrt(weighted_norm_sq_gaussian(gaussian(1.0), b))
     print(f"  b = {b}: ||g_1||_b = {nb:.8f}, bound = {selfdual_norm_bound(b):.8f}")
 
 cert4 = central_binomial_certificate(4.0)

@@ -91,11 +91,14 @@ from .weighted import (
     central_binomial_certificate,
     central_binomial_convolution,
     confined_coeff_bound,
+    expansion_weighted_norm_sq,
     generating_function_check,
     phi_weighted_norm_lower,
     phi_weighted_norm_sq,
+    scaled_gram_columns,
     selfdual_norm_bound,
     weak_confinement_chain,
+    weighted_energy_rows,
     weighted_norm,
     weighted_norm_sq,
 )

@@ -314,8 +314,10 @@ def _log10_or_neginf(x: float) -> float:
 def cmd_coeffs(args, cfg: RunConfig) -> tuple[str, int]:
     inp = parse_input_spec(args.input)
     a = args.a if args.a is not None else inp.default_a
+    if a is not None:
+        wt.check_weight(a)
     coeffs = _coefficients(inp, cfg)
-    big_c = _membership_constant(inp, a, cfg) if a is not None and 0 < a < 1 else None
+    big_c = _membership_constant(inp, a, cfg) if a is not None else None
     header = [
         "k", "abs_coeff", "log10_abs_coeff",
         "log10_envelope_bound", "log10_contour_bound",
@@ -357,9 +359,13 @@ def cmd_envelope(args, cfg: RunConfig) -> tuple[str, int]:
 
 
 def cmd_bargmann(args, cfg: RunConfig) -> tuple[str, int]:
+    if args.w_count < 1:
+        raise CliParseError(f"--w-count must be >= 1, got {args.w_count}")
     inp = parse_input_spec(args.input)
     a = args.a if args.a is not None else inp.default_a
-    big_c = _membership_constant(inp, a, cfg) if a is not None and 0 < a < 1 else None
+    if a is not None:
+        wt.check_weight(a)
+    big_c = _membership_constant(inp, a, cfg) if a is not None else None
     sector = bg.sector_params(a, big_c) if big_c is not None else None
     ws = args.w_ring * np.exp(2j * math.pi * np.arange(args.w_count) / args.w_count)
     values = bg.bargmann_numeric(_sampled(inp, cfg), ws)
@@ -428,39 +434,38 @@ def cmd_confine(args, cfg: RunConfig) -> tuple[str, int]:
     return render_table(header, rows, cfg.output_format, meta), 0
 
 
+def _input_weighted_norm_sq(inp: InputSpec, a: float) -> float:
+    """||f||_a^2 of the input in closed form: nan where the weighted
+    integral diverges (a Gaussian outside the class), inf past the double
+    range (a long expansion at a tight weight)."""
+    if inp.gaussian is not None:
+        value = ga.weighted_norm_sq_gaussian(inp.gaussian, a)
+        return math.nan if math.isinf(value) else value
+    return wt.expansion_weighted_norm_sq(inp.expansion, a)
+
+
 def cmd_norms(args, cfg: RunConfig) -> tuple[str, int]:
     if args.input is None:
         a = args.a if args.a is not None else 0.5
+        wt.check_weight(a)
         header = ["n", "closed_norm_sq", "lower_bound", "quadrature_norm_sq"]
-        rows = []
         grid = cfg.grid
         resolved = min(cfg.kmax, band_limit(grid))  # rows past it print nan, unbuilt
-        phis = grid_basis(grid, resolved) if resolved >= 0 else ()
-        for n in range(cfg.kmax + 1):
-            quad = math.nan
-            if n <= resolved:
-                try:
-                    quad = wt.weighted_norm_sq(SampledFunction(grid, phis[n]), a, kmax=n)
-                except NumericalDomainError:
-                    pass
-            rows.append([
-                n,
-                wt.phi_weighted_norm_sq(n, a),
-                wt.phi_weighted_norm_lower(n, a),
-                quad,
-            ])
+        quad = np.full(cfg.kmax + 1, math.nan)
+        if resolved >= 0:
+            quad[: resolved + 1] = wt.weighted_energy_rows(grid_basis(grid, resolved), grid, a)
+        rows = [
+            [n, wt.phi_weighted_norm_sq(n, a), wt.phi_weighted_norm_lower(n, a), float(quad[n])]
+            for n in range(cfg.kmax + 1)
+        ]
         meta = {"command": "norms", "input": None, "a": a}
         return render_table(header, rows, cfg.output_format, meta), 0
     inp = parse_input_spec(args.input)
     a_list = _float_list(args.a_list, "--a-list")
-    f = _sampled(inp, cfg)
-    header = ["a", "norm_sq"]
-    rows = []
     for a in a_list:
-        try:
-            rows.append([a, wt.weighted_norm_sq(f, a, kmax=cfg.kmax)])
-        except NumericalDomainError:
-            rows.append([a, math.nan])
+        wt.check_weight(a)
+    header = ["a", "norm_sq"]
+    rows = [[a, _input_weighted_norm_sq(inp, a)] for a in a_list]
     meta = {"command": "norms", "input": inp.label}
     return render_table(header, rows, cfg.output_format, meta), 0
 

@@ -196,6 +196,85 @@ def test_norms_with_input(tmp_path):
     assert vals[0.5] == pytest.approx(1.0, rel=1e-9)  # ||g_1||_{1/2}^2 = 1
 
 
+def _norms_rows(argv, out):
+    assert main([*argv, "--out", str(out)]) == 0
+    return [[float(v) for v in r.split(",")]
+            for r in out.read_bytes().decode().strip().split("\r\n")[1:]]
+
+
+def test_norms_table_on_narrow_grid_is_right_or_refused(tmp_path):
+    rows = _norms_rows(["norms", "--grid-L", "12", "--a", "0.7", "--kmax", "40"],
+                       tmp_path / "n.csv")
+    assert len(rows) == 41
+    assert math.isnan(rows[19][3])
+    printed = [(closed, quad) for _, closed, _, quad in rows if not math.isnan(quad)]
+    assert len(printed) >= 10
+    assert all(abs(quad - closed) <= 1e-6 * closed for closed, quad in printed)
+
+
+def test_norms_table_past_the_double_range_prints_inf(tmp_path, capsys):
+    rows = _norms_rows(["norms", "--a", "0.9", "--kmax", "300"], tmp_path / "n.csv")
+    assert capsys.readouterr().err == ""
+    assert len(rows) == 301
+    assert math.isfinite(rows[200][1]) and rows[300][1] == math.inf
+    assert rows[300][2] == math.inf
+
+
+@pytest.mark.parametrize("spec, a_list, expected, rel", [
+    ("chirp:alpha=0.27465", "0.3,0.45", [1.5812, 3.1624], 1e-4),
+    ("hermite:k=40", "0.8", [3.12e37], 1e-3),
+    ("hermite:k=74", "0.33275", [1.9511106402115332e21], 1e-13),
+    ("squeezed:beta=0.878998", "0.561826", [1.1297319581455425], 1e-15),
+], ids=["chirp", "hermite-40", "hermite-74", "squeezed"])
+def test_norms_with_input_is_the_closed_form(tmp_path, spec, a_list, expected, rel):
+    rows = _norms_rows(["norms", spec, "--a-list", a_list], tmp_path / "n.csv")
+    assert [v for _, v in rows] == pytest.approx(expected, rel=rel)
+
+
+def test_norms_with_expansion_file_is_the_gram_form(tmp_path):
+    from gaussherm.gaussians import hermite_coeffs, squeezed_state, weighted_norm_sq_gaussian
+
+    sq = squeezed_state(0.5)
+    coeffs = hermite_coeffs(sq, 300).coeffs
+    path = tmp_path / "sq.json"
+    path.write_text(json.dumps({"coeffs": [[c.real, c.imag] for c in coeffs]}))
+    # the truncation error weighs like (r/mu)^k, r = e^{-1}: small for
+    # mu = (1-a)/(1+a) well above r, so a <= 0.3 here
+    rows = _norms_rows(["norms", f"expansion:@{path}", "--a-list", "0.2,0.3"],
+                       tmp_path / "n.csv")
+    for a, value in rows:
+        assert value == pytest.approx(weighted_norm_sq_gaussian(sq, a), rel=1e-12)
+
+
+def test_norms_gaussian_outside_its_class_is_nan(tmp_path):
+    rows = _norms_rows(["norms", "gaussian:b=0.5", "--a-list", "0.2,0.7"], tmp_path / "n.csv")
+    assert math.isfinite(rows[0][1]) and math.isnan(rows[1][1])
+
+
+@pytest.mark.parametrize("argv", [
+    ["norms", "gaussian:b=0.5", "--a-list", "0.2,1.5"],
+    ["norms", "hermite:k=3", "--a-list", "0"],
+    ["norms", "--a", "1.0"],
+    ["coeffs", "gaussian:b=0.5", "--a", "1.5"],
+    ["coeffs", "hermite:k=3", "--a", "0"],
+    ["bargmann", "gaussian:b=0.5", "--a", "-0.5"],
+], ids=["norms-a-list-1.5", "norms-a-list-0", "norms-table-a-1", "coeffs-a-1.5",
+        "coeffs-a-0", "bargmann-a-negative"])
+def test_weight_outside_unit_interval_exits_3(argv, capsys):
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "a must be in (0,1)" in captured.err
+
+
+@pytest.mark.parametrize("count", ["0", "-3"])
+def test_bargmann_w_count_below_one_exits_2(count, capsys):
+    assert main(["bargmann", "gaussian:b=0.5", "--w-count", count]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and "--w-count" in captured.err
+
+
 @pytest.mark.parametrize("argv", [
     ["evolve", "--times", "0"],
     ["envelope"],

@@ -7,9 +7,20 @@ import numpy as np
 import pytest
 
 from gaussherm.errors import EdgeDecayError, NumericalDomainError
-from gaussherm.gaussians import gaussian, hermite_coeffs, squeezed_state
-from gaussherm.grid import DEFAULT_GRID, sample
-from gaussherm.hermite import hermite_phi
+from gaussherm.gaussians import (
+    gaussian,
+    hermite_coeffs,
+    squeezed_state,
+    weighted_norm_sq_gaussian,
+)
+from gaussherm.grid import DEFAULT_GRID, GridSpec, sample
+from gaussherm.hermite import (
+    HermiteExpansion,
+    hermite_phi,
+    hermite_phi_all,
+    synthesize,
+    unit_expansion,
+)
 from gaussherm.oscillator import default_t_grid, evolve_gaussian
 from gaussherm.weighted import (
     WeakConfinementParams,
@@ -19,12 +30,15 @@ from gaussherm.weighted import (
     central_binomial_certificate,
     central_binomial_convolution,
     confined_coeff_bound,
+    expansion_weighted_norm_sq,
     generating_function_check,
     phi_weighted_norm_lower,
     phi_weighted_norm_sq,
+    scaled_gram_columns,
     selfdual_norm_bound,
     weak_confinement_chain,
     weak_confinement_chain_exact,
+    weighted_energy_rows,
     weighted_norm,
     weighted_norm_sq,
 )
@@ -68,33 +82,141 @@ def test_phi_weighted_norm_domain():
 
 
 def test_weighted_norm_sq_phi1_quadrature(wide_grid):
-    f = sample(lambda xs: hermite_phi(1, xs), wide_grid)
-    assert weighted_norm_sq(f, 0.5, kmax=1) == pytest.approx(2 * math.sqrt(2), rel=1e-10)
+    # |phi_1 hat| = |phi_1|, so the time side alone is the two-sided norm
+    phi1 = hermite_phi(1, wide_grid.xs)
+    assert weighted_energy_rows(phi1, wide_grid, 0.5)[0] == pytest.approx(
+        2 * math.sqrt(2), rel=1e-10
+    )
 
 
 @pytest.mark.parametrize("a", [0.2, 0.5, 0.8])
 @pytest.mark.parametrize("n", [0, 3, 12, 30])
 def test_closed_norm_matches_quadrature(wide_grid, a, n):
-    f = sample(lambda xs: hermite_phi(n, xs), wide_grid)
-    quad = weighted_norm_sq(f, a, kmax=n)
-    assert quad == pytest.approx(phi_weighted_norm_sq(n, a), rel=1e-6)
+    quad = weighted_energy_rows(hermite_phi(n, wide_grid.xs), wide_grid, a)[0]
+    assert quad == pytest.approx(phi_weighted_norm_sq(n, a), rel=1e-10)
 
 
 def test_sampled_and_expansion_routes_agree(grid):
-    """Dual route: for mild weights the sampled transform and the
-    band-limited synthesis must produce the same Fourier-side integral."""
+    """Dual route: for mild weights the sampled transform (two-sided
+    quadrature) and the Gram form give the same norm, for single Hermite
+    functions and for complex combinations whose indices meet in every
+    residue mod 4 (where the two sides add or cancel)."""
+    rng = np.random.default_rng(7)
+    mixed = HermiteExpansion(rng.normal(size=9) + 1j * rng.normal(size=9))
     for a in (0.1, 0.2):
         for n in (0, 1, 4, 8):
             f = sample(lambda xs: hermite_phi(n, xs), grid)
             assert weighted_norm_sq(f, a) == pytest.approx(
-                weighted_norm_sq(f, a, kmax=n), rel=1e-9
+                expansion_weighted_norm_sq(unit_expansion(n), a), rel=1e-9
             )
+        assert weighted_norm_sq(synthesize(mixed, grid), a) == pytest.approx(
+            expansion_weighted_norm_sq(mixed, a), rel=1e-9
+        )
 
 
 def test_weighted_norm_rejects_nonmember(grid):
-    f = gaussian(0.5).sample(grid)
+    g = gaussian(0.5)
     with pytest.raises(EdgeDecayError):
-        weighted_norm_sq(f, 0.7, kmax=40)
+        weighted_norm_sq(g.sample(grid), 0.7)
+    assert weighted_norm_sq_gaussian(g, 0.7) == math.inf
+
+
+def _gram_matrix(kmax, a):
+    """G_jk from the scaled columns H_jk = G_jk mu^{(j+k)/2}."""
+    mu = (1 - a) / (1 + a)
+    h = np.array(list(scaled_gram_columns(kmax, a))).T
+    j = np.arange(kmax + 1)
+    return h * mu ** (-0.5 * (j[:, None] + j[None, :]))
+
+
+@pytest.mark.parametrize("a", [0.2, 0.5, 0.8])
+def test_gram_entries_against_mpmath_generating_function(a):
+    """Off-diagonal G_jk at 50 digits from the generating function
+    sum_jk G_jk s^j t^k / sqrt(j! k!) = (1-a)^{-1/2} exp(al s^2 + al t^2 + be s t),
+    al = a/(2(1-a)), be = 1/(1-a): a finite sum of positive terms, independent
+    of the ladder recurrence (measured worst: 5.6e-15 relative)."""
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 50
+    am = mp.mpf(a)
+    al, be, mu = am / (2 * (1 - am)), 1 / (1 - am), (1 - am) / (1 + am)
+    h = np.array(list(scaled_gram_columns(120, a))).T
+    indices = sorted({*range(0, 121, 7), 1, 2, 3, 119, 120})
+    for j in indices:
+        for k in indices:
+            if (j - k) % 2:
+                assert h[j, k] == 0.0
+                continue
+            total = mp.fsum(
+                be ** m / mp.factorial(m)
+                * al ** ((j - m) // 2) / mp.factorial((j - m) // 2)
+                * al ** ((k - m) // 2) / mp.factorial((k - m) // 2)
+                for m in range(j % 2, min(j, k) + 1, 2)
+            )
+            g = total * mp.sqrt(mp.factorial(j) * mp.factorial(k) / (1 - am))
+            expected = g * mu ** (mp.mpf(j + k) / 2)
+            assert abs(h[j, k] - expected) <= 1e-13 * expected
+
+
+@pytest.mark.parametrize("a", [0.2, 0.5, 0.8])
+def test_gram_diagonal_symmetry_and_quadrature(wide_grid, a):
+    g = _gram_matrix(40, a)
+    assert np.allclose(g, g.T, rtol=1e-14, atol=0.0)
+    closed = np.array([phi_weighted_norm_sq(n, a) for n in range(41)])
+    assert np.max(np.abs(np.diag(g) - closed) / closed) < 1e-12
+    phis = hermite_phi_all(20, wide_grid.xs)
+    weight = np.exp(a * wide_grid.xs ** 2) * wide_grid.spacing / math.sqrt(2 * math.pi)
+    quad = (phis * weight) @ phis.T
+    scale = np.sqrt(np.outer(np.diag(quad), np.diag(quad)))
+    assert np.max(np.abs(quad - g[:21, :21]) / scale) < 1e-12
+
+
+def test_gram_form_of_squeezed_state_equals_closed_form():
+    sq = squeezed_state(0.878998)
+    closed = weighted_norm_sq_gaussian(sq, 0.561826)
+    assert closed == 1.1297319581455425
+    assert expansion_weighted_norm_sq(hermite_coeffs(sq, 160), 0.561826) == closed
+
+
+def test_gram_form_single_term_and_zero():
+    assert expansion_weighted_norm_sq(unit_expansion(74), 0.33275) == phi_weighted_norm_sq(
+        74, 0.33275
+    )
+    e = HermiteExpansion([0.0, 0.0, 3.0 - 4.0j])
+    assert expansion_weighted_norm_sq(e, 0.4) == 25.0 * phi_weighted_norm_sq(2, 0.4)
+    assert expansion_weighted_norm_sq(HermiteExpansion([0.0, 0.0]), 0.4) == 0.0
+
+
+def test_gram_form_domain():
+    for a in (0.0, 1.0, 1.5, -0.2):
+        with pytest.raises(NumericalDomainError):
+            expansion_weighted_norm_sq(HermiteExpansion([1.0, 1.0]), a)
+        with pytest.raises(NumericalDomainError):
+            scaled_gram_columns(3, a)
+
+
+def test_norms_past_the_double_range_are_inf():
+    # mu = 1/19 at a = 0.9: mu^-300 is past 1e308
+    assert phi_weighted_norm_sq(300, 0.9) == math.inf
+    assert phi_weighted_norm_lower(300, 0.9) == math.inf
+    assert expansion_weighted_norm_sq(HermiteExpansion(np.ones(301)), 0.9) == math.inf
+    # large coefficients on a short expansion: the scaling keeps the finite value
+    e = HermiteExpansion([1e150, 1e150j, 1e150])
+    ref = expansion_weighted_norm_sq(HermiteExpansion([1.0, 1j, 1.0]), 0.5)
+    assert expansion_weighted_norm_sq(e, 0.5) == pytest.approx(1e300 * ref, rel=1e-13)
+
+
+def test_weighted_edge_guard_is_right_or_refused():
+    """On the L = 12 grid every accepted row is within 1e-6 of the closed
+    form; the refused ones are nan."""
+    grid = GridSpec(12.0, 4096)
+    phis = hermite_phi_all(40, grid.xs)
+    for a in (0.2, 0.5, 0.7, 0.8):
+        quad = weighted_energy_rows(phis, grid, a)
+        closed = np.array([phi_weighted_norm_sq(n, a) for n in range(41)])
+        ok = ~np.isnan(quad)
+        assert ok[0]
+        assert np.all(np.abs(quad[ok] - closed[ok]) <= 1e-6 * closed[ok])
+    assert np.isnan(weighted_energy_rows(phis, grid, 0.7)[19])
 
 
 def test_unweighted_limit_is_orthonormality():
@@ -108,13 +230,19 @@ def test_unweighted_limit_is_orthonormality():
 @pytest.mark.parametrize("n", [0, 1, 7, 20])
 def test_zero_weight_norm_is_plain_l2(grid, n):
     f = sample(lambda xs: hermite_phi(n, xs), grid)
-    assert weighted_norm_sq(f, 0.0, kmax=n) == pytest.approx(1.0, rel=1e-10)
+    assert weighted_norm_sq(f, 0.0) == pytest.approx(1.0, rel=1e-10)
+    assert weighted_energy_rows(f.values, grid, 0.0)[0] == pytest.approx(1.0, rel=1e-10)
 
 
 def test_norm_monotone_in_weight(grid):
-    f = sample(lambda xs: hermite_phi(2, xs), grid)
-    values = [weighted_norm_sq(f, a, kmax=2) for a in (0.05, 0.2, 0.4, 0.6)]
-    assert all(v1 <= v2 for v1, v2 in zip(values, values[1:]))
+    weights = (0.05, 0.2, 0.4, 0.6)
+    phi2 = hermite_phi(2, grid.xs)
+    mixed = HermiteExpansion([1.0, 0.5j, -0.25, 0.0, 0.1 + 0.1j])
+    for values in (
+        [weighted_energy_rows(phi2, grid, a)[0] for a in weights],
+        [expansion_weighted_norm_sq(mixed, a) for a in weights],
+    ):
+        assert all(v1 <= v2 for v1, v2 in zip(values, values[1:]))
 
 
 def test_generating_function_spot_value():
@@ -190,11 +318,29 @@ def test_certificate_construction_and_validation():
     assert margins.min() >= -1e-12
 
 
+@pytest.mark.parametrize("beta, delta, m", [(1.1, 0.176134, 2), (2.0, 0.796812, 1),
+                                             (4.0, 0.980173, 1)])
+def test_certificate_delta_is_the_root(beta, delta, m):
+    """delta sits a hair below the positive root of log(1-x) + beta x (30
+    digits), on the admissible side."""
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 30
+    root = mp.findroot(lambda x: mp.log(1 - x) + beta * x, (delta - 0.01, delta + 0.01),
+                       solver="illinois")
+    cert = central_binomial_certificate(beta)
+    assert abs(cert.delta - root) <= 1e-9 * root
+    assert math.log1p(-cert.delta) + beta * cert.delta >= 0.0
+    assert round(cert.delta, 6) == delta
+    assert cert.m == m
+
+
 def test_certificate_rejects_beta_at_most_one():
     with pytest.raises(NumericalDomainError):
         central_binomial_certificate(1.0)
     with pytest.raises(NumericalDomainError):
         central_binomial_certificate(0.7)
+    with pytest.raises(NumericalDomainError):
+        central_binomial_certificate(math.nan)
 
 
 def test_certificate_beta_two_is_tight_at_n1():
@@ -232,10 +378,9 @@ def test_confined_coeff_bound_dominates_squeezed_flow(grid):
     a = math.tanh(0.45)
     cert = central_binomial_certificate(2.0)
     ts = default_t_grid(64)
-    big_c = max(
-        weighted_norm(evolve_gaussian(sq, float(t)).sample(grid), a, kmax=80)
-        for t in ts
-    )
+    big_c = math.sqrt(max(
+        weighted_norm_sq_gaussian(evolve_gaussian(sq, float(t)), a) for t in ts
+    ))
     coeffs = hermite_coeffs(sq, 60).coeffs
     for k in range(1, 61):
         ck = abs(coeffs[k])
@@ -250,12 +395,19 @@ def test_selfdual_norm_bound_values():
 
 
 def test_selfdual_norm_bound_gaussian_attains_equality():
-    g1 = gaussian(1.0).sample(DEFAULT_GRID)
+    g1 = gaussian(1.0)
     for b in np.arange(0.1, 0.95, 0.1):
-        nb = math.sqrt(weighted_norm_sq(g1, float(b), kmax=8))
+        nb = math.sqrt(weighted_norm_sq_gaussian(g1, float(b)))
         bound = selfdual_norm_bound(float(b))
         assert nb <= bound * (1 + 1e-9)
-    assert math.sqrt(weighted_norm_sq(g1, 0.5, kmax=8)) == pytest.approx(1.0, rel=1e-10)
+        # g_1 is phi_0 / 2^(1/4): the Gram form's single-term route
+        e = HermiteExpansion([2.0 ** -0.25])
+        assert expansion_weighted_norm_sq(e, float(b)) == pytest.approx(nb * nb, rel=1e-14)
+    assert math.sqrt(weighted_norm_sq_gaussian(g1, 0.5)) == pytest.approx(1.0, rel=1e-14)
+    # the sampled two-sided quadrature agrees where its edge guard admits it
+    assert weighted_norm(g1.sample(DEFAULT_GRID), 0.2) == pytest.approx(
+        math.sqrt(weighted_norm_sq_gaussian(g1, 0.2)), rel=1e-10
+    )
 
 
 def test_weak_confinement_params_validation():
