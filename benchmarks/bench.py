@@ -28,7 +28,7 @@ sys.path.insert(0, os.path.join(ROOT, "src"))
 
 import numpy as np  # noqa: E402
 
-from gaussherm import gaussians, verify, weighted  # noqa: E402
+from gaussherm import gaussians, oscillator, verify, weighted  # noqa: E402
 from gaussherm.grid import DEFAULT_GRID, sample  # noqa: E402
 from gaussherm.hermite import analyze, fourier_sampled, hermite_phi_all, synthesize  # noqa: E402
 
@@ -37,7 +37,10 @@ def items():
     """(name, zero-argument callable) pairs, in report order."""
     grid = DEFAULT_GRID
     f = sample(lambda xs: (1.0 + 0.5j * xs) * np.exp(-(0.4 - 0.3j) * xs * xs), grid)
-    squeezed = gaussians.hermite_coeffs(gaussians.squeezed_state(0.5), 81)
+    state = gaussians.squeezed_state(0.5)
+    squeezed = gaussians.hermite_coeffs(state, 81)
+    state_k70 = gaussians.hermite_coeffs(state, 70)
+    ts = oscillator.default_t_grid(64)
     cfg = verify.VerifyConfig()
     out = [
         ("hermite_phi_all K=60 N=4096", lambda: hermite_phi_all(60, grid.xs)),
@@ -47,6 +50,10 @@ def items():
          lambda: weighted.central_binomial_certificate(1.1)),
         ("expansion_weighted_norm_sq K=81",
          lambda: weighted.expansion_weighted_norm_sq(squeezed, 0.4)),
+        ("confinement_check Gaussian T=64",
+         lambda: oscillator.confinement_check(state, 0.5, 0.45, ts, grid)),
+        ("confinement_check K=70 T=64 N=4096",
+         lambda: oscillator.confinement_check(state_k70, 0.5, 0.45, ts, grid)),
     ]
     for fn in verify.ALL_CRITERIA:
         out.append((f"verify.{fn.__name__.removeprefix('criterion_')}",

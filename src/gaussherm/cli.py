@@ -21,7 +21,7 @@ import os
 import re
 import sys
 import tempfile
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -31,7 +31,7 @@ from . import gaussians as ga
 from . import oscillator as osc
 from . import weighted as wt
 from .errors import NumericalDomainError
-from .grid import GridSpec, SampledFunction, norm_sq
+from .grid import GridSpec, SampledFunction
 from .hermite import HermiteExpansion, band_limit, grid_basis, synthesize, unit_expansion
 from .special import gammaln
 from .verify import VerifyConfig, run_all
@@ -49,6 +49,7 @@ class RunConfig:
     t_grid_size: int = 64
     output_format: str = "csv"
     output_path: str | None = None
+    grid: GridSpec = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kmax < 1:
@@ -57,11 +58,8 @@ class RunConfig:
             raise CliParseError(f"t-grid size must be >= 1, got {self.t_grid_size}")
         if self.output_format not in ("csv", "json"):
             raise CliParseError(f"format must be csv or json, got {self.output_format!r}")
-
-    @property
-    def grid(self) -> GridSpec:
-        try:
-            return GridSpec(self.grid_l, self.grid_n)
+        try:  # every command, not only those that sample on the grid
+            object.__setattr__(self, "grid", GridSpec(self.grid_l, self.grid_n))
         except ValueError as exc:
             raise CliParseError(str(exc)) from exc
 
@@ -344,9 +342,17 @@ def cmd_coeffs(args, cfg: RunConfig) -> tuple[str, int]:
     return render_table(header, rows, cfg.output_format, meta), 0
 
 
+def _envelope_weight(args, inp: InputSpec) -> float:
+    """``--a`` of envelope and evolve: any positive weight, a >= 1 too."""
+    a = args.a if args.a is not None else (inp.default_a or 0.5)
+    if not a > 0:
+        raise NumericalDomainError(f"a must be positive, got {a}")
+    return a
+
+
 def cmd_envelope(args, cfg: RunConfig) -> tuple[str, int]:
     inp = parse_input_spec(args.input)
-    a = args.a if args.a is not None else (inp.default_a or 0.5)
+    a = _envelope_weight(args, inp)
     t_rep, f_rep = _envelope_reports(inp, a, cfg)
     member = not (t_rep.divergent or f_rep.divergent)
     header = ["side", "a", "constant", "argmax_x", "divergent"]
@@ -389,7 +395,7 @@ def cmd_bargmann(args, cfg: RunConfig) -> tuple[str, int]:
 
 def cmd_evolve(args, cfg: RunConfig) -> tuple[str, int]:
     inp = parse_input_spec(args.input)
-    a = args.a if args.a is not None else (inp.default_a or 0.5)
+    a = _envelope_weight(args, inp)
     if args.times:
         ts = _float_list(args.times, "--times")
     else:
@@ -397,15 +403,10 @@ def cmd_evolve(args, cfg: RunConfig) -> tuple[str, int]:
     psi0 = inp.gaussian if inp.gaussian is not None else inp.expansion
     header = ["t", "norm_sq", "envelope_constant_time", "envelope_constant_frequency",
               "divergent_time", "divergent_frequency"]
-    rows = []
-    for t, (side_p, side_f) in zip(ts, osc.flow_sides(psi0, ts, cfg.grid)):
-        rep_p = dc.envelope_scan(side_p, a)
-        rep_f = dc.envelope_scan(side_f, a)
-        rows.append([
-            t, norm_sq(side_p),
-            rep_p.constant, rep_f.constant,
-            rep_p.divergent, rep_f.divergent,
-        ])
+    rows = [
+        [t, n, rep_p.constant, rep_f.constant, rep_p.divergent, rep_f.divergent]
+        for t, (n, rep_p, rep_f) in zip(ts, osc.flow_envelopes(psi0, ts, a, cfg.grid))
+    ]
     meta = {"command": "evolve", "input": inp.label, "a": a}
     return render_table(header, rows, cfg.output_format, meta), 0
 

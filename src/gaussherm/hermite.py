@@ -70,11 +70,6 @@ def unit_expansion(k: int, length: int | None = None) -> HermiteExpansion:
     return HermiteExpansion(c)
 
 
-def _flush_subnormal(arr: np.ndarray) -> np.ndarray:
-    arr[np.abs(arr) < _TINY] = 0.0
-    return arr
-
-
 def hermite_phi_all(kmax: int, xs) -> np.ndarray:
     """Evaluate phi_0..phi_kmax on a batch of points.
 
@@ -101,7 +96,9 @@ def hermite_phi_all(kmax: int, xs) -> np.ndarray:
         for k in range(1, kmax):
             p, p_prev = xs * np.sqrt(2.0 / (k + 1)) * p - np.sqrt(k / (k + 1)) * p_prev, p
             out[k + 1] = p
-    return _flush_subnormal(out)
+    for row in out:  # row by row: no full-size temporary
+        row[np.abs(row) < _TINY] = 0.0
+    return out
 
 
 def hermite_phi(k: int, xs) -> np.ndarray:
@@ -149,6 +146,7 @@ def grid_basis(grid: GridSpec, kmax: int) -> np.ndarray:
     _check_band_limit(grid, kmax)
     cached = _GRID_BASIS
     if cached is None or cached[0] != grid or cached[1].shape[0] <= kmax:
+        cached = _GRID_BASIS = None  # let the old basis go before the new one is built
         phi = hermite_phi_all(kmax, grid.xs)
         phi.flags.writeable = False
         cached = _GRID_BASIS = (grid, phi)

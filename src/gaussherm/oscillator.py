@@ -21,8 +21,8 @@ import numpy as np
 
 from .decay import envelope_scan
 from .errors import AliasingError
-from .gaussians import GeneralizedGaussian, fourier_gaussian
-from .grid import DEFAULT_GRID, GridSpec, SampledFunction
+from .gaussians import GeneralizedGaussian, envelope_membership
+from .grid import DEFAULT_GRID, GridSpec, SampledFunction, norm_sq
 from .hermite import HermiteExpansion, _dot_real, fourier_expansion, grid_basis
 
 
@@ -35,31 +35,17 @@ def evolve_expansion(e: HermiteExpansion, t: float) -> HermiteExpansion:
 def evolve_gaussian(g: GeneralizedGaussian, t: float) -> GeneralizedGaussian:
     """Closed-form flow of a generalized Gaussian.
 
-    With z = (1-b)/(1+b): z(t) = z e^{4it}, b(t) = (1-z(t))/(1+z(t)), and
-    A(t) = A e^{it} sqrt((1+b(t))/(1+b)).  The square root follows the
-    branch continuously from its principal value at t = 0 by stepping t in
-    increments below pi/8 and picking the root nearest the previous one
-    (here the path (1+b(t))/(1+b) never meets the cut, so the walk agrees
-    with the principal branch throughout; the stepping keeps that a checked
-    fact rather than an assumption).
+    z(t) = z e^{4it} is the Moebius rotation
+    b(t) = (b cos 2t - i sin 2t) / (cos 2t - i b sin 2t), which returns b
+    itself at t = 0, and A(t) = A e^{it} sqrt(1+b(t)) / sqrt(1+b).  Re b(t)
+    stays positive, so 1 + b(t) never leaves the half-plane Re > 1, where the
+    principal square root is continuous in t: both roots are principal.
     """
-    b0 = g.width
-    z0 = (1.0 - b0) / (1.0 + b0)
-
-    def b_at(s: float) -> complex:
-        zs = z0 * cmath.exp(4j * s)
-        return (1.0 - zs) / (1.0 + zs)
-
-    steps = max(1, math.ceil(abs(t) / (math.pi / 16.0)))
-    root_prev = 1.0 + 0.0j
-    for j in range(1, steps + 1):
-        s = t * j / steps
-        val = cmath.sqrt((1.0 + b_at(s)) / (1.0 + b0))
-        if abs(-val - root_prev) < abs(val - root_prev):
-            val = -val
-        root_prev = val
-    amp = g.amplitude * cmath.exp(1j * t) * root_prev
-    return GeneralizedGaussian(amp, b_at(t))
+    b = g.width
+    c, s = math.cos(2.0 * t), math.sin(2.0 * t)
+    bt = (b * c - 1j * s) / (c - 1j * b * s)
+    amp = g.amplitude * cmath.exp(1j * t) * cmath.sqrt(1.0 + bt) / cmath.sqrt(1.0 + b)
+    return GeneralizedGaussian(amp, bt)
 
 
 def fourier_time_shift_check(e: HermiteExpansion, t: float) -> float:
@@ -144,26 +130,39 @@ def default_t_grid(size: int = 64) -> np.ndarray:
     return np.arange(size) * (0.5 * math.pi / size)
 
 
-def flow_sides(psi0: HermiteExpansion | GeneralizedGaussian, ts, grid: GridSpec = DEFAULT_GRID):
+def flow_sides(psi0: HermiteExpansion, ts, grid: GridSpec = DEFAULT_GRID):
     """Yield (samples of psi_t, samples of its Fourier transform) for each t.
 
-    A Gaussian is sampled in closed form.  An expansion's sides are
-    ``coeffs @ phi`` of the evolved (and, for the frequency side,
-    (-i)^k-rotated) coefficients against the grid's cached real basis
+    The sides are ``coeffs @ phi`` of the evolved (and, for the frequency
+    side, (-i)^k-rotated) coefficients against the grid's cached real basis
     (:func:`~gaussherm.hermite.grid_basis`), one time at a time.  An
     expansion past the grid's band limit is refused (``BandLimitError``)
     when the first pair is drawn.
     """
-    if isinstance(psi0, GeneralizedGaussian):
-        for t in ts:
-            gt = evolve_gaussian(psi0, float(t))
-            yield gt.sample(grid), fourier_gaussian(gt).sample(grid)
-        return
     phi = grid_basis(grid, len(psi0) - 1)
     for t in ts:
         et = evolve_expansion(psi0, float(t))
         yield (SampledFunction(grid, _dot_real(et.coeffs, phi)),
                SampledFunction(grid, _dot_real(fourier_expansion(et).coeffs, phi)))
+
+
+def flow_envelopes(psi0: HermiteExpansion | GeneralizedGaussian, ts, a: float,
+                   grid: GridSpec = DEFAULT_GRID):
+    """Yield (||psi_t||^2, time-side report, frequency-side report) against
+    exp(-a x^2/2) for each t.  A Gaussian's are closed-form and do not depend
+    on the grid (:func:`~gaussherm.gaussians.envelope_membership` of the
+    evolved Gaussian, |A(t)|^2 / sqrt(2 Re b(t))); an expansion's are grid
+    scans and the quadrature norm of its :func:`flow_sides`.
+    """
+    if isinstance(psi0, GeneralizedGaussian):
+        for t in ts:
+            gt = evolve_gaussian(psi0, float(t))
+            mem = envelope_membership(gt, a)
+            norm = abs(gt.amplitude) ** 2 / math.sqrt(2.0 * gt.width.real)
+            yield norm, mem.time_report, mem.frequency_report
+        return
+    for side_p, side_f in flow_sides(psi0, ts, grid):
+        yield norm_sq(side_p), envelope_scan(side_p, a), envelope_scan(side_f, a)
 
 
 def confinement_check(
@@ -178,24 +177,19 @@ def confinement_check(
 
     ``beta`` documents the class of the initial data (|psi_0| inside the
     envelope of tanh(2 beta)); the scan itself does not require gamma < beta
-    and will simply report divergence when the envelope is too tight.
+    and will simply report divergence when the envelope is too tight.  A
+    Gaussian is scanned in closed form (:func:`flow_envelopes`), so its
+    report does not depend on ``grid``.
     """
     if gamma <= 0 or beta <= 0:
         raise ValueError("beta and gamma must be positive")
     ts = default_t_grid() if t_grid is None else np.asarray(t_grid, dtype=float)
     a = math.tanh(gamma)
-    psi_c = np.empty(ts.size)
-    four_c = np.empty(ts.size)
-    divergent = False
-    first_bad = None
-    for i, (t, (side_p, side_f)) in enumerate(zip(ts, flow_sides(psi0, ts, grid))):
-        rep_p = envelope_scan(side_p, a)
-        rep_f = envelope_scan(side_f, a)
-        psi_c[i] = rep_p.constant
-        four_c[i] = rep_f.constant
-        if (rep_p.divergent or rep_f.divergent) and not divergent:
-            divergent = True
-            first_bad = float(t)
+    rows = list(flow_envelopes(psi0, ts, a, grid))
+    psi_c = np.array([rep_p.constant for _, rep_p, _ in rows])
+    four_c = np.array([rep_f.constant for _, _, rep_f in rows])
+    bad = [t for t, (_, rep_p, rep_f) in zip(ts, rows) if rep_p.divergent or rep_f.divergent]
+    first_bad = float(bad[0]) if bad else None
     both = np.maximum(psi_c, four_c)
     sup = float(np.max(both))
     attained = ts[both >= sup * (1.0 - 1e-9)]
@@ -208,7 +202,7 @@ def confinement_check(
         sup_constant=sup,
         worst_t=float(attained[0]),
         attained_ts=attained,
-        divergent=divergent,
+        divergent=first_bad is not None,
         first_divergent_t=first_bad,
     )
 

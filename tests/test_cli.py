@@ -299,6 +299,55 @@ def test_evolve_times(tmp_path):
     assert n1 == pytest.approx(n0, rel=1e-10)  # the flow is unitary
 
 
+@pytest.mark.parametrize("argv, norm_sq", [
+    (["chirp:alpha=1e-6", "--t-grid", "4"], 500.0),
+    (["gaussian:b=0.01", "--a", "0.005", "--times", "0,0.2"], 0.02 ** -0.5),
+], ids=["chirp-wider-than-grid", "gaussian-wider-than-grid"])
+def test_evolve_gaussian_norm_does_not_depend_on_the_grid(argv, norm_sq, tmp_path):
+    out = tmp_path / "ev.csv"
+    assert main(["evolve", *argv, "--out", str(out)]) == 0
+    rows = out.read_bytes().decode().strip().split("\r\n")[1:]
+    assert rows
+    for row in rows:
+        assert float(row.split(",")[1]) == pytest.approx(norm_sq, rel=1e-9)
+
+
+def test_evolve_gaussian_at_huge_times_is_closed_form():
+    res = subprocess.run(
+        [sys.executable, "-m", "gaussherm", "evolve", "gaussian:b=0.5",
+         "--times", "1e6,1e12,1e300"],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert res.returncode == 0, res.stderr
+    rows = res.stdout.strip().split("\n")[1:]
+    assert [float(r.split(",")[0]) for r in rows] == [1e6, 1e12, 1e300]
+    for row in rows:
+        assert float(row.split(",")[1]) == pytest.approx(1.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("command", ["envelope", "evolve"])
+@pytest.mark.parametrize("spec", ["gaussian:b=0.5", "hermite:k=3"])
+@pytest.mark.parametrize("a", ["0", "-0.5"])
+def test_nonpositive_envelope_weight_exits_3(command, spec, a, capsys):
+    assert main([command, spec, "--a", a]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "a must be positive" in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["coeffs", "gaussian:b=0.5", "--grid-N", "0"],
+    ["evolve", "gaussian:b=0.5", "--grid-N", "15"],
+    ["confine", "squeezed:beta=0.5", "--beta", "0.5", "--gamma", "0.4", "--grid-L", "-1"],
+    ["norms", "gaussian:b=0.5", "--grid-L", "0"],
+], ids=["coeffs-N-0", "evolve-N-odd", "confine-L-negative", "norms-L-0"])
+def test_bad_grid_flags_exit_2_for_every_command(argv, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+
+
 @pytest.mark.parametrize("argv", [
     ["evolve", "squeezed:beta=0.5", "--times", "0,inf"],
     ["norms", "gaussian:b=0.5", "--a-list", "0.2,nan"],

@@ -2,6 +2,7 @@
 Fourier transforms, Mehler's identity."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -150,6 +151,21 @@ def test_grid_basis_past_band_limit_builds_nothing(grid, counted_builds):
         grid_basis(grid, band_limit(grid) + 1)
     assert counted_builds == [5]
     assert hermite._GRID_BASIS[1].shape[0] == 6
+
+
+def test_grid_basis_rebuild_holds_one_basis(grid, monkeypatch):
+    """A rebuild for another grid lets the cached basis go before it builds
+    and flushes subnormals row by row: the traced peak stays near one basis."""
+    monkeypatch.setattr(hermite, "_GRID_BASIS", None)
+    other = GridSpec(14.0, 4096)  # 63 rows, 0.77x the default grid's 82
+    tracemalloc.start()
+    try:
+        grid_basis(other, band_limit(other))
+        nbytes = grid_basis(grid, band_limit(grid)).nbytes
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * nbytes
 
 
 def test_real_basis_products_match_complex_cast(grid, rng):

@@ -8,12 +8,16 @@ import numpy as np
 import pytest
 
 from gaussherm.errors import AliasingError, BandLimitError
+from gaussherm.decay import envelope_scan
 from gaussherm.gaussians import (
     GeneralizedGaussian,
+    boundary_chirp,
+    envelope_membership,
     fourier_gaussian,
     hermite_coeffs,
     squeezed_state,
 )
+from gaussherm.grid import GridSpec, norm_sq
 from gaussherm.hermite import (
     HermiteExpansion,
     analyze,
@@ -29,6 +33,7 @@ from gaussherm.oscillator import (
     default_t_grid,
     evolve_expansion,
     evolve_gaussian,
+    flow_envelopes,
     flow_sides,
     fourier_time_shift_check,
     sharp_confinement_probe,
@@ -77,13 +82,29 @@ def test_evolve_gaussian_squeezed_envelope_cycle():
     assert abs(at_p8.amplitude) == pytest.approx((1 - R) ** -0.5, rel=1e-12)
 
 
-@pytest.mark.parametrize("t", [0.1, math.pi / 8, 1.0, 3.0])
+@pytest.mark.parametrize("t", [0.1, math.pi / 8, 1.0, 3.0, 1e3, -1e3])
 def test_flow_oracle_agreement_closed_form(t):
-    """Moebius flow + branch-tracked amplitude vs pure spectral phases."""
+    """Moebius flow + principal-root amplitude vs pure spectral phases."""
     sq = squeezed_state(BETA)
     lhs = hermite_coeffs(evolve_gaussian(sq, t), 60).coeffs
     rhs = evolve_expansion(hermite_coeffs(sq, 60), t).coeffs
     assert np.max(np.abs(lhs - rhs)) < 1e-12
+
+
+@pytest.mark.parametrize("g", [
+    squeezed_state(BETA),
+    boundary_chirp(0.27465),
+    boundary_chirp(1e-3),
+    GeneralizedGaussian(0.7 - 0.2j, 0.3 + 1.1j),
+], ids=["squeezed", "chirp", "wide-chirp", "complex-width"])
+def test_flow_keeps_coefficient_moduli_at_long_times(g):
+    """The flow only rotates coefficient phases; the closed form takes no
+    longer at t = 1e300 than at t = 1, and returns the width at t = 0."""
+    assert evolve_gaussian(g, 0.0).width == g.width
+    ref = np.abs(hermite_coeffs(g, 60).coeffs)
+    for t in (1e3, -1e4, 1e12, 1e300):
+        got = np.abs(hermite_coeffs(evolve_gaussian(g, t), 60).coeffs)
+        assert np.max(np.abs(got - ref)) < 1e-10
 
 
 def test_flow_oracle_agreement_quadrature(grid):
@@ -165,15 +186,27 @@ def test_flow_sides_expansion_band_limit(grid):
         next(flow_sides(unit_expansion(kmax + 1), [0.0], grid))
 
 
-def test_flow_sides_gaussian_is_closed_form(grid):
+def test_flow_envelopes_gaussian_is_closed_form(grid):
     sq = squeezed_state(BETA)
-    ts = [0.0, 0.4, 2.1]
-    sides = list(flow_sides(sq, ts, grid))
-    assert len(sides) == len(ts)
-    for t, (side_p, side_f) in zip(ts, sides):
-        gt = evolve_gaussian(sq, t)
-        assert np.array_equal(side_p.values, gt.sample(grid).values)
-        assert np.array_equal(side_f.values, fourier_gaussian(gt).sample(grid).values)
+    ts = [0.0, 0.4, 2.1, 1e12]
+    rows = list(flow_envelopes(sq, ts, 0.45, grid))
+    assert rows == list(flow_envelopes(sq, ts, 0.45, GridSpec(12.0, 4096)))
+    assert len(rows) == len(ts)
+    norm0 = hermite_coeffs(sq, 200).norm_sq()  # the flow is unitary
+    for t, (norm, rep_p, rep_f) in zip(ts, rows):
+        mem = envelope_membership(evolve_gaussian(sq, t), 0.45)
+        assert (rep_p, rep_f) == (mem.time_report, mem.frequency_report)
+        assert norm == pytest.approx(norm0, rel=1e-12)
+
+
+def test_flow_envelopes_expansion_scans_the_sides(grid, rng):
+    e = HermiteExpansion(rng.normal(size=12) + 1j * rng.normal(size=12))
+    ts = default_t_grid(4)
+    rows = list(flow_envelopes(e, ts, 0.3, grid))
+    for (norm, rep_p, rep_f), (side_p, side_f) in zip(rows, flow_sides(e, ts, grid)):
+        assert norm == norm_sq(side_p)
+        assert rep_p == envelope_scan(side_p, 0.3)
+        assert rep_f == envelope_scan(side_f, 0.3)
 
 
 def test_confinement_check_ground_state(grid):
