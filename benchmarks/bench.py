@@ -10,12 +10,17 @@ they are for every request after the first in a long-lived process), then
 those repeats are printed and written, with the machine's nproc and the
 Python and numpy versions, to ``BENCH_<label>.json`` at the checkout root.
 Timings are noisy on a shared machine: compare two labels only when both
-files come from the same machine, and read the min/max spread first.
+files come from the same machine, and read the min/max spread first.  The
+first item is ``perfbench/calibrate.py``'s fixed kernel, which does not call
+the package: the ratio of two files' kernel times is how much the machine's
+speed moved between them.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import json
 import os
 import platform
@@ -25,12 +30,21 @@ import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))
+sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 
+import calibrate  # noqa: E402
 import numpy as np  # noqa: E402
 
-from gaussherm import gaussians, oscillator, verify, weighted  # noqa: E402
+from gaussherm import cli, gaussians, oscillator, verify, weighted  # noqa: E402
 from gaussherm.grid import DEFAULT_GRID, sample  # noqa: E402
 from gaussherm.hermite import analyze, fourier_sampled, hermite_phi_all, synthesize  # noqa: E402
+
+
+def run_cli(argv: list[str]) -> None:
+    """One ``cli.main`` call with its stdout captured, as a request is served."""
+    with contextlib.redirect_stdout(io.StringIO()):
+        if cli.main(argv) != 0:
+            raise RuntimeError(f"gaussherm {' '.join(argv)} failed")
 
 
 def items():
@@ -43,6 +57,7 @@ def items():
     ts = oscillator.default_t_grid(64)
     cfg = verify.VerifyConfig()
     out = [
+        ("calibrate kernel", calibrate.kernel_s),
         ("hermite_phi_all K=60 N=4096", lambda: hermite_phi_all(60, grid.xs)),
         ("analyze+synthesize K=60 N=4096", lambda: synthesize(analyze(f, 60), grid)),
         ("fourier_sampled N=4096", lambda: fourier_sampled(f)),
@@ -55,6 +70,9 @@ def items():
         ("confinement_check K=70 T=64 N=4096",
          lambda: oscillator.confinement_check(state_k70, 0.5, 0.45, ts, grid)),
     ]
+    for command in ("envelope", "coeffs"):
+        for spec in ("squeezed:beta=0.5", "hermite:k=40"):
+            out.append((f"cli {command} {spec}", lambda argv=[command, spec]: run_cli(argv)))
     for fn in verify.ALL_CRITERIA:
         out.append((f"verify.{fn.__name__.removeprefix('criterion_')}",
                     lambda fn=fn: fn(cfg)))

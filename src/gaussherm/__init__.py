@@ -65,6 +65,7 @@ from .decay import (
     DecayFit,
     EnvelopeReport,
     HardyReport,
+    Membership,
     RateParams,
     decay_fit,
     endpoint_ratio_sup,

@@ -25,6 +25,7 @@ from typing import Callable
 
 import numpy as np
 
+from .decay import check_weight
 from .errors import EdgeDecayError, NumericalDomainError
 from .grid import SampledFunction
 from .hermite import EDGE_DECAY_REL, HermiteExpansion, fourier_sampled
@@ -169,20 +170,25 @@ class SectorParams:
     mu = (1-a)/(1+a); theta0 = arctan(sqrt(mu)) (equivalently half the
     arctangent of 2 sqrt(mu)/(1-mu)) and theta1 = pi/2 - theta0, so the
     sector opening theta1 - theta0 stays below pi/2 and the principle
-    applies to the order-2 auxiliary function.
+    applies to the order-2 auxiliary function.  Built from a and C; mu and
+    the angles are derived.
     """
 
     a: float
-    mu: float
-    theta0: float
-    theta1: float
     big_c: float = 1.0
+    mu: float = field(init=False)
+    theta0: float = field(init=False)
+    theta1: float = field(init=False)
 
     def __post_init__(self):
-        if not 0.0 < self.a < 1.0:
-            raise NumericalDomainError(f"a must be in (0,1), got {self.a}")
+        check_weight(self.a)
         if not self.big_c > 0:
             raise ValueError(f"C must be positive, got {self.big_c}")
+        mu = (1.0 - self.a) / (1.0 + self.a)
+        theta0 = _theta0(mu)
+        object.__setattr__(self, "mu", mu)
+        object.__setattr__(self, "theta0", theta0)
+        object.__setattr__(self, "theta1", 0.5 * math.pi - theta0)
 
 
 def _theta0(mu: float) -> float:
@@ -191,11 +197,7 @@ def _theta0(mu: float) -> float:
 
 def sector_params(a: float, big_c: float = 1.0) -> SectorParams:
     """Build the sector geometry for envelope parameter a in (0,1)."""
-    if not 0.0 < a < 1.0:
-        raise NumericalDomainError(f"a must be in (0,1), got {a}")
-    mu = (1.0 - a) / (1.0 + a)
-    theta0 = _theta0(mu)
-    return SectorParams(a=a, mu=mu, theta0=theta0, theta1=0.5 * math.pi - theta0, big_c=big_c)
+    return SectorParams(a, big_c)
 
 
 def _ray_prefactor(s: SectorParams) -> float:
@@ -374,8 +376,7 @@ def optimal_contour(n: int, mu: float) -> ContourBound:
 
 def log_contour_coeff_bound(n: int, a: float, big_c: float = 1.0) -> float:
     """Natural log of :func:`contour_coeff_bound`."""
-    if not 0.0 < a < 1.0:
-        raise NumericalDomainError(f"a must be in (0,1), got {a}")
+    check_weight(a)
     mu = (1.0 - a) / (1.0 + a)
     return math.log(big_c) + optimal_contour(n, mu).log_bound
 

@@ -34,7 +34,7 @@ from .errors import NumericalDomainError
 from .grid import GridSpec, SampledFunction
 from .hermite import HermiteExpansion, band_limit, grid_basis, synthesize, unit_expansion
 from .special import gammaln
-from .verify import VerifyConfig, run_all
+from .verify import WIDE_GRID, VerifyConfig, run_all
 
 
 class CliParseError(ValueError):
@@ -132,8 +132,7 @@ class InputSpec:
     """A parsed input: a Gaussian-family object or a coefficient vector."""
 
     label: str
-    gaussian: ga.GeneralizedGaussian | None = None
-    expansion: HermiteExpansion | None = None
+    state: ga.GeneralizedGaussian | HermiteExpansion
     default_a: float | None = None
 
 
@@ -164,6 +163,8 @@ def parse_input_spec(spec: str) -> InputSpec:
         if kind == "gaussian":
             params = _kv_params(body, spec)
             amp = parse_complex(params.pop("A", "1"))
+            if amp == 0:
+                raise CliParseError(f"gaussian amplitude A must be nonzero, got {spec!r}")
             if "b" not in params:
                 raise CliParseError(f"gaussian spec needs b=, got {spec!r}")
             width = parse_complex(params.pop("b"))
@@ -173,7 +174,7 @@ def parse_input_spec(spec: str) -> InputSpec:
             a_nat = min(g.width.real, (1.0 / g.width).real)
             return InputSpec(
                 label=spec,
-                gaussian=g,
+                state=g,
                 default_a=a_nat if 0.0 < a_nat < 1.0 else None,
             )
         if kind == "hermite":
@@ -181,7 +182,7 @@ def parse_input_spec(spec: str) -> InputSpec:
             k = int(params.pop("k"))
             if k < 0 or params:
                 raise CliParseError(f"hermite spec needs k=<nonnegative int>, got {spec!r}")
-            return InputSpec(label=spec, expansion=unit_expansion(k), default_a=0.5)
+            return InputSpec(label=spec, state=unit_expansion(k), default_a=0.5)
         if kind == "chirp":
             params = _kv_params(body, spec)
             alpha = float(params.pop("alpha"))
@@ -189,7 +190,7 @@ def parse_input_spec(spec: str) -> InputSpec:
                 raise CliParseError(f"unknown chirp parameters {sorted(params)}")
             return InputSpec(
                 label=spec,
-                gaussian=ga.boundary_chirp(alpha),
+                state=ga.boundary_chirp(alpha),
                 default_a=math.tanh(2.0 * alpha),
             )
         if kind == "squeezed":
@@ -199,7 +200,7 @@ def parse_input_spec(spec: str) -> InputSpec:
                 raise CliParseError(f"unknown squeezed parameters {sorted(params)}")
             return InputSpec(
                 label=spec,
-                gaussian=ga.squeezed_state(beta),
+                state=ga.squeezed_state(beta),
                 default_a=math.tanh(2.0 * beta),
             )
         if kind == "expansion":
@@ -211,7 +212,7 @@ def parse_input_spec(spec: str) -> InputSpec:
             if not isinstance(pairs, list) or not pairs:
                 raise CliParseError("expansion file needs a non-empty 'coeffs' list")
             coeffs = np.array([complex(p[0], p[1]) for p in pairs])
-            return InputSpec(label=spec, expansion=HermiteExpansion(coeffs), default_a=0.5)
+            return InputSpec(label=spec, state=HermiteExpansion(coeffs), default_a=0.5)
     except CliParseError:
         raise
     except (KeyError, ValueError, OSError, json.JSONDecodeError, IndexError, TypeError) as exc:
@@ -220,36 +221,18 @@ def parse_input_spec(spec: str) -> InputSpec:
 
 
 def _coefficients(inp: InputSpec, cfg: RunConfig) -> np.ndarray:
-    if inp.gaussian is not None:
-        return ga.hermite_coeffs(inp.gaussian, cfg.kmax).coeffs
+    if isinstance(inp.state, ga.GeneralizedGaussian):
+        return ga.hermite_coeffs(inp.state, cfg.kmax).coeffs
     coeffs = np.zeros(cfg.kmax + 1, dtype=complex)
-    src = inp.expansion.coeffs[: cfg.kmax + 1]
+    src = inp.state.coeffs[: cfg.kmax + 1]
     coeffs[: src.size] = src
     return coeffs
 
 
 def _sampled(inp: InputSpec, cfg: RunConfig) -> SampledFunction:
-    if inp.gaussian is not None:
-        return inp.gaussian.sample(cfg.grid)
-    return synthesize(inp.expansion, cfg.grid)
-
-
-def _envelope_reports(inp: InputSpec, a: float, cfg: RunConfig):
-    """Time- and frequency-side envelope reports of the input at parameter a:
-    closed form for a Gaussian, a grid scan of both sides for an expansion."""
-    if inp.gaussian is not None:
-        mem = ga.envelope_membership(inp.gaussian, a)
-        return mem.time_report, mem.frequency_report
-    side_p, side_f = next(osc.flow_sides(inp.expansion, [0.0], cfg.grid))
-    return dc.envelope_scan(side_p, a), dc.envelope_scan(side_f, a)
-
-
-def _membership_constant(inp: InputSpec, a: float, cfg: RunConfig) -> float | None:
-    """Measured class constant at parameter a, or None if not a member."""
-    t_rep, f_rep = _envelope_reports(inp, a, cfg)
-    if t_rep.divergent or f_rep.divergent:
-        return None
-    return max(t_rep.constant, f_rep.constant)
+    if isinstance(inp.state, ga.GeneralizedGaussian):
+        return inp.state.sample(cfg.grid)
+    return synthesize(inp.state, cfg.grid)
 
 
 def _fmt(value) -> str:
@@ -312,10 +295,11 @@ def _log10_or_neginf(x: float) -> float:
 def cmd_coeffs(args, cfg: RunConfig) -> tuple[str, int]:
     inp = parse_input_spec(args.input)
     a = args.a if args.a is not None else inp.default_a
+    big_c = None
     if a is not None:
-        wt.check_weight(a)
+        dc.check_weight(a)
+        big_c = next(osc.flow_envelopes(inp.state, [0.0], a, cfg.grid))[1].constant
     coeffs = _coefficients(inp, cfg)
-    big_c = _membership_constant(inp, a, cfg) if a is not None else None
     header = [
         "k", "abs_coeff", "log10_abs_coeff",
         "log10_envelope_bound", "log10_contour_bound",
@@ -353,14 +337,14 @@ def _envelope_weight(args, inp: InputSpec) -> float:
 def cmd_envelope(args, cfg: RunConfig) -> tuple[str, int]:
     inp = parse_input_spec(args.input)
     a = _envelope_weight(args, inp)
-    t_rep, f_rep = _envelope_reports(inp, a, cfg)
-    member = not (t_rep.divergent or f_rep.divergent)
+    _, mem = next(osc.flow_envelopes(inp.state, [0.0], a, cfg.grid))
+    t_rep, f_rep = mem.time_report, mem.frequency_report
     header = ["side", "a", "constant", "argmax_x", "divergent"]
     rows = [
         ["time", a, t_rep.constant, t_rep.argmax_x, t_rep.divergent],
         ["frequency", a, f_rep.constant, f_rep.argmax_x, f_rep.divergent],
     ]
-    meta = {"command": "envelope", "input": inp.label, "member": member}
+    meta = {"command": "envelope", "input": inp.label, "member": mem.member}
     return render_table(header, rows, cfg.output_format, meta), 0
 
 
@@ -369,9 +353,10 @@ def cmd_bargmann(args, cfg: RunConfig) -> tuple[str, int]:
         raise CliParseError(f"--w-count must be >= 1, got {args.w_count}")
     inp = parse_input_spec(args.input)
     a = args.a if args.a is not None else inp.default_a
+    big_c = None
     if a is not None:
-        wt.check_weight(a)
-    big_c = _membership_constant(inp, a, cfg) if a is not None else None
+        dc.check_weight(a)
+        big_c = next(osc.flow_envelopes(inp.state, [0.0], a, cfg.grid))[1].constant
     sector = bg.sector_params(a, big_c) if big_c is not None else None
     ws = args.w_ring * np.exp(2j * math.pi * np.arange(args.w_count) / args.w_count)
     values = bg.bargmann_numeric(_sampled(inp, cfg), ws)
@@ -400,12 +385,12 @@ def cmd_evolve(args, cfg: RunConfig) -> tuple[str, int]:
         ts = _float_list(args.times, "--times")
     else:
         ts = list(osc.default_t_grid(cfg.t_grid_size))
-    psi0 = inp.gaussian if inp.gaussian is not None else inp.expansion
     header = ["t", "norm_sq", "envelope_constant_time", "envelope_constant_frequency",
               "divergent_time", "divergent_frequency"]
     rows = [
-        [t, n, rep_p.constant, rep_f.constant, rep_p.divergent, rep_f.divergent]
-        for t, (n, rep_p, rep_f) in zip(ts, osc.flow_envelopes(psi0, ts, a, cfg.grid))
+        [t, n, mem.time_report.constant, mem.frequency_report.constant,
+         mem.time_report.divergent, mem.frequency_report.divergent]
+        for t, (n, mem) in zip(ts, osc.flow_envelopes(inp.state, ts, a, cfg.grid))
     ]
     meta = {"command": "evolve", "input": inp.label, "a": a}
     return render_table(header, rows, cfg.output_format, meta), 0
@@ -413,9 +398,8 @@ def cmd_evolve(args, cfg: RunConfig) -> tuple[str, int]:
 
 def cmd_confine(args, cfg: RunConfig) -> tuple[str, int]:
     inp = parse_input_spec(args.input)
-    psi0 = inp.gaussian if inp.gaussian is not None else inp.expansion
     ts = osc.default_t_grid(cfg.t_grid_size)
-    report = osc.confinement_check(psi0, args.beta, args.gamma, ts, cfg.grid)
+    report = osc.confinement_check(inp.state, args.beta, args.gamma, ts, cfg.grid)
     if report.divergent:
         raise _Divergence(
             f"envelope at a = tanh({args.gamma}) = {report.a:.6f} diverges along the flow; "
@@ -439,16 +423,16 @@ def _input_weighted_norm_sq(inp: InputSpec, a: float) -> float:
     """||f||_a^2 of the input in closed form: nan where the weighted
     integral diverges (a Gaussian outside the class), inf past the double
     range (a long expansion at a tight weight)."""
-    if inp.gaussian is not None:
-        value = ga.weighted_norm_sq_gaussian(inp.gaussian, a)
+    if isinstance(inp.state, ga.GeneralizedGaussian):
+        value = ga.weighted_norm_sq_gaussian(inp.state, a)
         return math.nan if math.isinf(value) else value
-    return wt.expansion_weighted_norm_sq(inp.expansion, a)
+    return wt.expansion_weighted_norm_sq(inp.state, a)
 
 
 def cmd_norms(args, cfg: RunConfig) -> tuple[str, int]:
     if args.input is None:
         a = args.a if args.a is not None else 0.5
-        wt.check_weight(a)
+        dc.check_weight(a)
         header = ["n", "closed_norm_sq", "lower_bound", "quadrature_norm_sq"]
         grid = cfg.grid
         resolved = min(cfg.kmax, band_limit(grid))  # rows past it print nan, unbuilt
@@ -464,7 +448,7 @@ def cmd_norms(args, cfg: RunConfig) -> tuple[str, int]:
     inp = parse_input_spec(args.input)
     a_list = _float_list(args.a_list, "--a-list")
     for a in a_list:
-        wt.check_weight(a)
+        dc.check_weight(a)
     header = ["a", "norm_sq"]
     rows = [[a, _input_weighted_norm_sq(inp, a)] for a in a_list]
     meta = {"command": "norms", "input": inp.label}
@@ -497,6 +481,8 @@ def cmd_verify_all(args, cfg: RunConfig) -> tuple[str, int]:
                 "grid_N": cfg.grid_n,
                 "kmax": vcfg.kmax,
                 "t_grid_size": cfg.t_grid_size,
+                "wide_grid_L": WIDE_GRID.half_width,
+                "wide_grid_N": WIDE_GRID.num_points,
             },
         }
         text = json.dumps(payload, indent=2) + "\n"

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FitError
+from .errors import FitError, NumericalDomainError
 from .grid import SampledFunction, norm_sq
 from .hermite import HermiteExpansion, analyze, fourier_sampled, hermite_phi_all
 from .special import gammaln
@@ -43,6 +43,26 @@ class EnvelopeReport:
 
 
 @dataclass(frozen=True)
+class Membership:
+    """Two-sided envelope verdict at parameter a: f is a member when neither
+    |f| nor |fhat| diverges against exp(-a x^2/2), and the class constant is
+    then the larger of the two one-sided constants (None for a non-member)."""
+
+    time_report: EnvelopeReport
+    frequency_report: EnvelopeReport
+
+    @property
+    def member(self) -> bool:
+        return not (self.time_report.divergent or self.frequency_report.divergent)
+
+    @property
+    def constant(self) -> float | None:
+        if not self.member:
+            return None
+        return max(self.time_report.constant, self.frequency_report.constant)
+
+
+@dataclass(frozen=True)
 class DecayFit:
     """Least-squares fit log|c_k| ~ log_prefactor - alpha_hat*k - power_hat*log(k)."""
 
@@ -51,6 +71,13 @@ class DecayFit:
     log_prefactor: float
     residual: float
     k_range: tuple[int, int]
+
+
+def check_weight(a: float) -> None:
+    """Refuse (``NumericalDomainError``) a weight outside (0,1), where the
+    coefficient bounds, the closed forms and the Gram recurrence hold."""
+    if not 0.0 < a < 1.0:
+        raise NumericalDomainError(f"a must be in (0,1), got {a}")
 
 
 @dataclass(frozen=True)
@@ -63,8 +90,7 @@ class RateParams:
     mu: float
 
     def __post_init__(self):
-        if not 0.0 < self.a < 1.0:
-            raise ValueError(f"a must be in (0,1), got {self.a}")
+        check_weight(self.a)
         ref = (1.0 - self.a) / (1.0 + self.a)
         if abs(self.mu - ref) > 1e-13 * max(ref, 1e-300):
             raise ValueError("mu inconsistent with a (expected (1-a)/(1+a))")
@@ -84,8 +110,7 @@ def log_hardy_coeff_bound(k: int, a: float, big_c: float) -> float:
     """Natural log of :func:`hardy_coeff_bound` (safe for large k)."""
     if k < 1:
         raise ValueError(f"the coefficient bound is stated for k >= 1, got k={k}")
-    if not 0.0 < a < 1.0:
-        raise ValueError(f"a must be in (0,1), got {a}")
+    check_weight(a)
     if not big_c > 0:
         raise ValueError(f"C must be positive, got {big_c}")
     mu = (1.0 - a) / (1.0 + a)
@@ -113,8 +138,7 @@ def rate_regime(a: float, alpha: float) -> str:
     """Classify the decay claim <f, phi_k> = O(e^{-alpha k}) for f in the
     class with parameter a: "applies" when tanh(2 alpha) < a, "endpoint"
     when tanh(2 alpha) = a (within 1e-12), "fails" otherwise."""
-    if not 0.0 < a < 1.0:
-        raise ValueError(f"a must be in (0,1), got {a}")
+    check_weight(a)
     t = math.tanh(2.0 * alpha)
     if abs(t - a) <= 1e-12:
         return "endpoint"
@@ -211,14 +235,9 @@ def decay_fit(e: HermiteExpansion, k_range: tuple[int, int]) -> DecayFit:
 
 
 @dataclass(frozen=True)
-class HardyReport:
+class HardyReport(Membership):
     """Verdict of the grid-based trichotomy check at parameter a."""
 
-    a: float
-    member: bool
-    constant: float
-    time_report: EnvelopeReport
-    frequency_report: EnvelopeReport
     ground_state_residual: float | None  # only computed for members at a >= 1
 
 
@@ -236,19 +255,10 @@ def hardy_classify(f: SampledFunction, a: float) -> HardyReport:
     amplifies the sampled transform's ~1e-16 tail noise, so rely on the
     membership verdict and the residual there, not on the reported sup.
     """
-    t_rep = envelope_scan(f, a)
-    f_rep = envelope_scan(fourier_sampled(f), a)
-    member = not (t_rep.divergent or f_rep.divergent)
+    sides = Membership(envelope_scan(f, a), envelope_scan(fourier_sampled(f), a))
     residual = None
-    if member and a >= 1.0:
+    if sides.member and a >= 1.0:
         c0 = analyze(f, 0).coeffs[0]
         diff = SampledFunction(f.grid, f.values - c0 * hermite_phi_all(0, f.grid.xs)[0])
         residual = math.sqrt(max(norm_sq(diff), 0.0))
-    return HardyReport(
-        a=a,
-        member=member,
-        constant=max(t_rep.constant, f_rep.constant),
-        time_report=t_rep,
-        frequency_report=f_rep,
-        ground_state_residual=residual,
-    )
+    return HardyReport(sides.time_report, sides.frequency_report, residual)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decay import EnvelopeReport
+from .decay import EnvelopeReport, Membership
 from .grid import DEFAULT_GRID, GridSpec, SampledFunction
 from .hermite import HermiteExpansion
 from .special import gammaln
@@ -183,28 +183,9 @@ def envelope_constant(g: GeneralizedGaussian, a: float) -> EnvelopeReport:
     )
 
 
-@dataclass(frozen=True)
-class Membership:
-    """Two-sided envelope verdict for a Gaussian at parameter a."""
-
-    member: bool
-    constant: float | None
-    time_report: EnvelopeReport
-    frequency_report: EnvelopeReport
-
-
 def envelope_membership(g: GeneralizedGaussian, a: float) -> Membership:
-    """Check |g| and |g_hat| against exp(-a x^2/2); the class constant is
-    the larger of the two one-sided constants."""
-    t_rep = envelope_constant(g, a)
-    f_rep = envelope_constant(fourier_gaussian(g), a)
-    member = not (t_rep.divergent or f_rep.divergent)
-    return Membership(
-        member=member,
-        constant=max(t_rep.constant, f_rep.constant) if member else None,
-        time_report=t_rep,
-        frequency_report=f_rep,
-    )
+    """Check |g| and |g_hat| against exp(-a x^2/2), both in closed form."""
+    return Membership(envelope_constant(g, a), envelope_constant(fourier_gaussian(g), a))
 
 
 def weighted_norm_sq_gaussian(g: GeneralizedGaussian, a: float) -> float:

@@ -38,14 +38,9 @@ _TINY = np.finfo(float).tiny
 
 @dataclass(frozen=True)
 class HermiteExpansion:
-    """Finite vector of Hermite coefficients <f, phi_k> in dm-normalization.
-
-    ``convention`` is a fixed marker so that coefficient vectors produced
-    under a different normalization cannot be mixed in silently.
-    """
+    """Finite vector of Hermite coefficients <f, phi_k> in dm-normalization."""
 
     coeffs: np.ndarray = field(repr=False)
-    convention: str = "dm"
 
     def __post_init__(self):
         c = np.atleast_1d(np.asarray(self.coeffs, dtype=complex))

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .decay import envelope_scan
+from .decay import Membership, envelope_scan
 from .errors import AliasingError
 from .gaussians import GeneralizedGaussian, envelope_membership
 from .grid import DEFAULT_GRID, GridSpec, SampledFunction, norm_sq
@@ -40,7 +40,10 @@ def evolve_gaussian(g: GeneralizedGaussian, t: float) -> GeneralizedGaussian:
     itself at t = 0, and A(t) = A e^{it} sqrt(1+b(t)) / sqrt(1+b).  Re b(t)
     stays positive, so 1 + b(t) never leaves the half-plane Re > 1, where the
     principal square root is continuous in t: both roots are principal.
+    The flow at t = 0 is the identity, so g itself is returned there.
     """
+    if t == 0:
+        return g
     b = g.width
     c, s = math.cos(2.0 * t), math.sin(2.0 * t)
     bt = (b * c - 1j * s) / (c - 1j * b * s)
@@ -148,21 +151,22 @@ def flow_sides(psi0: HermiteExpansion, ts, grid: GridSpec = DEFAULT_GRID):
 
 def flow_envelopes(psi0: HermiteExpansion | GeneralizedGaussian, ts, a: float,
                    grid: GridSpec = DEFAULT_GRID):
-    """Yield (||psi_t||^2, time-side report, frequency-side report) against
-    exp(-a x^2/2) for each t.  A Gaussian's are closed-form and do not depend
-    on the grid (:func:`~gaussherm.gaussians.envelope_membership` of the
-    evolved Gaussian, |A(t)|^2 / sqrt(2 Re b(t))); an expansion's are grid
-    scans and the quadrature norm of its :func:`flow_sides`.
+    """Yield (||psi_t||^2, two-sided :class:`~gaussherm.decay.Membership`
+    against exp(-a x^2/2)) for each t.  A Gaussian's are closed-form and do
+    not depend on the grid (:func:`~gaussherm.gaussians.envelope_membership`
+    of the evolved Gaussian, |A(t)|^2 / sqrt(2 Re b(t))); an expansion's are
+    grid scans and the quadrature norm of its :func:`flow_sides`.  At t = 0
+    this is the verdict on psi0 itself, which the CLI's ``envelope``,
+    ``coeffs`` and ``bargmann`` read.
     """
     if isinstance(psi0, GeneralizedGaussian):
         for t in ts:
             gt = evolve_gaussian(psi0, float(t))
-            mem = envelope_membership(gt, a)
             norm = abs(gt.amplitude) ** 2 / math.sqrt(2.0 * gt.width.real)
-            yield norm, mem.time_report, mem.frequency_report
+            yield norm, envelope_membership(gt, a)
         return
     for side_p, side_f in flow_sides(psi0, ts, grid):
-        yield norm_sq(side_p), envelope_scan(side_p, a), envelope_scan(side_f, a)
+        yield norm_sq(side_p), Membership(envelope_scan(side_p, a), envelope_scan(side_f, a))
 
 
 def confinement_check(
@@ -185,10 +189,10 @@ def confinement_check(
         raise ValueError("beta and gamma must be positive")
     ts = default_t_grid() if t_grid is None else np.asarray(t_grid, dtype=float)
     a = math.tanh(gamma)
-    rows = list(flow_envelopes(psi0, ts, a, grid))
-    psi_c = np.array([rep_p.constant for _, rep_p, _ in rows])
-    four_c = np.array([rep_f.constant for _, _, rep_f in rows])
-    bad = [t for t, (_, rep_p, rep_f) in zip(ts, rows) if rep_p.divergent or rep_f.divergent]
+    mems = [mem for _, mem in flow_envelopes(psi0, ts, a, grid)]
+    psi_c = np.array([mem.time_report.constant for mem in mems])
+    four_c = np.array([mem.frequency_report.constant for mem in mems])
+    bad = [t for t, mem in zip(ts, mems) if not mem.member]
     first_bad = float(bad[0]) if bad else None
     both = np.maximum(psi_c, four_c)
     sup = float(np.max(both))
@@ -222,12 +226,12 @@ def sharp_confinement_probe(
     beta: float,
     t_grid=None,
     grid: GridSpec = DEFAULT_GRID,
-    stability_tol: float = 1e-6,
 ) -> ProbeReport:
     """Probe whether the flow stays in the envelope class of tanh(beta)
     itself (the borderline case the two-sided scan cannot decide in
     general).  Runs the scan, refines the time grid twofold, and reports
-    whether the supremum moved; numerical evidence only, never a proof.
+    whether the supremum moved by less than 1e-6 of max(sup, 1); numerical
+    evidence only, never a proof.
     """
     ts = default_t_grid() if t_grid is None else np.asarray(t_grid, dtype=float)
     base = confinement_check(psi0, beta, beta, ts, grid)
@@ -238,7 +242,7 @@ def sharp_confinement_probe(
         report=base,
         refined_sup=refined.sup_constant,
         sup_change=change,
-        stable=change < stability_tol * max(base.sup_constant, 1.0),
+        stable=change < 1e-6 * max(base.sup_constant, 1.0),
     )
 
 

@@ -34,10 +34,14 @@ class CriterionResult:
     detail: str
 
 
+#: Grid of the weighted-norm quadrature check; it does not follow the run's
+#: grid, and verify-all echoes it in its JSON ``config``.
+WIDE_GRID = GridSpec(24.0, 6144)
+
+
 @dataclass(frozen=True)
 class VerifyConfig:
     grid: GridSpec = DEFAULT_GRID
-    wide_grid: GridSpec = GridSpec(24.0, 6144)
     kmax: int = 60
     t_grid_size: int = 64
 
@@ -276,7 +280,7 @@ def criterion_weighted_norm_identities(cfg: VerifyConfig) -> CriterionResult:
     (|phi_n hat| = |phi_n|); the generating function matches its partial
     sums to 1e-8; the mu -> 1 collapse gives exactly 1."""
     n_max = 30
-    phis = hermite_phi_all(n_max, cfg.wide_grid.xs)
+    phis = hermite_phi_all(n_max, WIDE_GRID.xs)
     quad_rel = gram_rel = 0.0
     for a in (0.2, 0.5, 0.8):
         closed = np.array([wt.phi_weighted_norm_sq(n, a) for n in range(n_max + 1)])
@@ -284,7 +288,7 @@ def criterion_weighted_norm_identities(cfg: VerifyConfig) -> CriterionResult:
         gram = np.array([
             col[n] for n, col in enumerate(wt.scaled_gram_columns(n_max, a))
         ]) * mu ** -np.arange(n_max + 1.0)
-        quad = wt.weighted_energy_rows(phis, cfg.wide_grid, a)
+        quad = wt.weighted_energy_rows(phis, WIDE_GRID, a)
         quad_rel = max(quad_rel, float(np.max(np.abs(quad - closed) / closed)))
         gram_rel = max(gram_rel, float(np.max(np.abs(gram - closed) / closed)))
     gf_dev = 0.0

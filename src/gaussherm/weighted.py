@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .decay import check_weight
 from .errors import EdgeDecayError, NumericalDomainError
 from .grid import SQRT_2PI, GridSpec, SampledFunction
 from .hermite import HermiteExpansion, fourier_sampled
@@ -97,13 +98,6 @@ def weighted_norm_sq(f: SampledFunction, a: float) -> float:
 def weighted_norm(f: SampledFunction, a: float) -> float:
     """||f||_a itself."""
     return math.sqrt(weighted_norm_sq(f, a))
-
-
-def check_weight(a: float) -> None:
-    """Refuse (``NumericalDomainError``) a weight outside (0,1), where the
-    closed forms and the Gram recurrence hold."""
-    if not 0.0 < a < 1.0:
-        raise NumericalDomainError(f"a must be in (0,1), got {a}")
 
 
 def scaled_gram_columns(kmax: int, a: float):
@@ -327,10 +321,9 @@ def _certificate_delta(beta: float) -> float:
             hi = mid
 
 
-def central_binomial_certificate(
-    beta: float, n_check: int = 10_000
-) -> CentralBinomialCertificate:
-    """Build and validate the polynomial lower bound on Q_n for beta > 1.
+def central_binomial_certificate(beta: float) -> CentralBinomialCertificate:
+    """Build and validate the polynomial lower bound on Q_n for beta > 1,
+    directly checked for n <= 10_000.
 
     beta <= 1 is refused: Q_n ~ (pi n)^{-1/2}, so n^{-beta/2} with
     beta <= 1 eventually outruns Q_n and no constant exists.
@@ -348,6 +341,7 @@ def central_binomial_certificate(
     n_small = np.arange(1, m + 1, dtype=float)
     direct = np.exp(log_central_binomial(n_small) + 0.5 * beta * np.log(n_small))
     b = min(b_proof, float(direct.min()))
+    n_check = 10_000
     n = np.arange(1, n_check + 1, dtype=float)
     lhs = log_central_binomial(n) + 0.5 * beta * np.log(n)
     if not np.all(lhs >= math.log(b) - 1e-12):
@@ -369,7 +363,6 @@ def log_confined_coeff_bound(
     big_c: float,
     alpha: float,
     cert: CentralBinomialCertificate,
-    statement_version: bool = False,
 ) -> float:
     """Natural log of :func:`confined_coeff_bound`."""
     if k < 1:
@@ -382,15 +375,13 @@ def log_confined_coeff_bound(
             f"certificate built for beta={cert.beta}, need beta = 2*alpha = {2 * alpha}"
         )
     mu = (1.0 - a) / (1.0 + a)
-    out = (
+    return (
         math.log(big_c)
         - 0.5 * math.log(cert.b)
         + 0.5 * alpha * math.log(k)
         + 0.5 * k * math.log(mu)
+        + 0.25 * math.log1p(-a)
     )
-    if not statement_version:
-        out += 0.25 * math.log1p(-a)
-    return out
 
 
 def confined_coeff_bound(
@@ -399,19 +390,16 @@ def confined_coeff_bound(
     big_c: float,
     alpha: float,
     cert: CentralBinomialCertificate,
-    statement_version: bool = False,
 ) -> float:
     """Coefficient bound from a uniform-in-time weighted norm bound C:
 
         |<psi_0, phi_k>| <= (C / sqrt(B_{2 alpha})) (1-a)^{1/4} k^{alpha/2} mu^{k/2}.
 
     This is the constant the derivation actually produces; the commonly
-    quoted form omits the (1-a)^{1/4} factor (pass statement_version=True
-    for that larger variant).  Requires a certificate built at beta = 2*alpha.
+    quoted form omits the (1-a)^{1/4} factor and is larger by (1-a)^{-1/4}.
+    Requires a certificate built at beta = 2*alpha.
     """
-    return math.exp(
-        log_confined_coeff_bound(k, a, big_c, alpha, cert, statement_version)
-    )
+    return math.exp(log_confined_coeff_bound(k, a, big_c, alpha, cert))
 
 
 def selfdual_norm_bound(b: float) -> float:

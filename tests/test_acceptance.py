@@ -76,7 +76,8 @@ def test_cli_determinism_and_schema(tmp_path):
         assert crit["pass"] is True
         assert isinstance(crit["measured"], float)
         assert crit["measured"] <= crit["threshold"]
-    assert set(data["config"]) == {"grid_L", "grid_N", "kmax", "t_grid_size"}
+    assert set(data["config"]) == {"grid_L", "grid_N", "kmax", "t_grid_size",
+                                   "wide_grid_L", "wide_grid_N"}
     c1, c2 = tmp_path / "v1.csv", tmp_path / "v2.csv"
     assert _run_verify_all(c1, "csv").returncode == 0
     assert _run_verify_all(c2, "csv").returncode == 0

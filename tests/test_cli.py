@@ -15,6 +15,7 @@ from gaussherm.cli import (
     parse_complex,
     parse_input_spec,
 )
+from gaussherm.gaussians import GeneralizedGaussian
 
 
 def run_cli(args, cwd=None):
@@ -38,18 +39,18 @@ def test_parse_complex_forms():
 
 def test_parse_input_specs(tmp_path):
     g = parse_input_spec("gaussian:A=2,b=0.5+0.1i")
-    assert g.gaussian.amplitude == 2
-    assert g.gaussian.width == 0.5 + 0.1j
+    assert g.state.amplitude == 2
+    assert g.state.width == 0.5 + 0.1j
     h = parse_input_spec("hermite:k=3")
-    assert np.all(h.expansion.coeffs == np.array([0, 0, 0, 1], dtype=complex))
+    assert np.all(h.state.coeffs == np.array([0, 0, 0, 1], dtype=complex))
     c = parse_input_spec("chirp:alpha=0.27465")
     assert c.default_a == pytest.approx(math.tanh(2 * 0.27465))
     s = parse_input_spec("squeezed:beta=0.5")
-    assert s.gaussian is not None
+    assert isinstance(s.state, GeneralizedGaussian)
     path = tmp_path / "e.json"
     path.write_text(json.dumps({"coeffs": [[1.0, 0.0], [0.0, -1.0]]}))
     e = parse_input_spec(f"expansion:@{path}")
-    assert np.all(e.expansion.coeffs == np.array([1.0, -1.0j]))
+    assert np.all(e.state.coeffs == np.array([1.0, -1.0j]))
 
 
 @pytest.mark.parametrize(
@@ -325,6 +326,45 @@ def test_evolve_gaussian_at_huge_times_is_closed_form():
         assert float(row.split(",")[1]) == pytest.approx(1.0, rel=1e-12)
 
 
+@pytest.mark.parametrize("argv", [
+    ["coeffs"],
+    ["envelope"],
+    ["bargmann"],
+    ["evolve", "--times", "0"],
+    ["confine", "--beta", "0.5", "--gamma", "0.4"],
+    ["norms"],
+], ids=["coeffs", "envelope", "bargmann", "evolve", "confine", "norms"])
+def test_zero_amplitude_gaussian_exits_2(argv, capsys):
+    for spec in ("gaussian:A=0,b=0.5", "gaussian:A=0+0i,b=0.5-0.2i"):
+        assert main([argv[0], spec, *argv[1:]]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and "amplitude A must be nonzero" in captured.err
+
+
+@pytest.mark.parametrize("spec", [
+    "squeezed:beta=0.878998",
+    "gaussian:A=0.7-1.3i,b=0.6+0.45i",
+    "chirp:alpha=0.2",
+    "hermite:k=5",
+    "expansion:@",
+])
+def test_envelope_and_evolve_at_t0_print_the_same_constants(spec, tmp_path):
+    """envelope and the t = 0 row of evolve take one two-sided verdict, the
+    flow generator's at t = 0, so their constants agree bit for bit."""
+    if spec == "expansion:@":
+        path = tmp_path / "e.json"
+        path.write_text(json.dumps({"coeffs": [[0.8, 0.1], [0.0, -0.3], [0.25, 0.2]]}))
+        spec += str(path)
+    env, evo = tmp_path / "env.csv", tmp_path / "evo.csv"
+    assert main(["envelope", spec, "--a", "0.4", "--out", str(env)]) == 0
+    assert main(["evolve", spec, "--a", "0.4", "--times", "0", "--out", str(evo)]) == 0
+    env_rows = [r.split(",") for r in env.read_bytes().decode().strip().split("\r\n")[1:]]
+    (evo_row,) = [r.split(",") for r in evo.read_bytes().decode().strip().split("\r\n")[1:]]
+    assert [row[2] for row in env_rows] == evo_row[2:4]
+    assert [row[4] for row in env_rows] == evo_row[4:6]
+
+
 @pytest.mark.parametrize("command", ["envelope", "evolve"])
 @pytest.mark.parametrize("spec", ["gaussian:b=0.5", "hermite:k=3"])
 @pytest.mark.parametrize("a", ["0", "-0.5"])
@@ -455,8 +495,10 @@ def test_verify_all_json_schema_and_exit(tmp_path):
         assert set(crit) == {"name", "pass", "measured", "threshold", "detail"}
         assert crit["pass"] is True
         assert isinstance(crit["measured"], float)
-    assert set(data["config"]) == {"grid_L", "grid_N", "kmax", "t_grid_size"}
+    assert set(data["config"]) == {"grid_L", "grid_N", "kmax", "t_grid_size",
+                                   "wide_grid_L", "wide_grid_N"}
     assert data["config"]["kmax"] == 60  # the criteria ran with max(kmax, 60)
+    assert (data["config"]["wide_grid_L"], data["config"]["wide_grid_N"]) == (24.0, 6144)
 
 
 def test_csv_outputs_are_deterministic(tmp_path):

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from gaussherm.decay import (
+    EnvelopeReport,
+    Membership,
     RateParams,
     decay_fit,
     endpoint_ratio_sup,
@@ -15,10 +17,12 @@ from gaussherm.decay import (
     log_hardy_coeff_bound,
     rate_regime,
 )
-from gaussherm.errors import FitError
+from gaussherm.bargmann import log_contour_coeff_bound, sector_params
+from gaussherm.errors import FitError, NumericalDomainError
 from gaussherm.gaussians import boundary_chirp, envelope_membership, gaussian, hermite_coeffs
 from gaussherm.grid import sample
 from gaussherm.hermite import HermiteExpansion, hermite_phi, unit_expansion
+from gaussherm.weighted import phi_weighted_norm_sq
 
 ALPHA = 0.27465
 
@@ -154,6 +158,31 @@ def test_decay_fit_errors():
         decay_fit(hermite_coeffs(gaussian(0.5), 40), (2, 8))  # < 6 usable evens
 
 
+@pytest.mark.parametrize("time_div, freq_div", [(True, False), (False, True), (False, False)],
+                         ids=["time-divergent", "frequency-divergent", "member"])
+def test_membership_rule(time_div, freq_div):
+    """member iff neither side diverges; C is then the larger side, else None."""
+    mem = Membership(EnvelopeReport(0.4, 1.5, 0.0, time_div),
+                     EnvelopeReport(0.4, 2.5, 0.0, freq_div))
+    assert mem.member is not (time_div or freq_div)
+    assert mem.constant == (2.5 if mem.member else None)
+
+
+@pytest.mark.parametrize("site", [
+    lambda a: RateParams(a=a, alpha=0.1, mu=0.5),
+    lambda a: log_hardy_coeff_bound(3, a, 1.0),
+    lambda a: rate_regime(a, 0.1),
+    lambda a: sector_params(a),
+    lambda a: log_contour_coeff_bound(3, a),
+    lambda a: phi_weighted_norm_sq(2, a),
+], ids=["RateParams", "log_hardy_coeff_bound", "rate_regime", "sector_params",
+        "log_contour_coeff_bound", "phi_weighted_norm_sq"])
+@pytest.mark.parametrize("a", [0.0, 1.0, -0.2, 1.5, math.nan])
+def test_weight_outside_unit_interval_is_one_refusal(site, a):
+    with pytest.raises(NumericalDomainError, match=r"a must be in \(0,1\)"):
+        site(a)
+
+
 def test_hardy_classify_gaussian_at_threshold(grid):
     rep = hardy_classify(gaussian(1.0).sample(grid), 1.0)
     assert rep.member
@@ -168,6 +197,7 @@ def test_hardy_classify_phi2_at_threshold(grid):
     f = sample(lambda xs: hermite_phi(2, xs), grid)
     rep = hardy_classify(f, 1.0)
     assert not rep.member
+    assert rep.constant is None  # a non-member has no class constant
     assert rep.ground_state_residual is None
 
 

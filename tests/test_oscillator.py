@@ -193,20 +193,20 @@ def test_flow_envelopes_gaussian_is_closed_form(grid):
     assert rows == list(flow_envelopes(sq, ts, 0.45, GridSpec(12.0, 4096)))
     assert len(rows) == len(ts)
     norm0 = hermite_coeffs(sq, 200).norm_sq()  # the flow is unitary
-    for t, (norm, rep_p, rep_f) in zip(ts, rows):
-        mem = envelope_membership(evolve_gaussian(sq, t), 0.45)
-        assert (rep_p, rep_f) == (mem.time_report, mem.frequency_report)
+    for t, (norm, mem) in zip(ts, rows):
+        assert mem == envelope_membership(evolve_gaussian(sq, t), 0.45)
         assert norm == pytest.approx(norm0, rel=1e-12)
+    assert rows[0][1] == envelope_membership(sq, 0.45)  # the flow at t = 0 is g itself
 
 
 def test_flow_envelopes_expansion_scans_the_sides(grid, rng):
     e = HermiteExpansion(rng.normal(size=12) + 1j * rng.normal(size=12))
     ts = default_t_grid(4)
     rows = list(flow_envelopes(e, ts, 0.3, grid))
-    for (norm, rep_p, rep_f), (side_p, side_f) in zip(rows, flow_sides(e, ts, grid)):
+    for (norm, mem), (side_p, side_f) in zip(rows, flow_sides(e, ts, grid)):
         assert norm == norm_sq(side_p)
-        assert rep_p == envelope_scan(side_p, 0.3)
-        assert rep_f == envelope_scan(side_f, 0.3)
+        assert mem.time_report == envelope_scan(side_p, 0.3)
+        assert mem.frequency_report == envelope_scan(side_f, 0.3)
 
 
 def test_confinement_check_ground_state(grid):

@@ -368,8 +368,6 @@ def test_confined_coeff_bound_spot_value():
     mu = (1 - a) / (1 + a)
     expected = c / math.sqrt(cert.b) * (1 - a) ** 0.25 * mu ** 0.5
     assert confined_coeff_bound(1, a, c, 1.0, cert) == pytest.approx(expected, rel=1e-13)
-    statement = confined_coeff_bound(1, a, c, 1.0, cert, statement_version=True)
-    assert statement == pytest.approx(expected / (1 - a) ** 0.25, rel=1e-13)
 
 
 def test_confined_coeff_bound_dominates_squeezed_flow(grid):
