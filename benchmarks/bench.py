@@ -35,7 +35,7 @@ sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 import calibrate  # noqa: E402
 import numpy as np  # noqa: E402
 
-from gaussherm import cli, gaussians, oscillator, verify, weighted  # noqa: E402
+from gaussherm import bargmann, cli, gaussians, oscillator, verify, weighted  # noqa: E402
 from gaussherm.grid import DEFAULT_GRID, sample  # noqa: E402
 from gaussherm.hermite import analyze, fourier_sampled, hermite_phi_all, synthesize  # noqa: E402
 
@@ -45,6 +45,17 @@ def run_cli(argv: list[str]) -> None:
     with contextlib.redirect_stdout(io.StringIO()):
         if cli.main(argv) != 0:
             raise RuntimeError(f"gaussherm {' '.join(argv)} failed")
+
+
+def phi_norm_table(nmax: int, a: float):
+    """||phi_n||_a^2 for n = 0..nmax as the ``norms`` table takes it: one
+    array call, or one call per n where the checkout's
+    ``phi_weighted_norm_sq`` takes a scalar n only (so one script times
+    older checkouts too)."""
+    try:
+        return weighted.phi_weighted_norm_sq(np.arange(nmax + 1), a)
+    except ValueError:
+        return [weighted.phi_weighted_norm_sq(n, a) for n in range(nmax + 1)]
 
 
 def items():
@@ -65,6 +76,10 @@ def items():
          lambda: weighted.central_binomial_certificate(1.1)),
         ("expansion_weighted_norm_sq K=81",
          lambda: weighted.expansion_weighted_norm_sq(squeezed, 0.4)),
+        ("phi_weighted_norm_sq n<=60 a=0.5", lambda: phi_norm_table(60, 0.5)),
+        ("generating_function_check a=0.5 w=0.25 nmax=400",
+         lambda: weighted.generating_function_check(0.5, 0.25, 400)),
+        ("optimal_contour n=200 mu=1/3", lambda: bargmann.optimal_contour(200, 1.0 / 3.0)),
         ("confinement_check Gaussian T=64",
          lambda: oscillator.confinement_check(state, 0.5, 0.45, ts, grid)),
         ("confinement_check K=70 T=64 N=4096",

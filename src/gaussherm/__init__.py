@@ -100,8 +100,6 @@ from .weighted import (
     selfdual_norm_bound,
     weak_confinement_chain,
     weighted_energy_rows,
-    weighted_norm,
-    weighted_norm_sq,
 )
 from .errors import (
     AliasingError,

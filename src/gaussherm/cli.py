@@ -212,6 +212,8 @@ def parse_input_spec(spec: str) -> InputSpec:
             if not isinstance(pairs, list) or not pairs:
                 raise CliParseError("expansion file needs a non-empty 'coeffs' list")
             coeffs = np.array([complex(p[0], p[1]) for p in pairs])
+            if not np.any(coeffs):
+                raise CliParseError(f"expansion coefficients must not all be zero, got {spec!r}")
             return InputSpec(label=spec, state=HermiteExpansion(coeffs), default_a=0.5)
     except CliParseError:
         raise
@@ -439,10 +441,9 @@ def cmd_norms(args, cfg: RunConfig) -> tuple[str, int]:
         quad = np.full(cfg.kmax + 1, math.nan)
         if resolved >= 0:
             quad[: resolved + 1] = wt.weighted_energy_rows(grid_basis(grid, resolved), grid, a)
-        rows = [
-            [n, wt.phi_weighted_norm_sq(n, a), wt.phi_weighted_norm_lower(n, a), float(quad[n])]
-            for n in range(cfg.kmax + 1)
-        ]
+        n = np.arange(cfg.kmax + 1)
+        columns = zip(wt.phi_weighted_norm_sq(n, a), wt.phi_weighted_norm_lower(n, a), quad)
+        rows = [[k, float(c), float(lo), float(q)] for k, (c, lo, q) in enumerate(columns)]
         meta = {"command": "norms", "input": None, "a": a}
         return render_table(header, rows, cfg.output_format, meta), 0
     inp = parse_input_spec(args.input)

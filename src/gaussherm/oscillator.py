@@ -20,15 +20,24 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .decay import Membership, envelope_scan
-from .errors import AliasingError
+from .errors import AliasingError, NumericalDomainError
 from .gaussians import GeneralizedGaussian, envelope_membership
-from .grid import DEFAULT_GRID, GridSpec, SampledFunction, norm_sq
+from .grid import DEFAULT_GRID, GridSpec, SampledFunction
 from .hermite import HermiteExpansion, _dot_real, fourier_expansion, grid_basis
 
 
+def _check_phase(factor: float, t: float) -> None:
+    """Refuse a time whose largest phase, factor * t, is not a finite double."""
+    if not math.isfinite(factor * t):
+        raise NumericalDomainError(f"time t={t!r} is out of range: the phase {factor:g}t overflows")
+
+
 def evolve_expansion(e: HermiteExpansion, t: float) -> HermiteExpansion:
-    """Spectral flow: coeffs[n] -> e^{i(2n+1)t} coeffs[n]."""
+    """Spectral flow: coeffs[n] -> e^{i(2n+1)t} coeffs[n].  A time whose
+    largest phase (2K+1)t, K = len(e) - 1, is not finite is refused
+    (``NumericalDomainError``)."""
     n = np.arange(len(e))
+    _check_phase(2.0 * len(e) - 1.0, t)
     return HermiteExpansion(e.coeffs * np.exp(1j * (2 * n + 1) * t))
 
 
@@ -40,10 +49,12 @@ def evolve_gaussian(g: GeneralizedGaussian, t: float) -> GeneralizedGaussian:
     itself at t = 0, and A(t) = A e^{it} sqrt(1+b(t)) / sqrt(1+b).  Re b(t)
     stays positive, so 1 + b(t) never leaves the half-plane Re > 1, where the
     principal square root is continuous in t: both roots are principal.
-    The flow at t = 0 is the identity, so g itself is returned there.
+    The flow at t = 0 is the identity, so g itself is returned there.  A
+    time whose double 2t is not finite is refused (``NumericalDomainError``).
     """
     if t == 0:
         return g
+    _check_phase(2.0, t)
     b = g.width
     c, s = math.cos(2.0 * t), math.sin(2.0 * t)
     bt = (b * c - 1j * s) / (c - 1j * b * s)
@@ -155,7 +166,8 @@ def flow_envelopes(psi0: HermiteExpansion | GeneralizedGaussian, ts, a: float,
     against exp(-a x^2/2)) for each t.  A Gaussian's are closed-form and do
     not depend on the grid (:func:`~gaussherm.gaussians.envelope_membership`
     of the evolved Gaussian, |A(t)|^2 / sqrt(2 Re b(t))); an expansion's are
-    grid scans and the quadrature norm of its :func:`flow_sides`.  At t = 0
+    grid scans of its :func:`flow_sides`, and its norm is sum |c_k|^2 at
+    every t, since the flow is unitary.  At t = 0
     this is the verdict on psi0 itself, which the CLI's ``envelope``,
     ``coeffs`` and ``bargmann`` read.
     """
@@ -165,8 +177,9 @@ def flow_envelopes(psi0: HermiteExpansion | GeneralizedGaussian, ts, a: float,
             norm = abs(gt.amplitude) ** 2 / math.sqrt(2.0 * gt.width.real)
             yield norm, envelope_membership(gt, a)
         return
+    norm = psi0.norm_sq()
     for side_p, side_f in flow_sides(psi0, ts, grid):
-        yield norm_sq(side_p), Membership(envelope_scan(side_p, a), envelope_scan(side_f, a))
+        yield norm, Membership(envelope_scan(side_p, a), envelope_scan(side_f, a))
 
 
 def confinement_check(

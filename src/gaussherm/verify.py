@@ -283,7 +283,7 @@ def criterion_weighted_norm_identities(cfg: VerifyConfig) -> CriterionResult:
     phis = hermite_phi_all(n_max, WIDE_GRID.xs)
     quad_rel = gram_rel = 0.0
     for a in (0.2, 0.5, 0.8):
-        closed = np.array([wt.phi_weighted_norm_sq(n, a) for n in range(n_max + 1)])
+        closed = wt.phi_weighted_norm_sq(np.arange(n_max + 1), a)
         mu = (1.0 - a) / (1.0 + a)
         gram = np.array([
             col[n] for n, col in enumerate(wt.scaled_gram_columns(n_max, a))

@@ -21,9 +21,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .decay import check_weight
-from .errors import EdgeDecayError, NumericalDomainError
-from .grid import SQRT_2PI, GridSpec, SampledFunction
-from .hermite import HermiteExpansion, fourier_sampled
+from .errors import NumericalDomainError
+from .grid import SQRT_2PI, GridSpec
+from .hermite import HermiteExpansion
 from .special import gammaln
 
 LOG2 = math.log(2.0)
@@ -37,17 +37,14 @@ LOG2 = math.log(2.0)
 WEIGHTED_EDGE_REL = 1e-7
 
 
-def _exp_or_inf(x: float) -> float:
-    """e^x, or inf past the double range."""
-    try:
-        return math.exp(x)
-    except OverflowError:
-        return math.inf
+def weighted_energy_rows(values: np.ndarray, grid: GridSpec, a: float) -> np.ndarray:
+    """Time-side quadrature of integral |f|^2 e^{a x^2} dm for each row of
+    samples on ``grid`` (trapezoid rule); nan for a row whose weighted
+    integrand has not decayed at the grid edges (edge/peak above
+    ``WEIGHTED_EDGE_REL``).
 
-
-def _weighted_rows(values: np.ndarray, grid: GridSpec, a: float):
-    """(integral of |f|^2 e^(a x^2) dm by the trapezoid rule, edge/peak of
-    the integrand) for each row of ``values``."""
+    For phi_n this is ||phi_n||_a^2 itself, since |phi_n hat| = |phi_n|.
+    """
     weighted = np.abs(np.atleast_2d(values)) ** 2 * np.exp(a * grid.xs * grid.xs)
     peak = weighted.max(axis=1)
     edge = np.maximum.reduce([weighted[:, 0], weighted[:, 1], weighted[:, -2], weighted[:, -1]])
@@ -55,49 +52,7 @@ def _weighted_rows(values: np.ndarray, grid: GridSpec, a: float):
         ratio = np.where(peak > 0.0, edge / peak, 0.0)
     h = grid.spacing
     integral = h * (weighted.sum(axis=1) - 0.5 * (weighted[:, 0] + weighted[:, -1]))
-    return integral / SQRT_2PI, ratio
-
-
-def weighted_energy_rows(values: np.ndarray, grid: GridSpec, a: float) -> np.ndarray:
-    """Time-side quadrature of integral |f|^2 e^{a x^2} dm for each row of
-    samples on ``grid``; nan for a row whose weighted integrand has not
-    decayed at the grid edges (edge/peak above ``WEIGHTED_EDGE_REL``).
-
-    For phi_n this is ||phi_n||_a^2 itself, since |phi_n hat| = |phi_n|.
-    """
-    integral, ratio = _weighted_rows(values, grid, a)
-    return np.where(ratio > WEIGHTED_EDGE_REL, math.nan, integral)
-
-
-def _weighted_integral(f: SampledFunction, a: float) -> float:
-    integral, ratio = _weighted_rows(f.values, f.grid, a)
-    if ratio[0] > WEIGHTED_EDGE_REL:
-        raise EdgeDecayError(
-            f"weighted integrand |f|^2 e^(a x^2) not decayed at grid edges "
-            f"(edge/peak = {ratio[0]:.2e}); f is not in the weighted class "
-            "numerically, or the grid is too narrow"
-        )
-    return float(integral[0])
-
-
-def weighted_norm_sq(f: SampledFunction, a: float) -> float:
-    """Quadrature value of ||f||_a^2 for a sampled f, its Fourier side from
-    the sampled transform on the same grid.
-
-    That transform has an absolute noise floor (~1e-16 of the peak, from
-    cancellation in the oscillatory quadrature) which the weight e^{a x^2}
-    amplifies; where it reaches the grid edges the edge check refuses
-    (``EdgeDecayError``), so tight weights on wide grids are refused rather
-    than answered wrong.  A Gaussian or a finite Hermite expansion has an
-    exact norm: ``gaussians.weighted_norm_sq_gaussian`` and
-    :func:`expansion_weighted_norm_sq`.
-    """
-    return 0.5 * (_weighted_integral(f, a) + _weighted_integral(fourier_sampled(f), a))
-
-
-def weighted_norm(f: SampledFunction, a: float) -> float:
-    """||f||_a itself."""
-    return math.sqrt(weighted_norm_sq(f, a))
+    return np.where(ratio > WEIGHTED_EDGE_REL, math.nan, integral / SQRT_2PI)
 
 
 def scaled_gram_columns(kmax: int, a: float):
@@ -193,37 +148,45 @@ def central_binomial(n) -> np.ndarray:
     return np.exp(log_central_binomial(n))
 
 
-def _logsumexp_sorted(log_terms: np.ndarray) -> float:
-    """Sum of exponentials, accumulated smallest-to-largest after peeling
-    off the maximum (all-positive-term sums only overflow, never cancel)."""
-    finite = log_terms[np.isfinite(log_terms)]
-    if finite.size == 0:
-        return -math.inf
-    top = float(finite.max())
-    return top + math.log(np.sum(np.exp(np.sort(finite - top))))
+def _norm_sums(nmax: int, mu: float) -> np.ndarray:
+    """S_n = sum_j Q_{n-j} Q_j mu^j for n = 0..nmax, entries 0..nmax of the
+    convolution of Q with Q mu^j.  For mu in (0, 1] every term lies in
+    [0, 1] and Q_n <= S_n <= 1 (at mu = 1 the sum is identically 1), so
+    nothing overflows or cancels."""
+    q = central_binomial(np.arange(nmax + 1))
+    return np.convolve(q, q * mu ** np.arange(nmax + 1))[: nmax + 1]
 
 
-def _log_norm_terms(n: int, log_inv_mu: float) -> np.ndarray:
-    """log of Q_k Q_{n-k} mu^{-k}, k = 0..n (the terms of the norm sum)."""
-    k = np.arange(n + 1, dtype=float)
-    log_q = log_central_binomial(k)
-    return log_q + log_q[::-1] + k * log_inv_mu
-
-
-def phi_weighted_norm_sq(n: int, a: float) -> float:
-    """Closed form of ||phi_n||_a^2:
-
-        (1-a)**-0.5 * 2**(-2n) * sum_k ((2k)! (2(n-k))! / (k! (n-k)!)^2) mu^{-k},
-
-    with mu = (1-a)/(1+a).  The mu^{-k} terms grow fast, so the sum runs in
-    log scale, accumulated smallest-to-largest (all terms positive).
-    """
-    if n < 0:
+def _indices(n) -> np.ndarray:
+    """n as an array, refused if any entry is negative."""
+    idx = np.asarray(n)
+    if np.any(idx < 0):
         raise ValueError(f"n must be >= 0, got {n}")
+    return idx
+
+
+def _scaled(log_values: np.ndarray, n) -> np.ndarray | float:
+    """e^log_values, inf past the double range; a float for a scalar n."""
+    with np.errstate(over="ignore"):
+        values = np.exp(log_values)
+    return float(values) if np.ndim(n) == 0 else values
+
+
+def phi_weighted_norm_sq(n, a: float):
+    """Closed form of ||phi_n||_a^2 for an int or an integer array n:
+
+        (1-a)**-0.5 * mu**-n * S_n,   S_n = sum_j Q_{n-j} Q_j mu^j,
+
+    with mu = (1-a)/(1+a) and Q the normalized central binomial weights.
+    All of S_0..S_max(n) come from one convolution (:func:`_norm_sums`) and
+    lie in [Q_n, 1]; only the factor mu**-n grows, so it is applied last, in
+    log scale, and gives inf past the double range.
+    """
+    idx = _indices(n)
     check_weight(a)
     mu = (1.0 - a) / (1.0 + a)
-    log_sum = _logsumexp_sorted(_log_norm_terms(n, -math.log(mu)))
-    return _exp_or_inf(-0.5 * math.log1p(-a) + log_sum)
+    sums = _norm_sums(int(idx.max(initial=0)), mu)[idx]
+    return _scaled(np.log(sums) - idx * math.log(mu) - 0.5 * math.log1p(-a), n)
 
 
 def central_binomial_convolution(n: int) -> float:
@@ -231,18 +194,18 @@ def central_binomial_convolution(n: int) -> float:
     (the coefficients of (1-w)**-0.5 squared convolve to those of (1-w)**-1)."""
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
-    return math.exp(_logsumexp_sorted(_log_norm_terms(n, 0.0)))
+    return float(_norm_sums(n, 1.0)[n])
 
 
-def phi_weighted_norm_lower(n: int, a: float) -> float:
-    """Single-term lower bound (1-a)**-0.5 * Q_n * mu^{-n} (all terms of the
-    norm sum are nonnegative, so keeping k = n alone is a lower bound)."""
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
+def phi_weighted_norm_lower(n, a: float):
+    """Single-term lower bound (1-a)**-0.5 * Q_n * mu^{-n} for an int or an
+    integer array n (every term of S_n is nonnegative, so keeping j = 0
+    alone is a lower bound)."""
+    idx = _indices(n)
     check_weight(a)
     mu = (1.0 - a) / (1.0 + a)
-    return _exp_or_inf(
-        -0.5 * math.log1p(-a) + float(log_central_binomial(n)) - n * math.log(mu)
+    return _scaled(
+        -0.5 * math.log1p(-a) + log_central_binomial(idx) - idx * math.log(mu), n
     )
 
 
@@ -250,6 +213,9 @@ def generating_function_check(a: float, w: float, nmax: int) -> tuple[float, flo
     """(partial sum, closed form) of sum_k ||phi_k||_a^2 w^k for |w| < mu:
 
         closed form = (1-a)**-0.5 (1-w)**-0.5 (1-w/mu)**-0.5.
+
+    The partial sum is (1-a)**-0.5 sum_k S_k (w/mu)^k, whose terms are
+    bounded by |w/mu|^k < 1.
     """
     check_weight(a)
     mu = (1.0 - a) / (1.0 + a)
@@ -257,24 +223,8 @@ def generating_function_check(a: float, w: float, nmax: int) -> tuple[float, flo
         raise NumericalDomainError(
             f"|w| must be below the convergence radius mu={mu:.6f}, got w={w}"
         )
-    lhs = 0.0
-    if w == 0.0:
-        lhs = phi_weighted_norm_sq(0, a)
-    else:
-        log_absw = math.log(abs(w))
-        sign = np.sign(w) ** np.arange(nmax + 1)
-        j = np.arange(nmax + 1, dtype=float)
-        log_q = log_central_binomial(j)  # slice k is _log_norm_terms(k, -log mu)
-        log_terms = np.array(
-            [
-                -0.5 * math.log1p(-a)
-                + _logsumexp_sorted(log_q[: k + 1] + log_q[k::-1] - j[: k + 1] * math.log(mu))
-                + k * log_absw
-                for k in range(nmax + 1)
-            ]
-        )
-        top = log_terms.max()
-        lhs = float(math.exp(top) * np.sum(sign * np.exp(log_terms - top)))
+    ratio = (w / mu) ** np.arange(nmax + 1)
+    lhs = (1.0 - a) ** -0.5 * float(np.sum(_norm_sums(nmax, mu) * ratio))
     rhs = ((1.0 - a) * (1.0 - w) * (1.0 - w / mu)) ** -0.5
     return lhs, float(rhs)
 

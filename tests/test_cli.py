@@ -4,6 +4,7 @@ import json
 import math
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -340,6 +341,32 @@ def test_zero_amplitude_gaussian_exits_2(argv, capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error:") and "amplitude A must be nonzero" in captured.err
+
+
+def test_all_zero_expansion_file_exits_2_for_every_command(tmp_path, capsys):
+    path = tmp_path / "zero.json"
+    path.write_text(json.dumps({"coeffs": [[0, 0], [0, 0]]}))
+    spec = f"expansion:@{path}"
+    for argv in (["coeffs"], ["envelope"], ["bargmann"], ["evolve", "--times", "0"],
+                 ["confine", "--beta", "0.5", "--gamma", "0.4"], ["norms"]):
+        assert main([argv[0], spec, *argv[1:]]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and "must not all be zero" in captured.err
+
+
+@pytest.mark.parametrize("spec", ["gaussian:b=0.5", "hermite:k=3"])
+def test_evolve_time_whose_phase_overflows_exits_3(spec, capsys):
+    """1e308 is finite but 2t (7t for hermite:k=3) is not: a refusal naming
+    the time, with no numpy warning on the way; 1e300 still runs."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["evolve", spec, "--times", "1e308"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and "t=1e+308" in captured.err
+        assert main(["evolve", spec, "--times", "1e300"]) == 0
+    assert capsys.readouterr().out.split("\n")[1].startswith("1.0000000000000001e+300,")
 
 
 @pytest.mark.parametrize("spec", [

@@ -189,10 +189,12 @@ def test_envelope_membership_cases():
 
 
 def test_gaussian_weighted_norm_closed_form(grid):
-    from gaussherm.weighted import weighted_norm_sq
+    from gaussherm.hermite import fourier_sampled
+    from gaussherm.weighted import weighted_energy_rows
 
     g = GeneralizedGaussian(1.1, 0.9)
     closed = weighted_norm_sq_gaussian(g, 0.2)
-    quad = weighted_norm_sq(g.sample(grid), 0.2)
+    f = g.sample(grid)
+    quad = 0.5 * sum(weighted_energy_rows(s.values, grid, 0.2)[0] for s in (f, fourier_sampled(f)))
     assert quad == pytest.approx(closed, rel=1e-10)
     assert weighted_norm_sq_gaussian(gaussian(0.5), 0.6) == math.inf

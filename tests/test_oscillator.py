@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from gaussherm.errors import AliasingError, BandLimitError
+from gaussherm.errors import AliasingError, BandLimitError, NumericalDomainError
 from gaussherm.decay import envelope_scan
 from gaussherm.gaussians import (
     GeneralizedGaussian,
@@ -17,7 +17,7 @@ from gaussherm.gaussians import (
     hermite_coeffs,
     squeezed_state,
 )
-from gaussherm.grid import GridSpec, norm_sq
+from gaussherm.grid import GridSpec
 from gaussherm.hermite import (
     HermiteExpansion,
     analyze,
@@ -62,6 +62,21 @@ def test_evolve_expansion_unitary(rng):
     e = HermiteExpansion(rng.normal(size=50) + 1j * rng.normal(size=50))
     for t in (0.1, 1.0, 5.0):
         assert evolve_expansion(e, t).norm_sq() == pytest.approx(e.norm_sq(), rel=1e-13)
+
+
+def test_flow_refuses_a_time_whose_phase_overflows():
+    """2t (Gaussian) or (2K+1)t (expansion up to index K) past the double
+    range is refused, naming t; the largest phases that fit still run."""
+    g, e = GeneralizedGaussian(1.0, 0.5), unit_expansion(3)
+    for t in (1e308, -1e308):
+        with pytest.raises(NumericalDomainError, match="e\\+308"):
+            evolve_gaussian(g, t)
+        with pytest.raises(NumericalDomainError, match="7t"):
+            evolve_expansion(e, t)
+    assert evolve_gaussian(g, 8e307).width.real > 0
+    assert evolve_expansion(e, 2.5e307).norm_sq() == pytest.approx(1.0, rel=1e-15)
+    with pytest.raises(NumericalDomainError):
+        evolve_expansion(e, 2.6e307)
 
 
 def test_evolve_gaussian_ground_state_fixed_point():
@@ -204,7 +219,7 @@ def test_flow_envelopes_expansion_scans_the_sides(grid, rng):
     ts = default_t_grid(4)
     rows = list(flow_envelopes(e, ts, 0.3, grid))
     for (norm, mem), (side_p, side_f) in zip(rows, flow_sides(e, ts, grid)):
-        assert norm == norm_sq(side_p)
+        assert norm == e.norm_sq()  # the flow is unitary
         assert mem.time_report == envelope_scan(side_p, 0.3)
         assert mem.frequency_report == envelope_scan(side_f, 0.3)
 
