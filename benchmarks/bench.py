@@ -1,4 +1,5 @@
-"""In-process timings of gaussherm's kernels and verify criteria.
+"""Timings of gaussherm's kernels and verify criteria, in-process, and of
+its import and ``verify-all`` in fresh interpreters.
 
 Run from the root of a checkout (the package is taken from its ``src``)::
 
@@ -6,9 +7,12 @@ Run from the root of a checkout (the package is taken from its ``src``)::
 
 Each item is called once untimed (so lazy set-up and caches are warm, as
 they are for every request after the first in a long-lived process), then
-``--repeats`` times under ``time.perf_counter``.  The median, min and max of
-those repeats are printed and written, with the machine's nproc and the
-Python and numpy versions, to ``BENCH_<label>.json`` at the checkout root.
+``--repeats`` times under ``time.perf_counter``.  ``import gaussherm.cli``
+and ``verify-all --format json`` run in fresh interpreters, so their times
+include starting Python; the import is timed 5 times whatever ``--repeats``
+says.  The median, min and max of those repeats are printed and written,
+with the machine's nproc and the Python and numpy versions, to
+``BENCH_<label>.json`` at the checkout root.
 Timings are noisy on a shared machine: compare two labels only when both
 files come from the same machine, and read the min/max spread first.  The
 first item is ``perfbench/calibrate.py``'s fixed kernel, which does not call
@@ -25,6 +29,7 @@ import json
 import os
 import platform
 import statistics
+import subprocess
 import sys
 import time
 
@@ -35,9 +40,12 @@ sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 import calibrate  # noqa: E402
 import numpy as np  # noqa: E402
 
-from gaussherm import bargmann, cli, gaussians, oscillator, verify, weighted  # noqa: E402
-from gaussherm.grid import DEFAULT_GRID, sample  # noqa: E402
+from gaussherm import bargmann, cli, gaussians, hermite, oscillator, verify, weighted  # noqa: E402
+from gaussherm.grid import DEFAULT_GRID, SampledFunction, sample  # noqa: E402
 from gaussherm.hermite import analyze, fourier_sampled, hermite_phi_all, synthesize  # noqa: E402
+
+#: Items timed a fixed number of times, whatever ``--repeats`` says.
+FIXED_REPEATS = {"import gaussherm.cli (fresh interpreter)": 5}
 
 
 def run_cli(argv: list[str]) -> None:
@@ -58,6 +66,30 @@ def phi_norm_table(nmax: int, a: float):
         return [weighted.phi_weighted_norm_sq(n, a) for n in range(nmax + 1)]
 
 
+def bargmann_stack(rows, grid, ws):
+    """Uf at ws for each row: one ``bargmann_rows`` call, or one
+    ``bargmann_numeric`` call per row on a checkout without it."""
+    if hasattr(bargmann, "bargmann_rows"):
+        return bargmann.bargmann_rows(rows, grid, ws)
+    return [bargmann.bargmann_numeric(SampledFunction(grid, r), ws) for r in rows]
+
+
+def fourier_stack(rows, grid):
+    """The same-grid transform of each row: one ``fourier_rows`` call, or one
+    ``fourier_sampled`` call per row on a checkout without it."""
+    if hasattr(hermite, "fourier_rows"):
+        return hermite.fourier_rows(rows, grid)
+    return [fourier_sampled(SampledFunction(grid, r)).values for r in rows]
+
+
+def run_subprocess(args: list[str]) -> None:
+    """One fresh interpreter on this checkout's package; refused unless it exits 0."""
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    res = subprocess.run([sys.executable, *args], env=env, capture_output=True, check=False)
+    if res.returncode != 0:
+        raise RuntimeError(f"{' '.join(args)} exited {res.returncode}: {res.stderr[-500:]!r}")
+
+
 def items():
     """(name, zero-argument callable) pairs, in report order."""
     grid = DEFAULT_GRID
@@ -67,11 +99,21 @@ def items():
     state_k70 = gaussians.hermite_coeffs(state, 70)
     ts = oscillator.default_t_grid(64)
     cfg = verify.VerifyConfig()
+    ring = 3.0 * np.exp(2j * np.pi * np.arange(10) / 10)
+    phis = hermite_phi_all(20, grid.xs)
+    stack = np.vstack([phis, [f.values] * 4])
     out = [
         ("calibrate kernel", calibrate.kernel_s),
+        ("import gaussherm.cli (fresh interpreter)",
+         lambda: run_subprocess(["-c", "import gaussherm.cli"])),
+        ("verify-all --format json (subprocess)",
+         lambda: run_subprocess(["-m", "gaussherm", "verify-all", "--format", "json"])),
         ("hermite_phi_all K=60 N=4096", lambda: hermite_phi_all(60, grid.xs)),
         ("analyze+synthesize K=60 N=4096", lambda: synthesize(analyze(f, 60), grid)),
         ("fourier_sampled N=4096", lambda: fourier_sampled(f)),
+        ("fourier_rows F=25 N=4096", lambda: fourier_stack(stack, grid)),
+        ("bargmann_numeric W=10 N=4096", lambda: bargmann.bargmann_numeric(f, ring)),
+        ("bargmann_rows F=21 W=10 N=4096", lambda: bargmann_stack(phis, grid, ring)),
         ("central_binomial_certificate beta=1.1",
          lambda: weighted.central_binomial_certificate(1.1)),
         ("expansion_weighted_norm_sq K=81",
@@ -121,7 +163,7 @@ def main(argv=None) -> int:
         parser.error("--repeats must be >= 1")
     results = {}
     for name, fn in items():
-        results[name] = time_item(fn, args.repeats)
+        results[name] = time_item(fn, FIXED_REPEATS.get(name, args.repeats))
         r = results[name]
         print(f"{name:45s} median {r['median_ms']:9.3f} ms  "
               f"min {r['min_ms']:9.3f}  max {r['max_ms']:9.3f}")

@@ -23,6 +23,7 @@ from .hermite import (
     analyze,
     band_limit,
     fourier_expansion,
+    fourier_rows,
     fourier_sampled,
     hermite_phi,
     hermite_phi_all,
@@ -50,6 +51,7 @@ from .bargmann import (
     SectorParams,
     TaylorSeries,
     bargmann_numeric,
+    bargmann_rows,
     cauchy_coeff_bound,
     contour_coeff_bound,
     expansion_to_taylor,
@@ -57,6 +59,7 @@ from .bargmann import (
     pl_auxiliary,
     quadrant_bound,
     reflection_check,
+    reflection_rows,
     sector_bound,
     sector_params,
     taylor_to_expansion,

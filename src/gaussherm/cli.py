@@ -7,7 +7,9 @@ atomically (whole file or nothing).  Identical configuration produces
 byte-identical artifacts: nothing here reads the clock or an RNG.
 
 Exit codes: 0 success; 1 verify-all found failures; 2 input/config parse
-errors; 3 numerical domain errors; 4 envelope divergence in confine.
+errors; 3 numerical domain errors, and any other unexpected exception
+(reported as an internal error, without a traceback); 4 envelope
+divergence in confine.
 """
 
 from __future__ import annotations
@@ -597,6 +599,9 @@ def main(argv=None) -> int:
         return 4
     except (NumericalDomainError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 3
+    except Exception as exc:  # noqa: BLE001 - never exit 1, verify-all's "criteria failed"
+        print(f"error: internal error ({type(exc).__name__}): {exc}", file=sys.stderr)
         return 3
 
 

@@ -185,18 +185,23 @@ def _check_edge_decay(values: np.ndarray, what: str):
         )
 
 
-def fourier_sampled(f: SampledFunction) -> SampledFunction:
-    """Unitary Fourier transform fhat(xi) = (2*pi)**-0.5 integral f e^{-i xi x} dx,
-    evaluated on the same grid.
+def fourier_rows(values, grid: GridSpec) -> np.ndarray:
+    """Unitary Fourier transform fhat(xi) = (2*pi)**-0.5 integral f e^{-i xi x} dx
+    of each row of samples on ``grid``, evaluated on the same grid; shape
+    (F, N) for F rows.
 
     The output frequencies coincide with the input grid rather than the FFT
     grid 2*pi/(N h), so the discretized integral is a chirp-z transform
     (Rabiner, Schafer and Rader 1969), evaluated as one FFT convolution after
-    Bluestein's (1970) split jm = (j^2 + m^2 - (m-j)^2)/2.  Requires f to have
-    decayed at the grid edges.
+    Bluestein's (1970) split jm = (j^2 + m^2 - (m-j)^2)/2.  The chirp, the
+    FFT of the convolution kernel and the phase ramps before and after it
+    are built once per call; the rows are transformed one at a time.
+    Requires every row to have decayed at the grid edges
+    (:class:`EdgeDecayError` names the first that has not).
     """
-    _check_edge_decay(f.values, "input of fourier_sampled")
-    grid = f.grid
+    rows = np.atleast_2d(values)
+    for i, row in enumerate(rows):
+        _check_edge_decay(row, f"input row {i} of the sampled Fourier transform")
     h = grid.spacing
     x0 = -grid.half_width
     n = grid.num_points
@@ -207,10 +212,19 @@ def fourier_sampled(f: SampledFunction) -> SampledFunction:
     kernel = np.zeros(size, dtype=complex)
     kernel[:n] = chirp.conj()
     kernel[size - n + 1:] = chirp[:0:-1].conj()
-    g = f.values * np.exp(-1j * h * x0 * j) * chirp
-    spiral = chirp * np.fft.ifft(np.fft.fft(g, size) * np.fft.fft(kernel))[:n]
-    vals = (h / SQRT_2PI) * np.exp(-1j * x0 * grid.xs) * spiral
-    return SampledFunction(grid, vals)
+    kernel_fft = np.fft.fft(kernel)
+    pre = np.exp(-1j * h * x0 * j) * chirp
+    post = (h / SQRT_2PI) * np.exp(-1j * x0 * grid.xs) * chirp
+    out = np.empty(rows.shape, dtype=complex)
+    for i, row in enumerate(rows):
+        out[i] = post * np.fft.ifft(np.fft.fft(row * pre, size) * kernel_fft)[:n]
+    return out
+
+
+def fourier_sampled(f: SampledFunction) -> SampledFunction:
+    """Unitary Fourier transform of f on its own grid: :func:`fourier_rows`
+    for the single row f."""
+    return SampledFunction(f.grid, fourier_rows(f.values, f.grid)[0])
 
 
 def mehler_closed_form(x: float, w: float) -> float:

@@ -1,9 +1,9 @@
 """log Gamma for the package's factorial algebra, on the standard library.
 
 Scalars go to :func:`math.lgamma`.  Arrays arise only as factorial indices
-(Taylor maps, Gaussian coefficients, central binomial weights), so they are
+(Taylor maps, Gaussian coefficients, Bargmann images of phi_k), so they are
 looked up in a table of ``math.lgamma`` values rather than evaluated element
-by element: verify-all asks for hundreds of thousands of them per run.
+by element.
 """
 
 from __future__ import annotations

