@@ -12,7 +12,7 @@ norms run the implication in reverse.  The submodules follow that story:
 ``gaussians``   closed-form algebra on A exp(-b x^2/2)
 ``bargmann``    the transform, sector estimates, optimized contour bound
 ``decay``       coefficient bounds, envelope scans, rate fits, classifier
-``oscillator``  spectral flow, confinement checks, time averages
+``oscillator``  spectral flow, confinement checks
 ``weighted``    weighted norms, generating function, certificates, chains
 ``verify``      the end-to-end verification suite the CLI exposes
 """
@@ -37,7 +37,6 @@ from .gaussians import (
     GeneralizedGaussian,
     bargmann_gaussian,
     boundary_chirp,
-    coeff_ratio,
     envelope_constant,
     envelope_membership,
     fourier_gaussian,
@@ -49,29 +48,24 @@ from .gaussians import (
 from .bargmann import (
     ContourBound,
     SectorParams,
-    TaylorSeries,
     bargmann_numeric,
     bargmann_rows,
     cauchy_coeff_bound,
     contour_coeff_bound,
-    expansion_to_taylor,
+    log_taylor_coeffs,
     optimal_contour,
-    pl_auxiliary,
     quadrant_bound,
     reflection_check,
     reflection_rows,
     sector_bound,
     sector_params,
-    taylor_to_expansion,
 )
 from .decay import (
     DecayFit,
     EnvelopeReport,
     HardyReport,
     Membership,
-    RateParams,
     decay_fit,
-    endpoint_ratio_sup,
     envelope_scan,
     hardy_classify,
     hardy_coeff_bound,
@@ -86,7 +80,6 @@ from .oscillator import (
     evolve_gaussian,
     fourier_time_shift_check,
     sharp_confinement_probe,
-    time_average_projection,
 )
 from .weighted import (
     CentralBinomialCertificate,
@@ -105,7 +98,6 @@ from .weighted import (
     weighted_energy_rows,
 )
 from .errors import (
-    AliasingError,
     BandLimitError,
     EdgeDecayError,
     FitError,

@@ -19,7 +19,6 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-import warnings
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -33,10 +32,6 @@ from .special import gammaln
 
 LOG2 = math.log(2.0)
 _BARGMANN_PREF = 1.0 / (2.0 ** 0.25 * math.pi ** 0.5)
-
-#: Stop Taylor evaluation once the geometric tail estimate drops below this
-#: fraction of the partial sum.
-TAYLOR_TAIL_REL = 1e-14
 
 
 def bargmann_rows(values, grid: GridSpec, w) -> np.ndarray:
@@ -95,91 +90,15 @@ def reflection_check(f: SampledFunction, w_list) -> float:
     return float(reflection_rows(f.values, f.grid, w_list)[0])
 
 
-@dataclass(frozen=True)
-class TaylorSeries:
-    """Log-scale Taylor coefficients c_n of a Bargmann-side entire function.
-
-    c_n = <f, phi_n> / sqrt(2^n n!); magnitudes are stored as natural logs
-    (-inf marks an exactly vanishing coefficient) because the sqrt(2^n n!)
-    division underflows double precision long before desk-scale n runs out.
-    """
-
-    log_mag: np.ndarray = field(repr=False)
-    phase: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        lm = np.asarray(self.log_mag, dtype=float)
-        ph = np.asarray(self.phase, dtype=float)
-        if lm.shape != ph.shape or lm.ndim != 1:
-            raise ValueError("log_mag and phase must be 1-d arrays of equal length")
-        if np.any(np.isnan(lm)) or lm.max(initial=-np.inf) == np.inf:
-            raise ValueError("log magnitudes must be < inf and not NaN")
-        object.__setattr__(self, "log_mag", lm)
-        object.__setattr__(self, "phase", ph)
-
-    def __len__(self) -> int:
-        return self.log_mag.size
-
-    def coefficient(self, n: int) -> complex:
-        """c_n as a complex number (0 when the stored magnitude underflows)."""
-        return complex(np.exp(self.log_mag[n]) * np.exp(1j * self.phase[n]))
-
-    def evaluate(self, w: complex) -> complex:
-        """sum_n c_n w^n, truncated once the geometric tail estimate from the
-        last retained term falls below TAYLOR_TAIL_REL of the partial sum.
-        Warns when the stored coefficients run out before that happens."""
-        w = complex(w)
-        if w == 0:
-            return self.coefficient(0)
-        lw = math.log(abs(w))
-        aw = cmath.phase(w)
-        total = 0.0 + 0.0j
-        prev_mag = None
-        for n in range(len(self)):
-            lm = self.log_mag[n] + n * lw
-            mag = math.exp(lm) if lm < 700.0 else math.inf
-            total += mag * cmath.exp(1j * (self.phase[n] + n * aw))
-            if prev_mag is not None and 0.0 < mag < prev_mag:
-                q = mag / prev_mag
-                if mag * q / (1.0 - q) < TAYLOR_TAIL_REL * abs(total):
-                    return total
-            if mag > 0.0:
-                prev_mag = mag
-        warnings.warn(
-            "Taylor evaluation truncated before the tail bound was reached; "
-            "the series may need more coefficients at this |w|",
-            stacklevel=2,
-        )
-        return total
-
-
-def expansion_to_taylor(e: HermiteExpansion) -> TaylorSeries:
-    """Taylor coefficients of Uf from Hermite coefficients of f."""
+def log_taylor_coeffs(e: HermiteExpansion) -> np.ndarray:
+    """log|c_n| of the Taylor coefficients c_n = <f, phi_n> / sqrt(2^n n!)
+    of Uf, from the Hermite coefficients of f; -inf marks an exactly
+    vanishing coefficient.  Kept in log scale because the sqrt(2^n n!)
+    division underflows double precision long before desk-scale n runs out."""
     n = np.arange(len(e))
     mags = np.abs(e.coeffs)
     with np.errstate(divide="ignore"):
-        log_mag = np.where(
-            mags > 0, np.log(mags) - 0.5 * (n * LOG2 + gammaln(n + 1)), -np.inf
-        )
-    return TaylorSeries(log_mag, np.angle(e.coeffs))
-
-
-def taylor_to_expansion(t: TaylorSeries) -> HermiteExpansion:
-    """Inverse of :func:`expansion_to_taylor`."""
-    n = np.arange(len(t))
-    log_c = t.log_mag + 0.5 * (n * LOG2 + gammaln(n + 1))
-    return HermiteExpansion(np.exp(log_c) * np.exp(1j * t.phase))
-
-
-def fock_norm_sq(t: TaylorSeries) -> float:
-    """sum_n |c_n|^2 2^n n!  (equals ||f||^2 by the isometry), in log scale."""
-    n = np.arange(len(t))
-    terms = 2.0 * t.log_mag + n * LOG2 + gammaln(n + 1)
-    finite = terms[np.isfinite(terms)]
-    if finite.size == 0:
-        return 0.0
-    top = finite.max()
-    return float(np.exp(top) * np.sum(np.exp(np.sort(finite - top))))
+        return np.where(mags > 0, np.log(mags) - 0.5 * (n * LOG2 + gammaln(n + 1)), -np.inf)
 
 
 @dataclass(frozen=True)
@@ -223,21 +142,6 @@ def _ray_prefactor(s: SectorParams) -> float:
     return s.big_c * math.sqrt(2.0 * math.pi / (1.0 + s.a))
 
 
-def hypothesis_bounds(s: SectorParams, w: complex) -> tuple[float, float]:
-    """The two pre-interpolation bounds on |Uf(w)|, valid for every w:
-
-        C sqrt(2 pi/(1+a)) exp((mu + (1-mu) sin^2 theta) r^2 / 4)   (time side)
-        C sqrt(2 pi/(1+a)) exp((mu + (1-mu) cos^2 theta) r^2 / 4)   (frequency side)
-    """
-    w = complex(w)
-    r2 = abs(w) ** 2
-    th = cmath.phase(w)
-    pref = _ray_prefactor(s)
-    time_side = pref * math.exp((s.mu + (1 - s.mu) * math.sin(th) ** 2) * r2 / 4.0)
-    freq_side = pref * math.exp((s.mu + (1 - s.mu) * math.cos(th) ** 2) * r2 / 4.0)
-    return time_side, freq_side
-
-
 def quadrant_bound(s: SectorParams, w: complex) -> float:
     """Everywhere-valid growth bound C sqrt(2 pi/(1+a)) exp(sqrt(mu) |w|^2 / 4)."""
     return _ray_prefactor(s) * math.exp(math.sqrt(s.mu) * abs(complex(w)) ** 2 / 4.0)
@@ -260,13 +164,6 @@ def sector_bound(s: SectorParams, w: complex) -> float:
         )
     r2 = abs(complex(w)) ** 2
     return _ray_prefactor(s) * math.exp(math.sqrt(s.mu) * math.sin(2.0 * th) * r2 / 4.0)
-
-
-def pl_auxiliary(s: SectorParams, f_taylor: TaylorSeries, w: complex) -> complex:
-    """F(w) = exp(i sqrt(mu) w^2 / 4) * Uf(w), the function the maximum
-    principle is applied to; |F| <= C sqrt(2 pi/(1+a)) on the sector rays."""
-    w = complex(w)
-    return cmath.exp(0.25j * math.sqrt(s.mu) * w * w) * f_taylor.evaluate(w)
 
 
 def log_cauchy_coeff_bound(s: SectorParams, n: int) -> float:
@@ -424,22 +321,5 @@ def log_contour_j_gamma_bound(n: int, mu: float) -> float:
         - math.log(4.0)
         + gammaln(n / 4.0)
         - gammaln((n + 2.0) / 4.0)
-        + 0.25 * n * math.log(mu)
-    )
-
-
-def log_contour_j_simple_bound(n: int, mu: float) -> float:
-    """Simplified majorant (sqrt(6 pi)/4) n**-0.5 mu**(n/4).
-
-    Valid for n >= 3: at n = 2 the Gamma ratio Gamma(1/2)/Gamma(1) = sqrt(pi)
-    already exceeds sqrt(6/2), so the simplified constant only kicks in one
-    step later; the asymptotic content is unchanged.
-    """
-    if n < 3:
-        raise NumericalDomainError(f"the simplified J bound needs n >= 3, got {n}")
-    return (
-        0.5 * math.log(6.0 * math.pi)
-        - math.log(4.0)
-        - 0.5 * math.log(n)
         + 0.25 * n * math.log(mu)
     )

@@ -296,13 +296,23 @@ def _log10_or_neginf(x: float) -> float:
     return math.log10(x) if x > 0 else -math.inf
 
 
+def _class_constant(
+    args, inp: InputSpec, cfg: RunConfig
+) -> tuple[float | None, float | None]:
+    """``--a`` of coeffs and bargmann (default: the input's own weight),
+    refused outside (0,1), and the class constant C at that weight: the
+    t = 0 row of the flow, None for a non-member.  Both None when the
+    input has no natural weight and none is given."""
+    a = args.a if args.a is not None else inp.default_a
+    if a is None:
+        return None, None
+    dc.check_weight(a)
+    return a, next(osc.flow_envelopes(inp.state, [0.0], a, cfg.grid))[1].constant
+
+
 def cmd_coeffs(args, cfg: RunConfig) -> tuple[str, int]:
     inp = parse_input_spec(args.input)
-    a = args.a if args.a is not None else inp.default_a
-    big_c = None
-    if a is not None:
-        dc.check_weight(a)
-        big_c = next(osc.flow_envelopes(inp.state, [0.0], a, cfg.grid))[1].constant
+    a, big_c = _class_constant(args, inp, cfg)
     coeffs = _coefficients(inp, cfg)
     header = [
         "k", "abs_coeff", "log10_abs_coeff",
@@ -356,11 +366,7 @@ def cmd_bargmann(args, cfg: RunConfig) -> tuple[str, int]:
     if args.w_count < 1:
         raise CliParseError(f"--w-count must be >= 1, got {args.w_count}")
     inp = parse_input_spec(args.input)
-    a = args.a if args.a is not None else inp.default_a
-    big_c = None
-    if a is not None:
-        dc.check_weight(a)
-        big_c = next(osc.flow_envelopes(inp.state, [0.0], a, cfg.grid))[1].constant
+    a, big_c = _class_constant(args, inp, cfg)
     sector = bg.sector_params(a, big_c) if big_c is not None else None
     ws = args.w_ring * np.exp(2j * math.pi * np.arange(args.w_count) / args.w_count)
     values = bg.bargmann_numeric(_sampled(inp, cfg), ws)
@@ -483,6 +489,7 @@ def cmd_verify_all(args, cfg: RunConfig) -> tuple[str, int]:
                 "grid_L": cfg.grid_l,
                 "grid_N": cfg.grid_n,
                 "kmax": vcfg.kmax,
+                "grid_kmax": vcfg.grid_kmax,
                 "t_grid_size": cfg.t_grid_size,
                 "wide_grid_L": WIDE_GRID.half_width,
                 "wide_grid_N": WIDE_GRID.num_points,

@@ -80,32 +80,6 @@ def check_weight(a: float) -> None:
         raise NumericalDomainError(f"a must be in (0,1), got {a}")
 
 
-@dataclass(frozen=True)
-class RateParams:
-    """Envelope parameter a, endpoint rate alpha with tanh(2*alpha) = a, and
-    the geometric ratio mu = exp(-4*alpha) = (1-a)/(1+a)."""
-
-    a: float
-    alpha: float
-    mu: float
-
-    def __post_init__(self):
-        check_weight(self.a)
-        ref = (1.0 - self.a) / (1.0 + self.a)
-        if abs(self.mu - ref) > 1e-13 * max(ref, 1e-300):
-            raise ValueError("mu inconsistent with a (expected (1-a)/(1+a))")
-
-    @classmethod
-    def from_a(cls, a: float) -> "RateParams":
-        return cls(a=a, alpha=0.5 * math.atanh(a), mu=(1.0 - a) / (1.0 + a))
-
-    @classmethod
-    def from_alpha(cls, alpha: float) -> "RateParams":
-        if alpha <= 0:
-            raise ValueError(f"alpha must be positive, got {alpha}")
-        return cls(a=math.tanh(2.0 * alpha), alpha=alpha, mu=math.exp(-4.0 * alpha))
-
-
 def log_hardy_coeff_bound(k: int, a: float, big_c: float) -> float:
     """Natural log of :func:`hardy_coeff_bound` (safe for large k)."""
     if k < 1:
@@ -143,22 +117,6 @@ def rate_regime(a: float, alpha: float) -> str:
     if abs(t - a) <= 1e-12:
         return "endpoint"
     return "applies" if t < a else "fails"
-
-
-def endpoint_ratio_sup(e: HermiteExpansion, alpha: float) -> float:
-    """sup over k >= 1 of |coeffs[k]| * k**(1/4) * e^{alpha k}.
-
-    Boundedness of this quantity over the computed range is the checkable
-    surrogate for the endpoint decay statement; for the extremal chirp it is
-    also bounded away from zero on even k (the rate is sharp)."""
-    mags = np.abs(e.coeffs[1:])
-    if mags.size == 0:
-        return 0.0
-    k = np.arange(1, len(e), dtype=float)
-    with np.errstate(divide="ignore"):
-        log_ratio = np.where(mags > 0, np.log(mags) + 0.25 * np.log(k) + alpha * k, -np.inf)
-    top = np.max(log_ratio)
-    return float(np.exp(top)) if np.isfinite(top) else 0.0
 
 
 def _side_divergent(weighted: np.ndarray) -> bool:

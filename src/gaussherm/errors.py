@@ -13,9 +13,5 @@ class EdgeDecayError(NumericalDomainError):
     """An integrand has not decayed at the grid edges (aliasing risk)."""
 
 
-class AliasingError(NumericalDomainError):
-    """Sampling rate too low for the requested trigonometric average."""
-
-
 class FitError(NumericalDomainError):
     """Not enough usable data points for a decay fit."""

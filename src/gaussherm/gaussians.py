@@ -19,9 +19,7 @@ import numpy as np
 from .decay import EnvelopeReport, Membership
 from .grid import DEFAULT_GRID, GridSpec, SampledFunction
 from .hermite import HermiteExpansion
-from .special import gammaln
-
-LOG2 = math.log(2.0)
+from .weighted import log_central_binomial
 
 
 @dataclass(frozen=True)
@@ -130,39 +128,28 @@ def hermite_coeffs(g: GeneralizedGaussian, kmax: int) -> HermiteExpansion:
 
     With z = (1-b)/(1+b) and P the Bargmann prefactor,
 
-        <g, phi_{2m}> = P * z**m * sqrt((2m)!) / (2**m m!),
+        <g, phi_{2m}> = P * z**m * sqrt((2m)!) / (2**m m!) = P * z**m * sqrt(Q_m),
 
-    and odd coefficients vanish.  The factorial ratio is evaluated in log
-    scale; the result itself never exceeds |P| because the ratio is
-    sqrt of a normalized central binomial weight (<= 1).
+    and odd coefficients vanish.  Q_m is the normalized central binomial
+    weight of :func:`weighted.central_binomial` (<= 1, so the result never
+    exceeds |P|); the magnitude is assembled in log scale, since z**m
+    underflows long before Q_m does.
     """
     if kmax < 0:
         raise ValueError(f"kmax must be >= 0, got {kmax}")
     z = moebius_ratio(g)
     pref = bargmann_gaussian(g).prefactor
     m = np.arange(kmax // 2 + 1)
-    log_ratio = 0.5 * gammaln(2 * m + 1) - m * LOG2 - gammaln(m + 1)
     if z == 0:
         even = np.zeros(m.size, dtype=complex)
         even[0] = pref
     else:
-        log_mag = math.log(abs(pref)) + m * math.log(abs(z)) + log_ratio
+        log_mag = math.log(abs(pref)) + m * math.log(abs(z)) + 0.5 * log_central_binomial(m)
         phase = cmath.phase(pref) + m * cmath.phase(z)
         even = np.exp(log_mag) * np.exp(1j * phase)
     coeffs = np.zeros(kmax + 1, dtype=complex)
     coeffs[:: 2] = even[: coeffs[::2].size]
     return HermiteExpansion(coeffs)
-
-
-def coeff_ratio(g: GeneralizedGaussian, m: int) -> complex:
-    """Exact ratio <g, phi_{2m+2}> / <g, phi_{2m}>:
-
-        z * sqrt((2m+1)(2m+2)) / (2(m+1)).
-    """
-    if m < 0:
-        raise ValueError(f"m must be >= 0, got {m}")
-    z = moebius_ratio(g)
-    return z * math.sqrt((2 * m + 1) * (2 * m + 2)) / (2.0 * (m + 1))
 
 
 def envelope_constant(g: GeneralizedGaussian, a: float) -> EnvelopeReport:

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .decay import Membership, envelope_scan
-from .errors import AliasingError, NumericalDomainError
+from .errors import NumericalDomainError
 from .gaussians import GeneralizedGaussian, envelope_membership
 from .grid import DEFAULT_GRID, GridSpec, SampledFunction
 from .hermite import HermiteExpansion, _dot_real, fourier_expansion, grid_basis
@@ -257,29 +257,3 @@ def sharp_confinement_probe(
         sup_change=change,
         stable=change < 1e-6 * max(base.sup_constant, 1.0),
     )
-
-
-def time_average_projection(
-    e: HermiteExpansion, n: int, num_samples: int
-) -> HermiteExpansion:
-    """Trapezoid average (1/2 pi) integral_0^{2 pi} psi_t e^{-i n t} dt,
-    computed from uniform time samples of the spectral flow.
-
-    The integrand is a trigonometric polynomial with frequencies
-    2k + 1 - n, |k| < len(e), so the uniform average is exact once
-    num_samples clears the Nyquist order; the projection then isolates the
-    eigencomponent <f, phi_k> phi_k at k = (n-1)/2 for odd positive n and
-    vanishes identically for even or negative n.
-    """
-    needed = 2 * (2 * len(e) + 1)
-    if num_samples <= needed:
-        raise AliasingError(
-            f"num_samples={num_samples} too small for {len(e)} coefficients "
-            f"(need > {needed})"
-        )
-    ts = 2.0 * math.pi * np.arange(num_samples) / num_samples
-    k = np.arange(len(e))
-    # rows: time samples; columns: coefficient index
-    phases = np.exp(1j * np.outer(ts, 2 * k + 1 - n))
-    avg = phases.mean(axis=0) * e.coeffs
-    return HermiteExpansion(avg)

@@ -21,7 +21,7 @@ from . import gaussians as ga
 from . import oscillator as osc
 from . import weighted as wt
 from .grid import DEFAULT_GRID, GridSpec, SampledFunction
-from .hermite import HermiteExpansion, analyze, hermite_phi_all
+from .hermite import HermiteExpansion, analyze, band_limit, hermite_phi_all
 from .special import gammaln
 
 
@@ -44,6 +44,12 @@ class VerifyConfig:
     grid: GridSpec = DEFAULT_GRID
     kmax: int = 60
     t_grid_size: int = 64
+
+    @property
+    def grid_kmax(self) -> int:
+        """The grid's band limit: the criteria that analyze or expand on the
+        grid run their Hermite index k at min(k, grid_kmax)."""
+        return band_limit(self.grid)
 
 
 def _result(name: str, parts: list[tuple[str, float]], detail: str) -> CriterionResult:
@@ -161,10 +167,10 @@ def criterion_contour_machinery(cfg: VerifyConfig) -> CriterionResult:
     decreasing = ij[10] > ij[50] > ij[200]
     alpha = 0.27465
     a = math.tanh(2 * alpha)
-    tay = bg.expansion_to_taylor(ga.hermite_coeffs(ga.boundary_chirp(alpha), 100))
+    log_c = bg.log_taylor_coeffs(ga.hermite_coeffs(ga.boundary_chirp(alpha), 100))
     worst_ratio = 0.0
     for n in range(2, 101):
-        margin = tay.log_mag[n] - bg.log_contour_coeff_bound(n, a, 1.0)
+        margin = log_c[n] - bg.log_contour_coeff_bound(n, a, 1.0)
         worst_ratio = max(worst_ratio, math.exp(margin))
     return _result(
         "contour_machinery",
@@ -182,7 +188,8 @@ def criterion_contour_machinery(cfg: VerifyConfig) -> CriterionResult:
 
 def criterion_oscillator_evolution(cfg: VerifyConfig) -> CriterionResult:
     """Spectral and closed-form Gaussian flows agree to 1e-8 (k <= 60, four
-    times); unitarity to 1e-10; psi_{t+pi} = -psi_t to 1e-12; the Fourier
+    times, and once through the grid's analysis at k <= min(60, grid_kmax));
+    unitarity to 1e-10; psi_{t+pi} = -psi_t to 1e-12; the Fourier
     time-shift identity to 1e-10."""
     sq = ga.squeezed_state(0.5)
     flow_dev = 0.0
@@ -190,8 +197,9 @@ def criterion_oscillator_evolution(cfg: VerifyConfig) -> CriterionResult:
         lhs = ga.hermite_coeffs(osc.evolve_gaussian(sq, t), cfg.kmax).coeffs
         rhs = osc.evolve_expansion(ga.hermite_coeffs(sq, cfg.kmax), t).coeffs
         flow_dev = max(flow_dev, float(np.max(np.abs(lhs - rhs))))
-    lhs = analyze(osc.evolve_gaussian(sq, 1.0).sample(cfg.grid), cfg.kmax).coeffs
-    rhs = osc.evolve_expansion(analyze(sq.sample(cfg.grid), cfg.kmax), 1.0).coeffs
+    k_grid = min(cfg.kmax, cfg.grid_kmax)
+    lhs = analyze(osc.evolve_gaussian(sq, 1.0).sample(cfg.grid), k_grid).coeffs
+    rhs = osc.evolve_expansion(analyze(sq.sample(cfg.grid), k_grid), 1.0).coeffs
     flow_dev = max(flow_dev, float(np.max(np.abs(lhs - rhs))))
     rng = np.random.default_rng(2024)
     e = HermiteExpansion(rng.normal(size=20) + 1j * rng.normal(size=20))
@@ -224,14 +232,16 @@ def criterion_confinement(cfg: VerifyConfig) -> CriterionResult:
     (mod pi/2), where the time-side constant equals (1+r)^{-1/2} to 1e-8;
     at gamma = 0.45 the sup is dominated by the assembled confinement
     constant with measured coefficient decay; and the grid scan of the
-    state's K = 70 expansion over 8 times finds the same sup to 1e-10."""
+    state's K = min(70, grid_kmax) expansion over 8 times finds the same sup
+    to 1e-10."""
     beta = 0.5
     r = math.exp(-2 * beta)
     sq = ga.squeezed_state(beta)
     ts = osc.default_t_grid(cfg.t_grid_size)
     rep = osc.confinement_check(sq, beta, beta, ts, cfg.grid)
     # the Gaussian's flow is closed-form; its expansion's is the grid scan
-    scan = osc.confinement_check(ga.hermite_coeffs(sq, 70), beta, beta,
+    k_scan = min(70, cfg.grid_kmax)
+    scan = osc.confinement_check(ga.hermite_coeffs(sq, k_scan), beta, beta,
                                  osc.default_t_grid(8), cfg.grid)  # 8 times hold 3pi/8
     scan_dev = abs(scan.sup_constant * math.sqrt(1 - r) - 1.0)
     t_star = 3 * math.pi / 8  # -pi/8 mod pi/2
@@ -262,7 +272,8 @@ def criterion_confinement(cfg: VerifyConfig) -> CriterionResult:
         f"sup {rep.sup_constant:.8f} vs (1-r)^-1/2 dev {sup_dev:.2e}; attained dist to "
         f"3pi/8: {dist:.2e}; psi-side at 3pi/8 vs (1+r)^-1/2 dev {psi_dev:.2e}; "
         f"gamma=0.45 sup {rep2.sup_constant:.4f} <= sharp {c_sharp:.4f} <= loose {c_paper:.4f}; "
-        f"grid scan of K=70: sup rel dev {scan_dev:.2e} (1e-10), divergent {scan.divergent}",
+        f"grid scan of K={k_scan}: sup rel dev {scan_dev:.2e} (1e-10), "
+        f"divergent {scan.divergent}",
     )
 
 

@@ -76,7 +76,7 @@ def test_cli_determinism_and_schema(tmp_path):
         assert crit["pass"] is True
         assert isinstance(crit["measured"], float)
         assert crit["measured"] <= crit["threshold"]
-    assert set(data["config"]) == {"grid_L", "grid_N", "kmax", "t_grid_size",
+    assert set(data["config"]) == {"grid_L", "grid_N", "kmax", "grid_kmax", "t_grid_size",
                                    "wide_grid_L", "wide_grid_N"}
     c1, c2 = tmp_path / "v1.csv", tmp_path / "v2.csv"
     assert _run_verify_all(c1, "csv").returncode == 0
@@ -102,3 +102,20 @@ def test_verify_all_fails_loudly_on_degraded_grid(tmp_path):
     assert data["all_pass"] is False
     failed = [c["name"] for c in data["criteria"] if not c["pass"]]
     assert "normalization_pins" in failed
+
+
+def test_verify_all_passes_on_a_narrower_valid_grid(tmp_path):
+    """A valid grid that resolves fewer Hermite indices than the criteria
+    ask for (band limit 45 at L = 12) runs the grid-bound indices at its band
+    limit, echoes it as grid_kmax, and passes every criterion."""
+    out = tmp_path / "narrow.json"
+    res = subprocess.run(
+        [sys.executable, "-m", "gaussherm", "verify-all", "--format", "json",
+         "--grid-L", "12", "--grid-N", "4096", "--out", str(out)],
+        capture_output=True,
+        text=True,
+    )
+    assert res.returncode == 0, res.stderr
+    data = json.loads(out.read_bytes())
+    assert data["config"]["grid_kmax"] == 45
+    assert [c["name"] for c in data["criteria"] if c["pass"]] == CRITERION_NAMES

@@ -10,27 +10,20 @@ from gaussherm.bargmann import (
     bargmann_numeric,
     bargmann_rows,
     cauchy_coeff_bound,
-    expansion_to_taylor,
-    fock_norm_sq,
-    hypothesis_bounds,
     log_cauchy_coeff_bound,
     log_contour_coeff_bound,
     log_contour_i_closed_bound,
     log_contour_j_gamma_bound,
-    log_contour_j_simple_bound,
+    log_taylor_coeffs,
     optimal_contour,
-    pl_auxiliary,
     quadrant_bound,
     reflection_check,
     reflection_rows,
     sector_bound,
     sector_params,
-    taylor_to_expansion,
 )
 from gaussherm.errors import EdgeDecayError, NumericalDomainError
 from gaussherm.gaussians import (
-    GeneralizedGaussian,
-    bargmann_gaussian,
     boundary_chirp,
     gaussian,
     hermite_coeffs,
@@ -131,37 +124,17 @@ def test_reflection_rows_hold_for_every_row(grid):
 
 def test_taylor_round_trip_and_markers():
     e = hermite_coeffs(gaussian(0.5 + 0.25j), 40)
-    t = expansion_to_taylor(e)
-    assert np.isneginf(t.log_mag[1])  # odd coefficients are exact zeros
-    back = taylor_to_expansion(t)
-    assert np.max(np.abs(back.coeffs - e.coeffs)) < 1e-15
+    log_c = log_taylor_coeffs(e)
+    assert np.isneginf(log_c[1])  # odd coefficients are exact zeros
+    log_scale = [0.5 * (n * math.log(2) + math.lgamma(n + 1)) for n in range(len(e))]
+    back = np.exp(log_c + log_scale)  # |<f, phi_n>| = |c_n| sqrt(2^n n!)
+    assert np.max(np.abs(back - np.abs(e.coeffs))) < 1e-15
 
 
 def test_taylor_unit_values():
-    t0 = expansion_to_taylor(HermiteExpansion([1.0]))
-    assert t0.coefficient(0) == pytest.approx(1.0)
-    t3 = expansion_to_taylor(HermiteExpansion([0, 0, 0, 1.0]))
-    assert t3.coefficient(3) == pytest.approx(1 / math.sqrt(48), rel=1e-14)
-
-
-def test_fock_isometry():
-    e = hermite_coeffs(gaussian(0.5 - 0.3j), 80)
-    t = expansion_to_taylor(e)
-    assert fock_norm_sq(t) == pytest.approx(e.norm_sq(), rel=1e-10)
-
-
-def test_taylor_evaluate_against_closed_form():
-    g = gaussian(0.5 + 0.25j)
-    t = expansion_to_taylor(hermite_coeffs(g, 90))
-    closed = bargmann_gaussian(g)
-    for w in (0.0, 0.3 + 0.1j, 2.0, 3j, -2.5 + 1j):
-        assert t.evaluate(w) == pytest.approx(complex(closed(w)), rel=1e-12)
-
-
-def test_taylor_evaluate_warns_when_truncated():
-    t = expansion_to_taylor(hermite_coeffs(gaussian(0.5), 6))
-    with pytest.warns(UserWarning):
-        t.evaluate(6.0)
+    assert math.exp(log_taylor_coeffs(HermiteExpansion([1.0]))[0]) == pytest.approx(1.0)
+    log_c = log_taylor_coeffs(HermiteExpansion([0, 0, 0, 1.0]))
+    assert math.exp(log_c[3]) == pytest.approx(1 / math.sqrt(48), rel=1e-14)
 
 
 def test_sector_params_spot_value():
@@ -204,7 +177,10 @@ def test_sector_bound_matches_hypothesis_on_boundary_ray():
     # at theta0: mu + (1-mu) sin^2(theta0) = sqrt(mu) sin(2 theta0) = 2mu/(1+mu)
     s = sector_params(0.37)
     w = 1.7 * cmath.exp(1j * s.theta0)
-    hyp_time, _ = hypothesis_bounds(s, w)
+    # the time-side hypothesis bound C sqrt(2 pi/(1+a)) e^{(mu + (1-mu) sin^2 theta) r^2/4}
+    hyp_time = math.sqrt(2 * math.pi / (1 + s.a)) * math.exp(
+        (s.mu + (1 - s.mu) * math.sin(s.theta0) ** 2) * abs(w) ** 2 / 4
+    )
     assert sector_bound(s, w) == pytest.approx(hyp_time, rel=1e-12)
     assert s.mu + (1 - s.mu) * math.sin(s.theta0) ** 2 == pytest.approx(
         2 * s.mu / (1 + s.mu), rel=1e-13
@@ -235,29 +211,6 @@ def test_bounds_dominate_transform_on_gaussian_family(grid, rng):
             assert abs(v) <= sb * (1 + 1e-9)
 
 
-def test_pl_auxiliary_bounded_on_rays_and_constant_for_conjugate_chirp(grid):
-    a = 0.5
-    s = sector_params(a, 1.0)
-    # the conjugated boundary chirp has Uf = P exp(-i sqrt(mu) w^2/4),
-    # so F is identically P: the extremal case of the ray bound
-    conj = GeneralizedGaussian(1.0, complex(a, math.sqrt(1 - a * a)))
-    t = expansion_to_taylor(hermite_coeffs(conj, 140))
-    pref = abs(bargmann_gaussian(conj).prefactor)
-    for theta in (s.theta0, s.theta1):
-        for r in (0.5, 1.5, 3.0):
-            w = r * cmath.exp(1j * theta)
-            val = abs(pl_auxiliary(s, t, w))
-            assert val == pytest.approx(pref, rel=1e-9)
-            assert val <= math.sqrt(2 * math.pi / (1 + a)) * (1 + 1e-9)
-    # F(0) = c_0
-    assert pl_auxiliary(s, t, 0.0) == pytest.approx(t.coefficient(0), rel=1e-14)
-    # a plain Gaussian member stays below the ray constant as well
-    tg = expansion_to_taylor(hermite_coeffs(gaussian(a), 140))
-    for r in (0.5, 1.5, 3.0):
-        w = r * cmath.exp(1j * s.theta0)
-        assert abs(pl_auxiliary(s, tg, w)) <= math.sqrt(2 * math.pi / (1 + a)) * (1 + 1e-9)
-
-
 def test_cauchy_coeff_bound_spot_value():
     s = sector_params(0.5)
     expected = math.sqrt(2 * math.pi / 1.5) * math.e / (4 * math.sqrt(3))
@@ -268,12 +221,12 @@ def test_cauchy_coeff_bound_spot_value():
 
 def test_cauchy_bound_dominates_and_is_not_sharp():
     s = sector_params(0.5, 1.0)
-    t = expansion_to_taylor(hermite_coeffs(gaussian(0.5), 60))
+    log_c = log_taylor_coeffs(hermite_coeffs(gaussian(0.5), 60))
     ratios = []
     for n in range(2, 61, 2):
         lb = log_cauchy_coeff_bound(s, n)
-        assert t.log_mag[n] <= lb
-        ratios.append(lb - t.log_mag[n])
+        assert log_c[n] <= lb
+        ratios.append(lb - log_c[n])
     assert ratios[-1] > ratios[0]  # bound/coefficient ratio grows without bound
 
 
@@ -346,16 +299,6 @@ def test_contour_integral_closed_bounds(n):
     cb = optimal_contour(n, mu)
     assert cb.log_i <= log_contour_i_closed_bound(n, mu) + 1e-12
     assert cb.log_j <= log_contour_j_gamma_bound(n, mu) + 1e-12
-    if n >= 3:
-        assert log_contour_j_gamma_bound(n, mu) <= log_contour_j_simple_bound(n, mu) + 1e-12
-
-
-def test_gamma_ratio_simple_constant_fails_only_at_n2():
-    # Gamma(1/2)/Gamma(1) = sqrt(pi) > sqrt(6)*2^{-1/2}: the simplified
-    # constant misses n = 2 and holds from n = 3 on
-    assert math.exp(math.lgamma(0.5) - math.lgamma(1.0)) > math.sqrt(6.0 / 2.0)
-    with pytest.raises(NumericalDomainError):
-        log_contour_j_simple_bound(2, 1 / 3)
 
 
 def test_contour_i_is_small_compared_to_j():
@@ -368,9 +311,9 @@ def test_contour_i_is_small_compared_to_j():
 
 def test_contour_bound_dominates_chirp_taylor_coeffs():
     a = math.tanh(2 * ALPHA)
-    t = expansion_to_taylor(hermite_coeffs(boundary_chirp(ALPHA), 100))
+    log_c = log_taylor_coeffs(hermite_coeffs(boundary_chirp(ALPHA), 100))
     for n in range(2, 101):
-        assert t.log_mag[n] <= log_contour_coeff_bound(n, a, 1.0)
+        assert log_c[n] <= log_contour_coeff_bound(n, a, 1.0)
 
 
 def test_contour_bound_beats_cauchy_for_large_n():

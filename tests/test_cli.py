@@ -540,9 +540,10 @@ def test_verify_all_json_schema_and_exit(tmp_path):
         assert set(crit) == {"name", "pass", "measured", "threshold", "detail"}
         assert crit["pass"] is True
         assert isinstance(crit["measured"], float)
-    assert set(data["config"]) == {"grid_L", "grid_N", "kmax", "t_grid_size",
+    assert set(data["config"]) == {"grid_L", "grid_N", "kmax", "grid_kmax", "t_grid_size",
                                    "wide_grid_L", "wide_grid_N"}
     assert data["config"]["kmax"] == 60  # the criteria ran with max(kmax, 60)
+    assert data["config"]["grid_kmax"] == 81  # the default grid's band limit
     assert (data["config"]["wide_grid_L"], data["config"]["wide_grid_N"]) == (24.0, 6144)
 
 

@@ -11,7 +11,6 @@ from gaussherm.gaussians import (
     GeneralizedGaussian,
     bargmann_gaussian,
     boundary_chirp,
-    coeff_ratio,
     envelope_constant,
     envelope_membership,
     fourier_gaussian,
@@ -142,10 +141,10 @@ def test_hermite_coeffs_against_mpmath_bargmann_taylor(g):
 def test_coeff_ratio_law_exact():
     g = GeneralizedGaussian(1.0, 0.5 + 0.25j)
     c = hermite_coeffs(g, 16).coeffs
-    for m in (0, 2, 5):
-        assert c[2 * m + 2] / c[2 * m] == pytest.approx(coeff_ratio(g, m), rel=1e-13)
     z = moebius_ratio(g)
-    assert coeff_ratio(g, 1) == pytest.approx(z * math.sqrt(3 * 4) / 4, rel=1e-14)
+    for m in (0, 1, 2, 5):
+        ratio = z * math.sqrt((2 * m + 1) * (2 * m + 2)) / (2 * (m + 1))
+        assert c[2 * m + 2] / c[2 * m] == pytest.approx(ratio, rel=1e-13)
 
 
 def test_chirp_coefficient_magnitudes_realize_endpoint_rate():

@@ -1,5 +1,4 @@
-"""Spectral oscillator flow, Gaussian closed-form flow, confinement, and
-time-average projections."""
+"""Spectral oscillator flow, Gaussian closed-form flow, and confinement."""
 
 import cmath
 import math
@@ -7,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from gaussherm.errors import AliasingError, BandLimitError, NumericalDomainError
+from gaussherm.errors import BandLimitError, NumericalDomainError
 from gaussherm.decay import envelope_scan
 from gaussherm.gaussians import (
     GeneralizedGaussian,
@@ -37,7 +36,6 @@ from gaussherm.oscillator import (
     flow_sides,
     fourier_time_shift_check,
     sharp_confinement_probe,
-    time_average_projection,
 )
 
 BETA = 0.5
@@ -277,25 +275,3 @@ def test_sharp_confinement_probe_stable(grid):
     assert probe.stable
     assert probe.sup_change < 1e-6
     assert probe.report.sup_constant == pytest.approx((1 - R) ** -0.5, rel=1e-9)
-
-
-def test_time_average_projection_even_and_negative_vanish(rng):
-    e = HermiteExpansion(rng.normal(size=9) + 1j * rng.normal(size=9))
-    for n in (2, 0, -3, -8):
-        out = time_average_projection(e, n, 200)
-        assert np.max(np.abs(out.coeffs)) < 1e-12
-
-
-def test_time_average_projection_picks_single_component(rng):
-    e = HermiteExpansion(rng.normal(size=9) + 1j * rng.normal(size=9))
-    for n, k in ((1, 0), (7, 3), (17, 8)):
-        out = time_average_projection(e, n, 200)
-        assert out.coeffs[k] == pytest.approx(e.coeffs[k], rel=1e-12)
-        rest = np.delete(out.coeffs, k)
-        assert np.max(np.abs(rest)) < 1e-12
-
-
-def test_time_average_projection_aliasing_guard(rng):
-    e = HermiteExpansion(rng.normal(size=9))
-    with pytest.raises(AliasingError):
-        time_average_projection(e, 1, 2 * (2 * 9 + 1))
