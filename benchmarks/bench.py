@@ -9,9 +9,10 @@ Each item is called once untimed (so lazy set-up and caches are warm, as
 they are for every request after the first in a long-lived process), then
 ``--repeats`` times under ``time.perf_counter``.  ``import gaussherm.cli``
 and ``verify-all --format json`` run in fresh interpreters, so their times
-include starting Python; the import is timed 5 times whatever ``--repeats``
-says.  The median, min and max of those repeats are printed and written,
-with the machine's nproc and the Python and numpy versions, to
+include starting Python; the import is run 3 times untimed, so the file
+cache and the bytecode are warm, and then timed 5 times whatever
+``--repeats`` says.  The median, min and max of those repeats are printed
+and written, with the machine's nproc and the Python and numpy versions, to
 ``BENCH_<label>.json`` at the checkout root.
 Timings are noisy on a shared machine: compare two labels only when both
 files come from the same machine, and read the min/max spread first.  The
@@ -46,6 +47,9 @@ from gaussherm.hermite import analyze, fourier_sampled, hermite_phi_all, synthes
 
 #: Items timed a fixed number of times, whatever ``--repeats`` says.
 FIXED_REPEATS = {"import gaussherm.cli (fresh interpreter)": 5}
+
+#: Untimed calls before timing (default 1).
+WARMUPS = {"import gaussherm.cli (fresh interpreter)": 3}
 
 
 def run_cli(argv: list[str]) -> None:
@@ -82,6 +86,27 @@ def fourier_stack(rows, grid):
     return [fourier_sampled(SampledFunction(grid, r)).values for r in rows]
 
 
+def exact_uf(state, ws):
+    """Uf at ws as ``bargmann`` computes it: from the input's own form, or
+    by quadrature of its samples on a checkout without ``bargmann_exact``."""
+    if hasattr(bargmann, "bargmann_exact"):
+        return bargmann.bargmann_exact(state, ws)
+    if isinstance(state, gaussians.GeneralizedGaussian):
+        f = state.sample(DEFAULT_GRID)
+    else:
+        f = synthesize(state, DEFAULT_GRID)
+    return bargmann.bargmann_numeric(f, ws)
+
+
+def contour_column(n, a: float):
+    """log contour bounds for the indices n as ``coeffs`` takes them: one
+    array call, or one call per index on a checkout that takes a scalar only."""
+    try:
+        return bargmann.log_contour_coeff_bound(n, a)
+    except (TypeError, ValueError):
+        return [bargmann.log_contour_coeff_bound(int(k), a) for k in n]
+
+
 def run_subprocess(args: list[str]) -> None:
     """One fresh interpreter on this checkout's package; refused unless it exits 0."""
     env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
@@ -102,6 +127,9 @@ def items():
     ring = 3.0 * np.exp(2j * np.pi * np.arange(10) / 10)
     phis = hermite_phi_all(20, grid.xs)
     stack = np.vstack([phis, [f.values] * 4])
+    ring24 = 2.0 * np.exp(2j * np.pi * np.arange(24) / 24)
+    rng = np.random.default_rng(1)
+    expansion40 = hermite.HermiteExpansion(rng.normal(size=40) + 1j * rng.normal(size=40))
     out = [
         ("calibrate kernel", calibrate.kernel_s),
         ("import gaussherm.cli (fresh interpreter)",
@@ -114,6 +142,9 @@ def items():
         ("fourier_rows F=25 N=4096", lambda: fourier_stack(stack, grid)),
         ("bargmann_numeric W=10 N=4096", lambda: bargmann.bargmann_numeric(f, ring)),
         ("bargmann_rows F=21 W=10 N=4096", lambda: bargmann_stack(phis, grid, ring)),
+        ("exact Uf Gaussian W=24", lambda: exact_uf(state, ring24)),
+        ("exact Uf expansion K=40 W=24", lambda: exact_uf(expansion40, ring24)),
+        ("contour column k=2..80 a=0.5", lambda: contour_column(np.arange(2, 81), 0.5)),
         ("central_binomial_certificate beta=1.1",
          lambda: weighted.central_binomial_certificate(1.1)),
         ("expansion_weighted_norm_sq K=81",
@@ -127,7 +158,7 @@ def items():
         ("confinement_check K=70 T=64 N=4096",
          lambda: oscillator.confinement_check(state_k70, 0.5, 0.45, ts, grid)),
     ]
-    for command in ("envelope", "coeffs"):
+    for command in ("envelope", "coeffs", "bargmann"):
         for spec in ("squeezed:beta=0.5", "hermite:k=40"):
             out.append((f"cli {command} {spec}", lambda argv=[command, spec]: run_cli(argv)))
     for fn in verify.ALL_CRITERIA:
@@ -139,8 +170,9 @@ def items():
     return out
 
 
-def time_item(fn, repeats: int) -> dict:
-    fn()
+def time_item(fn, repeats: int, warmups: int = 1) -> dict:
+    for _ in range(warmups):
+        fn()
     times = []
     for _ in range(repeats):
         start = time.perf_counter()
@@ -163,7 +195,8 @@ def main(argv=None) -> int:
         parser.error("--repeats must be >= 1")
     results = {}
     for name, fn in items():
-        results[name] = time_item(fn, FIXED_REPEATS.get(name, args.repeats))
+        results[name] = time_item(fn, FIXED_REPEATS.get(name, args.repeats),
+                                  WARMUPS.get(name, 1))
         r = results[name]
         print(f"{name:45s} median {r['median_ms']:9.3f} ms  "
               f"min {r['min_ms']:9.3f}  max {r['max_ms']:9.3f}")

@@ -48,6 +48,7 @@ from .gaussians import (
 from .bargmann import (
     ContourBound,
     SectorParams,
+    bargmann_exact,
     bargmann_numeric,
     bargmann_rows,
     cauchy_coeff_bound,

@@ -6,7 +6,10 @@ U maps L^2(dm) isometrically onto the Fock space of entire functions with
     Uf(w) = e^{-w^2/4} / (2**0.25 * pi**0.5) * integral e^{xw} e^{-x^2/2} f(x) dx,
 
 sending phi_k to w^k / sqrt(2^k k!), so Hermite coefficients become Taylor
-coefficients.  For a member of the envelope class with parameter a the two
+coefficients.  :func:`bargmann_exact` evaluates Uf from the input's own form
+(a Gaussian's closed form or an expansion's Taylor polynomial); the grid
+quadrature :func:`bargmann_rows` is kept as an independent check.  For a
+member of the envelope class with parameter a the two
 one-sided hypotheses bound |Uf| by Gaussians of |w| whose exponents depend
 on arg w; a Phragmen-Lindelof argument applied to exp(i sqrt(mu) w^2/4) Uf
 interpolates them inside the sector [theta0, theta1], and Cauchy's formula
@@ -26,6 +29,7 @@ import numpy as np
 
 from .decay import check_weight
 from .errors import EdgeDecayError, NumericalDomainError
+from .gaussians import GeneralizedGaussian, bargmann_gaussian
 from .grid import GridSpec, SampledFunction, trapezoid_weights
 from .hermite import EDGE_DECAY_REL, HermiteExpansion, fourier_rows
 from .special import gammaln
@@ -90,6 +94,11 @@ def reflection_check(f: SampledFunction, w_list) -> float:
     return float(reflection_rows(f.values, f.grid, w_list)[0])
 
 
+def _log_fock_norm(n):
+    """log sqrt(2^n n!), the log of the Fock-space norm of w^n."""
+    return 0.5 * (n * LOG2 + gammaln(n + 1))
+
+
 def log_taylor_coeffs(e: HermiteExpansion) -> np.ndarray:
     """log|c_n| of the Taylor coefficients c_n = <f, phi_n> / sqrt(2^n n!)
     of Uf, from the Hermite coefficients of f; -inf marks an exactly
@@ -98,7 +107,69 @@ def log_taylor_coeffs(e: HermiteExpansion) -> np.ndarray:
     n = np.arange(len(e))
     mags = np.abs(e.coeffs)
     with np.errstate(divide="ignore"):
-        return np.where(mags > 0, np.log(mags) - 0.5 * (n * LOG2 + gammaln(n + 1)), -np.inf)
+        return np.where(mags > 0, np.log(mags) - _log_fock_norm(n), -np.inf)
+
+
+#: A Taylor-polynomial value of Uf is refused once cond * K * eps exceeds this.
+TAYLOR_COND_TOL = 1e-10
+
+
+def bargmann_exact(state: GeneralizedGaussian | HermiteExpansion, w) -> np.ndarray:
+    """Uf at the points w from the input's own form, no grid involved.
+
+    A Gaussian uses its closed form P e^{lam w^2} (:func:`gaussians.bargmann_gaussian`).
+    An expansion sum_k <f, phi_k> phi_k uses the polynomial sum_k t_k(w) with
+    t_k = <f, phi_k> w^k / sqrt(2^k k!), each term's modulus taken in log
+    scale and scaled by the point's largest term, so no term over- or
+    underflows on its own.  Its rounding error is at most about
+    cond * K * eps relative, with cond = sum|t_k| / |sum t_k| and K the
+    number of terms; a point where that exceeds :data:`TAYLOR_COND_TOL` is
+    refused with :class:`NumericalDomainError` naming w, and so is a value
+    past the double range on either route.
+    """
+    w_arr = np.atleast_1d(np.asarray(w, dtype=complex))
+    with np.errstate(over="ignore", invalid="ignore"):
+        if isinstance(state, GeneralizedGaussian):
+            values = bargmann_gaussian(state)(w_arr)
+        else:
+            values = _taylor_polynomial(state, w_arr)
+    bad = ~np.isfinite(values)
+    if bad.any():
+        raise NumericalDomainError(
+            f"Uf at w={complex(w_arr[bad][0])} is past the double range"
+        )
+    return values
+
+
+def _taylor_polynomial(e: HermiteExpansion, w: np.ndarray) -> np.ndarray:
+    """sum_k t_k(w) of :func:`bargmann_exact`, refusing ill-conditioned points.
+
+    Each point factors out e^{g_j}, the basis part |w^j| / sqrt(2^j j!) of
+    its largest term t_j, so every scaled term c_k e^{g_k - g_j} e^{ik arg w}
+    stays below |c_j| in modulus, and at w = 0 the sum is c_0 exactly."""
+    c = e.coeffs
+    k = np.arange(c.size)
+    with np.errstate(divide="ignore"):
+        log_w = np.log(np.abs(w))[:, None]
+        log_c = np.log(np.abs(c))
+    # g_k = log|w^k| - log sqrt(2^k k!), with k log|w| = 0 at k = 0 also where
+    # w = 0; -inf where c_k = 0, so a vanishing term joins neither the peak nor the sum
+    g = np.where(c != 0, np.where(k == 0, 0.0, k * log_w) - _log_fock_norm(k), -np.inf)
+    g_peak = np.take_along_axis(g, np.argmax(log_c + g, axis=1)[:, None], axis=1)
+    g_peak = np.where(np.isfinite(g_peak), g_peak, 0.0)  # every term vanishes: Uf = 0
+    terms = c * np.exp(g - g_peak + 1j * k * np.angle(w)[:, None])
+    total = terms.sum(axis=1)
+    abs_sum = np.abs(terms).sum(axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cond = np.where(abs_sum > 0, abs_sum / np.abs(total), 1.0)
+    bad = cond * c.size * np.finfo(float).eps > TAYLOR_COND_TOL
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise NumericalDomainError(
+            f"the Taylor sum of Uf at w={complex(w[i])} cancels (cond {cond[i]:.3g} "
+            f"with {c.size} terms, past the {TAYLOR_COND_TOL:g} rounding tolerance)"
+        )
+    return np.exp(g_peak[:, 0]) * total
 
 
 @dataclass(frozen=True)
@@ -249,13 +320,58 @@ class ContourBound:
         return math.exp(self.log_bound)
 
 
-def optimal_contour(n: int, mu: float) -> ContourBound:
-    """Construct the optimized contour and its coefficient bound (C = 1)."""
-    if n < 2:
-        raise NumericalDomainError(f"the contour bound needs n >= 2, got {n}")
+#: Indices per block of :func:`_power_sums`: a (256, 640) array is 1.3 MB.
+_CONTOUR_BLOCK = 256
+
+
+def _power_sums(exponents: np.ndarray, log_base: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """sum_j weights_j base_j**e for each e in exponents, a block of rows at a
+    time, so a long table never forms one (len(exponents), nodes) array."""
+    starts = range(0, max(exponents.size, 1), _CONTOUR_BLOCK)  # no exponents: one empty block
+    return np.concatenate([
+        np.exp(exponents[i:i + _CONTOUR_BLOCK, None] * log_base) @ weights for i in starts
+    ])
+
+
+def _contour_logs(n: np.ndarray, mu: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """log I, log J and the log bound (C = 1) of :class:`ContourBound` for each
+    index in the array n, as arrays of its shape.
+
+    Both integrals run over the shared :func:`_graded_rule` nodes as
+    (indices, nodes) arrays, each base raised to its exponent as
+    exp(half * log(base)), so a table of indices is one pass, not a loop."""
+    if n.min(initial=2) < 2:
+        raise NumericalDomainError(f"the contour bound needs n >= 2, got {n.min()}")
     if not 0.0 < mu < 1.0:
         raise NumericalDomainError(f"mu must be in (0,1), got {mu}")
+    n = n.astype(float)
     a = (1.0 - mu) / (1.0 + mu)
+    theta0 = _theta0(mu)
+    nodes, weights = _graded_rule()
+    half = 0.5 * (n - 2.0)
+    # First branch: peel off u(theta0) = 2 mu/(1+mu), so the integrand stays in [0, sqrt(mu)].
+    u0 = 2.0 * mu / (1.0 + mu)
+    sin2 = np.sin(theta0 * nodes) ** 2
+    arc = np.sqrt(mu * mu + (1.0 - mu * mu) * sin2)
+    f_i = _power_sums(half, np.log((mu + (1.0 - mu) * sin2) / u0), weights * arc)
+    log_i = half * math.log(u0) + np.log(theta0 * f_i)
+    # Second branch in d = pi/4 - t on [0, pi/4 - theta0]: nothing cancels near pi/4 or mu = 1.
+    d_len = 0.5 * math.atan2(1.0 - mu, 2.0 * math.sqrt(mu))
+    f_j = _power_sums(half, np.log(np.cos(2.0 * d_len * nodes)), weights)
+    log_j = 0.25 * n * math.log(mu) + np.log(d_len * f_j)
+    log_bound = (
+        math.log(4.0 / math.pi)
+        + 0.5 * (math.log(2.0 * math.pi) - math.log1p(a))
+        + 0.5 * (n + 1.0)
+        - 0.5 * n * np.log(2.0 * n + 2.0)
+        + np.logaddexp(log_i, log_j)
+    )
+    return log_i, log_j, log_bound
+
+
+def optimal_contour(n: int, mu: float) -> ContourBound:
+    """Construct the optimized contour and its coefficient bound (C = 1)."""
+    log_i, log_j, log_bound = (float(v[0]) for v in _contour_logs(np.array([n]), mu))
     theta0 = _theta0(mu)
     sqrt_mu = math.sqrt(mu)
 
@@ -265,36 +381,19 @@ def optimal_contour(n: int, mu: float) -> ContourBound:
         denom = np.where(s < theta0, mu + (1.0 - mu) * np.sin(s) ** 2, sqrt_mu * np.sin(2.0 * s))
         return np.sqrt((2.0 * n + 2.0) / denom)
 
-    nodes, weights = _graded_rule()
-    half = 0.5 * (n - 2.0)
-    # First branch: peel off u(theta0) = 2 mu/(1+mu), so the integrand stays in [0, sqrt(mu)].
-    u0 = 2.0 * mu / (1.0 + mu)
-    sin2 = np.sin(theta0 * nodes) ** 2
-    f_i = ((mu + (1.0 - mu) * sin2) / u0) ** half * np.sqrt(mu * mu + (1.0 - mu * mu) * sin2)
-    log_i = half * math.log(u0) + math.log(theta0 * (weights * f_i).sum())
-    # Second branch in d = pi/4 - t on [0, pi/4 - theta0]: nothing cancels near pi/4 or mu = 1.
-    d_len = 0.5 * math.atan2(1.0 - mu, 2.0 * sqrt_mu)
-    f_j = np.cos(2.0 * d_len * nodes) ** half
-    log_j = 0.25 * n * math.log(mu) + math.log(d_len * (weights * f_j).sum())
-
-    log_bound = (
-        math.log(4.0 / math.pi)
-        + 0.5 * (math.log(2.0 * math.pi) - math.log1p(a))
-        + 0.5 * (n + 1.0)
-        - 0.5 * n * math.log(2.0 * n + 2.0)
-        + np.logaddexp(log_i, log_j)
-    )
     return ContourBound(
         n=n, mu=mu, theta0=theta0, radius=radius,
-        log_i=float(log_i), log_j=float(log_j), log_bound=float(log_bound),
+        log_i=log_i, log_j=log_j, log_bound=log_bound,
     )
 
 
-def log_contour_coeff_bound(n: int, a: float, big_c: float = 1.0) -> float:
-    """Natural log of :func:`contour_coeff_bound`."""
+def log_contour_coeff_bound(n, a: float, big_c: float = 1.0):
+    """Natural log of :func:`contour_coeff_bound`, for one index n (a float) or
+    an array of them (an array, from one pass over the contour rule)."""
     check_weight(a)
     mu = (1.0 - a) / (1.0 + a)
-    return math.log(big_c) + optimal_contour(n, mu).log_bound
+    log_bound = math.log(big_c) + _contour_logs(np.atleast_1d(n), mu)[2]
+    return float(log_bound[0]) if np.ndim(n) == 0 else log_bound
 
 
 def contour_coeff_bound(n: int, a: float, big_c: float = 1.0) -> float:

@@ -33,8 +33,8 @@ from . import gaussians as ga
 from . import oscillator as osc
 from . import weighted as wt
 from .errors import NumericalDomainError
-from .grid import GridSpec, SampledFunction
-from .hermite import HermiteExpansion, band_limit, grid_basis, synthesize, unit_expansion
+from .grid import GridSpec
+from .hermite import HermiteExpansion, band_limit, grid_basis, unit_expansion
 from .special import gammaln
 from .verify import WIDE_GRID, VerifyConfig, run_all
 
@@ -233,12 +233,6 @@ def _coefficients(inp: InputSpec, cfg: RunConfig) -> np.ndarray:
     return coeffs
 
 
-def _sampled(inp: InputSpec, cfg: RunConfig) -> SampledFunction:
-    if isinstance(inp.state, ga.GeneralizedGaussian):
-        return inp.state.sample(cfg.grid)
-    return synthesize(inp.state, cfg.grid)
-
-
 def _fmt(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
@@ -314,6 +308,14 @@ def cmd_coeffs(args, cfg: RunConfig) -> tuple[str, int]:
     inp = parse_input_spec(args.input)
     a, big_c = _class_constant(args, inp, cfg)
     coeffs = _coefficients(inp, cfg)
+    lb_con_col = np.full(cfg.kmax + 1, math.nan)
+    if big_c is not None:
+        # one pass over the contour rule for k = 2..kmax; the bound controls the
+        # Taylor coefficient c_k = <f, phi_k>/sqrt(2^k k!), so rescale to the
+        # Hermite column
+        k = np.arange(2, cfg.kmax + 1)
+        scale = 0.5 * (k * math.log(2.0) + gammaln(k + 1))
+        lb_con_col[2:] = (bg.log_contour_coeff_bound(k, a, big_c) + scale) / LOG10
     header = [
         "k", "abs_coeff", "log10_abs_coeff",
         "log10_envelope_bound", "log10_contour_bound",
@@ -323,14 +325,10 @@ def cmd_coeffs(args, cfg: RunConfig) -> tuple[str, int]:
     for k in range(cfg.kmax + 1):
         ck = abs(coeffs[k])
         lc = _log10_or_neginf(ck)
-        lb_env = lb_con = math.nan
+        lb_env = math.nan
         if big_c is not None and k >= 1:
             lb_env = dc.log_hardy_coeff_bound(k, a, big_c) / LOG10
-            if k >= 2:
-                # contour bound controls the Taylor coefficient c_k =
-                # <f, phi_k>/sqrt(2^k k!); rescale to the Hermite column
-                scale = 0.5 * (k * math.log(2.0) + float(gammaln(k + 1)))
-                lb_con = (bg.log_contour_coeff_bound(k, a, big_c) + scale) / LOG10
+        lb_con = float(lb_con_col[k])
         rows.append([
             k, ck, lc, lb_env, lb_con,
             lb_env - lc if not math.isnan(lb_env) else math.nan,
@@ -369,7 +367,7 @@ def cmd_bargmann(args, cfg: RunConfig) -> tuple[str, int]:
     a, big_c = _class_constant(args, inp, cfg)
     sector = bg.sector_params(a, big_c) if big_c is not None else None
     ws = args.w_ring * np.exp(2j * math.pi * np.arange(args.w_count) / args.w_count)
-    values = bg.bargmann_numeric(_sampled(inp, cfg), ws)
+    values = bg.bargmann_exact(inp.state, ws)
     header = ["re_w", "im_w", "re_u", "im_u", "abs_u",
               "quadrant_bound", "sector_bound", "in_sector"]
     rows = []
@@ -377,12 +375,16 @@ def cmd_bargmann(args, cfg: RunConfig) -> tuple[str, int]:
         qb = sb = math.nan
         in_sector = False
         if sector is not None:
-            qb = bg.quadrant_bound(sector, w)
             try:
+                qb = bg.quadrant_bound(sector, w)
                 sb = bg.sector_bound(sector, w)
                 in_sector = True
-            except NumericalDomainError:
-                sb = math.nan
+            except NumericalDomainError:  # outside the sector: no sector bound
+                pass
+            except OverflowError as exc:
+                raise NumericalDomainError(
+                    f"growth bound at w={complex(w)} is past the double range"
+                ) from exc
         rows.append([w.real, w.imag, u.real, u.imag, abs(u), qb, sb, in_sector])
     meta = {"command": "bargmann", "input": inp.label, "a": a, "C": big_c}
     return render_table(header, rows, cfg.output_format, meta), 0

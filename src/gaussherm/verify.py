@@ -168,10 +168,8 @@ def criterion_contour_machinery(cfg: VerifyConfig) -> CriterionResult:
     alpha = 0.27465
     a = math.tanh(2 * alpha)
     log_c = bg.log_taylor_coeffs(ga.hermite_coeffs(ga.boundary_chirp(alpha), 100))
-    worst_ratio = 0.0
-    for n in range(2, 101):
-        margin = log_c[n] - bg.log_contour_coeff_bound(n, a, 1.0)
-        worst_ratio = max(worst_ratio, math.exp(margin))
+    margins = log_c[2:] - bg.log_contour_coeff_bound(np.arange(2, 101), a, 1.0)
+    worst_ratio = float(np.exp(margins.max()))
     return _result(
         "contour_machinery",
         [

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from gaussherm.bargmann import (
+    bargmann_exact,
     bargmann_numeric,
     bargmann_rows,
     cauchy_coeff_bound,
@@ -24,12 +25,20 @@ from gaussherm.bargmann import (
 )
 from gaussherm.errors import EdgeDecayError, NumericalDomainError
 from gaussherm.gaussians import (
+    GeneralizedGaussian,
     boundary_chirp,
     gaussian,
     hermite_coeffs,
+    squeezed_state,
 )
 from gaussherm.grid import GridSpec, SampledFunction, sample
-from gaussherm.hermite import HermiteExpansion, hermite_phi, hermite_phi_all, synthesize
+from gaussherm.hermite import (
+    HermiteExpansion,
+    hermite_phi,
+    hermite_phi_all,
+    synthesize,
+    unit_expansion,
+)
 
 ALPHA = 0.27465  # tanh(2 alpha) = 0.5, mu = 1/3 up to 4e-6
 
@@ -321,3 +330,103 @@ def test_contour_bound_beats_cauchy_for_large_n():
     s = sector_params(a, 1.0)
     for n in (20, 50, 100):
         assert log_contour_coeff_bound(n, a, 1.0) < log_cauchy_coeff_bound(s, n)
+
+
+EPS = np.finfo(float).eps
+
+
+def _ring(r, count=8):
+    return r * np.exp(2j * math.pi * np.arange(count) / count)
+
+
+def test_bargmann_exact_phi_k_against_mpmath():
+    # U(phi_k)(w) = w^k / sqrt(2^k k!) at the double w, in 50 digits
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 50
+    worst = 0.0
+    for r in (0.5, 1.0, 2.0, 3.0, 5.0):
+        ws = _ring(r)
+        for k in range(82):
+            got = bargmann_exact(unit_expansion(k), ws)
+            for w, u in zip(ws, got):
+                ref = mp.mpc(w.real, w.imag) ** k / mp.sqrt(mp.mpf(2) ** k * mp.factorial(k))
+                worst = max(worst, float(abs(mp.mpc(u.real, u.imag) - ref) / abs(ref)))
+    assert worst <= 1e-13
+
+
+@pytest.mark.parametrize("g", [
+    GeneralizedGaussian(1.3 - 0.4j, 0.5 + 0.3j), boundary_chirp(ALPHA), squeezed_state(0.5),
+], ids=["gaussian", "chirp", "squeezed"])
+def test_bargmann_exact_gaussians_against_mpmath_integral(g):
+    # the defining integral e^{-w^2/4} / (2^0.25 pi^0.5) * int e^{xw - x^2/2} g(x) dx,
+    # by mpmath quadrature: independent of the closed form P e^{lam w^2}
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 30
+    amp, b = mp.mpc(g.amplitude.real, g.amplitude.imag), mp.mpc(g.width.real, g.width.imag)
+    ws = np.concatenate([_ring(1.0, 4), _ring(3.0, 4) * cmath.exp(0.3j)])
+    got = bargmann_exact(g, ws)
+    for w, u in zip(ws, got):
+        wm = mp.mpc(w.real, w.imag)
+        integral = mp.quad(lambda x: mp.exp(x * wm - (1 + b) * x * x / 2), [-mp.inf, 0, mp.inf])
+        ref = amp * mp.exp(-wm * wm / 4) / (mp.mpf(2) ** 0.25 * mp.sqrt(mp.pi)) * integral
+        # exp(lam w^2) carries the rounding of its exponent: a few eps * |lam w^2|
+        lam = (1 - g.width) / (4 * (1 + g.width))
+        tol = 8 * EPS * (1 + abs(lam * w * w))
+        assert float(abs(mp.mpc(u.real, u.imag) - ref) / abs(ref)) <= tol
+
+
+@pytest.mark.parametrize("length", [5, 20, 40])
+def test_bargmann_exact_expansions_within_their_condition(length, rng):
+    # a seeded random expansion: every point within cond * K * eps of the
+    # 50-digit Taylor sum, with cond = sum|t_k| / |sum t_k| taken in mpmath too
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 50
+    coeffs = rng.normal(size=length) + 1j * rng.normal(size=length)
+    ws = np.concatenate([_ring(r) * cmath.exp(0.1j) for r in (0.5, 1.0, 2.0, 4.0)])
+    got = bargmann_exact(HermiteExpansion(coeffs), ws)
+    for w, u in zip(ws, got):
+        wm = mp.mpc(w.real, w.imag)
+        terms = [mp.mpc(c.real, c.imag) * wm ** k / mp.sqrt(mp.mpf(2) ** k * mp.factorial(k))
+                 for k, c in enumerate(coeffs)]
+        ref = mp.fsum(terms)
+        cond = float(mp.fsum(abs(t) for t in terms) / abs(ref))
+        assert float(abs(mp.mpc(u.real, u.imag) - ref) / abs(ref)) <= cond * length * EPS
+
+
+def test_bargmann_exact_matches_the_quadrature(grid):
+    ws = _ring(2.0, 6) * cmath.exp(0.2j)
+    for state in (squeezed_state(0.5), hermite_coeffs(gaussian(0.7 - 0.2j), 40)):
+        f = state.sample(grid) if isinstance(state, GeneralizedGaussian) else synthesize(state, grid)
+        exact = bargmann_exact(state, ws)
+        assert np.max(np.abs(bargmann_numeric(f, ws) - exact) / np.abs(exact)) < 1e-12
+
+
+def test_bargmann_exact_at_the_origin():
+    # Uf(0) = c_0 exactly: no 0 * log 0 in the polynomial
+    e = HermiteExpansion([0.3 + 0.1j, 2.0, -1.0j])
+    assert bargmann_exact(e, 0.0)[0] == 0.3 + 0.1j
+    assert bargmann_exact(unit_expansion(3), [0.0, -0.0])[0] == 0.0
+
+
+def test_bargmann_exact_refuses_cancellation_and_overflow():
+    # hermite_coeffs of a Gaussian at |w| = 8: the terms cancel to ~1e-7 of
+    # their sum, so cond * K * eps passes the tolerance and the point is named
+    e = hermite_coeffs(gaussian(0.5), 80)
+    bargmann_exact(e, _ring(1.0))  # no cancellation on |w| = 1
+    with pytest.raises(NumericalDomainError, match=r"w=\(.*8j\).*cancels"):
+        bargmann_exact(e, _ring(8.0))
+    with pytest.raises(NumericalDomainError, match=r"w=\(1000\+0j\).*double range"):
+        bargmann_exact(gaussian(0.5), 1000.0)
+    with pytest.raises(NumericalDomainError, match="double range"):
+        bargmann_exact(unit_expansion(2), 1e200)
+
+
+@pytest.mark.parametrize("a", [0.1, 0.5, 0.9])
+def test_vectorised_contour_bound_matches_optimal_contour(a):
+    mu = (1 - a) / (1 + a)
+    n = np.arange(2, 201)
+    column = log_contour_coeff_bound(n, a, 1.0)
+    one_by_one = np.array([optimal_contour(int(k), mu).log_bound for k in n])
+    assert np.max(np.abs(column - one_by_one) / np.abs(one_by_one)) <= 1e-13
+    assert isinstance(log_contour_coeff_bound(7, a), float)
+    assert log_contour_coeff_bound(7, a) == pytest.approx(column[5], rel=1e-13)

@@ -1,5 +1,7 @@
 """CLI behavior: input parsing, exit codes, artifact formats, determinism."""
 
+import csv
+import io
 import json
 import math
 import subprocess
@@ -124,12 +126,23 @@ def test_coeffs_hermite_input_is_delta_table(tmp_path):
 
 def test_coeffs_exit_codes(tmp_path):
     assert main(["coeffs", "garbage-input"]) == 2
-    # valid spec, but the Bargmann integrand peaks beyond the grid edge
-    # once Re w exceeds 2L, so the quadrature refuses
-    code = main(["bargmann", "hermite:k=2", "--w-ring", "34",
+    # valid spec, but Uf = 2^0.25 (1.5)^-0.5 e^{w^2/12} at w = 1000 is past
+    # the double range, so the closed form refuses
+    code = main(["bargmann", "gaussian:b=0.5", "--w-ring", "1000",
                  "--out", str(tmp_path / "x.csv")])
     assert code == 3
     assert not (tmp_path / "x.csv").exists()  # no partial artifact
+
+
+def test_bargmann_of_phi2_is_its_taylor_monomial(capsys):
+    # no grid: U(phi_2)(w) = w^2/sqrt(8) also where Re w = 34 is past 2L
+    assert main(["bargmann", "hermite:k=2", "--w-ring", "34", "--w-count", "4"]) == 0
+    rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))[1:]
+    for row in rows:
+        w = complex(float(row[0]), float(row[1]))
+        u = complex(float(row[2]), float(row[3]))
+        assert abs(u - w * w / math.sqrt(8.0)) <= 1e-14 * abs(w * w) / math.sqrt(8.0)
+    assert float(rows[0][4]) == pytest.approx(34.0 ** 2 / math.sqrt(8.0), rel=1e-14)
 
 
 def test_confine_divergence_exit_code(tmp_path):
@@ -572,3 +585,60 @@ def test_cli_subprocess_entry_point(tmp_path):
     res = run_cli(["coeffs", "bad spec"])
     assert res.returncode == 2
     assert "error:" in res.stderr
+
+
+def _sweep_spec(rng, files) -> str:
+    """One input spec of a random kind, its parameters drawn partly outside
+    their valid range."""
+    kind = rng.integers(5)
+    if kind == 0:
+        amp = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
+        b = complex(rng.uniform(-0.2, 3), rng.uniform(-2, 2))
+        return (f"gaussian:A={amp.real:.6g}{amp.imag:+.6g}i,"
+                f"b={b.real:.6g}{b.imag:+.6g}i")
+    if kind == 1:
+        return f"hermite:k={rng.integers(0, 101)}"
+    if kind == 2:
+        return f"chirp:alpha={rng.uniform(-0.1, 2):.6g}"
+    if kind == 3:
+        return f"squeezed:beta={rng.uniform(-0.1, 2):.6g}"
+    return files[rng.integers(len(files))]
+
+
+def test_bargmann_and_coeffs_seeded_sweep(tmp_path, capsys):
+    """200 small draws of bargmann and coeffs over all five input kinds, --a
+    inside and outside (0,1): every call exits 0, 2 or 3 with no traceback
+    and no warning, and no printed value of Uf is nan."""
+    rng = np.random.default_rng(20261018)
+    files = []
+    for length in (3, 12, 40):
+        coeffs = rng.normal(size=length) + 1j * rng.normal(size=length)
+        path = tmp_path / f"e{length}.json"
+        path.write_text(json.dumps({"coeffs": [[c.real, c.imag] for c in coeffs]}))
+        files.append(f"expansion:@{path}")
+    codes = []
+    for i in range(200):
+        command = ("coeffs", "bargmann")[i % 2]
+        argv = [command, _sweep_spec(rng, files)]
+        if command == "bargmann":
+            argv += ["--w-ring", f"{rng.uniform(0, 50):.6g}",
+                     "--w-count", str(rng.integers(1, 33))]
+        else:
+            argv += ["--kmax", str(rng.integers(1, 81))]
+        if rng.uniform() < 0.7:
+            a = rng.uniform(0, 1) if rng.uniform() < 0.8 else rng.choice([-0.5, 0.0, 1.0, 1.5])
+            argv += ["--a", f"{a:.6g}"]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(argv)
+        out, err = capsys.readouterr()
+        assert code in (0, 2, 3), (argv, err)
+        assert "Traceback" not in err and "internal error" not in err, (argv, err)
+        assert not caught, (argv, [str(w.message) for w in caught])
+        if command == "bargmann" and code == 0:
+            rows = list(csv.reader(io.StringIO(out)))[1:]
+            assert len(rows) == int(argv[5])
+            assert all(v != "nan" for row in rows for v in row[2:5]), argv
+        codes.append(code)
+    # the draws reach answers and both kinds of refusal
+    assert codes.count(0) > 100 and codes.count(2) > 0 and codes.count(3) > 0
