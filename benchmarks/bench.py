@@ -86,6 +86,16 @@ def fourier_stack(rows, grid):
     return [fourier_sampled(SampledFunction(grid, r)).values for r in rows]
 
 
+def energy_stack(rows, grid, a: float):
+    """Time-side weighted energies of each row: one ``weighted_energy_rows``
+    call, or the same trapezoid sum over the whole stack on a checkout
+    without it."""
+    if hasattr(weighted, "weighted_energy_rows"):
+        return weighted.weighted_energy_rows(rows, grid, a)
+    w = np.abs(rows) ** 2 * np.exp(a * grid.xs * grid.xs)
+    return grid.spacing * (w.sum(axis=1) - 0.5 * (w[:, 0] + w[:, -1])) / np.sqrt(2 * np.pi)
+
+
 def exact_uf(state, ws):
     """Uf at ws as ``bargmann`` computes it: from the input's own form, or
     by quadrature of its samples on a checkout without ``bargmann_exact``."""
@@ -128,6 +138,11 @@ def items():
     phis = hermite_phi_all(20, grid.xs)
     stack = np.vstack([phis, [f.values] * 4])
     ring24 = 2.0 * np.exp(2j * np.pi * np.arange(24) / 24)
+    others = [gaussians.gaussian(0.5)] + [gaussians.boundary_chirp(al) for al in (0.2, 0.27465, 0.5)]
+    others = np.array([g.sample(grid).values for g in others])
+    phis_hat = np.array(fourier_stack(phis, grid))
+    wide = verify.WIDE_GRID
+    wide_phis = hermite_phi_all(30, wide.xs)
     rng = np.random.default_rng(1)
     expansion40 = hermite.HermiteExpansion(rng.normal(size=40) + 1j * rng.normal(size=40))
     out = [
@@ -140,8 +155,13 @@ def items():
         ("analyze+synthesize K=60 N=4096", lambda: synthesize(analyze(f, 60), grid)),
         ("fourier_sampled N=4096", lambda: fourier_sampled(f)),
         ("fourier_rows F=25 N=4096", lambda: fourier_stack(stack, grid)),
+        ("fourier_rows 21 real phi rows N=4096", lambda: fourier_stack(phis, grid)),
+        ("fourier_rows Gaussian/chirp F=4 N=4096", lambda: fourier_stack(others, grid)),
         ("bargmann_numeric W=10 N=4096", lambda: bargmann.bargmann_numeric(f, ring)),
         ("bargmann_rows F=21 W=10 N=4096", lambda: bargmann_stack(phis, grid, ring)),
+        ("bargmann_rows F=21 W=8 N=4096 (transformed rows)",
+         lambda: bargmann_stack(phis_hat, grid, verify._REFLECTION_WS)),
+        ("weighted_energy_rows F=31 N=6144 a=0.5", lambda: energy_stack(wide_phis, wide, 0.5)),
         ("exact Uf Gaussian W=24", lambda: exact_uf(state, ring24)),
         ("exact Uf expansion K=40 W=24", lambda: exact_uf(expansion40, ring24)),
         ("contour column k=2..80 a=0.5", lambda: contour_column(np.arange(2, 81), 0.5)),

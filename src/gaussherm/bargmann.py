@@ -31,7 +31,7 @@ from .decay import check_weight
 from .errors import EdgeDecayError, NumericalDomainError
 from .gaussians import GeneralizedGaussian, bargmann_gaussian
 from .grid import GridSpec, SampledFunction, trapezoid_weights
-from .hermite import EDGE_DECAY_REL, HermiteExpansion, fourier_rows
+from .hermite import EDGE_DECAY_REL, HermiteExpansion, fourier_rows, phase_ramp
 from .special import gammaln
 
 LOG2 = math.log(2.0)
@@ -44,29 +44,41 @@ def bargmann_rows(values, grid: GridSpec, w) -> np.ndarray:
 
     The kernel e^{xw - x^2/2}, with the trapezoid weights folded in, is
     built once per call as a (W, N) array, and the integrals are one
-    product with it.  Raises :class:`EdgeDecayError` naming the row when the
-    integrand e^{xw - x^2/2} f(x) of some row has not decayed at the grid
-    edges for some requested w (large |Re w| pushes the Gaussian factor's
-    peak toward the boundary).  The guard runs one row at a time, so no
-    (F, W, N) array is formed.
+    product with it (two real products for real rows).  Its modulus
+    e^{x Re w - x^2/2} takes one real exponential and its phase e^{ix Im w}
+    a :func:`hermite.phase_ramp` per point.  Raises :class:`EdgeDecayError`
+    naming the row when the integrand e^{xw - x^2/2} f(x) of some row has
+    not decayed at the grid edges for some requested w (large |Re w| pushes
+    the Gaussian factor's peak toward the boundary).  The edge samples of
+    every row are gathered at once and the peak is taken one row at a
+    time, so no (F, W, N) array is formed.
     """
     rows = np.atleast_2d(values)
     w_arr = np.atleast_1d(np.asarray(w, dtype=complex))
     xs = grid.xs
-    kernel = np.exp(np.outer(w_arr, xs) - 0.5 * xs * xs)
-    mag = np.abs(kernel)
+    mag = np.exp(np.outer(w_arr.real, xs) - 0.5 * xs * xs)
+    edges = [0, 1, -2, -1]
+    edge = (np.abs(rows[:, None, edges]) * mag[:, edges]).max(axis=2)
+    peak = np.empty_like(edge)
     for i, row in enumerate(rows):
-        mags = mag * np.abs(row)
-        peak = mags.max(axis=1)
-        edge = np.maximum(mags[:, :2].max(axis=1), mags[:, -2:].max(axis=1))
-        bad = (peak > 0) & (edge > EDGE_DECAY_REL * peak)
-        if bad.any():
-            raise EdgeDecayError(
-                f"Bargmann integrand of input row {i} not decayed at grid edges for "
-                f"w={w_arr[bad][:3]}; reduce |Re w| or widen the grid"
-            )
-    kernel *= trapezoid_weights(grid.num_points, grid.spacing)
-    return _BARGMANN_PREF * np.exp(-0.25 * w_arr * w_arr) * (rows @ kernel.T)
+        peak[i] = (mag * np.abs(row)).max(axis=1)
+    bad = (peak > 0) & (edge > EDGE_DECAY_REL * peak)
+    if bad.any():
+        i = int(np.argmax(bad.any(axis=1)))
+        raise EdgeDecayError(
+            f"Bargmann integrand of input row {i} not decayed at grid edges for "
+            f"w={w_arr[bad[i]][:3]}; reduce |Re w| or widen the grid"
+        )
+    mag *= trapezoid_weights(grid.num_points, grid.spacing)
+    # e^{i x_j Im w} = e^{i x_0 Im w} e^{i h Im w j}
+    kernel = phase_ramp(grid.spacing * w_arr.imag, grid.num_points)
+    kernel *= mag
+    kernel *= np.exp(1j * xs[0] * w_arr.imag)[:, None]
+    if np.iscomplexobj(rows):
+        sums = rows @ kernel.T
+    else:
+        sums = rows @ kernel.real.T + 1j * (rows @ kernel.imag.T)
+    return _BARGMANN_PREF * np.exp(-0.25 * w_arr * w_arr) * sums
 
 
 def bargmann_numeric(f: SampledFunction, w):

@@ -43,6 +43,24 @@ class CliParseError(ValueError):
     """Bad input spec, flag value, or config file."""
 
 
+#: Largest --kmax, --t-grid and --w-count accepted (exit 2 above them).  At
+#: each cap the slowest command on the default grid ends within about 3 s:
+#: coeffs at kmax 100,000, evolve of hermite:k=81 at 4,096 times, bargmann
+#: of hermite:k=81 on a 10,000-point ring (whose Taylor terms form (W, K)
+#: arrays, so the ring's cap is set by memory rather than time).
+KMAX_CAP = 100_000
+T_GRID_CAP = 4_096
+W_COUNT_CAP = 10_000
+
+
+def _check_count(value, flag: str, cap: int) -> None:
+    """Refuse a count flag outside [1, cap], naming the flag."""
+    if value < 1:
+        raise CliParseError(f"{flag} must be >= 1, got {value}")
+    if value > cap:
+        raise CliParseError(f"{flag} must be <= {cap}, got {value}")
+
+
 @dataclass(frozen=True)
 class RunConfig:
     grid_l: float = 16.0
@@ -54,10 +72,8 @@ class RunConfig:
     grid: GridSpec = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.kmax < 1:
-            raise CliParseError(f"kmax must be >= 1, got {self.kmax}")
-        if self.t_grid_size < 1:
-            raise CliParseError(f"t-grid size must be >= 1, got {self.t_grid_size}")
+        _check_count(self.kmax, "--kmax", KMAX_CAP)
+        _check_count(self.t_grid_size, "--t-grid", T_GRID_CAP)
         if self.output_format not in ("csv", "json"):
             raise CliParseError(f"format must be csv or json, got {self.output_format!r}")
         try:  # every command, not only those that sample on the grid
@@ -361,8 +377,7 @@ def cmd_envelope(args, cfg: RunConfig) -> tuple[str, int]:
 
 
 def cmd_bargmann(args, cfg: RunConfig) -> tuple[str, int]:
-    if args.w_count < 1:
-        raise CliParseError(f"--w-count must be >= 1, got {args.w_count}")
+    _check_count(args.w_count, "--w-count", W_COUNT_CAP)
     inp = parse_input_spec(args.input)
     a, big_c = _class_constant(args, inp, cfg)
     sector = bg.sector_params(a, big_c) if big_c is not None else None

@@ -15,6 +15,7 @@ under which phi_k_hat = (-i)**k phi_k.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -185,6 +186,47 @@ def _check_edge_decay(values: np.ndarray, what: str):
         )
 
 
+def phase_ramp(theta, n: int) -> np.ndarray:
+    """e^{i theta j} for j = 0..n-1, for each angle in the array ``theta``;
+    shape theta.shape + (n,).
+
+    Built as the outer product of two tables of about sqrt(n) complex
+    exponentials, e^{i theta q m} and e^{i theta r} with j = q m + r, so an
+    n-point ramp costs 2 sqrt(n) exponentials and n products instead of n
+    exponentials.  Each coarse angle theta (q m) is rounded once, as theta j
+    is in the direct ``np.exp(1j * theta * j)``, and the product adds about
+    one rounding.  Against a long-double reference, over the angles this
+    package takes ramps of, its mean and max errors are 0.92x and 0.96x
+    those of the direct form; where theta j is exact in double (a dyadic
+    theta) the direct form is correctly rounded, and the table's largest
+    error, about 2 ulp, is 2.5-3x the direct one.
+    """
+    theta = np.asarray(theta, dtype=float)[..., None]
+    q = max(1, math.isqrt(n - 1) + 1)  # q * q >= n
+    m = -(-n // q)
+    coarse = np.exp(1j * theta * (q * np.arange(m)))
+    fine = np.exp(1j * theta * np.arange(q))
+    ramp = coarse[..., :, None] * fine[..., None, :]
+    return ramp.reshape(theta.shape[:-1] + (m * q,))[..., :n]
+
+
+#: Pairs of real parts per block of :func:`fourier_rows`'s batched FFTs: a
+#: block's (pairs, 2N) complex buffer takes 512 KB at N = 4096.
+_FOURIER_BLOCK_PAIRS = 4
+
+
+def _real_parts(rows: np.ndarray):
+    """(row index, factor, real samples) for each nonzero real and imaginary
+    part of the rows, so row i is the sum of factor * samples over its parts."""
+    for i, row in enumerate(rows):
+        if not np.iscomplexobj(row):
+            yield i, 1.0, row
+            continue
+        for factor, part in ((1.0, row.real), (1j, row.imag)):
+            if part.any():
+                yield i, factor, part
+
+
 def fourier_rows(values, grid: GridSpec) -> np.ndarray:
     """Unitary Fourier transform fhat(xi) = (2*pi)**-0.5 integral f e^{-i xi x} dx
     of each row of samples on ``grid``, evaluated on the same grid; shape
@@ -194,8 +236,13 @@ def fourier_rows(values, grid: GridSpec) -> np.ndarray:
     grid 2*pi/(N h), so the discretized integral is a chirp-z transform
     (Rabiner, Schafer and Rader 1969), evaluated as one FFT convolution after
     Bluestein's (1970) split jm = (j^2 + m^2 - (m-j)^2)/2.  The chirp, the
-    FFT of the convolution kernel and the phase ramps before and after it
-    are built once per call; the rows are transformed one at a time.
+    FFT of the convolution kernel and the phase ramp before and after it
+    (:func:`phase_ramp`) are built once per call.  The rows' nonzero real
+    and imaginary parts are transformed two at a time, a + ib in one
+    chirp-z: N+1 outputs give xi_0 = -L its mirror xi_N = +L, and a real
+    part's transform is Hermitian, fhat_a(xi_m) = (Z_m + conj Z_{N-m}) / 2.
+    Each part is first scaled by a power of two to unit peak, so neither of
+    a pair leaks the other's rounding into it past its own scale.
     Requires every row to have decayed at the grid edges
     (:class:`EdgeDecayError` names the first that has not).
     """
@@ -205,19 +252,39 @@ def fourier_rows(values, grid: GridSpec) -> np.ndarray:
     h = grid.spacing
     x0 = -grid.half_width
     n = grid.num_points
-    # fhat(xi_m) = h/sqrt(2 pi) e^{-i x0 xi_m} sum_j [f_j e^{-i j h x0}] e^{-i j m h^2}
-    j = np.arange(n)
+    # fhat(xi_m) = h/sqrt(2 pi) e^{-i x0^2} e^{-i m h x0} sum_j [f_j e^{-i j h x0}] e^{-i j m h^2}
+    # for m = 0..N, with xi_m = x0 + m h
+    j = np.arange(n + 1)
     chirp = np.exp(-0.5j * h * h * (j * j))
-    size = 1 << (2 * n - 2).bit_length()
+    size = 1 << (2 * n - 1).bit_length()  # >= 2N: N inputs, N+1 outputs
     kernel = np.zeros(size, dtype=complex)
-    kernel[:n] = chirp.conj()
-    kernel[size - n + 1:] = chirp[:0:-1].conj()
+    kernel[:n + 1] = chirp.conj()
+    kernel[size - n + 1:] = chirp[n - 1:0:-1].conj()
     kernel_fft = np.fft.fft(kernel)
-    pre = np.exp(-1j * h * x0 * j) * chirp
-    post = (h / SQRT_2PI) * np.exp(-1j * x0 * grid.xs) * chirp
-    out = np.empty(rows.shape, dtype=complex)
-    for i, row in enumerate(rows):
-        out[i] = post * np.fft.ifft(np.fft.fft(row * pre, size) * kernel_fft)[:n]
+    ramp = phase_ramp(-h * x0, n + 1) * chirp
+    pre = ramp[:n]
+    post = (h / SQRT_2PI) * np.exp(-1j * x0 * x0) * ramp
+    out = np.zeros(rows.shape, dtype=complex)
+    parts = list(_real_parts(rows))
+    pairs = max(1, min(_FOURIER_BLOCK_PAIRS, (len(parts) + 1) // 2))  # 1 for no parts
+    buf = np.empty((pairs, size), dtype=complex)
+    for lo in range(0, len(parts), 2 * pairs):
+        block = parts[lo:lo + 2 * pairs]
+        exps = [math.frexp(float(np.max(np.abs(s))))[1] for _, _, s in block]
+        z = buf[:(len(block) + 1) // 2]
+        z[:] = 0.0
+        for p, ((_, _, s), e) in enumerate(zip(block, exps)):
+            np.ldexp(s, -e, out=(z.imag if p % 2 else z.real)[p // 2, :n])
+        z[:, :n] *= pre
+        np.fft.fft(z, axis=1, out=z)
+        z *= kernel_fft
+        np.fft.ifft(z, axis=1, out=z)
+        z[:, :n + 1] *= post
+        for p, (i, factor, _) in enumerate(block):
+            # a = Re z: (Z_m + conj Z_{N-m}) / 2;  b = Im z: (Z_m - conj Z_{N-m}) / 2i
+            mirror = z[p // 2, n:0:-1].conj()
+            half = z[p // 2, :n] - mirror if p % 2 else z[p // 2, :n] + mirror
+            out[i] += (factor * (-0.5j if p % 2 else 0.5) * math.ldexp(1.0, exps[p])) * half
     return out
 
 

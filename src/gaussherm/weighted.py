@@ -36,20 +36,37 @@ LOG2 = math.log(2.0)
 WEIGHTED_EDGE_REL = 1e-7
 
 
+#: Bytes of weighted samples per block of :func:`weighted_energy_rows`, so
+#: each block's passes run in cache.
+_ENERGY_BLOCK_BYTES = 256 * 1024
+
+
 def weighted_energy_rows(values: np.ndarray, grid: GridSpec, a: float) -> np.ndarray:
     """Time-side quadrature of integral |f|^2 e^{a x^2} dm for each row of
     samples on ``grid`` (trapezoid rule); nan for a row whose weighted
     integrand has not decayed at the grid edges (edge/peak above
     ``WEIGHTED_EDGE_REL``).
 
-    For phi_n this is ||phi_n||_a^2 itself, since |phi_n hat| = |phi_n|.
+    The rows run in blocks of at most 256 KB of weighted samples; every
+    value is a function of its own row alone, so the result is the same,
+    bit for bit, as one block's.  For phi_n this is ||phi_n||_a^2 itself,
+    since |phi_n hat| = |phi_n|.
     """
-    weighted = np.abs(np.atleast_2d(values)) ** 2 * np.exp(a * grid.xs * grid.xs)
+    rows = np.atleast_2d(values)
+    weight = np.exp(a * grid.xs * grid.xs)
+    step = max(1, _ENERGY_BLOCK_BYTES // (8 * grid.num_points))
+    return np.concatenate([
+        _weighted_energy_block(rows[i:i + step], weight, grid.spacing)
+        for i in range(0, max(rows.shape[0], 1), step)
+    ])
+
+
+def _weighted_energy_block(rows: np.ndarray, weight: np.ndarray, h: float) -> np.ndarray:
+    weighted = np.abs(rows) ** 2 * weight
     peak = weighted.max(axis=1)
     edge = np.maximum.reduce([weighted[:, 0], weighted[:, 1], weighted[:, -2], weighted[:, -1]])
     with np.errstate(invalid="ignore", divide="ignore"):
         ratio = np.where(peak > 0.0, edge / peak, 0.0)
-    h = grid.spacing
     integral = h * (weighted.sum(axis=1) - 0.5 * (weighted[:, 0] + weighted[:, -1]))
     return np.where(ratio > WEIGHTED_EDGE_REL, math.nan, integral / SQRT_2PI)
 

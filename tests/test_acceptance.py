@@ -10,9 +10,11 @@ artifact.
 import json
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
+from gaussherm import verify
 from gaussherm.verify import ALL_CRITERIA, VerifyConfig, run_all
 
 CRITERION_NAMES = [
@@ -119,3 +121,24 @@ def test_verify_all_passes_on_a_narrower_valid_grid(tmp_path):
     data = json.loads(out.read_bytes())
     assert data["config"]["grid_kmax"] == 45
     assert [c["name"] for c in data["criteria"] if c["pass"]] == CRITERION_NAMES
+
+
+@pytest.mark.parametrize("criterion", [
+    verify.criterion_normalization_pins,
+    verify.criterion_reflection_identity,
+    verify.criterion_weighted_norm_identities,
+], ids=lambda fn: fn.__name__.removeprefix("criterion_"))
+def test_grid_oracle_criteria_stay_below_the_largest_criterion_peak(criterion):
+    """After a warm run (basis cache and contour rule built), each criterion
+    that runs the stacked grid oracles allocates at its peak less than
+    4.7 MB, which the largest of them took before their stacks were blocked
+    (weighted_norm_identities, 4.62 MB)."""
+    cfg = VerifyConfig()
+    run_all(cfg)
+    tracemalloc.start()
+    try:
+        assert criterion(cfg).passed
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4.7e6

@@ -33,6 +33,7 @@ from gaussherm.gaussians import (
 )
 from gaussherm.grid import GridSpec, SampledFunction, sample
 from gaussherm.hermite import (
+    EDGE_DECAY_REL,
     HermiteExpansion,
     hermite_phi,
     hermite_phi_all,
@@ -105,6 +106,50 @@ def test_bargmann_rows_names_the_undecayed_row(grid):
     bargmann_rows(rows[:3], grid, WS)
     with pytest.raises(EdgeDecayError, match="input row 3 "):
         bargmann_rows(rows, grid, WS)
+
+
+def test_bargmann_rows_real_rows_match_per_row_evaluation(grid):
+    """Real rows take the kernel's real and imaginary parts in two real
+    products; they match the direct sum at the bound of the complex stack."""
+    ws = np.concatenate([3.0 * np.exp(2j * math.pi * np.arange(10) / 10), WS, -1j * WS])
+    rows = hermite_phi_all(20, grid.xs)
+    stacked = bargmann_rows(rows, grid, ws)
+    for row, got in zip(rows, stacked):
+        peak = np.max(np.abs(bargmann_direct(np.abs(row), grid, ws.real))
+                      * np.exp(0.25 * (ws.real ** 2 - (ws * ws).real)))
+        assert np.max(np.abs(got - bargmann_direct(row, grid, ws))) <= 1e-14 * peak
+
+
+def reference_guard(rows, grid, w):
+    """The edge guard one row at a time, on the modulus of the complex
+    kernel: (first undecayed row, its first three undecayed w), or None."""
+    w_arr = np.atleast_1d(np.asarray(w, dtype=complex))
+    xs = grid.xs
+    mag = np.abs(np.exp(np.outer(w_arr, xs) - 0.5 * xs * xs))
+    for i, row in enumerate(rows):
+        mags = mag * np.abs(row)
+        peak = mags.max(axis=1)
+        edge = np.maximum(mags[:, :2].max(axis=1), mags[:, -2:].max(axis=1))
+        bad = (peak > 0) & (edge > EDGE_DECAY_REL * peak)
+        if bad.any():
+            return i, w_arr[bad][:3]
+    return None
+
+
+def test_bargmann_rows_guard_names_what_the_per_row_guard_names(grid):
+    """A stack whose middle row, e^{0.3 x^2}, is undecayed for 2.6 < |Re w| <
+    10.2: the gathered edges and row-by-row peaks name the row and the first
+    three w that the per-row guard names, and pass the stack without it."""
+    xs = grid.xs
+    ws = np.array([0.5, 3.0 + 1j, -1.0, -4.0 - 2j, 2j, 5.0, -6.5 + 0.5j, 1.5, 9.0])
+    rows = [*hermite_phi_all(1, xs), np.exp(0.3 * xs ** 2), *hermite_phi_all(3, xs)[2:]]
+    assert reference_guard(rows[:2] + rows[3:], grid, ws) is None
+    bargmann_rows(rows[:2] + rows[3:], grid, ws)
+    i, named = reference_guard(rows, grid, ws)
+    assert i == 2 and named.size == 3
+    with pytest.raises(EdgeDecayError) as info:
+        bargmann_rows(rows, grid, ws)
+    assert f"input row {i} not decayed at grid edges for w={named};" in str(info.value)
 
 
 @pytest.mark.parametrize("k", [0, 1, 5, 12, 20])

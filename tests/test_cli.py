@@ -12,6 +12,9 @@ import numpy as np
 import pytest
 
 from gaussherm.cli import (
+    KMAX_CAP,
+    T_GRID_CAP,
+    W_COUNT_CAP,
     CliParseError,
     load_config,
     main,
@@ -642,3 +645,74 @@ def test_bargmann_and_coeffs_seeded_sweep(tmp_path, capsys):
         codes.append(code)
     # the draws reach answers and both kinds of refusal
     assert codes.count(0) > 100 and codes.count(2) > 0 and codes.count(3) > 0
+
+
+def _state_sweep_argv(rng, command: str, files) -> list[str]:
+    """One small draw of envelope, evolve, confine or norms, flags drawn
+    partly outside their valid range."""
+    if command == "norms" and rng.uniform() < 0.3:
+        return ["norms", "--a", f"{rng.uniform(-0.2, 1.2):.6g}",
+                "--kmax", str(rng.integers(1, 41))]
+    argv = [command, _sweep_spec(rng, files)]
+    if command == "norms":
+        weights = rng.uniform(-0.2, 1.2, size=rng.integers(1, 4))
+        return argv + ["--a-list=" + ",".join(f"{a:.6g}" for a in weights)]
+    if command == "confine":
+        return argv + ["--beta", f"{rng.uniform(-0.1, 1.5):.6g}",
+                       "--gamma", f"{rng.uniform(-0.1, 1.5):.6g}",
+                       "--t-grid", str(rng.integers(1, 9))]
+    if command == "evolve":
+        if rng.uniform() < 0.5:
+            argv += ["--times=" + ",".join(f"{t:.6g}" for t in rng.uniform(-5, 5, size=3))]
+        else:
+            argv += ["--t-grid", str(rng.integers(1, 9))]
+    if rng.uniform() < 0.7:
+        argv += ["--a", f"{rng.uniform(-0.2, 1.5):.6g}"]
+    return argv
+
+
+def test_state_commands_seeded_sweep(tmp_path, capsys):
+    """120 small draws of envelope, evolve, confine and norms over all five
+    input kinds, weights and parameters inside and outside their ranges:
+    every call exits 0, 2, 3 or 4 with no traceback."""
+    rng = np.random.default_rng(20261019)
+    files = []
+    for length in (3, 12, 40):
+        coeffs = rng.normal(size=length) + 1j * rng.normal(size=length)
+        path = tmp_path / f"e{length}.json"
+        path.write_text(json.dumps({"coeffs": [[c.real, c.imag] for c in coeffs]}))
+        files.append(f"expansion:@{path}")
+    codes = []
+    for i in range(120):
+        argv = _state_sweep_argv(rng, ("envelope", "evolve", "confine", "norms")[i % 4], files)
+        code = main(argv)
+        _, err = capsys.readouterr()
+        assert code in (0, 2, 3, 4), (argv, err)
+        assert "Traceback" not in err and "internal error" not in err, (argv, err)
+        codes.append(code)
+    assert codes.count(0) > 40 and codes.count(3) > 0 and codes.count(4) > 0
+
+
+@pytest.mark.parametrize("argv, flag, cap", [
+    (["coeffs", "gaussian:b=0.5", "--kmax", str(KMAX_CAP + 1)], "--kmax", KMAX_CAP),
+    (["norms", "--kmax", str(10 ** 12)], "--kmax", KMAX_CAP),
+    (["evolve", "gaussian:b=0.5", "--t-grid", str(T_GRID_CAP + 1)], "--t-grid", T_GRID_CAP),
+    (["confine", "squeezed:beta=0.5", "--beta", "0.5", "--gamma", "0.4",
+      "--t-grid", str(10 ** 9)], "--t-grid", T_GRID_CAP),
+    (["bargmann", "gaussian:b=0.5", "--w-count", str(W_COUNT_CAP + 1)], "--w-count", W_COUNT_CAP),
+    (["bargmann", "gaussian:b=0.5", "--w-count", str(10 ** 9)], "--w-count", W_COUNT_CAP),
+])
+def test_count_flags_above_their_cap_exit_2(argv, flag, cap, capsys):
+    """A count flag past its cap is refused before any work, naming the flag
+    and the cap (a billion-point ring would ask numpy for 16 GB)."""
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {flag} must be <= {cap}, got {argv[argv.index(flag) + 1]}\n"
+
+
+def test_count_cap_in_config_file_exits_2(tmp_path, capsys):
+    cfg_file = tmp_path / "c.json"
+    cfg_file.write_text(json.dumps({"kmax": KMAX_CAP + 1}))
+    assert main(["coeffs", "gaussian:b=0.5", "--config", str(cfg_file)]) == 2
+    assert f"--kmax must be <= {KMAX_CAP}" in capsys.readouterr().err

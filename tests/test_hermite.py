@@ -1,6 +1,7 @@
 """Hermite basis: normalization pins, recurrence stability, quadrature,
 Fourier transforms, Mehler's identity."""
 
+import functools
 import math
 import tracemalloc
 
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 
 import gaussherm.hermite as hermite
+import gaussherm.verify as verify
 from gaussherm.errors import BandLimitError, EdgeDecayError
 from gaussherm.grid import SQRT_2PI, GridSpec, SampledFunction, norm_sq, sample, trapezoid_weights
 from gaussherm.hermite import (
@@ -302,21 +304,98 @@ def test_fourier_sampled_matches_direct_reference():
     assert np.max(np.abs(a - b)) < 1e-12
 
 
-@pytest.mark.parametrize("grid_", [GridSpec(16.0, 4096), GridSpec(16.0, 2048),
-                                   GridSpec(12.0, 4096), GridSpec(24.0, 6144)],
-                         ids=["default", "N2048", "L12", "wide"])
-def test_fourier_sampled_matches_direct_sum(grid_):
+DIRECT_GRIDS = [GridSpec(16.0, 4096), GridSpec(16.0, 2048), GridSpec(12.0, 4096),
+                GridSpec(24.0, 6144)]
+DIRECT_GRID_IDS = ["default", "N2048", "L12", "wide"]
+
+
+@functools.cache
+def _direct_case(grid_):
+    """Inputs on ``grid_`` and their O(N^2) transforms, one column each: five
+    Gaussians (real and complex widths), a complex polynomial times a
+    Gaussian, then phi_0..phi_20.  Cached, so the N^2 exponentials run once
+    per grid."""
     xs = grid_.xs
     widths = [0.3, 1.0, 2.5, 0.7 + 0.4j, 2.0 - 0.5j]
     inputs = [np.exp(-0.5 * b * xs ** 2) for b in widths]
     inputs.append(np.exp(-0.3 * xs ** 2) * (1 + xs - 0.3j * xs ** 3))
-    ref = fourier_sampled_direct(np.stack(inputs, axis=1), grid_)
+    inputs += list(hermite_phi_all(20, xs))
+    return inputs, fourier_sampled_direct(np.stack(inputs, axis=1), grid_)
+
+
+def _assert_rows_match_direct(got, ref_columns):
+    for row, ref in zip(got, ref_columns.T):
+        assert np.max(np.abs(row - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("grid_", DIRECT_GRIDS, ids=DIRECT_GRID_IDS)
+def test_fourier_sampled_matches_direct_sum(grid_):
+    inputs, ref = _direct_case(grid_)
+    inputs, ref = inputs[:6], ref[:, :6]
     stacked = fourier_rows(np.stack(inputs), grid_)
     assert stacked.shape == (len(inputs), grid_.num_points)
     for i, values in enumerate(inputs):
         got = fourier_sampled(SampledFunction(grid_, values)).values
         assert np.max(np.abs(got - ref[:, i])) <= 1e-14 * np.max(np.abs(ref[:, i]))
         assert np.max(np.abs(stacked[i] - ref[:, i])) <= 1e-14 * np.max(np.abs(ref[:, i]))
+
+
+@pytest.mark.parametrize("grid_", DIRECT_GRIDS, ids=DIRECT_GRID_IDS)
+def test_fourier_rows_paired_parts_match_direct_sum(grid_):
+    """Real rows go two to a transform and are split by Hermitian symmetry:
+    every stack shape (an odd row left alone, pairs, several blocks), a
+    stack mixing real and complex rows with a row 1e-30 smaller than its
+    partner, and a complex-typed row whose imaginary part is zero all match
+    the direct sum at 1e-14 of each row's peak."""
+    inputs, ref = _direct_case(grid_)
+    phis = np.stack(inputs[6:])
+    for count in (1, 2, 3, 21):
+        got = fourier_rows(phis[:count], grid_)
+        assert got.shape == (count, grid_.num_points)
+        _assert_rows_match_direct(got, ref[:, 6:6 + count])
+    picks = [0, 3, 11, 5, 8]  # real Gaussian, complex Gaussian, phi_5, complex, phi_2
+    mixed = np.stack([inputs[i] for i in picks]).astype(complex)
+    mixed[2] *= 1e-30
+    ref_mixed = ref[:, picks].copy()
+    ref_mixed[:, 2] *= 1e-30
+    _assert_rows_match_direct(fourier_rows(mixed, grid_), ref_mixed)
+    zero_imag = inputs[13].astype(complex)  # phi_7
+    _assert_rows_match_direct(fourier_rows(zero_imag, grid_), ref[:, 13:14])
+    zeros = fourier_rows(np.zeros((2, grid_.num_points), dtype=complex), grid_)
+    assert zeros.shape == (2, grid_.num_points) and not zeros.any()  # no part to transform
+
+
+def test_phase_ramp_matches_the_direct_exponential():
+    """Over the angles the package takes ramps of (each grid's Fourier ramp
+    h L, and h Im w for verify's Bargmann points), the two-table ramp's mean
+    and max errors against a long-double reference stay within 2x those of
+    np.exp(1j * theta * j)."""
+    ws = np.concatenate([3.0 * np.exp(2j * math.pi * np.arange(10) / 10),
+                         verify._REFLECTION_WS, -1j * verify._REFLECTION_WS])
+    cases = []
+    for g in DIRECT_GRIDS:
+        cases.append((g.spacing * g.half_width, g.num_points + 1))
+        cases += [(g.spacing * w.imag, g.num_points) for w in ws]
+    ramp_err, direct_err = [], []
+    for theta, n in cases:
+        j = np.arange(n)
+        exact = np.exp(1j * np.longdouble(theta) * j.astype(np.longdouble))
+        ramp = hermite.phase_ramp(theta, n)
+        assert ramp.shape == (n,)
+        ramp_err.append(np.abs(ramp - exact).astype(float))  # |exact| = 1
+        direct_err.append(np.abs(np.exp(1j * theta * j) - exact).astype(float))
+    ramp_err, direct_err = np.concatenate(ramp_err), np.concatenate(direct_err)
+    assert ramp_err.mean() <= 2.0 * direct_err.mean()
+    assert ramp_err.max() <= 2.0 * direct_err.max()
+
+
+def test_phase_ramp_rows_equal_single_angles():
+    thetas = np.array([[0.0, 0.125], [-0.0234375, 1.7]])
+    ramps = hermite.phase_ramp(thetas, 50)
+    assert ramps.shape == (2, 2, 50)
+    for i, j in np.ndindex(2, 2):
+        assert np.array_equal(ramps[i, j], hermite.phase_ramp(thetas[i, j], 50))
+    assert np.all(ramps[0, 0] == 1.0)
 
 
 def test_fourier_sampled_fourth_power_identity(grid):

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+import gaussherm.weighted as weighted_module
 from gaussherm.errors import NumericalDomainError
 from gaussherm.gaussians import (
     gaussian,
@@ -13,7 +14,7 @@ from gaussherm.gaussians import (
     squeezed_state,
     weighted_norm_sq_gaussian,
 )
-from gaussherm.grid import DEFAULT_GRID, GridSpec, sample
+from gaussherm.grid import DEFAULT_GRID, SQRT_2PI, GridSpec, sample
 from gaussherm.hermite import (
     HermiteExpansion,
     fourier_sampled,
@@ -24,6 +25,7 @@ from gaussherm.hermite import (
 )
 from gaussherm.oscillator import default_t_grid, evolve_gaussian
 from gaussherm.weighted import (
+    WEIGHTED_EDGE_REL,
     WeakConfinementParams,
     central_binomial,
     central_binomial_certificate,
@@ -137,6 +139,34 @@ def test_sampled_and_expansion_routes_agree(grid):
         assert two_sided_quadrature(synthesize(mixed, grid), a) == pytest.approx(
             expansion_weighted_norm_sq(mixed, a), rel=1e-9
         )
+
+
+def one_block_energy(values, grid, a):
+    """weighted_energy_rows' quadrature and edge guard over all rows at once."""
+    weighted = np.abs(np.atleast_2d(values)) ** 2 * np.exp(a * grid.xs * grid.xs)
+    peak = weighted.max(axis=1)
+    edge = np.maximum.reduce([weighted[:, 0], weighted[:, 1], weighted[:, -2], weighted[:, -1]])
+    with np.errstate(invalid="ignore", divide="ignore"):
+        ratio = np.where(peak > 0.0, edge / peak, 0.0)
+    h = grid.spacing
+    integral = h * (weighted.sum(axis=1) - 0.5 * (weighted[:, 0] + weighted[:, -1]))
+    return np.where(ratio > WEIGHTED_EDGE_REL, math.nan, integral / SQRT_2PI)
+
+
+@pytest.mark.parametrize("grid_name", ["grid", "wide_grid"])
+def test_weighted_energy_row_blocks_are_bit_identical(request, grid_name):
+    """Row blocks of at most 256 KB give exactly the one-block values, nan
+    rows included, for stacks just under, at and just over one block."""
+    g = request.getfixturevalue(grid_name)
+    step = weighted_module._ENERGY_BLOCK_BYTES // (8 * g.num_points)
+    rows = hermite_phi_all(30, g.xs)[np.random.default_rng(5).permutation(31)]
+    nan_rows = 0
+    for a in (0.5, 0.9):
+        for count in (1, step - 1, step, step + 1, 31):
+            got = weighted_energy_rows(rows[:count], g, a)
+            assert np.array_equal(got, one_block_energy(rows[:count], g, a), equal_nan=True)
+            nan_rows += int(np.isnan(got).sum())
+    assert nan_rows > 0
 
 
 def test_weighted_norm_rejects_nonmember(grid):
