@@ -18,8 +18,8 @@ from gaussherm import (
     confinement_check,
     confinement_constant,
     evolve_gaussian,
+    gaussian_flow_extremes,
     hermite_coeffs,
-    sharp_confinement_probe,
     squeezed_state,
 )
 from gaussherm.oscillator import default_t_grid
@@ -38,18 +38,24 @@ for t in (-math.pi / 8, 0.0, math.pi / 8):
           f"   (tanh beta = {math.tanh(beta):.6f}, coth beta = {1/math.tanh(beta):.6f})")
 
 report = confinement_check(sq, beta, beta, default_t_grid(64))
-print(f"\ntwo-sided envelope scan at gamma = beta (the borderline class):")
-print(f"  sup over t of the envelope constant: {report.sup_constant:.8f}"
+print(f"\ntwo-sided envelope constant at gamma = beta (the borderline class):")
+print(f"  sup over all t (closed form): {report.sup_constant:.8f}"
       f"   ((1-r)^-1/2 = {(1-r)**-0.5:.8f})")
 print(f"  attained at t = {[f'{t:.5f}' for t in report.attained_ts]}"
       f"   (pi/8 = {math.pi/8:.5f}, 3pi/8 = {3*math.pi/8:.5f})")
-i_star = int(np.argmin(np.abs(report.ts - 3 * math.pi / 8)))
 print(f"  time-side constant at t = 3pi/8 (= -pi/8 mod pi/2): "
-      f"{report.psi_constants[i_star]:.8f}   ((1+r)^-1/2 = {(1+r)**-0.5:.8f})")
+      f"{abs(evolve_gaussian(sq, 3 * math.pi / 8).amplitude):.8f}"
+      f"   ((1+r)^-1/2 = {(1+r)**-0.5:.8f})")
 
-probe = sharp_confinement_probe(sq, beta)
-print(f"  refining the t grid twofold moves the sup by {probe.sup_change:.2e}"
-      f" -> stable: {probe.stable}")
+# the conjectured sharp confinement, gamma = beta, decided exactly on
+# Gaussians: a member of the class tanh(2 beta) has |z| <= e^{-2 beta}, so
+# its flow stays in the class tanh(beta); the squeezed state reaches that
+# radius, so its flow leaves every tighter class
+print("  sharp confinement (gamma = beta) on the squeezed state:")
+for g_test in (beta, beta * (1 + 1e-6)):
+    first_bad = gaussian_flow_extremes(sq, math.tanh(g_test))[2]
+    verdict = "stays in the class" if first_bad is None else f"leaves it at t = {first_bad:.5f}"
+    print(f"    gamma = {g_test:.7f}: the flow {verdict}")
 
 # the provable regime needs gamma < beta; its constant is assembled from
 # the measured coefficient decay and the closed-form Mehler sum
@@ -62,7 +68,7 @@ m_const = float(np.max(np.abs(coeffs[nz]) * np.exp(gamma_p * k[nz])))
 params = ConfinementParams(beta, gamma, gamma_p)
 print(f"\nconfinement at gamma = {gamma} < beta:")
 print(f"  measured coefficient constant M (|c_k| <= M e^-gamma' k): {m_const:.6f}")
-print(f"  measured sup of envelope constants:  {rep.sup_constant:.6f}")
+print(f"  sup of envelope constants over t:    {rep.sup_constant:.6f}")
 print(f"  assembled bound, sharp split:        "
       f"{confinement_constant(params, m_const, sharp=True):.6f}")
 print(f"  assembled bound, traditional split:  "

@@ -80,7 +80,7 @@ from .oscillator import (
     evolve_expansion,
     evolve_gaussian,
     fourier_time_shift_check,
-    sharp_confinement_probe,
+    gaussian_flow_extremes,
 )
 from .weighted import (
     CentralBinomialCertificate,

@@ -106,7 +106,7 @@ def reflection_check(f: SampledFunction, w_list) -> float:
     return float(reflection_rows(f.values, f.grid, w_list)[0])
 
 
-def _log_fock_norm(n):
+def log_fock_norm(n):
     """log sqrt(2^n n!), the log of the Fock-space norm of w^n."""
     return 0.5 * (n * LOG2 + gammaln(n + 1))
 
@@ -119,7 +119,7 @@ def log_taylor_coeffs(e: HermiteExpansion) -> np.ndarray:
     n = np.arange(len(e))
     mags = np.abs(e.coeffs)
     with np.errstate(divide="ignore"):
-        return np.where(mags > 0, np.log(mags) - _log_fock_norm(n), -np.inf)
+        return np.where(mags > 0, np.log(mags) - log_fock_norm(n), -np.inf)
 
 
 #: A Taylor-polynomial value of Uf is refused once cond * K * eps exceeds this.
@@ -166,7 +166,7 @@ def _taylor_polynomial(e: HermiteExpansion, w: np.ndarray) -> np.ndarray:
         log_c = np.log(np.abs(c))
     # g_k = log|w^k| - log sqrt(2^k k!), with k log|w| = 0 at k = 0 also where
     # w = 0; -inf where c_k = 0, so a vanishing term joins neither the peak nor the sum
-    g = np.where(c != 0, np.where(k == 0, 0.0, k * log_w) - _log_fock_norm(k), -np.inf)
+    g = np.where(c != 0, np.where(k == 0, 0.0, k * log_w) - log_fock_norm(k), -np.inf)
     g_peak = np.take_along_axis(g, np.argmax(log_c + g, axis=1)[:, None], axis=1)
     g_peak = np.where(np.isfinite(g_peak), g_peak, 0.0)  # every term vanishes: Uf = 0
     terms = c * np.exp(g - g_peak + 1j * k * np.angle(w)[:, None])

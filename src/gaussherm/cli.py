@@ -35,7 +35,6 @@ from . import weighted as wt
 from .errors import NumericalDomainError
 from .grid import GridSpec
 from .hermite import HermiteExpansion, band_limit, grid_basis, unit_expansion
-from .special import gammaln
 from .verify import WIDE_GRID, VerifyConfig, run_all
 
 
@@ -51,6 +50,11 @@ class CliParseError(ValueError):
 KMAX_CAP = 100_000
 T_GRID_CAP = 4_096
 W_COUNT_CAP = 10_000
+
+#: Largest --grid-N accepted (exit 2 above it), 16 times the default: every
+#: grid array then stays within 1 MiB.  How many basis rows a grid may hold
+#: is bounded separately, by ``hermite.BASIS_BYTES_CAP`` (exit 3).
+GRID_N_CAP = 65_536
 
 
 def _check_count(value, flag: str, cap: int) -> None:
@@ -74,6 +78,8 @@ class RunConfig:
     def __post_init__(self):
         _check_count(self.kmax, "--kmax", KMAX_CAP)
         _check_count(self.t_grid_size, "--t-grid", T_GRID_CAP)
+        if self.grid_n > GRID_N_CAP:  # below 16 or odd: GridSpec refuses it
+            raise CliParseError(f"--grid-N must be <= {GRID_N_CAP}, got {self.grid_n}")
         if self.output_format not in ("csv", "json"):
             raise CliParseError(f"format must be csv or json, got {self.output_format!r}")
         try:  # every command, not only those that sample on the grid
@@ -330,8 +336,7 @@ def cmd_coeffs(args, cfg: RunConfig) -> tuple[str, int]:
         # Taylor coefficient c_k = <f, phi_k>/sqrt(2^k k!), so rescale to the
         # Hermite column
         k = np.arange(2, cfg.kmax + 1)
-        scale = 0.5 * (k * math.log(2.0) + gammaln(k + 1))
-        lb_con_col[2:] = (bg.log_contour_coeff_bound(k, a, big_c) + scale) / LOG10
+        lb_con_col[2:] = (bg.log_contour_coeff_bound(k, a, big_c) + bg.log_fock_norm(k)) / LOG10
     header = [
         "k", "abs_coeff", "log10_abs_coeff",
         "log10_envelope_bound", "log10_contour_bound",
@@ -591,9 +596,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: List flags whose value may start with '-'; see :func:`_attach_list_values`.
+_LIST_FLAGS = ("--times", "--a-list")
+
+
+def _attach_list_values(argv: list[str]) -> list[str]:
+    """``--times -1,2`` as ``--times=-1,2``: argparse takes a value that
+    starts with '-' and is not a plain number, such as -1,2, for an option."""
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1] in _LIST_FLAGS and re.match(r"-[\d.]", arg):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_list_values(sys.argv[1:] if argv is None else argv))
     overrides = {
         "grid_l": args.grid_l,
         "grid_n": args.grid_n,

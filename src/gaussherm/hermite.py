@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BandLimitError, EdgeDecayError
+from .errors import BandLimitError, EdgeDecayError, NumericalDomainError
 from .grid import DEFAULT_GRID, SQRT_2PI, GridSpec, SampledFunction, trapezoid_weights
 
 #: phi_0(0), pinned by Mehler's formula at w = 0.
@@ -120,6 +120,11 @@ def _check_band_limit(grid: GridSpec, k: int):
         )
 
 
+#: Largest basis :func:`grid_basis` builds, in bytes (256 MiB): rows past it
+#: are refused (``NumericalDomainError``) before anything is allocated.  The
+#: default grid's whole band holds 82 x 4096 doubles (2.6 MiB).
+BASIS_BYTES_CAP = 2 ** 28
+
 #: (grid, read-only basis) of :func:`grid_basis`.  Replaced, never written
 #: in place, so a caller holding rows of an older basis still reads them.
 _GRID_BASIS: tuple[GridSpec, np.ndarray] | None = None
@@ -127,7 +132,8 @@ _GRID_BASIS: tuple[GridSpec, np.ndarray] | None = None
 
 def grid_basis(grid: GridSpec, kmax: int) -> np.ndarray:
     """Read-only rows phi_0..phi_kmax on ``grid.xs``, shape (kmax+1, N);
-    refused (``BandLimitError``) past the grid's band limit.
+    refused past the grid's band limit (``BandLimitError``) and past
+    ``BASIS_BYTES_CAP`` bytes (``NumericalDomainError``).
 
     One basis is cached: that of the last grid asked for, rebuilt by
     :func:`hermite_phi_all` when a larger kmax is asked for on it and
@@ -140,6 +146,12 @@ def grid_basis(grid: GridSpec, kmax: int) -> np.ndarray:
     if kmax < 0:
         raise ValueError(f"kmax must be >= 0, got {kmax}")
     _check_band_limit(grid, kmax)
+    size = (kmax + 1) * grid.num_points * 8
+    if size > BASIS_BYTES_CAP:
+        raise NumericalDomainError(
+            f"a Hermite basis of {kmax + 1} rows x N={grid.num_points} points needs "
+            f"{size / 2 ** 20:.0f} MiB, past the {BASIS_BYTES_CAP // 2 ** 20} MiB budget"
+        )
     cached = _GRID_BASIS
     if cached is None or cached[0] != grid or cached[1].shape[0] <= kmax:
         cached = _GRID_BASIS = None  # let the old basis go before the new one is built

@@ -21,7 +21,7 @@ import numpy as np
 
 from .decay import Membership, envelope_scan
 from .errors import NumericalDomainError
-from .gaussians import GeneralizedGaussian, envelope_membership
+from .gaussians import GeneralizedGaussian, envelope_membership, moebius_ratio
 from .grid import DEFAULT_GRID, GridSpec, SampledFunction
 from .hermite import HermiteExpansion, _dot_real, fourier_expansion, grid_basis
 
@@ -118,10 +118,10 @@ def confinement_constant(
 class ConfinementReport:
     """Per-time envelope constants of a flow and their supremum.
 
-    ``attained_ts`` lists every scanned time whose two-sided constant comes
-    within 1e-9 relative of the supremum (the sup is typically attained at
-    several symmetry-related times); ``worst_t`` is the first of them in
-    scan order.
+    A Gaussian's sup, ``attained_ts`` (its times in [0, pi/2)) and
+    divergence are taken over all t (:func:`gaussian_flow_extremes`); an
+    expansion's over the scanned times, ``attained_ts`` being every one
+    within 1e-9 relative of the sup.  ``worst_t`` is the first of them.
     """
 
     gamma: float
@@ -142,6 +142,34 @@ def default_t_grid(size: int = 64) -> np.ndarray:
     if size < 1:
         raise ValueError("t grid size must be positive")
     return np.arange(size) * (0.5 * math.pi / size)
+
+
+def gaussian_flow_extremes(g: GeneralizedGaussian, a: float):
+    """Over all t, in closed form (0 < a <= 1): the sup of the two-sided
+    constant against exp(-a x^2/2), the times in [0, pi/2) that attain it,
+    and the first t >= 0 at which the flow is outside the class (None: never).
+
+    With z = (1-b)/(1+b), r = |z| and theta = 4t + arg z, the time and
+    frequency constants are |A| (|1+z| / |1 +- r e^{i theta}|)^{1/2}, with
+    sup |A| (|1+z| / (1-r))^{1/2} at theta = pi and 0 (mod 2 pi).  Re b(t)
+    and Re 1/b(t) stay >= a exactly when (1-r)/(1+r) >= a (to the 1e-12
+    relative tolerance of ``gaussians.envelope_constant``); otherwise one of
+    them is below a exactly while |cos theta| > ((1-r^2)/a - 1 - r^2) / (2r).
+    """
+    z = moebius_ratio(g)
+    r = abs(z)
+    gap = 4.0 * g.width.real / (abs(1.0 + g.width) ** 2 * (1.0 + r))  # 1 - r, uncancelled
+    sup = abs(g.amplitude) * math.sqrt(abs(1.0 + z) / gap)
+    phase = cmath.phase(z)
+    quarter = 0.5 * math.pi
+    # theta = pi (time side), 0 (frequency side); the 2nd % sends a rounded-up pi/2 to 0
+    attained = np.sort(0.25 * (np.array([math.pi, 0.0]) - phase) % quarter % quarter)
+    if gap / (1.0 + r) >= a * (1.0 - 1e-12):
+        return sup, attained, None
+    kappa = ((1.0 - r * r) / a - 1.0 - r * r) / (2.0 * r)
+    if abs(math.cos(phase)) > kappa:
+        return sup, attained, 0.0
+    return sup, attained, 0.25 * (math.pi - math.acos(min(kappa, 1.0)) - phase % math.pi)
 
 
 def flow_sides(psi0: HermiteExpansion, ts, grid: GridSpec = DEFAULT_GRID):
@@ -195,8 +223,8 @@ def confinement_check(
     ``beta`` documents the class of the initial data (|psi_0| inside the
     envelope of tanh(2 beta)); the scan itself does not require gamma < beta
     and will simply report divergence when the envelope is too tight.  A
-    Gaussian is scanned in closed form (:func:`flow_envelopes`), so its
-    report does not depend on ``grid``.
+    Gaussian's report is closed-form (:func:`flow_envelopes`,
+    :func:`gaussian_flow_extremes`) and does not depend on ``grid``.
     """
     if gamma <= 0 or beta <= 0:
         raise ValueError("beta and gamma must be positive")
@@ -205,11 +233,14 @@ def confinement_check(
     mems = [mem for _, mem in flow_envelopes(psi0, ts, a, grid)]
     psi_c = np.array([mem.time_report.constant for mem in mems])
     four_c = np.array([mem.frequency_report.constant for mem in mems])
-    bad = [t for t, mem in zip(ts, mems) if not mem.member]
-    first_bad = float(bad[0]) if bad else None
-    both = np.maximum(psi_c, four_c)
-    sup = float(np.max(both))
-    attained = ts[both >= sup * (1.0 - 1e-9)]
+    if isinstance(psi0, GeneralizedGaussian):
+        sup, attained, first_bad = gaussian_flow_extremes(psi0, a)
+    else:
+        bad = [t for t, mem in zip(ts, mems) if not mem.member]
+        first_bad = float(bad[0]) if bad else None
+        both = np.maximum(psi_c, four_c)
+        sup = float(np.max(both))
+        attained = ts[both >= sup * (1.0 - 1e-9)]
     return ConfinementReport(
         gamma=gamma,
         a=a,
@@ -221,39 +252,4 @@ def confinement_check(
         attained_ts=attained,
         divergent=first_bad is not None,
         first_divergent_t=first_bad,
-    )
-
-
-@dataclass(frozen=True)
-class ProbeReport:
-    """Evidence record for the sharp-confinement question at gamma = beta."""
-
-    report: ConfinementReport
-    refined_sup: float
-    sup_change: float
-    stable: bool
-
-
-def sharp_confinement_probe(
-    psi0: HermiteExpansion | GeneralizedGaussian,
-    beta: float,
-    t_grid=None,
-    grid: GridSpec = DEFAULT_GRID,
-) -> ProbeReport:
-    """Probe whether the flow stays in the envelope class of tanh(beta)
-    itself (the borderline case the two-sided scan cannot decide in
-    general).  Runs the scan, refines the time grid twofold, and reports
-    whether the supremum moved by less than 1e-6 of max(sup, 1); numerical
-    evidence only, never a proof.
-    """
-    ts = default_t_grid() if t_grid is None else np.asarray(t_grid, dtype=float)
-    base = confinement_check(psi0, beta, beta, ts, grid)
-    fine = np.sort(np.concatenate([ts, ts + 0.5 * np.diff(np.concatenate([ts, [ts[0] + 0.5 * math.pi]]))]))
-    refined = confinement_check(psi0, beta, beta, fine, grid)
-    change = abs(refined.sup_constant - base.sup_constant)
-    return ProbeReport(
-        report=base,
-        refined_sup=refined.sup_constant,
-        sup_change=change,
-        stable=change < 1e-6 * max(base.sup_constant, 1.0),
     )

@@ -50,6 +50,14 @@ def test_criterion(results, name):
     assert r.passed, f"{r.name}: measured={r.measured} > {r.threshold}; {r.detail}"
 
 
+@pytest.mark.parametrize("size", [1, 7, 10, 13, 64])
+def test_confinement_passes_on_any_t_grid(size):
+    """The Gaussian's sup and attaining time are taken over all t, so a t
+    grid that misses 3pi/8 (any size not divisible by 4) still passes."""
+    r = verify.criterion_confinement(VerifyConfig(t_grid_size=size))
+    assert r.passed, r.detail
+
+
 def _run_verify_all(path, fmt):
     return subprocess.run(
         [sys.executable, "-m", "gaussherm", "verify-all", "--format", fmt,

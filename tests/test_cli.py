@@ -1,17 +1,21 @@
 """CLI behavior: input parsing, exit codes, artifact formats, determinism."""
 
+import contextlib
 import csv
 import io
 import json
 import math
+import signal
 import subprocess
 import sys
+import time
 import warnings
 
 import numpy as np
 import pytest
 
 from gaussherm.cli import (
+    GRID_N_CAP,
     KMAX_CAP,
     T_GRID_CAP,
     W_COUNT_CAP,
@@ -22,6 +26,7 @@ from gaussherm.cli import (
     parse_input_spec,
 )
 from gaussherm.gaussians import GeneralizedGaussian
+from gaussherm.hermite import BASIS_BYTES_CAP
 
 
 def run_cli(args, cwd=None):
@@ -168,6 +173,23 @@ def test_confine_report(tmp_path):
     assert min(abs(t - t_star) for t in data["attained_ts"]) < 1e-9
     assert data["columns"] == ["t", "envelope_constant_time", "envelope_constant_frequency"]
     assert len(data["rows"]) == 32
+
+
+def test_confine_gaussian_sup_and_divergence_are_over_all_t(capsys):
+    """This Gaussian's flow leaves the class tanh(0.5001) from t = 0.373071,
+    between two of the 64 default times; its sup and attaining time lie
+    between them too."""
+    spec = "gaussian:b=0.786607-0.668532i"
+    assert main(["confine", spec, "--beta", "0.5", "--gamma", "0.5001"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith("first offending t = 0.373071\n")
+    assert main(["confine", spec, "--beta", "0.5", "--gamma", "0.4999", "--format", "json"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["sup_constant"] == pytest.approx(1.287871504960084, rel=1e-12)
+    assert data["worst_t"] == pytest.approx(0.380427260537, abs=1e-12)
+    assert data["attained_ts"][0] == data["worst_t"]
+    assert data["attained_ts"][1] == pytest.approx(data["worst_t"] + math.pi / 4, abs=1e-15)
 
 
 def test_envelope_json(tmp_path):
@@ -442,6 +464,21 @@ def test_non_finite_list_values_exit_2(argv, capsys):
     assert captured.err.startswith("error:") and "finite" in captured.err
 
 
+@pytest.mark.parametrize("argv, flag, value", [
+    (["evolve", "squeezed:beta=0.5"], "--times", "-1,2"),
+    (["evolve", "squeezed:beta=0.5", "--a", "0.5"], "--times", "-.25,1e-3"),
+    (["norms", "gaussian:b=0.5"], "--a-list", "-0.5,0.5"),
+    (["norms", "gaussian:b=0.5"], "--a-list", "-1e-3"),
+], ids=["evolve-times", "evolve-times-dot", "norms-a-list", "norms-a-list-exponent"])
+def test_list_value_starting_with_minus_is_read_as_the_value(argv, flag, value, capsys):
+    """``--times -1,2`` is read as ``--times=-1,2``, not as an option."""
+    code = main(argv + [flag, value])
+    separate = capsys.readouterr()
+    assert code == main(argv + [f"{flag}={value}"])
+    assert separate == capsys.readouterr()
+    assert "expected one argument" not in separate.err
+
+
 @pytest.mark.parametrize("argv", [
     ["envelope", "gaussian:b=0.5", "--a", "nan"],
     ["bargmann", "gaussian:b=0.5", "--w-ring", "nan"],
@@ -608,10 +645,41 @@ def _sweep_spec(rng, files) -> str:
     return files[rng.integers(len(files))]
 
 
+#: Wall-clock bound on one call of a seeded sweep; every draw is small and
+#: ends in milliseconds, so only a hang (such as a walk that grows with |t|)
+#: can reach it.
+SWEEP_CALL_SECONDS = 10
+
+
+@contextlib.contextmanager
+def _call_time_bound(argv):
+    """Fail the test, by SIGALRM, if the body runs past SWEEP_CALL_SECONDS,
+    instead of waiting out a hung call (the alarm interrupts Python code,
+    not a single long numpy operation)."""
+    def expire(signum, frame):
+        pytest.fail(f"{argv} ran past {SWEEP_CALL_SECONDS} s")
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, SWEEP_CALL_SECONDS)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_sweep_time_bound_fails_a_hung_call(monkeypatch):
+    monkeypatch.setattr(sys.modules[__name__], "SWEEP_CALL_SECONDS", 0.05)
+    with pytest.raises(pytest.fail.Exception, match="ran past 0.05 s"):
+        with _call_time_bound(["hang"]):
+            while True:
+                time.sleep(0.01)
+
+
 def test_bargmann_and_coeffs_seeded_sweep(tmp_path, capsys):
     """200 small draws of bargmann and coeffs over all five input kinds, --a
-    inside and outside (0,1): every call exits 0, 2 or 3 with no traceback
-    and no warning, and no printed value of Uf is nan."""
+    inside and outside (0,1): every call exits 0, 2 or 3 within
+    SWEEP_CALL_SECONDS with no traceback and no warning, and no printed
+    value of Uf is nan."""
     rng = np.random.default_rng(20261018)
     files = []
     for length in (3, 12, 40):
@@ -631,7 +699,7 @@ def test_bargmann_and_coeffs_seeded_sweep(tmp_path, capsys):
         if rng.uniform() < 0.7:
             a = rng.uniform(0, 1) if rng.uniform() < 0.8 else rng.choice([-0.5, 0.0, 1.0, 1.5])
             argv += ["--a", f"{a:.6g}"]
-        with warnings.catch_warnings(record=True) as caught:
+        with warnings.catch_warnings(record=True) as caught, _call_time_bound(argv):
             warnings.simplefilter("always")
             code = main(argv)
         out, err = capsys.readouterr()
@@ -674,7 +742,8 @@ def _state_sweep_argv(rng, command: str, files) -> list[str]:
 def test_state_commands_seeded_sweep(tmp_path, capsys):
     """120 small draws of envelope, evolve, confine and norms over all five
     input kinds, weights and parameters inside and outside their ranges:
-    every call exits 0, 2, 3 or 4 with no traceback."""
+    every call exits 0, 2, 3 or 4 within SWEEP_CALL_SECONDS with no
+    traceback."""
     rng = np.random.default_rng(20261019)
     files = []
     for length in (3, 12, 40):
@@ -685,7 +754,8 @@ def test_state_commands_seeded_sweep(tmp_path, capsys):
     codes = []
     for i in range(120):
         argv = _state_sweep_argv(rng, ("envelope", "evolve", "confine", "norms")[i % 4], files)
-        code = main(argv)
+        with _call_time_bound(argv):
+            code = main(argv)
         _, err = capsys.readouterr()
         assert code in (0, 2, 3, 4), (argv, err)
         assert "Traceback" not in err and "internal error" not in err, (argv, err)
@@ -709,6 +779,27 @@ def test_count_flags_above_their_cap_exit_2(argv, flag, cap, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {flag} must be <= {cap}, got {argv[argv.index(flag) + 1]}\n"
+
+
+def test_grid_n_above_its_cap_exits_2(capsys):
+    """Refused before any array is made: uncapped, this grid asked for 800 MB."""
+    assert main(["evolve", "hermite:k=3", "--grid-N", "100000000"]) == 2
+    assert capsys.readouterr().err == f"error: --grid-N must be <= {GRID_N_CAP}, got 100000000\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["norms", "--grid-L", "1000", "--a", "0.1", "--kmax", "100000"],
+    ["evolve", "hermite:k=9000", "--grid-L", "1000", "--times", "0"],
+], ids=["norms-table", "evolve-expansion"])
+def test_basis_past_its_byte_budget_exits_3(argv, capsys):
+    """The basis these grids ask for (3.3 GB and 295 MB) is refused before
+    it is built, naming its rows, N and the budget."""
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    rows = int(argv[argv.index("--kmax") + 1]) + 1 if "--kmax" in argv else 9001
+    assert captured.err.startswith(f"error: a Hermite basis of {rows} rows x N=4096 points needs ")
+    assert captured.err.endswith(f"past the {BASIS_BYTES_CAP // 2 ** 20} MiB budget\n")
 
 
 def test_count_cap_in_config_file_exits_2(tmp_path, capsys):
