@@ -487,7 +487,7 @@ def cmd_norms(args, cfg: RunConfig) -> tuple[str, int]:
 
 
 def cmd_verify_all(args, cfg: RunConfig) -> tuple[str, int]:
-    vcfg = VerifyConfig(grid=cfg.grid, kmax=max(cfg.kmax, 60), t_grid_size=cfg.t_grid_size)
+    vcfg = VerifyConfig(grid=cfg.grid, kmax=max(cfg.kmax, 60))
     results = run_all(vcfg)
     all_pass = all(r.passed for r in results)
     if cfg.output_format == "csv":
@@ -512,7 +512,6 @@ def cmd_verify_all(args, cfg: RunConfig) -> tuple[str, int]:
                 "grid_N": cfg.grid_n,
                 "kmax": vcfg.kmax,
                 "grid_kmax": vcfg.grid_kmax,
-                "t_grid_size": cfg.t_grid_size,
                 "wide_grid_L": WIDE_GRID.half_width,
                 "wide_grid_N": WIDE_GRID.num_points,
             },
@@ -596,16 +595,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-#: List flags whose value may start with '-'; see :func:`_attach_list_values`.
-_LIST_FLAGS = ("--times", "--a-list")
+#: Flags whose value may start with '-'; see :func:`_attach_signed_values`.
+_SIGNED_FLAGS = ("--times", "--a-list", "--a", "--w-ring", "--beta", "--gamma")
 
 
-def _attach_list_values(argv: list[str]) -> list[str]:
-    """``--times -1,2`` as ``--times=-1,2``: argparse takes a value that
-    starts with '-' and is not a plain number, such as -1,2, for an option."""
+def _attach_signed_values(argv: list[str]) -> list[str]:
+    """``--times -1,2`` as ``--times=-1,2`` and ``--a -1e-3`` as
+    ``--a=-1e-3``: argparse takes a value that starts with '-' and is not a
+    plain number, such as -1,2 or -1e-3, for an option."""
     out: list[str] = []
     for arg in argv:
-        if out and out[-1] in _LIST_FLAGS and re.match(r"-[\d.]", arg):
+        if out and out[-1] in _SIGNED_FLAGS and re.match(r"-[\d.]", arg):
             out[-1] += "=" + arg
         else:
             out.append(arg)
@@ -614,7 +614,7 @@ def _attach_list_values(argv: list[str]) -> list[str]:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(_attach_list_values(sys.argv[1:] if argv is None else argv))
+    args = parser.parse_args(_attach_signed_values(sys.argv[1:] if argv is None else argv))
     overrides = {
         "grid_l": args.grid_l,
         "grid_n": args.grid_n,

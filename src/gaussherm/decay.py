@@ -29,11 +29,12 @@ DIVERGENCE_WINDOW = 0.10
 
 @dataclass(frozen=True)
 class EnvelopeReport:
-    """Result of comparing |f| against C * exp(-a x^2 / 2) on a grid.
+    """Result of comparing |f| against C * exp(-a x^2 / 2).
 
-    ``constant`` is the supremum of |f(x)| exp(a x^2 / 2) over the grid;
-    when ``divergent`` is set the weighted values were still growing at the
-    grid edge and the constant is only a lower estimate.
+    ``constant`` is the supremum of |f(x)| exp(a x^2 / 2) (closed-form, or
+    the largest sample), attained at ``argmax_x``; when ``divergent`` is set
+    the weighted modulus is unbounded and the constant is only a lower
+    estimate (its value at x = 0, or at the grid edge for a grid scan).
     """
 
     a: float
@@ -134,21 +135,28 @@ def _side_divergent(weighted: np.ndarray) -> bool:
     return bool(np.all(w[1:] >= w[:-1] * (1.0 - 1e-10)))
 
 
+def sample_peak(samples: np.ndarray, xs: np.ndarray) -> tuple[float, float]:
+    """The largest sample, and the x nearest 0 of the samples within 1e-12 relative of it."""
+    top = float(np.max(samples))
+    near = xs[samples >= top * (1.0 - 1e-12)]
+    return top, float(near[np.abs(near).argmin()])
+
+
 def envelope_scan(f: SampledFunction, a: float) -> EnvelopeReport:
     """Best constant in |f(x)| <= C exp(-a x^2/2) measured on the grid.
 
     The constant is max_j |f(x_j)| e^{a x_j^2/2}; ties within 1e-12 relative
     are resolved toward the smallest |x|.  The report is flagged divergent
     when the weighted values increase over the outer 10% of the grid on
-    either side.
+    either side.  This is the sampled Hardy oracle, and :func:`hardy_classify`
+    (verify's ``hardy_threshold``) is its only reader: the CLI takes an
+    expansion's envelope from its own form (``oscillator.flow_envelopes``).
     """
     xs = f.grid.xs
     weighted = np.abs(f.values) * np.exp(0.5 * a * xs * xs)
-    top = float(np.max(weighted))
+    top, argmax_x = sample_peak(weighted, xs)
     if top == 0.0:
         return EnvelopeReport(a=a, constant=0.0, argmax_x=0.0, divergent=False)
-    near = np.nonzero(weighted >= top * (1.0 - 1e-12))[0]
-    argmax_x = float(xs[near[np.argmin(np.abs(xs[near]))]])
     n_win = max(3, int(DIVERGENCE_WINDOW * f.grid.num_points))
     divergent = _side_divergent(weighted[-n_win:]) or _side_divergent(weighted[:n_win][::-1])
     return EnvelopeReport(a=a, constant=top, argmax_x=argmax_x, divergent=divergent)

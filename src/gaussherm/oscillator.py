@@ -19,11 +19,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .decay import Membership, envelope_scan
+from .decay import EnvelopeReport, Membership, sample_peak
 from .errors import NumericalDomainError
 from .gaussians import GeneralizedGaussian, envelope_membership, moebius_ratio
-from .grid import DEFAULT_GRID, GridSpec, SampledFunction
-from .hermite import HermiteExpansion, _dot_real, fourier_expansion, grid_basis
+from .grid import DEFAULT_GRID, GridSpec
+from .hermite import (HermiteExpansion, _dot_real, check_bytes, fourier_expansion, grid_basis,
+                      hermite_phi_all)
+from .special import gammaln
 
 
 def _check_phase(factor: float, t: float) -> None:
@@ -172,42 +174,65 @@ def gaussian_flow_extremes(g: GeneralizedGaussian, a: float):
     return sup, attained, 0.25 * (math.pi - math.acos(min(kappa, 1.0)) - phase % math.pi)
 
 
-def flow_sides(psi0: HermiteExpansion, ts, grid: GridSpec = DEFAULT_GRID):
-    """Yield (samples of psi_t, samples of its Fourier transform) for each t.
+def _log_dilation(kmax: int, a: float) -> np.ndarray:
+    """log M (-inf off its support), 0 < a < 1: f(x) e^{a x^2/2} = sum_m (c @ M)_m phi_m(x/g) for
+    f = sum_k c_k phi_k, g = (1-a)^{-1/2}; M[m+2i, m] = g^m (g^2-1)^i sqrt((m+2i)!/m!) / (2^i i!)
+    by H_k(gy) = sum_i g^{k-2i} (g^2-1)^i k!/(i!(k-2i)!) H_{k-2i}(y).  Refused before it
+    is built past the basis's byte budget; the build holds one index array beside it."""
+    check_bytes((kmax + 1) ** 2 * 8, f"a dilation matrix of {kmax + 1} x {kmax + 1} entries")
+    k = np.arange(kmax + 1)
+    log_fact, i = gammaln(k + 1), k[: kmax // 2 + 1]
+    by_offset = np.full(2 * kmax + 1, -np.inf)  # the i terms, at k - m + kmax = 2i + kmax
+    by_offset[kmax::2] = (math.log(a) - math.log1p(-a) - math.log(2.0)) * i - log_fact[i]
+    log_m = by_offset[np.subtract.outer(k + kmax, k)]
+    log_m += 0.5 * log_fact[:, None]
+    log_m -= 0.5 * math.log1p(-a) * k + 0.5 * log_fact
+    return log_m
 
-    The sides are ``coeffs @ phi`` of the evolved (and, for the frequency
-    side, (-i)^k-rotated) coefficients against the grid's cached real basis
-    (:func:`~gaussherm.hermite.grid_basis`), one time at a time.  An
-    expansion past the grid's band limit is refused (``BandLimitError``)
-    when the first pair is drawn.
-    """
-    phi = grid_basis(grid, len(psi0) - 1)
-    for t in ts:
-        et = evolve_expansion(psi0, float(t))
-        yield (SampledFunction(grid, _dot_real(et.coeffs, phi)),
-               SampledFunction(grid, _dot_real(fourier_expansion(et).coeffs, phi)))
+
+def _peak(values, xs, a: float, shift: int, divergent: bool) -> EnvelopeReport:
+    """:func:`~gaussherm.decay.sample_peak` of the moduli, times 2^shift
+    (refused past the double range)."""
+    top, x = sample_peak(np.abs(values), xs)
+    if math.frexp(top)[1] + shift > 1024:
+        raise NumericalDomainError(f"the class constant at a={a} is past the double range")
+    return EnvelopeReport(a, math.ldexp(top, shift), x, divergent)
 
 
 def flow_envelopes(psi0: HermiteExpansion | GeneralizedGaussian, ts, a: float,
                    grid: GridSpec = DEFAULT_GRID):
     """Yield (||psi_t||^2, two-sided :class:`~gaussherm.decay.Membership`
-    against exp(-a x^2/2)) for each t.  A Gaussian's are closed-form and do
-    not depend on the grid (:func:`~gaussherm.gaussians.envelope_membership`
-    of the evolved Gaussian, |A(t)|^2 / sqrt(2 Re b(t))); an expansion's are
-    grid scans of its :func:`flow_sides`, and its norm is sum |c_k|^2 at
-    every t, since the flow is unitary.  At t = 0
-    this is the verdict on psi0 itself, which the CLI's ``envelope``,
-    ``coeffs`` and ``bargmann`` read.
-    """
+    against exp(-a x^2/2)) for each t; at t = 0, the verdict on psi0 that
+    ``envelope``, ``coeffs`` and ``bargmann`` read.  A Gaussian's are closed
+    forms (:func:`~gaussherm.gaussians.envelope_membership` of the evolved
+    Gaussian, |A(t)|^2 / sqrt(2 Re b(t))).  An expansion's norm is sum |c_k|^2;
+    at every t it is a member exactly when a < 1, or a = 1 and its top index
+    is 0.  For a < 1 a side's constant is its largest weighted modulus at the
+    x = g y_j, sum_m (c(t) @ M)_m phi_m(y_j) (:func:`_log_dilation`), refused
+    past the grid's band limit; for a >= 1, its modulus at x = 0."""
     if isinstance(psi0, GeneralizedGaussian):
         for t in ts:
             gt = evolve_gaussian(psi0, float(t))
             norm = abs(gt.amplitude) ** 2 / math.sqrt(2.0 * gt.width.real)
             yield norm, envelope_membership(gt, a)
         return
-    norm = psi0.norm_sq()
-    for side_p, side_f in flow_sides(psi0, ts, grid):
-        yield norm, Membership(envelope_scan(side_p, a), envelope_scan(side_f, a))
+    norm, c, top = psi0.norm_sq(), psi0.coeffs, np.flatnonzero(psi0.coeffs)
+    if a >= 1.0 or not top.size:  # the degree rule: at a = 1 only multiples of phi_0 are members
+        phi, xs, shift, w = hermite_phi_all(len(c) - 1, [0.0]), np.zeros(1), 0, None
+        divergent = bool(top.size) and (a > 1.0 or bool(top[-1]))
+    else:
+        phi, xs, divergent = grid_basis(grid, len(c) - 1), grid.xs / math.sqrt(1.0 - a), False
+        log_w = _log_dilation(len(c) - 1, a)
+        with np.errstate(divide="ignore"):  # log 0 = -inf: a zero coefficient adds nothing
+            log_w += np.log(np.abs(c))[:, None]
+        shift = int(np.max(log_w) // math.log(2.0))
+        w = np.exp(log_w - shift * math.log(2.0), out=log_w)  # |c_k| M[k, m] / 2^shift, at most 2
+        psi0 = HermiteExpansion(np.exp(1j * np.angle(c)))  # the phases, which the flow moves
+    for t in ts:
+        et = evolve_expansion(psi0, float(t))
+        sides = (et.coeffs, fourier_expansion(et).coeffs)
+        sides = sides if w is None else [_dot_real(d, w) for d in sides]
+        yield norm, Membership(*(_peak(_dot_real(d, phi), xs, a, shift, divergent) for d in sides))
 
 
 def confinement_check(
@@ -236,8 +261,7 @@ def confinement_check(
     if isinstance(psi0, GeneralizedGaussian):
         sup, attained, first_bad = gaussian_flow_extremes(psi0, a)
     else:
-        bad = [t for t, mem in zip(ts, mems) if not mem.member]
-        first_bad = float(bad[0]) if bad else None
+        first_bad = None if mems[0].member else 0.0  # the degree rule holds at every t
         both = np.maximum(psi_c, four_c)
         sup = float(np.max(both))
         attained = ts[both >= sup * (1.0 - 1e-9)]

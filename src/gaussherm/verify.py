@@ -42,7 +42,6 @@ WIDE_GRID = GridSpec(24.0, 6144)
 class VerifyConfig:
     grid: GridSpec = DEFAULT_GRID
     kmax: int = 60
-    t_grid_size: int = 64
 
     @property
     def grid_kmax(self) -> int:
@@ -228,14 +227,14 @@ def criterion_confinement(cfg: VerifyConfig) -> CriterionResult:
     all t equals (1-r)^{-1/2} to 1e-8 and is attained at t = -pi/8 (mod pi/2)
     to 1e-12, where the time-side constant is (1+r)^{-1/2} to 1e-8; at gamma
     = 0.45 the sup is dominated by the assembled confinement constant; the
-    grid scan of the state's K = min(70, grid_kmax) expansion over 8 times
-    finds the same sup to 1e-10; and the chirp and squeezed state of each
+    grid samples of the state's K = min(70, grid_kmax) expansion over 8
+    times find the same sup to 1e-10; and the chirp and squeezed state of each
     beta in {0.1, 0.5, 1, 2} stay in the class at gamma = beta, not at 1e-6 past."""
     beta = 0.5
     r = math.exp(-2 * beta)
     sq = ga.squeezed_state(beta)
     sup, attained, first_bad = osc.gaussian_flow_extremes(sq, math.tanh(beta))
-    # the Gaussian's flow is closed-form; its expansion's is the grid scan
+    # the Gaussian's flow is closed-form; its expansion's is sampled on the grid
     k_scan = min(70, cfg.grid_kmax)
     scan = osc.confinement_check(ga.hermite_coeffs(sq, k_scan), beta, beta,
                                  osc.default_t_grid(8), cfg.grid)  # 8 times hold 3pi/8
@@ -334,16 +333,20 @@ def criterion_factorial_certificate(cfg: VerifyConfig) -> CriterionResult:
 
 def criterion_uniform_norm_coeff_bound(cfg: VerifyConfig) -> CriterionResult:
     """With the squeezed state at beta = 0.5 and a = tanh(0.45): the bound
-    from C = max_t ||psi_t||_a (closed form, over the t grid) dominates
-    |<psi_0, phi_k>| for k <= 60; at the worst t the Gram form of the
-    state's first 300 Hermite coefficients gives C^2 to 1e-10; and the
-    fitted coefficient rate matches the sharp value beta to 1e-3."""
+    from C = sup_t ||psi_t||_a (closed form) dominates |<psi_0, phi_k>| for
+    k <= 60; at the worst t the Gram form of the state's first 300 Hermite
+    coefficients gives C^2 to 1e-10; and the fitted coefficient rate
+    matches the sharp value beta to 1e-3.
+
+    With r = |z|, u = cos(4t + arg z), p = 1 - r^2 - a(1 + r^2) and q = 2ar,
+    ||psi_t||_a^2 is a multiple of (p - qu)^{-1/2} + (p + qu)^{-1/2}, even
+    and convex in u, so its sup is at u = +-1: the times where the
+    two-sided constant peaks (:func:`~gaussherm.oscillator.gaussian_flow_extremes`)."""
     beta = 0.5
     sq = ga.squeezed_state(beta)
     a = math.tanh(0.45)
     cert = wt.central_binomial_certificate(2.0)
-    ts = osc.default_t_grid(cfg.t_grid_size)
-    flow = [osc.evolve_gaussian(sq, float(t)) for t in ts]
+    flow = [osc.evolve_gaussian(sq, float(t)) for t in osc.gaussian_flow_extremes(sq, a)[1]]
     norms_sq = [ga.weighted_norm_sq_gaussian(g, a) for g in flow]
     worst = int(np.argmax(norms_sq))
     big_c = math.sqrt(norms_sq[worst])

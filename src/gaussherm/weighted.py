@@ -45,7 +45,8 @@ def weighted_energy_rows(values: np.ndarray, grid: GridSpec, a: float) -> np.nda
     """Time-side quadrature of integral |f|^2 e^{a x^2} dm for each row of
     samples on ``grid`` (trapezoid rule); nan for a row whose weighted
     integrand has not decayed at the grid edges (edge/peak above
-    ``WEIGHTED_EDGE_REL``).
+    ``WEIGHTED_EDGE_REL``), and for one whose weighted samples are not all
+    finite doubles (e^{a x^2} overflows past |x| = sqrt(709/a)).
 
     The rows run in blocks of at most 256 KB of weighted samples; every
     value is a function of its own row alone, so the result is the same,
@@ -53,7 +54,8 @@ def weighted_energy_rows(values: np.ndarray, grid: GridSpec, a: float) -> np.nda
     since |phi_n hat| = |phi_n|.
     """
     rows = np.atleast_2d(values)
-    weight = np.exp(a * grid.xs * grid.xs)
+    with np.errstate(over="ignore"):
+        weight = np.exp(a * grid.xs * grid.xs)
     step = max(1, _ENERGY_BLOCK_BYTES // (8 * grid.num_points))
     return np.concatenate([
         _weighted_energy_block(rows[i:i + step], weight, grid.spacing)
@@ -62,13 +64,14 @@ def weighted_energy_rows(values: np.ndarray, grid: GridSpec, a: float) -> np.nda
 
 
 def _weighted_energy_block(rows: np.ndarray, weight: np.ndarray, h: float) -> np.ndarray:
-    weighted = np.abs(rows) ** 2 * weight
-    peak = weighted.max(axis=1)
-    edge = np.maximum.reduce([weighted[:, 0], weighted[:, 1], weighted[:, -2], weighted[:, -1]])
-    with np.errstate(invalid="ignore", divide="ignore"):
+    with np.errstate(invalid="ignore", divide="ignore"):  # 0 * inf, inf / inf: refused below
+        weighted = np.abs(rows) ** 2 * weight
+        peak = weighted.max(axis=1)
+        edge = np.maximum.reduce([weighted[:, 0], weighted[:, 1], weighted[:, -2], weighted[:, -1]])
         ratio = np.where(peak > 0.0, edge / peak, 0.0)
-    integral = h * (weighted.sum(axis=1) - 0.5 * (weighted[:, 0] + weighted[:, -1]))
-    return np.where(ratio > WEIGHTED_EDGE_REL, math.nan, integral / SQRT_2PI)
+        integral = h * (weighted.sum(axis=1) - 0.5 * (weighted[:, 0] + weighted[:, -1]))
+    refused = (ratio > WEIGHTED_EDGE_REL) | ~np.isfinite(integral)
+    return np.where(refused, math.nan, integral / SQRT_2PI)
 
 
 def scaled_gram_columns(kmax: int, a: float):

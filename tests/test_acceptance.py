@@ -51,11 +51,20 @@ def test_criterion(results, name):
 
 
 @pytest.mark.parametrize("size", [1, 7, 10, 13, 64])
-def test_confinement_passes_on_any_t_grid(size):
-    """The Gaussian's sup and attaining time are taken over all t, so a t
-    grid that misses 3pi/8 (any size not divisible by 4) still passes."""
-    r = verify.criterion_confinement(VerifyConfig(t_grid_size=size))
-    assert r.passed, r.detail
+def test_confinement_passes_on_any_t_grid(size, results, capsys):
+    """The Gaussian's sups are taken over all t, so ``verify-all --t-grid``
+    at a size that misses 3pi/8 (any size not divisible by 4) still passes,
+    and confinement and uniform_norm_coeff_bound report what they report
+    without the flag (C = 1.308662, the sup of ||psi_t||_a)."""
+    from gaussherm.cli import main
+
+    assert main(["verify-all", "--t-grid", str(size), "--format", "json"]) == 0
+    criteria = {c["name"]: c for c in json.loads(capsys.readouterr().out)["criteria"]}
+    for name in ("confinement", "uniform_norm_coeff_bound"):
+        assert criteria[name]["pass"], criteria[name]["detail"]
+        assert criteria[name]["measured"] == results[name].measured
+        assert criteria[name]["detail"] == results[name].detail
+    assert "C = 1.308662 " in criteria["uniform_norm_coeff_bound"]["detail"]
 
 
 def _run_verify_all(path, fmt):
@@ -86,7 +95,7 @@ def test_cli_determinism_and_schema(tmp_path):
         assert crit["pass"] is True
         assert isinstance(crit["measured"], float)
         assert crit["measured"] <= crit["threshold"]
-    assert set(data["config"]) == {"grid_L", "grid_N", "kmax", "grid_kmax", "t_grid_size",
+    assert set(data["config"]) == {"grid_L", "grid_N", "kmax", "grid_kmax",
                                    "wide_grid_L", "wide_grid_N"}
     c1, c2 = tmp_path / "v1.csv", tmp_path / "v2.csv"
     assert _run_verify_all(c1, "csv").returncode == 0

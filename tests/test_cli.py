@@ -479,6 +479,87 @@ def test_list_value_starting_with_minus_is_read_as_the_value(argv, flag, value, 
     assert "expected one argument" not in separate.err
 
 
+@pytest.mark.parametrize("argv, err", [
+    (["envelope", "gaussian:b=0.5", "--a", "-1e-3"], "a must be positive, got -0.001"),
+    (["evolve", "hermite:k=3", "--a", "-2E-1"], "a must be positive, got -0.2"),
+    (["coeffs", "gaussian:b=0.5", "--a", "-1e-3"], "a must be in (0,1), got -0.001"),
+    (["bargmann", "hermite:k=3", "--a", "-.5e0"], "a must be in (0,1), got -0.5"),
+    (["confine", "squeezed:beta=0.5", "--beta", "-1e-3", "--gamma", "0.4"],
+     "beta and gamma must be positive"),
+    (["confine", "squeezed:beta=0.5", "--beta", "0.5", "--gamma", "-4e-1"],
+     "beta and gamma must be positive"),
+], ids=["envelope-a", "evolve-a", "coeffs-a", "bargmann-a", "confine-beta", "confine-gamma"])
+def test_negative_scalar_in_scientific_notation_is_read_as_the_value(argv, err, capsys):
+    """``--a -1e-3`` is read as ``--a=-1e-3`` and refused for its value
+    (exit 3), not taken for an option (exit 2)."""
+    assert main(argv) == 3
+    assert capsys.readouterr().err == f"error: {err}\n"
+
+
+def test_negative_w_ring_in_scientific_notation_is_read_as_the_value(capsys):
+    assert main(["bargmann", "gaussian:b=0.5", "--w-ring", "-2e0", "--w-count", "2"]) == 0
+    assert capsys.readouterr().out.split("\r\n")[1].startswith("-2,0,")
+
+
+def test_envelope_of_phi40_at_a_099_is_the_sup_off_the_grid(capsys):
+    """phi_40 e^{0.99 x^2/2} peaks at |x| = 63.40026 (mpmath:
+    2.837268821823778e45), four times past the default grid's edge; the
+    dilated samples reach it, where the grid scan read 1.07e29 at x = -16
+    and called both sides divergent."""
+    assert main(["envelope", "hermite:k=40", "--a", "0.99"]) == 0
+    rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))[1:]
+    assert [row[0] for row in rows] == ["time", "frequency"]
+    for row in rows:
+        assert float(row[2]) == pytest.approx(2.837268821823778e45, rel=1e-3)
+        assert abs(abs(float(row[3])) - 63.4) <= 0.1
+        assert row[4] == "false"
+
+
+def test_coeffs_of_phi40_at_a_099_prints_finite_bounds(capsys):
+    """With C taken from the dilated samples, every row k >= 2 carries both
+    bounds (they were nan: the grid scan called phi_40 a non-member)."""
+    assert main(["coeffs", "hermite:k=40", "--a", "0.99", "--format", "json"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["C"] == pytest.approx(2.837268821823778e45, rel=1e-3)
+    assert all(math.isfinite(row[3]) and math.isfinite(row[4]) for row in data["rows"][2:])
+
+
+def test_confine_of_an_expansion_never_diverges_below_a_equal_1(capsys):
+    """The flow keeps phi_60's degree, so it stays in every class a < 1
+    (it exited 4 when the grid scan's edge window saw growth)."""
+    assert main(["confine", "hermite:k=60", "--beta", "2", "--gamma", "1.5"]) == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_envelope_on_a_wide_grid_is_quiet(capsys):
+    """On a grid of half-width 100 e^{a x^2/2} overflows past |x| = 37.7;
+    the dilated samples never form it (the grid scan warned twice and exited
+    3 on an empty argmin)."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["envelope", "hermite:k=3", "--grid-L", "100"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert float(captured.out.split("\r\n")[1].split(",")[2]) == pytest.approx(3.47276, rel=1e-3)
+
+
+@pytest.mark.parametrize("k, member, constant", [
+    (0, True, 2 ** 0.25), (2, False, 2 ** 0.25 / math.sqrt(2)), (3, False, 0.0)])
+def test_envelope_at_a_equal_1_follows_the_degree_rule(k, member, constant, capsys):
+    """At a = 1 only multiples of phi_0 are members, at every t; each side
+    reports its modulus at x = 0 (phi_3(0) = 0)."""
+    assert main(["envelope", f"hermite:k={k}", "--a", "1", "--format", "json"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["member"] is member
+    for row in data["rows"]:
+        assert row[2] == pytest.approx(constant, rel=1e-15)
+        assert row[3] == 0.0 and row[4] is not member
+    assert main(["evolve", f"hermite:k={k}", "--a", "1", "--t-grid", "4", "--format", "json"]) == 0
+    for row in json.loads(capsys.readouterr().out)["rows"]:
+        assert row[2:4] == pytest.approx([constant, constant], rel=1e-15)
+        assert row[4] is row[5] is not member
+
+
 @pytest.mark.parametrize("argv", [
     ["envelope", "gaussian:b=0.5", "--a", "nan"],
     ["bargmann", "gaussian:b=0.5", "--w-ring", "nan"],
@@ -593,7 +674,7 @@ def test_verify_all_json_schema_and_exit(tmp_path):
         assert set(crit) == {"name", "pass", "measured", "threshold", "detail"}
         assert crit["pass"] is True
         assert isinstance(crit["measured"], float)
-    assert set(data["config"]) == {"grid_L", "grid_N", "kmax", "grid_kmax", "t_grid_size",
+    assert set(data["config"]) == {"grid_L", "grid_N", "kmax", "grid_kmax",
                                    "wide_grid_L", "wide_grid_N"}
     assert data["config"]["kmax"] == 60  # the criteria ran with max(kmax, 60)
     assert data["config"]["grid_kmax"] == 81  # the default grid's band limit
@@ -717,17 +798,21 @@ def test_bargmann_and_coeffs_seeded_sweep(tmp_path, capsys):
 
 def _state_sweep_argv(rng, command: str, files) -> list[str]:
     """One small draw of envelope, evolve, confine or norms, flags drawn
-    partly outside their valid range."""
+    partly outside their valid range, on the default grid or one of
+    half-width up to 100; about three in ten scalar values are written in
+    scientific notation (-1.234e-01)."""
+    def num(lo, hi):
+        return format(rng.uniform(lo, hi), ".3e" if rng.uniform() < 0.3 else ".6g")
+
+    grid = ["--grid-L", f"{rng.uniform(4, 100):.6g}"] if rng.uniform() < 0.3 else []
     if command == "norms" and rng.uniform() < 0.3:
-        return ["norms", "--a", f"{rng.uniform(-0.2, 1.2):.6g}",
-                "--kmax", str(rng.integers(1, 41))]
-    argv = [command, _sweep_spec(rng, files)]
+        return ["norms", "--a", num(-0.2, 1.2), "--kmax", str(rng.integers(1, 41))] + grid
+    argv = [command, _sweep_spec(rng, files)] + grid
     if command == "norms":
         weights = rng.uniform(-0.2, 1.2, size=rng.integers(1, 4))
         return argv + ["--a-list=" + ",".join(f"{a:.6g}" for a in weights)]
     if command == "confine":
-        return argv + ["--beta", f"{rng.uniform(-0.1, 1.5):.6g}",
-                       "--gamma", f"{rng.uniform(-0.1, 1.5):.6g}",
+        return argv + ["--beta", num(-0.1, 1.5), "--gamma", num(-0.1, 1.5),
                        "--t-grid", str(rng.integers(1, 9))]
     if command == "evolve":
         if rng.uniform() < 0.5:
@@ -735,7 +820,7 @@ def _state_sweep_argv(rng, command: str, files) -> list[str]:
         else:
             argv += ["--t-grid", str(rng.integers(1, 9))]
     if rng.uniform() < 0.7:
-        argv += ["--a", f"{rng.uniform(-0.2, 1.5):.6g}"]
+        argv += ["--a", num(-0.2, 1.5)]
     return argv
 
 
@@ -743,7 +828,7 @@ def test_state_commands_seeded_sweep(tmp_path, capsys):
     """120 small draws of envelope, evolve, confine and norms over all five
     input kinds, weights and parameters inside and outside their ranges:
     every call exits 0, 2, 3 or 4 within SWEEP_CALL_SECONDS with no
-    traceback."""
+    traceback and no warning."""
     rng = np.random.default_rng(20261019)
     files = []
     for length in (3, 12, 40):
@@ -754,11 +839,13 @@ def test_state_commands_seeded_sweep(tmp_path, capsys):
     codes = []
     for i in range(120):
         argv = _state_sweep_argv(rng, ("envelope", "evolve", "confine", "norms")[i % 4], files)
-        with _call_time_bound(argv):
+        with warnings.catch_warnings(record=True) as caught, _call_time_bound(argv):
+            warnings.simplefilter("always")
             code = main(argv)
         _, err = capsys.readouterr()
         assert code in (0, 2, 3, 4), (argv, err)
         assert "Traceback" not in err and "internal error" not in err, (argv, err)
+        assert not caught, (argv, [str(w.message) for w in caught])
         codes.append(code)
     assert codes.count(0) > 40 and codes.count(3) > 0 and codes.count(4) > 0
 
@@ -800,6 +887,18 @@ def test_basis_past_its_byte_budget_exits_3(argv, capsys):
     rows = int(argv[argv.index("--kmax") + 1]) + 1 if "--kmax" in argv else 9001
     assert captured.err.startswith(f"error: a Hermite basis of {rows} rows x N=4096 points needs ")
     assert captured.err.endswith(f"past the {BASIS_BYTES_CAP // 2 ** 20} MiB budget\n")
+
+
+@pytest.mark.parametrize("command", ["envelope", "coeffs", "bargmann", "evolve"])
+def test_dilation_past_its_byte_budget_exits_3(command, capsys):
+    """This grid's basis is 5 MB, but the expansion's dilation matrix would
+    be 12.8 GB: it is refused before it is built."""
+    argv = [command, "hermite:k=40000", "--a", "0.01", "--grid-L", "370", "--grid-N", "16"]
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: a dilation matrix of 40001 x 40001 entries needs 12208 MiB, "
+                            f"past the {BASIS_BYTES_CAP // 2 ** 20} MiB budget\n")
 
 
 def test_count_cap_in_config_file_exits_2(tmp_path, capsys):

@@ -6,8 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from gaussherm.errors import BandLimitError, NumericalDomainError
-from gaussherm.decay import envelope_scan
+from gaussherm.errors import NumericalDomainError
 from gaussherm.gaussians import (
     GeneralizedGaussian,
     boundary_chirp,
@@ -20,9 +19,8 @@ from gaussherm.grid import GridSpec
 from gaussherm.hermite import (
     HermiteExpansion,
     analyze,
-    band_limit,
     fourier_expansion,
-    synthesize,
+    hermite_phi_all,
     unit_expansion,
 )
 from gaussherm.oscillator import (
@@ -33,8 +31,8 @@ from gaussherm.oscillator import (
     evolve_expansion,
     evolve_gaussian,
     flow_envelopes,
-    flow_sides,
     fourier_time_shift_check,
+    _log_dilation,
 )
 
 BETA = 0.5
@@ -180,24 +178,6 @@ def test_confinement_constant_values():
     assert confinement_constant(wide, 1.0) == pytest.approx(mehler, rel=1e-8)
 
 
-def test_flow_sides_expansion_matches_synthesis(grid, rng):
-    e = HermiteExpansion(rng.normal(size=12) + 1j * rng.normal(size=12))
-    ts = default_t_grid(8)
-    sides = list(flow_sides(e, ts, grid))
-    assert len(sides) == ts.size
-    for t, (side_p, side_f) in zip(ts, sides):
-        et = evolve_expansion(e, float(t))
-        assert np.array_equal(side_p.values, synthesize(et, grid).values)
-        assert np.array_equal(side_f.values, synthesize(fourier_expansion(et), grid).values)
-
-
-def test_flow_sides_expansion_band_limit(grid):
-    kmax = band_limit(grid)
-    assert len(list(flow_sides(unit_expansion(kmax), [0.0, 1.0], grid))) == 2
-    with pytest.raises(BandLimitError):
-        next(flow_sides(unit_expansion(kmax + 1), [0.0], grid))
-
-
 def test_flow_envelopes_gaussian_is_closed_form(grid):
     sq = squeezed_state(BETA)
     ts = [0.0, 0.4, 2.1, 1e12]
@@ -211,14 +191,118 @@ def test_flow_envelopes_gaussian_is_closed_form(grid):
     assert rows[0][1] == envelope_membership(sq, 0.45)  # the flow at t = 0 is g itself
 
 
+def _mp_weighted(coeffs, a, x, mp):
+    """|sum_k c_k phi_k(x)| e^{a x^2/2} in mpmath, by the three-term
+    recurrence (stable upward, and nothing underflows at mpmath's range)."""
+    x = mp.mpf(x)
+    p_prev, p = mp.mpf(0), mp.mpf(2) ** 0.25 * mp.exp(-x * x / 2)
+    total = mp.mpc(coeffs[0]) * p
+    for k in range(1, len(coeffs)):
+        p, p_prev = x * mp.sqrt(mp.mpf(2) / k) * p - mp.sqrt(mp.mpf(k - 1) / k) * p_prev, p
+        total += mp.mpc(coeffs[k]) * p
+    return abs(total) * mp.exp(mp.mpf(a) * x * x / 2)
+
+
+def _dilated_samples(coeffs, a, ys):
+    """|f(g y)| e^{a (g y)^2/2} at the points ys from the dilation matrix,
+    g = (1-a)^{-1/2}."""
+    k = len(coeffs) - 1
+    return np.abs((coeffs @ np.exp(_log_dilation(k, a))) @ hermite_phi_all(k, ys))
+
+
+def _mp_sup(coeffs, a, grid):
+    """sup over x of |f(x)| e^{a x^2/2}, and where: golden-section
+    maximisation in mpmath between the neighbours of every local maximum of
+    the dilated samples within 1e-3 of their largest (the sup is within
+    O(h^2) of the samples, so no other peak can hold it); of two mirrored
+    peaks of equal samples, the one at x < 0."""
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 30
+    s, n = _dilated_samples(coeffs, a, grid.xs), grid.num_points
+    g, inv_phi = 1 / math.sqrt(1 - a), (math.sqrt(5) - 1) / 2
+    best = (mp.mpf(0), 0.0)
+    for j in np.flatnonzero(s >= s.max() * (1 - 1e-3)):
+        if not s[j] >= s[max(j - 1, 0)] or not s[j] >= s[min(j + 1, n - 1)]:
+            continue
+        if j > n // 2 and s[n - j] == s[j]:
+            continue
+        lo, hi = mp.mpf(g * grid.xs[max(j - 1, 0)]), mp.mpf(g * grid.xs[min(j + 1, n - 1)])
+        c, d = hi - inv_phi * (hi - lo), lo + inv_phi * (hi - lo)
+        fc, fd = _mp_weighted(coeffs, a, c, mp), _mp_weighted(coeffs, a, d, mp)
+        for _ in range(40):
+            if fc > fd:
+                hi, d, fd = d, c, fc
+                c = hi - inv_phi * (hi - lo)
+                fc = _mp_weighted(coeffs, a, c, mp)
+            else:
+                lo, c, fc = c, d, fd
+                d = lo + inv_phi * (hi - lo)
+                fd = _mp_weighted(coeffs, a, d, mp)
+        best = max(best, (fc, float(c)), (fd, float(d)))
+    return float(best[0]), best[1]
+
+
+def _assert_is_the_sup(report, coeffs, a, grid):
+    """The constant falls short of the mpmath sup by at most 1e-3 relative
+    (the samples' spacing) and exceeds it by at most 1e-12 (rounding), at
+    an argmax within one dilated grid step of a maximiser (or its mirror)."""
+    sup, x_star = _mp_sup(coeffs, a, grid)
+    assert sup * (1 - 1e-3) <= report.constant <= sup * (1 + 1e-12)
+    assert abs(abs(report.argmax_x) - abs(x_star)) <= grid.spacing / math.sqrt(1 - a)
+    assert not report.divergent
+
+
+@pytest.mark.parametrize("a", [0.3, 0.5, 0.9, 0.99])
+def test_dilation_matrix_matches_mpmath(grid, a):
+    """f(x) e^{a x^2/2} = sum_m (c @ M)_m phi_m(x/g), g = (1-a)^{-1/2}: at
+    every 64th grid point y_j, against mpmath at x = g y_j, to 1e-12 of the
+    largest sample, for phi_k (k <= 81) and three seeded expansions."""
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 30
+    rng = np.random.default_rng(20261019)
+    cases = [unit_expansion(k).coeffs for k in (0, 1, 2, 3, 20, 40, 81)]
+    cases += [rng.normal(size=n) + 1j * rng.normal(size=n) for n in (5, 30, 82)]
+    ys = grid.xs[::64]
+    g = 1 / math.sqrt(1 - a)
+    for coeffs in cases:
+        got = _dilated_samples(coeffs, a, ys)
+        ref = np.array([float(_mp_weighted(coeffs, a, g * y, mp)) for y in ys])
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(ref), len(coeffs)
+
+
+@pytest.mark.parametrize("a", [0.3, 0.5, 0.9, 0.99])
+def test_expansion_constant_is_the_sup(grid, a):
+    """Both sides of phi_k (k in {3, 20, 40, 81}) and of three seeded
+    expansions, against an mpmath maximisation of the weighted modulus."""
+    rng = np.random.default_rng(20261020)
+    cases = [unit_expansion(k) for k in (3, 20, 40, 81)]
+    cases += [HermiteExpansion(rng.normal(size=n) + 1j * rng.normal(size=n)) for n in (5, 30, 82)]
+    for e in cases:
+        (_, mem), = flow_envelopes(e, [0.0], a, grid)
+        assert mem.member
+        _assert_is_the_sup(mem.time_report, e.coeffs, a, grid)
+        _assert_is_the_sup(mem.frequency_report, fourier_expansion(e).coeffs, a, grid)
+
+
 def test_flow_envelopes_expansion_scans_the_sides(grid, rng):
     e = HermiteExpansion(rng.normal(size=12) + 1j * rng.normal(size=12))
     ts = default_t_grid(4)
     rows = list(flow_envelopes(e, ts, 0.3, grid))
-    for (norm, mem), (side_p, side_f) in zip(rows, flow_sides(e, ts, grid)):
+    for t, (norm, mem) in zip(ts, rows):
         assert norm == e.norm_sq()  # the flow is unitary
-        assert mem.time_report == envelope_scan(side_p, 0.3)
-        assert mem.frequency_report == envelope_scan(side_f, 0.3)
+        et = evolve_expansion(e, float(t))
+        _assert_is_the_sup(mem.time_report, et.coeffs, 0.3, grid)
+        _assert_is_the_sup(mem.frequency_report, fourier_expansion(et).coeffs, 0.3, grid)
+
+
+def test_expansion_past_a_equal_1_and_zero_expansion(grid):
+    """Past a = 1 no nonzero expansion is a member; the zero expansion is a
+    member at every a, with constant 0."""
+    (_, mem), = flow_envelopes(unit_expansion(0), [0.0], 1.5, grid)
+    assert not mem.member
+    for a in (0.5, 1.0, 1.5):
+        (_, mem), = flow_envelopes(HermiteExpansion(np.zeros(4)), [0.0], a, grid)
+        assert mem.member and mem.constant == 0.0
 
 
 def test_confinement_check_ground_state(grid):
