@@ -1,19 +1,19 @@
 """Timings of gaussherm's kernels and verify criteria, in-process, and of
-its import and ``verify-all`` in fresh interpreters.
+its import, ``verify-all`` and the 4,096-time ``evolve`` and ``confine``
+of ``hermite:k=81`` in fresh interpreters.
 
 Run from the root of a checkout (the package is taken from its ``src``)::
 
-    python3 benchmarks/bench.py --label basis_cache --repeats 7
+    OPENBLAS_NUM_THREADS=1 python3 benchmarks/bench.py --label basis_cache --repeats 7
 
 Each item is called once untimed (so lazy set-up and caches are warm, as
 they are for every request after the first in a long-lived process), then
-``--repeats`` times under ``time.perf_counter``.  ``import gaussherm.cli``
-and ``verify-all --format json`` run in fresh interpreters, so their times
-include starting Python; the import is run 3 times untimed, so the file
-cache and the bytecode are warm, and then timed 5 times whatever
+``--repeats`` times under ``time.perf_counter``.  The commands in fresh
+interpreters include starting Python; the import is run 3 times untimed, so
+the file cache and the bytecode are warm, and then timed 5 times whatever
 ``--repeats`` says.  The median, min and max of those repeats are printed
-and written, with the machine's nproc and the Python and numpy versions, to
-``BENCH_<label>.json`` at the checkout root.
+and written, with the machine's nproc, the Python and numpy versions and
+``OPENBLAS_NUM_THREADS``, to ``BENCH_<label>.json`` at the checkout root.
 Timings are noisy on a shared machine: compare two labels only when both
 files come from the same machine, and read the min/max spread first.  The
 first item is ``perfbench/calibrate.py``'s fixed kernel, which does not call
@@ -177,6 +177,12 @@ def items():
          lambda: oscillator.confinement_check(state, 0.5, 0.45, ts, grid)),
         ("confinement_check K=70 T=64 N=4096",
          lambda: oscillator.confinement_check(state_k70, 0.5, 0.45, ts, grid)),
+        ("evolve hermite:k=81 --t-grid 4096 (subprocess)",
+         lambda: run_subprocess(["-m", "gaussherm", "evolve", "hermite:k=81",
+                                 "--t-grid", "4096"])),
+        ("confine hermite:k=81 --t-grid 4096 (subprocess)",
+         lambda: run_subprocess(["-m", "gaussherm", "confine", "hermite:k=81",
+                                 "--beta", "0.5", "--gamma", "0.45", "--t-grid", "4096"])),
     ]
     for command in ("envelope", "coeffs", "bargmann"):
         for spec in ("squeezed:beta=0.5", "hermite:k=40"):
@@ -226,6 +232,7 @@ def main(argv=None) -> int:
             "nproc": os.cpu_count(),
             "python": platform.python_version(),
             "numpy": np.__version__,
+            "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS"),
         },
         "timings": results,
     }

@@ -135,11 +135,17 @@ def _side_divergent(weighted: np.ndarray) -> bool:
     return bool(np.all(w[1:] >= w[:-1] * (1.0 - 1e-10)))
 
 
-def sample_peak(samples: np.ndarray, xs: np.ndarray) -> tuple[float, float]:
-    """The largest sample, and the x nearest 0 of the samples within 1e-12 relative of it."""
-    top = float(np.max(samples))
-    near = xs[samples >= top * (1.0 - 1e-12)]
-    return top, float(near[np.abs(near).argmin()])
+def sample_peak(samples: np.ndarray, xs: np.ndarray, squared: bool = False):
+    """The largest sample, and the x nearest 0 of the samples within 1e-12
+    relative of it (the first such x of two mirrored ones); of squared
+    moduli, the samples within (1 - 1e-12)^2 of the largest.  A row of
+    samples gives floats, a 2-D array gives one of each per row (last axis).
+    """
+    top = np.max(samples, axis=-1)
+    keep = (1.0 - 1e-12) ** 2 if squared else 1.0 - 1e-12
+    near = samples >= (top * keep)[..., None]
+    x = xs[np.where(near, np.abs(xs), np.inf).argmin(axis=-1)]
+    return (float(top), float(x)) if samples.ndim == 1 else (top, x)
 
 
 def envelope_scan(f: SampledFunction, a: float) -> EnvelopeReport:

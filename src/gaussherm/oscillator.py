@@ -23,7 +23,7 @@ from .decay import EnvelopeReport, Membership, sample_peak
 from .errors import NumericalDomainError
 from .gaussians import GeneralizedGaussian, envelope_membership, moebius_ratio
 from .grid import DEFAULT_GRID, GridSpec
-from .hermite import (HermiteExpansion, _dot_real, check_bytes, fourier_expansion, grid_basis,
+from .hermite import (HermiteExpansion, check_bytes, fourier_expansion, grid_basis,
                       hermite_phi_all)
 from .special import gammaln
 
@@ -190,13 +190,20 @@ def _log_dilation(kmax: int, a: float) -> np.ndarray:
     return log_m
 
 
-def _peak(values, xs, a: float, shift: int, divergent: bool) -> EnvelopeReport:
-    """:func:`~gaussherm.decay.sample_peak` of the moduli, times 2^shift
+#: Bytes of squared moduli per block of times in :func:`flow_envelopes`,
+#: two rows of max(N, K+1) doubles per time (at least one time per block).
+#: A block's other arrays are at most twice that, so its products and passes
+#: run in cache and the memory does not grow with the number of times.
+_FLOW_BLOCK_BYTES = 64 * 1024
+
+
+def _report(top_sq: float, x: float, a: float, shift: int, divergent: bool) -> EnvelopeReport:
+    """The side's report from its largest squared modulus, times 2^shift
     (refused past the double range)."""
-    top, x = sample_peak(np.abs(values), xs)
+    top = math.sqrt(top_sq)
     if math.frexp(top)[1] + shift > 1024:
         raise NumericalDomainError(f"the class constant at a={a} is past the double range")
-    return EnvelopeReport(a, math.ldexp(top, shift), x, divergent)
+    return EnvelopeReport(a, math.ldexp(top, shift), float(x), divergent)
 
 
 def flow_envelopes(psi0: HermiteExpansion | GeneralizedGaussian, ts, a: float,
@@ -209,17 +216,31 @@ def flow_envelopes(psi0: HermiteExpansion | GeneralizedGaussian, ts, a: float,
     at every t it is a member exactly when a < 1, or a = 1 and its top index
     is 0.  For a < 1 a side's constant is its largest weighted modulus at the
     x = g y_j, sum_m (c(t) @ M)_m phi_m(y_j) (:func:`_log_dilation`), refused
-    past the grid's band limit; for a >= 1, its modulus at x = 0."""
+    past the grid's band limit; for a >= 1, its modulus at x = 0.
+
+    An expansion's times run in blocks: the rows c(t) and (-i)^k c(t) of a
+    block go through M and the basis as one real product of their real and
+    imaginary parts, and each side's constant is the square root of its
+    largest squared modulus.  A time whose largest phase (2K+1)t is not
+    finite is refused before any row is yielded (``NumericalDomainError``)."""
     if isinstance(psi0, GeneralizedGaussian):
         for t in ts:
             gt = evolve_gaussian(psi0, float(t))
             norm = abs(gt.amplitude) ** 2 / math.sqrt(2.0 * gt.width.real)
             yield norm, envelope_membership(gt, a)
         return
+    ts = np.asarray(ts, dtype=float).ravel()
     norm, c, top = psi0.norm_sq(), psi0.coeffs, np.flatnonzero(psi0.coeffs)
+    k = np.arange(len(c))
+    with np.errstate(over="ignore"):
+        bad = ts[~np.isfinite((2.0 * len(c) - 1.0) * ts)]
+    if bad.size:
+        _check_phase(2.0 * len(c) - 1.0, float(bad[0]))
     if a >= 1.0 or not top.size:  # the degree rule: at a = 1 only multiples of phi_0 are members
-        phi, xs, shift, w = hermite_phi_all(len(c) - 1, [0.0]), np.zeros(1), 0, None
+        phi, xs, w = hermite_phi_all(len(c) - 1, [0.0]), np.zeros(1), None
         divergent = bool(top.size) and (a > 1.0 or bool(top[-1]))
+        shift = math.frexp(float(np.max(np.abs(c), initial=0.0)))[1]
+        u = np.ldexp(c.real, -shift) + 1j * np.ldexp(c.imag, -shift)  # no square overflows
     else:
         phi, xs, divergent = grid_basis(grid, len(c) - 1), grid.xs / math.sqrt(1.0 - a), False
         log_w = _log_dilation(len(c) - 1, a)
@@ -227,12 +248,31 @@ def flow_envelopes(psi0: HermiteExpansion | GeneralizedGaussian, ts, a: float,
             log_w += np.log(np.abs(c))[:, None]
         shift = int(np.max(log_w) // math.log(2.0))
         w = np.exp(log_w - shift * math.log(2.0), out=log_w)  # |c_k| M[k, m] / 2^shift, at most 2
-        psi0 = HermiteExpansion(np.exp(1j * np.angle(c)))  # the phases, which the flow moves
-    for t in ts:
-        et = evolve_expansion(psi0, float(t))
-        sides = (et.coeffs, fourier_expansion(et).coeffs)
-        sides = sides if w is None else [_dot_real(d, w) for d in sides]
-        yield norm, Membership(*(_peak(_dot_real(d, phi), xs, a, shift, divergent) for d in sides))
+        u = np.exp(1j * np.angle(c))  # the phases, which the flow moves
+    turn = np.array([1.0, -1j, -1.0, 1j])[k % 4]  # (-i)^k, exact
+    step = max(1, _FLOW_BLOCK_BYTES // (16 * max(len(xs), len(c))))
+    for i in range(0, len(ts), step):
+        d = u * np.exp(1j * np.multiply.outer(ts[i:i + step], 2 * k + 1))  # the time rows
+        n = len(d)
+        d = np.concatenate([d, d * turn])  # and the frequency rows
+        parts = np.concatenate([d.real, d.imag])
+        if w is not None:
+            parts = parts @ w  # (d @ w) @ phi: no (K+1) x N array is formed
+        sq = parts @ phi
+        np.square(sq, out=sq)
+        sq = np.add(sq[: 2 * n], sq[2 * n:], out=sq[: 2 * n])  # |.|^2 of each row of d
+        tops, xmax = sample_peak(sq, xs, squared=True)
+        for j in range(n):
+            yield norm, Membership(*(_report(tops[r], xmax[r], a, shift, divergent)
+                                     for r in (j, n + j)))
+
+
+#: Largest relative error of 1 - a, a = tanh(gamma) rounded to a double, at
+#: which :func:`confinement_check` scans an expansion.  Its constant grows
+#: like (1-a)^{-K/2}, so this moves it by about K/2 * 1e-9 (4e-8 at the
+#: default grid's band limit), far below the 1e-5 of the sample spacing;
+#: gamma past about 8.7 is refused.
+TANH_GAP_REL = 1e-9
 
 
 def confinement_check(
@@ -249,12 +289,21 @@ def confinement_check(
     envelope of tanh(2 beta)); the scan itself does not require gamma < beta
     and will simply report divergence when the envelope is too tight.  A
     Gaussian's report is closed-form (:func:`flow_envelopes`,
-    :func:`gaussian_flow_extremes`) and does not depend on ``grid``.
+    :func:`gaussian_flow_extremes`) and does not depend on ``grid``.  An
+    expansion is refused (``NumericalDomainError``) when the double
+    tanh(gamma) leaves 1 - a off by more than ``TANH_GAP_REL`` relative.
     """
     if gamma <= 0 or beta <= 0:
         raise ValueError("beta and gamma must be positive")
     ts = default_t_grid() if t_grid is None else np.asarray(t_grid, dtype=float)
     a = math.tanh(gamma)
+    if not isinstance(psi0, GeneralizedGaussian):
+        e = math.exp(-2.0 * gamma)
+        gap = 2.0 * e / (1.0 + e)  # 1 - tanh(gamma), uncancelled
+        if not abs((1.0 - a) - gap) < TANH_GAP_REL * gap:
+            raise NumericalDomainError(
+                f"a = tanh({gamma}) is not resolved in double: 1 - a = {1.0 - a:.6g} against "
+                f"{gap:.6g}, past the {TANH_GAP_REL:g} relative tolerance")
     mems = [mem for _, mem in flow_envelopes(psi0, ts, a, grid)]
     psi_c = np.array([mem.time_report.constant for mem in mems])
     four_c = np.array([mem.frequency_report.constant for mem in mems])

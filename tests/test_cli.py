@@ -531,6 +531,22 @@ def test_confine_of_an_expansion_never_diverges_below_a_equal_1(capsys):
     assert capsys.readouterr().err == ""
 
 
+@pytest.mark.parametrize("gamma", ["18", "20"])
+def test_confine_refuses_gamma_whose_tanh_loses_1_minus_a(gamma, capsys):
+    """Past gamma of about 8.7 the double tanh(gamma) leaves 1 - a off by
+    more than 1e-9 relative; an expansion's constant depends on it, so it is
+    refused: at gamma = 18, 1 - a = 4.44e-16 against 4.64e-16 (the sup read
+    1.7e23, off by several percent); at 20, a rounds to 1 (it exited 4, a
+    divergence verdict for a = 1).  A Gaussian's verdict takes a to 1e-12
+    relative and still runs."""
+    assert main(["confine", "hermite:k=3", "--beta", "25", "--gamma", gamma]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: a = tanh({float(gamma)}) is not resolved in double")
+    assert main(["confine", "hermite:k=3", "--beta", "25", "--gamma", "8"]) == 0
+    assert main(["confine", "squeezed:beta=0.5", "--beta", "25", "--gamma", gamma]) == 4
+
+
 def test_envelope_on_a_wide_grid_is_quiet(capsys):
     """On a grid of half-width 100 e^{a x^2/2} overflows past |x| = 37.7;
     the dilated samples never form it (the grid scan warned twice and exited
@@ -623,6 +639,28 @@ def test_warm_expansion_envelope_allocates_no_basis(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < 2e6  # one real 82 x 4096 basis is 2.7 MB
+
+
+def test_confine_memory_does_not_grow_with_the_times_scanned(tmp_path):
+    """An expansion's times run in blocks: with the basis cached, the peak of
+    ``confine hermite:k=81`` at 4,096 times stays below 4 MB, well below one
+    whole (2T, K+1) complex array (10.7 MB).  What it holds beyond the 64-time
+    run is the reply's rows and text, about 0.4 KB per time."""
+    import tracemalloc
+
+    peaks = {}
+    for t_grid in (64, 4096):
+        argv = ["confine", "hermite:k=81", "--beta", "0.5", "--gamma", "0.45",
+                "--t-grid", str(t_grid), "--out", str(tmp_path / "o.csv")]
+        assert main(argv) == 0
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            peaks[t_grid] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[4096] < 4e6
+    assert peaks[4096] - peaks[64] < 1e3 * (4096 - 64)
 
 
 def test_out_into_missing_directory_exits_2(tmp_path, capsys):

@@ -14,6 +14,7 @@ from gaussherm.decay import (
     hardy_coeff_bound,
     log_hardy_coeff_bound,
     rate_regime,
+    sample_peak,
 )
 from gaussherm.bargmann import log_contour_coeff_bound, sector_params
 from gaussherm.errors import FitError, NumericalDomainError
@@ -86,6 +87,32 @@ def test_envelope_scan_equality_case(grid):
     assert rep.constant == pytest.approx(1.0, rel=1e-12)
     assert rep.argmax_x == 0.0  # ties resolve toward the smallest |x|
     assert not rep.divergent
+
+
+def test_sample_peak_on_rows_equals_each_row(grid):
+    """A 2-D call gives each row's 1-D result, bit for bit: the largest
+    sample, and the x nearest 0 of those within 1e-12 relative of it (of
+    two mirrored ones, the first).  On squared moduli the tolerance is
+    squared, so the same samples tie."""
+    rng = np.random.default_rng(20261019)
+    xs = grid.xs
+    mid = len(xs) // 2  # xs[mid] = 0, xs[mid - j] = -xs[mid + j]
+    rows = rng.uniform(0.0, 1.0, size=(7, len(xs)))
+    rows[1, [mid - 40, mid + 40]] = 2.0  # an exact mirrored tie: the x < 0 one
+    rows[2, [mid + 300, mid - 10]] = 2.0, 2.0 * (1.0 - 0.8e-12)  # within 1e-12: nearer 0 wins
+    rows[3, [mid + 300, mid - 10]] = 2.0, 2.0 * (1.0 - 2e-12)  # outside it: the largest wins
+    rows[4, [mid - 5, mid + 5, mid - 700]] = 3.0  # three ties
+    rows[5] = 0.0  # all tie: x = 0
+    tops, xmax = sample_peak(rows, xs)
+    for r, row in enumerate(rows):
+        assert (tops[r], xmax[r]) == sample_peak(row, xs)
+        assert type(sample_peak(row, xs)[0]) is float
+    assert xmax[1:6].tolist() == [xs[mid - 40], xs[mid - 10], xs[mid + 300], xs[mid - 5], 0.0]
+    sq_tops, sq_xmax = sample_peak(rows ** 2, xs, squared=True)
+    assert np.array_equal(sq_xmax, xmax)
+    assert np.array_equal(sq_tops, tops ** 2)
+    for r, row in enumerate(rows ** 2):
+        assert (sq_tops[r], sq_xmax[r]) == sample_peak(row, xs, squared=True)
 
 
 def test_envelope_scan_divergent(grid):

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from gaussherm.decay import sample_peak
 from gaussherm.errors import NumericalDomainError
 from gaussherm.gaussians import (
     GeneralizedGaussian,
@@ -15,11 +16,14 @@ from gaussherm.gaussians import (
     hermite_coeffs,
     squeezed_state,
 )
-from gaussherm.grid import GridSpec
+from gaussherm.grid import DEFAULT_GRID, GridSpec
 from gaussherm.hermite import (
     HermiteExpansion,
+    _dot_real,
     analyze,
+    band_limit,
     fourier_expansion,
+    grid_basis,
     hermite_phi_all,
     unit_expansion,
 )
@@ -32,6 +36,7 @@ from gaussherm.oscillator import (
     evolve_gaussian,
     flow_envelopes,
     fourier_time_shift_check,
+    _FLOW_BLOCK_BYTES,
     _log_dilation,
 )
 
@@ -293,6 +298,79 @@ def test_flow_envelopes_expansion_scans_the_sides(grid, rng):
         et = evolve_expansion(e, float(t))
         _assert_is_the_sup(mem.time_report, et.coeffs, 0.3, grid)
         _assert_is_the_sup(mem.frequency_report, fourier_expansion(et).coeffs, 0.3, grid)
+
+
+def _per_time_sides(e, ts, a, grid):
+    """Each t on its own, as the flow was taken before its times ran in
+    blocks: evolve, transform, two real products per side through the
+    dilation and the basis, and the peak of the complex moduli.  Yields
+    ((constant, argmax_x), (constant, argmax_x), divergent, weighted moduli
+    of both sides) per t."""
+    c, top = e.coeffs, np.flatnonzero(e.coeffs)
+    if a >= 1.0 or not top.size:
+        phi, xs, shift, w = hermite_phi_all(len(c) - 1, [0.0]), np.zeros(1), 0, None
+        divergent = bool(top.size) and (a > 1.0 or bool(top[-1]))
+    else:
+        phi, xs, divergent = grid_basis(grid, len(c) - 1), grid.xs / math.sqrt(1 - a), False
+        log_w = _log_dilation(len(c) - 1, a)
+        with np.errstate(divide="ignore"):
+            log_w += np.log(np.abs(c))[:, None]
+        shift = int(np.max(log_w) // math.log(2.0))
+        w = np.exp(log_w - shift * math.log(2.0))
+        e = HermiteExpansion(np.exp(1j * np.angle(c)))
+    for t in ts:
+        et = evolve_expansion(e, float(t))
+        sides = (et.coeffs, fourier_expansion(et).coeffs)
+        sides = sides if w is None else [_dot_real(d, w) for d in sides]
+        moduli = [np.abs(_dot_real(d, phi)) for d in sides]
+        peaks = [sample_peak(m, xs) for m in moduli]
+        yield [(math.ldexp(p, shift), x) for p, x in peaks], divergent, moduli, xs
+
+
+def _assert_same_side(report, expected, moduli, xs):
+    """Constants within 2e-15 relative; the same argmax_x unless the two
+    samples tie to rounding at the 1e-12 tie tolerance."""
+    constant, x = expected
+    assert abs(report.constant - constant) <= 2e-15 * constant
+    if report.argmax_x != x:
+        top, there = moduli.max(), moduli[np.flatnonzero(xs == report.argmax_x)[0]]
+        assert abs(there - top * (1 - 1e-12)) <= 4e-15 * top
+
+
+@pytest.mark.parametrize("a", [0.3, 0.9, 0.99, 1.0, 1.5])
+def test_blocked_flow_matches_the_per_time_flow(a):
+    """The blocked product gives the per-time flow's constants to 2e-15
+    relative, its argmax_x (but at exact ties), its divergence and, through
+    ``confinement_check``, its attaining times: K in {0, 1, 5, 40, the band
+    limit}; 1, 7 and 64 times; block-1 and block+1 times on a grid whose
+    blocks hold several times; an unsorted list with negative times."""
+    rng = np.random.default_rng(20261021)
+    small = GridSpec(16.0, 512)
+    step = _FLOW_BLOCK_BYTES // (16 * small.num_points)
+    assert step > 2
+    times = [(DEFAULT_GRID, default_t_grid(n)) for n in (1, 7, 64)]
+    times += [(small, default_t_grid(n)) for n in (step - 1, step + 1)]
+    times.append((DEFAULT_GRID, np.array([1.3, -0.2, 5.0, -7.1, 0.0, 0.7, -2.5])))
+    for kmax in (0, 1, 5, 40, band_limit(DEFAULT_GRID)):
+        c = (rng.normal(size=kmax + 1) + 1j * rng.normal(size=kmax + 1)) * 0.9 ** np.arange(kmax + 1)
+        e = HermiteExpansion(c)
+        for grid, ts in times:
+            rows = list(flow_envelopes(e, ts, a, grid))
+            assert len(rows) == len(ts)
+            for (norm, mem), (sides, divergent, moduli, xs) in zip(
+                    rows, _per_time_sides(e, ts, a, grid)):
+                assert norm == e.norm_sq()
+                reports = (mem.time_report, mem.frequency_report)
+                for report, expected, m in zip(reports, sides, moduli):
+                    _assert_same_side(report, expected, m, xs)
+                    assert report.divergent is divergent
+            if a < 1:
+                gamma = math.atanh(a)
+                rep = confinement_check(e, 1.0, gamma, ts, grid)
+                both = np.array([max(p[0] for p in sides)
+                                 for sides, *_ in _per_time_sides(e, ts, rep.a, grid)])
+                assert not rep.divergent
+                assert np.array_equal(rep.attained_ts, ts[both >= both.max() * (1 - 1e-9)])
 
 
 def test_expansion_past_a_equal_1_and_zero_expansion(grid):
