@@ -174,9 +174,9 @@ def items():
          lambda: weighted.generating_function_check(0.5, 0.25, 400)),
         ("optimal_contour n=200 mu=1/3", lambda: bargmann.optimal_contour(200, 1.0 / 3.0)),
         ("confinement_check Gaussian T=64",
-         lambda: oscillator.confinement_check(state, 0.5, 0.45, ts, grid)),
+         lambda: oscillator.confinement_check(state, 0.5, 0.45, ts)),
         ("confinement_check K=70 T=64 N=4096",
-         lambda: oscillator.confinement_check(state_k70, 0.5, 0.45, ts, grid)),
+         lambda: oscillator.confinement_check(state_k70, 0.5, 0.45, ts)),
         ("evolve hermite:k=81 --t-grid 4096 (subprocess)",
          lambda: run_subprocess(["-m", "gaussherm", "evolve", "hermite:k=81",
                                  "--t-grid", "4096"])),

@@ -43,10 +43,14 @@ class CliParseError(ValueError):
 
 
 #: Largest --kmax, --t-grid and --w-count accepted (exit 2 above them).  At
-#: each cap the slowest command on the default grid ends within about 3 s:
-#: coeffs at kmax 100,000, evolve of hermite:k=81 at 4,096 times, bargmann
-#: of hermite:k=81 on a 10,000-point ring (whose Taylor terms form (W, K)
-#: arrays, so the ring's cap is set by memory rather than time).
+#: each cap the slowest command on an input within the default grid's band
+#: (K <= 81) ends within about 3 s: coeffs at kmax 100,000, evolve of
+#: hermite:k=81 at 4,096 times, bargmann of hermite:k=81 on a 10,000-point
+#: ring (whose Taylor terms form (W, K) arrays, so the ring's cap is set by
+#: memory rather than time).  An expansion past that band runs on the wider
+#: grid of its degree: at the largest K the basis budget admits (1764),
+#: evolve took 4.7 s at 64 times and 186 s at 4,096, with a 336 MB peak RSS
+#: (2 vCPU, one BLAS thread).
 KMAX_CAP = 100_000
 T_GRID_CAP = 4_096
 W_COUNT_CAP = 10_000
@@ -312,9 +316,7 @@ def _log10_or_neginf(x: float) -> float:
     return math.log10(x) if x > 0 else -math.inf
 
 
-def _class_constant(
-    args, inp: InputSpec, cfg: RunConfig
-) -> tuple[float | None, float | None]:
+def _class_constant(args, inp: InputSpec) -> tuple[float | None, float | None]:
     """``--a`` of coeffs and bargmann (default: the input's own weight),
     refused outside (0,1), and the class constant C at that weight: the
     t = 0 row of the flow, None for a non-member.  Both None when the
@@ -323,12 +325,12 @@ def _class_constant(
     if a is None:
         return None, None
     dc.check_weight(a)
-    return a, next(osc.flow_envelopes(inp.state, [0.0], a, cfg.grid))[1].constant
+    return a, next(osc.flow_envelopes(inp.state, [0.0], a))[1].constant
 
 
 def cmd_coeffs(args, cfg: RunConfig) -> tuple[str, int]:
     inp = parse_input_spec(args.input)
-    a, big_c = _class_constant(args, inp, cfg)
+    a, big_c = _class_constant(args, inp)
     coeffs = _coefficients(inp, cfg)
     lb_con_col = np.full(cfg.kmax + 1, math.nan)
     if big_c is not None:
@@ -370,7 +372,7 @@ def _envelope_weight(args, inp: InputSpec) -> float:
 def cmd_envelope(args, cfg: RunConfig) -> tuple[str, int]:
     inp = parse_input_spec(args.input)
     a = _envelope_weight(args, inp)
-    _, mem = next(osc.flow_envelopes(inp.state, [0.0], a, cfg.grid))
+    _, mem = next(osc.flow_envelopes(inp.state, [0.0], a))
     t_rep, f_rep = mem.time_report, mem.frequency_report
     header = ["side", "a", "constant", "argmax_x", "divergent"]
     rows = [
@@ -384,7 +386,7 @@ def cmd_envelope(args, cfg: RunConfig) -> tuple[str, int]:
 def cmd_bargmann(args, cfg: RunConfig) -> tuple[str, int]:
     _check_count(args.w_count, "--w-count", W_COUNT_CAP)
     inp = parse_input_spec(args.input)
-    a, big_c = _class_constant(args, inp, cfg)
+    a, big_c = _class_constant(args, inp)
     sector = bg.sector_params(a, big_c) if big_c is not None else None
     ws = args.w_ring * np.exp(2j * math.pi * np.arange(args.w_count) / args.w_count)
     values = bg.bargmann_exact(inp.state, ws)
@@ -422,7 +424,7 @@ def cmd_evolve(args, cfg: RunConfig) -> tuple[str, int]:
     rows = [
         [t, n, mem.time_report.constant, mem.frequency_report.constant,
          mem.time_report.divergent, mem.frequency_report.divergent]
-        for t, (n, mem) in zip(ts, osc.flow_envelopes(inp.state, ts, a, cfg.grid))
+        for t, (n, mem) in zip(ts, osc.flow_envelopes(inp.state, ts, a))
     ]
     meta = {"command": "evolve", "input": inp.label, "a": a}
     return render_table(header, rows, cfg.output_format, meta), 0
@@ -431,7 +433,7 @@ def cmd_evolve(args, cfg: RunConfig) -> tuple[str, int]:
 def cmd_confine(args, cfg: RunConfig) -> tuple[str, int]:
     inp = parse_input_spec(args.input)
     ts = osc.default_t_grid(cfg.t_grid_size)
-    report = osc.confinement_check(inp.state, args.beta, args.gamma, ts, cfg.grid)
+    report = osc.confinement_check(inp.state, args.beta, args.gamma, ts)
     if report.divergent:
         raise _Divergence(
             f"envelope at a = tanh({args.gamma}) = {report.a:.6f} diverges along the flow; "
@@ -527,9 +529,9 @@ class _Divergence(RuntimeError):
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--grid-L", dest="grid_l", type=float, default=None,
-                        help="grid half-width (default 16)")
+                        help="half-width of the verify-all and norms-table grid (default 16)")
     common.add_argument("--grid-N", dest="grid_n", type=int, default=None,
-                        help="number of grid points, even (default 4096)")
+                        help="points of that grid, even (default 4096)")
     common.add_argument("--kmax", type=int, default=None,
                         help="highest Hermite index in tables (default 60)")
     common.add_argument("--t-grid", dest="t_grid_size", type=int, default=None,

@@ -125,12 +125,6 @@ def _check_band_limit(grid: GridSpec, k: int):
 #: default grid's whole band holds 82 x 4096 doubles (2.6 MiB).
 BASIS_BYTES_CAP = 2 ** 28
 
-def check_bytes(size: int, what: str) -> None:
-    """Refuse (``NumericalDomainError``) an array of ``size`` bytes past ``BASIS_BYTES_CAP``."""
-    if size > BASIS_BYTES_CAP:
-        raise NumericalDomainError(
-            f"{what} needs {size / 2 ** 20:.0f} MiB, past the {BASIS_BYTES_CAP // 2 ** 20} MiB budget")
-
 
 #: (grid, read-only basis) of :func:`grid_basis`.  Replaced, never written
 #: in place, so a caller holding rows of an older basis still reads them.
@@ -153,8 +147,11 @@ def grid_basis(grid: GridSpec, kmax: int) -> np.ndarray:
     if kmax < 0:
         raise ValueError(f"kmax must be >= 0, got {kmax}")
     _check_band_limit(grid, kmax)
-    check_bytes((kmax + 1) * grid.num_points * 8,
-                f"a Hermite basis of {kmax + 1} rows x N={grid.num_points} points")
+    size = (kmax + 1) * grid.num_points * 8
+    if size > BASIS_BYTES_CAP:
+        raise NumericalDomainError(
+            f"a Hermite basis of {kmax + 1} rows x N={grid.num_points} points needs "
+            f"{size / 2 ** 20:.0f} MiB, past the {BASIS_BYTES_CAP // 2 ** 20} MiB budget")
     cached = _GRID_BASIS
     if cached is None or cached[0] != grid or cached[1].shape[0] <= kmax:
         cached = _GRID_BASIS = None  # let the old basis go before the new one is built

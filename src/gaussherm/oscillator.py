@@ -23,7 +23,7 @@ from .decay import EnvelopeReport, Membership, sample_peak
 from .errors import NumericalDomainError
 from .gaussians import GeneralizedGaussian, envelope_membership, moebius_ratio
 from .grid import DEFAULT_GRID, GridSpec
-from .hermite import (HermiteExpansion, check_bytes, fourier_expansion, grid_basis,
+from .hermite import (BAND_LIMIT_FRACTION, HermiteExpansion, fourier_expansion, grid_basis,
                       hermite_phi_all)
 from .special import gammaln
 
@@ -177,9 +177,8 @@ def gaussian_flow_extremes(g: GeneralizedGaussian, a: float):
 def _log_dilation(kmax: int, a: float) -> np.ndarray:
     """log M (-inf off its support), 0 < a < 1: f(x) e^{a x^2/2} = sum_m (c @ M)_m phi_m(x/g) for
     f = sum_k c_k phi_k, g = (1-a)^{-1/2}; M[m+2i, m] = g^m (g^2-1)^i sqrt((m+2i)!/m!) / (2^i i!)
-    by H_k(gy) = sum_i g^{k-2i} (g^2-1)^i k!/(i!(k-2i)!) H_{k-2i}(y).  Refused before it
-    is built past the basis's byte budget; the build holds one index array beside it."""
-    check_bytes((kmax + 1) ** 2 * 8, f"a dilation matrix of {kmax + 1} x {kmax + 1} entries")
+    by H_k(gy) = sum_i g^{k-2i} (g^2-1)^i k!/(i!(k-2i)!) H_{k-2i}(y).  The build holds one
+    index array beside it, both smaller than the basis of :func:`_expansion_grid`."""
     k = np.arange(kmax + 1)
     log_fact, i = gammaln(k + 1), k[: kmax // 2 + 1]
     by_offset = np.full(2 * kmax + 1, -np.inf)  # the i terms, at k - m + kmax = 2i + kmax
@@ -188,6 +187,15 @@ def _log_dilation(kmax: int, a: float) -> np.ndarray:
     log_m += 0.5 * log_fact[:, None]
     log_m -= 0.5 * math.log1p(-a) * k + 0.5 * log_fact
     return log_m
+
+
+def _expansion_grid(kmax: int) -> GridSpec:
+    """The grid an expansion up to index kmax is sampled on: ``DEFAULT_GRID``
+    while kmax is within its band limit, else that grid widened at its own
+    spacing h to the least half-width whose band limit reaches kmax."""
+    h = DEFAULT_GRID.spacing  # L = N h/2 with N even and sqrt(2 kmax + 1) <= 0.8 L
+    n = 2 * math.ceil(math.sqrt(2 * kmax + 1) / (BAND_LIMIT_FRACTION * h))
+    return GridSpec(0.5 * n * h, n) if n > DEFAULT_GRID.num_points else DEFAULT_GRID
 
 
 #: Bytes of squared moduli per block of times in :func:`flow_envelopes`,
@@ -206,8 +214,7 @@ def _report(top_sq: float, x: float, a: float, shift: int, divergent: bool) -> E
     return EnvelopeReport(a, math.ldexp(top, shift), float(x), divergent)
 
 
-def flow_envelopes(psi0: HermiteExpansion | GeneralizedGaussian, ts, a: float,
-                   grid: GridSpec = DEFAULT_GRID):
+def flow_envelopes(psi0: HermiteExpansion | GeneralizedGaussian, ts, a: float):
     """Yield (||psi_t||^2, two-sided :class:`~gaussherm.decay.Membership`
     against exp(-a x^2/2)) for each t; at t = 0, the verdict on psi0 that
     ``envelope``, ``coeffs`` and ``bargmann`` read.  A Gaussian's are closed
@@ -215,8 +222,9 @@ def flow_envelopes(psi0: HermiteExpansion | GeneralizedGaussian, ts, a: float,
     Gaussian, |A(t)|^2 / sqrt(2 Re b(t))).  An expansion's norm is sum |c_k|^2;
     at every t it is a member exactly when a < 1, or a = 1 and its top index
     is 0.  For a < 1 a side's constant is its largest weighted modulus at the
-    x = g y_j, sum_m (c(t) @ M)_m phi_m(y_j) (:func:`_log_dilation`), refused
-    past the grid's band limit; for a >= 1, its modulus at x = 0.
+    x = g y_j, sum_m (c(t) @ M)_m phi_m(y_j) (:func:`_log_dilation`), on the
+    grid of the degree K (:func:`_expansion_grid`; refused, before it is
+    built, past ``hermite.BASIS_BYTES_CAP``); for a >= 1, its modulus at x = 0.
 
     An expansion's times run in blocks: the rows c(t) and (-i)^k c(t) of a
     block go through M and the basis as one real product of their real and
@@ -242,6 +250,7 @@ def flow_envelopes(psi0: HermiteExpansion | GeneralizedGaussian, ts, a: float,
         shift = math.frexp(float(np.max(np.abs(c), initial=0.0)))[1]
         u = np.ldexp(c.real, -shift) + 1j * np.ldexp(c.imag, -shift)  # no square overflows
     else:
+        grid = _expansion_grid(len(c) - 1)
         phi, xs, divergent = grid_basis(grid, len(c) - 1), grid.xs / math.sqrt(1.0 - a), False
         log_w = _log_dilation(len(c) - 1, a)
         with np.errstate(divide="ignore"):  # log 0 = -inf: a zero coefficient adds nothing
@@ -269,9 +278,9 @@ def flow_envelopes(psi0: HermiteExpansion | GeneralizedGaussian, ts, a: float,
 
 #: Largest relative error of 1 - a, a = tanh(gamma) rounded to a double, at
 #: which :func:`confinement_check` scans an expansion.  Its constant grows
-#: like (1-a)^{-K/2}, so this moves it by about K/2 * 1e-9 (4e-8 at the
-#: default grid's band limit), far below the 1e-5 of the sample spacing;
-#: gamma past about 8.7 is refused.
+#: like (1-a)^{-K/2}, so this moves it by about K/2 * 1e-9 (9e-7 at the
+#: largest K the basis budget admits, 1764), below the 1e-5 of the sample
+#: spacing; gamma past about 8.7 is refused.
 TANH_GAP_REL = 1e-9
 
 
@@ -280,7 +289,6 @@ def confinement_check(
     beta: float,
     gamma: float,
     t_grid=None,
-    grid: GridSpec = DEFAULT_GRID,
 ) -> ConfinementReport:
     """Scan the flow of psi0 over a time grid against the envelope of
     parameter a = tanh(gamma), on both the time and frequency sides.
@@ -289,9 +297,9 @@ def confinement_check(
     envelope of tanh(2 beta)); the scan itself does not require gamma < beta
     and will simply report divergence when the envelope is too tight.  A
     Gaussian's report is closed-form (:func:`flow_envelopes`,
-    :func:`gaussian_flow_extremes`) and does not depend on ``grid``.  An
-    expansion is refused (``NumericalDomainError``) when the double
-    tanh(gamma) leaves 1 - a off by more than ``TANH_GAP_REL`` relative.
+    :func:`gaussian_flow_extremes`); an expansion's is sampled on the grid of
+    its degree.  An expansion is refused (``NumericalDomainError``) when the
+    double tanh(gamma) leaves 1 - a off by more than ``TANH_GAP_REL`` relative.
     """
     if gamma <= 0 or beta <= 0:
         raise ValueError("beta and gamma must be positive")
@@ -304,7 +312,7 @@ def confinement_check(
             raise NumericalDomainError(
                 f"a = tanh({gamma}) is not resolved in double: 1 - a = {1.0 - a:.6g} against "
                 f"{gap:.6g}, past the {TANH_GAP_REL:g} relative tolerance")
-    mems = [mem for _, mem in flow_envelopes(psi0, ts, a, grid)]
+    mems = [mem for _, mem in flow_envelopes(psi0, ts, a)]
     psi_c = np.array([mem.time_report.constant for mem in mems])
     four_c = np.array([mem.frequency_report.constant for mem in mems])
     if isinstance(psi0, GeneralizedGaussian):

@@ -45,8 +45,8 @@ class VerifyConfig:
 
     @property
     def grid_kmax(self) -> int:
-        """The grid's band limit: the criteria that analyze or expand on the
-        grid run their Hermite index k at min(k, grid_kmax)."""
+        """The grid's band limit: a criterion that analyzes samples on the
+        grid runs its Hermite index k at min(k, grid_kmax)."""
         return band_limit(self.grid)
 
 
@@ -227,17 +227,17 @@ def criterion_confinement(cfg: VerifyConfig) -> CriterionResult:
     all t equals (1-r)^{-1/2} to 1e-8 and is attained at t = -pi/8 (mod pi/2)
     to 1e-12, where the time-side constant is (1+r)^{-1/2} to 1e-8; at gamma
     = 0.45 the sup is dominated by the assembled confinement constant; the
-    grid samples of the state's K = min(70, grid_kmax) expansion over 8
-    times find the same sup to 1e-10; and the chirp and squeezed state of each
-    beta in {0.1, 0.5, 1, 2} stay in the class at gamma = beta, not at 1e-6 past."""
+    samples of the state's K = 70 expansion over 8 times, on the grid of its
+    degree (on every --grid-L/--grid-N), find the same sup to 1e-10; and the
+    chirp and squeezed state of each beta in {0.1, 0.5, 1, 2} stay in the
+    class at gamma = beta, not at 1e-6 past."""
     beta = 0.5
     r = math.exp(-2 * beta)
     sq = ga.squeezed_state(beta)
     sup, attained, first_bad = osc.gaussian_flow_extremes(sq, math.tanh(beta))
-    # the Gaussian's flow is closed-form; its expansion's is sampled on the grid
-    k_scan = min(70, cfg.grid_kmax)
-    scan = osc.confinement_check(ga.hermite_coeffs(sq, k_scan), beta, beta,
-                                 osc.default_t_grid(8), cfg.grid)  # 8 times hold 3pi/8
+    # the Gaussian's flow is closed-form; its expansion's is sampled on the grid of K = 70
+    scan = osc.confinement_check(ga.hermite_coeffs(sq, 70), beta, beta,
+                                 osc.default_t_grid(8))  # 8 times hold 3pi/8
     scan_dev = abs(scan.sup_constant * math.sqrt(1 - r) - 1.0)
     t_star = 3 * math.pi / 8  # -pi/8 mod pi/2
     dist = float(np.min(np.abs(attained - t_star)))
@@ -270,7 +270,7 @@ def criterion_confinement(cfg: VerifyConfig) -> CriterionResult:
         f"sup {sup:.8f} vs (1-r)^-1/2 dev {sup_dev:.2e}; attained dist to "
         f"3pi/8: {dist:.2e}; psi-side at 3pi/8 vs (1+r)^-1/2 dev {psi_dev:.2e}; "
         f"gamma=0.45 sup {sup2:.4f} <= sharp {c_sharp:.4f} <= loose {c_paper:.4f}; "
-        f"grid scan of K={k_scan}: sup rel dev {scan_dev:.2e} (1e-10), "
+        f"grid scan of K=70: sup rel dev {scan_dev:.2e} (1e-10), "
         f"divergent {scan.divergent}; {sharp_misses} of 16 gamma=beta verdicts wrong",
     )
 

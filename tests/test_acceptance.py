@@ -125,19 +125,22 @@ def test_verify_all_fails_loudly_on_degraded_grid(tmp_path):
 
 def test_verify_all_passes_on_a_narrower_valid_grid(tmp_path):
     """A valid grid that resolves fewer Hermite indices than the criteria
-    ask for (band limit 45 at L = 12) runs the grid-bound indices at its band
-    limit, echoes it as grid_kmax, and passes every criterion."""
-    out = tmp_path / "narrow.json"
-    res = subprocess.run(
-        [sys.executable, "-m", "gaussherm", "verify-all", "--format", "json",
-         "--grid-L", "12", "--grid-N", "4096", "--out", str(out)],
-        capture_output=True,
-        text=True,
-    )
-    assert res.returncode == 0, res.stderr
-    data = json.loads(out.read_bytes())
-    assert data["config"]["grid_kmax"] == 45
-    assert [c["name"] for c in data["criteria"] if c["pass"]] == CRITERION_NAMES
+    ask for (band limit 45 at L = 12, 31 at L = 10) runs the grid-bound
+    indices at its band limit, echoes it as grid_kmax, and passes every
+    criterion; the confinement scan's K = 70 expansion runs on the grid of
+    its own degree (at L = 10 the scan of its K = 31 truncation failed)."""
+    for grid_l, grid_kmax in (("12", 45), ("10", 31)):
+        out = tmp_path / f"narrow{grid_l}.json"
+        res = subprocess.run(
+            [sys.executable, "-m", "gaussherm", "verify-all", "--format", "json",
+             "--grid-L", grid_l, "--grid-N", "4096", "--out", str(out)],
+            capture_output=True,
+            text=True,
+        )
+        assert res.returncode == 0, res.stderr
+        data = json.loads(out.read_bytes())
+        assert data["config"]["grid_kmax"] == grid_kmax
+        assert [c["name"] for c in data["criteria"] if c["pass"]] == CRITERION_NAMES
 
 
 @pytest.mark.parametrize("criterion", [

@@ -320,13 +320,15 @@ def test_bargmann_w_count_below_one_exits_2(count, capsys):
     ["envelope"],
     ["confine", "--beta", "0.75", "--gamma", "0.5"],
 ], ids=["evolve", "envelope", "confine"])
-def test_expansion_past_band_limit_exits_3(argv, capsys, tmp_path):
-    # the default grid resolves phi_k up to k = 81
-    out = tmp_path / "o.csv"
-    assert main([argv[0], "hermite:k=82", *argv[1:], "--out", str(out)]) == 3
-    assert "band limit" in capsys.readouterr().err
-    assert not out.exists()
-    assert main([argv[0], "hermite:k=81", *argv[1:], "--out", str(out)]) == 0
+def test_expansion_past_the_default_band_limit_is_answered(argv, capsys):
+    """The default grid resolves phi_k up to k = 81; past it an expansion is
+    sampled on the wider grid of its own degree (k = 82 and 120 exited 3)."""
+    for k in (81, 82, 120):
+        assert main([argv[0], f"hermite:k={k}", *argv[1:]]) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        rows = list(csv.reader(io.StringIO(out)))[1:]
+        assert rows and all(math.isfinite(float(v)) for row in rows for v in row[1:3])
 
 
 def test_evolve_times(tmp_path):
@@ -547,16 +549,33 @@ def test_confine_refuses_gamma_whose_tanh_loses_1_minus_a(gamma, capsys):
     assert main(["confine", "squeezed:beta=0.5", "--beta", "25", "--gamma", gamma]) == 4
 
 
-def test_envelope_on_a_wide_grid_is_quiet(capsys):
-    """On a grid of half-width 100 e^{a x^2/2} overflows past |x| = 37.7;
-    the dilated samples never form it (the grid scan warned twice and exited
-    3 on an empty argmin)."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert main(["envelope", "hermite:k=3", "--grid-L", "100"]) == 0
-    captured = capsys.readouterr()
-    assert captured.err == ""
-    assert float(captured.out.split("\r\n")[1].split(",")[2]) == pytest.approx(3.47276, rel=1e-3)
+@pytest.mark.parametrize("argv", [
+    ["envelope"],
+    ["coeffs"],
+    ["bargmann", "--w-count", "8"],
+    ["evolve", "--t-grid", "8"],
+    ["confine", "--beta", "0.75", "--gamma", "0.5", "--t-grid", "8"],
+], ids=lambda argv: argv[0])
+def test_expansion_outputs_do_not_depend_on_the_grid_flags(argv, tmp_path, capsys):
+    """An expansion is sampled on the grid of its own degree, so
+    ``--grid-L/--grid-N`` leave its output byte-identical, with no warning:
+    on ``--grid-L 100`` e^{a x^2/2} overflows past |x| = 37.7, which the
+    dilated samples never form (the grid scan warned twice and exited 3)."""
+    rng = np.random.default_rng(20261022)
+    coeffs = (rng.normal(size=31) + 1j * rng.normal(size=31)) * 0.8 ** np.arange(31)
+    path = tmp_path / "e.json"
+    path.write_text(json.dumps({"coeffs": [[c.real, c.imag] for c in coeffs]}))
+    for spec in ("hermite:k=40", f"expansion:@{path}"):
+        outs = []
+        for grid in ([], ["--grid-L", "12", "--grid-N", "4096"], ["--grid-N", "2048"],
+                     ["--grid-L", "100"]):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert main([argv[0], spec, *argv[1:], *grid]) == 0
+            out, err = capsys.readouterr()
+            assert err == ""
+            outs.append(out)
+        assert outs[1:] == outs[:-1], spec
 
 
 @pytest.mark.parametrize("k, member, constant", [
@@ -914,28 +933,44 @@ def test_grid_n_above_its_cap_exits_2(capsys):
 
 @pytest.mark.parametrize("argv", [
     ["norms", "--grid-L", "1000", "--a", "0.1", "--kmax", "100000"],
-    ["evolve", "hermite:k=9000", "--grid-L", "1000", "--times", "0"],
-], ids=["norms-table", "evolve-expansion"])
+], ids=["norms-table"])
 def test_basis_past_its_byte_budget_exits_3(argv, capsys):
-    """The basis these grids ask for (3.3 GB and 295 MB) is refused before
-    it is built, naming its rows, N and the budget."""
+    """The basis this grid asks for (3.3 GB) is refused before it is built,
+    naming its rows, N and the budget."""
     assert main(argv) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
-    rows = int(argv[argv.index("--kmax") + 1]) + 1 if "--kmax" in argv else 9001
-    assert captured.err.startswith(f"error: a Hermite basis of {rows} rows x N=4096 points needs ")
+    assert captured.err.startswith("error: a Hermite basis of 100001 rows x N=4096 points needs ")
     assert captured.err.endswith(f"past the {BASIS_BYTES_CAP // 2 ** 20} MiB budget\n")
 
 
-@pytest.mark.parametrize("command", ["envelope", "coeffs", "bargmann", "evolve"])
-def test_dilation_past_its_byte_budget_exits_3(command, capsys):
-    """This grid's basis is 5 MB, but the expansion's dilation matrix would
-    be 12.8 GB: it is refused before it is built."""
-    argv = [command, "hermite:k=40000", "--a", "0.01", "--grid-L", "370", "--grid-N", "16"]
-    assert main(argv) == 3
+@pytest.mark.parametrize("argv", [
+    ["envelope"], ["coeffs"], ["bargmann"], ["evolve", "--times", "0"],
+    ["confine", "--beta", "0.5", "--gamma", "0.3"],
+], ids=lambda argv: argv[0])
+def test_first_k_past_the_basis_budget_exits_3(argv, capsys, tmp_path):
+    """hermite:k=1765, the first index whose grid's basis (1766 x 19016
+    doubles) is past the budget, is refused before anything is allocated
+    and leaves no output file; no --grid-L/--grid-N widens or narrows the
+    budget's reach."""
+    import tracemalloc
+
+    from gaussherm.oscillator import _expansion_grid
+
+    n = _expansion_grid(1765).num_points
+    assert 1765 * _expansion_grid(1764).num_points * 8 <= BASIS_BYTES_CAP < 1766 * n * 8
+    tracemalloc.start()
+    try:
+        out = tmp_path / "o.csv"
+        assert main([argv[0], "hermite:k=1765", *argv[1:], "--grid-L", "1000",
+                     "--out", str(out)]) == 3
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6 and not out.exists()
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == ("error: a dilation matrix of 40001 x 40001 entries needs 12208 MiB, "
+    assert captured.err == (f"error: a Hermite basis of 1766 rows x N={n} points needs 256 MiB, "
                             f"past the {BASIS_BYTES_CAP // 2 ** 20} MiB budget\n")
 
 

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from gaussherm import oscillator
 from gaussherm.decay import sample_peak
 from gaussherm.errors import NumericalDomainError
 from gaussherm.gaussians import (
@@ -18,6 +19,7 @@ from gaussherm.gaussians import (
 )
 from gaussherm.grid import DEFAULT_GRID, GridSpec
 from gaussherm.hermite import (
+    BASIS_BYTES_CAP,
     HermiteExpansion,
     _dot_real,
     analyze,
@@ -36,7 +38,7 @@ from gaussherm.oscillator import (
     evolve_gaussian,
     flow_envelopes,
     fourier_time_shift_check,
-    _FLOW_BLOCK_BYTES,
+    _expansion_grid,
     _log_dilation,
 )
 
@@ -183,11 +185,10 @@ def test_confinement_constant_values():
     assert confinement_constant(wide, 1.0) == pytest.approx(mehler, rel=1e-8)
 
 
-def test_flow_envelopes_gaussian_is_closed_form(grid):
+def test_flow_envelopes_gaussian_is_closed_form():
     sq = squeezed_state(BETA)
     ts = [0.0, 0.4, 2.1, 1e12]
-    rows = list(flow_envelopes(sq, ts, 0.45, grid))
-    assert rows == list(flow_envelopes(sq, ts, 0.45, GridSpec(12.0, 4096)))
+    rows = list(flow_envelopes(sq, ts, 0.45))
     assert len(rows) == len(ts)
     norm0 = hermite_coeffs(sq, 200).norm_sq()  # the flow is unitary
     for t, (norm, mem) in zip(ts, rows):
@@ -247,10 +248,12 @@ def _mp_sup(coeffs, a, grid):
     return float(best[0]), best[1]
 
 
-def _assert_is_the_sup(report, coeffs, a, grid):
+def _assert_is_the_sup(report, coeffs, a):
     """The constant falls short of the mpmath sup by at most 1e-3 relative
     (the samples' spacing) and exceeds it by at most 1e-12 (rounding), at
-    an argmax within one dilated grid step of a maximiser (or its mirror)."""
+    an argmax within one dilated grid step of a maximiser (or its mirror),
+    on the grid of the expansion's degree."""
+    grid = _expansion_grid(len(coeffs) - 1)
     sup, x_star = _mp_sup(coeffs, a, grid)
     assert sup * (1 - 1e-3) <= report.constant <= sup * (1 + 1e-12)
     assert abs(abs(report.argmax_x) - abs(x_star)) <= grid.spacing / math.sqrt(1 - a)
@@ -258,55 +261,80 @@ def _assert_is_the_sup(report, coeffs, a, grid):
 
 
 @pytest.mark.parametrize("a", [0.3, 0.5, 0.9, 0.99])
-def test_dilation_matrix_matches_mpmath(grid, a):
+def test_dilation_matrix_matches_mpmath(a):
     """f(x) e^{a x^2/2} = sum_m (c @ M)_m phi_m(x/g), g = (1-a)^{-1/2}: at
-    every 64th grid point y_j, against mpmath at x = g y_j, to 1e-12 of the
-    largest sample, for phi_k (k <= 81) and three seeded expansions."""
+    every 64th point y_j of the grid of the expansion's degree, against
+    mpmath at x = g y_j, to 1e-12 of the largest sample, for phi_k (k <= 120)
+    and four seeded expansions."""
     mp = pytest.importorskip("mpmath")
     mp.mp.dps = 30
     rng = np.random.default_rng(20261019)
-    cases = [unit_expansion(k).coeffs for k in (0, 1, 2, 3, 20, 40, 81)]
-    cases += [rng.normal(size=n) + 1j * rng.normal(size=n) for n in (5, 30, 82)]
-    ys = grid.xs[::64]
+    cases = [unit_expansion(k).coeffs for k in (0, 1, 2, 3, 20, 40, 81, 100, 120)]
+    cases += [rng.normal(size=n) + 1j * rng.normal(size=n) for n in (5, 30, 82, 121)]
     g = 1 / math.sqrt(1 - a)
     for coeffs in cases:
+        ys = _expansion_grid(len(coeffs) - 1).xs[::64]
         got = _dilated_samples(coeffs, a, ys)
         ref = np.array([float(_mp_weighted(coeffs, a, g * y, mp)) for y in ys])
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(ref), len(coeffs)
 
 
 @pytest.mark.parametrize("a", [0.3, 0.5, 0.9, 0.99])
-def test_expansion_constant_is_the_sup(grid, a):
-    """Both sides of phi_k (k in {3, 20, 40, 81}) and of three seeded
-    expansions, against an mpmath maximisation of the weighted modulus."""
+def test_expansion_constant_is_the_sup(a):
+    """Both sides of phi_k (k in {3, 20, 40, 81, 100, 120}) and of four
+    seeded expansions, against an mpmath maximisation of the weighted
+    modulus; past the default grid's band limit (81) on the grid of the
+    expansion's degree."""
     rng = np.random.default_rng(20261020)
-    cases = [unit_expansion(k) for k in (3, 20, 40, 81)]
-    cases += [HermiteExpansion(rng.normal(size=n) + 1j * rng.normal(size=n)) for n in (5, 30, 82)]
+    cases = [unit_expansion(k) for k in (3, 20, 40, 81, 100, 120)]
+    cases += [HermiteExpansion(rng.normal(size=n) + 1j * rng.normal(size=n))
+              for n in (5, 30, 82, 121)]
     for e in cases:
-        (_, mem), = flow_envelopes(e, [0.0], a, grid)
+        (_, mem), = flow_envelopes(e, [0.0], a)
         assert mem.member
-        _assert_is_the_sup(mem.time_report, e.coeffs, a, grid)
-        _assert_is_the_sup(mem.frequency_report, fourier_expansion(e).coeffs, a, grid)
+        _assert_is_the_sup(mem.time_report, e.coeffs, a)
+        _assert_is_the_sup(mem.frequency_report, fourier_expansion(e).coeffs, a)
 
 
-def test_flow_envelopes_expansion_scans_the_sides(grid, rng):
+def test_flow_envelopes_expansion_scans_the_sides(rng):
     e = HermiteExpansion(rng.normal(size=12) + 1j * rng.normal(size=12))
     ts = default_t_grid(4)
-    rows = list(flow_envelopes(e, ts, 0.3, grid))
+    rows = list(flow_envelopes(e, ts, 0.3))
     for t, (norm, mem) in zip(ts, rows):
         assert norm == e.norm_sq()  # the flow is unitary
         et = evolve_expansion(e, float(t))
-        _assert_is_the_sup(mem.time_report, et.coeffs, 0.3, grid)
-        _assert_is_the_sup(mem.frequency_report, fourier_expansion(et).coeffs, 0.3, grid)
+        _assert_is_the_sup(mem.time_report, et.coeffs, 0.3)
+        _assert_is_the_sup(mem.frequency_report, fourier_expansion(et).coeffs, 0.3)
 
 
-def _per_time_sides(e, ts, a, grid):
+def test_expansion_grid_reaches_every_admitted_k():
+    """For every K whose basis the 256 MiB budget admits, the grid of K is
+    the default grid's spacing widened to the least half-width whose band
+    limit reaches K (the default grid itself up to 81), and its (K+1) x N
+    basis is larger than the (K+1) x (K+1) dilation matrix, so the basis
+    check refuses first.  Only GridSpecs are made."""
+    k = 0
+    while (k + 1) * _expansion_grid(k).num_points * 8 <= BASIS_BYTES_CAP:
+        grid = _expansion_grid(k)
+        assert band_limit(grid) >= k and (k + 1) ** 2 < (k + 1) * grid.num_points
+        assert grid.spacing == DEFAULT_GRID.spacing and grid.num_points >= 4096
+        if k <= band_limit(DEFAULT_GRID):
+            assert grid == DEFAULT_GRID
+        else:
+            n = grid.num_points - 2
+            assert band_limit(GridSpec(n * grid.spacing / 2, n)) < k
+        k += 1
+    assert k == 1765
+
+
+def _per_time_sides(e, ts, a):
     """Each t on its own, as the flow was taken before its times ran in
     blocks: evolve, transform, two real products per side through the
     dilation and the basis, and the peak of the complex moduli.  Yields
     ((constant, argmax_x), (constant, argmax_x), divergent, weighted moduli
     of both sides) per t."""
     c, top = e.coeffs, np.flatnonzero(e.coeffs)
+    grid = _expansion_grid(len(c) - 1)
     if a >= 1.0 or not top.size:
         phi, xs, shift, w = hermite_phi_all(len(c) - 1, [0.0]), np.zeros(1), 0, None
         divergent = bool(top.size) and (a > 1.0 or bool(top[-1]))
@@ -338,27 +366,29 @@ def _assert_same_side(report, expected, moduli, xs):
 
 
 @pytest.mark.parametrize("a", [0.3, 0.9, 0.99, 1.0, 1.5])
-def test_blocked_flow_matches_the_per_time_flow(a):
+def test_blocked_flow_matches_the_per_time_flow(a, monkeypatch):
     """The blocked product gives the per-time flow's constants to 2e-15
     relative, its argmax_x (but at exact ties), its divergence and, through
-    ``confinement_check``, its attaining times: K in {0, 1, 5, 40, the band
-    limit}; 1, 7 and 64 times; block-1 and block+1 times on a grid whose
-    blocks hold several times; an unsorted list with negative times."""
+    ``confinement_check``, its attaining times: K in {0, 1, 5, 40, the
+    default grid's band limit, 120}; 1, 7 and 64 times; block-1 and block+1
+    times with blocks widened to hold several times on the default grid; an
+    unsorted list with negative times."""
     rng = np.random.default_rng(20261021)
-    small = GridSpec(16.0, 512)
-    step = _FLOW_BLOCK_BYTES // (16 * small.num_points)
-    assert step > 2
-    times = [(DEFAULT_GRID, default_t_grid(n)) for n in (1, 7, 64)]
-    times += [(small, default_t_grid(n)) for n in (step - 1, step + 1)]
-    times.append((DEFAULT_GRID, np.array([1.3, -0.2, 5.0, -7.1, 0.0, 0.7, -2.5])))
-    for kmax in (0, 1, 5, 40, band_limit(DEFAULT_GRID)):
+    block_bytes = 8 * 16 * DEFAULT_GRID.num_points  # 8 times per block at N = 4096
+    times = [(None, default_t_grid(n)) for n in (1, 7, 64)]
+    times += [(block_bytes, default_t_grid(n)) for n in (7, 9)]
+    times.append((None, np.array([1.3, -0.2, 5.0, -7.1, 0.0, 0.7, -2.5])))
+    for kmax in (0, 1, 5, 40, band_limit(DEFAULT_GRID), 120):
         c = (rng.normal(size=kmax + 1) + 1j * rng.normal(size=kmax + 1)) * 0.9 ** np.arange(kmax + 1)
         e = HermiteExpansion(c)
-        for grid, ts in times:
-            rows = list(flow_envelopes(e, ts, a, grid))
+        for block, ts in times:
+            if block is not None:
+                monkeypatch.setattr(oscillator, "_FLOW_BLOCK_BYTES", block)
+            rows = list(flow_envelopes(e, ts, a))
+            monkeypatch.undo()
             assert len(rows) == len(ts)
             for (norm, mem), (sides, divergent, moduli, xs) in zip(
-                    rows, _per_time_sides(e, ts, a, grid)):
+                    rows, _per_time_sides(e, ts, a)):
                 assert norm == e.norm_sq()
                 reports = (mem.time_report, mem.frequency_report)
                 for report, expected, m in zip(reports, sides, moduli):
@@ -366,33 +396,33 @@ def test_blocked_flow_matches_the_per_time_flow(a):
                     assert report.divergent is divergent
             if a < 1:
                 gamma = math.atanh(a)
-                rep = confinement_check(e, 1.0, gamma, ts, grid)
+                rep = confinement_check(e, 1.0, gamma, ts)
                 both = np.array([max(p[0] for p in sides)
-                                 for sides, *_ in _per_time_sides(e, ts, rep.a, grid)])
+                                 for sides, *_ in _per_time_sides(e, ts, rep.a)])
                 assert not rep.divergent
                 assert np.array_equal(rep.attained_ts, ts[both >= both.max() * (1 - 1e-9)])
 
 
-def test_expansion_past_a_equal_1_and_zero_expansion(grid):
+def test_expansion_past_a_equal_1_and_zero_expansion():
     """Past a = 1 no nonzero expansion is a member; the zero expansion is a
     member at every a, with constant 0."""
-    (_, mem), = flow_envelopes(unit_expansion(0), [0.0], 1.5, grid)
+    (_, mem), = flow_envelopes(unit_expansion(0), [0.0], 1.5)
     assert not mem.member
     for a in (0.5, 1.0, 1.5):
-        (_, mem), = flow_envelopes(HermiteExpansion(np.zeros(4)), [0.0], a, grid)
+        (_, mem), = flow_envelopes(HermiteExpansion(np.zeros(4)), [0.0], a)
         assert mem.member and mem.constant == 0.0
 
 
-def test_confinement_check_ground_state(grid):
+def test_confinement_check_ground_state():
     state = GeneralizedGaussian(2 ** 0.25, 1.0)
-    rep = confinement_check(state, 1.0, 0.9, default_t_grid(16), grid)
+    rep = confinement_check(state, 1.0, 0.9, default_t_grid(16))
     assert not rep.divergent
     assert rep.psi_constants == pytest.approx(np.full(16, 2 ** 0.25), rel=1e-12)
 
 
-def test_confinement_check_squeezed_at_gamma_beta(grid):
+def test_confinement_check_squeezed_at_gamma_beta():
     state = squeezed_state(BETA)
-    rep = confinement_check(state, BETA, BETA, default_t_grid(64), grid)
+    rep = confinement_check(state, BETA, BETA, default_t_grid(64))
     assert not rep.divergent
     assert rep.sup_constant == pytest.approx((1 - R) ** -0.5, rel=1e-10)
     t_star = 3 * math.pi / 8  # -pi/8 mod pi/2
@@ -401,26 +431,26 @@ def test_confinement_check_squeezed_at_gamma_beta(grid):
     assert rep.psi_constants[i_star] == pytest.approx((1 + R) ** -0.5, rel=1e-10)
 
 
-def test_confinement_check_expansion_rep_agrees(grid):
+def test_confinement_check_expansion_rep_agrees():
     ts = default_t_grid(8)
     g_state = squeezed_state(BETA)
     e_state = hermite_coeffs(squeezed_state(BETA), 70)
-    rep_g = confinement_check(g_state, BETA, 0.45, ts, grid)
-    rep_e = confinement_check(e_state, BETA, 0.45, ts, grid)
+    rep_g = confinement_check(g_state, BETA, 0.45, ts)
+    rep_e = confinement_check(e_state, BETA, 0.45, ts)
     assert rep_e.psi_constants == pytest.approx(rep_g.psi_constants, rel=1e-8)
 
 
-def test_confinement_check_divergence_reported(grid):
+def test_confinement_check_divergence_reported():
     state = squeezed_state(BETA)
-    rep = confinement_check(state, BETA, 0.6, default_t_grid(16), grid)
+    rep = confinement_check(state, BETA, 0.6, default_t_grid(16))
     assert rep.divergent
     assert rep.first_divergent_t is not None
 
 
-def test_confinement_dominated_by_assembled_constant(grid):
+def test_confinement_dominated_by_assembled_constant():
     gamma, gamma_p = 0.45, 0.475
     state = squeezed_state(BETA)
-    rep = confinement_check(state, BETA, gamma, default_t_grid(32), grid)
+    rep = confinement_check(state, BETA, gamma, default_t_grid(32))
     coeffs = hermite_coeffs(squeezed_state(BETA), 80).coeffs
     k = np.arange(81)
     nz = np.abs(coeffs) > 0
