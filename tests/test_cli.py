@@ -933,15 +933,45 @@ def test_grid_n_above_its_cap_exits_2(capsys):
 
 @pytest.mark.parametrize("argv", [
     ["norms", "--grid-L", "1000", "--a", "0.1", "--kmax", "100000"],
-], ids=["norms-table"])
+    ["evolve", "hermite:k=9000", "--times", "0"],
+], ids=["norms-table", "evolve-expansion"])
 def test_basis_past_its_byte_budget_exits_3(argv, capsys):
-    """The basis this grid asks for (3.3 GB) is refused before it is built,
+    """The basis these grids ask for (3.3 GB on the norms table's grid, 2.9 GB
+    on the grid of the expansion's degree) is refused before it is built,
     naming its rows, N and the budget."""
+    from gaussherm.oscillator import _expansion_grid
+
     assert main(argv) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("error: a Hermite basis of 100001 rows x N=4096 points needs ")
+    rows, n = (100001, 4096) if "--kmax" in argv else (9001, _expansion_grid(9000).num_points)
+    assert captured.err.startswith(f"error: a Hermite basis of {rows} rows x N={n} points needs ")
     assert captured.err.endswith(f"past the {BASIS_BYTES_CAP // 2 ** 20} MiB budget\n")
+
+
+@pytest.mark.parametrize("command", ["envelope", "coeffs", "bargmann", "evolve"])
+def test_dilation_past_its_byte_budget_exits_3(command, capsys):
+    """This expansion's dilation matrix would be 12.8 GB; the basis on the
+    grid of its degree (40001 x 90512 doubles) is larger still and is refused
+    first, so neither is built and --grid-L/--grid-N do not change that."""
+    import tracemalloc
+
+    from gaussherm.oscillator import _expansion_grid
+
+    n = _expansion_grid(40000).num_points
+    assert 40001 * 40001 * 8 > BASIS_BYTES_CAP and n > 40001
+    argv = [command, "hermite:k=40000", "--a", "0.01", "--grid-L", "370", "--grid-N", "16"]
+    tracemalloc.start()
+    try:
+        assert main(argv) == 3
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6  # a few copies of the 640 KB coefficients, not a GB array
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: a Hermite basis of 40001 rows x N={n} points needs 27623 MiB, "
+                            f"past the {BASIS_BYTES_CAP // 2 ** 20} MiB budget\n")
 
 
 @pytest.mark.parametrize("argv", [
