@@ -42,7 +42,7 @@ import calibrate  # noqa: E402
 import numpy as np  # noqa: E402
 
 from gaussherm import bargmann, cli, gaussians, hermite, oscillator, verify, weighted  # noqa: E402
-from gaussherm.grid import DEFAULT_GRID, SampledFunction, sample  # noqa: E402
+from gaussherm.grid import DEFAULT_GRID, sample  # noqa: E402
 from gaussherm.hermite import analyze, fourier_sampled, hermite_phi_all, synthesize  # noqa: E402
 
 #: Items timed a fixed number of times, whatever ``--repeats`` says.
@@ -57,64 +57,6 @@ def run_cli(argv: list[str]) -> None:
     with contextlib.redirect_stdout(io.StringIO()):
         if cli.main(argv) != 0:
             raise RuntimeError(f"gaussherm {' '.join(argv)} failed")
-
-
-def phi_norm_table(nmax: int, a: float):
-    """||phi_n||_a^2 for n = 0..nmax as the ``norms`` table takes it: one
-    array call, or one call per n where the checkout's
-    ``phi_weighted_norm_sq`` takes a scalar n only (so one script times
-    older checkouts too)."""
-    try:
-        return weighted.phi_weighted_norm_sq(np.arange(nmax + 1), a)
-    except ValueError:
-        return [weighted.phi_weighted_norm_sq(n, a) for n in range(nmax + 1)]
-
-
-def bargmann_stack(rows, grid, ws):
-    """Uf at ws for each row: one ``bargmann_rows`` call, or one
-    ``bargmann_numeric`` call per row on a checkout without it."""
-    if hasattr(bargmann, "bargmann_rows"):
-        return bargmann.bargmann_rows(rows, grid, ws)
-    return [bargmann.bargmann_numeric(SampledFunction(grid, r), ws) for r in rows]
-
-
-def fourier_stack(rows, grid):
-    """The same-grid transform of each row: one ``fourier_rows`` call, or one
-    ``fourier_sampled`` call per row on a checkout without it."""
-    if hasattr(hermite, "fourier_rows"):
-        return hermite.fourier_rows(rows, grid)
-    return [fourier_sampled(SampledFunction(grid, r)).values for r in rows]
-
-
-def energy_stack(rows, grid, a: float):
-    """Time-side weighted energies of each row: one ``weighted_energy_rows``
-    call, or the same trapezoid sum over the whole stack on a checkout
-    without it."""
-    if hasattr(weighted, "weighted_energy_rows"):
-        return weighted.weighted_energy_rows(rows, grid, a)
-    w = np.abs(rows) ** 2 * np.exp(a * grid.xs * grid.xs)
-    return grid.spacing * (w.sum(axis=1) - 0.5 * (w[:, 0] + w[:, -1])) / np.sqrt(2 * np.pi)
-
-
-def exact_uf(state, ws):
-    """Uf at ws as ``bargmann`` computes it: from the input's own form, or
-    by quadrature of its samples on a checkout without ``bargmann_exact``."""
-    if hasattr(bargmann, "bargmann_exact"):
-        return bargmann.bargmann_exact(state, ws)
-    if isinstance(state, gaussians.GeneralizedGaussian):
-        f = state.sample(DEFAULT_GRID)
-    else:
-        f = synthesize(state, DEFAULT_GRID)
-    return bargmann.bargmann_numeric(f, ws)
-
-
-def contour_column(n, a: float):
-    """log contour bounds for the indices n as ``coeffs`` takes them: one
-    array call, or one call per index on a checkout that takes a scalar only."""
-    try:
-        return bargmann.log_contour_coeff_bound(n, a)
-    except (TypeError, ValueError):
-        return [bargmann.log_contour_coeff_bound(int(k), a) for k in n]
 
 
 def run_subprocess(args: list[str]) -> None:
@@ -140,7 +82,7 @@ def items():
     ring24 = 2.0 * np.exp(2j * np.pi * np.arange(24) / 24)
     others = [gaussians.gaussian(0.5)] + [gaussians.boundary_chirp(al) for al in (0.2, 0.27465, 0.5)]
     others = np.array([g.sample(grid).values for g in others])
-    phis_hat = np.array(fourier_stack(phis, grid))
+    phis_hat = hermite.fourier_rows(phis, grid)
     wide = verify.WIDE_GRID
     wide_phis = hermite_phi_all(30, wide.xs)
     rng = np.random.default_rng(1)
@@ -154,22 +96,22 @@ def items():
         ("hermite_phi_all K=60 N=4096", lambda: hermite_phi_all(60, grid.xs)),
         ("analyze+synthesize K=60 N=4096", lambda: synthesize(analyze(f, 60), grid)),
         ("fourier_sampled N=4096", lambda: fourier_sampled(f)),
-        ("fourier_rows F=25 N=4096", lambda: fourier_stack(stack, grid)),
-        ("fourier_rows 21 real phi rows N=4096", lambda: fourier_stack(phis, grid)),
-        ("fourier_rows Gaussian/chirp F=4 N=4096", lambda: fourier_stack(others, grid)),
+        ("fourier_rows F=25 N=4096", lambda: hermite.fourier_rows(stack, grid)),
+        ("fourier_rows 21 real phi rows N=4096", lambda: hermite.fourier_rows(phis, grid)),
+        ("fourier_rows Gaussian/chirp F=4 N=4096", lambda: hermite.fourier_rows(others, grid)),
         ("bargmann_numeric W=10 N=4096", lambda: bargmann.bargmann_numeric(f, ring)),
-        ("bargmann_rows F=21 W=10 N=4096", lambda: bargmann_stack(phis, grid, ring)),
+        ("bargmann_rows F=21 W=10 N=4096", lambda: bargmann.bargmann_rows(phis, grid, ring)),
         ("bargmann_rows F=21 W=8 N=4096 (transformed rows)",
-         lambda: bargmann_stack(phis_hat, grid, verify._REFLECTION_WS)),
-        ("weighted_energy_rows F=31 N=6144 a=0.5", lambda: energy_stack(wide_phis, wide, 0.5)),
-        ("exact Uf Gaussian W=24", lambda: exact_uf(state, ring24)),
-        ("exact Uf expansion K=40 W=24", lambda: exact_uf(expansion40, ring24)),
-        ("contour column k=2..80 a=0.5", lambda: contour_column(np.arange(2, 81), 0.5)),
+         lambda: bargmann.bargmann_rows(phis_hat, grid, verify._REFLECTION_WS)),
+        ("weighted_energy_rows F=31 N=6144 a=0.5", lambda: weighted.weighted_energy_rows(wide_phis, wide, 0.5)),
+        ("exact Uf Gaussian W=24", lambda: bargmann.bargmann_exact(state, ring24)),
+        ("exact Uf expansion K=40 W=24", lambda: bargmann.bargmann_exact(expansion40, ring24)),
+        ("contour column k=2..80 a=0.5", lambda: bargmann.log_contour_coeff_bound(np.arange(2, 81), 0.5)),
         ("central_binomial_certificate beta=1.1",
          lambda: weighted.central_binomial_certificate(1.1)),
         ("expansion_weighted_norm_sq K=81",
          lambda: weighted.expansion_weighted_norm_sq(squeezed, 0.4)),
-        ("phi_weighted_norm_sq n<=60 a=0.5", lambda: phi_norm_table(60, 0.5)),
+        ("phi_weighted_norm_sq n<=60 a=0.5", lambda: weighted.phi_weighted_norm_sq(np.arange(61), 0.5)),
         ("generating_function_check a=0.5 w=0.25 nmax=400",
          lambda: weighted.generating_function_check(0.5, 0.25, 400)),
         ("optimal_contour n=200 mu=1/3", lambda: bargmann.optimal_contour(200, 1.0 / 3.0)),

@@ -15,6 +15,7 @@ import numpy as np
 
 from gaussherm import (
     DEFAULT_GRID,
+    SectorParams,
     bargmann_numeric,
     boundary_chirp,
     cauchy_coeff_bound,
@@ -27,7 +28,6 @@ from gaussherm import (
     reflection_check,
     sample,
     sector_bound,
-    sector_params,
 )
 from gaussherm.hermite import hermite_phi
 
@@ -47,7 +47,7 @@ print(f"\nreflection identity U(fhat)(w) = Uf(-iw): max deviation "
       f"{reflection_check(f, ws):.3e}")
 
 a = 0.5
-s = sector_params(a, big_c=1.0)
+s = SectorParams(a, big_c=1.0)
 print(f"\nsector geometry at a = {a}: mu = {s.mu:.4f}, "
       f"theta0 = {s.theta0:.6f} (= pi/6), theta1 = {s.theta1:.6f}")
 
@@ -57,16 +57,14 @@ print("   theta/pi     |Uf(2e^{i theta})|   sector bound   quadrant bound")
 for frac in (0.1, 0.17, 0.25, 0.33, 0.4):
     wq = 2.0 * cmath.exp(1j * math.pi * frac)
     val = abs(bargmann_numeric(g, wq))
-    try:
-        sb = f"{sector_bound(s, wq):12.6f}"
-    except Exception:
-        sb = "   (outside) "
+    sb = sector_bound(s, wq)  # nan outside [theta0, theta1]
+    sb = "   (outside) " if math.isnan(sb) else f"{sb:12.6f}"
     print(f"   {frac:8.2f}   {val:16.6f}   {sb}   {quadrant_bound(s, wq):12.6f}")
 
 alpha = 0.27465
 a = math.tanh(2 * alpha)
 log_c = log_taylor_coeffs(hermite_coeffs(boundary_chirp(alpha), 60))
-s = sector_params(a, 1.0)
+s = SectorParams(a, 1.0)
 print("\nTaylor-coefficient bounds for the boundary chirp (the sharp case):")
 print("   n    |c_n|          circle bound   contour bound")
 for n in (4, 12, 24, 48):

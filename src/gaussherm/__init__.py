@@ -59,7 +59,6 @@ from .bargmann import (
     reflection_check,
     reflection_rows,
     sector_bound,
-    sector_params,
 )
 from .decay import (
     DecayFit,

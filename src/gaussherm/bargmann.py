@@ -19,7 +19,6 @@ growth bound into coefficient decay.
 
 from __future__ import annotations
 
-import cmath
 import functools
 import math
 from dataclasses import dataclass, field
@@ -216,55 +215,59 @@ def _theta0(mu: float) -> float:
     return 0.5 * math.atan2(2.0 * math.sqrt(mu), 1.0 - mu)
 
 
-def sector_params(a: float, big_c: float = 1.0) -> SectorParams:
-    """Build the sector geometry for envelope parameter a in (0,1)."""
-    return SectorParams(a, big_c)
-
-
 def _ray_prefactor(s: SectorParams) -> float:
     return s.big_c * math.sqrt(2.0 * math.pi / (1.0 + s.a))
 
 
-def quadrant_bound(s: SectorParams, w: complex) -> float:
-    """Everywhere-valid growth bound C sqrt(2 pi/(1+a)) exp(sqrt(mu) |w|^2 / 4)."""
-    return _ray_prefactor(s) * math.exp(math.sqrt(s.mu) * abs(complex(w)) ** 2 / 4.0)
+def quadrant_bound(s: SectorParams, w):
+    """Everywhere-valid growth bound C sqrt(2 pi/(1+a)) exp(sqrt(mu) |w|^2 / 4)
+    at one complex point w (a float) or an array of them (an array); inf
+    past the double range."""
+    w_arr = np.asarray(w, dtype=complex)
+    r2 = np.hypot(w_arr.real, w_arr.imag) ** 2
+    with np.errstate(over="ignore"):
+        bound = _ray_prefactor(s) * np.exp(math.sqrt(s.mu) * r2 / 4.0)
+    return float(bound) if np.ndim(w) == 0 else bound
 
 
-def _fold_angle(w: complex) -> float:
-    """Reduce arg w to [0, pi/2] using the eightfold symmetry of the bounds."""
-    th = cmath.phase(complex(w)) % math.pi
-    return math.pi - th if th > 0.5 * math.pi else th
-
-
-def sector_bound(s: SectorParams, w: complex) -> float:
+def sector_bound(s: SectorParams, w):
     """Interpolated bound C sqrt(2 pi/(1+a)) exp(sqrt(mu) sin(2 theta) r^2/4),
-    valid once arg w (folded into [0, pi/2]) lies in [theta0, theta1]."""
-    th = _fold_angle(w)
-    if not s.theta0 <= th <= s.theta1:
-        raise NumericalDomainError(
-            f"arg w folds to {th:.6f}, outside the sector "
-            f"[{s.theta0:.6f}, {s.theta1:.6f}]; use quadrant_bound there"
-        )
-    r2 = abs(complex(w)) ** 2
-    return _ray_prefactor(s) * math.exp(math.sqrt(s.mu) * math.sin(2.0 * th) * r2 / 4.0)
+    w and the result as in :func:`quadrant_bound`.  Valid once arg w, folded
+    into [0, pi/2] by the eightfold symmetry of the bounds, lies in
+    [theta0, theta1]; nan where it does not (:func:`quadrant_bound` holds
+    there).  The exponent is taken as sqrt(mu) |Re w Im w| / 2, which
+    sin(2 theta) r^2 / 4 equals, so no angle's rounding enters it."""
+    w_arr = np.asarray(w, dtype=complex)
+    th = np.angle(w_arr) % math.pi
+    th = np.where(th > 0.5 * math.pi, math.pi - th, th)
+    with np.errstate(over="ignore"):
+        bound = _ray_prefactor(s) * np.exp(math.sqrt(s.mu) * np.abs(w_arr.real * w_arr.imag) / 2.0)
+    bound = np.where((s.theta0 <= th) & (th <= s.theta1), bound, math.nan)
+    return float(bound) if np.ndim(w) == 0 else bound
 
 
-def log_cauchy_coeff_bound(s: SectorParams, n: int) -> float:
-    """Natural log of :func:`cauchy_coeff_bound`."""
-    if n < 1:
-        raise NumericalDomainError(f"the optimized Cauchy bound needs n >= 1, got {n}")
-    return (
+def log_cauchy_coeff_bound(s: SectorParams, n):
+    """Natural log of :func:`cauchy_coeff_bound`, for one index n (a float)
+    or an integer array of them (an array)."""
+    n = np.asarray(n)
+    if n.min(initial=1) < 1:
+        raise NumericalDomainError(f"the optimized Cauchy bound needs n >= 1, got {n.min()}")
+    log_bound = (
         math.log(_ray_prefactor(s))
-        + 0.5 * n * (1.0 + 0.5 * math.log(s.mu) - math.log(2.0 * n))
+        + 0.5 * n * (1.0 + 0.5 * math.log(s.mu) - np.log(2.0 * n))
     )
+    return float(log_bound) if np.ndim(n) == 0 else log_bound
 
 
-def cauchy_coeff_bound(s: SectorParams, n: int) -> float:
+def cauchy_coeff_bound(s: SectorParams, n):
     """Cauchy estimate on circles, optimized over the radius:
 
-        |c_n| <= C sqrt(2 pi/(1+a)) (e sqrt(mu) / (2n))**(n/2).
+        |c_n| <= C sqrt(2 pi/(1+a)) (e sqrt(mu) / (2n))**(n/2),
+
+    n and the result as in :func:`log_cauchy_coeff_bound`.
     """
-    return math.exp(log_cauchy_coeff_bound(s, n))
+    bound = np.exp(log_cauchy_coeff_bound(s, n))
+    return float(bound) if np.ndim(n) == 0 else bound
 
 
 #: Contour rule: Gauss-Legendre nodes per sub-interval, halvings toward each end.
@@ -338,10 +341,14 @@ _CONTOUR_BLOCK = 256
 
 def _power_sums(exponents: np.ndarray, log_base: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """sum_j weights_j base_j**e for each e in exponents, a block of rows at a
-    time, so a long table never forms one (len(exponents), nodes) array."""
+    time, so a long table never forms one (len(exponents), nodes) array.
+    Each row is summed on its own (not by a matrix product, whose rounding
+    depends on how many rows it holds), so an index's value does not depend
+    on the others asked for with it."""
     starts = range(0, max(exponents.size, 1), _CONTOUR_BLOCK)  # no exponents: one empty block
     return np.concatenate([
-        np.exp(exponents[i:i + _CONTOUR_BLOCK, None] * log_base) @ weights for i in starts
+        (np.exp(exponents[i:i + _CONTOUR_BLOCK, None] * log_base) * weights).sum(axis=1)
+        for i in starts
     ])
 
 
@@ -408,11 +415,13 @@ def log_contour_coeff_bound(n, a: float, big_c: float = 1.0):
     return float(log_bound[0]) if np.ndim(n) == 0 else log_bound
 
 
-def contour_coeff_bound(n: int, a: float, big_c: float = 1.0) -> float:
-    """Contour-based bound on |c_n| for a member with constant C; tighter
-    than the circle estimate by a factor ~ n^{-1/2} mu^{n/4} / mu^{n/2}...
-    exposed alongside :func:`cauchy_coeff_bound` for comparison."""
-    return math.exp(log_contour_coeff_bound(n, a, big_c))
+def contour_coeff_bound(n, a: float, big_c: float = 1.0):
+    """Contour-based bound on |c_n| for a member with constant C, n and the
+    result as in :func:`log_contour_coeff_bound`; tighter than the circle
+    estimate by a factor ~ n^{-1/2} mu^{n/4} / mu^{n/2}...  exposed
+    alongside :func:`cauchy_coeff_bound` for comparison."""
+    bound = np.exp(log_contour_coeff_bound(n, a, big_c))
+    return float(bound) if np.ndim(n) == 0 else bound
 
 
 def log_contour_i_closed_bound(n: int, mu: float) -> float:

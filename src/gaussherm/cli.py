@@ -44,7 +44,8 @@ class CliParseError(ValueError):
 
 #: Largest --kmax, --t-grid and --w-count accepted (exit 2 above them).  At
 #: each cap the slowest command on an input within the default grid's band
-#: (K <= 81) ends within about 3 s: coeffs at kmax 100,000, evolve of
+#: (K <= 81) ends within about 3 s: coeffs at kmax 100,000 (1.7 s, its
+#: columns one array call each; 2.4 s row by row), evolve of
 #: hermite:k=81 at 4,096 times, bargmann of hermite:k=81 on a 10,000-point
 #: ring (whose Taylor terms form (W, K) arrays, so the ring's cap is set by
 #: memory rather than time).  An expansion past that band runs on the wider
@@ -312,8 +313,10 @@ def write_output(text: str, path: str | None) -> None:
 LOG10 = math.log(10.0)
 
 
-def _log10_or_neginf(x: float) -> float:
-    return math.log10(x) if x > 0 else -math.inf
+def _rows(*columns) -> list[list]:
+    """Table rows from equal-length array columns, as Python ints, floats
+    and bools (so JSON takes them)."""
+    return [list(row) for row in zip(*(np.asarray(c).tolist() for c in columns))]
 
 
 def _class_constant(args, inp: InputSpec) -> tuple[float | None, float | None]:
@@ -331,32 +334,24 @@ def _class_constant(args, inp: InputSpec) -> tuple[float | None, float | None]:
 def cmd_coeffs(args, cfg: RunConfig) -> tuple[str, int]:
     inp = parse_input_spec(args.input)
     a, big_c = _class_constant(args, inp)
-    coeffs = _coefficients(inp, cfg)
-    lb_con_col = np.full(cfg.kmax + 1, math.nan)
+    k = np.arange(cfg.kmax + 1)
+    abs_c = np.abs(_coefficients(inp, cfg))
+    with np.errstate(divide="ignore"):
+        lc = np.log10(abs_c)
+    lb_env = np.full(k.size, math.nan)
+    lb_con = np.full(k.size, math.nan)
     if big_c is not None:
+        lb_env[1:] = dc.log_hardy_coeff_bound(k[1:], a, big_c) / LOG10
         # one pass over the contour rule for k = 2..kmax; the bound controls the
         # Taylor coefficient c_k = <f, phi_k>/sqrt(2^k k!), so rescale to the
         # Hermite column
-        k = np.arange(2, cfg.kmax + 1)
-        lb_con_col[2:] = (bg.log_contour_coeff_bound(k, a, big_c) + bg.log_fock_norm(k)) / LOG10
+        lb_con[2:] = (bg.log_contour_coeff_bound(k[2:], a, big_c) + bg.log_fock_norm(k[2:])) / LOG10
     header = [
         "k", "abs_coeff", "log10_abs_coeff",
         "log10_envelope_bound", "log10_contour_bound",
         "log10_envelope_margin", "log10_contour_margin",
     ]
-    rows = []
-    for k in range(cfg.kmax + 1):
-        ck = abs(coeffs[k])
-        lc = _log10_or_neginf(ck)
-        lb_env = math.nan
-        if big_c is not None and k >= 1:
-            lb_env = dc.log_hardy_coeff_bound(k, a, big_c) / LOG10
-        lb_con = float(lb_con_col[k])
-        rows.append([
-            k, ck, lc, lb_env, lb_con,
-            lb_env - lc if not math.isnan(lb_env) else math.nan,
-            lb_con - lc if not math.isnan(lb_con) else math.nan,
-        ])
+    rows = _rows(k, abs_c, lc, lb_env, lb_con, lb_env - lc, lb_con - lc)
     meta = {"command": "coeffs", "input": inp.label, "a": a, "C": big_c}
     return render_table(header, rows, cfg.output_format, meta), 0
 
@@ -387,27 +382,21 @@ def cmd_bargmann(args, cfg: RunConfig) -> tuple[str, int]:
     _check_count(args.w_count, "--w-count", W_COUNT_CAP)
     inp = parse_input_spec(args.input)
     a, big_c = _class_constant(args, inp)
-    sector = bg.sector_params(a, big_c) if big_c is not None else None
     ws = args.w_ring * np.exp(2j * math.pi * np.arange(args.w_count) / args.w_count)
     values = bg.bargmann_exact(inp.state, ws)
+    qb = sb = np.full(ws.size, math.nan)
+    if big_c is not None:
+        sector = bg.SectorParams(a, big_c)
+        qb, sb = bg.quadrant_bound(sector, ws), bg.sector_bound(sector, ws)
+        past = np.isinf(qb) | np.isinf(sb)
+        if past.any():
+            raise NumericalDomainError(
+                f"growth bound at w={complex(ws[past][0])} is past the double range"
+            )
     header = ["re_w", "im_w", "re_u", "im_u", "abs_u",
               "quadrant_bound", "sector_bound", "in_sector"]
-    rows = []
-    for w, u in zip(ws, values):
-        qb = sb = math.nan
-        in_sector = False
-        if sector is not None:
-            try:
-                qb = bg.quadrant_bound(sector, w)
-                sb = bg.sector_bound(sector, w)
-                in_sector = True
-            except NumericalDomainError:  # outside the sector: no sector bound
-                pass
-            except OverflowError as exc:
-                raise NumericalDomainError(
-                    f"growth bound at w={complex(w)} is past the double range"
-                ) from exc
-        rows.append([w.real, w.imag, u.real, u.imag, abs(u), qb, sb, in_sector])
+    rows = _rows(ws.real, ws.imag, values.real, values.imag, np.abs(values),
+                 qb, sb, ~np.isnan(sb))
     meta = {"command": "bargmann", "input": inp.label, "a": a, "C": big_c}
     return render_table(header, rows, cfg.output_format, meta), 0
 
@@ -440,15 +429,12 @@ def cmd_confine(args, cfg: RunConfig) -> tuple[str, int]:
             f"first offending t = {report.first_divergent_t:.6f}"
         )
     header = ["t", "envelope_constant_time", "envelope_constant_frequency"]
-    rows = [
-        [float(t), float(p), float(f)]
-        for t, p, f in zip(report.ts, report.psi_constants, report.fourier_constants)
-    ]
+    rows = _rows(report.ts, report.psi_constants, report.fourier_constants)
     meta = {
         "command": "confine", "input": inp.label,
         "beta": args.beta, "gamma": args.gamma, "a": report.a,
         "sup_constant": report.sup_constant, "worst_t": report.worst_t,
-        "attained_ts": [float(t) for t in report.attained_ts],
+        "attained_ts": report.attained_ts.tolist(),
     }
     return render_table(header, rows, cfg.output_format, meta), 0
 
@@ -474,8 +460,7 @@ def cmd_norms(args, cfg: RunConfig) -> tuple[str, int]:
         if resolved >= 0:
             quad[: resolved + 1] = wt.weighted_energy_rows(grid_basis(grid, resolved), grid, a)
         n = np.arange(cfg.kmax + 1)
-        columns = zip(wt.phi_weighted_norm_sq(n, a), wt.phi_weighted_norm_lower(n, a), quad)
-        rows = [[k, float(c), float(lo), float(q)] for k, (c, lo, q) in enumerate(columns)]
+        rows = _rows(n, wt.phi_weighted_norm_sq(n, a), wt.phi_weighted_norm_lower(n, a), quad)
         meta = {"command": "norms", "input": None, "a": a}
         return render_table(header, rows, cfg.output_format, meta), 0
     inp = parse_input_spec(args.input)

@@ -81,32 +81,37 @@ def check_weight(a: float) -> None:
         raise NumericalDomainError(f"a must be in (0,1), got {a}")
 
 
-def log_hardy_coeff_bound(k: int, a: float, big_c: float) -> float:
-    """Natural log of :func:`hardy_coeff_bound` (safe for large k)."""
-    if k < 1:
-        raise ValueError(f"the coefficient bound is stated for k >= 1, got k={k}")
+def log_hardy_coeff_bound(k, a: float, big_c: float):
+    """Natural log of :func:`hardy_coeff_bound` (safe for large k), for one
+    index k (a float) or an integer array of them (an array)."""
+    k = np.asarray(k)
+    if k.min(initial=1) < 1:
+        raise ValueError(f"the coefficient bound is stated for k >= 1, got k={k.min()}")
     check_weight(a)
     if not big_c > 0:
         raise ValueError(f"C must be positive, got {big_c}")
     mu = (1.0 - a) / (1.0 + a)
-    return (
+    log_bound = (
         math.log(big_c)
         + 0.5 * (math.log(2.0 * math.pi) - math.log1p(a))
         + 0.5 * gammaln(k + 1)
-        + 0.5 * k * (1.0 - math.log(k))
+        + 0.5 * k * (1.0 - np.log(k))
         + 0.25 * k * math.log(mu)
     )
+    return float(log_bound) if np.ndim(k) == 0 else log_bound
 
 
-def hardy_coeff_bound(k: int, a: float, big_c: float) -> float:
+def hardy_coeff_bound(k, a: float, big_c: float):
     """Explicit coefficient bound for a Hardy-class member with constant C:
 
         |<f, phi_k>| <= C * sqrt(2 pi k! / (1+a)) * (e/k)**(k/2) * mu**(k/4),
 
-    with mu = (1-a)/(1+a), valid for k = 1, 2, ...  (k = 0 is unconstrained).
-    Underflows to 0.0 for very large k; use the log version to compare there.
+    with mu = (1-a)/(1+a), valid for k = 1, 2, ...  (k = 0 is unconstrained);
+    k and the result as in :func:`log_hardy_coeff_bound`.  Underflows to 0.0
+    for very large k; use the log version to compare there.
     """
-    return math.exp(log_hardy_coeff_bound(k, a, big_c))
+    bound = np.exp(log_hardy_coeff_bound(k, a, big_c))
+    return float(bound) if np.ndim(k) == 0 else bound
 
 
 def rate_regime(a: float, alpha: float) -> str:
@@ -193,8 +198,8 @@ def decay_fit(e: HermiteExpansion, k_range: tuple[int, int]) -> DecayFit:
             f"need at least 6 usable same-parity indices, got {ks_fit.size}"
         )
     y = np.log(mags[pick])
-    kf = ks_fit.astype(float)
-    design = np.column_stack([np.ones_like(kf), -kf, -np.log(kf)])
+    idx = ks_fit.astype(float)
+    design = np.column_stack([np.ones_like(idx), -idx, -np.log(idx)])
     params, *_ = np.linalg.lstsq(design, y, rcond=None)
     resid = float(np.sqrt(np.mean((design @ params - y) ** 2)))
     return DecayFit(

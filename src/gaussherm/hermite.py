@@ -151,7 +151,7 @@ def grid_basis(grid: GridSpec, kmax: int) -> np.ndarray:
     if size > BASIS_BYTES_CAP:
         raise NumericalDomainError(
             f"a Hermite basis of {kmax + 1} rows x N={grid.num_points} points needs "
-            f"{size / 2 ** 20:.0f} MiB, past the {BASIS_BYTES_CAP // 2 ** 20} MiB budget")
+            f"{math.ceil(size / 2 ** 20)} MiB, past the {BASIS_BYTES_CAP // 2 ** 20} MiB budget")
     cached = _GRID_BASIS
     if cached is None or cached[0] != grid or cached[1].shape[0] <= kmax:
         cached = _GRID_BASIS = None  # let the old basis go before the new one is built

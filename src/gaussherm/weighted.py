@@ -236,12 +236,13 @@ def phi_weighted_norm_sq(n, a: float):
     return _scaled(np.log(sums) - idx * math.log(mu) - 0.5 * math.log1p(-a), n)
 
 
-def central_binomial_convolution(n: int) -> float:
-    """sum_k Q_k Q_{n-k}, the mu -> 1 limit of the norm sum; identically 1
-    (the coefficients of (1-w)**-0.5 squared convolve to those of (1-w)**-1)."""
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
-    return float(_norm_sums(n, 1.0)[n])
+def central_binomial_convolution(n):
+    """sum_k Q_k Q_{n-k}, the mu -> 1 limit of the norm sum, for an int or an
+    integer array n; identically 1 (the coefficients of (1-w)**-0.5 squared
+    convolve to those of (1-w)**-1)."""
+    idx = _indices(n)
+    sums = _norm_sums(int(idx.max(initial=0)), 1.0)[idx]
+    return float(sums) if np.ndim(n) == 0 else sums
 
 
 def phi_weighted_norm_lower(n, a: float):
@@ -354,16 +355,13 @@ def central_binomial_certificate(beta: float) -> CentralBinomialCertificate:
     )
 
 
-def log_confined_coeff_bound(
-    k: int,
-    a: float,
-    big_c: float,
-    alpha: float,
-    cert: CentralBinomialCertificate,
-) -> float:
-    """Natural log of :func:`confined_coeff_bound`."""
-    if k < 1:
-        raise ValueError(f"the bound is stated for k >= 1, got {k}")
+def log_confined_coeff_bound(k, a: float, big_c: float, alpha: float,
+                             cert: CentralBinomialCertificate):
+    """Natural log of :func:`confined_coeff_bound`, for one index k (a float)
+    or an integer array of them (an array)."""
+    k = np.asarray(k)
+    if k.min(initial=1) < 1:
+        raise ValueError(f"the bound is stated for k >= 1, got {k.min()}")
     check_weight(a)
     if alpha <= 0.5:
         raise NumericalDomainError(f"alpha must exceed 1/2, got {alpha}")
@@ -372,31 +370,28 @@ def log_confined_coeff_bound(
             f"certificate built for beta={cert.beta}, need beta = 2*alpha = {2 * alpha}"
         )
     mu = (1.0 - a) / (1.0 + a)
-    return (
+    log_bound = (
         math.log(big_c)
         - 0.5 * math.log(cert.b)
-        + 0.5 * alpha * math.log(k)
+        + 0.5 * alpha * np.log(k)
         + 0.5 * k * math.log(mu)
         + 0.25 * math.log1p(-a)
     )
+    return float(log_bound) if np.ndim(k) == 0 else log_bound
 
 
-def confined_coeff_bound(
-    k: int,
-    a: float,
-    big_c: float,
-    alpha: float,
-    cert: CentralBinomialCertificate,
-) -> float:
+def confined_coeff_bound(k, a: float, big_c: float, alpha: float,
+                         cert: CentralBinomialCertificate):
     """Coefficient bound from a uniform-in-time weighted norm bound C:
 
-        |<psi_0, phi_k>| <= (C / sqrt(B_{2 alpha})) (1-a)^{1/4} k^{alpha/2} mu^{k/2}.
+        |<psi_0, phi_k>| <= (C / sqrt(B_{2 alpha})) (1-a)^{1/4} k^{alpha/2} mu^{k/2},
 
-    This is the constant the derivation actually produces; the commonly
-    quoted form omits the (1-a)^{1/4} factor and is larger by (1-a)^{-1/4}.
-    Requires a certificate built at beta = 2*alpha.
+    k and the result as in :func:`log_confined_coeff_bound`.  This is the
+    constant the derivation actually produces; the commonly quoted form
+    omits the (1-a)^{1/4} factor and is larger by (1-a)^{-1/4}.  Requires a
+    certificate built at beta = 2*alpha.
     """
-    return math.exp(log_confined_coeff_bound(k, a, big_c, alpha, cert))
+    return _scaled(log_confined_coeff_bound(k, a, big_c, alpha, cert), k)
 
 
 def selfdual_norm_bound(b: float) -> float:

@@ -11,6 +11,7 @@ import json
 import subprocess
 import sys
 import tracemalloc
+import warnings
 
 import pytest
 
@@ -162,3 +163,18 @@ def test_grid_oracle_criteria_stay_below_the_largest_criterion_peak(criterion):
     finally:
         tracemalloc.stop()
     assert peak < 4.7e6
+
+
+@pytest.mark.parametrize("criterion", [
+    verify.criterion_coeff_bound_dominance,
+    verify.criterion_uniform_norm_coeff_bound,
+], ids=lambda fn: fn.__name__.removeprefix("criterion_"))
+def test_bound_columns_pass_past_the_bounds_underflow(criterion):
+    """At --kmax 3000 both the coefficients and the bounds underflow to 0
+    (the confinement bound past k ~ 1670); the ratios are taken in log
+    scale, so a vanishing coefficient gives ratio 0, not 0/0, and nothing
+    warns."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = criterion(VerifyConfig(kmax=3000))
+    assert result.passed, result.detail

@@ -7,10 +7,12 @@ import numpy as np
 import pytest
 
 from gaussherm.bargmann import (
+    SectorParams,
     bargmann_exact,
     bargmann_numeric,
     bargmann_rows,
     cauchy_coeff_bound,
+    contour_coeff_bound,
     log_cauchy_coeff_bound,
     log_contour_coeff_bound,
     log_contour_i_closed_bound,
@@ -21,8 +23,8 @@ from gaussherm.bargmann import (
     reflection_check,
     reflection_rows,
     sector_bound,
-    sector_params,
 )
+from gaussherm.decay import hardy_coeff_bound, log_hardy_coeff_bound
 from gaussherm.errors import EdgeDecayError, NumericalDomainError
 from gaussherm.gaussians import (
     GeneralizedGaussian,
@@ -39,6 +41,11 @@ from gaussherm.hermite import (
     hermite_phi_all,
     synthesize,
     unit_expansion,
+)
+from gaussherm.weighted import (
+    central_binomial_convolution,
+    confined_coeff_bound,
+    log_confined_coeff_bound,
 )
 
 ALPHA = 0.27465  # tanh(2 alpha) = 0.5, mu = 1/3 up to 4e-6
@@ -192,7 +199,7 @@ def test_taylor_unit_values():
 
 
 def test_sector_params_spot_value():
-    s = sector_params(0.5)
+    s = SectorParams(0.5)
     assert s.mu == pytest.approx(1 / 3, rel=1e-14)
     assert s.theta0 == pytest.approx(math.pi / 6, rel=1e-13)
     assert s.theta1 == pytest.approx(math.pi / 2 - math.pi / 6, rel=1e-13)
@@ -200,7 +207,7 @@ def test_sector_params_spot_value():
 
 @pytest.mark.parametrize("a", np.linspace(0.01, 0.99, 21))
 def test_sector_params_invariants(a):
-    s = sector_params(float(a))
+    s = SectorParams(float(a))
     assert 0 < s.theta0 < math.pi / 4 < s.theta1 < math.pi / 2
     assert s.theta0 + s.theta1 == pytest.approx(math.pi / 2, rel=1e-14)
     assert s.theta1 - s.theta0 < math.pi / 2
@@ -211,25 +218,25 @@ def test_sector_params_invariants(a):
 def test_sector_params_domain():
     for bad in (0.0, 1.0, -0.3, 1.7):
         with pytest.raises(NumericalDomainError):
-            sector_params(bad)
+            SectorParams(bad)
 
 
 def test_quadrant_bound_values():
-    s = sector_params(0.5)
+    s = SectorParams(0.5)
     assert quadrant_bound(s, 0.0) == pytest.approx(math.sqrt(2 * math.pi / 1.5), rel=1e-14)
     expected = math.sqrt(2 * math.pi / 1.5) * math.exp(math.sqrt(1 / 3))
     assert quadrant_bound(s, 2.0) == pytest.approx(expected, rel=1e-14)
 
 
 def test_sector_bound_at_diagonal_matches_quadrant():
-    s = sector_params(0.5)
+    s = SectorParams(0.5)
     w = 2.0 * cmath.exp(1j * math.pi / 4)
     assert sector_bound(s, w) == pytest.approx(quadrant_bound(s, w), rel=1e-14)
 
 
 def test_sector_bound_matches_hypothesis_on_boundary_ray():
     # at theta0: mu + (1-mu) sin^2(theta0) = sqrt(mu) sin(2 theta0) = 2mu/(1+mu)
-    s = sector_params(0.37)
+    s = SectorParams(0.37)
     w = 1.7 * cmath.exp(1j * s.theta0)
     # the time-side hypothesis bound C sqrt(2 pi/(1+a)) e^{(mu + (1-mu) sin^2 theta) r^2/4}
     hyp_time = math.sqrt(2 * math.pi / (1 + s.a)) * math.exp(
@@ -241,10 +248,38 @@ def test_sector_bound_matches_hypothesis_on_boundary_ray():
     )
 
 
-def test_sector_bound_domain_error_outside():
-    s = sector_params(0.5)
-    with pytest.raises(NumericalDomainError):
-        sector_bound(s, 2.0)  # folds to angle 0 < theta0
+@pytest.mark.parametrize("a", [0.1, 0.5, 0.9])
+def test_sector_bound_is_nan_exactly_outside_the_folded_sector(a):
+    """arg w folded into [0, pi/2] (mod pi, then reflected about pi/2) decides:
+    inside [theta0, theta1] the bound is finite, outside it is nan.  The
+    angles sit off the sector's edges (pi/6 and pi/3 at a = 0.5), where the
+    last bit of atan2 decides."""
+    s = SectorParams(a)
+    th = np.linspace(-math.pi, math.pi, 720, endpoint=False) + 1e-3
+    ws = 2.0 * np.exp(1j * th)
+    folded = [abs(math.pi / 2 - abs(math.pi / 2 - cmath.phase(w) % math.pi)) for w in ws]
+    inside = np.array([s.theta0 <= f <= s.theta1 for f in folded])
+    assert 0 < inside.sum() < inside.size
+    values = sector_bound(s, ws)
+    assert np.array_equal(np.isnan(values), ~inside)
+    assert np.all(np.isfinite(values[inside]))
+    assert math.isnan(sector_bound(s, 2.0))  # folds to angle 0 < theta0
+    assert math.isnan(sector_bound(s, 0.0))
+    assert math.isnan(sector_bound(s, -2j))  # folds to pi/2 > theta1
+
+
+def test_growth_bounds_are_inf_past_the_double_range():
+    """On the diagonal both exponents are sqrt(mu) |w|^2 / 4, past e^709.78
+    beyond |w| = 70.1 at a = 0.5; the overflow neither warns nor raises."""
+    s = SectorParams(0.5)
+    diagonal = cmath.exp(1j * math.pi / 4)
+    with np.errstate(over="raise"):
+        assert quadrant_bound(s, 100.0) == math.inf
+        assert sector_bound(s, 100.0 * diagonal) == math.inf
+        assert math.isfinite(quadrant_bound(s, 70.0 * diagonal))
+        assert math.isfinite(sector_bound(s, 70.0 * diagonal))
+        # e^231 is finite; C e^231 is not
+        assert quadrant_bound(SectorParams(0.5, 1e300), 40.0) == math.inf
 
 
 def test_bounds_dominate_transform_on_gaussian_family(grid, rng):
@@ -252,21 +287,20 @@ def test_bounds_dominate_transform_on_gaussian_family(grid, rng):
 
     for g, a in [(gaussian(0.5), 0.5), (boundary_chirp(ALPHA), math.tanh(2 * ALPHA))]:
         big_c = envelope_membership(g, a).constant
-        s = sector_params(a, big_c)
+        s = SectorParams(a, big_c)
         f = g.sample(grid)
         ws = 5.0 * np.sqrt(rng.random(200)) * np.exp(2j * math.pi * rng.random(200))
         vals = bargmann_numeric(f, ws)
         for w, v in zip(ws, vals):
             assert abs(v) <= quadrant_bound(s, w) * (1 + 1e-9)
-            try:
-                sb = sector_bound(s, w)
-            except NumericalDomainError:
+            sb = sector_bound(s, w)
+            if math.isnan(sb):  # outside the sector: no sector bound
                 continue
             assert abs(v) <= sb * (1 + 1e-9)
 
 
 def test_cauchy_coeff_bound_spot_value():
-    s = sector_params(0.5)
+    s = SectorParams(0.5)
     expected = math.sqrt(2 * math.pi / 1.5) * math.e / (4 * math.sqrt(3))
     assert cauchy_coeff_bound(s, 2) == pytest.approx(expected, rel=1e-13)
     with pytest.raises(NumericalDomainError):
@@ -274,7 +308,7 @@ def test_cauchy_coeff_bound_spot_value():
 
 
 def test_cauchy_bound_dominates_and_is_not_sharp():
-    s = sector_params(0.5, 1.0)
+    s = SectorParams(0.5, 1.0)
     log_c = log_taylor_coeffs(hermite_coeffs(gaussian(0.5), 60))
     ratios = []
     for n in range(2, 61, 2):
@@ -372,7 +406,7 @@ def test_contour_bound_dominates_chirp_taylor_coeffs():
 
 def test_contour_bound_beats_cauchy_for_large_n():
     a = math.tanh(2 * ALPHA)
-    s = sector_params(a, 1.0)
+    s = SectorParams(a, 1.0)
     for n in (20, 50, 100):
         assert log_contour_coeff_bound(n, a, 1.0) < log_cauchy_coeff_bound(s, n)
 
@@ -475,3 +509,105 @@ def test_vectorised_contour_bound_matches_optimal_contour(a):
     assert np.max(np.abs(column - one_by_one) / np.abs(one_by_one)) <= 1e-13
     assert isinstance(log_contour_coeff_bound(7, a), float)
     assert log_contour_coeff_bound(7, a) == pytest.approx(column[5], rel=1e-13)
+
+
+_A, _C = 0.5, 1.3  # mu = 1/3
+_RING = 3.0 * np.exp(2j * np.pi * np.arange(16) / 16)
+_KS = np.arange(1, 61)
+
+
+def _cert():
+    from gaussherm.weighted import central_binomial_certificate
+
+    return central_binomial_certificate(2.0)
+
+
+def _ref_log_hardy(mp, k):
+    return (mp.log(_C) + mp.log(2 * mp.pi * mp.factorial(k) / (1 + mp.mpf(_A))) / 2
+            + mp.mpf(k) / 2 * (1 - mp.log(k)) + mp.mpf(k) / 4 * mp.log(mp.mpf(1) / 3))
+
+
+def _ref_log_confined(mp, k):
+    return (mp.log(_C) - mp.log(_cert().b) / 2 + mp.log(k) / 2
+            + mp.mpf(k) / 2 * mp.log(mp.mpf(1) / 3) + mp.log(1 - mp.mpf(_A)) / 4)
+
+
+def _ref_log_cauchy(mp, n):
+    return (mp.log(_C * mp.sqrt(2 * mp.pi / (1 + mp.mpf(_A))))
+            + mp.mpf(n) / 2 * (1 + mp.log(mp.mpf(1) / 3) / 2 - mp.log(2 * n)))
+
+
+def _ref_log_contour(mp, n):
+    log_i, log_j = _contour_logs_mpmath(n, 1 / 3)
+    return (mp.log(_C) + mp.log(4 / mp.pi) + mp.log(2 * mp.pi / (1 + mp.mpf(_A))) / 2
+            + mp.mpf(n + 1) / 2 - mp.mpf(n) / 2 * mp.log(2 * n + 2)
+            + mp.log(mp.exp(log_i) + mp.exp(log_j)))
+
+
+def _ref_growth(mp, w, sector):
+    """C sqrt(2 pi/(1+a)) e^{sqrt(mu) s |w|^2/4}, s = 1 (quadrant) or, in the
+    sector [pi/6, pi/3] of a = 0.5, sin(2 theta) of the folded angle (nan
+    outside it)."""
+    s = 1
+    if sector:
+        th = cmath.phase(w) % math.pi
+        th = math.pi - th if th > math.pi / 2 else th
+        if not math.pi / 6 <= th <= math.pi / 3:
+            return math.nan
+        s = mp.sin(2 * mp.mpf(th))
+    return (_C * mp.sqrt(2 * mp.pi / (1 + mp.mpf(_A)))
+            * mp.exp(mp.sqrt(mp.mpf(1) / 3) * s * mp.mpf(abs(w)) ** 2 / 4))
+
+
+def _ref_convolution(mp, n):
+    """sum_j Q_j Q_{n-j} in exact rationals: 1."""
+    from fractions import Fraction
+
+    q = [Fraction(math.comb(2 * j, j), 4 ** j) for j in range(n + 1)]
+    return sum(q[j] * q[n - j] for j in range(n + 1))
+
+
+def _exp_of(log_ref):
+    return lambda mp, x: mp.exp(log_ref(mp, x))
+
+
+_BOUND_FORMS = {
+    "log_hardy_coeff_bound": (lambda x: log_hardy_coeff_bound(x, _A, _C), _KS, _ref_log_hardy),
+    "hardy_coeff_bound": (lambda x: hardy_coeff_bound(x, _A, _C), _KS, _exp_of(_ref_log_hardy)),
+    "log_confined_coeff_bound": (lambda x: log_confined_coeff_bound(x, _A, _C, 1.0, _cert()),
+                                 _KS, _ref_log_confined),
+    "confined_coeff_bound": (lambda x: confined_coeff_bound(x, _A, _C, 1.0, _cert()),
+                             _KS, _exp_of(_ref_log_confined)),
+    "log_cauchy_coeff_bound": (lambda x: log_cauchy_coeff_bound(SectorParams(_A, _C), x),
+                               _KS, _ref_log_cauchy),
+    "cauchy_coeff_bound": (lambda x: cauchy_coeff_bound(SectorParams(_A, _C), x),
+                           _KS, _exp_of(_ref_log_cauchy)),
+    "log_contour_coeff_bound": (lambda x: log_contour_coeff_bound(x, _A, _C),
+                                np.array([2, 3, 10, 40]), _ref_log_contour),
+    "contour_coeff_bound": (lambda x: contour_coeff_bound(x, _A, _C),
+                            np.array([2, 3, 10, 40]), _exp_of(_ref_log_contour)),
+    "quadrant_bound": (lambda x: quadrant_bound(SectorParams(_A, _C), x), _RING,
+                       lambda mp, w: _ref_growth(mp, w, False)),
+    "sector_bound": (lambda x: sector_bound(SectorParams(_A, _C), x), _RING,
+                     lambda mp, w: _ref_growth(mp, w, True)),
+    "central_binomial_convolution": (central_binomial_convolution, np.arange(41),
+                                     _ref_convolution),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_BOUND_FORMS))
+def test_bound_array_form_is_its_scalar_form_and_matches_a_reference(name):
+    """Each bound takes an index or point array: element for element it
+    equals the call on each scalar, which returns a float, and both match
+    an mpmath (or exact) reference to 1e-13."""
+    mp = pytest.importorskip("mpmath")
+    fn, xs, reference = _BOUND_FORMS[name]
+    column = fn(xs)
+    scalars = [fn(x.item()) for x in xs]
+    assert isinstance(column, np.ndarray) and column.shape == xs.shape
+    assert all(type(v) is float for v in scalars)
+    assert np.array_equal(column, scalars, equal_nan=True)
+    ref = np.array([float(reference(mp, x.item())) for x in xs])
+    assert np.array_equal(np.isnan(column), np.isnan(ref))
+    keep = ~np.isnan(ref)
+    assert np.all(np.abs(column[keep] - ref[keep]) <= 1e-13 * np.maximum(np.abs(ref[keep]), 1.0))

@@ -720,6 +720,45 @@ def test_bargmann_table(tmp_path):
         assert abs_u <= quadrant * (1 + 1e-9)
 
 
+def test_bargmann_growth_bound_past_double_range_exits_3(tmp_path, capsys):
+    """On the ring |w| = 90 the growth bounds overflow at w = 90 first (Uf
+    itself, e^{-w^2/6}/sqrt(3/2) at b = 0.5, stays finite there), and the
+    refusal leaves no output file."""
+    out = tmp_path / "F"
+    assert main(["bargmann", "gaussian:b=0.5", "--w-ring", "90", "--out", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: growth bound at w=(90+0j) is past the double range\n"
+    assert not out.exists()
+
+
+def test_bargmann_bound_past_double_range_by_its_constant_exits_3(capsys):
+    """At w = 67.6059 and a = 0.5 the exponential e^659.7 is finite, but
+    times the class constant of hermite:k=343 the bound is not: refused,
+    not printed as inf."""
+    assert main(["bargmann", "hermite:k=343", "--w-ring", "67.6059", "--w-count", "1"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: growth bound at w=(67.6059+0j) is past the double range\n"
+
+
+def test_bargmann_in_sector_is_the_finite_sector_bound(capsys):
+    """On the default 16-point ring at a = 0.5 (sector [pi/6, pi/3] folded),
+    in_sector is false and sector_bound nan exactly at the points whose arg
+    folds outside the sector: the axes and their neighbours at pi/8 off."""
+    assert main(["bargmann", "gaussian:b=0.5", "--a", "0.5"]) == 0
+    rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))[1:]
+    assert len(rows) == 16
+    for j, row in enumerate(rows):
+        th = (2 * math.pi * j / 16) % math.pi
+        th = min(th, math.pi - th)
+        inside = math.pi / 6 <= th <= math.pi / 3
+        assert row[7] == ("true" if inside else "false"), j
+        assert (row[6] == "nan") is not inside, j
+        assert math.isfinite(float(row[5])), j
+    assert sum(row[7] == "true" for row in rows) == 4  # the diagonals, pi/4 + k pi/2
+
+
 def test_verify_all_json_schema_and_exit(tmp_path):
     out = tmp_path / "v.json"
     code = main(["verify-all", "--format", "json", "--kmax", "20", "--out", str(out)])
@@ -1000,7 +1039,7 @@ def test_first_k_past_the_basis_budget_exits_3(argv, capsys, tmp_path):
     assert peak < 1e6 and not out.exists()
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == (f"error: a Hermite basis of 1766 rows x N={n} points needs 256 MiB, "
+    assert captured.err == (f"error: a Hermite basis of 1766 rows x N={n} points needs 257 MiB, "
                             f"past the {BASIS_BYTES_CAP // 2 ** 20} MiB budget\n")
 
 

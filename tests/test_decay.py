@@ -16,7 +16,7 @@ from gaussherm.decay import (
     rate_regime,
     sample_peak,
 )
-from gaussherm.bargmann import log_contour_coeff_bound, sector_params
+from gaussherm.bargmann import SectorParams, log_contour_coeff_bound
 from gaussherm.errors import FitError, NumericalDomainError
 from gaussherm.gaussians import boundary_chirp, envelope_membership, gaussian, hermite_coeffs
 from gaussherm.grid import sample
@@ -187,7 +187,7 @@ def test_membership_rule(time_div, freq_div):
 @pytest.mark.parametrize("site", [
     lambda a: log_hardy_coeff_bound(3, a, 1.0),
     lambda a: rate_regime(a, 0.1),
-    lambda a: sector_params(a),
+    lambda a: SectorParams(a),
     lambda a: log_contour_coeff_bound(3, a),
     lambda a: phi_weighted_norm_sq(2, a),
 ], ids=["log_hardy_coeff_bound", "rate_regime", "sector_params",
