@@ -1,6 +1,7 @@
 """Timings of gaussherm's kernels and verify criteria, in-process, and of
-its import, ``verify-all`` and the 4,096-time ``evolve`` and ``confine``
-of ``hermite:k=81`` in fresh interpreters.
+its import, ``verify-all``, the 4,096-time ``evolve`` and ``confine`` of
+``hermite:k=81`` and the 64-time ``evolve`` of ``hermite:k=1764`` in fresh
+interpreters.
 
 Run from the root of a checkout (the package is taken from its ``src``)::
 
@@ -87,6 +88,8 @@ def items():
     wide_phis = hermite_phi_all(30, wide.xs)
     rng = np.random.default_rng(1)
     expansion40 = hermite.HermiteExpansion(rng.normal(size=40) + 1j * rng.normal(size=40))
+    expansion63 = hermite.HermiteExpansion((rng.normal(size=64) + 1j * rng.normal(size=64))
+                                           * 0.9 ** np.arange(64))
     out = [
         ("calibrate kernel", calibrate.kernel_s),
         ("import gaussherm.cli (fresh interpreter)",
@@ -125,6 +128,11 @@ def items():
         ("confine hermite:k=81 --t-grid 4096 (subprocess)",
          lambda: run_subprocess(["-m", "gaussherm", "confine", "hermite:k=81",
                                  "--beta", "0.5", "--gamma", "0.45", "--t-grid", "4096"])),
+        ("confinement_check expansion K=63 T=64",
+         lambda: oscillator.confinement_check(expansion63, 0.5, 0.45, ts)),
+        ("evolve hermite:k=1764 --a 0.3 --t-grid 64 (subprocess)",
+         lambda: run_subprocess(["-m", "gaussherm", "evolve", "hermite:k=1764",
+                                 "--a", "0.3", "--t-grid", "64"])),
     ]
     for command in ("envelope", "coeffs", "bargmann"):
         for spec in ("squeezed:beta=0.5", "hermite:k=40"):

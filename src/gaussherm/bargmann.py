@@ -48,19 +48,23 @@ def bargmann_rows(values, grid: GridSpec, w) -> np.ndarray:
     a :func:`hermite.phase_ramp` per point.  Raises :class:`EdgeDecayError`
     naming the row when the integrand e^{xw - x^2/2} f(x) of some row has
     not decayed at the grid edges for some requested w (large |Re w| pushes
-    the Gaussian factor's peak toward the boundary).  The edge samples of
-    every row are gathered at once and the peak is taken one row at a
-    time, so no (F, W, N) array is formed.
+    the Gaussian factor's peak toward the boundary).  The integrand's peak
+    over the grid is bounded below by its value at the row's largest |sample|,
+    and the full scan runs only for the (row, w) pairs whose edge samples
+    that bound does not clear, so no (F, W, N) array is formed.
     """
     rows = np.atleast_2d(values)
     w_arr = np.atleast_1d(np.asarray(w, dtype=complex))
     xs = grid.xs
     mag = np.exp(np.outer(w_arr.real, xs) - 0.5 * xs * xs)
+    moduli = np.abs(rows)
     edges = [0, 1, -2, -1]
-    edge = (np.abs(rows[:, None, edges]) * mag[:, edges]).max(axis=2)
-    peak = np.empty_like(edge)
-    for i, row in enumerate(rows):
-        peak[i] = (mag * np.abs(row)).max(axis=1)
+    edge = (moduli[:, None, edges] * mag[:, edges]).max(axis=2)
+    top = moduli.argmax(axis=1)
+    peak = mag[:, top].T * moduli[np.arange(len(rows)), top][:, None]  # <= the peak
+    unclear = edge > EDGE_DECAY_REL * peak
+    for i in np.flatnonzero(unclear.any(axis=1)):
+        peak[i, unclear[i]] = (mag[unclear[i]] * moduli[i]).max(axis=1)
     bad = (peak > 0) & (edge > EDGE_DECAY_REL * peak)
     if bad.any():
         i = int(np.argmax(bad.any(axis=1)))
@@ -235,14 +239,20 @@ def sector_bound(s: SectorParams, w):
     w and the result as in :func:`quadrant_bound`.  Valid once arg w, folded
     into [0, pi/2] by the eightfold symmetry of the bounds, lies in
     [theta0, theta1]; nan where it does not (:func:`quadrant_bound` holds
-    there).  The exponent is taken as sqrt(mu) |Re w Im w| / 2, which
+    there).  With tan theta0 = sqrt(mu), that is
+    min(|Re w|, |Im w|) >= sqrt(mu) max(|Re w|, |Im w|), decided from the
+    two moduli alone (w = 0 is outside), so w, its conjugate, -w and iw get
+    one verdict; a point within 1e-12 relative of an edge counts as inside.
+    The exponent is taken as sqrt(mu) |Re w Im w| / 2, which
     sin(2 theta) r^2 / 4 equals, so no angle's rounding enters it."""
     w_arr = np.asarray(w, dtype=complex)
-    th = np.angle(w_arr) % math.pi
-    th = np.where(th > 0.5 * math.pi, math.pi - th, th)
+    re, im = np.abs(w_arr.real), np.abs(w_arr.imag)
+    sqrt_mu = math.sqrt(s.mu)
     with np.errstate(over="ignore"):
-        bound = _ray_prefactor(s) * np.exp(math.sqrt(s.mu) * np.abs(w_arr.real * w_arr.imag) / 2.0)
-    bound = np.where((s.theta0 <= th) & (th <= s.theta1), bound, math.nan)
+        bound = _ray_prefactor(s) * np.exp(sqrt_mu * np.abs(w_arr.real * w_arr.imag) / 2.0)
+    far = np.maximum(re, im)
+    inside = (np.minimum(re, im) >= sqrt_mu * (1.0 - 1e-12) * far) & (far > 0)
+    bound = np.where(inside, bound, math.nan)
     return float(bound) if np.ndim(w) == 0 else bound
 
 

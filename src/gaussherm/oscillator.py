@@ -198,10 +198,21 @@ def _expansion_grid(kmax: int) -> GridSpec:
     return GridSpec(0.5 * n * h, n) if n > DEFAULT_GRID.num_points else DEFAULT_GRID
 
 
-#: Bytes of squared moduli per block of times in :func:`flow_envelopes`,
-#: two rows of max(N, K+1) doubles per time (at least one time per block).
-#: A block's other arrays are at most twice that, so its products and passes
-#: run in cache and the memory does not grow with the number of times.
+#: Times per block of :func:`flow_envelopes`: a block's rows take the basis
+#: together, so it is read once per block, not once per time.
+_FLOW_TIMES = 64
+
+#: Bytes of a block's real rows, four of K+1 doubles per time: fewer than
+#: ``_FLOW_TIMES`` times (at least one) run per block only past K = 2047,
+#: which no grid within ``hermite.BASIS_BYTES_CAP`` admits, only the
+#: one-point grid of a >= 1.
+_FLOW_ROW_BYTES = 4 * 2 ** 20
+
+#: Bytes of squared moduli per column block of :func:`flow_envelopes`, two
+#: rows per time of the block: 64 columns at 64 times, the whole default grid
+#: at one time (the columns are a power of two).  A column block's product is
+#: twice that, so the products and passes run in cache, and no array grows
+#: with the number of times.
 _FLOW_BLOCK_BYTES = 64 * 1024
 
 
@@ -226,11 +237,16 @@ def flow_envelopes(psi0: HermiteExpansion | GeneralizedGaussian, ts, a: float):
     grid of the degree K (:func:`_expansion_grid`; refused, before it is
     built, past ``hermite.BASIS_BYTES_CAP``); for a >= 1, its modulus at x = 0.
 
-    An expansion's times run in blocks: the rows c(t) and (-i)^k c(t) of a
-    block go through M and the basis as one real product of their real and
-    imaginary parts, and each side's constant is the square root of its
-    largest squared modulus.  A time whose largest phase (2K+1)t is not
-    finite is refused before any row is yielded (``NumericalDomainError``)."""
+    An expansion's times run in blocks of up to ``_FLOW_TIMES`` (fewer when
+    the rows pass ``_FLOW_ROW_BYTES``).  Each time's rows c(t) and
+    (-i)^k c(t), real parts over imaginary parts, go through M in a (4, K+1)
+    product of their own.  The block's rows then take the basis in column
+    blocks of ``_FLOW_BLOCK_BYTES`` of squared moduli, so the basis is read
+    once per block, not once per time.  Each side's constant is the
+    square root of its largest squared modulus, and its argmax_x follows
+    ``decay.sample_peak``, also across column blocks (:func:`_streamed_peak`).
+    A time whose largest phase (2K+1)t is not finite is refused before any
+    row is yielded (``NumericalDomainError``)."""
     if isinstance(psi0, GeneralizedGaussian):
         for t in ts:
             gt = evolve_gaussian(psi0, float(t))
@@ -259,21 +275,67 @@ def flow_envelopes(psi0: HermiteExpansion | GeneralizedGaussian, ts, a: float):
         w = np.exp(log_w - shift * math.log(2.0), out=log_w)  # |c_k| M[k, m] / 2^shift, at most 2
         u = np.exp(1j * np.angle(c))  # the phases, which the flow moves
     turn = np.array([1.0, -1j, -1.0, 1j])[k % 4]  # (-i)^k, exact
-    step = max(1, _FLOW_BLOCK_BYTES // (16 * max(len(xs), len(c))))
+    step = min(_FLOW_TIMES, max(1, _FLOW_ROW_BYTES // (32 * len(c))))
     for i in range(0, len(ts), step):
-        d = u * np.exp(1j * np.multiply.outer(ts[i:i + step], 2 * k + 1))  # the time rows
+        d = 1j * np.multiply.outer(ts[i:i + step], 2 * k + 1)
         n = len(d)
-        d = np.concatenate([d, d * turn])  # and the frequency rows
-        parts = np.concatenate([d.real, d.imag])
+        np.exp(d, out=d)
+        if len(c) > 1:
+            np.multiply(u, d, out=d)  # the time rows
+        else:  # one loop over a column of times rounds unlike a row's: a time at a time
+            for row in d:
+                np.multiply(u, row[None], out=row[None])
+        parts = np.empty((n, 4, len(c)))  # per time: 2 real rows over 2 imaginary
+        parts[:, 0], parts[:, 2] = d.real, d.imag
+        d *= turn  # the frequency rows
+        parts[:, 1], parts[:, 3] = d.real, d.imag
+        del d
         if w is not None:
-            parts = parts @ w  # (d @ w) @ phi: no (K+1) x N array is formed
-        sq = parts @ phi
-        np.square(sq, out=sq)
-        sq = np.add(sq[: 2 * n], sq[2 * n:], out=sq[: 2 * n])  # |.|^2 of each row of d
-        tops, xmax = sample_peak(sq, xs, squared=True)
+            parts = parts @ w  # a (4, K+1) product per time, as the time alone would take
+        parts = parts.reshape(-1, len(c))
+        cols = _FLOW_BLOCK_BYTES // (16 * n)
+        cols = 1 << (cols.bit_length() - 1)  # a power of two: blocks start on whole-row tiles
+        if cols >= len(xs):
+            tops, xmax = sample_peak(_moduli_sq(parts, phi), xs, squared=True)
+        else:
+            tops, xmax = _streamed_peak(parts, phi, xs, cols)
         for j in range(n):
             yield norm, Membership(*(_report(tops[r], xmax[r], a, shift, divergent)
-                                     for r in (j, n + j)))
+                                     for r in (2 * j, 2 * j + 1)))
+
+
+def _moduli_sq(parts: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """|.|^2 of the complex rows of parts @ phi, whose rows run in fours: the
+    real parts of two complex rows, then their imaginary parts."""
+    sq = (parts @ phi).reshape(-1, 2, 2, phi.shape[1])
+    np.square(sq, out=sq)
+    return (sq[:, 0] + sq[:, 1]).reshape(-1, phi.shape[1])
+
+
+def _streamed_peak(parts: np.ndarray, phi: np.ndarray, xs: np.ndarray, cols: int):
+    """``sample_peak`` with ``squared=True`` on the rows of squared moduli that
+    the basis forms ``cols`` columns at a time, bit for bit, with no array
+    wider than one block.  The first pass keeps each row's block maxima,
+    whose largest is the row's top.  The second re-forms only the blocks
+    whose maximum reaches top (1 - 1e-12)^2 for some row, which hold every
+    sample of the tie set, and keeps per row the least |x| among them, an
+    earlier block winning a tie."""
+    starts = range(0, len(xs), cols)
+    block_tops = np.stack([_moduli_sq(parts, phi[:, s:s + cols]).max(axis=1) for s in starts],
+                          axis=1)
+    tops = block_tops.max(axis=1)
+    floor = tops * (1.0 - 1e-12) ** 2
+    rows = np.arange(len(tops))
+    least, xmax = np.full(len(tops), np.inf), np.zeros(len(tops))
+    for b in np.flatnonzero((block_tops >= floor[:, None]).any(axis=0)):
+        s = starts[b]
+        near = _moduli_sq(parts, phi[:, s:s + cols]) >= floor[:, None]
+        dist = np.where(near, np.abs(xs[s:s + cols]), np.inf)
+        j = dist.argmin(axis=1)
+        better = dist[rows, j] < least
+        least[better] = dist[rows, j][better]
+        xmax[better] = xs[s + j[better]]
+    return tops, xmax
 
 
 #: Largest relative error of 1 - a, a = tanh(gamma) rounded to a double, at

@@ -159,6 +159,53 @@ def test_bargmann_rows_guard_names_what_the_per_row_guard_names(grid):
     assert f"input row {i} not decayed at grid edges for w={named};" in str(info.value)
 
 
+def full_scan_guard(rows, grid, w):
+    """The edge guard with the integrand's peak of every (row, w) pair taken
+    over the whole grid: the (row, w) mask of undecayed pairs."""
+    w_arr = np.atleast_1d(np.asarray(w, dtype=complex))
+    xs = grid.xs
+    mag = np.exp(np.outer(w_arr.real, xs) - 0.5 * xs * xs)
+    edge = (np.abs(rows[:, None, [0, 1, -2, -1]]) * mag[:, [0, 1, -2, -1]]).max(axis=2)
+    peak = np.array([(mag * np.abs(row)).max(axis=1) for row in rows])
+    return (peak > 0) & (edge > EDGE_DECAY_REL * peak)
+
+
+@pytest.mark.parametrize("half_width, n", [(8.0, 256), (16.0, 4096)])
+def test_edge_guard_refuses_where_the_full_scan_does(half_width, n):
+    """Re w from -40 to 40: the guard that scans only the pairs its lower
+    bound (the integrand at the row's largest |sample|) does not clear raises
+    exactly where the full scan finds an undecayed pair, naming the same row
+    and w, for each row alone and for the stack.  The rows peak at the centre,
+    off it and near the edge; one is zero and one has not decayed."""
+    grid = GridSpec(half_width, n)
+    xs = grid.xs
+    rows = np.array([*hermite_phi_all(3, xs), np.exp(-0.01 * xs ** 2),
+                     np.exp(-(xs - 0.4 * half_width) ** 2) * (1 + 0.5j),
+                     np.exp(-0.5 * (xs + 0.9 * half_width) ** 2), np.zeros(n),
+                     np.exp(0.3 * xs ** 2 - 0.3 * half_width ** 2)])
+    ws = np.linspace(-40.0, 40.0, 161) + 1j * np.resize([0.0, 2.5, -7.0], 161)
+    bad = full_scan_guard(rows, grid, ws)
+    top = np.abs(rows).argmax(axis=1)
+    mag = np.exp(np.outer(ws.real, xs) - 0.5 * xs * xs)
+    bound = (mag[:, top] * np.abs(rows[np.arange(len(rows)), top])).T
+    edge = (np.abs(rows[:, None, [0, 1, -2, -1]]) * mag[:, [0, 1, -2, -1]]).max(axis=2)
+    unclear = edge > EDGE_DECAY_REL * bound
+    assert bad.any() and (unclear & ~bad).any() and (~unclear).any()  # every branch runs
+    for i, row in enumerate(rows):
+        for j, w in enumerate(ws):
+            if bad[i, j]:
+                with pytest.raises(EdgeDecayError, match="input row 0 "):
+                    bargmann_rows(row, grid, w)
+            else:
+                bargmann_rows(row, grid, w)
+    first = int(np.argmax(bad.any(axis=1)))
+    with pytest.raises(EdgeDecayError) as info:
+        bargmann_rows(rows, grid, ws)
+    assert f"input row {first} not decayed at grid edges for w={ws[bad[first]][:3]};" in str(info.value)
+    clear = ~bad.any(axis=0)
+    assert bargmann_rows(rows, grid, ws[clear]).shape == (len(rows), clear.sum())
+
+
 @pytest.mark.parametrize("k", [0, 1, 5, 12, 20])
 def test_reflection_identity_hermite(grid, k):
     f = sample(lambda xs: hermite_phi(k, xs), grid)
@@ -252,8 +299,8 @@ def test_sector_bound_matches_hypothesis_on_boundary_ray():
 def test_sector_bound_is_nan_exactly_outside_the_folded_sector(a):
     """arg w folded into [0, pi/2] (mod pi, then reflected about pi/2) decides:
     inside [theta0, theta1] the bound is finite, outside it is nan.  The
-    angles sit off the sector's edges (pi/6 and pi/3 at a = 0.5), where the
-    last bit of atan2 decides."""
+    angles sit 1e-3 off the sector's edges (pi/6 and pi/3 at a = 0.5), where
+    the folded angle's rounding would decide."""
     s = SectorParams(a)
     th = np.linspace(-math.pi, math.pi, 720, endpoint=False) + 1e-3
     ws = 2.0 * np.exp(1j * th)
@@ -266,6 +313,28 @@ def test_sector_bound_is_nan_exactly_outside_the_folded_sector(a):
     assert math.isnan(sector_bound(s, 2.0))  # folds to angle 0 < theta0
     assert math.isnan(sector_bound(s, 0.0))
     assert math.isnan(sector_bound(s, -2j))  # folds to pi/2 > theta1
+
+
+@pytest.mark.parametrize("a", [0.1, 0.5, 0.9])
+def test_sector_verdict_is_the_same_for_mirror_images(a):
+    """w, its conjugate, -w and iw, built exactly from the same two moduli,
+    get one verdict, also on the sector's edges, where arg w as rounded folds
+    to either side of theta0 or theta1; a point within 1e-12 relative of an
+    edge is inside, one 1e-9 off it outside."""
+    s = SectorParams(a)
+    rng = np.random.default_rng(20261019)
+    edges = np.array([s.theta0, s.theta1]) + 0.5 * math.pi * np.arange(4)[:, None]
+    th = np.concatenate([rng.uniform(0, 2 * math.pi, 400), edges.ravel()])
+    ws = rng.uniform(0.1, 30.0, th.size) * np.exp(1j * th)
+    turned = np.empty_like(ws)
+    turned.real, turned.imag = -ws.imag, ws.real  # iw
+    outside = np.isnan(sector_bound(s, ws))
+    for image in (ws.conj(), -ws, turned):
+        assert np.array_equal(np.isnan(sector_bound(s, image)), outside)
+    assert not outside[-8:].any()  # the edges as rounded
+    assert 0 < outside.sum() < 400
+    off = 2.0 * np.exp(1j * np.array([s.theta0 * (1 - 1e-9), s.theta1 * (1 + 1e-9)]))
+    assert np.isnan(sector_bound(s, off)).all()
 
 
 def test_growth_bounds_are_inf_past_the_double_range():

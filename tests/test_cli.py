@@ -759,6 +759,20 @@ def test_bargmann_in_sector_is_the_finite_sector_bound(capsys):
     assert sum(row[7] == "true" for row in rows) == 4  # the diagonals, pi/4 + k pi/2
 
 
+def test_bargmann_edge_points_are_in_the_sector(capsys):
+    """On the 12-point ring at a = 0.5, the default weight of a Hermite
+    function, all 8 points off the axes lie on the sector's edges (pi/6 and
+    pi/3 folded) and read in_sector true with a finite sector bound, whatever
+    the last bit of their rounded angle; the 4 axis points read false."""
+    assert main(["bargmann", "hermite:k=3", "--w-count", "12"]) == 0
+    rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))[1:]
+    assert len(rows) == 12
+    for j, row in enumerate(rows):
+        on_edge = j % 3 != 0
+        assert row[7] == ("true" if on_edge else "false"), j
+        assert math.isfinite(float(row[6])) is on_edge, j
+
+
 def test_verify_all_json_schema_and_exit(tmp_path):
     out = tmp_path / "v.json"
     code = main(["verify-all", "--format", "json", "--kmax", "20", "--out", str(out)])

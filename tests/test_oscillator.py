@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -371,19 +372,17 @@ def test_blocked_flow_matches_the_per_time_flow(a, monkeypatch):
     relative, its argmax_x (but at exact ties), its divergence and, through
     ``confinement_check``, its attaining times: K in {0, 1, 5, 40, the
     default grid's band limit, 120}; 1, 7 and 64 times; block-1 and block+1
-    times with blocks widened to hold several times on the default grid; an
-    unsorted list with negative times."""
+    times with blocks of 8 times; an unsorted list with negative times."""
     rng = np.random.default_rng(20261021)
-    block_bytes = 8 * 16 * DEFAULT_GRID.num_points  # 8 times per block at N = 4096
     times = [(None, default_t_grid(n)) for n in (1, 7, 64)]
-    times += [(block_bytes, default_t_grid(n)) for n in (7, 9)]
+    times += [(8, default_t_grid(n)) for n in (7, 9)]
     times.append((None, np.array([1.3, -0.2, 5.0, -7.1, 0.0, 0.7, -2.5])))
     for kmax in (0, 1, 5, 40, band_limit(DEFAULT_GRID), 120):
         c = (rng.normal(size=kmax + 1) + 1j * rng.normal(size=kmax + 1)) * 0.9 ** np.arange(kmax + 1)
         e = HermiteExpansion(c)
         for block, ts in times:
             if block is not None:
-                monkeypatch.setattr(oscillator, "_FLOW_BLOCK_BYTES", block)
+                monkeypatch.setattr(oscillator, "_FLOW_TIMES", block)
             rows = list(flow_envelopes(e, ts, a))
             monkeypatch.undo()
             assert len(rows) == len(ts)
@@ -401,6 +400,91 @@ def test_blocked_flow_matches_the_per_time_flow(a, monkeypatch):
                                  for sides, *_ in _per_time_sides(e, ts, rep.a)])
                 assert not rep.divergent
                 assert np.array_equal(rep.attained_ts, ts[both >= both.max() * (1 - 1e-9)])
+
+
+@pytest.mark.parametrize("cols", [1, 2, 3, 5, 8, 13, 40])
+def test_streamed_peak_keeps_the_sample_peak_rule(cols):
+    """Column blocks give sample_peak's top and argmax_x bit for bit: exact
+    mirrored ties (the first x wins), a near tie inside (1 - 1e-12)^2 at a
+    smaller |x| than the top, one just outside it at a smaller |x| still, a
+    flat row, a zero row and random rows.  The real parts are the rows
+    themselves, in pairs, and the imaginary parts 0, so the squared moduli
+    are phi^2."""
+    rng = np.random.default_rng(20261019)
+    n = 40
+    xs = np.arange(n) - (n - 1) / 2.0
+    half = rng.random((3, n // 2))
+    phi = np.vstack([np.hstack([half, half[:, ::-1]]),  # mirror-symmetric rows
+                     np.zeros(n), np.ones(n), np.zeros(n), rng.random((2, n))])
+    phi[3, [3, 30, 20]] = [1.0, 1.0 - 0.5e-12, 1.0 - 2e-12]  # top, inside, outside
+    eye = np.eye(len(phi))
+    parts = np.stack([eye[0::2], eye[1::2], 0 * eye[0::2], 0 * eye[1::2]], axis=1)
+    parts = parts.reshape(-1, len(phi))
+    tops, xmax = oscillator._streamed_peak(parts, phi, xs, cols)
+    want_tops, want_x = sample_peak(phi * phi, xs, squared=True)
+    assert np.array_equal(tops, want_tops) and np.array_equal(xmax, want_x)
+    assert xmax[3] == 10.5 and xmax[4] == xmax[5] == -0.5
+    assert np.all(xmax[:3] < 0)
+
+
+@pytest.mark.parametrize("a", [0.3, 0.9, 1.5])
+def test_streamed_flow_keeps_the_sample_peak_rule(a, monkeypatch):
+    """Blocks of up to 64 times with the basis streamed in column blocks give
+    each side's top and argmax_x bit for bit as ``decay.sample_peak`` on each
+    time's full rows of squared moduli, formed from the same products: phi_k
+    at K in {3, 40, 70, 81}, whose |psi_t| is even or odd in x so mirrored x
+    tie exactly (the first, negative, x wins), seeded expansions, and K = 120
+    on its wider grid; T in {1, 8, 63, 64, 65, 200}.  At a >= 1 (the degree
+    rule) the grid is x = 0 and the one-pass rule itself runs."""
+    rng = np.random.default_rng(20261019)
+    phis = [unit_expansion(k) for k in (3, 40, 70, 81)]
+    cases = phis + [HermiteExpansion(rng.normal(size=n) + 1j * rng.normal(size=n))
+                    for n in (12, 60)]
+    cases.append(HermiteExpansion((rng.normal(size=121) + 1j * rng.normal(size=121))
+                                  * 0.97 ** np.arange(121)))
+    streamed = []
+    real_streamed_peak = oscillator._streamed_peak
+
+    def checked(parts, phi, xs, cols):
+        tops, xmax = real_streamed_peak(parts, phi, xs, cols)
+        rows = np.hstack([oscillator._moduli_sq(parts, phi[:, s:s + cols])
+                          for s in range(0, len(xs), cols)])
+        want_tops, want_x = sample_peak(rows, xs, squared=True)
+        assert np.array_equal(tops, want_tops) and np.array_equal(xmax, want_x)
+        streamed.append(len(tops) // 2)
+        return tops, xmax
+
+    monkeypatch.setattr(oscillator, "_streamed_peak", checked)
+    for i, e in enumerate(cases):
+        for size in (1, 8, 63, 64, 65, 200):
+            rows = list(flow_envelopes(e, default_t_grid(size), a))
+            assert len(rows) == size
+            if a < 1 and i < len(phis):
+                assert all(r.argmax_x <= 0 for _, mem in rows
+                           for r in (mem.time_report, mem.frequency_report))
+    if a < 1:  # every T past 1 streams, and T = 1 on the grid wider than the default
+        assert max(streamed) == 64 and 1 in streamed
+    else:
+        assert not streamed
+
+
+def test_degree_rule_blocks_stay_small_past_the_basis_budget():
+    """At a >= 1 the grid is the one point x = 0, so K is not bounded by the
+    basis budget: at K = 20000 a block holds the few times whose rows fit
+    ``_FLOW_ROW_BYTES``, not 64 (41 MB of rows), and each time reads as it
+    does alone."""
+    e = unit_expansion(20000)
+    ts = default_t_grid(64)
+    tracemalloc.start()
+    try:
+        rows = list(flow_envelopes(e, ts, 1.5))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * oscillator._FLOW_ROW_BYTES
+    for t, (_, mem) in zip(ts[:3], rows):
+        (_, alone), = flow_envelopes(e, [t], 1.5)
+        assert mem == alone and not mem.member
 
 
 def test_expansion_past_a_equal_1_and_zero_expansion():
