@@ -1,7 +1,8 @@
 """Timings of gaussherm's kernels and verify criteria, in-process, and of
 its import, ``verify-all``, the 4,096-time ``evolve`` and ``confine`` of
 ``hermite:k=81`` and the 64-time ``evolve`` of ``hermite:k=1764`` in fresh
-interpreters.
+interpreters, plus the first ``verify-all`` of a fresh interpreter timed
+inside it after its import.
 
 Run from the root of a checkout (the package is taken from its ``src``)::
 
@@ -12,7 +13,10 @@ they are for every request after the first in a long-lived process), then
 ``--repeats`` times under ``time.perf_counter``.  The commands in fresh
 interpreters include starting Python; the import is run 3 times untimed, so
 the file cache and the bytecode are warm, and then timed 5 times whatever
-``--repeats`` says.  The median, min and max of those repeats are printed
+``--repeats`` says.  The first ``verify-all`` is timed by the fresh
+interpreter itself, from after ``import gaussherm.cli`` to the return of
+``cli.main``: the cost a user pays once per process, which perfbench reads
+as ``cold_request_ms``.  The median, min and max of those repeats are printed
 and written, with the machine's nproc, the Python and numpy versions and
 ``OPENBLAS_NUM_THREADS``, to ``BENCH_<label>.json`` at the checkout root.
 Timings are noisy on a shared machine: compare two labels only when both
@@ -52,6 +56,20 @@ FIXED_REPEATS = {"import gaussherm.cli (fresh interpreter)": 5}
 #: Untimed calls before timing (default 1).
 WARMUPS = {"import gaussherm.cli (fresh interpreter)": 3}
 
+#: Run in a fresh interpreter: one ``verify-all --format json`` after the
+#: import, printing its exit status and the seconds ``cli.main`` took.
+FIRST_VERIFY_ALL = """\
+import contextlib, io, time
+from gaussherm import cli
+start = time.perf_counter()
+with contextlib.redirect_stdout(io.StringIO()):
+    status = cli.main(["verify-all", "--format", "json"])
+print(status, time.perf_counter() - start)
+"""
+
+#: Items whose callable returns its own time in seconds.
+SELF_TIMED = {"verify-all first run (fresh interpreter, import excluded)"}
+
 
 def run_cli(argv: list[str]) -> None:
     """One ``cli.main`` call with its stdout captured, as a request is served."""
@@ -60,12 +78,22 @@ def run_cli(argv: list[str]) -> None:
             raise RuntimeError(f"gaussherm {' '.join(argv)} failed")
 
 
-def run_subprocess(args: list[str]) -> None:
-    """One fresh interpreter on this checkout's package; refused unless it exits 0."""
+def run_subprocess(args: list[str]) -> bytes:
+    """One fresh interpreter on this checkout's package; its stdout, refused
+    unless it exits 0."""
     env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
     res = subprocess.run([sys.executable, *args], env=env, capture_output=True, check=False)
     if res.returncode != 0:
         raise RuntimeError(f"{' '.join(args)} exited {res.returncode}: {res.stderr[-500:]!r}")
+    return res.stdout
+
+
+def first_verify_all_s() -> float:
+    """Seconds of the first ``verify-all`` in a fresh interpreter, import excluded."""
+    status, seconds = run_subprocess(["-c", FIRST_VERIFY_ALL]).split()
+    if status != b"0":
+        raise RuntimeError(f"verify-all in a fresh interpreter returned {status!r}")
+    return float(seconds)
 
 
 def items():
@@ -96,6 +124,7 @@ def items():
          lambda: run_subprocess(["-c", "import gaussherm.cli"])),
         ("verify-all --format json (subprocess)",
          lambda: run_subprocess(["-m", "gaussherm", "verify-all", "--format", "json"])),
+        ("verify-all first run (fresh interpreter, import excluded)", first_verify_all_s),
         ("hermite_phi_all K=60 N=4096", lambda: hermite_phi_all(60, grid.xs)),
         ("analyze+synthesize K=60 N=4096", lambda: synthesize(analyze(f, 60), grid)),
         ("fourier_sampled N=4096", lambda: fourier_sampled(f)),
@@ -146,14 +175,16 @@ def items():
     return out
 
 
-def time_item(fn, repeats: int, warmups: int = 1) -> dict:
+def time_item(fn, repeats: int, warmups: int = 1, self_timed: bool = False) -> dict:
+    """Median, min and max of ``repeats`` calls in ms; a ``self_timed``
+    callable returns its own time in seconds."""
     for _ in range(warmups):
         fn()
     times = []
     for _ in range(repeats):
         start = time.perf_counter()
-        fn()
-        times.append(time.perf_counter() - start)
+        own = fn()
+        times.append(own if self_timed else time.perf_counter() - start)
     return {
         "median_ms": 1e3 * statistics.median(times),
         "min_ms": 1e3 * min(times),
@@ -172,7 +203,7 @@ def main(argv=None) -> int:
     results = {}
     for name, fn in items():
         results[name] = time_item(fn, FIXED_REPEATS.get(name, args.repeats),
-                                  WARMUPS.get(name, 1))
+                                  WARMUPS.get(name, 1), name in SELF_TIMED)
         r = results[name]
         print(f"{name:45s} median {r['median_ms']:9.3f} ms  "
               f"min {r['min_ms']:9.3f}  max {r['max_ms']:9.3f}")

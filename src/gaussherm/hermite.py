@@ -186,18 +186,6 @@ def fourier_expansion(e: HermiteExpansion) -> HermiteExpansion:
     return HermiteExpansion(e.coeffs * (-1j) ** (k % 4))
 
 
-def _check_edge_decay(values: np.ndarray, what: str):
-    m = float(np.max(np.abs(values)))
-    if m == 0.0:
-        return
-    edge = float(max(np.max(np.abs(values[:2])), np.max(np.abs(values[-2:]))))
-    if edge > EDGE_DECAY_REL * m:
-        raise EdgeDecayError(
-            f"{what} has not decayed at the grid edges "
-            f"(edge/max = {edge / m:.3e} > {EDGE_DECAY_REL:.0e}); widen the grid"
-        )
-
-
 def phase_ramp(theta, n: int) -> np.ndarray:
     """e^{i theta j} for j = 0..n-1, for each angle in the array ``theta``;
     shape theta.shape + (n,).
@@ -239,6 +227,41 @@ def _real_parts(rows: np.ndarray):
                 yield i, factor, part
 
 
+#: (grid, FFT size, kernel FFT, pre ramp, post ramp) of :func:`fourier_rows`'
+#: chirp-z, read-only: that of the last grid asked for, replaced when another
+#: grid is asked for (256 KB on the default grid).
+_CHIRP_Z_PLAN: tuple[GridSpec, int, np.ndarray, np.ndarray, np.ndarray] | None = None
+
+
+def _chirp_z_plan(grid: GridSpec) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
+    """(FFT size, kernel FFT, pre ramp, post ramp): the part of
+    :func:`fourier_rows`' chirp-z that depends on the grid alone, built once
+    per grid."""
+    global _CHIRP_Z_PLAN
+    plan = _CHIRP_Z_PLAN
+    if plan is None or plan[0] != grid:
+        h = grid.spacing
+        x0 = -grid.half_width
+        n = grid.num_points
+        # fhat(xi_m) = h/sqrt(2 pi) e^{-i x0^2} e^{-i m h x0}
+        #             * sum_j [f_j e^{-i j h x0}] e^{-i j m h^2}
+        # for m = 0..N, with xi_m = x0 + m h
+        j = np.arange(n + 1)
+        chirp = np.exp(-0.5j * h * h * (j * j))
+        size = 1 << (2 * n - 1).bit_length()  # >= 2N: N inputs, N+1 outputs
+        kernel = np.zeros(size, dtype=complex)
+        kernel[:n + 1] = chirp.conj()
+        kernel[size - n + 1:] = chirp[n - 1:0:-1].conj()
+        kernel_fft = np.fft.fft(kernel)
+        ramp = phase_ramp(-h * x0, n + 1) * chirp
+        pre = ramp[:n]
+        post = (h / SQRT_2PI) * np.exp(-1j * x0 * x0) * ramp
+        for arr in (kernel_fft, pre, post):
+            arr.flags.writeable = False
+        plan = _CHIRP_Z_PLAN = (grid, size, kernel_fft, pre, post)
+    return plan[1:]
+
+
 def fourier_rows(values, grid: GridSpec) -> np.ndarray:
     """Unitary Fourier transform fhat(xi) = (2*pi)**-0.5 integral f e^{-i xi x} dx
     of each row of samples on ``grid``, evaluated on the same grid; shape
@@ -249,33 +272,30 @@ def fourier_rows(values, grid: GridSpec) -> np.ndarray:
     (Rabiner, Schafer and Rader 1969), evaluated as one FFT convolution after
     Bluestein's (1970) split jm = (j^2 + m^2 - (m-j)^2)/2.  The chirp, the
     FFT of the convolution kernel and the phase ramp before and after it
-    (:func:`phase_ramp`) are built once per call.  The rows' nonzero real
-    and imaginary parts are transformed two at a time, a + ib in one
-    chirp-z: N+1 outputs give xi_0 = -L its mirror xi_N = +L, and a real
-    part's transform is Hermitian, fhat_a(xi_m) = (Z_m + conj Z_{N-m}) / 2.
-    Each part is first scaled by a power of two to unit peak, so neither of
-    a pair leaks the other's rounding into it past its own scale.
-    Requires every row to have decayed at the grid edges
-    (:class:`EdgeDecayError` names the first that has not).
+    (:func:`phase_ramp`) are built once per grid, and those of the last grid
+    asked for are held (:func:`_chirp_z_plan`), so a call on that grid only
+    transforms.  The rows' nonzero real and imaginary parts are transformed
+    two at a time, a + ib in one chirp-z: N+1 outputs give xi_0 = -L its
+    mirror xi_N = +L, and a real part's transform is Hermitian,
+    fhat_a(xi_m) = (Z_m + conj Z_{N-m}) / 2.  Each part is first scaled by a
+    power of two to unit peak, so neither of a pair leaks the other's
+    rounding into it past its own scale.  Requires every row to have decayed
+    at the grid edges, its two outermost samples at each end within
+    EDGE_DECAY_REL of its peak (:class:`EdgeDecayError` names the first row
+    that has not).
     """
     rows = np.atleast_2d(values)
-    for i, row in enumerate(rows):
-        _check_edge_decay(row, f"input row {i} of the sampled Fourier transform")
-    h = grid.spacing
-    x0 = -grid.half_width
+    peaks = np.abs(rows).max(axis=1)
+    edges = np.maximum(np.abs(rows[:, :2]).max(axis=1), np.abs(rows[:, -2:]).max(axis=1))
+    undecayed = np.flatnonzero(edges > EDGE_DECAY_REL * peaks)
+    if undecayed.size:
+        i = undecayed[0]
+        raise EdgeDecayError(
+            f"input row {i} of the sampled Fourier transform has not decayed at the grid edges "
+            f"(edge/max = {edges[i] / peaks[i]:.3e} > {EDGE_DECAY_REL:.0e}); widen the grid"
+        )
     n = grid.num_points
-    # fhat(xi_m) = h/sqrt(2 pi) e^{-i x0^2} e^{-i m h x0} sum_j [f_j e^{-i j h x0}] e^{-i j m h^2}
-    # for m = 0..N, with xi_m = x0 + m h
-    j = np.arange(n + 1)
-    chirp = np.exp(-0.5j * h * h * (j * j))
-    size = 1 << (2 * n - 1).bit_length()  # >= 2N: N inputs, N+1 outputs
-    kernel = np.zeros(size, dtype=complex)
-    kernel[:n + 1] = chirp.conj()
-    kernel[size - n + 1:] = chirp[n - 1:0:-1].conj()
-    kernel_fft = np.fft.fft(kernel)
-    ramp = phase_ramp(-h * x0, n + 1) * chirp
-    pre = ramp[:n]
-    post = (h / SQRT_2PI) * np.exp(-1j * x0 * x0) * ramp
+    size, kernel_fft, pre, post = _chirp_z_plan(grid)
     out = np.zeros(rows.shape, dtype=complex)
     parts = list(_real_parts(rows))
     pairs = max(1, min(_FOURIER_BLOCK_PAIRS, (len(parts) + 1) // 2))  # 1 for no parts

@@ -13,6 +13,7 @@ import sys
 import tracemalloc
 import warnings
 
+import numpy as np
 import pytest
 
 from gaussherm import verify
@@ -178,3 +179,12 @@ def test_bound_columns_pass_past_the_bounds_underflow(criterion):
         warnings.simplefilter("error")
         result = criterion(VerifyConfig(kmax=3000))
     assert result.passed, result.detail
+
+
+def test_pinned_expansion_is_the_seeded_draw():
+    """oscillator_evolution's pinned coefficients are the draw of
+    np.random.default_rng(2024) they replace, bit for bit."""
+    rng = np.random.default_rng(2024)
+    drawn = rng.normal(size=20) + 1j * rng.normal(size=20)
+    assert verify._SEEDED_EXPANSION.dtype == drawn.dtype
+    assert verify._SEEDED_EXPANSION.tobytes() == drawn.tobytes()

@@ -809,6 +809,20 @@ def test_import_loads_no_scipy():
     assert res.stdout.strip() == "[]"
 
 
+def test_verify_all_loads_no_numpy_random():
+    """verify pins its one seeded draw, so a fresh interpreter running
+    verify-all loads neither numpy.random nor the secrets/hashlib stack that
+    comes with it."""
+    code = ("import contextlib, io, sys\n"
+            "from gaussherm import cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    status = cli.main(['verify-all', '--format', 'json'])\n"
+            "print(status, sorted(m for m in ('numpy.random', 'secrets') if m in sys.modules))")
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "0 []"
+
+
 def test_cli_subprocess_entry_point(tmp_path):
     res = run_cli(["envelope", "gaussian:b=0.5", "--a", "0.5"])
     assert res.returncode == 0

@@ -357,6 +357,55 @@ def test_fourier_rows_paired_parts_match_direct_sum(grid_):
     assert zeros.shape == (2, grid_.num_points) and not zeros.any()  # no part to transform
 
 
+def _plan_stacks(grid_):
+    """A real stack (phi_0..phi_20), a complex one (two complex-width
+    Gaussians) and a complex-typed one mixing both kinds of row."""
+    xs = grid_.xs
+    real = hermite_phi_all(20, xs)
+    cplx = np.stack([np.exp(-0.5 * b * xs ** 2) for b in (0.7 + 0.4j, 2.0 - 0.5j)])
+    return real, cplx, np.vstack([real[:3], cplx, real[7:8]])
+
+
+@pytest.mark.parametrize("grid_", DIRECT_GRIDS, ids=DIRECT_GRID_IDS)
+def test_chirp_z_plan_matches_a_fresh_plan(grid_, monkeypatch):
+    """fourier_rows on grid_, on another grid, then on grid_ again (a held
+    plan, a replaced one and a rebuilt one) equals, bit for bit, the same
+    calls with the plan dropped before each."""
+    other = DIRECT_GRIDS[(DIRECT_GRIDS.index(grid_) + 1) % len(DIRECT_GRIDS)]
+    calls = [(g, stack) for g in (grid_, other, grid_) for stack in _plan_stacks(g)]
+    monkeypatch.setattr(hermite, "_CHIRP_Z_PLAN", None)
+    held = [fourier_rows(stack, g) for g, stack in calls]
+    for (g, stack), got in zip(calls, held):
+        monkeypatch.setattr(hermite, "_CHIRP_Z_PLAN", None)
+        assert np.array_equal(got, fourier_rows(stack, g))
+
+
+def test_chirp_z_plan_holds_one_grid_read_only(grid, monkeypatch):
+    build = hermite.phase_ramp
+    built = []
+
+    def counting(theta, n):
+        built.append(n)
+        return build(theta, n)
+
+    monkeypatch.setattr(hermite, "phase_ramp", counting)
+    monkeypatch.setattr(hermite, "_CHIRP_Z_PLAN", None)
+    other = GridSpec(12.0, 2048)
+    f = np.exp(-0.5 * grid.xs ** 2)
+    fourier_rows(f, grid)
+    fourier_sampled(SampledFunction(grid, f))
+    plan_grid, size, *arrays = hermite._CHIRP_Z_PLAN
+    assert plan_grid == grid and size == 8192
+    assert sum(a.nbytes for a in arrays) == (8192 + 4096 + 4097) * 16  # 256 KB
+    for a in arrays:
+        with pytest.raises(ValueError):
+            a[0] = 0.0
+    fourier_rows(np.exp(-0.5 * other.xs ** 2), other)
+    assert hermite._CHIRP_Z_PLAN[0] == other  # the first grid's plan was let go
+    fourier_rows(f, grid)  # so it is built again
+    assert built == [4097, 2049, 4097]
+
+
 def test_phase_ramp_matches_the_direct_exponential():
     """Over the angles the package takes ramps of (each grid's Fourier ramp
     h L, and h Im w for verify's Bargmann points), the two-table ramp's mean
@@ -419,6 +468,23 @@ def test_fourier_rows_names_the_undecayed_row(grid):
     fourier_rows(rows[:3], grid)
     with pytest.raises(EdgeDecayError, match="input row 3 "):
         fourier_rows(rows, grid)
+
+
+def test_fourier_rows_names_the_first_undecayed_row(grid):
+    """Of several undecayed rows, real and complex, the first is named with
+    its own edge/max (its largest of the two outermost samples at each end
+    over its peak)."""
+    xs = grid.xs
+    rows = np.stack([np.exp(-0.5 * xs ** 2), np.exp(-0.02 * xs ** 2),
+                     np.exp(-(0.01 + 0.5j) * xs ** 2)])
+    for stack, first in ((rows, 1), (rows[2:], 0)):
+        row = np.abs(stack[first])
+        edge = row[[0, 1, -2, -1]].max() / row.max()
+        with pytest.raises(EdgeDecayError) as info:
+            fourier_rows(stack, grid)
+        assert str(info.value) == (
+            f"input row {first} of the sampled Fourier transform has not decayed at the grid "
+            f"edges (edge/max = {edge:.3e} > 1e-08); widen the grid")
 
 
 def test_mehler_closed_form_values():
