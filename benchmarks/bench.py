@@ -20,10 +20,14 @@ as ``cold_request_ms``.  The median, min and max of those repeats are printed
 and written, with the machine's nproc, the Python and numpy versions and
 ``OPENBLAS_NUM_THREADS``, to ``BENCH_<label>.json`` at the checkout root.
 Timings are noisy on a shared machine: compare two labels only when both
-files come from the same machine, and read the min/max spread first.  The
-first item is ``perfbench/calibrate.py``'s fixed kernel, which does not call
-the package: the ratio of two files' kernel times is how much the machine's
-speed moved between them.
+files come from the same machine, and read the min/max spread first.
+
+``perfbench/calibrate.py``'s fixed kernel, which does not call the package,
+gauges the machine's speed: it is the first item, and it is also gauged
+(median of 3 runs) just before and just after every item, and both times are
+written beside the item's timing as ``kernel_ms``.  The machine's speed
+drifts within a run of about 40 s, so compare an item across two files
+through the ratio of its own kernel times, not the first item's.
 """
 
 from __future__ import annotations
@@ -120,6 +124,7 @@ def items():
                                            * 0.9 ** np.arange(64))
     out = [
         ("calibrate kernel", calibrate.kernel_s),
+        ("cli build_parser", cli.build_parser),
         ("import gaussherm.cli (fresh interpreter)",
          lambda: run_subprocess(["-c", "import gaussherm.cli"])),
         ("verify-all --format json (subprocess)",
@@ -201,12 +206,16 @@ def main(argv=None) -> int:
     if args.repeats < 1:
         parser.error("--repeats must be >= 1")
     results = {}
+    calibrate.warm_up()
     for name, fn in items():
-        results[name] = time_item(fn, FIXED_REPEATS.get(name, args.repeats),
-                                  WARMUPS.get(name, 1), name in SELF_TIMED)
-        r = results[name]
+        before = calibrate.gauge()
+        r = time_item(fn, FIXED_REPEATS.get(name, args.repeats),
+                      WARMUPS.get(name, 1), name in SELF_TIMED)
+        r["kernel_ms"] = [1e3 * before, 1e3 * calibrate.gauge()]
+        results[name] = r
         print(f"{name:45s} median {r['median_ms']:9.3f} ms  "
-              f"min {r['min_ms']:9.3f}  max {r['max_ms']:9.3f}")
+              f"min {r['min_ms']:9.3f}  max {r['max_ms']:9.3f}  "
+              f"kernel {r['kernel_ms'][0]:6.3f}/{r['kernel_ms'][1]:6.3f}")
     payload = {
         "label": args.label,
         "machine": {

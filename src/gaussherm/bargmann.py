@@ -432,24 +432,3 @@ def contour_coeff_bound(n, a: float, big_c: float = 1.0):
     alongside :func:`cauchy_coeff_bound` for comparison."""
     bound = np.exp(log_contour_coeff_bound(n, a, big_c))
     return float(bound) if np.ndim(n) == 0 else bound
-
-
-def log_contour_i_closed_bound(n: int, mu: float) -> float:
-    """Closed-form majorant of the first-branch integral:
-    theta0 (1+mu)/(2 sqrt(mu)) * (2 mu/(1+mu))**(n/2)."""
-    return (
-        math.log(_theta0(mu) * (1.0 + mu) / (2.0 * math.sqrt(mu)))
-        + 0.5 * n * math.log(2.0 * mu / (1.0 + mu))
-    )
-
-
-def log_contour_j_gamma_bound(n: int, mu: float) -> float:
-    """Exact closed form of the second branch extended to [0, pi/4]:
-    (sqrt(pi)/4) Gamma(n/4)/Gamma((n+2)/4) mu**(n/4); an upper bound for J."""
-    return (
-        0.5 * math.log(math.pi)
-        - math.log(4.0)
-        + gammaln(n / 4.0)
-        - gammaln((n + 2.0) / 4.0)
-        + 0.25 * n * math.log(mu)
-    )

@@ -23,7 +23,9 @@ import os
 import re
 import sys
 import tempfile
-from dataclasses import dataclass, field
+from collections.abc import Callable
+from dataclasses import dataclass
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -62,50 +64,112 @@ W_COUNT_CAP = 10_000
 GRID_N_CAP = 65_536
 
 
-def _check_count(value, flag: str, cap: int) -> None:
-    """Refuse a count flag outside [1, cap], naming the flag."""
-    if value < 1:
-        raise CliParseError(f"{flag} must be >= 1, got {value}")
+def _check_count(value, flag: str, cap: int, low: int | None = 1) -> None:
+    """Refuse a count flag outside [low, cap] (low None: no lower bound),
+    naming the flag."""
+    if low is not None and value < low:
+        raise CliParseError(f"{flag} must be >= {low}, got {value}")
     if value > cap:
         raise CliParseError(f"{flag} must be <= {cap}, got {value}")
 
 
+def _check_finite(value, flag: str) -> None:
+    """Refuse inf and nan, which argparse's float() takes."""
+    _float_list(repr(value), flag)
+
+
 @dataclass(frozen=True)
-class RunConfig:
-    grid_l: float = 16.0
-    grid_n: int = 4096
-    kmax: int = 60
-    t_grid_size: int = 64
-    output_format: str = "csv"
-    output_path: str | None = None
-    grid: GridSpec = field(init=False, repr=False, compare=False)
+class Option:
+    """One option, declared once: its flag, the config-file key that may set
+    it (None: the flag alone), its default, and its check, a callable taking
+    the value and the flag, or a tuple of choices.  ``signed`` marks a value
+    that may start with '-' (see :func:`_attach_signed_values`)."""
 
-    def __post_init__(self):
-        _check_count(self.kmax, "--kmax", KMAX_CAP)
-        _check_count(self.t_grid_size, "--t-grid", T_GRID_CAP)
-        if self.grid_n > GRID_N_CAP:  # below 16 or odd: GridSpec refuses it
-            raise CliParseError(f"--grid-N must be <= {GRID_N_CAP}, got {self.grid_n}")
-        if self.output_format not in ("csv", "json"):
-            raise CliParseError(f"format must be csv or json, got {self.output_format!r}")
-        try:  # every command, not only those that sample on the grid
-            object.__setattr__(self, "grid", GridSpec(self.grid_l, self.grid_n))
-        except ValueError as exc:
-            raise CliParseError(str(exc)) from exc
+    flag: str
+    dest: str
+    help: str
+    key: str | None = None
+    type: type | None = None
+    default: object = None
+    check: Callable[[object, str], None] | None = None
+    choices: tuple | None = None
+    signed: bool = False
+    required: bool = False
+
+    @cached_property
+    def argparse_kwargs(self) -> dict:
+        return {"dest": self.dest, "type": self.type, "choices": self.choices,
+                "required": self.required,
+                # a config-backed flag left out reads None, so the file's value stands
+                "default": None if self.key else self.default,
+                "help": self.help if self.default is None
+                else f"{self.help} (default {self.default})"}
 
 
-_CONFIG_KEYS = {
-    "grid_L": "grid_l",
-    "grid_N": "grid_n",
-    "kmax": "kmax",
-    "t_grid_size": "t_grid_size",
-    "format": "output_format",
-    "out": "output_path",
+_GRID_UNREAD = "; evolve and confine accept it and read nothing of it"
+
+#: Every option of every command.  A command's values are checked in this
+#: order: the flag-only options, then the config-backed ones.
+OPTIONS = {opt.dest: opt for opt in (
+    Option("--a", "a", "weight a of the class e^{-a x^2/2} (default: the input's own, else 0.5)",
+           type=float, check=_check_finite, signed=True),
+    Option("--w-ring", "w_ring", "|w| of the sample ring", type=float, default=2.0,
+           check=_check_finite, signed=True),
+    Option("--w-count", "w_count", "number of ring samples", type=int, default=16,
+           check=partial(_check_count, cap=W_COUNT_CAP)),
+    Option("--beta", "beta", "initial data sits in the envelope class of tanh(2*beta)",
+           type=float, check=_check_finite, signed=True, required=True),
+    Option("--gamma", "gamma", "scan the envelope of tanh(gamma)",
+           type=float, check=_check_finite, signed=True, required=True),
+    Option("--times", "times", "comma list of times (default: the t grid)", signed=True),
+    Option("--a-list", "a_list", "weights for a given input (comma list)",
+           default="0.2,0.5,0.8", signed=True),
+    Option("--kmax", "kmax", "highest Hermite index in tables", key="kmax", type=int,
+           default=60, check=partial(_check_count, cap=KMAX_CAP)),
+    Option("--t-grid", "t_grid_size", "time samples on [0, pi/2)", key="t_grid_size",
+           type=int, default=64, check=partial(_check_count, cap=T_GRID_CAP)),
+    Option("--grid-N", "grid_n", "points of the grid, even" + _GRID_UNREAD, key="grid_N",
+           type=int, default=4096, check=partial(_check_count, cap=GRID_N_CAP, low=None)),
+    Option("--grid-L", "grid_l", "half-width of the verify-all and norms-table grid"
+           + _GRID_UNREAD, key="grid_L", type=float, default=16.0),
+    Option("--format", "output_format", "output format", key="format", default="csv",
+           choices=("csv", "json")),
+    Option("--out", "output_path", "output path ('-' or omitted: stdout)", key="out"),
+    Option("--config", "config", "JSON config file; flags override file values"),
+)}
+
+#: The options every command takes.
+COMMON_OPTIONS = ("output_format", "output_path", "config")
+
+#: Each command: its help, whether it takes an input spec ("optional": it
+#: may be left out) and the options it reads beyond COMMON_OPTIONS.  evolve
+#: and confine take --grid-L/--grid-N without reading them, as callers pass
+#: them.
+COMMANDS = {
+    "coeffs": ("coefficient table with envelope and contour bounds", "required",
+               ("kmax", "a")),
+    "envelope": ("two-sided envelope report", "required", ("a",)),
+    "bargmann": ("Bargmann-transform samples with growth bounds", "required",
+                 ("a", "w_ring", "w_count")),
+    "evolve": ("oscillator flow summary", "required",
+               ("a", "times", "t_grid_size", "grid_l", "grid_n")),
+    "confine": ("per-time envelope constants along the flow", "required",
+                ("beta", "gamma", "t_grid_size", "grid_l", "grid_n")),
+    "norms": ("weighted-norm tables", "optional", ("kmax", "a", "a_list", "grid_l", "grid_n")),
+    "verify-all": ("run the full verification suite", None, ("kmax", "grid_l", "grid_n")),
 }
 
 
-def load_config(path: str | None, overrides: dict) -> RunConfig:
-    """Defaults, then config-file values, then explicit CLI flags."""
-    values: dict = {}
+def load_config(path: str | None, command: str, flags: dict) -> argparse.Namespace:
+    """The values of ``command``'s config-backed options: defaults, then
+    config-file values, then the flags given in ``flags`` (dest -> value,
+    None where left out).  Every option of the command is checked, the
+    flag-only ones in ``flags`` too, and where the command takes
+    --grid-L/--grid-N the namespace also holds their ``grid``."""
+    options = [opt for dest, opt in OPTIONS.items()
+               if dest in COMMANDS[command][2] or dest in COMMON_OPTIONS]
+    keys = {opt.key: opt.dest for opt in options if opt.key}
+    values = {opt.dest: opt.default for opt in options if opt.key}
     if path is not None:
         try:
             with open(path, "r", encoding="utf-8") as fh:
@@ -115,14 +179,28 @@ def load_config(path: str | None, overrides: dict) -> RunConfig:
         if not isinstance(raw, dict):
             raise CliParseError("config file must hold a JSON object")
         for key, val in raw.items():
-            if key not in _CONFIG_KEYS:
-                raise CliParseError(f"unknown config key {key!r}")
-            values[_CONFIG_KEYS[key]] = val
-    values.update({k: v for k, v in overrides.items() if v is not None})
+            if key not in keys:
+                raise CliParseError(f"unknown config key {key!r} for {command}")
+            values[keys[key]] = val
+    values.update((dest, flags[dest]) for dest in values if flags.get(dest) is not None)
     try:
-        return RunConfig(**values)
+        for opt in options:
+            value = values[opt.dest] if opt.key else flags.get(opt.dest)
+            if opt.key is None and value is None:  # a flag-only option left out
+                continue
+            if opt.check is not None:
+                opt.check(value, opt.flag)
+            if opt.choices is not None and value not in opt.choices:
+                raise CliParseError(
+                    f"{opt.key} must be {' or '.join(opt.choices)}, got {value!r}")
+        if "grid_l" in values:
+            try:
+                values["grid"] = GridSpec(values["grid_l"], values["grid_n"])
+            except ValueError as exc:
+                raise CliParseError(str(exc)) from exc
     except TypeError as exc:
         raise CliParseError(f"bad config value: {exc}") from exc
+    return argparse.Namespace(**values)
 
 
 _COMPLEX_RE = re.compile(
@@ -251,11 +329,11 @@ def parse_input_spec(spec: str) -> InputSpec:
     raise CliParseError(f"unknown input kind {kind!r}")
 
 
-def _coefficients(inp: InputSpec, cfg: RunConfig) -> np.ndarray:
+def _coefficients(inp: InputSpec, kmax: int) -> np.ndarray:
     if isinstance(inp.state, ga.GeneralizedGaussian):
-        return ga.hermite_coeffs(inp.state, cfg.kmax).coeffs
-    coeffs = np.zeros(cfg.kmax + 1, dtype=complex)
-    src = inp.state.coeffs[: cfg.kmax + 1]
+        return ga.hermite_coeffs(inp.state, kmax).coeffs
+    coeffs = np.zeros(kmax + 1, dtype=complex)
+    src = inp.state.coeffs[: kmax + 1]
     coeffs[: src.size] = src
     return coeffs
 
@@ -331,11 +409,11 @@ def _class_constant(args, inp: InputSpec) -> tuple[float | None, float | None]:
     return a, next(osc.flow_envelopes(inp.state, [0.0], a))[1].constant
 
 
-def cmd_coeffs(args, cfg: RunConfig) -> tuple[str, int]:
+def cmd_coeffs(args, cfg: argparse.Namespace) -> tuple[str, int]:
     inp = parse_input_spec(args.input)
     a, big_c = _class_constant(args, inp)
     k = np.arange(cfg.kmax + 1)
-    abs_c = np.abs(_coefficients(inp, cfg))
+    abs_c = np.abs(_coefficients(inp, cfg.kmax))
     with np.errstate(divide="ignore"):
         lc = np.log10(abs_c)
     lb_env = np.full(k.size, math.nan)
@@ -364,7 +442,7 @@ def _envelope_weight(args, inp: InputSpec) -> float:
     return a
 
 
-def cmd_envelope(args, cfg: RunConfig) -> tuple[str, int]:
+def cmd_envelope(args, cfg: argparse.Namespace) -> tuple[str, int]:
     inp = parse_input_spec(args.input)
     a = _envelope_weight(args, inp)
     _, mem = next(osc.flow_envelopes(inp.state, [0.0], a))
@@ -378,8 +456,7 @@ def cmd_envelope(args, cfg: RunConfig) -> tuple[str, int]:
     return render_table(header, rows, cfg.output_format, meta), 0
 
 
-def cmd_bargmann(args, cfg: RunConfig) -> tuple[str, int]:
-    _check_count(args.w_count, "--w-count", W_COUNT_CAP)
+def cmd_bargmann(args, cfg: argparse.Namespace) -> tuple[str, int]:
     inp = parse_input_spec(args.input)
     a, big_c = _class_constant(args, inp)
     ws = args.w_ring * np.exp(2j * math.pi * np.arange(args.w_count) / args.w_count)
@@ -401,7 +478,7 @@ def cmd_bargmann(args, cfg: RunConfig) -> tuple[str, int]:
     return render_table(header, rows, cfg.output_format, meta), 0
 
 
-def cmd_evolve(args, cfg: RunConfig) -> tuple[str, int]:
+def cmd_evolve(args, cfg: argparse.Namespace) -> tuple[str, int]:
     inp = parse_input_spec(args.input)
     a = _envelope_weight(args, inp)
     if args.times:
@@ -419,7 +496,7 @@ def cmd_evolve(args, cfg: RunConfig) -> tuple[str, int]:
     return render_table(header, rows, cfg.output_format, meta), 0
 
 
-def cmd_confine(args, cfg: RunConfig) -> tuple[str, int]:
+def cmd_confine(args, cfg: argparse.Namespace) -> tuple[str, int]:
     inp = parse_input_spec(args.input)
     ts = osc.default_t_grid(cfg.t_grid_size)
     report = osc.confinement_check(inp.state, args.beta, args.gamma, ts)
@@ -449,7 +526,7 @@ def _input_weighted_norm_sq(inp: InputSpec, a: float) -> float:
     return wt.expansion_weighted_norm_sq(inp.state, a)
 
 
-def cmd_norms(args, cfg: RunConfig) -> tuple[str, int]:
+def cmd_norms(args, cfg: argparse.Namespace) -> tuple[str, int]:
     if args.input is None:
         a = args.a if args.a is not None else 0.5
         dc.check_weight(a)
@@ -473,7 +550,7 @@ def cmd_norms(args, cfg: RunConfig) -> tuple[str, int]:
     return render_table(header, rows, cfg.output_format, meta), 0
 
 
-def cmd_verify_all(args, cfg: RunConfig) -> tuple[str, int]:
+def cmd_verify_all(args, cfg: argparse.Namespace) -> tuple[str, int]:
     vcfg = VerifyConfig(grid=cfg.grid, kmax=max(cfg.kmax, 60))
     results = run_all(vcfg)
     all_pass = all(r.passed for r in results)
@@ -513,77 +590,29 @@ class _Divergence(RuntimeError):
 
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--grid-L", dest="grid_l", type=float, default=None,
-                        help="half-width of the verify-all and norms-table grid (default 16)")
-    common.add_argument("--grid-N", dest="grid_n", type=int, default=None,
-                        help="points of that grid, even (default 4096)")
-    common.add_argument("--kmax", type=int, default=None,
-                        help="highest Hermite index in tables (default 60)")
-    common.add_argument("--t-grid", dest="t_grid_size", type=int, default=None,
-                        help="time samples on [0, pi/2) (default 64)")
-    common.add_argument("--format", dest="output_format", choices=("csv", "json"),
-                        default=None, help="output format (default csv)")
-    common.add_argument("--out", dest="output_path", default=None,
-                        help="output path ('-' or omitted: stdout)")
-    common.add_argument("--config", default=None,
-                        help="JSON config file; flags override file values")
-
+    for dest in COMMON_OPTIONS:
+        common.add_argument(OPTIONS[dest].flag, **OPTIONS[dest].argparse_kwargs)
     parser = argparse.ArgumentParser(
         prog="gaussherm",
         description="Hermite-coefficient decay, Bargmann bounds, and oscillator "
                     "confinement for Gaussian-envelope classes.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("coeffs", parents=[common],
-                       help="coefficient table with envelope and contour bounds")
-    p.add_argument("input", help="input spec, e.g. gaussian:b=0.5 or chirp:alpha=0.27465")
-    p.add_argument("--a", type=float, default=None, help="envelope parameter for bounds")
-    p.set_defaults(fn=cmd_coeffs)
-
-    p = sub.add_parser("envelope", parents=[common], help="two-sided envelope report")
-    p.add_argument("input")
-    p.add_argument("--a", type=float, default=None)
-    p.set_defaults(fn=cmd_envelope)
-
-    p = sub.add_parser("bargmann", parents=[common],
-                       help="Bargmann-transform samples with growth bounds")
-    p.add_argument("input")
-    p.add_argument("--a", type=float, default=None)
-    p.add_argument("--w-ring", type=float, default=2.0, help="|w| of the sample ring")
-    p.add_argument("--w-count", type=int, default=16, help="number of ring samples")
-    p.set_defaults(fn=cmd_bargmann)
-
-    p = sub.add_parser("evolve", parents=[common], help="oscillator flow summary")
-    p.add_argument("input")
-    p.add_argument("--a", type=float, default=None)
-    p.add_argument("--times", default=None, help="comma list of times (default: t grid)")
-    p.set_defaults(fn=cmd_evolve)
-
-    p = sub.add_parser("confine", parents=[common],
-                       help="per-time envelope constants along the flow")
-    p.add_argument("input")
-    p.add_argument("--beta", type=float, required=True,
-                   help="initial data sits in the envelope class of tanh(2*beta)")
-    p.add_argument("--gamma", type=float, required=True,
-                   help="scan the envelope of tanh(gamma)")
-    p.set_defaults(fn=cmd_confine)
-
-    p = sub.add_parser("norms", parents=[common], help="weighted-norm tables")
-    p.add_argument("input", nargs="?", default=None)
-    p.add_argument("--a", type=float, default=None)
-    p.add_argument("--a-list", default="0.2,0.5,0.8",
-                   help="weights for a given input (comma list)")
-    p.set_defaults(fn=cmd_norms)
-
-    p = sub.add_parser("verify-all", parents=[common],
-                       help="run the full verification suite")
-    p.set_defaults(fn=cmd_verify_all)
+    for name, (help_text, takes_input, options) in COMMANDS.items():
+        p = sub.add_parser(name, parents=[common], help=help_text)
+        # a group's add_argument skips the parser's metavar check, a third of its cost
+        group = p.add_argument_group(f"{name} arguments")
+        if takes_input is not None:
+            group.add_argument("input", nargs="?" if takes_input == "optional" else None,
+                               help="input spec, e.g. gaussian:b=0.5 or chirp:alpha=0.27465")
+        for dest in options:
+            group.add_argument(OPTIONS[dest].flag, **OPTIONS[dest].argparse_kwargs)
+        p.set_defaults(fn=globals()["cmd_" + name.replace("-", "_")])
     return parser
 
 
 #: Flags whose value may start with '-'; see :func:`_attach_signed_values`.
-_SIGNED_FLAGS = ("--times", "--a-list", "--a", "--w-ring", "--beta", "--gamma")
+_SIGNED_FLAGS = tuple(opt.flag for opt in OPTIONS.values() if opt.signed)
 
 
 def _attach_signed_values(argv: list[str]) -> list[str]:
@@ -602,19 +631,8 @@ def _attach_signed_values(argv: list[str]) -> list[str]:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(_attach_signed_values(sys.argv[1:] if argv is None else argv))
-    overrides = {
-        "grid_l": args.grid_l,
-        "grid_n": args.grid_n,
-        "kmax": args.kmax,
-        "t_grid_size": args.t_grid_size,
-        "output_format": args.output_format,
-        "output_path": args.output_path,
-    }
     try:
-        for dest in ("a", "w_ring", "beta", "gamma"):  # argparse's float() takes inf, nan
-            if getattr(args, dest, None) is not None:
-                _float_list(repr(getattr(args, dest)), "--" + dest.replace("_", "-"))
-        cfg = load_config(args.config, overrides)
+        cfg = load_config(args.config, args.command, vars(args))
         text, code = args.fn(args, cfg)
         try:
             write_output(text, cfg.output_path)

@@ -225,14 +225,19 @@ def phi_weighted_norm_sq(n, a: float):
         (1-a)**-0.5 * mu**-n * S_n,   S_n = sum_j Q_{n-j} Q_j mu^j,
 
     with mu = (1-a)/(1+a) and Q the normalized central binomial weights.
-    All of S_0..S_max(n) come from one convolution (:func:`_norm_sums`) and
-    lie in [Q_n, 1]; only the factor mu**-n grows, so it is applied last, in
-    log scale, and gives inf past the double range.
+    For an array, S_0..S_max(n) come from one convolution (:func:`_norm_sums`);
+    for a single n, S_n alone is one O(n) sum.  Each lies in
+    [Q_n, 1]; only the factor mu**-n grows, so it is applied last, in log
+    scale, and gives inf past the double range.
     """
     idx = _indices(n)
     check_weight(a)
     mu = (1.0 - a) / (1.0 + a)
-    sums = _norm_sums(int(idx.max(initial=0)), mu)[idx]
+    if idx.ndim == 0:  # S_n alone: the one entry of full overlap, O(n)
+        q = central_binomial(np.arange(int(idx) + 1))
+        sums = np.convolve(q, q * mu ** np.arange(int(idx) + 1), "valid")[0]
+    else:
+        sums = _norm_sums(int(idx.max(initial=0)), mu)[idx]
     return _scaled(np.log(sums) - idx * math.log(mu) - 0.5 * math.log1p(-a), n)
 
 

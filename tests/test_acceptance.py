@@ -8,6 +8,7 @@ artifact.
 """
 
 import json
+import math
 import subprocess
 import sys
 import tracemalloc
@@ -54,19 +55,27 @@ def test_criterion(results, name):
 
 @pytest.mark.parametrize("size", [1, 7, 10, 13, 64])
 def test_confinement_passes_on_any_t_grid(size, results, capsys):
-    """The Gaussian's sups are taken over all t, so ``verify-all --t-grid``
-    at a size that misses 3pi/8 (any size not divisible by 4) still passes,
-    and confinement and uniform_norm_coeff_bound report what they report
-    without the flag (C = 1.308662, the sup of ||psi_t||_a)."""
+    """No criterion reads a t grid, so ``verify-all`` takes no ``--t-grid``
+    (exit 2).  The sups that confinement checks are taken over all t:
+    ``confine`` of its squeezed state at gamma = beta prints the closed-form
+    sup (1-r)^{-1/2}, attained at 3pi/8, at a size that misses 3pi/8 (any
+    size not divisible by 4) as well, and confinement and
+    uniform_norm_coeff_bound pass (C = 1.308662, the sup of ||psi_t||_a)."""
     from gaussherm.cli import main
 
-    assert main(["verify-all", "--t-grid", str(size), "--format", "json"]) == 0
-    criteria = {c["name"]: c for c in json.loads(capsys.readouterr().out)["criteria"]}
+    with pytest.raises(SystemExit) as exc:
+        main(["verify-all", "--t-grid", str(size)])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    assert main(["confine", "squeezed:beta=0.5", "--beta", "0.5", "--gamma", "0.5",
+                 "--t-grid", str(size), "--format", "json"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert len(data["rows"]) == size
+    assert data["sup_constant"] == pytest.approx((1 - math.exp(-1.0)) ** -0.5, rel=1e-12)
+    assert min(abs(t - 3 * math.pi / 8) for t in data["attained_ts"]) < 1e-12
     for name in ("confinement", "uniform_norm_coeff_bound"):
-        assert criteria[name]["pass"], criteria[name]["detail"]
-        assert criteria[name]["measured"] == results[name].measured
-        assert criteria[name]["detail"] == results[name].detail
-    assert "C = 1.308662 " in criteria["uniform_norm_coeff_bound"]["detail"]
+        assert results[name].passed, results[name].detail
+    assert "C = 1.308662 " in results["uniform_norm_coeff_bound"].detail
 
 
 def _run_verify_all(path, fmt):

@@ -15,8 +15,6 @@ from gaussherm.bargmann import (
     contour_coeff_bound,
     log_cauchy_coeff_bound,
     log_contour_coeff_bound,
-    log_contour_i_closed_bound,
-    log_contour_j_gamma_bound,
     log_taylor_coeffs,
     optimal_contour,
     quadrant_bound,
@@ -448,6 +446,28 @@ def test_contour_domain_errors():
         optimal_contour(1, 0.5)
     with pytest.raises(NumericalDomainError):
         optimal_contour(5, 1.2)
+
+
+def log_contour_i_closed_bound(n: int, mu: float) -> float:
+    """Closed-form majorant of the first-branch integral:
+    theta0 (1+mu)/(2 sqrt(mu)) * (2 mu/(1+mu))**(n/2), tan theta0 = sqrt(mu)."""
+    theta0 = math.atan(math.sqrt(mu))
+    return (
+        math.log(theta0 * (1.0 + mu) / (2.0 * math.sqrt(mu)))
+        + 0.5 * n * math.log(2.0 * mu / (1.0 + mu))
+    )
+
+
+def log_contour_j_gamma_bound(n: int, mu: float) -> float:
+    """Exact closed form of the second branch extended to [0, pi/4]:
+    (sqrt(pi)/4) Gamma(n/4)/Gamma((n+2)/4) mu**(n/4); an upper bound for J."""
+    return (
+        0.5 * math.log(math.pi)
+        - math.log(4.0)
+        + math.lgamma(n / 4.0)
+        - math.lgamma((n + 2.0) / 4.0)
+        + 0.25 * n * math.log(mu)
+    )
 
 
 @pytest.mark.parametrize("n", [2, 10, 50, 200])

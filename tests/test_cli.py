@@ -20,13 +20,23 @@ from gaussherm.cli import (
     T_GRID_CAP,
     W_COUNT_CAP,
     CliParseError,
+    build_parser,
     load_config,
     main,
     parse_complex,
     parse_input_spec,
 )
 from gaussherm.gaussians import GeneralizedGaussian
+from gaussherm.grid import GridSpec
 from gaussherm.hermite import BASIS_BYTES_CAP
+
+
+def exit_code(argv) -> int:
+    """main's exit code, also where argparse refuses argv by SystemExit."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
 
 
 def run_cli(args, cwd=None):
@@ -77,20 +87,73 @@ def test_parse_input_spec_rejects(spec):
 def test_load_config_precedence(tmp_path):
     cfg_file = tmp_path / "c.json"
     cfg_file.write_text(json.dumps({"kmax": 12, "format": "json", "grid_L": 10.0}))
-    cfg = load_config(str(cfg_file), {"kmax": 20})
+    cfg = load_config(str(cfg_file), "norms", {"kmax": 20})
     assert cfg.kmax == 20  # flag wins
     assert cfg.output_format == "json"
     assert cfg.grid_l == 10.0
+    assert cfg.grid == GridSpec(10.0, 4096)
+    with pytest.raises(CliParseError, match="unknown config key 'grid_L' for coeffs"):
+        load_config(str(cfg_file), "coeffs", {})
     with pytest.raises(CliParseError):
-        load_config(str(cfg_file), {"output_format": "xml"})
+        load_config(str(cfg_file), "norms", {"output_format": "xml"})
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"unknown_key": 1}))
     with pytest.raises(CliParseError):
-        load_config(str(bad), {})
+        load_config(str(bad), "norms", {})
     stale = tmp_path / "stale.json"
     stale.write_text(json.dumps({"kmax": 12, "tolerances": {"reflection": 1e-8}}))
     with pytest.raises(CliParseError, match="unknown config key 'tolerances'"):
-        load_config(str(stale), {})
+        load_config(str(stale), "norms", {})
+
+
+#: The config-backed options: flag, config key, attribute, flag value and
+#: config value.
+CONFIG_OPTIONS = [
+    ("--grid-L", "grid_L", "grid_l", "12", 12.0),
+    ("--grid-N", "grid_N", "grid_n", "2048", 2048),
+    ("--kmax", "kmax", "kmax", "10", 10),
+    ("--t-grid", "t_grid_size", "t_grid_size", "8", 8),
+    ("--format", "format", "output_format", "json", "json"),
+    ("--out", "out", "output_path", "-", "-"),
+]
+
+#: Each command, the arguments it needs, and the options of CONFIG_OPTIONS it
+#: takes beyond --format and --out.
+COMMAND_TAKES = {
+    "coeffs": (["hermite:k=3"], {"--kmax"}),
+    "envelope": (["hermite:k=3"], set()),
+    "bargmann": (["hermite:k=3"], set()),
+    "evolve": (["hermite:k=3"], {"--t-grid", "--grid-L", "--grid-N"}),
+    "confine": (["hermite:k=3", "--beta", "0.5", "--gamma", "0.4"],
+                {"--t-grid", "--grid-L", "--grid-N"}),
+    "norms": ([], {"--kmax", "--grid-L", "--grid-N"}),
+    "verify-all": ([], {"--kmax", "--grid-L", "--grid-N"}),
+}
+
+
+@pytest.mark.parametrize("flag, key, dest, flag_value, key_value", CONFIG_OPTIONS,
+                         ids=[o[0] for o in CONFIG_OPTIONS])
+@pytest.mark.parametrize("command", COMMAND_TAKES)
+def test_each_command_takes_exactly_its_options(command, flag, key, dest, flag_value,
+                                                key_value, tmp_path, capsys):
+    """A (command, option) pair is accepted, as a flag and as a config key,
+    exactly when the command takes the option; otherwise both exit 2, the
+    flag through argparse, the key as an unknown one."""
+    base, takes = COMMAND_TAKES[command]
+    argv = [command, *base, flag, flag_value]
+    cfg_file = tmp_path / "c.json"
+    cfg_file.write_text(json.dumps({key: key_value}))
+    if flag in takes or flag in ("--format", "--out"):
+        args = build_parser().parse_args(argv)
+        assert getattr(args, dest) == type(key_value)(flag_value)
+        assert getattr(load_config(str(cfg_file), command, {}), dest) == key_value
+        return
+    assert exit_code(argv) == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+    assert main([command, *base, "--config", str(cfg_file)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: unknown config key {key!r} for {command}\n"
 
 
 def test_coeffs_table_structure(tmp_path):
@@ -286,6 +349,19 @@ def test_norms_with_expansion_file_is_the_gram_form(tmp_path):
         assert value == pytest.approx(weighted_norm_sq_gaussian(sq, a), rel=1e-12)
 
 
+@pytest.mark.parametrize("k, a, expected", [
+    (200_000, "0.001", "1.4755420907274416e+172"),
+    (320_000, "0.5", "inf"),
+])
+def test_norms_of_a_high_hermite_function_is_linear_in_k(k, a, expected, capsys):
+    """||phi_k||_a^2 of one Hermite function sums S_k alone, in O(k): these
+    took 5.0 s and 18.3 s when every S_0..S_k was convolved."""
+    argv = ["norms", f"hermite:k={k}", "--a-list", a]
+    with _call_time_bound(argv):
+        assert main(argv) == 0
+    assert capsys.readouterr().out.split("\r\n")[1] == f"{float(a)!r},{expected}"
+
+
 def test_norms_gaussian_outside_its_class_is_nan(tmp_path):
     rows = _norms_rows(["norms", "gaussian:b=0.5", "--a-list", "0.2,0.7"], tmp_path / "n.csv")
     assert math.isfinite(rows[0][1]) and math.isnan(rows[1][1])
@@ -449,10 +525,12 @@ def test_nonpositive_envelope_weight_exits_3(command, spec, a, capsys):
     ["norms", "gaussian:b=0.5", "--grid-L", "0"],
 ], ids=["coeffs-N-0", "evolve-N-odd", "confine-L-negative", "norms-L-0"])
 def test_bad_grid_flags_exit_2_for_every_command(argv, capsys):
-    assert main(argv) == 2
+    """coeffs takes no grid flag, so argparse refuses it; the others refuse
+    the value."""
+    assert exit_code(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("error:")
+    assert "error:" in captured.err
 
 
 @pytest.mark.parametrize("argv", [
@@ -557,10 +635,12 @@ def test_confine_refuses_gamma_whose_tanh_loses_1_minus_a(gamma, capsys):
     ["confine", "--beta", "0.75", "--gamma", "0.5", "--t-grid", "8"],
 ], ids=lambda argv: argv[0])
 def test_expansion_outputs_do_not_depend_on_the_grid_flags(argv, tmp_path, capsys):
-    """An expansion is sampled on the grid of its own degree, so
-    ``--grid-L/--grid-N`` leave its output byte-identical, with no warning:
-    on ``--grid-L 100`` e^{a x^2/2} overflows past |x| = 37.7, which the
-    dilated samples never form (the grid scan warned twice and exited 3)."""
+    """An expansion is sampled on the grid of its own degree, so evolve and
+    confine, which take ``--grid-L/--grid-N``, print byte-identical output
+    on every grid, with no warning: on ``--grid-L 100`` e^{a x^2/2}
+    overflows past |x| = 37.7, which the dilated samples never form (the
+    grid scan warned twice and exited 3).  envelope, coeffs and bargmann
+    refuse the flags (exit 2)."""
     rng = np.random.default_rng(20261022)
     coeffs = (rng.normal(size=31) + 1j * rng.normal(size=31)) * 0.8 ** np.arange(31)
     path = tmp_path / "e.json"
@@ -569,6 +649,10 @@ def test_expansion_outputs_do_not_depend_on_the_grid_flags(argv, tmp_path, capsy
         outs = []
         for grid in ([], ["--grid-L", "12", "--grid-N", "4096"], ["--grid-N", "2048"],
                      ["--grid-L", "100"]):
+            if grid and argv[0] not in ("evolve", "confine"):
+                assert exit_code([argv[0], spec, *argv[1:], *grid]) == 2
+                assert f"unrecognized arguments: {grid[0]}" in capsys.readouterr().err
+                continue
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 assert main([argv[0], spec, *argv[1:], *grid]) == 0
@@ -602,9 +686,9 @@ def test_envelope_at_a_equal_1_follows_the_degree_rule(k, member, constant, caps
     ["coeffs", "gaussian:b=0.5", "--a", "inf"],
     ["confine", "gaussian:b=0.5", "--beta", "nan", "--gamma", "0.5"],
     ["confine", "gaussian:b=0.5", "--beta", "0.3", "--gamma", "inf"],
-    ["envelope", "hermite:k=3", "--grid-L", "inf"],
+    ["norms", "hermite:k=3", "--grid-L", "inf"],
 ], ids=["envelope-a-nan", "bargmann-w-ring-nan", "evolve-a-nan", "coeffs-a-inf",
-        "confine-beta-nan", "confine-gamma-inf", "envelope-grid-L-inf"])
+        "confine-beta-nan", "confine-gamma-inf", "norms-grid-L-inf"])
 def test_non_finite_float_flags_exit_2(argv, capsys):
     assert main(argv) == 2
     captured = capsys.readouterr()
@@ -615,7 +699,7 @@ def test_non_finite_float_flags_exit_2(argv, capsys):
 def test_non_finite_config_grid_l_exits_2(tmp_path, capsys):
     cfg_file = tmp_path / "c.json"
     cfg_file.write_text(json.dumps({"grid_L": math.inf}))
-    assert main(["envelope", "hermite:k=3", "--config", str(cfg_file)]) == 2
+    assert main(["norms", "hermite:k=3", "--config", str(cfg_file)]) == 2
     assert capsys.readouterr().err.startswith("error:")
 
 
@@ -923,12 +1007,15 @@ def test_bargmann_and_coeffs_seeded_sweep(tmp_path, capsys):
 def _state_sweep_argv(rng, command: str, files) -> list[str]:
     """One small draw of envelope, evolve, confine or norms, flags drawn
     partly outside their valid range, on the default grid or one of
-    half-width up to 100; about three in ten scalar values are written in
-    scientific notation (-1.234e-01)."""
+    half-width up to 100 (envelope takes no grid flag: drawn, then left
+    out); about three in ten scalar values are written in scientific
+    notation (-1.234e-01)."""
     def num(lo, hi):
         return format(rng.uniform(lo, hi), ".3e" if rng.uniform() < 0.3 else ".6g")
 
     grid = ["--grid-L", f"{rng.uniform(4, 100):.6g}"] if rng.uniform() < 0.3 else []
+    if command == "envelope":
+        grid = []
     if command == "norms" and rng.uniform() < 0.3:
         return ["norms", "--a", num(-0.2, 1.2), "--kmax", str(rng.integers(1, 41))] + grid
     argv = [command, _sweep_spec(rng, files)] + grid
@@ -1020,14 +1107,17 @@ def test_basis_past_its_byte_budget_exits_3(argv, capsys):
 def test_dilation_past_its_byte_budget_exits_3(command, capsys):
     """This expansion's dilation matrix would be 12.8 GB; the basis on the
     grid of its degree (40001 x 90512 doubles) is larger still and is refused
-    first, so neither is built and --grid-L/--grid-N do not change that."""
+    first, so neither is built, and evolve's --grid-L/--grid-N do not change
+    that."""
     import tracemalloc
 
     from gaussherm.oscillator import _expansion_grid
 
     n = _expansion_grid(40000).num_points
     assert 40001 * 40001 * 8 > BASIS_BYTES_CAP and n > 40001
-    argv = [command, "hermite:k=40000", "--a", "0.01", "--grid-L", "370", "--grid-N", "16"]
+    argv = [command, "hermite:k=40000", "--a", "0.01"]
+    if command == "evolve":
+        argv += ["--grid-L", "370", "--grid-N", "16"]
     tracemalloc.start()
     try:
         assert main(argv) == 3
@@ -1048,8 +1138,8 @@ def test_dilation_past_its_byte_budget_exits_3(command, capsys):
 def test_first_k_past_the_basis_budget_exits_3(argv, capsys, tmp_path):
     """hermite:k=1765, the first index whose grid's basis (1766 x 19016
     doubles) is past the budget, is refused before anything is allocated
-    and leaves no output file; no --grid-L/--grid-N widens or narrows the
-    budget's reach."""
+    and leaves no output file; in evolve and confine no --grid-L/--grid-N
+    widens or narrows the budget's reach."""
     import tracemalloc
 
     from gaussherm.oscillator import _expansion_grid
@@ -1059,8 +1149,8 @@ def test_first_k_past_the_basis_budget_exits_3(argv, capsys, tmp_path):
     tracemalloc.start()
     try:
         out = tmp_path / "o.csv"
-        assert main([argv[0], "hermite:k=1765", *argv[1:], "--grid-L", "1000",
-                     "--out", str(out)]) == 3
+        grid = ["--grid-L", "1000"] if argv[0] in ("evolve", "confine") else []
+        assert main([argv[0], "hermite:k=1765", *argv[1:], *grid, "--out", str(out)]) == 3
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

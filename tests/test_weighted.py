@@ -108,6 +108,15 @@ def test_phi_norm_array_call_matches_scalar_calls(a):
         assert batch == pytest.approx([f(k, a) for k in range(61)], rel=1e-15)
 
 
+@pytest.mark.parametrize("a", [0.001, 0.2, 0.5, 0.9, 0.999])
+def test_phi_norm_of_one_index_is_the_table_entry(a):
+    """A single n sums S_n alone, in O(n); it agrees with the table's entry
+    for n <= 400.  The two sums of S_n may differ in their last bit, and
+    e^x, x <= 709, turns that into at most 709 ulp-of-1 relative."""
+    table = phi_weighted_norm_sq(np.arange(401), a)
+    assert [phi_weighted_norm_sq(n, a) for n in range(401)] == pytest.approx(table, rel=2e-13)
+
+
 def test_weighted_norm_sq_phi1_quadrature(wide_grid):
     # |phi_1 hat| = |phi_1|, so the time side alone is the two-sided norm
     phi1 = hermite_phi(1, wide_grid.xs)
