@@ -1,7 +1,7 @@
 """Timings of gaussherm's kernels and verify criteria, in-process, and of
 its import, ``verify-all``, the 4,096-time ``evolve`` and ``confine`` of
-``hermite:k=81`` and the 64-time ``evolve`` of ``hermite:k=1764`` in fresh
-interpreters, plus the first ``verify-all`` of a fresh interpreter timed
+``hermite:k=81`` and the 64- and 4,096-time ``evolve`` of ``hermite:k=1764``
+in fresh interpreters, plus the first ``verify-all`` of a fresh interpreter timed
 inside it after its import.
 
 Run from the root of a checkout (the package is taken from its ``src``)::
@@ -10,10 +10,11 @@ Run from the root of a checkout (the package is taken from its ``src``)::
 
 Each item is called once untimed (so lazy set-up and caches are warm, as
 they are for every request after the first in a long-lived process), then
-``--repeats`` times under ``time.perf_counter``.  The commands in fresh
-interpreters include starting Python; the import is run 3 times untimed, so
-the file cache and the bytecode are warm, and then timed 5 times whatever
-``--repeats`` says.  The first ``verify-all`` is timed by the fresh
+``--repeats`` times under ``time.perf_counter``.  ``--only TEXT`` (which may
+be repeated) keeps the items whose name holds one of the texts.  The
+commands in fresh interpreters include starting Python; the import is run
+3 times untimed, so the file cache and the bytecode are warm, and then
+timed 5 times whatever ``--repeats`` says.  The first ``verify-all`` is timed by the fresh
 interpreter itself, from after ``import gaussherm.cli`` to the return of
 ``cli.main``: the cost a user pays once per process, which perfbench reads
 as ``cold_request_ms``.  The median, min and max of those repeats are printed
@@ -28,12 +29,24 @@ gauges the machine's speed: it is the first item, and it is also gauged
 written beside the item's timing as ``kernel_ms``.  The machine's speed
 drifts within a run of about 40 s, so compare an item across two files
 through the ratio of its own kernel times, not the first item's.
+
+``--against CHECKOUT`` compares this checkout with a second one (the root
+of another copy of the repository) in one run: each checkout's package is
+loaded in a worker process of its own, which runs this file's items, and
+each item's timed calls alternate between the two workers (ABBA order,
+warm-ups first), so both sides see the same drift.  The file then holds
+both sides' median, min and max, the ratio of the medians (this / against)
+and how many of the repeats' pairs this checkout won::
+
+    OPENBLAS_NUM_THREADS=1 python3 benchmarks/bench.py --label flow_half \\
+        --against ../parent --only "K=63 T=64" --only hermite_phi_all
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import inspect
 import io
 import json
 import os
@@ -44,21 +57,33 @@ import sys
 import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-sys.path.insert(0, os.path.join(ROOT, "src"))
 sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 
 import calibrate  # noqa: E402
 import numpy as np  # noqa: E402
 
-from gaussherm import bargmann, cli, gaussians, hermite, oscillator, verify, weighted  # noqa: E402
-from gaussherm.grid import DEFAULT_GRID, sample  # noqa: E402
-from gaussherm.hermite import analyze, fourier_sampled, hermite_phi_all, synthesize  # noqa: E402
+#: The checkout whose package is timed: this one, or a worker's.
+PACKAGE_ROOT = ROOT
+
+
+def load_package(root: str) -> None:
+    """Import gaussherm from ``root``/src into this module's namespace."""
+    global PACKAGE_ROOT, bargmann, cli, gaussians, hermite, oscillator, verify, weighted
+    global DEFAULT_GRID, sample, analyze, fourier_sampled, hermite_phi_all, synthesize
+    PACKAGE_ROOT = os.path.abspath(root)
+    sys.path.insert(0, os.path.join(PACKAGE_ROOT, "src"))
+    from gaussherm import bargmann, cli, gaussians, hermite, oscillator, verify, weighted
+    from gaussherm.grid import DEFAULT_GRID, sample
+    from gaussherm.hermite import analyze, fourier_sampled, hermite_phi_all, synthesize
+
+#: The 4,096-time evolve of hermite:k=1764, about a minute a call.
+LONG_EVOLVE = "evolve hermite:k=1764 --a 0.3 --t-grid 4096 (subprocess)"
 
 #: Items timed a fixed number of times, whatever ``--repeats`` says.
-FIXED_REPEATS = {"import gaussherm.cli (fresh interpreter)": 5}
+FIXED_REPEATS = {"import gaussherm.cli (fresh interpreter)": 5, LONG_EVOLVE: 1}
 
 #: Untimed calls before timing (default 1).
-WARMUPS = {"import gaussherm.cli (fresh interpreter)": 3}
+WARMUPS = {"import gaussherm.cli (fresh interpreter)": 3, LONG_EVOLVE: 0}
 
 #: Run in a fresh interpreter: one ``verify-all --format json`` after the
 #: import, printing its exit status and the seconds ``cli.main`` took.
@@ -85,7 +110,7 @@ def run_cli(argv: list[str]) -> None:
 def run_subprocess(args: list[str]) -> bytes:
     """One fresh interpreter on this checkout's package; its stdout, refused
     unless it exits 0."""
-    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    env = dict(os.environ, PYTHONPATH=os.path.join(PACKAGE_ROOT, "src"))
     res = subprocess.run([sys.executable, *args], env=env, capture_output=True, check=False)
     if res.returncode != 0:
         raise RuntimeError(f"{' '.join(args)} exited {res.returncode}: {res.stderr[-500:]!r}")
@@ -100,6 +125,14 @@ def first_verify_all_s() -> float:
     return float(seconds)
 
 
+def t_grid(size: int):
+    """What asks ``confinement_check`` for ``default_t_grid(size)``: the size,
+    where it takes one (an even grid then forms half its times), else the
+    times themselves."""
+    sig = inspect.signature(oscillator.confinement_check)
+    return size if sig.parameters["t_grid"].default == 64 else oscillator.default_t_grid(size)
+
+
 def items():
     """(name, zero-argument callable) pairs, in report order."""
     grid = DEFAULT_GRID
@@ -107,7 +140,7 @@ def items():
     state = gaussians.squeezed_state(0.5)
     squeezed = gaussians.hermite_coeffs(state, 81)
     state_k70 = gaussians.hermite_coeffs(state, 70)
-    ts = oscillator.default_t_grid(64)
+    ts, ts8 = t_grid(64), t_grid(8)
     cfg = verify.VerifyConfig()
     ring = 3.0 * np.exp(2j * np.pi * np.arange(10) / 10)
     phis = hermite_phi_all(20, grid.xs)
@@ -131,6 +164,8 @@ def items():
          lambda: run_subprocess(["-m", "gaussherm", "verify-all", "--format", "json"])),
         ("verify-all first run (fresh interpreter, import excluded)", first_verify_all_s),
         ("hermite_phi_all K=60 N=4096", lambda: hermite_phi_all(60, grid.xs)),
+        ("hermite_phi_all K=81 N=4096", lambda: hermite_phi_all(81, grid.xs)),
+        ("hermite_phi_all K=30 N=6144", lambda: hermite_phi_all(30, wide.xs)),
         ("analyze+synthesize K=60 N=4096", lambda: synthesize(analyze(f, 60), grid)),
         ("fourier_sampled N=4096", lambda: fourier_sampled(f)),
         ("fourier_rows F=25 N=4096", lambda: hermite.fourier_rows(stack, grid)),
@@ -164,9 +199,14 @@ def items():
                                  "--beta", "0.5", "--gamma", "0.45", "--t-grid", "4096"])),
         ("confinement_check expansion K=63 T=64",
          lambda: oscillator.confinement_check(expansion63, 0.5, 0.45, ts)),
+        ("confinement_check K=70 T=8 N=4096",
+         lambda: oscillator.confinement_check(state_k70, 0.5, 0.45, ts8)),
         ("evolve hermite:k=1764 --a 0.3 --t-grid 64 (subprocess)",
          lambda: run_subprocess(["-m", "gaussherm", "evolve", "hermite:k=1764",
                                  "--a", "0.3", "--t-grid", "64"])),
+        ("evolve hermite:k=1764 --a 0.3 --t-grid 4096 (subprocess)",
+         lambda: run_subprocess(["-m", "gaussherm", "evolve", "hermite:k=1764",
+                                 "--a", "0.3", "--t-grid", "4096"])),
     ]
     for command in ("envelope", "coeffs", "bargmann"):
         for spec in ("squeezed:beta=0.5", "hermite:k=40"):
@@ -180,42 +220,117 @@ def items():
     return out
 
 
-def time_item(fn, repeats: int, warmups: int = 1, self_timed: bool = False) -> dict:
-    """Median, min and max of ``repeats`` calls in ms; a ``self_timed``
-    callable returns its own time in seconds."""
-    for _ in range(warmups):
-        fn()
-    times = []
-    for _ in range(repeats):
-        start = time.perf_counter()
-        own = fn()
-        times.append(own if self_timed else time.perf_counter() - start)
+def summary(times: list[float]) -> dict:
+    """Median, min and max of the times in ms, and their count."""
     return {
         "median_ms": 1e3 * statistics.median(times),
         "min_ms": 1e3 * min(times),
         "max_ms": 1e3 * max(times),
-        "repeats": repeats,
+        "repeats": len(times),
     }
+
+
+def call_s(fn, self_timed: bool = False) -> float:
+    """Seconds of one call; a ``self_timed`` callable returns its own."""
+    start = time.perf_counter()
+    own = fn()
+    return own if self_timed else time.perf_counter() - start
+
+
+def time_item(fn, repeats: int, warmups: int = 1, self_timed: bool = False) -> dict:
+    """:func:`summary` of ``repeats`` calls after ``warmups`` untimed ones."""
+    for _ in range(warmups):
+        fn()
+    return summary([call_s(fn, self_timed) for _ in range(repeats)])
+
+
+def serve(root: str) -> int:
+    """A worker of ``--against``: load ``root``'s package, then for each item
+    name read from stdin run one call and answer its seconds (or, for
+    ``warm <name>``, its warm-up calls) on a line of its own."""
+    reply = os.fdopen(os.dup(sys.stdout.fileno()), "w", buffering=1)
+    load_package(root)
+    table = dict(items())
+    for line in sys.stdin:
+        warm, _, name = line.rstrip("\n").partition(" ")
+        with contextlib.redirect_stdout(sys.stderr):
+            if warm == "warm":
+                for _ in range(WARMUPS.get(name, 1)):
+                    table[name]()
+                print("ok", file=reply)
+            else:
+                print(call_s(table[name], name in SELF_TIMED), file=reply)
+    return 0
+
+
+class Worker:
+    """A worker process timing the items of one checkout's package."""
+
+    def __init__(self, root: str):
+        self.proc = subprocess.Popen(
+            [sys.executable, os.path.abspath(__file__), "--worker", root],
+            stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True, bufsize=1)
+
+    def ask(self, line: str) -> str:
+        self.proc.stdin.write(line + "\n")
+        answer = self.proc.stdout.readline()
+        if not answer:
+            raise RuntimeError(f"the worker stopped at {line!r}")
+        return answer.strip()
+
+    def close(self) -> None:
+        self.proc.stdin.close()
+        self.proc.wait()
+
+
+def compare(names: list[str], repeats: int, against: str) -> dict:
+    """Each item timed in this checkout and in ``against``, the calls
+    alternating between the two workers in ABBA order."""
+    workers = [Worker(ROOT), Worker(against)]
+    results = {}
+    try:
+        for name in names:
+            for w in workers:
+                w.ask("warm " + name)
+            times = [[], []]
+            for r in range(FIXED_REPEATS.get(name, repeats)):
+                for side in ((0, 1) if r % 2 == 0 else (1, 0)):
+                    times[side].append(float(workers[side].ask("time " + name)))
+            this, other = summary(times[0]), summary(times[1])
+            results[name] = {
+                "this": this, "against": other,
+                "ratio_of_medians": this["median_ms"] / other["median_ms"],
+                "pairs_won": sum(a < b for a, b in zip(*times)),
+            }
+            print(f"{name:45s} {other['median_ms']:9.3f} -> {this['median_ms']:9.3f} ms  "
+                  f"ratio {results[name]['ratio_of_medians']:.3f}  "
+                  f"won {results[name]['pairs_won']}/{len(times[0])}")
+    finally:
+        for w in workers:
+            w.close()
+    return results
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--label", required=True, help="names the output BENCH_<label>.json")
+    parser.add_argument("--label", help="names the output BENCH_<label>.json (required)")
     parser.add_argument("--repeats", type=int, default=7, help="timed calls per item")
+    parser.add_argument("--only", action="append", metavar="TEXT",
+                        help="time only the items whose name holds TEXT (may be repeated)")
+    parser.add_argument("--against", metavar="CHECKOUT",
+                        help="root of a second checkout to time each item against, "
+                             "alternating call by call")
+    parser.add_argument("--worker", metavar="CHECKOUT", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
+    if args.worker:
+        return serve(args.worker)
+    if not args.label:
+        parser.error("--label is required")
     if args.repeats < 1:
         parser.error("--repeats must be >= 1")
-    results = {}
-    calibrate.warm_up()
-    for name, fn in items():
-        before = calibrate.gauge()
-        r = time_item(fn, FIXED_REPEATS.get(name, args.repeats),
-                      WARMUPS.get(name, 1), name in SELF_TIMED)
-        r["kernel_ms"] = [1e3 * before, 1e3 * calibrate.gauge()]
-        results[name] = r
-        print(f"{name:45s} median {r['median_ms']:9.3f} ms  "
-              f"min {r['min_ms']:9.3f}  max {r['max_ms']:9.3f}  "
-              f"kernel {r['kernel_ms'][0]:6.3f}/{r['kernel_ms'][1]:6.3f}")
+    load_package(ROOT)
+    table = [(name, fn) for name, fn in items()
+             if not args.only or any(text in name for text in args.only)]
     payload = {
         "label": args.label,
         "machine": {
@@ -224,8 +339,23 @@ def main(argv=None) -> int:
             "numpy": np.__version__,
             "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS"),
         },
-        "timings": results,
     }
+    if args.against:
+        payload["against"] = args.against
+        payload["timings"] = compare([name for name, _ in table], args.repeats, args.against)
+    else:
+        results = {}
+        calibrate.warm_up()
+        for name, fn in table:
+            before = calibrate.gauge()
+            r = time_item(fn, FIXED_REPEATS.get(name, args.repeats),
+                          WARMUPS.get(name, 1), name in SELF_TIMED)
+            r["kernel_ms"] = [1e3 * before, 1e3 * calibrate.gauge()]
+            results[name] = r
+            print(f"{name:45s} median {r['median_ms']:9.3f} ms  "
+                  f"min {r['min_ms']:9.3f}  max {r['max_ms']:9.3f}  "
+                  f"kernel {r['kernel_ms'][0]:6.3f}/{r['kernel_ms'][1]:6.3f}")
+        payload["timings"] = results
     path = os.path.join(ROOT, f"BENCH_{args.label}.json")
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2)

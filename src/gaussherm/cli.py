@@ -100,8 +100,8 @@ class Option:
     def argparse_kwargs(self) -> dict:
         return {"dest": self.dest, "type": self.type, "choices": self.choices,
                 "required": self.required,
-                # a config-backed flag left out reads None, so the file's value stands
-                "default": None if self.key else self.default,
+                # a flag left out reads None: the file's value or the default stands
+                "default": None,
                 "help": self.help if self.default is None
                 else f"{self.help} (default {self.default})"}
 
@@ -159,17 +159,30 @@ COMMANDS = {
     "verify-all": ("run the full verification suite", None, ("kmax", "grid_l", "grid_n")),
 }
 
+#: Options of a command with an optional input that it reads only with an
+#: input, and only without one: given in the other case, they are refused.
+WITH_INPUT = {"norms": ("a_list",)}
+WITHOUT_INPUT = {"norms": ("kmax", "a")}
+
 
 def load_config(path: str | None, command: str, flags: dict) -> argparse.Namespace:
-    """The values of ``command``'s config-backed options: defaults, then
-    config-file values, then the flags given in ``flags`` (dest -> value,
-    None where left out).  Every option of the command is checked, the
-    flag-only ones in ``flags`` too, and where the command takes
+    """The values of ``command``'s options: defaults, then config-file
+    values of the config-backed ones, then the flags given in ``flags``
+    (dest -> value, None where left out; ``input``, the input spec).  Every
+    value is checked.  An option the command reads only with an input, or
+    only without one (``WITH_INPUT``, ``WITHOUT_INPUT``), is refused in the
+    other case, as a flag and as a config key.  Where the command takes
     --grid-L/--grid-N the namespace also holds their ``grid``."""
-    options = [opt for dest, opt in OPTIONS.items()
-               if dest in COMMANDS[command][2] or dest in COMMON_OPTIONS]
+    has_input = flags.get("input") is not None
+    unread = (WITHOUT_INPUT if has_input else WITH_INPUT).get(command, ())
+    for dest in unread:
+        if flags.get(dest) is not None:
+            raise CliParseError(f"unrecognized arguments: {OPTIONS[dest].flag} ({command} reads "
+                                f"it only {'without' if has_input else 'with'} an input)")
+    options = [opt for dest, opt in OPTIONS.items() if dest in COMMON_OPTIONS
+               or dest in COMMANDS[command][2] and dest not in unread]
     keys = {opt.key: opt.dest for opt in options if opt.key}
-    values = {opt.dest: opt.default for opt in options if opt.key}
+    values = {opt.dest: opt.default for opt in options}
     if path is not None:
         try:
             with open(path, "r", encoding="utf-8") as fh:
@@ -185,9 +198,11 @@ def load_config(path: str | None, command: str, flags: dict) -> argparse.Namespa
     values.update((dest, flags[dest]) for dest in values if flags.get(dest) is not None)
     try:
         for opt in options:
-            value = values[opt.dest] if opt.key else flags.get(opt.dest)
-            if opt.key is None and value is None:  # a flag-only option left out
+            value = values[opt.dest]
+            if value is None:  # left out, with no default
                 continue
+            if opt.type is int and isinstance(value, float):  # a config value; argparse takes ints
+                raise CliParseError(f"{opt.key} must be an integer, got {value!r}")
             if opt.check is not None:
                 opt.check(value, opt.flag)
             if opt.choices is not None and value not in opt.choices:
@@ -397,12 +412,12 @@ def _rows(*columns) -> list[list]:
     return [list(row) for row in zip(*(np.asarray(c).tolist() for c in columns))]
 
 
-def _class_constant(args, inp: InputSpec) -> tuple[float | None, float | None]:
+def _class_constant(cfg, inp: InputSpec) -> tuple[float | None, float | None]:
     """``--a`` of coeffs and bargmann (default: the input's own weight),
     refused outside (0,1), and the class constant C at that weight: the
     t = 0 row of the flow, None for a non-member.  Both None when the
     input has no natural weight and none is given."""
-    a = args.a if args.a is not None else inp.default_a
+    a = cfg.a if cfg.a is not None else inp.default_a
     if a is None:
         return None, None
     dc.check_weight(a)
@@ -411,7 +426,7 @@ def _class_constant(args, inp: InputSpec) -> tuple[float | None, float | None]:
 
 def cmd_coeffs(args, cfg: argparse.Namespace) -> tuple[str, int]:
     inp = parse_input_spec(args.input)
-    a, big_c = _class_constant(args, inp)
+    a, big_c = _class_constant(cfg, inp)
     k = np.arange(cfg.kmax + 1)
     abs_c = np.abs(_coefficients(inp, cfg.kmax))
     with np.errstate(divide="ignore"):
@@ -434,9 +449,9 @@ def cmd_coeffs(args, cfg: argparse.Namespace) -> tuple[str, int]:
     return render_table(header, rows, cfg.output_format, meta), 0
 
 
-def _envelope_weight(args, inp: InputSpec) -> float:
+def _envelope_weight(cfg, inp: InputSpec) -> float:
     """``--a`` of envelope and evolve: any positive weight, a >= 1 too."""
-    a = args.a if args.a is not None else (inp.default_a or 0.5)
+    a = cfg.a if cfg.a is not None else (inp.default_a or 0.5)
     if not a > 0:
         raise NumericalDomainError(f"a must be positive, got {a}")
     return a
@@ -444,7 +459,7 @@ def _envelope_weight(args, inp: InputSpec) -> float:
 
 def cmd_envelope(args, cfg: argparse.Namespace) -> tuple[str, int]:
     inp = parse_input_spec(args.input)
-    a = _envelope_weight(args, inp)
+    a = _envelope_weight(cfg, inp)
     _, mem = next(osc.flow_envelopes(inp.state, [0.0], a))
     t_rep, f_rep = mem.time_report, mem.frequency_report
     header = ["side", "a", "constant", "argmax_x", "divergent"]
@@ -458,8 +473,8 @@ def cmd_envelope(args, cfg: argparse.Namespace) -> tuple[str, int]:
 
 def cmd_bargmann(args, cfg: argparse.Namespace) -> tuple[str, int]:
     inp = parse_input_spec(args.input)
-    a, big_c = _class_constant(args, inp)
-    ws = args.w_ring * np.exp(2j * math.pi * np.arange(args.w_count) / args.w_count)
+    a, big_c = _class_constant(cfg, inp)
+    ws = cfg.w_ring * np.exp(2j * math.pi * np.arange(cfg.w_count) / cfg.w_count)
     values = bg.bargmann_exact(inp.state, ws)
     qb = sb = np.full(ws.size, math.nan)
     if big_c is not None:
@@ -480,17 +495,18 @@ def cmd_bargmann(args, cfg: argparse.Namespace) -> tuple[str, int]:
 
 def cmd_evolve(args, cfg: argparse.Namespace) -> tuple[str, int]:
     inp = parse_input_spec(args.input)
-    a = _envelope_weight(args, inp)
-    if args.times:
-        ts = _float_list(args.times, "--times")
-    else:
-        ts = list(osc.default_t_grid(cfg.t_grid_size))
+    a = _envelope_weight(cfg, inp)
+    if cfg.times:
+        ts = times = _float_list(cfg.times, "--times")
+    else:  # the grid's size: flow_envelopes forms half its times when it is even
+        times = cfg.t_grid_size
+        ts = list(osc.default_t_grid(times))
     header = ["t", "norm_sq", "envelope_constant_time", "envelope_constant_frequency",
               "divergent_time", "divergent_frequency"]
     rows = [
         [t, n, mem.time_report.constant, mem.frequency_report.constant,
          mem.time_report.divergent, mem.frequency_report.divergent]
-        for t, (n, mem) in zip(ts, osc.flow_envelopes(inp.state, ts, a))
+        for t, (n, mem) in zip(ts, osc.flow_envelopes(inp.state, times, a))
     ]
     meta = {"command": "evolve", "input": inp.label, "a": a}
     return render_table(header, rows, cfg.output_format, meta), 0
@@ -498,18 +514,17 @@ def cmd_evolve(args, cfg: argparse.Namespace) -> tuple[str, int]:
 
 def cmd_confine(args, cfg: argparse.Namespace) -> tuple[str, int]:
     inp = parse_input_spec(args.input)
-    ts = osc.default_t_grid(cfg.t_grid_size)
-    report = osc.confinement_check(inp.state, args.beta, args.gamma, ts)
+    report = osc.confinement_check(inp.state, cfg.beta, cfg.gamma, cfg.t_grid_size)
     if report.divergent:
         raise _Divergence(
-            f"envelope at a = tanh({args.gamma}) = {report.a:.6f} diverges along the flow; "
+            f"envelope at a = tanh({cfg.gamma}) = {report.a:.6f} diverges along the flow; "
             f"first offending t = {report.first_divergent_t:.6f}"
         )
     header = ["t", "envelope_constant_time", "envelope_constant_frequency"]
     rows = _rows(report.ts, report.psi_constants, report.fourier_constants)
     meta = {
         "command": "confine", "input": inp.label,
-        "beta": args.beta, "gamma": args.gamma, "a": report.a,
+        "beta": cfg.beta, "gamma": cfg.gamma, "a": report.a,
         "sup_constant": report.sup_constant, "worst_t": report.worst_t,
         "attained_ts": report.attained_ts.tolist(),
     }
@@ -528,7 +543,7 @@ def _input_weighted_norm_sq(inp: InputSpec, a: float) -> float:
 
 def cmd_norms(args, cfg: argparse.Namespace) -> tuple[str, int]:
     if args.input is None:
-        a = args.a if args.a is not None else 0.5
+        a = cfg.a if cfg.a is not None else 0.5
         dc.check_weight(a)
         header = ["n", "closed_norm_sq", "lower_bound", "quadrature_norm_sq"]
         grid = cfg.grid
@@ -541,7 +556,7 @@ def cmd_norms(args, cfg: argparse.Namespace) -> tuple[str, int]:
         meta = {"command": "norms", "input": None, "a": a}
         return render_table(header, rows, cfg.output_format, meta), 0
     inp = parse_input_spec(args.input)
-    a_list = _float_list(args.a_list, "--a-list")
+    a_list = _float_list(cfg.a_list, "--a-list")
     for a in a_list:
         dc.check_weight(a)
     header = ["a", "norm_sq"]

@@ -84,16 +84,23 @@ def hermite_phi_all(kmax: int, xs) -> np.ndarray:
         raise ValueError(f"kmax must be >= 0, got {kmax}")
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
     out = np.empty((kmax + 1, xs.size))
-    p_prev = PHI0_AT_ZERO * np.exp(-0.5 * xs * xs)
-    out[0] = p_prev
-    if kmax >= 1:
-        p = np.sqrt(2.0) * xs * p_prev
-        out[1] = p
-        for k in range(1, kmax):
-            p, p_prev = xs * np.sqrt(2.0 / (k + 1)) * p - np.sqrt(k / (k + 1)) * p_prev, p
-            out[k + 1] = p
+    # each row is formed in place, in the order of x*sqrt(2/(k+1))*phi_k - sqrt(k/(k+1))*phi_{k-1}
+    np.multiply(xs, -0.5, out=out[0])
+    out[0] *= xs
+    np.exp(out[0], out=out[0])
+    out[0] *= PHI0_AT_ZERO
+    spare = np.empty(xs.size)
+    for k in range(kmax):
+        row = out[k + 1]
+        np.multiply(xs, np.sqrt(2.0 / (k + 1)), out=row)
+        row *= out[k]
+        if k:
+            np.multiply(out[k - 1], np.sqrt(k / (k + 1)), out=spare)
+            row -= spare
+    tiny = np.empty(xs.size, dtype=bool)
     for row in out:  # row by row: no full-size temporary
-        row[np.abs(row) < _TINY] = 0.0
+        np.less(np.abs(row, out=spare), _TINY, out=tiny)
+        np.copyto(row, 0.0, where=tiny)
     return out
 
 

@@ -227,7 +227,8 @@ def _report(top_sq: float, x: float, a: float, shift: int, divergent: bool) -> E
 
 def flow_envelopes(psi0: HermiteExpansion | GeneralizedGaussian, ts, a: float):
     """Yield (||psi_t||^2, two-sided :class:`~gaussherm.decay.Membership`
-    against exp(-a x^2/2)) for each t; at t = 0, the verdict on psi0 that
+    against exp(-a x^2/2)) for each t of ``ts``, the times or an int T that
+    stands for ``default_t_grid(T)``; at t = 0, the verdict on psi0 that
     ``envelope``, ``coeffs`` and ``bargmann`` read.  A Gaussian's are closed
     forms (:func:`~gaussherm.gaussians.envelope_membership` of the evolved
     Gaussian, |A(t)|^2 / sqrt(2 Re b(t))).  An expansion's norm is sum |c_k|^2;
@@ -245,15 +246,24 @@ def flow_envelopes(psi0: HermiteExpansion | GeneralizedGaussian, ts, a: float):
     once per block, not once per time.  Each side's constant is the
     square root of its largest squared modulus, and its argmax_x follows
     ``decay.sample_peak``, also across column blocks (:func:`_streamed_peak`).
-    A time whose largest phase (2K+1)t is not finite is refused before any
-    row is yielded (``NumericalDomainError``)."""
+
+    On ``default_t_grid(T)`` with T even, only t_0 .. t_{T/2-1} are formed:
+    the Fourier transform is the flow a quarter period back, up to a phase,
+    so |psihat_t(x)| = |psi_{t-pi/4}(x)| and |psi_t(x)| = |psihat_{t-pi/4}(-x)|.
+    Row j >= T/2 is row j - T/2 with its sides swapped: the frequency report
+    is that row's time report, and the time report is its frequency samples
+    read at -x, with ``sample_peak``'s rule on the mirrored x.  The sample at
+    x = -L, whose mirror +L is not on the grid, is a column of its own,
+    phi_m(L) = (-1)^m phi_m(-L).  A time whose largest phase (2K+1)t is not
+    finite is refused before any row is yielded (``NumericalDomainError``)."""
+    uniform = isinstance(ts, (int, np.integer))
+    ts = default_t_grid(ts) if uniform else np.asarray(ts, dtype=float).ravel()
     if isinstance(psi0, GeneralizedGaussian):
         for t in ts:
             gt = evolve_gaussian(psi0, float(t))
             norm = abs(gt.amplitude) ** 2 / math.sqrt(2.0 * gt.width.real)
             yield norm, envelope_membership(gt, a)
         return
-    ts = np.asarray(ts, dtype=float).ravel()
     norm, c, top = psi0.norm_sq(), psi0.coeffs, np.flatnonzero(psi0.coeffs)
     k = np.arange(len(c))
     with np.errstate(over="ignore"):
@@ -275,9 +285,13 @@ def flow_envelopes(psi0: HermiteExpansion | GeneralizedGaussian, ts, a: float):
         w = np.exp(log_w - shift * math.log(2.0), out=log_w)  # |c_k| M[k, m] / 2^shift, at most 2
         u = np.exp(1j * np.angle(c))  # the phases, which the flow moves
     turn = np.array([1.0, -1j, -1.0, 1j])[k % 4]  # (-i)^k, exact
+    half = uniform and len(ts) % 2 == 0
+    formed = ts[:len(ts) // 2] if half else ts
+    mirror_col = phi[:, :1] * (1.0 - 2.0 * (k % 2))[:, None] if half else None  # at -xs[0]
+    swapped = []  # the rows j >= T/2, from the formed rows j - T/2
     step = min(_FLOW_TIMES, max(1, _FLOW_ROW_BYTES // (32 * len(c))))
-    for i in range(0, len(ts), step):
-        d = 1j * np.multiply.outer(ts[i:i + step], 2 * k + 1)
+    for i in range(0, len(formed), step):
+        d = 1j * np.multiply.outer(formed[i:i + step], 2 * k + 1)
         n = len(d)
         np.exp(d, out=d)
         if len(c) > 1:
@@ -295,13 +309,23 @@ def flow_envelopes(psi0: HermiteExpansion | GeneralizedGaussian, ts, a: float):
         parts = parts.reshape(-1, len(c))
         cols = _FLOW_BLOCK_BYTES // (16 * n)
         cols = 1 << (cols.bit_length() - 1)  # a power of two: blocks start on whole-row tiles
+        edge = _moduli_sq(parts, mirror_col)[1::2, 0] if half else None
         if cols >= len(xs):
-            tops, xmax = sample_peak(_moduli_sq(parts, phi), xs, squared=True)
+            sq = _moduli_sq(parts, phi)
+            tops, xmax = sample_peak(sq, xs, squared=True)
+            if half:  # the frequency rows read at -x, in ascending order
+                mirror = np.concatenate([edge[:, None], sq[1::2, :0:-1]], axis=1)
+                mirrored = sample_peak(mirror, xs, squared=True)
         else:
-            tops, xmax = _streamed_peak(parts, phi, xs, cols)
+            tops, xmax, *mirrored = _streamed_peak(parts, phi, xs, cols, edge)
         for j in range(n):
-            yield norm, Membership(*(_report(tops[r], xmax[r], a, shift, divergent)
-                                     for r in (2 * j, 2 * j + 1)))
+            sides = [_report(tops[r], xmax[r], a, shift, divergent) for r in (2 * j, 2 * j + 1)]
+            yield norm, Membership(*sides)
+            if half:
+                swapped.append(Membership(_report(mirrored[0][j], mirrored[1][j], a, shift,
+                                                  divergent), sides[0]))
+    for mem in swapped:
+        yield norm, mem
 
 
 def _moduli_sq(parts: np.ndarray, phi: np.ndarray) -> np.ndarray:
@@ -312,30 +336,60 @@ def _moduli_sq(parts: np.ndarray, phi: np.ndarray) -> np.ndarray:
     return (sq[:, 0] + sq[:, 1]).reshape(-1, phi.shape[1])
 
 
-def _streamed_peak(parts: np.ndarray, phi: np.ndarray, xs: np.ndarray, cols: int):
+def _nearest(near: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """Per row, the x of least |x| where ``near`` holds, the lesser of two
+    mirrored ones (``sample_peak``'s rule on ascending xs, in any order);
+    inf where none does."""
+    dist = np.where(near, np.abs(xs), np.inf)
+    least = dist.min(axis=1, keepdims=True)
+    return np.where(near & (dist == least), xs, np.inf).min(axis=1)
+
+
+def _streamed_peak(parts: np.ndarray, phi: np.ndarray, xs: np.ndarray, cols: int,
+                   edge: np.ndarray | None = None):
     """``sample_peak`` with ``squared=True`` on the rows of squared moduli that
     the basis forms ``cols`` columns at a time, bit for bit, with no array
     wider than one block.  The first pass keeps each row's block maxima,
     whose largest is the row's top.  The second re-forms only the blocks
     whose maximum reaches top (1 - 1e-12)^2 for some row, which hold every
-    sample of the tie set, and keeps per row the least |x| among them, an
-    earlier block winning a tie."""
+    sample of the tie set, and keeps per row the least |x| among them, the
+    lesser x of two mirrored ones.
+
+    With ``edge``, the squared moduli of the odd rows at -xs[0], it also
+    returns the top and argmax_x of each odd row read at -x: its samples at
+    xs[1:] (at -xs[1:]) and ``edge`` (at xs[0]), as ``sample_peak`` gives them
+    on those samples in ascending order.  The sample at xs[0] is left out of
+    the top; read at -xs[0] = L it is never the argmax, since the top is a
+    sample at |x| <= L too, and of two at |x| = L the one at -L wins."""
+    keep = (1.0 - 1e-12) ** 2
     starts = range(0, len(xs), cols)
-    block_tops = np.stack([_moduli_sq(parts, phi[:, s:s + cols]).max(axis=1) for s in starts],
-                          axis=1)
+    block_tops = []
+    for s in starts:
+        sq = _moduli_sq(parts, phi[:, s:s + cols])
+        block_tops.append(sq.max(axis=1))
+        if s == 0 and edge is not None:
+            inner = np.max(sq[1::2, 1:], axis=1, initial=0.0)  # xs[0] has no mirror on the grid
+    block_tops = np.stack(block_tops, axis=1)
     tops = block_tops.max(axis=1)
-    floor = tops * (1.0 - 1e-12) ** 2
-    rows = np.arange(len(tops))
-    least, xmax = np.full(len(tops), np.inf), np.zeros(len(tops))
-    for b in np.flatnonzero((block_tops >= floor[:, None]).any(axis=0)):
+    hit = block_tops >= (tops * keep)[:, None]
+    if edge is not None:
+        mirror_tops = block_tops[1::2].copy()
+        mirror_tops[:, 0] = inner
+        mtops = np.maximum(mirror_tops.max(axis=1), edge)
+        hit[1::2] |= mirror_tops >= (mtops * keep)[:, None]
+        mx = [np.where(edge >= mtops * keep, xs[0], np.inf)]
+    x = []
+    for b in np.flatnonzero(hit.any(axis=0)):
         s = starts[b]
-        near = _moduli_sq(parts, phi[:, s:s + cols]) >= floor[:, None]
-        dist = np.where(near, np.abs(xs[s:s + cols]), np.inf)
-        j = dist.argmin(axis=1)
-        better = dist[rows, j] < least
-        least[better] = dist[rows, j][better]
-        xmax[better] = xs[s + j[better]]
-    return tops, xmax
+        sq = _moduli_sq(parts, phi[:, s:s + cols])
+        x.append(_nearest(sq >= (tops * keep)[:, None], xs[s:s + cols]))
+        if edge is not None:
+            mx.append(_nearest(sq[1::2] >= (mtops * keep)[:, None], -xs[s:s + cols]))
+    x = np.stack(x, axis=1)
+    if edge is None:
+        return tops, _nearest(np.isfinite(x), x)
+    mx = np.stack(mx, axis=1)
+    return tops, _nearest(np.isfinite(x), x), mtops, _nearest(np.isfinite(mx), mx)
 
 
 #: Largest relative error of 1 - a, a = tanh(gamma) rounded to a double, at
@@ -350,22 +404,26 @@ def confinement_check(
     psi0: HermiteExpansion | GeneralizedGaussian,
     beta: float,
     gamma: float,
-    t_grid=None,
+    t_grid=64,
 ) -> ConfinementReport:
-    """Scan the flow of psi0 over a time grid against the envelope of
-    parameter a = tanh(gamma), on both the time and frequency sides.
+    """Scan the flow of psi0 over ``t_grid``, the times or an int T that
+    stands for ``default_t_grid(T)``, against the envelope of parameter
+    a = tanh(gamma), on both the time and frequency sides.
 
     ``beta`` documents the class of the initial data (|psi_0| inside the
     envelope of tanh(2 beta)); the scan itself does not require gamma < beta
     and will simply report divergence when the envelope is too tight.  A
     Gaussian's report is closed-form (:func:`flow_envelopes`,
     :func:`gaussian_flow_extremes`); an expansion's is sampled on the grid of
-    its degree.  An expansion is refused (``NumericalDomainError``) when the
-    double tanh(gamma) leaves 1 - a off by more than ``TANH_GAP_REL`` relative.
+    its degree, and on ``default_t_grid(T)`` with T even only its first T/2
+    times are formed, the rest being their sides swapped (:func:`flow_envelopes`).
+    An expansion is refused (``NumericalDomainError``) when the double
+    tanh(gamma) leaves 1 - a off by more than ``TANH_GAP_REL`` relative.
     """
     if gamma <= 0 or beta <= 0:
         raise ValueError("beta and gamma must be positive")
-    ts = default_t_grid() if t_grid is None else np.asarray(t_grid, dtype=float)
+    size = isinstance(t_grid, (int, np.integer))
+    ts = default_t_grid(t_grid) if size else np.asarray(t_grid, dtype=float)
     a = math.tanh(gamma)
     if not isinstance(psi0, GeneralizedGaussian):
         e = math.exp(-2.0 * gamma)
@@ -374,7 +432,7 @@ def confinement_check(
             raise NumericalDomainError(
                 f"a = tanh({gamma}) is not resolved in double: 1 - a = {1.0 - a:.6g} against "
                 f"{gap:.6g}, past the {TANH_GAP_REL:g} relative tolerance")
-    mems = [mem for _, mem in flow_envelopes(psi0, ts, a)]
+    mems = [mem for _, mem in flow_envelopes(psi0, t_grid, a)]
     psi_c = np.array([mem.time_report.constant for mem in mems])
     four_c = np.array([mem.frequency_report.constant for mem in mems])
     if isinstance(psi0, GeneralizedGaussian):

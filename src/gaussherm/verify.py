@@ -253,8 +253,7 @@ def criterion_confinement(cfg: VerifyConfig) -> CriterionResult:
     sq = ga.squeezed_state(beta)
     sup, attained, first_bad = osc.gaussian_flow_extremes(sq, math.tanh(beta))
     # the Gaussian's flow is closed-form; its expansion's is sampled on the grid of K = 70
-    scan = osc.confinement_check(ga.hermite_coeffs(sq, 70), beta, beta,
-                                 osc.default_t_grid(8))  # 8 times hold 3pi/8
+    scan = osc.confinement_check(ga.hermite_coeffs(sq, 70), beta, beta, 8)  # 8 times hold 3pi/8
     scan_dev = abs(scan.sup_constant * math.sqrt(1 - r) - 1.0)
     t_star = 3 * math.pi / 8  # -pi/8 mod pi/2
     dist = float(np.min(np.abs(attained - t_star)))

@@ -292,11 +292,42 @@ def test_norms_table_past_band_limit_is_nan(tmp_path, grid_l, resolved):
 
 def test_norms_with_input(tmp_path):
     out = tmp_path / "n.csv"
-    assert main(["norms", "gaussian:b=1", "--a-list", "0.2,0.5", "--kmax", "8",
-                 "--out", str(out)]) == 0
+    assert main(["norms", "gaussian:b=1", "--a-list", "0.2,0.5", "--out", str(out)]) == 0
     rows = out.read_bytes().decode().strip().split("\r\n")[1:]
     vals = {float(r.split(",")[0]): float(r.split(",")[1]) for r in rows}
     assert vals[0.5] == pytest.approx(1.0, rel=1e-9)  # ||g_1||_{1/2}^2 = 1
+
+
+@pytest.mark.parametrize("base, flag, value, key", [
+    (["gaussian:b=1"], "--kmax", "8", "kmax"),
+    (["gaussian:b=1"], "--a", "0.5", None),
+    ([], "--a-list", "0.2,0.5", None),
+], ids=["input-kmax", "input-a", "table-a-list"])
+def test_norms_refuses_the_other_modes_options(base, flag, value, key, tmp_path, capsys):
+    """With an input norms reads --a-list alone, without one --a and --kmax:
+    the other case's option exits 2, as a flag and as a config key, and the
+    grid flags stay accepted in both."""
+    grid = ["--grid-L", "12", "--grid-N", "2048"]
+    assert main(["norms", *base, *grid, flag, value]) == 2
+    err = capsys.readouterr().err
+    mode = "without" if base else "with"
+    assert err == f"error: unrecognized arguments: {flag} (norms reads it only {mode} an input)\n"
+    if key is not None:
+        cfg_file = tmp_path / "c.json"
+        cfg_file.write_text(json.dumps({key: int(value)}))
+        assert main(["norms", *base, "--config", str(cfg_file)]) == 2
+        assert capsys.readouterr().err == f"error: unknown config key {key!r} for norms\n"
+    assert main(["norms", *base, *grid, "--out", str(tmp_path / "n.csv")]) == 0
+
+
+def test_integer_config_keys_refuse_floats(tmp_path, capsys):
+    """A count's config value is an integer, as its flag is: t_grid_size 8.0
+    and kmax 8.5 exit 2 (8.5 stopped in np.arange, an internal error)."""
+    for command, key, value in (("evolve", "t_grid_size", 8.0), ("coeffs", "kmax", 8.5)):
+        cfg_file = tmp_path / "c.json"
+        cfg_file.write_text(json.dumps({key: value}))
+        assert main([command, "hermite:k=3", "--config", str(cfg_file)]) == 2
+        assert capsys.readouterr().err == f"error: {key} must be an integer, got {value!r}\n"
 
 
 def _norms_rows(argv, out):

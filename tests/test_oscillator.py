@@ -371,10 +371,13 @@ def test_blocked_flow_matches_the_per_time_flow(a, monkeypatch):
     """The blocked product gives the per-time flow's constants to 2e-15
     relative, its argmax_x (but at exact ties), its divergence and, through
     ``confinement_check``, its attaining times: K in {0, 1, 5, 40, the
-    default grid's band limit, 120}; 1, 7 and 64 times; block-1 and block+1
-    times with blocks of 8 times; an unsorted list with negative times."""
+    default grid's band limit, 120}; 1, 7 and 64 times as lists, and 64 as
+    the grid's size, whose rows t < pi/4 are formed (the rest are their sides
+    swapped, :func:`test_half_table_is_the_first_half_swapped`); block-1 and
+    block+1 times with blocks of 8 times; an unsorted list with negative
+    times."""
     rng = np.random.default_rng(20261021)
-    times = [(None, default_t_grid(n)) for n in (1, 7, 64)]
+    times = [(None, default_t_grid(n)) for n in (1, 7, 64)] + [(None, 64)]
     times += [(8, default_t_grid(n)) for n in (7, 9)]
     times.append((None, np.array([1.3, -0.2, 5.0, -7.1, 0.0, 0.7, -2.5])))
     for kmax in (0, 1, 5, 40, band_limit(DEFAULT_GRID), 120):
@@ -385,9 +388,11 @@ def test_blocked_flow_matches_the_per_time_flow(a, monkeypatch):
                 monkeypatch.setattr(oscillator, "_FLOW_TIMES", block)
             rows = list(flow_envelopes(e, ts, a))
             monkeypatch.undo()
-            assert len(rows) == len(ts)
+            grid = default_t_grid(ts) if isinstance(ts, int) else ts
+            formed = len(grid) // 2 if isinstance(ts, int) else len(grid)
+            assert len(rows) == len(grid)
             for (norm, mem), (sides, divergent, moduli, xs) in zip(
-                    rows, _per_time_sides(e, ts, a)):
+                    rows[:formed], _per_time_sides(e, grid[:formed], a)):
                 assert norm == e.norm_sq()
                 reports = (mem.time_report, mem.frequency_report)
                 for report, expected, m in zip(reports, sides, moduli):
@@ -397,45 +402,146 @@ def test_blocked_flow_matches_the_per_time_flow(a, monkeypatch):
                 gamma = math.atanh(a)
                 rep = confinement_check(e, 1.0, gamma, ts)
                 both = np.array([max(p[0] for p in sides)
-                                 for sides, *_ in _per_time_sides(e, ts, rep.a)])
+                                 for sides, *_ in _per_time_sides(e, grid, rep.a)])
                 assert not rep.divergent
-                assert np.array_equal(rep.attained_ts, ts[both >= both.max() * (1 - 1e-9)])
+                assert np.array_equal(rep.attained_ts, grid[both >= both.max() * (1 - 1e-9)])
+
+
+def _mirrored_peak(rows, edge, xs):
+    """``sample_peak`` of squared moduli read at -x on a grid-like xs
+    (xs[N-i] = -xs[i]): sample i is row sample N-i, and sample 0, whose
+    mirror is not on the grid, is ``edge``."""
+    return sample_peak(np.concatenate([edge[:, None], rows[:, :0:-1]], axis=1), xs, squared=True)
 
 
 @pytest.mark.parametrize("cols", [1, 2, 3, 5, 8, 13, 40])
 def test_streamed_peak_keeps_the_sample_peak_rule(cols):
-    """Column blocks give sample_peak's top and argmax_x bit for bit: exact
-    mirrored ties (the first x wins), a near tie inside (1 - 1e-12)^2 at a
-    smaller |x| than the top, one just outside it at a smaller |x| still, a
-    flat row, a zero row and random rows.  The real parts are the rows
-    themselves, in pairs, and the imaginary parts 0, so the squared moduli
-    are phi^2."""
+    """Column blocks give sample_peak's top and argmax_x bit for bit, and
+    with the edge column the odd rows' top and argmax_x read at -x: exact
+    mirrored ties (the first, negative, x wins, on the samples read at -x
+    too), a near tie inside (1 - 1e-12)^2 at a smaller |x| than the top, one
+    just outside it at a smaller |x| still, a flat row, a zero row, random
+    rows, an odd row whose top is at x_0 = -L (which its mirror does not
+    read) and one whose top is the edge column (read at x_0).  The real parts
+    are the rows themselves, in pairs, and the imaginary parts 0, so the
+    squared moduli are phi^2."""
     rng = np.random.default_rng(20261019)
     n = 40
-    xs = np.arange(n) - (n - 1) / 2.0
-    half = rng.random((3, n // 2))
-    phi = np.vstack([np.hstack([half, half[:, ::-1]]),  # mirror-symmetric rows
-                     np.zeros(n), np.ones(n), np.zeros(n), rng.random((2, n))])
+    xs = np.arange(n) - n / 2.0  # a grid's points: x_0 = -20 has no mirror
+    by_distance = rng.random((3, n // 2 + 1))
+    symmetric = by_distance[:, np.abs(np.arange(n) - n // 2)]  # phi(x) = phi(-x)
+    phi = np.vstack([symmetric, np.zeros(n), np.ones(n), np.zeros(n), rng.random((4, n))])
     phi[3, [3, 30, 20]] = [1.0, 1.0 - 0.5e-12, 1.0 - 2e-12]  # top, inside, outside
+    phi[7, 0] = 2.0  # the odd row's top at -L
+    edge = rng.random(len(phi) // 2)
+    edge[4] = 9.0  # odd row 9 read at -x: its top is the edge column (squared moduli)
     eye = np.eye(len(phi))
     parts = np.stack([eye[0::2], eye[1::2], 0 * eye[0::2], 0 * eye[1::2]], axis=1)
     parts = parts.reshape(-1, len(phi))
-    tops, xmax = oscillator._streamed_peak(parts, phi, xs, cols)
     want_tops, want_x = sample_peak(phi * phi, xs, squared=True)
+    tops, xmax = oscillator._streamed_peak(parts, phi, xs, cols)
     assert np.array_equal(tops, want_tops) and np.array_equal(xmax, want_x)
-    assert xmax[3] == 10.5 and xmax[4] == xmax[5] == -0.5
-    assert np.all(xmax[:3] < 0)
+    tops, xmax, mtops, mx = oscillator._streamed_peak(parts, phi, xs, cols, edge)
+    assert np.array_equal(tops, want_tops) and np.array_equal(xmax, want_x)
+    want_mtops, want_mx = _mirrored_peak((phi * phi)[1::2], edge, xs)
+    assert np.array_equal(mtops, want_mtops) and np.array_equal(mx, want_mx)
+    assert xmax[3] == 10.0 and xmax[4] == xmax[5] == 0.0 and xmax[7] == -20.0
+    assert np.all(xmax[:3] <= 0) and mx[0] <= 0  # the ties at -x and x: -x
+    assert mtops[3] < 4.0 and mx[3] != 20.0  # -L is not read at -x
+    assert mtops[4] == 9.0 and mx[4] == -20.0  # the edge column is
+
+
+def _frequency_at(e, t, a, monkeypatch):
+    """One time's frequency-side squared moduli, on the grid of the degree
+    (x = 0 at a >= 1) and at -xs[0], from the rows ``flow_envelopes(e, [t],
+    a)`` forms; the grid's points scaled by the dilation, and 2^shift, the
+    factor of the constants over the square roots of the moduli."""
+    seen, moduli_sq = [], oscillator._moduli_sq
+    monkeypatch.setattr(oscillator, "_moduli_sq",
+                        lambda parts, phi: seen.append(parts) or moduli_sq(parts, phi))
+    (_, mem), = flow_envelopes(e, [t], a)
+    monkeypatch.undo()
+    kmax = len(e) - 1
+    if a >= 1.0 or not e.coeffs.any():
+        phi, xs = hermite_phi_all(kmax, [0.0]), np.zeros(1)
+    else:
+        grid = _expansion_grid(kmax)
+        phi, xs = grid_basis(grid, kmax), grid.xs / math.sqrt(1 - a)
+    parity = (-1.0) ** np.arange(kmax + 1)
+    sq = moduli_sq(seen[0], phi)[1:]
+    edge = moduli_sq(seen[0], phi[:, :1] * parity[:, None])[1]
+    report = mem.frequency_report
+    scale = report.constant / math.sqrt(sq.max()) if sq.max() > 0 else 1.0
+    return sq, edge, xs, scale
+
+
+#: hermite:k for k in {3, 40, 81, 300} and three seeded dense expansions.
+def _half_table_cases():
+    rng = np.random.default_rng(20261025)
+    cases = [unit_expansion(k) for k in (3, 40, 81, 300)]
+    return cases + [HermiteExpansion((rng.normal(size=n) + 1j * rng.normal(size=n))
+                                     * 0.95 ** np.arange(n)) for n in (12, 64, 301)]
+
+
+@pytest.mark.parametrize("a", [0.3, 0.9, 1.5])
+def test_half_table_is_the_first_half_swapped(a, monkeypatch):
+    """On ``default_t_grid(T)``, T even, each row t_j < pi/4 is the flow at
+    t_j alone, ``flow_envelopes(e, [t_j], a)``, bit for bit.  Row j + T/2 is
+    row j with its sides swapped, bit for bit: its frequency report is row
+    j's time report, and its time report is row j's frequency samples read
+    at -x, sample_peak's tie rule on the mirrored x and the column at -xs[0]
+    included.  Every constant is within 1e-12 relative of the flow at that
+    time alone.  phi_k's |psi_t| is even or odd in x, so mirrored samples
+    tie and the negative x wins on both sides.  T in {2, 8, 32, 64, 200}."""
+    for i, e in enumerate(_half_table_cases()):
+        alone = {}
+        for size in (2, 8, 32, 64, 200):
+            ts = default_t_grid(size)
+            rows = list(flow_envelopes(e, size, a))
+            assert len(rows) == size
+            for j, (norm, mem) in enumerate(rows[:size // 2]):
+                (n1, mem1), = flow_envelopes(e, [ts[j]], a)
+                assert norm == n1 and mem == mem1
+                (_, later), = flow_envelopes(e, [ts[j + size // 2]], a)
+                _, swapped = rows[j + size // 2]
+                assert swapped.frequency_report == mem.time_report
+                if ts[j] not in alone:
+                    sq, edge, xs, scale = _frequency_at(e, ts[j], a, monkeypatch)
+                    top, x = _mirrored_peak(sq, edge, xs)
+                    alone[ts[j]] = (float(np.sqrt(top[0])) * scale, x[0])
+                assert swapped.time_report.constant == alone[ts[j]][0]
+                assert swapped.time_report.argmax_x == alone[ts[j]][1]
+                assert swapped.time_report.divergent is mem.frequency_report.divergent
+                for r, want in ((swapped.time_report, later.time_report),
+                                (swapped.frequency_report, later.frequency_report)):
+                    assert abs(r.constant - want.constant) <= 1e-12 * want.constant
+                if a < 1 and i < 4:
+                    assert swapped.time_report.argmax_x <= 0
+                    assert swapped.frequency_report.argmax_x <= 0
+
+
+@pytest.mark.parametrize("size", [1, 3, 7, 65])
+def test_odd_grids_form_every_time(size):
+    """An odd T, T = 1 among them, forms every row: the grid's size gives the
+    rows of its times as a list, bit for bit."""
+    for e in _half_table_cases()[:1] + _half_table_cases()[4:6]:
+        for a in (0.3, 1.5):
+            assert (list(flow_envelopes(e, size, a))
+                    == list(flow_envelopes(e, default_t_grid(size), a)))
 
 
 @pytest.mark.parametrize("a", [0.3, 0.9, 1.5])
 def test_streamed_flow_keeps_the_sample_peak_rule(a, monkeypatch):
-    """Blocks of up to 64 times with the basis streamed in column blocks give
-    each side's top and argmax_x bit for bit as ``decay.sample_peak`` on each
-    time's full rows of squared moduli, formed from the same products: phi_k
-    at K in {3, 40, 70, 81}, whose |psi_t| is even or odd in x so mirrored x
-    tie exactly (the first, negative, x wins), seeded expansions, and K = 120
-    on its wider grid; T in {1, 8, 63, 64, 65, 200}.  At a >= 1 (the degree
-    rule) the grid is x = 0 and the one-pass rule itself runs."""
+    """Blocks of up to 64 formed times with the basis streamed in column
+    blocks give each formed row's top and argmax_x bit for bit as
+    ``decay.sample_peak`` on its full row of squared moduli, formed from the
+    same products, and on an even grid its frequency row's read at -x as
+    sample_peak gives them on the mirrored row: phi_k at K in {3, 40, 70,
+    81}, whose |psi_t| is even or odd in x so mirrored x tie exactly (the
+    first, negative, x wins), seeded expansions, and K = 120 on its wider
+    grid; T in {1, 8, 63, 64, 65, 200} (1, 4, 63, 32, 65 and 100 formed
+    times).  At a >= 1 (the degree rule) the grid is x = 0 and the one-pass
+    rule itself runs."""
     rng = np.random.default_rng(20261019)
     phis = [unit_expansion(k) for k in (3, 40, 70, 81)]
     cases = phis + [HermiteExpansion(rng.normal(size=n) + 1j * rng.normal(size=n))
@@ -445,25 +551,29 @@ def test_streamed_flow_keeps_the_sample_peak_rule(a, monkeypatch):
     streamed = []
     real_streamed_peak = oscillator._streamed_peak
 
-    def checked(parts, phi, xs, cols):
-        tops, xmax = real_streamed_peak(parts, phi, xs, cols)
+    def checked(parts, phi, xs, cols, edge=None):
+        out = real_streamed_peak(parts, phi, xs, cols, edge)
         rows = np.hstack([oscillator._moduli_sq(parts, phi[:, s:s + cols])
                           for s in range(0, len(xs), cols)])
-        want_tops, want_x = sample_peak(rows, xs, squared=True)
-        assert np.array_equal(tops, want_tops) and np.array_equal(xmax, want_x)
-        streamed.append(len(tops) // 2)
-        return tops, xmax
+        want = sample_peak(rows, xs, squared=True)
+        if edge is not None:
+            want += _mirrored_peak(rows[1::2], edge, xs)
+        assert len(out) == len(want)
+        assert all(np.array_equal(got, w) for got, w in zip(out, want))
+        streamed.append((len(out[0]) // 2, edge is not None))
+        return out
 
     monkeypatch.setattr(oscillator, "_streamed_peak", checked)
     for i, e in enumerate(cases):
         for size in (1, 8, 63, 64, 65, 200):
-            rows = list(flow_envelopes(e, default_t_grid(size), a))
+            rows = list(flow_envelopes(e, size, a))
             assert len(rows) == size
             if a < 1 and i < len(phis):
                 assert all(r.argmax_x <= 0 for _, mem in rows
                            for r in (mem.time_report, mem.frequency_report))
     if a < 1:  # every T past 1 streams, and T = 1 on the grid wider than the default
-        assert max(streamed) == 64 and 1 in streamed
+        assert max(streamed) == (64, True) and (1, False) in streamed
+        assert (63, False) in streamed and (36, True) in streamed  # 200: 64 + 36 formed
     else:
         assert not streamed
 
