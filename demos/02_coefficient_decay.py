@@ -5,7 +5,8 @@ A function with |f| and |fhat| both under C e^{-a x^2/2} has
 |<f, phi_k>| <= C sqrt(2 pi k!/(1+a)) (e/k)^{k/2} mu^{k/4}, mu = (1-a)/(1+a),
 i.e. geometric decay at rate mu^{1/4} per index.  The boundary chirp
 exp((-a + i sqrt(1-a^2)) x^2/2) realizes the endpoint rate exactly (up to
-k^{-1/4}), which is what the least-squares rate fit recovers.
+k^{-1/4}): its coefficients are the closed form P z^m sqrt(Q_m) at k = 2m,
+with |z| = e^{-2 alpha}.
 """
 
 import math
@@ -13,13 +14,14 @@ import math
 import numpy as np
 
 from gaussherm import (
+    bargmann_gaussian,
     boundary_chirp,
-    decay_fit,
+    central_binomial,
     envelope_membership,
-    hardy_coeff_bound,
     hermite_coeffs,
-    rate_regime,
 )
+from gaussherm.decay import log_hardy_coeff_bound
+from gaussherm.gaussians import moebius_ratio
 
 alpha = 0.27465  # tanh(2 alpha) = 0.5, so mu = 1/3 and the rate is e^-alpha
 a = math.tanh(2 * alpha)
@@ -32,20 +34,25 @@ e = hermite_coeffs(chirp, 60)
 print("\n  k    |<f,phi_k>|      bound(k, a, C)    bound/|coeff|")
 for k in (2, 6, 12, 24, 40, 60):
     ck = abs(e.coeffs[k])
-    bk = hardy_coeff_bound(k, a, mem.constant)
+    bk = math.exp(log_hardy_coeff_bound(k, a, mem.constant))
     print(f"{k:4d}   {ck:12.6e}   {bk:14.6e}   {bk/ck:10.2f}")
 
-# the compensated sequence |c_2m| (2m)^{1/4} e^{2 alpha m} stays in a fixed
-# band: the endpoint rate is attained, not just bounded
+# the closed form |<f, phi_2m>| = |P| |z|^m sqrt(Q_m): the rate is -log|z|/2
+z = moebius_ratio(chirp)
+p = abs(bargmann_gaussian(chirp).prefactor)
+print(f"\nclosed form: |P| = {p:.6f}, |z| = {abs(z):.12f} = sqrt(mu)")
+print(f"rate -log|z|/2 = {-0.5 * math.log(abs(z)):.15f} (planted {alpha})")
+
+# s_m = |c_2m| (2m)^{1/4} e^{2 alpha m} / |P| = (2m)^{1/4} sqrt(Q_m), and Wallis'
+# bracket 1/sqrt(pi(m+1/2)) < Q_m < 1/sqrt(pi(m+1/4)) holds it in a band of
+# ratio at most 1.5^{1/4} around (2/pi)^{1/4}: the endpoint rate is attained,
+# with the power k^{-1/4}, not just bounded
 m = np.arange(1, 51)
-comp = np.abs(hermite_coeffs(chirp, 100).coeffs[2 * m]) * (2 * m) ** 0.25 * np.exp(2 * alpha * m)
-print(f"\ncompensated endpoint sequence over m <= 50: "
-      f"[{comp.min():.5f}, {comp.max():.5f}] (ratio {comp.max()/comp.min():.3f})")
-
-fit = decay_fit(hermite_coeffs(chirp, 100), (4, 100))
-print(f"fitted rate alpha_hat = {fit.alpha_hat:.6f} (planted {alpha})")
-print(f"fitted power p_hat    = {fit.power_hat:.4f}   (expected 1/4)")
-
-print("\nrate regimes for claimed decay e^{-alpha' k} against a = 0.5:")
-for alpha_claim in (0.2, 0.5 * math.atanh(0.5), 0.5):
-    print(f"  alpha' = {alpha_claim:.5f}: {rate_regime(0.5, alpha_claim)}")
+s = np.abs(hermite_coeffs(chirp, 100).coeffs[2 * m]) * (2 * m) ** 0.25 * np.exp(2 * alpha * m) / p
+print("\n   m    Wallis low    s_m           Wallis high")
+for mi in (1, 2, 5, 10, 50):
+    low = (2 * mi / (math.pi * (mi + 0.5))) ** 0.25
+    high = (2 * mi / (math.pi * (mi + 0.25))) ** 0.25
+    print(f"  {mi:2d}   {low:.8f}    {s[mi - 1]:.8f}    {high:.8f}")
+print(f"(2/pi)^(1/4) = {(2 / math.pi) ** 0.25:.8f}; (2m)^(1/4) sqrt(Q_50) = "
+      f"{100 ** 0.25 * math.sqrt(float(central_binomial(50))):.8f}")

@@ -18,17 +18,16 @@ from gaussherm import (
     SectorParams,
     bargmann_numeric,
     boundary_chirp,
-    cauchy_coeff_bound,
-    contour_coeff_bound,
     gaussian,
     hermite_coeffs,
     log_taylor_coeffs,
     optimal_contour,
     quadrant_bound,
-    reflection_check,
+    reflection_rows,
     sample,
     sector_bound,
 )
+from gaussherm.bargmann import log_cauchy_coeff_bound, log_contour_coeff_bound
 from gaussherm.hermite import hermite_phi
 
 grid = DEFAULT_GRID
@@ -44,7 +43,7 @@ for k in range(4):
 f = sample(lambda xs: hermite_phi(5, xs), grid)
 ws = np.array([0.5, 1 + 1j, -2j, 1.5 - 0.5j])
 print(f"\nreflection identity U(fhat)(w) = Uf(-iw): max deviation "
-      f"{reflection_check(f, ws):.3e}")
+      f"{reflection_rows(f.values, grid, ws)[0]:.3e}")
 
 a = 0.5
 s = SectorParams(a, big_c=1.0)
@@ -69,11 +68,11 @@ print("\nTaylor-coefficient bounds for the boundary chirp (the sharp case):")
 print("   n    |c_n|          circle bound   contour bound")
 for n in (4, 12, 24, 48):
     cn = math.exp(log_c[n])
-    print(f"  {n:3d}   {cn:12.6e}   {cauchy_coeff_bound(s, n):12.6e}"
-          f"   {contour_coeff_bound(n, a, 1.0):12.6e}")
+    print(f"  {n:3d}   {cn:12.6e}   {math.exp(log_cauchy_coeff_bound(s, n)):12.6e}"
+          f"   {math.exp(log_contour_coeff_bound(n, a, 1.0)):12.6e}")
 
 cb = optimal_contour(50, s.mu)
 print(f"\noptimized contour at n = 50: the angular integrals split as")
-print(f"  I (hypothesis branch) = {cb.i_value:.6e}")
-print(f"  J (sector branch)     = {cb.j_value:.6e}   (I/J = {cb.i_value/cb.j_value:.3e})")
+print(f"  I (hypothesis branch) = {math.exp(cb.log_i):.6e}")
+print(f"  J (sector branch)     = {math.exp(cb.log_j):.6e}   (I/J = {math.exp(cb.log_i - cb.log_j):.3e})")
 print("the sector branch dominates, which is where the extra n^{-1/2} mu^{n/4} comes from")

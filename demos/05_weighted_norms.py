@@ -15,7 +15,6 @@ from gaussherm import (
     WeakConfinementParams,
     central_binomial,
     central_binomial_certificate,
-    confined_coeff_bound,
     expansion_weighted_norm_sq,
     gaussian,
     generating_function_check,
@@ -30,6 +29,7 @@ from gaussherm import (
     weighted_norm_sq_gaussian,
 )
 from gaussherm.oscillator import default_t_grid, evolve_gaussian
+from gaussherm.weighted import log_confined_coeff_bound
 
 a = 0.5
 quad = weighted_energy_rows(hermite_phi_all(10, DEFAULT_GRID.xs), DEFAULT_GRID, a)
@@ -67,7 +67,7 @@ coeffs = hermite_coeffs(sq, 40).coeffs
 print("   k   |<psi_0, phi_k>|   bound (C/A) (1-a)^1/4 k^1/2 mu^{k/2}")
 for k in (2, 8, 16, 32):
     print(f"  {k:2d}   {abs(coeffs[k]):14.6e}    "
-          f"{confined_coeff_bound(k, a, big_c, 1.0, cert2):14.6e}")
+          f"{math.exp(log_confined_coeff_bound(k, a, big_c, 1.0, cert2)):14.6e}")
 
 print("\nself-dual members saturate ||f||_b <= 2^-1/4 (1-b)^-1/4:")
 for b in (0.2, 0.5, 0.8):

@@ -11,7 +11,7 @@ norms run the implication in reverse.  The submodules follow that story:
 ``hermite``     dm-normalized Hermite basis, quadrature, Fourier, Mehler
 ``gaussians``   closed-form algebra on A exp(-b x^2/2)
 ``bargmann``    the transform, sector estimates, optimized contour bound
-``decay``       coefficient bounds, envelope scans, rate fits, classifier
+``decay``       the coefficient bound, envelope scans, classifier
 ``oscillator``  spectral flow, confinement checks
 ``weighted``    weighted norms, generating function, certificates, chains
 ``verify``      the end-to-end verification suite the CLI exposes
@@ -51,25 +51,18 @@ from .bargmann import (
     bargmann_exact,
     bargmann_numeric,
     bargmann_rows,
-    cauchy_coeff_bound,
-    contour_coeff_bound,
     log_taylor_coeffs,
     optimal_contour,
     quadrant_bound,
-    reflection_check,
     reflection_rows,
     sector_bound,
 )
 from .decay import (
-    DecayFit,
     EnvelopeReport,
     HardyReport,
     Membership,
-    decay_fit,
     envelope_scan,
     hardy_classify,
-    hardy_coeff_bound,
-    rate_regime,
 )
 from .oscillator import (
     ConfinementParams,
@@ -87,7 +80,6 @@ from .weighted import (
     central_binomial,
     central_binomial_certificate,
     central_binomial_convolution,
-    confined_coeff_bound,
     expansion_weighted_norm_sq,
     generating_function_check,
     phi_weighted_norm_lower,
@@ -100,7 +92,6 @@ from .weighted import (
 from .errors import (
     BandLimitError,
     EdgeDecayError,
-    FitError,
     NumericalDomainError,
 )
 

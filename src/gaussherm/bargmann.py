@@ -104,11 +104,6 @@ def reflection_rows(values, grid: GridSpec, w_list) -> np.ndarray:
     return np.max(np.abs(lhs - rhs), axis=1)
 
 
-def reflection_check(f: SampledFunction, w_list) -> float:
-    """:func:`reflection_rows` for the single row f."""
-    return float(reflection_rows(f.values, f.grid, w_list)[0])
-
-
 def log_fock_norm(n):
     """log sqrt(2^n n!), the log of the Fock-space norm of w^n."""
     return 0.5 * (n * LOG2 + gammaln(n + 1))
@@ -257,8 +252,11 @@ def sector_bound(s: SectorParams, w):
 
 
 def log_cauchy_coeff_bound(s: SectorParams, n):
-    """Natural log of :func:`cauchy_coeff_bound`, for one index n (a float)
-    or an integer array of them (an array)."""
+    """Natural log of the Cauchy estimate on circles, optimized over the radius:
+
+        |c_n| <= C sqrt(2 pi/(1+a)) (e sqrt(mu) / (2n))**(n/2),
+
+    for one index n >= 1 (a float) or an integer array of them (an array)."""
     n = np.asarray(n)
     if n.min(initial=1) < 1:
         raise NumericalDomainError(f"the optimized Cauchy bound needs n >= 1, got {n.min()}")
@@ -267,17 +265,6 @@ def log_cauchy_coeff_bound(s: SectorParams, n):
         + 0.5 * n * (1.0 + 0.5 * math.log(s.mu) - np.log(2.0 * n))
     )
     return float(log_bound) if np.ndim(n) == 0 else log_bound
-
-
-def cauchy_coeff_bound(s: SectorParams, n):
-    """Cauchy estimate on circles, optimized over the radius:
-
-        |c_n| <= C sqrt(2 pi/(1+a)) (e sqrt(mu) / (2n))**(n/2),
-
-    n and the result as in :func:`log_cauchy_coeff_bound`.
-    """
-    bound = np.exp(log_cauchy_coeff_bound(s, n))
-    return float(bound) if np.ndim(n) == 0 else bound
 
 
 #: Contour rule: Gauss-Legendre nodes per sub-interval, halvings toward each end.
@@ -320,8 +307,8 @@ class ContourBound:
 
         (4/pi) sqrt(2 pi/(1+a)) e^{(n+1)/2} (2n+2)^{-n/2} (I + J),
 
-    everything also exposed in log scale because both I and the bound
-    underflow long before large-n studies finish.
+    all three held in log scale (``log_i``, ``log_j``, ``log_bound``) because
+    both I and the bound underflow long before large-n studies finish.
     """
 
     n: int
@@ -331,18 +318,6 @@ class ContourBound:
     log_i: float
     log_j: float
     log_bound: float
-
-    @property
-    def i_value(self) -> float:
-        return math.exp(self.log_i)
-
-    @property
-    def j_value(self) -> float:
-        return math.exp(self.log_j)
-
-    @property
-    def bound(self) -> float:
-        return math.exp(self.log_bound)
 
 
 #: Indices per block of :func:`_power_sums`: a (256, 640) array is 1.3 MB.
@@ -417,18 +392,12 @@ def optimal_contour(n: int, mu: float) -> ContourBound:
 
 
 def log_contour_coeff_bound(n, a: float, big_c: float = 1.0):
-    """Natural log of :func:`contour_coeff_bound`, for one index n (a float) or
-    an array of them (an array, from one pass over the contour rule)."""
+    """Natural log of the contour-based bound on the Taylor coefficient |c_n|
+    of a member with constant C (:class:`ContourBound`, scaled by C), for
+    one index n >= 2 (a float) or an array of them (an array, from one pass
+    over the contour rule).  It beats the circle estimate
+    :func:`log_cauchy_coeff_bound` by a factor ~ n^{-1/2} for large n."""
     check_weight(a)
     mu = (1.0 - a) / (1.0 + a)
     log_bound = math.log(big_c) + _contour_logs(np.atleast_1d(n), mu)[2]
     return float(log_bound[0]) if np.ndim(n) == 0 else log_bound
-
-
-def contour_coeff_bound(n, a: float, big_c: float = 1.0):
-    """Contour-based bound on |c_n| for a member with constant C, n and the
-    result as in :func:`log_contour_coeff_bound`; tighter than the circle
-    estimate by a factor ~ n^{-1/2} mu^{n/4} / mu^{n/2}...  exposed
-    alongside :func:`cauchy_coeff_bound` for comparison."""
-    bound = np.exp(log_contour_coeff_bound(n, a, big_c))
-    return float(bound) if np.ndim(n) == 0 else bound

@@ -330,6 +330,8 @@ def parse_input_spec(spec: str) -> InputSpec:
                 raise CliParseError("expansion spec needs @<file.json>")
             with open(body[1:], "r", encoding="utf-8") as fh:
                 data = json.load(fh)
+            if not isinstance(data, dict):
+                raise CliParseError("expansion file must hold a JSON object {\"coeffs\": [...]}")
             pairs = data.get("coeffs")
             if not isinstance(pairs, list) or not pairs:
                 raise CliParseError("expansion file needs a non-empty 'coeffs' list")
@@ -508,6 +510,8 @@ def cmd_evolve(args, cfg: argparse.Namespace) -> tuple[str, int]:
          mem.time_report.divergent, mem.frequency_report.divergent]
         for t, (n, mem) in zip(ts, osc.flow_envelopes(inp.state, times, a))
     ]
+    if rows[0][1] == math.inf:  # the norm is one value at every t
+        raise NumericalDomainError("the input's norm_sq is past the double range")
     meta = {"command": "evolve", "input": inp.label, "a": a}
     return render_table(header, rows, cfg.output_format, meta), 0
 
@@ -535,10 +539,11 @@ def _input_weighted_norm_sq(inp: InputSpec, a: float) -> float:
     """||f||_a^2 of the input in closed form: nan where the weighted
     integral diverges (a Gaussian outside the class), inf past the double
     range (a long expansion at a tight weight)."""
-    if isinstance(inp.state, ga.GeneralizedGaussian):
-        value = ga.weighted_norm_sq_gaussian(inp.state, a)
-        return math.nan if math.isinf(value) else value
-    return wt.expansion_weighted_norm_sq(inp.state, a)
+    g = inp.state
+    if isinstance(g, ga.GeneralizedGaussian):
+        diverges = min(g.width.real, ga.fourier_gaussian(g).width.real) <= a
+        return math.nan if diverges else ga.weighted_norm_sq_gaussian(g, a)
+    return wt.expansion_weighted_norm_sq(g, a)
 
 
 def cmd_norms(args, cfg: argparse.Namespace) -> tuple[str, int]:

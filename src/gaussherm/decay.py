@@ -4,8 +4,9 @@ A function f lies in the Hardy class with parameter a if |f(x)| and its
 Fourier transform are both dominated by a multiple of exp(-a x^2 / 2).
 Membership is equivalent to geometric decay of the Hermite coefficients,
 with rate governed by mu = (1-a)/(1+a); this module houses the explicit
-coefficient bound, the rate classification, grid-based envelope scans, and
-empirical rate extraction.
+coefficient bound (in log scale) and the grid-based envelope scans and
+classifier that verify uses as its sampled oracle.  That the endpoint rate
+is sharp is read from closed forms (``verify``), not fitted.
 """
 
 from __future__ import annotations
@@ -15,13 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FitError, NumericalDomainError
+from .errors import NumericalDomainError
 from .grid import SampledFunction, norm_sq
-from .hermite import HermiteExpansion, analyze, fourier_sampled, hermite_phi_all
+from .hermite import analyze, fourier_sampled, hermite_phi_all
 from .special import gammaln
-
-#: Coefficient magnitudes below this are treated as numerical zeros in fits.
-NOISE_FLOOR = 1e-250
 
 #: Fraction of the grid (each side) inspected by the divergence heuristic.
 DIVERGENCE_WINDOW = 0.10
@@ -63,17 +61,6 @@ class Membership:
         return max(self.time_report.constant, self.frequency_report.constant)
 
 
-@dataclass(frozen=True)
-class DecayFit:
-    """Least-squares fit log|c_k| ~ log_prefactor - alpha_hat*k - power_hat*log(k)."""
-
-    alpha_hat: float
-    power_hat: float
-    log_prefactor: float
-    residual: float
-    k_range: tuple[int, int]
-
-
 def check_weight(a: float) -> None:
     """Refuse (``NumericalDomainError``) a weight outside (0,1), where the
     coefficient bounds, the closed forms and the Gram recurrence hold."""
@@ -82,8 +69,14 @@ def check_weight(a: float) -> None:
 
 
 def log_hardy_coeff_bound(k, a: float, big_c: float):
-    """Natural log of :func:`hardy_coeff_bound` (safe for large k), for one
-    index k (a float) or an integer array of them (an array)."""
+    """Natural log of the explicit coefficient bound for a Hardy-class member
+    with constant C:
+
+        |<f, phi_k>| <= C * sqrt(2 pi k! / (1+a)) * (e/k)**(k/2) * mu**(k/4),
+
+    with mu = (1-a)/(1+a), valid for k = 1, 2, ...  (k = 0 is unconstrained),
+    for one index k (a float) or an integer array of them (an array).  In
+    log scale because the bound underflows double precision for large k."""
     k = np.asarray(k)
     if k.min(initial=1) < 1:
         raise ValueError(f"the coefficient bound is stated for k >= 1, got k={k.min()}")
@@ -99,30 +92,6 @@ def log_hardy_coeff_bound(k, a: float, big_c: float):
         + 0.25 * k * math.log(mu)
     )
     return float(log_bound) if np.ndim(k) == 0 else log_bound
-
-
-def hardy_coeff_bound(k, a: float, big_c: float):
-    """Explicit coefficient bound for a Hardy-class member with constant C:
-
-        |<f, phi_k>| <= C * sqrt(2 pi k! / (1+a)) * (e/k)**(k/2) * mu**(k/4),
-
-    with mu = (1-a)/(1+a), valid for k = 1, 2, ...  (k = 0 is unconstrained);
-    k and the result as in :func:`log_hardy_coeff_bound`.  Underflows to 0.0
-    for very large k; use the log version to compare there.
-    """
-    bound = np.exp(log_hardy_coeff_bound(k, a, big_c))
-    return float(bound) if np.ndim(k) == 0 else bound
-
-
-def rate_regime(a: float, alpha: float) -> str:
-    """Classify the decay claim <f, phi_k> = O(e^{-alpha k}) for f in the
-    class with parameter a: "applies" when tanh(2 alpha) < a, "endpoint"
-    when tanh(2 alpha) = a (within 1e-12), "fails" otherwise."""
-    check_weight(a)
-    t = math.tanh(2.0 * alpha)
-    if abs(t - a) <= 1e-12:
-        return "endpoint"
-    return "applies" if t < a else "fails"
 
 
 def _side_divergent(weighted: np.ndarray) -> bool:
@@ -171,44 +140,6 @@ def envelope_scan(f: SampledFunction, a: float) -> EnvelopeReport:
     n_win = max(3, int(DIVERGENCE_WINDOW * f.grid.num_points))
     divergent = _side_divergent(weighted[-n_win:]) or _side_divergent(weighted[:n_win][::-1])
     return EnvelopeReport(a=a, constant=top, argmax_x=argmax_x, divergent=divergent)
-
-
-def decay_fit(e: HermiteExpansion, k_range: tuple[int, int]) -> DecayFit:
-    """Fit log|coeffs[k]| ~ log c - alpha*k - p*log k over usable indices.
-
-    Indices of a parity whose coefficients all sit below the noise floor
-    (even/odd symmetry makes the log undefined there) are excluded; at least
-    6 usable indices of the surviving parity are required.
-    """
-    k_lo, k_hi = k_range
-    k_hi = min(k_hi, len(e) - 1)
-    if k_lo < 1 or k_hi < k_lo:
-        raise FitError(f"empty or invalid index range {k_range}")
-    ks = np.arange(k_lo, k_hi + 1)
-    mags = np.abs(e.coeffs[ks])
-    usable = mags > NOISE_FLOOR
-    even_ok = usable & (ks % 2 == 0)
-    odd_ok = usable & (ks % 2 == 1)
-    if not even_ok.any() and not odd_ok.any():
-        raise FitError("no coefficients above the noise floor in the range")
-    pick = even_ok if even_ok.sum() >= odd_ok.sum() else odd_ok
-    ks_fit = ks[pick]
-    if ks_fit.size < 6:
-        raise FitError(
-            f"need at least 6 usable same-parity indices, got {ks_fit.size}"
-        )
-    y = np.log(mags[pick])
-    idx = ks_fit.astype(float)
-    design = np.column_stack([np.ones_like(idx), -idx, -np.log(idx)])
-    params, *_ = np.linalg.lstsq(design, y, rcond=None)
-    resid = float(np.sqrt(np.mean((design @ params - y) ** 2)))
-    return DecayFit(
-        alpha_hat=float(params[1]),
-        power_hat=float(params[2]),
-        log_prefactor=float(params[0]),
-        residual=resid,
-        k_range=(int(ks_fit[0]), int(ks_fit[-1])),
-    )
 
 
 @dataclass(frozen=True)

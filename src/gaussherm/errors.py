@@ -12,6 +12,3 @@ class BandLimitError(NumericalDomainError):
 class EdgeDecayError(NumericalDomainError):
     """An integrand has not decayed at the grid edges (aliasing risk)."""
 
-
-class FitError(NumericalDomainError):
-    """Not enough usable data points for a decay fit."""

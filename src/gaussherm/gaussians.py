@@ -175,17 +175,25 @@ def envelope_membership(g: GeneralizedGaussian, a: float) -> Membership:
     return Membership(envelope_constant(g, a), envelope_constant(fourier_gaussian(g), a))
 
 
+def gaussian_energy(g: GeneralizedGaussian, a: float = 0.0) -> float:
+    """The integral of |g|^2 e^{a x^2} dm, |A|^2 (2(Re b - a))**-0.5 (at a = 0
+    the squared norm), for Re b > a; inf past the double range.  Where |A|^2
+    alone is past it, |A| is divided out first, so a finite value is not lost."""
+    amp, root = abs(g.amplitude), math.sqrt(2.0 * (g.width.real - a))
+    try:
+        return amp ** 2 / root
+    except OverflowError:
+        return amp * (amp / root)
+
+
 def weighted_norm_sq_gaussian(g: GeneralizedGaussian, a: float) -> float:
     """Closed-form squared weighted norm of a Gaussian,
 
         ||g||_a^2 = ( |A|^2 (2(Re b - a))**-0.5 + |A_hat|^2 (2(Re 1/b - a))**-0.5 ) / 2,
 
-    infinite when either weighted integral diverges."""
-    ghat = fourier_gaussian(g)
-    out = 0.0
-    for side in (g, ghat):
-        c = side.width.real - a
-        if c <= 0:
-            return math.inf
-        out += abs(side.amplitude) ** 2 / math.sqrt(2.0 * c)
-    return 0.5 * out
+    infinite when either weighted integral diverges (Re b <= a or
+    Re 1/b <= a), and inf past the double range."""
+    sides = (g, fourier_gaussian(g))
+    if any(side.width.real <= a for side in sides):
+        return math.inf
+    return 0.5 * (gaussian_energy(sides[0], a) + gaussian_energy(sides[1], a))

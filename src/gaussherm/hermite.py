@@ -55,7 +55,17 @@ class HermiteExpansion:
         return self.coeffs.size
 
     def norm_sq(self) -> float:
-        return float(np.sum(np.abs(self.coeffs) ** 2))
+        """sum_k |c_k|^2, inf past the double range.  Where the squares
+        overflow, they are summed over the coefficients scaled by a power of
+        two, so a sum in range is still found, and nothing warns."""
+        c = self.coeffs
+        with np.errstate(over="ignore"):
+            total = float(np.sum(np.abs(c) ** 2))
+            if total == math.inf:
+                shift = math.frexp(float(np.max(np.maximum(np.abs(c.real), np.abs(c.imag)))))[1]
+                scaled = np.ldexp(c.real, -shift) + 1j * np.ldexp(c.imag, -shift)
+                total = float(np.ldexp(np.sum(np.abs(scaled) ** 2), 2 * shift))
+        return total
 
 
 def unit_expansion(k: int, length: int | None = None) -> HermiteExpansion:

@@ -21,7 +21,7 @@ import numpy as np
 
 from .decay import EnvelopeReport, Membership, sample_peak
 from .errors import NumericalDomainError
-from .gaussians import GeneralizedGaussian, envelope_membership, moebius_ratio
+from .gaussians import GeneralizedGaussian, envelope_membership, gaussian_energy, moebius_ratio
 from .grid import DEFAULT_GRID, GridSpec
 from .hermite import (BAND_LIMIT_FRACTION, HermiteExpansion, fourier_expansion, grid_basis,
                       hermite_phi_all)
@@ -159,9 +159,16 @@ def gaussian_flow_extremes(g: GeneralizedGaussian, a: float):
     them is below a exactly while |cos theta| > ((1-r^2)/a - 1 - r^2) / (2r).
     """
     z = moebius_ratio(g)
-    r = abs(z)
-    gap = 4.0 * g.width.real / (abs(1.0 + g.width) ** 2 * (1.0 + r))  # 1 - r, uncancelled
-    sup = abs(g.amplitude) * math.sqrt(abs(1.0 + z) / gap)
+    r, h = abs(z), abs(1.0 + g.width)
+    if h < 1e154:
+        gap = 4.0 * g.width.real / (h ** 2 * (1.0 + r))  # 1 - r, uncancelled
+    else:  # h ** 2 is past the double range
+        gap = 4.0 * (g.width.real / h) / (h * (1.0 + r))
+    ratio = abs(1.0 + z) / gap if gap > 0.0 else math.inf
+    if ratio < math.inf:
+        sup = abs(g.amplitude) * math.sqrt(ratio)
+    else:  # past the double range, or gap underflowed: |1+z|/gap = h (1+r) / (2 Re b)
+        sup = abs(g.amplitude) * math.sqrt(0.5 * h * (1.0 + r)) / math.sqrt(g.width.real)
     phase = cmath.phase(z)
     quarter = 0.5 * math.pi
     # theta = pi (time side), 0 (frequency side); the 2nd % sends a rounded-up pi/2 to 0
@@ -261,8 +268,7 @@ def flow_envelopes(psi0: HermiteExpansion | GeneralizedGaussian, ts, a: float):
     if isinstance(psi0, GeneralizedGaussian):
         for t in ts:
             gt = evolve_gaussian(psi0, float(t))
-            norm = abs(gt.amplitude) ** 2 / math.sqrt(2.0 * gt.width.real)
-            yield norm, envelope_membership(gt, a)
+            yield gaussian_energy(gt), envelope_membership(gt, a)
         return
     norm, c, top = psi0.norm_sq(), psi0.coeffs, np.flatnonzero(psi0.coeffs)
     k = np.arange(len(c))
@@ -437,6 +443,8 @@ def confinement_check(
     four_c = np.array([mem.frequency_report.constant for mem in mems])
     if isinstance(psi0, GeneralizedGaussian):
         sup, attained, first_bad = gaussian_flow_extremes(psi0, a)
+        if first_bad is None and sup == math.inf:
+            raise NumericalDomainError(f"the class constant at a={a} is past the double range")
     else:
         first_bad = None if mems[0].member else 0.0  # the degree rule holds at every t
         both = np.maximum(psi_c, four_c)

@@ -113,7 +113,7 @@ def _membership_family():
 
 
 def criterion_coeff_bound_dominance(cfg: VerifyConfig) -> CriterionResult:
-    """|<f, phi_k>| <= hardy_coeff_bound(k, a, C) for 1 <= k <= 60, zero
+    """|<f, phi_k>| <= e^{log_hardy_coeff_bound(k, a, C)} for 1 <= k <= 60, zero
     violations, over Gaussians and boundary chirps with measured C."""
     k = np.arange(1, cfg.kmax + 1)
     with np.errstate(divide="ignore"):  # a vanishing coefficient: log 0 = -inf, ratio 0
@@ -128,24 +128,54 @@ def criterion_coeff_bound_dominance(cfg: VerifyConfig) -> CriterionResult:
     )
 
 
-def criterion_endpoint_sharpness(cfg: VerifyConfig) -> CriterionResult:
-    """For the chirp at alpha = 0.27465: |<f, phi_2m>| (2m)^{1/4} e^{2 alpha m}
-    stays in an interval of ratio < 3 over m <= 50, and the decay fit recovers
-    alpha to 1e-3 and the power 1/4 to 0.05."""
-    alpha = 0.27465
-    e = ga.hermite_coeffs(ga.boundary_chirp(alpha), 100)
-    m = np.arange(1, 51)
-    seq = np.abs(e.coeffs[2 * m]) * (2 * m) ** 0.25 * np.exp(2 * alpha * m)
-    ratio = float(seq.max() / seq.min())
-    fit = dc.decay_fit(e, (4, 100))
-    dev_a = abs(fit.alpha_hat - alpha)
-    dev_p = abs(fit.power_hat - 0.25)
-    return _result(
-        "endpoint_sharpness",
-        [("interval_ratio", ratio / 3.0), ("alpha_fit", dev_a / 1e-3), ("power_fit", dev_p / 0.05)],
-        f"interval [{seq.min():.5f}, {seq.max():.5f}] ratio {ratio:.4f} (<3); "
-        f"alpha_hat dev {dev_a:.2e} (tol 1e-3); power_hat dev {dev_p:.3f} (tol 0.05)",
+def _closed_form_sharpness(g: ga.GeneralizedGaussian, rate: float) -> tuple[list, str]:
+    """The parts, and their detail, of the claim that a Gaussian's Hermite
+    coefficients decay at exactly e^{-rate k} with the power k^{-1/4}, read
+    from the closed form |<g, phi_2m>| = |P| |z|^m sqrt(Q_m) (odd ones
+    vanish; P the Bargmann prefactor, z = (1-b)/(1+b), Q_m the central
+    binomial weight):
+
+    - the rate -log|z|/2 equals ``rate`` to 1e-12;
+    - for 1 <= m <= 50, s_m = |<g, phi_2m>| (2m)^{1/4} e^{2 rate m} / |P|
+      lies inside Wallis' bracket 1/sqrt(pi(m+1/2)) < Q_m < 1/sqrt(pi(m+1/4)),
+      carried to s_m = (2m)^{1/4} sqrt(Q_m), which confines s_m over all m
+      to a band of ratio at most 1.5^{1/4} around its limit (2/pi)^{1/4};
+    - ``hermite_coeffs`` matches the product |P| |z|^m sqrt(Q_m) to 1e-12
+      relative, and its odd coefficients are 0."""
+    z = ga.moebius_ratio(g)
+    p = abs(ga.bargmann_gaussian(g).prefactor)
+    coeffs = np.abs(ga.hermite_coeffs(g, 100).coeffs)
+    m = np.arange(51)
+    closed = p * abs(z) ** m * np.sqrt(wt.central_binomial(m))
+    coeff_dev = float(max(np.max(np.abs(coeffs[::2] / closed - 1.0)), np.max(coeffs[1::2]) / p))
+    rate_hat = -0.5 * math.log(abs(z))
+    rate_dev = abs(rate_hat - rate)
+    m = m[1:]
+    s = coeffs[2 * m] * (2 * m) ** 0.25 * np.exp(2 * rate * m) / p
+    # the relative distances of s_m to the bracket's sides; the upper side
+    # is tight as m grows (Q_m sqrt(pi(m+1/4)) = 1 - O(m^-2))
+    low = float(np.min(s * (math.pi * (m + 0.5) / (2 * m)) ** 0.25 - 1.0))
+    high = float(np.min(1.0 - s * (math.pi * (m + 0.25) / (2 * m)) ** 0.25))
+    return [
+        ("rate_sharpness", rate_dev / 1e-12),
+        ("wallis_bracket", 0.0 if low > 0 and high > 0 else 2.0),
+        ("closed_form_coeffs", coeff_dev / 1e-12),
+    ], (
+        f"rate -log|z|/2 = {rate_hat:.15f} (dev {rate_dev:.2e}, tol 1e-12); "
+        f"|c_2m| (2m)^(1/4) e^(2 rate m) / |P| over m <= 50 in [{s.min():.5f}, "
+        f"{s.max():.5f}], margins to Wallis' bracket {low:.2e} (low), {high:.2e} "
+        f"(high), both must be > 0; closed-form coefficients rel dev {coeff_dev:.2e} "
+        f"(tol 1e-12)"
     )
+
+
+def criterion_endpoint_sharpness(cfg: VerifyConfig) -> CriterionResult:
+    """For the chirp at alpha = 0.27465 the endpoint rate e^{-alpha k} is
+    attained, with the power k^{-1/4}, by its closed-form coefficients
+    (:func:`_closed_form_sharpness`)."""
+    alpha = 0.27465
+    parts, detail = _closed_form_sharpness(ga.boundary_chirp(alpha), alpha)
+    return _result("endpoint_sharpness", parts, f"alpha = {alpha}: {detail}")
 
 
 def criterion_contour_machinery(cfg: VerifyConfig) -> CriterionResult:
@@ -351,8 +381,8 @@ def criterion_uniform_norm_coeff_bound(cfg: VerifyConfig) -> CriterionResult:
     """With the squeezed state at beta = 0.5 and a = tanh(0.45): the bound
     from C = sup_t ||psi_t||_a (closed form) dominates |<psi_0, phi_k>| for
     k <= 60; at the worst t the Gram form of the state's first 300 Hermite
-    coefficients gives C^2 to 1e-10; and the fitted coefficient rate
-    matches the sharp value beta to 1e-3.
+    coefficients gives C^2 to 1e-10; and the state's coefficients decay at
+    exactly the sharp rate e^{-beta k} (:func:`_closed_form_sharpness`).
 
     With r = |z|, u = cos(4t + arg z), p = 1 - r^2 - a(1 + r^2) and q = 2ar,
     ||psi_t||_a^2 is a multiple of (p - qu)^{-1/2} + (p + qu)^{-1/2}, even
@@ -374,18 +404,16 @@ def criterion_uniform_norm_coeff_bound(cfg: VerifyConfig) -> CriterionResult:
         log_c = np.log(np.abs(ga.hermite_coeffs(sq, cfg.kmax).coeffs[1:]))
     log_bound = wt.log_confined_coeff_bound(np.arange(1, cfg.kmax + 1), a, big_c, 1.0, cert)
     worst_ratio = float(np.exp(np.max(log_c - log_bound)))
-    fit = dc.decay_fit(ga.hermite_coeffs(sq, 100), (6, 100))
-    rate_dev = abs(fit.alpha_hat - beta)
+    sharp_parts, sharp_detail = _closed_form_sharpness(sq, beta)
     return _result(
         "uniform_norm_coeff_bound",
         [
             ("bound_dominance", worst_ratio),
             ("gram_vs_closed_form", gram_dev / 1e-10),
-            ("rate_sharpness", rate_dev / 1e-3),
+            *sharp_parts,
         ],
         f"C = {big_c:.6f} (Gram form of 300 coefficients: rel dev {gram_dev:.2e}, tol "
-        f"1e-10); max |coeff|/bound = {worst_ratio:.4f}; fitted rate "
-        f"{fit.alpha_hat:.6f} vs beta = {beta} (dev {rate_dev:.2e}, tol 1e-3)",
+        f"1e-10); max |coeff|/bound = {worst_ratio:.4f}; beta = {beta}: {sharp_detail}",
     )
 
 
@@ -398,8 +426,8 @@ def criterion_hardy_threshold(cfg: VerifyConfig) -> CriterionResult:
     f2 = SampledFunction(cfg.grid, hermite_phi_all(2, cfg.grid.xs)[2])
     rep2 = dc.hardy_classify(f2, 1.0)
     k = np.array([1, 2, 5, 10, 20])
-    bounds = [dc.hardy_coeff_bound(k, av, 1.0) for av in (0.9, 0.99, 0.999)]
-    monotone = bool(np.all(np.diff(bounds, axis=0) < 0))
+    log_bounds = [dc.log_hardy_coeff_bound(k, av, 1.0) for av in (0.9, 0.99, 0.999)]
+    monotone = bool(np.all(np.diff(log_bounds, axis=0) < 0))
     return _result(
         "hardy_threshold",
         [

@@ -362,8 +362,15 @@ def central_binomial_certificate(beta: float) -> CentralBinomialCertificate:
 
 def log_confined_coeff_bound(k, a: float, big_c: float, alpha: float,
                              cert: CentralBinomialCertificate):
-    """Natural log of :func:`confined_coeff_bound`, for one index k (a float)
-    or an integer array of them (an array)."""
+    """Natural log of the coefficient bound from a uniform-in-time weighted
+    norm bound C:
+
+        |<psi_0, phi_k>| <= (C / sqrt(B_{2 alpha})) (1-a)^{1/4} k^{alpha/2} mu^{k/2},
+
+    for one index k >= 1 (a float) or an integer array of them (an array).
+    This is the constant the derivation actually produces; the commonly
+    quoted form omits the (1-a)^{1/4} factor and is larger by
+    (1-a)^{-1/4}.  Requires a certificate built at beta = 2*alpha."""
     k = np.asarray(k)
     if k.min(initial=1) < 1:
         raise ValueError(f"the bound is stated for k >= 1, got {k.min()}")
@@ -383,20 +390,6 @@ def log_confined_coeff_bound(k, a: float, big_c: float, alpha: float,
         + 0.25 * math.log1p(-a)
     )
     return float(log_bound) if np.ndim(k) == 0 else log_bound
-
-
-def confined_coeff_bound(k, a: float, big_c: float, alpha: float,
-                         cert: CentralBinomialCertificate):
-    """Coefficient bound from a uniform-in-time weighted norm bound C:
-
-        |<psi_0, phi_k>| <= (C / sqrt(B_{2 alpha})) (1-a)^{1/4} k^{alpha/2} mu^{k/2},
-
-    k and the result as in :func:`log_confined_coeff_bound`.  This is the
-    constant the derivation actually produces; the commonly quoted form
-    omits the (1-a)^{1/4} factor and is larger by (1-a)^{-1/4}.  Requires a
-    certificate built at beta = 2*alpha.
-    """
-    return _scaled(log_confined_coeff_bound(k, a, big_c, alpha, cert), k)
 
 
 def selfdual_norm_bound(b: float) -> float:

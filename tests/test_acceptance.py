@@ -17,7 +17,7 @@ import warnings
 import numpy as np
 import pytest
 
-from gaussherm import verify
+from gaussherm import gaussians, verify
 from gaussherm.verify import ALL_CRITERIA, VerifyConfig, run_all
 
 CRITERION_NAMES = [
@@ -188,6 +188,25 @@ def test_bound_columns_pass_past_the_bounds_underflow(criterion):
         warnings.simplefilter("error")
         result = criterion(VerifyConfig(kmax=3000))
     assert result.passed, result.detail
+
+
+@pytest.mark.parametrize("step", [1e-9, -1e-9])
+@pytest.mark.parametrize("criterion, state", [
+    (verify.criterion_endpoint_sharpness, "boundary_chirp"),
+    (verify.criterion_uniform_norm_coeff_bound, "squeezed_state"),
+], ids=["endpoint_sharpness", "uniform_norm_coeff_bound"])
+def test_sharpness_fails_on_a_rate_moved_by_1e_9(monkeypatch, criterion, state, step):
+    """Each sharpness criterion reads its input's rate from the closed form
+    to 1e-12: with the chirp's alpha (the squeezed state's beta) moved by
+    1e-9, the coefficients decay at a rate the claim does not name, and the
+    criterion fails on its rate part."""
+    build = getattr(gaussians, state)
+    assert criterion(VerifyConfig()).passed
+    monkeypatch.setattr(gaussians, state, lambda rate: build(rate + step))
+    result = criterion(VerifyConfig())
+    assert not result.passed
+    assert result.detail.startswith("worst part: rate_sharpness;")
+    assert result.measured > 100
 
 
 def test_pinned_expansion_is_the_seeded_draw():

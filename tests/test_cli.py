@@ -5,6 +5,7 @@ import csv
 import io
 import json
 import math
+import random
 import signal
 import subprocess
 import sys
@@ -77,9 +78,13 @@ def test_parse_input_specs(tmp_path):
 @pytest.mark.parametrize(
     "spec",
     ["nonsense", "gaussian:b=", "gaussian:A=1", "hermite:k=-1", "chirp:beta=1",
-     "expansion:nofile", "gaussian:b=0.5,zz=1"],
+     "expansion:nofile", "gaussian:b=0.5,zz=1", "expansion:@list.json",
+     "expansion:@number.json"],
 )
-def test_parse_input_spec_rejects(spec):
+def test_parse_input_spec_rejects(spec, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "list.json").write_text("[1e300, 1e300, 2e300]")  # not an object
+    (tmp_path / "number.json").write_text("3")
     with pytest.raises(CliParseError):
         parse_input_spec(spec)
 
@@ -1197,3 +1202,100 @@ def test_count_cap_in_config_file_exits_2(tmp_path, capsys):
     cfg_file.write_text(json.dumps({"kmax": KMAX_CAP + 1}))
     assert main(["coeffs", "gaussian:b=0.5", "--config", str(cfg_file)]) == 2
     assert f"--kmax must be <= {KMAX_CAP}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["envelope", "gaussian:A=1e300,b=1.533154", "--a=2.778325"], 0),
+    (["envelope", "gaussian:A=1e300,b=1.186842+0.103884i"], 0),
+    (["confine", "gaussian:A=-1.610852-0.297212i,b=1e300", "--beta=0.6", "--gamma=0.4"], 4),
+    (["confine", "chirp:alpha=5e-324", "--beta=5e-324", "--gamma=5e-324", "--format=json"], 0),
+    (["evolve", "gaussian:A=1e200,b=1e300", "--t-grid=2"], 0),
+    (["evolve", "gaussian:A=1e300,b=1", "--t-grid=2"], 3),
+    (["norms", "gaussian:A=1e300,b=1", "--a-list=0.5"], 0),
+], ids=["envelope-real-b", "envelope-complex-b", "confine-wide-b", "confine-subnormal-chirp",
+        "evolve-norm-in-range", "evolve-norm-past-range", "norms-past-range"])
+def test_range_edge_gaussians_are_answered_or_refused(argv, code, capsys):
+    """A square that overflows on the way to a finite value does not stop
+    it: the class constants of A = 1e300, the norm 1e400/sqrt(2e300) and
+    the chirp's sup 3.8e161 print.  A printed value past the double range
+    is refused (exit 3), except in norms, whose tables print it as inf."""
+    assert exit_code(argv) == code
+    captured = capsys.readouterr()
+    if code == 0:
+        assert captured.err == ""
+        assert "inf" not in captured.out.lower() or argv[0] == "norms"
+    else:
+        assert "internal error" not in captured.err
+    if code == 3:
+        assert captured.err == "error: the input's norm_sq is past the double range\n"
+
+
+def test_evolve_of_an_expansion_past_the_double_range_is_refused(tmp_path, capsys):
+    """sum |c_k|^2 of two coefficients 1e300 is past the double range:
+    evolve, which prints it, exits 3, and envelope, which does not, prints
+    the constants (which scale with the coefficients) without a warning."""
+    path = tmp_path / "e.json"
+    path.write_text(json.dumps({"coeffs": [[1e300, 0], [1e300, 0]]}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert exit_code(["evolve", f"expansion:@{path}", "--t-grid=2"]) == 3
+        assert capsys.readouterr().err == "error: the input's norm_sq is past the double range\n"
+        assert exit_code(["envelope", f"expansion:@{path}"]) == 0
+    out = capsys.readouterr().out
+    assert out.split("\r\n")[1].startswith("time,0.5,2.2458731091624536e+300,")
+
+
+_RANGE_EDGE = ("0", "1e300", "-1e300", "5e-324")
+
+
+def _range_edge_argv(rng, tmp_path):
+    """One argv of a state command whose spec and weights often take a
+    range-edge value."""
+    def real():
+        return rng.choice(_RANGE_EDGE) if rng.random() < 0.6 else f"{rng.uniform(-3, 3):.6f}"
+
+    def cplx():
+        im = real()
+        return real() if rng.random() < 0.5 else f"{real()}{'' if im[0] == '-' else '+'}{im}i"
+
+    kind = rng.choice(["gaussian", "hermite", "chirp", "squeezed", "expansion"])
+    if kind == "gaussian":
+        spec = f"gaussian:A={cplx()},b={cplx()}"
+    elif kind == "hermite":
+        spec = f"hermite:k={rng.randrange(0, 90)}"
+    elif kind == "expansion":
+        path = tmp_path / f"e{rng.randrange(10 ** 6)}.json"
+        path.write_text(json.dumps({"coeffs": [[float(real()), float(real())]
+                                               for _ in range(rng.randrange(1, 9))]}))
+        spec = f"expansion:@{path}"
+    else:
+        spec = f"{kind}:{'alpha' if kind == 'chirp' else 'beta'}={real()}"
+    cmd = rng.choice(["coeffs", "envelope", "bargmann", "evolve", "confine", "norms"])
+    argv = [cmd, spec]
+    if cmd == "confine":
+        argv += [f"--beta={real()}", f"--gamma={real()}", f"--t-grid={rng.randrange(1, 9)}"]
+    elif cmd == "norms":
+        argv.append(f"--a-list={real()},{real()}")
+    elif rng.random() < 0.5:
+        argv.append(f"--a={real()}")
+    if cmd == "evolve":
+        argv.append(f"--t-grid={rng.randrange(1, 9)}")
+    return argv
+
+
+def test_range_edge_sweep_has_no_internal_error_and_a_quiet_exit_0(tmp_path, capsys):
+    """300 seeded argv of the state commands with 0, +-1e300 and 5e-324 in
+    their specs and weights: no reply is an internal error, and an exit 0
+    writes nothing to stderr and raises no warning."""
+    rng = random.Random(20261019)
+    codes = []
+    for _ in range(300):
+        argv = _range_edge_argv(rng, tmp_path)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            codes.append(exit_code(argv))
+        err = capsys.readouterr().err
+        assert "internal error" not in err, argv
+        if codes[-1] == 0:
+            assert err == "" and not caught, (argv, err, [str(w.message) for w in caught])
+    assert set(codes) <= {0, 2, 3, 4} and codes.count(0) >= 50

@@ -1,4 +1,4 @@
-"""Coefficient bounds, envelope scans, rate fits, and the threshold classifier."""
+"""The coefficient bound, envelope scans, and the threshold classifier."""
 
 import math
 
@@ -8,36 +8,46 @@ import pytest
 from gaussherm.decay import (
     EnvelopeReport,
     Membership,
-    decay_fit,
     envelope_scan,
     hardy_classify,
-    hardy_coeff_bound,
     log_hardy_coeff_bound,
-    rate_regime,
     sample_peak,
 )
 from gaussherm.bargmann import SectorParams, log_contour_coeff_bound
-from gaussherm.errors import FitError, NumericalDomainError
-from gaussherm.gaussians import boundary_chirp, envelope_membership, gaussian, hermite_coeffs
+from gaussherm.errors import NumericalDomainError
+from gaussherm.gaussians import (
+    bargmann_gaussian,
+    boundary_chirp,
+    envelope_membership,
+    gaussian,
+    hermite_coeffs,
+    moebius_ratio,
+    squeezed_state,
+)
 from gaussherm.grid import sample
-from gaussherm.hermite import HermiteExpansion, hermite_phi, unit_expansion
-from gaussherm.weighted import phi_weighted_norm_sq
+from gaussherm.hermite import hermite_phi
+from gaussherm.weighted import (
+    central_binomial,
+    central_binomial_certificate,
+    log_confined_coeff_bound,
+    phi_weighted_norm_sq,
+)
 
 ALPHA = 0.27465
 
 
 def test_hardy_coeff_bound_spot_value():
     expected = math.sqrt(2 * math.pi / 1.5) * math.sqrt(math.e) * (1 / 3) ** 0.25
-    assert hardy_coeff_bound(1, 0.5, 1.0) == pytest.approx(expected, rel=1e-13)
+    assert math.exp(log_hardy_coeff_bound(1, 0.5, 1.0)) == pytest.approx(expected, rel=1e-13)
 
 
 def test_hardy_coeff_bound_domain():
     with pytest.raises(ValueError):
-        hardy_coeff_bound(0, 0.5, 1.0)
+        log_hardy_coeff_bound(0, 0.5, 1.0)
     with pytest.raises(ValueError):
-        hardy_coeff_bound(3, 1.2, 1.0)
+        log_hardy_coeff_bound(3, 1.2, 1.0)
     with pytest.raises(ValueError):
-        hardy_coeff_bound(3, 0.5, -1.0)
+        log_hardy_coeff_bound(3, 0.5, -1.0)
 
 
 @pytest.mark.parametrize("a", [0.3, 0.5, 0.8])
@@ -63,12 +73,6 @@ def test_bound_dominates_chirp_coefficients(alpha):
             assert math.log(ck) <= log_hardy_coeff_bound(k, a, big_c)
 
 
-def test_rate_regime_classification():
-    assert rate_regime(0.5, 0.2) == "applies"  # tanh(0.4) = 0.3799 < 0.5
-    assert rate_regime(math.tanh(0.6), 0.3) == "endpoint"
-    assert rate_regime(0.3, 0.5) == "fails"  # tanh(1) = 0.7616 > 0.3
-
-
 def test_endpoint_ratio_sharp_for_chirp_decaying_for_interior():
     e = hermite_coeffs(boundary_chirp(ALPHA), 100)
     m = np.arange(1, 51)
@@ -80,6 +84,28 @@ def test_endpoint_ratio_sharp_for_chirp_decaying_for_interior():
     k = 118
     tail = abs(eg.coeffs[k]) * k ** 0.25 * math.exp(ALPHA * k)
     assert tail < 1e-8  # strictly-inside member decays below the endpoint rate
+
+
+@pytest.mark.parametrize("g, rate", [
+    (boundary_chirp(ALPHA), ALPHA),
+    (squeezed_state(0.5), 0.5),
+    (gaussian(0.5), -0.5 * math.log(1 / 3)),  # the ratio law: mu^{k/2}
+], ids=["chirp", "squeezed", "gaussian"])
+def test_closed_form_rate_is_exact_and_wallis_brackets_the_power(g, rate):
+    """|<g, phi_2m>| = |P| |z|^m sqrt(Q_m): the rate -log|z|/2 is the
+    planted one to 1e-15, and s_m = |c_2m| (2m)^{1/4} e^{2 rate m} / |P|
+    lies strictly inside Wallis' bracket for every m <= 400."""
+    z = moebius_ratio(g)
+    assert abs(-0.5 * math.log(abs(z)) - rate) <= 1e-15
+    p = abs(bargmann_gaussian(g).prefactor)
+    c = np.abs(hermite_coeffs(g, 800).coeffs)
+    assert not c[1::2].any()
+    m = np.arange(1, 401)
+    s = c[2 * m] * (2 * m) ** 0.25 * np.exp(2 * rate * m) / p
+    q = central_binomial(m)
+    assert np.all(1 / np.sqrt(np.pi * (m + 0.5)) < q) and np.all(q < 1 / np.sqrt(np.pi * (m + 0.25)))
+    assert np.all(s > (2 * m / (np.pi * (m + 0.5))) ** 0.25)
+    assert np.all(s < (2 * m / (np.pi * (m + 0.25))) ** 0.25)
 
 
 def test_envelope_scan_equality_case(grid):
@@ -140,40 +166,6 @@ def test_envelope_monotone_in_class_parameter(grid):
     assert all(c1 <= c2 * (1 + 1e-12) for c1, c2 in zip(consts, consts[1:]))
 
 
-def test_decay_fit_recovers_planted_rates():
-    k = np.arange(1, 90)
-    coeffs = np.zeros(90, dtype=complex)
-    coeffs[1:] = 2.7 * k ** -0.6 * np.exp(-0.31 * k)
-    fit = decay_fit(HermiteExpansion(coeffs), (1, 89))
-    assert abs(fit.alpha_hat - 0.31) < 1e-6
-    assert abs(fit.power_hat - 0.6) < 1e-6
-    assert abs(math.exp(fit.log_prefactor) - 2.7) < 1e-6
-    assert fit.residual < 1e-10
-
-
-def test_decay_fit_chirp_endpoint_asymptotics():
-    e = hermite_coeffs(boundary_chirp(ALPHA), 100)
-    fit = decay_fit(e, (4, 100))
-    assert abs(fit.alpha_hat - ALPHA) < 1e-3
-    assert abs(fit.power_hat - 0.25) < 0.05
-    assert fit.k_range[0] % 2 == 0  # auto-detected even parity
-
-
-def test_decay_fit_gaussian_matches_ratio_law():
-    a = 0.5
-    e = hermite_coeffs(gaussian(a), 120)
-    fit = decay_fit(e, (10, 120))
-    expected = -0.5 * math.log((1 - a) / (1 + a))
-    assert abs(fit.alpha_hat - expected) < 1e-3
-
-
-def test_decay_fit_errors():
-    with pytest.raises(FitError):
-        decay_fit(unit_expansion(0, 10), (1, 9))
-    with pytest.raises(FitError):
-        decay_fit(hermite_coeffs(gaussian(0.5), 40), (2, 8))  # < 6 usable evens
-
-
 @pytest.mark.parametrize("time_div, freq_div", [(True, False), (False, True), (False, False)],
                          ids=["time-divergent", "frequency-divergent", "member"])
 def test_membership_rule(time_div, freq_div):
@@ -186,12 +178,12 @@ def test_membership_rule(time_div, freq_div):
 
 @pytest.mark.parametrize("site", [
     lambda a: log_hardy_coeff_bound(3, a, 1.0),
-    lambda a: rate_regime(a, 0.1),
     lambda a: SectorParams(a),
     lambda a: log_contour_coeff_bound(3, a),
     lambda a: phi_weighted_norm_sq(2, a),
-], ids=["log_hardy_coeff_bound", "rate_regime", "sector_params",
-        "log_contour_coeff_bound", "phi_weighted_norm_sq"])
+    lambda a: log_confined_coeff_bound(3, a, 1.0, 1.0, central_binomial_certificate(2.0)),
+], ids=["log_hardy_coeff_bound", "sector_params",
+        "log_contour_coeff_bound", "phi_weighted_norm_sq", "log_confined_coeff_bound"])
 @pytest.mark.parametrize("a", [0.0, 1.0, -0.2, 1.5, math.nan])
 def test_weight_outside_unit_interval_is_one_refusal(site, a):
     with pytest.raises(NumericalDomainError, match=r"a must be in \(0,1\)"):
@@ -226,5 +218,5 @@ def test_hardy_classify_phi2_below_threshold(grid):
 
 @pytest.mark.parametrize("k", [1, 2, 5, 10, 20])
 def test_bound_vanishes_at_selfdual_limit(k):
-    values = [hardy_coeff_bound(k, a, 1.0) for a in (0.9, 0.99, 0.999)]
+    values = [log_hardy_coeff_bound(k, a, 1.0) for a in (0.9, 0.99, 0.999)]
     assert values[0] > values[1] > values[2]

@@ -30,9 +30,9 @@ from gaussherm.weighted import (
     central_binomial,
     central_binomial_certificate,
     central_binomial_convolution,
-    confined_coeff_bound,
     expansion_weighted_norm_sq,
     generating_function_check,
+    log_confined_coeff_bound,
     phi_weighted_norm_lower,
     phi_weighted_norm_sq,
     scaled_gram_columns,
@@ -442,9 +442,9 @@ def test_wallis_asymptotics():
 def test_confined_coeff_bound_requires_matching_certificate():
     cert = central_binomial_certificate(2.0)
     with pytest.raises(ValueError):
-        confined_coeff_bound(3, 0.4, 1.0, 1.5, cert)  # needs beta = 3
+        log_confined_coeff_bound(3, 0.4, 1.0, 1.5, cert)  # needs beta = 3
     with pytest.raises(NumericalDomainError):
-        confined_coeff_bound(3, 0.4, 1.0, 0.4, cert)  # alpha <= 1/2
+        log_confined_coeff_bound(3, 0.4, 1.0, 0.4, cert)  # alpha <= 1/2
 
 
 def test_confined_coeff_bound_spot_value():
@@ -452,7 +452,7 @@ def test_confined_coeff_bound_spot_value():
     a, c = 0.4, 1.3
     mu = (1 - a) / (1 + a)
     expected = c / math.sqrt(cert.b) * (1 - a) ** 0.25 * mu ** 0.5
-    assert confined_coeff_bound(1, a, c, 1.0, cert) == pytest.approx(expected, rel=1e-13)
+    assert math.exp(log_confined_coeff_bound(1, a, c, 1.0, cert)) == pytest.approx(expected, rel=1e-13)
 
 
 def test_confined_coeff_bound_dominates_squeezed_flow(grid):
@@ -468,7 +468,7 @@ def test_confined_coeff_bound_dominates_squeezed_flow(grid):
     for k in range(1, 61):
         ck = abs(coeffs[k])
         if ck:
-            assert ck <= confined_coeff_bound(k, a, big_c, 1.0, cert)
+            assert math.log(ck) <= log_confined_coeff_bound(k, a, big_c, 1.0, cert)
 
 
 def test_selfdual_norm_bound_values():
