@@ -183,6 +183,8 @@ def items():
          lambda: weighted.central_binomial_certificate(1.1)),
         ("expansion_weighted_norm_sq K=81",
          lambda: weighted.expansion_weighted_norm_sq(squeezed, 0.4)),
+        ("scaled_gram_columns K=300 a=tanh(0.45)",
+         lambda: list(weighted.scaled_gram_columns(300, float(np.tanh(0.45))))),
         ("phi_weighted_norm_sq n<=60 a=0.5", lambda: weighted.phi_weighted_norm_sq(np.arange(61), 0.5)),
         ("generating_function_check a=0.5 w=0.25 nmax=400",
          lambda: weighted.generating_function_check(0.5, 0.25, 400)),

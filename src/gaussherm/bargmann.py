@@ -8,7 +8,7 @@ U maps L^2(dm) isometrically onto the Fock space of entire functions with
 sending phi_k to w^k / sqrt(2^k k!), so Hermite coefficients become Taylor
 coefficients.  :func:`bargmann_exact` evaluates Uf from the input's own form
 (a Gaussian's closed form or an expansion's Taylor polynomial); the grid
-quadrature :func:`bargmann_rows` is kept as an independent check.  For a
+quadrature :func:`bargmann_row_sets` is kept as an independent check.  For a
 member of the envelope class with parameter a the two
 one-sided hypotheses bound |Uf| by Gaussians of |w| whose exponents depend
 on arg w; a Phragmen-Lindelof argument applied to exp(i sqrt(mu) w^2/4) Uf
@@ -37,26 +37,44 @@ LOG2 = math.log(2.0)
 _BARGMANN_PREF = 1.0 / (2.0 ** 0.25 * math.pi ** 0.5)
 
 
-def bargmann_rows(values, grid: GridSpec, w) -> np.ndarray:
-    """Quadrature evaluation of Uf at the points w for each row of samples
-    on ``grid``; shape (F, W) for F rows and W points.
+def bargmann_row_sets(row_sets, grid: GridSpec, w) -> list[np.ndarray]:
+    """Quadrature evaluation of Uf at the points w for each row of each set
+    of samples on ``grid``: one (F, W) array per set of F rows, for W points.
 
     The kernel e^{xw - x^2/2}, with the trapezoid weights folded in, is
-    built once per call as a (W, N) array, and the integrals are one
-    product with it (two real products for real rows).  Its modulus
-    e^{x Re w - x^2/2} takes one real exponential and its phase e^{ix Im w}
-    a :func:`hermite.phase_ramp` per point.  Raises :class:`EdgeDecayError`
-    naming the row when the integrand e^{xw - x^2/2} f(x) of some row has
-    not decayed at the grid edges for some requested w (large |Re w| pushes
-    the Gaussian factor's peak toward the boundary).  The integrand's peak
-    over the grid is bounded below by its value at the row's largest |sample|,
-    and the full scan runs only for the (row, w) pairs whose edge samples
-    that bound does not clear, so no (F, W, N) array is formed.
+    built once per call as a (W, N) array, and each set's integrals are one
+    product with it (two real products for a set of real rows), so sets of
+    different dtypes share it.  Its modulus e^{x Re w - x^2/2} takes one
+    real exponential, which the edge guard reuses, and its phase
+    e^{ix Im w} a :func:`hermite.phase_ramp` per point.  Raises
+    :class:`EdgeDecayError` naming the row of the first set that has one
+    when the integrand e^{xw - x^2/2} f(x) of some row has not decayed at
+    the grid edges for some requested w (large |Re w| pushes the Gaussian
+    factor's peak toward the boundary).  The integrand's peak over the grid
+    is bounded below by its value at the row's largest |sample|, and the
+    full scan runs only for the (row, w) pairs whose edge samples that
+    bound does not clear, so no (F, W, N) array is formed.
     """
-    rows = np.atleast_2d(values)
+    sets = [np.atleast_2d(values) for values in row_sets]
     w_arr = np.atleast_1d(np.asarray(w, dtype=complex))
     xs = grid.xs
     mag = np.exp(np.outer(w_arr.real, xs) - 0.5 * xs * xs)
+    for rows in sets:
+        _check_edge_decay(rows, mag, w_arr)
+    mag *= trapezoid_weights(grid.num_points, grid.spacing)
+    # e^{i x_j Im w} = e^{i x_0 Im w} e^{i h Im w j}
+    kernel = phase_ramp(grid.spacing * w_arr.imag, grid.num_points)
+    kernel *= mag
+    kernel *= np.exp(1j * xs[0] * w_arr.imag)[:, None]
+    pref = _BARGMANN_PREF * np.exp(-0.25 * w_arr * w_arr)
+    return [pref * (rows @ kernel.T if np.iscomplexobj(rows)
+                    else rows @ kernel.real.T + 1j * (rows @ kernel.imag.T))
+            for rows in sets]
+
+
+def _check_edge_decay(rows: np.ndarray, mag: np.ndarray, w_arr: np.ndarray) -> None:
+    """The edge guard of :func:`bargmann_row_sets` for one set of rows, with
+    ``mag`` the kernel's modulus e^{x Re w - x^2/2}, shape (W, N)."""
     moduli = np.abs(rows)
     edges = [0, 1, -2, -1]
     edge = (moduli[:, None, edges] * mag[:, edges]).max(axis=2)
@@ -72,16 +90,12 @@ def bargmann_rows(values, grid: GridSpec, w) -> np.ndarray:
             f"Bargmann integrand of input row {i} not decayed at grid edges for "
             f"w={w_arr[bad[i]][:3]}; reduce |Re w| or widen the grid"
         )
-    mag *= trapezoid_weights(grid.num_points, grid.spacing)
-    # e^{i x_j Im w} = e^{i x_0 Im w} e^{i h Im w j}
-    kernel = phase_ramp(grid.spacing * w_arr.imag, grid.num_points)
-    kernel *= mag
-    kernel *= np.exp(1j * xs[0] * w_arr.imag)[:, None]
-    if np.iscomplexobj(rows):
-        sums = rows @ kernel.T
-    else:
-        sums = rows @ kernel.real.T + 1j * (rows @ kernel.imag.T)
-    return _BARGMANN_PREF * np.exp(-0.25 * w_arr * w_arr) * sums
+
+
+def bargmann_rows(values, grid: GridSpec, w) -> np.ndarray:
+    """Uf at the points w for each row of samples on ``grid``, shape (F, W):
+    :func:`bargmann_row_sets` for the one set of rows."""
+    return bargmann_row_sets([values], grid, w)[0]
 
 
 def bargmann_numeric(f: SampledFunction, w):
@@ -91,17 +105,27 @@ def bargmann_numeric(f: SampledFunction, w):
     return complex(out[0]) if np.ndim(w) == 0 else out
 
 
-def reflection_rows(values, grid: GridSpec, w_list) -> np.ndarray:
-    """max over the points w of |U(fhat)(w) - Uf(-i w)| for each row of
-    samples on ``grid``, shape (F,).
+def reflection_row_sets(row_sets, grid: GridSpec, w_list) -> list[np.ndarray]:
+    """max over the points w of |U(fhat)(w) - Uf(-i w)| for each row of each
+    set of samples on ``grid``: one (F,) array per set of F rows.
 
     The reflection identity U(fhat)(w) = Uf(-iw) holds exactly for the
-    transform pair; the returned deviation is pure quadrature noise.
+    transform pair; the returned deviation is pure quadrature noise.  Each
+    set is transformed by its own :func:`hermite.fourier_rows` call, and
+    the sets share the kernel of w and that of -iw
+    (:func:`bargmann_row_sets`).
     """
     w_arr = np.asarray(w_list, dtype=complex)
-    lhs = bargmann_rows(fourier_rows(values, grid), grid, w_arr)
-    rhs = bargmann_rows(values, grid, -1j * w_arr)
-    return np.max(np.abs(lhs - rhs), axis=1)
+    lhs = bargmann_row_sets([fourier_rows(values, grid) for values in row_sets], grid, w_arr)
+    rhs = bargmann_row_sets(row_sets, grid, -1j * w_arr)
+    return [np.max(np.abs(u - v), axis=1) for u, v in zip(lhs, rhs)]
+
+
+def reflection_rows(values, grid: GridSpec, w_list) -> np.ndarray:
+    """max over the points w of |U(fhat)(w) - Uf(-i w)| for each row of
+    samples on ``grid``, shape (F,): :func:`reflection_row_sets` for the
+    one set of rows."""
+    return reflection_row_sets([values], grid, w_list)[0]
 
 
 def log_fock_norm(n):

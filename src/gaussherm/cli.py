@@ -381,10 +381,13 @@ def render_table(header: list[str], rows: list[list], fmt: str, meta: dict) -> s
         for row in rows:
             writer.writerow([_fmt(v) for v in row])
         return buf.getvalue()
-    payload = dict(meta)
+    # a non-finite float, in meta or in a cell, prints as its text: the
+    # writer refuses NaN and Infinity, which are not JSON
+    payload = {key: [_json_safe(v) for v in value] if isinstance(value, list) else _json_safe(value)
+               for key, value in meta.items()}
     payload["columns"] = header
     payload["rows"] = [[_json_safe(v) for v in row] for row in rows]
-    return json.dumps(payload, indent=2) + "\n"
+    return json.dumps(payload, indent=2, allow_nan=False) + "\n"
 
 
 def write_output(text: str, path: str | None) -> None:
@@ -600,7 +603,7 @@ def cmd_verify_all(args, cfg: argparse.Namespace) -> tuple[str, int]:
                 "wide_grid_N": WIDE_GRID.num_points,
             },
         }
-        text = json.dumps(payload, indent=2) + "\n"
+        text = json.dumps(payload, indent=2, allow_nan=False) + "\n"
     return text, 0 if all_pass else 1
 
 

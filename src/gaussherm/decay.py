@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import NumericalDomainError
 from .grid import SampledFunction, norm_sq
-from .hermite import analyze, fourier_sampled, hermite_phi_all
+from .hermite import analyze, fourier_sampled, grid_basis
 from .special import gammaln
 
 #: Fraction of the grid (each side) inspected by the divergence heuristic.
@@ -167,6 +167,6 @@ def hardy_classify(f: SampledFunction, a: float) -> HardyReport:
     residual = None
     if sides.member and a >= 1.0:
         c0 = analyze(f, 0).coeffs[0]
-        diff = SampledFunction(f.grid, f.values - c0 * hermite_phi_all(0, f.grid.xs)[0])
+        diff = SampledFunction(f.grid, f.values - c0 * grid_basis(f.grid, 0)[0])
         residual = math.sqrt(max(norm_sq(diff), 0.0))
     return HardyReport(sides.time_report, sides.frequency_report, residual)

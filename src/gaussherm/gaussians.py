@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .decay import EnvelopeReport, Membership
+from .errors import NumericalDomainError
 from .grid import DEFAULT_GRID, GridSpec, SampledFunction
 from .hermite import HermiteExpansion
 from .weighted import log_central_binomial
@@ -104,8 +105,14 @@ def squeezed_state(beta: float) -> GeneralizedGaussian:
 
 
 def fourier_gaussian(g: GeneralizedGaussian) -> GeneralizedGaussian:
-    """Exact Fourier transform: (A, b) -> (A * b**-0.5, 1/b)."""
-    return GeneralizedGaussian(g.amplitude / cmath.sqrt(g.width), 1.0 / g.width)
+    """Exact Fourier transform: (A, b) -> (A * b**-0.5, 1/b); refused
+    (``NumericalDomainError``) where Re 1/b rounds to 0, as it can for a tiny Re b."""
+    width = 1.0 / g.width
+    if not width.real > 0:
+        raise NumericalDomainError(
+            f"the Fourier transform of the Gaussian of width b={g.width} has width "
+            f"1/b={width}, whose real part rounds to 0: Re b is too small for double precision")
+    return GeneralizedGaussian(g.amplitude / cmath.sqrt(g.width), width)
 
 
 def bargmann_gaussian(g: GeneralizedGaussian) -> BargmannGaussian:

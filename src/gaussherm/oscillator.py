@@ -52,14 +52,24 @@ def evolve_gaussian(g: GeneralizedGaussian, t: float) -> GeneralizedGaussian:
     stays positive, so 1 + b(t) never leaves the half-plane Re > 1, where the
     principal square root is continuous in t: both roots are principal.
     The flow at t = 0 is the identity, so g itself is returned there.  A
-    time whose double 2t is not finite is refused (``NumericalDomainError``).
+    time whose double 2t is not finite is refused (``NumericalDomainError``),
+    and so is a time where Re b(t) or Re 1/b(t), the width of the Fourier
+    side (the flow a quarter period back), rounds to 0 or below, as it can
+    for a tiny Re b.
     """
+    b = g.width
+    if t == 0:
+        bt = b
+    else:
+        _check_phase(2.0, t)
+        c, s = math.cos(2.0 * t), math.sin(2.0 * t)
+        bt = (b * c - 1j * s) / (c - 1j * b * s)
+    if not (bt.real > 0 and (1.0 / bt).real > 0):
+        raise NumericalDomainError(
+            f"the flow of the Gaussian of width b={b} at t={t} has width b(t)={bt}, whose "
+            f"real part or that of 1/b(t) rounds to 0: Re b is too small for double precision")
     if t == 0:
         return g
-    _check_phase(2.0, t)
-    b = g.width
-    c, s = math.cos(2.0 * t), math.sin(2.0 * t)
-    bt = (b * c - 1j * s) / (c - 1j * b * s)
     amp = g.amplitude * cmath.exp(1j * t) * cmath.sqrt(1.0 + bt) / cmath.sqrt(1.0 + b)
     return GeneralizedGaussian(amp, bt)
 

@@ -21,7 +21,7 @@ from . import gaussians as ga
 from . import oscillator as osc
 from . import weighted as wt
 from .grid import DEFAULT_GRID, GridSpec, SampledFunction
-from .hermite import HermiteExpansion, analyze, band_limit, hermite_phi_all
+from .hermite import HermiteExpansion, analyze, band_limit, grid_basis, hermite_phi_all
 
 
 @dataclass(frozen=True)
@@ -68,7 +68,7 @@ def criterion_normalization_pins(cfg: VerifyConfig) -> CriterionResult:
     pin_dev = abs(float(hermite_phi_all(0, [0.0])[0, 0]) - 2.0 ** 0.25)
     ws = 3.0 * np.exp(2j * math.pi * np.arange(10) / 10)
     k = np.arange(21)
-    num = bg.bargmann_rows(hermite_phi_all(20, cfg.grid.xs), cfg.grid, ws)
+    num = bg.bargmann_rows(grid_basis(cfg.grid, 20), cfg.grid, ws)
     target = ws ** k[:, None] / np.exp(bg.log_fock_norm(k))[:, None]
     worst_rel = float(np.max(np.abs(num - target) / np.abs(target)))
     return _result(
@@ -86,12 +86,12 @@ _REFLECTION_WS = np.array(
 
 def criterion_reflection_identity(cfg: VerifyConfig) -> CriterionResult:
     """U(fhat)(w) = Uf(-iw) to 1e-8 for phi_k (k <= 20), the Gaussian of
-    width 0.5, and boundary chirps."""
-    phis = hermite_phi_all(20, cfg.grid.xs)
+    width 0.5, and boundary chirps; the real phi_k and the complex samples
+    are two sets of rows that share the Bargmann kernels."""
     others = [ga.gaussian(0.5)] + [ga.boundary_chirp(alpha) for alpha in (0.2, 0.27465, 0.5)]
     samples = [g.sample(cfg.grid).values for g in others]
-    worst = float(max(bg.reflection_rows(phis, cfg.grid, _REFLECTION_WS).max(),
-                      bg.reflection_rows(samples, cfg.grid, _REFLECTION_WS).max()))
+    worst = float(max(dev.max() for dev in bg.reflection_row_sets(
+        [grid_basis(cfg.grid, 20), samples], cfg.grid, _REFLECTION_WS)))
     return _result(
         "reflection_identity",
         [("max_deviation", worst / 1e-8)],
@@ -328,7 +328,7 @@ def criterion_weighted_norm_identities(cfg: VerifyConfig) -> CriterionResult:
     (|phi_n hat| = |phi_n|); the generating function matches its partial
     sums to 1e-8; the mu -> 1 collapse gives exactly 1."""
     n_max = 30
-    phis = hermite_phi_all(n_max, WIDE_GRID.xs)
+    phis = hermite_phi_all(n_max, WIDE_GRID.xs)  # not cached: the cache keeps the run grid's basis
     quad_rel = gram_rel = 0.0
     for a in (0.2, 0.5, 0.8):
         closed = wt.phi_weighted_norm_sq(np.arange(n_max + 1), a)
@@ -423,7 +423,7 @@ def criterion_hardy_threshold(cfg: VerifyConfig) -> CriterionResult:
     the coefficient bound decreases toward 0 as a -> 1."""
     rep = dc.hardy_classify(ga.gaussian(1.0).sample(cfg.grid), 1.0)
     residual = rep.ground_state_residual if rep.member else math.inf
-    f2 = SampledFunction(cfg.grid, hermite_phi_all(2, cfg.grid.xs)[2])
+    f2 = SampledFunction(cfg.grid, grid_basis(cfg.grid, 2)[2])
     rep2 = dc.hardy_classify(f2, 1.0)
     k = np.array([1, 2, 5, 10, 20])
     log_bounds = [dc.log_hardy_coeff_bound(k, av, 1.0) for av in (0.9, 0.99, 0.999)]

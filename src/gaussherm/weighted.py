@@ -99,16 +99,18 @@ def scaled_gram_columns(kmax: int, a: float):
 
 def _gram_columns(kmax: int, a: float):
     root = np.sqrt(np.arange(kmax + 1, dtype=float))
+    a_root = a * root  # a sqrt(k), rounded as the scalar product a * root[k] is
     scale = 1.0 / ((1.0 + a) * root[1:])  # 1 / ((1+a) sqrt(k+1)), k = 0..kmax-1
     col = np.zeros(kmax + 1)
     col[0] = (1.0 - a) ** -0.5
     for k in range(1, kmax, 2):
-        col[k + 1] = a * root[k] * scale[k] * col[k - 1]
+        col[k + 1] = a_root[k] * scale[k] * col[k - 1]
     prev = np.zeros(kmax + 1)
+    spare = np.empty(kmax)  # sqrt(j) H_{j-1,k}, j = 1..kmax, reused by every column
     yield col
     for k in range(kmax):
-        nxt = a * root[k] * prev
-        nxt[1:] += root[1:] * col[:-1]
+        nxt = np.multiply(prev, a_root[k])  # the column's one fresh array
+        nxt[1:] += np.multiply(root[1:], col[:-1], out=spare)
         nxt *= scale[k]
         prev, col = col, nxt
         yield col

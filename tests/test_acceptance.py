@@ -17,7 +17,7 @@ import warnings
 import numpy as np
 import pytest
 
-from gaussherm import gaussians, verify
+from gaussherm import gaussians, hermite, verify
 from gaussherm.verify import ALL_CRITERIA, VerifyConfig, run_all
 
 CRITERION_NAMES = [
@@ -207,6 +207,27 @@ def test_sharpness_fails_on_a_rate_moved_by_1e_9(monkeypatch, criterion, state, 
     assert not result.passed
     assert result.detail.startswith("worst part: rate_sharpness;")
     assert result.measured > 100
+
+
+def test_warm_run_reads_the_run_grid_basis_from_the_cache(monkeypatch):
+    """A warm run takes every row on the run grid from ``hermite.grid_basis``:
+    it builds a basis on the run grid's points at most once (none today), and
+    at most 3 in all (phi_0 at x = 0 and the wide grid's rows)."""
+    cfg = VerifyConfig()
+    run_all(cfg)
+    build = hermite.hermite_phi_all
+    calls = []
+
+    def counted(kmax, xs):
+        calls.append(np.array_equal(xs, cfg.grid.xs))
+        return build(kmax, xs)
+
+    for mod in [m for name, m in sys.modules.items() if name.startswith("gaussherm")]:
+        if getattr(mod, "hermite_phi_all", None) is build:
+            monkeypatch.setattr(mod, "hermite_phi_all", counted)
+    assert all(r.passed for r in run_all(cfg))
+    assert sum(calls) <= 1
+    assert len(calls) <= 3
 
 
 def test_pinned_expansion_is_the_seeded_draw():

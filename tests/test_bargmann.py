@@ -10,12 +10,14 @@ from gaussherm.bargmann import (
     SectorParams,
     bargmann_exact,
     bargmann_numeric,
+    bargmann_row_sets,
     bargmann_rows,
     log_cauchy_coeff_bound,
     log_contour_coeff_bound,
     log_taylor_coeffs,
     optimal_contour,
     quadrant_bound,
+    reflection_row_sets,
     reflection_rows,
     sector_bound,
 )
@@ -198,6 +200,51 @@ def test_edge_guard_refuses_where_the_full_scan_does(half_width, n):
     assert f"input row {first} not decayed at grid edges for w={ws[bad[first]][:3]};" in str(info.value)
     clear = ~bad.any(axis=0)
     assert bargmann_rows(rows, grid, ws[clear]).shape == (len(rows), clear.sum())
+
+
+def _row_sets(grid):
+    """Real rows, complex rows and a single 1-D row: the three dtype and
+    shape routes of a set."""
+    xs = grid.xs
+    return [hermite_phi_all(6, xs),
+            [gaussian(0.5).sample(grid).values, boundary_chirp(ALPHA).sample(grid).values],
+            np.exp(-0.3 * xs ** 2) * (1 - 0.5j * xs)]
+
+
+def test_bargmann_row_sets_equal_the_per_set_calls_bit_for_bit(grid):
+    """Sets of rows that share one kernel give what each set gives on its
+    own, bit for bit, whatever their dtypes."""
+    ws = np.concatenate([3.0 * np.exp(2j * math.pi * np.arange(10) / 10), WS])
+    sets = _row_sets(grid)
+    shared = bargmann_row_sets(sets, grid, ws)
+    assert len(shared) == len(sets)
+    for rows, got in zip(sets, shared):
+        want = bargmann_rows(rows, grid, ws)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def test_reflection_row_sets_equal_the_per_set_calls_bit_for_bit(grid):
+    sets = _row_sets(grid)
+    shared = reflection_row_sets(sets, grid, WS)
+    assert len(shared) == len(sets)
+    for rows, got in zip(sets, shared):
+        want = reflection_rows(rows, grid, WS)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def test_row_sets_name_the_undecayed_row_the_per_set_call_names(grid):
+    """An undecayed row in the second set raises the EdgeDecayError that set
+    raises on its own, naming the same row and w."""
+    xs = grid.xs
+    good = hermite_phi_all(2, xs)
+    bad = [*hermite_phi_all(1, xs), np.exp(0.3 * xs ** 2), gaussian(0.5).sample(grid).values]
+    ws = np.array([0.5, 3.0 + 1j, 5.0, -6.5 + 0.5j])
+    with pytest.raises(EdgeDecayError) as alone:
+        bargmann_rows(bad, grid, ws)
+    with pytest.raises(EdgeDecayError) as shared:
+        bargmann_row_sets([good, bad], grid, ws)
+    assert "input row 2 " in str(alone.value)
+    assert str(shared.value) == str(alone.value)
 
 
 @pytest.mark.parametrize("k", [0, 1, 5, 12, 20])

@@ -26,10 +26,13 @@ from gaussherm.cli import (
     main,
     parse_complex,
     parse_input_spec,
+    render_table,
 )
-from gaussherm.gaussians import GeneralizedGaussian
+from gaussherm.errors import NumericalDomainError
+from gaussherm.gaussians import GeneralizedGaussian, fourier_gaussian
 from gaussherm.grid import GridSpec
 from gaussherm.hermite import BASIS_BYTES_CAP
+from gaussherm.oscillator import evolve_gaussian
 
 
 def exit_code(argv) -> int:
@@ -1299,3 +1302,42 @@ def test_range_edge_sweep_has_no_internal_error_and_a_quiet_exit_0(tmp_path, cap
         if codes[-1] == 0:
             assert err == "" and not caught, (argv, err, [str(w.message) for w in caught])
     assert set(codes) <= {0, 2, 3, 4} and codes.count(0) >= 50
+
+
+@pytest.mark.parametrize("argv", [
+    ["confine", "gaussian:A=1,b=5e-324+2.5i", "--beta", "1", "--gamma", "0.5"],
+    ["evolve", "gaussian:A=1,b=5e-324+2.5i", "--a", "0.1", "--t-grid", "4"],
+], ids=["confine", "evolve"])
+def test_a_flow_past_double_precision_names_the_input_width_and_time(argv, capsys):
+    """A width whose Re 1/b rounds to 0 is refused along the flow as a
+    numerical-domain error (exit 3) that names the input width and the time,
+    not as the refused construction of an internal Gaussian."""
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: the flow of the Gaussian of width b=(5e-324+2.5j) at t=0.0 ")
+    assert "Re(width)" not in err
+
+
+def test_the_fourier_side_past_double_precision_is_a_domain_error():
+    g = GeneralizedGaussian(1.0, 5e-324 + 2.5j)
+    with pytest.raises(NumericalDomainError, match=r"width b=\(5e-324\+2.5j\)"):
+        fourier_gaussian(g)
+    with pytest.raises(NumericalDomainError, match=r"width b=\(5e-324\+2.5j\) at t=0.7 "):
+        evolve_gaussian(g, 0.7)
+    assert main(["norms", "gaussian:A=1,b=5e-324+2.5i", "--a-list", "0.1"]) == 3
+
+
+def _strict_json(text: str):
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_render_table_writes_non_finite_meta_as_text():
+    """A non-finite meta value, alone or in a list, prints as its text, so
+    a strict parser reads the table; finite values print as before."""
+    meta = {"command": "confine", "sup_constant": math.inf, "attained_ts": [math.nan, 0.5],
+            "a": 0.25}
+    data = _strict_json(render_table(["t", "c"], [[0.0, -math.inf]], "json", meta))
+    assert data["sup_constant"] == "inf" and data["attained_ts"] == ["nan", 0.5]
+    assert data["a"] == 0.25 and data["rows"] == [[0.0, "-inf"]]

@@ -192,6 +192,39 @@ def _gram_matrix(kmax, a):
     return h * mu ** (-0.5 * (j[:, None] + j[None, :]))
 
 
+def _reference_gram_columns(kmax, a):
+    """The ladder recurrence of scaled_gram_columns as it was first written,
+    with two fresh arrays per column: the reference for the leaner loop."""
+    root = np.sqrt(np.arange(kmax + 1, dtype=float))
+    scale = 1.0 / ((1.0 + a) * root[1:])
+    col = np.zeros(kmax + 1)
+    col[0] = (1.0 - a) ** -0.5
+    for k in range(1, kmax, 2):
+        col[k + 1] = a * root[k] * scale[k] * col[k - 1]
+    prev = np.zeros(kmax + 1)
+    yield col
+    for k in range(kmax):
+        nxt = a * root[k] * prev
+        nxt[1:] += root[1:] * col[:-1]
+        nxt *= scale[k]
+        prev, col = col, nxt
+        yield col
+
+
+@pytest.mark.parametrize("a", [0.2, math.tanh(0.45), 0.8])
+@pytest.mark.parametrize("kmax", [0, 1, 2, 30, 300])
+def test_gram_columns_equal_the_reference_loop_bit_for_bit(kmax, a):
+    """The loop that forms each column in one fresh array (a sqrt(k)
+    precomputed, sqrt(j) H_{j-1,k} in a reused scratch) gives the columns of
+    the reference loop bit for bit, each column its own array."""
+    got = list(scaled_gram_columns(kmax, a))
+    want = list(_reference_gram_columns(kmax, a))
+    assert len(got) == len(want) == kmax + 1
+    for g, w in zip(got, want):
+        assert g.tobytes() == w.tobytes()
+    assert len({id(g) for g in got}) == len(got)
+
+
 @pytest.mark.parametrize("a", [0.2, 0.5, 0.8])
 def test_gram_entries_against_mpmath_generating_function(a):
     """Off-diagonal G_jk at 50 digits from the generating function
