@@ -1,7 +1,8 @@
 """Timings of gaussherm's kernels and verify criteria, in-process, and of
 its import, ``verify-all``, the 4,096-time ``evolve`` and ``confine`` of
-``hermite:k=81`` and the 64- and 4,096-time ``evolve`` of ``hermite:k=1764``
-in fresh interpreters, plus the first ``verify-all`` of a fresh interpreter timed
+``hermite:k=81``, the 4,096-time ``evolve`` of a seeded dense 82-term
+expansion and the 64- and 4,096-time ``evolve`` of ``hermite:k=1764`` in
+fresh interpreters, plus the first ``verify-all`` of a fresh interpreter timed
 inside it after its import.
 
 Run from the root of a checkout (the package is taken from its ``src``)::
@@ -45,15 +46,18 @@ and how many of the repeats' pairs this checkout won::
 from __future__ import annotations
 
 import argparse
+import atexit
 import contextlib
 import inspect
 import io
 import json
 import os
 import platform
+import shutil
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -76,11 +80,14 @@ def load_package(root: str) -> None:
     from gaussherm.grid import DEFAULT_GRID, sample
     from gaussherm.hermite import analyze, fourier_sampled, hermite_phi_all, synthesize
 
-#: The 4,096-time evolve of hermite:k=1764, about a minute a call.
+#: The 4,096-time evolve of hermite:k=1764: about a second a call where a
+#: single-term expansion forms its t = 0 row once, 30-45 s where it forms
+#: every time (2 vCPU), so it is timed 3 times, not ``--repeats``, and not
+#: warmed up.
 LONG_EVOLVE = "evolve hermite:k=1764 --a 0.3 --t-grid 4096 (subprocess)"
 
 #: Items timed a fixed number of times, whatever ``--repeats`` says.
-FIXED_REPEATS = {"import gaussherm.cli (fresh interpreter)": 5, LONG_EVOLVE: 1}
+FIXED_REPEATS = {"import gaussherm.cli (fresh interpreter)": 5, LONG_EVOLVE: 3}
 
 #: Untimed calls before timing (default 1).
 WARMUPS = {"import gaussherm.cli (fresh interpreter)": 3, LONG_EVOLVE: 0}
@@ -125,6 +132,20 @@ def first_verify_all_s() -> float:
     return float(seconds)
 
 
+def dense_expansion_file() -> str:
+    """``expansion:@`` spec of 82 dense complex coefficients drawn from
+    ``np.random.default_rng(81)`` (K = 81, the default grid's band limit),
+    written to a temporary directory that is removed when the process exits."""
+    rng = np.random.default_rng(81)
+    coeffs = np.stack([rng.normal(size=82), rng.normal(size=82)], axis=1)
+    folder = tempfile.mkdtemp(prefix="gaussherm-bench-")
+    atexit.register(shutil.rmtree, folder, True)
+    path = os.path.join(folder, "dense-k81.json")
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump({"coeffs": coeffs.tolist()}, fh)
+    return f"expansion:@{path}"
+
+
 def t_grid(size: int):
     """What asks ``confinement_check`` for ``default_t_grid(size)``: the size,
     where it takes one (an even grid then forms half its times), else the
@@ -151,6 +172,7 @@ def items():
     phis_hat = hermite.fourier_rows(phis, grid)
     wide = verify.WIDE_GRID
     wide_phis = hermite_phi_all(30, wide.xs)
+    dense81 = dense_expansion_file()
     rng = np.random.default_rng(1)
     expansion40 = hermite.HermiteExpansion(rng.normal(size=40) + 1j * rng.normal(size=40))
     expansion63 = hermite.HermiteExpansion((rng.normal(size=64) + 1j * rng.normal(size=64))
@@ -196,6 +218,8 @@ def items():
         ("evolve hermite:k=81 --t-grid 4096 (subprocess)",
          lambda: run_subprocess(["-m", "gaussherm", "evolve", "hermite:k=81",
                                  "--t-grid", "4096"])),
+        ("evolve dense K=81 expansion --t-grid 4096 (subprocess)",
+         lambda: run_subprocess(["-m", "gaussherm", "evolve", dense81, "--t-grid", "4096"])),
         ("confine hermite:k=81 --t-grid 4096 (subprocess)",
          lambda: run_subprocess(["-m", "gaussherm", "confine", "hermite:k=81",
                                  "--beta", "0.5", "--gamma", "0.45", "--t-grid", "4096"])),

@@ -94,24 +94,43 @@ def hermite_phi_all(kmax: int, xs) -> np.ndarray:
         raise ValueError(f"kmax must be >= 0, got {kmax}")
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
     out = np.empty((kmax + 1, xs.size))
-    # each row is formed in place, in the order of x*sqrt(2/(k+1))*phi_k - sqrt(k/(k+1))*phi_{k-1}
-    np.multiply(xs, -0.5, out=out[0])
-    out[0] *= xs
-    np.exp(out[0], out=out[0])
-    out[0] *= PHI0_AT_ZERO
+    _phi_rows(out, xs)
+    return out
+
+
+def _phi_rows(out: np.ndarray, xs: np.ndarray, start: int = 0,
+              tail: np.ndarray | None = None) -> np.ndarray:
+    """Form rows start.. of ``out`` in place as :func:`hermite_phi_all`
+    forms them, phi_k on xs in row k, and return a copy of the last two rows
+    before the flush.  Past row 0 the recurrence goes on from ``tail``, the
+    rows start-2 and start-1 (one row at start = 1) as an earlier call
+    returned them, so the rows equal a fresh build bit for bit; the rows
+    before ``start`` are not touched.  The flush comes after the recurrence,
+    and a flushed row can feed a later row that is normal."""
     spare = np.empty(xs.size)
-    for k in range(kmax):
+    if start == 0:
+        np.multiply(xs, -0.5, out=out[0])
+        out[0] *= xs
+        np.exp(out[0], out=out[0])
+        out[0] *= PHI0_AT_ZERO
+        prev, cur = None, out[0]
+    else:
+        prev, cur = (None, tail[0]) if start == 1 else tail
+    # each row is formed in place, in the order of x*sqrt(2/(k+1))*phi_k - sqrt(k/(k+1))*phi_{k-1}
+    for k in range(max(start, 1) - 1, len(out) - 1):
         row = out[k + 1]
         np.multiply(xs, np.sqrt(2.0 / (k + 1)), out=row)
-        row *= out[k]
+        row *= cur
         if k:
-            np.multiply(out[k - 1], np.sqrt(k / (k + 1)), out=spare)
+            np.multiply(prev, np.sqrt(k / (k + 1)), out=spare)
             row -= spare
+        prev, cur = cur, row
+    last = np.array([cur] if prev is None else [prev, cur])
     tiny = np.empty(xs.size, dtype=bool)
-    for row in out:  # row by row: no full-size temporary
+    for row in out[start:]:  # row by row: no full-size temporary
         np.less(np.abs(row, out=spare), _TINY, out=tiny)
         np.copyto(row, 0.0, where=tiny)
-    return out
+    return last
 
 
 def hermite_phi(k: int, xs) -> np.ndarray:
@@ -143,9 +162,19 @@ def _check_band_limit(grid: GridSpec, k: int):
 BASIS_BYTES_CAP = 2 ** 28
 
 
-#: (grid, read-only basis) of :func:`grid_basis`.  Replaced, never written
-#: in place, so a caller holding rows of an older basis still reads them.
-_GRID_BASIS: tuple[GridSpec, np.ndarray] | None = None
+#: Bytes of room :func:`grid_basis` gives a grid's basis for rows not yet
+#: formed: the whole band of a grid whose whole band fits (the default grid's
+#: 82 x 4096 doubles, 2.6 MiB), else none.  Unformed rows are never written,
+#: so they take address space, not memory.  Room for the 9 MiB band of
+#: verify's wide grid measured up to 4 MB more peak RSS over 6,000 perfbench
+#: ``flow`` requests.
+_BASIS_ROOM_BYTES = 4 * 2 ** 20
+
+
+#: (grid, rows, how many of them are formed, the last two formed rows before
+#: the flush) of :func:`grid_basis`.  Rows handed out are never written again,
+#: so a caller holding rows of an older basis still reads them.
+_GRID_BASIS: tuple[GridSpec, np.ndarray, int, np.ndarray] | None = None
 
 
 def grid_basis(grid: GridSpec, kmax: int) -> np.ndarray:
@@ -153,12 +182,13 @@ def grid_basis(grid: GridSpec, kmax: int) -> np.ndarray:
     refused past the grid's band limit (``BandLimitError``) and past
     ``BASIS_BYTES_CAP`` bytes (``NumericalDomainError``).
 
-    One basis is cached: that of the last grid asked for, rebuilt by
-    :func:`hermite_phi_all` when a larger kmax is asked for on it and
-    replaced when another grid is.  A row prefix of the recurrence does not
-    depend on how far it runs, so the rows equal a fresh
-    ``hermite_phi_all(kmax, grid.xs)`` bit for bit, and the cache never
-    holds more than ``band_limit(grid) + 1`` rows.
+    One basis is cached: that of the last grid asked for, extended when a
+    larger kmax is asked for on it and replaced when another grid is.  An
+    extension goes on with the recurrence from the last two formed rows
+    before the flush (:func:`_phi_rows`), so the rows equal a fresh
+    ``hermite_phi_all(kmax, grid.xs)`` bit for bit.  It forms its rows in
+    place where the basis has room for them (``_BASIS_ROOM_BYTES``), else it
+    first copies the formed rows to an array of kmax+1 rows.
     """
     global _GRID_BASIS
     if kmax < 0:
@@ -170,12 +200,22 @@ def grid_basis(grid: GridSpec, kmax: int) -> np.ndarray:
             f"a Hermite basis of {kmax + 1} rows x N={grid.num_points} points needs "
             f"{math.ceil(size / 2 ** 20)} MiB, past the {BASIS_BYTES_CAP // 2 ** 20} MiB budget")
     cached = _GRID_BASIS
-    if cached is None or cached[0] != grid or cached[1].shape[0] <= kmax:
-        cached = _GRID_BASIS = None  # let the old basis go before the new one is built
-        phi = hermite_phi_all(kmax, grid.xs)
-        phi.flags.writeable = False
-        cached = _GRID_BASIS = (grid, phi)
-    return cached[1][: kmax + 1]
+    if cached is None or cached[0] != grid:
+        cached = _GRID_BASIS = None  # let the old basis go before the new one is made
+        room = band_limit(grid) + 1
+        room = room if room * grid.num_points * 8 <= _BASIS_ROOM_BYTES else kmax + 1
+        cached = (grid, np.empty((room, grid.num_points)), 0, None)
+    _, phi, formed, tail = cached
+    if kmax >= formed:
+        if kmax >= len(phi):
+            grown = np.empty((kmax + 1, grid.num_points))
+            grown[:formed] = phi[:formed]
+            phi = grown
+        tail = _phi_rows(phi[: kmax + 1], grid.xs, formed, tail)
+        _GRID_BASIS = (grid, phi, kmax + 1, tail)
+    rows = phi[: kmax + 1]
+    rows.flags.writeable = False
+    return rows
 
 
 def _dot_real(c: np.ndarray, m: np.ndarray) -> np.ndarray:

@@ -14,6 +14,7 @@ explicit constant assembled from the coefficient decay and the Mehler sum.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -271,8 +272,13 @@ def flow_envelopes(psi0: HermiteExpansion | GeneralizedGaussian, ts, a: float):
     is that row's time report, and the time report is its frequency samples
     read at -x, with ``sample_peak``'s rule on the mirrored x.  The sample at
     x = -L, whose mirror +L is not on the grid, is a column of its own,
-    phi_m(L) = (-1)^m phi_m(-L).  A time whose largest phase (2K+1)t is not
-    finite is refused before any row is yielded (``NumericalDomainError``)."""
+    phi_m(L) = (-1)^m phi_m(-L).
+
+    An expansion with at most one nonzero coefficient c_k is stationary in
+    modulus, |psi_t| = |psihat_t| = |c_k| |phi_k| at every t: its t = 0 row,
+    formed alone (``ts = [0.0]``), is yielded for every t of ``ts``, so its
+    rows are equal.  A time whose largest phase (2K+1)t is not finite is
+    refused before any row is yielded (``NumericalDomainError``)."""
     uniform = isinstance(ts, (int, np.integer))
     ts = default_t_grid(ts) if uniform else np.asarray(ts, dtype=float).ravel()
     if isinstance(psi0, GeneralizedGaussian):
@@ -286,6 +292,10 @@ def flow_envelopes(psi0: HermiteExpansion | GeneralizedGaussian, ts, a: float):
         bad = ts[~np.isfinite((2.0 * len(c) - 1.0) * ts)]
     if bad.size:
         _check_phase(2.0 * len(c) - 1.0, float(bad[0]))
+    if top.size <= 1 and not (len(ts) == 1 and ts[0] == 0.0):  # stationary in modulus
+        (row,) = flow_envelopes(psi0, [0.0], a)
+        yield from itertools.repeat(row, len(ts))
+        return
     if a >= 1.0 or not top.size:  # the degree rule: at a = 1 only multiples of phi_0 are members
         phi, xs, w = hermite_phi_all(len(c) - 1, [0.0]), np.zeros(1), None
         divergent = bool(top.size) and (a > 1.0 or bool(top[-1]))
@@ -310,11 +320,7 @@ def flow_envelopes(psi0: HermiteExpansion | GeneralizedGaussian, ts, a: float):
         d = 1j * np.multiply.outer(formed[i:i + step], 2 * k + 1)
         n = len(d)
         np.exp(d, out=d)
-        if len(c) > 1:
-            np.multiply(u, d, out=d)  # the time rows
-        else:  # one loop over a column of times rounds unlike a row's: a time at a time
-            for row in d:
-                np.multiply(u, row[None], out=row[None])
+        np.multiply(u, d, out=d)  # the time rows
         parts = np.empty((n, 4, len(c)))  # per time: 2 real rows over 2 imaginary
         parts[:, 0], parts[:, 2] = d.real, d.imag
         d *= turn  # the frequency rows

@@ -209,25 +209,44 @@ def test_sharpness_fails_on_a_rate_moved_by_1e_9(monkeypatch, criterion, state, 
     assert result.measured > 100
 
 
+def _count_builds(monkeypatch, cfg):
+    """Record (first row formed, kmax, on the run grid's points) of every
+    basis build: 0 for a build from phi_0, j + 1 for one that goes on from
+    phi_0..phi_j."""
+    build = hermite._phi_rows
+    builds = []
+
+    def counted(out, xs, start=0, tail=None):
+        builds.append((start, len(out) - 1, np.array_equal(xs, cfg.grid.xs)))
+        return build(out, xs, start, tail)
+
+    monkeypatch.setattr(hermite, "_phi_rows", counted)
+    return builds
+
+
 def test_warm_run_reads_the_run_grid_basis_from_the_cache(monkeypatch):
     """A warm run takes every row on the run grid from ``hermite.grid_basis``:
     it builds a basis on the run grid's points at most once (none today), and
     at most 3 in all (phi_0 at x = 0 and the wide grid's rows)."""
     cfg = VerifyConfig()
     run_all(cfg)
-    build = hermite.hermite_phi_all
-    calls = []
-
-    def counted(kmax, xs):
-        calls.append(np.array_equal(xs, cfg.grid.xs))
-        return build(kmax, xs)
-
-    for mod in [m for name, m in sys.modules.items() if name.startswith("gaussherm")]:
-        if getattr(mod, "hermite_phi_all", None) is build:
-            monkeypatch.setattr(mod, "hermite_phi_all", counted)
+    builds = _count_builds(monkeypatch, cfg)
     assert all(r.passed for r in run_all(cfg))
-    assert sum(calls) <= 1
-    assert len(calls) <= 3
+    assert sum(on_grid for *_, on_grid in builds) <= 1
+    assert len(builds) <= 3
+
+
+def test_cold_run_builds_the_run_grid_basis_in_one_chain(monkeypatch):
+    """A cold run builds the run grid's basis from phi_0 once; each later
+    build on that grid goes on from the rows before it (phi_0..phi_20, then
+    phi_21..phi_60, then phi_61..phi_70 today)."""
+    cfg = VerifyConfig()
+    monkeypatch.setattr(hermite, "_GRID_BASIS", None)
+    builds = _count_builds(monkeypatch, cfg)
+    assert all(r.passed for r in run_all(cfg))
+    chain = [(first, kmax) for first, kmax, on_grid in builds if on_grid]
+    assert chain[0][0] == 0 and len(chain) >= 2
+    assert all(first == last + 1 for (_, last), (first, _) in zip(chain, chain[1:]))
 
 
 def test_pinned_expansion_is_the_seeded_draw():

@@ -749,22 +749,38 @@ def test_non_finite_config_grid_l_exits_2(tmp_path, capsys):
 def test_expansion_flow_builds_basis_once(argv, monkeypatch, tmp_path):
     import gaussherm.hermite as hermite
 
-    build = hermite.hermite_phi_all
+    build = hermite._phi_rows  # every basis build, hermite_phi_all's and grid_basis's
     kmaxes = []
 
-    def counting(kmax, xs):
-        kmaxes.append(kmax)
-        return build(kmax, xs)
+    def counting(out, *args):
+        kmaxes.append(len(out) - 1)
+        return build(out, *args)
 
-    for name, mod in list(sys.modules.items()):
-        if name.startswith("gaussherm") and getattr(mod, "hermite_phi_all", None) is build:
-            monkeypatch.setattr(mod, "hermite_phi_all", counting)
+    monkeypatch.setattr(hermite, "_phi_rows", counting)
     monkeypatch.setattr(hermite, "_GRID_BASIS", None)
     assert main([*argv, "--t-grid", "16", "--out", str(tmp_path / "o.csv")]) == 0
     assert kmaxes == [4]
     # a repeat on the same grid reads the cached basis
     assert main([*argv, "--t-grid", "16", "--out", str(tmp_path / "o.csv")]) == 0
     assert kmaxes == [4]
+
+
+def test_single_term_flow_prints_its_envelope_at_every_time(capsys):
+    """``evolve`` and ``confine`` of hermite:k print, at every t, the
+    constants ``envelope`` prints for t = 0, and ``confine`` attains its sup
+    at every t."""
+    assert main(["envelope", "hermite:k=40", "--a", "0.3"]) == 0
+    rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+    want = [rows[1][2], rows[2][2]]
+    assert main(["evolve", "hermite:k=40", "--a", "0.3", "--t-grid", "64"]) == 0
+    rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))[1:]
+    assert len(rows) == 64 and all(row[2:4] == want for row in rows)
+    gamma = str(math.atanh(0.3))
+    assert main(["confine", "hermite:k=40", "--beta", "1", "--gamma", gamma, "--t-grid", "7",
+                 "--format", "json"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert len({tuple(row[1:]) for row in data["rows"]}) == 1
+    assert len(data["attained_ts"]) == 7
 
 
 def test_warm_expansion_envelope_allocates_no_basis(tmp_path):

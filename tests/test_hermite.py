@@ -109,24 +109,50 @@ def test_orthonormality_on_default_grid(grid):
 
 @pytest.fixture()
 def counted_builds(monkeypatch):
-    """Empty the grid-basis cache and record the kmax of every basis build."""
-    build = hermite.hermite_phi_all
-    kmaxes = []
+    """Empty the grid-basis cache and record (first row formed, kmax) of every
+    basis build: 0 for a build from phi_0, j + 1 for one that goes on from
+    phi_0..phi_j."""
+    build = hermite._phi_rows
+    builds = []
 
-    def counting(kmax, xs):
-        kmaxes.append(kmax)
-        return build(kmax, xs)
+    def counting(out, xs, start=0, tail=None):
+        builds.append((start, len(out) - 1))
+        return build(out, xs, start, tail)
 
-    monkeypatch.setattr(hermite, "hermite_phi_all", counting)
+    monkeypatch.setattr(hermite, "_phi_rows", counting)
     monkeypatch.setattr(hermite, "_GRID_BASIS", None)
-    return kmaxes
+    return builds
 
 
 def test_grid_basis_rows_match_a_fresh_build(grid, counted_builds):
     grid_basis(grid, 40)
     for k in (0, 17, 40, 60, band_limit(grid)):  # below, at and above the cached size
         assert np.array_equal(grid_basis(grid, k), hermite_phi_all(k, grid.xs))
-    assert counted_builds == [40, 60, band_limit(grid)]
+    assert [b for b in counted_builds if b[0] > 0] == [(41, 60), (61, band_limit(grid))]
+    assert counted_builds[0] == (0, 40)
+
+
+def test_grid_basis_extends_its_rows_bit_for_bit(grid, counted_builds):
+    """kmax 20 -> 60 -> 70 -> 81 on the default grid, with a switch to a
+    40-wide grid (kmax 3 -> 50) between 60 and 70: each grid's first basis is
+    built from phi_0 and each larger kmax goes on from the cached rows, and
+    every basis equals a fresh ``hermite_phi_all(kmax, xs)`` bit for bit.  The
+    default grid's basis has room for its whole band, so it grows in place;
+    the wide grid's band is past that room, so its formed rows are copied to
+    a larger array.  On the wide grid the kept rows phi_2, phi_3 hold values
+    the flush zeroes and later rows are normal there, so the recurrence must
+    go on from the rows before the flush."""
+    assert band_limit(grid) * grid.num_points * 8 < hermite._BASIS_ROOM_BYTES
+    wide = GridSpec(40.0, 2048)
+    steps = [(grid, 20), (grid, 60), (wide, 3), (wide, 50), (grid, 70), (grid, band_limit(grid))]
+    fresh = [hermite_phi_all(k, g.xs) for g, k in steps]
+    tail = hermite._phi_rows(np.empty((4, wide.num_points)), wide.xs)
+    assert np.any((tail != 0.0) & (np.abs(tail) < np.finfo(float).tiny))
+    del counted_builds[:]
+    for (g, k), want in zip(steps, fresh):
+        assert np.array_equal(grid_basis(g, k), want)
+    assert counted_builds == [(0, 20), (21, 60), (0, 3), (4, 50), (0, 70), (71, band_limit(grid))]
+    assert band_limit(wide) * wide.num_points * 8 > hermite._BASIS_ROOM_BYTES
 
 
 def test_grid_basis_is_read_only(grid):
@@ -141,10 +167,10 @@ def test_grid_basis_holds_one_grid(grid, counted_builds):
     other = GridSpec(12.0, 2048)
     grid_basis(grid, 30)
     grid_basis(other, 20)
-    cached_grid, cached_phi = hermite._GRID_BASIS
-    assert cached_grid == other and cached_phi.shape == (21, other.num_points)
+    cached_grid, _, formed, _ = hermite._GRID_BASIS
+    assert cached_grid == other and formed == 21
     grid_basis(grid, 10)  # the first grid was evicted: built again
-    assert counted_builds == [30, 20, 10]
+    assert counted_builds == [(0, 30), (0, 20), (0, 10)]
     assert hermite._GRID_BASIS[0] == grid
 
 
@@ -152,8 +178,8 @@ def test_grid_basis_past_band_limit_builds_nothing(grid, counted_builds):
     grid_basis(grid, 5)
     with pytest.raises(BandLimitError):
         grid_basis(grid, band_limit(grid) + 1)
-    assert counted_builds == [5]
-    assert hermite._GRID_BASIS[1].shape[0] == 6
+    assert counted_builds == [(0, 5)]
+    assert hermite._GRID_BASIS[2] == 6
 
 
 def test_grid_basis_rebuild_holds_one_basis(grid, monkeypatch):

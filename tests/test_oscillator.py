@@ -475,10 +475,22 @@ def _frequency_at(e, t, a, monkeypatch):
     return sq, edge, xs, scale
 
 
-#: hermite:k for k in {3, 40, 81, 300} and three seeded dense expansions.
+def _one_parity(rng, kmax: int, decay: float = 1.0) -> HermiteExpansion:
+    """A seeded expansion of degree kmax whose nonzero coefficients sit at
+    the indices of kmax's parity, times decay^k: phi_k(-x) = (-1)^k phi_k(x),
+    so its |psi_t| and |psihat_t| are even in x at every t, and mirrored
+    samples tie exactly, as they do for phi_kmax alone."""
+    k = np.arange(kmax % 2, kmax + 1, 2)
+    c = np.zeros(kmax + 1, dtype=complex)
+    c[k] = (rng.normal(size=k.size) + 1j * rng.normal(size=k.size)) * decay ** k
+    return HermiteExpansion(c)
+
+
+#: Seeded expansions of one parity at K in {3, 40, 81, 300} and three
+#: seeded dense expansions.
 def _half_table_cases():
     rng = np.random.default_rng(20261025)
-    cases = [unit_expansion(k) for k in (3, 40, 81, 300)]
+    cases = [_one_parity(rng, k, 0.95) for k in (3, 40, 81, 300)]
     return cases + [HermiteExpansion((rng.normal(size=n) + 1j * rng.normal(size=n))
                                      * 0.95 ** np.arange(n)) for n in (12, 64, 301)]
 
@@ -491,8 +503,9 @@ def test_half_table_is_the_first_half_swapped(a, monkeypatch):
     j's time report, and its time report is row j's frequency samples read
     at -x, sample_peak's tie rule on the mirrored x and the column at -xs[0]
     included.  Every constant is within 1e-12 relative of the flow at that
-    time alone.  phi_k's |psi_t| is even or odd in x, so mirrored samples
-    tie and the negative x wins on both sides.  T in {2, 8, 32, 64, 200}."""
+    time alone.  The |psi_t| of an expansion of one parity is even in x, so
+    mirrored samples tie and the negative x wins on both sides.  T in {2, 8,
+    32, 64, 200}."""
     for i, e in enumerate(_half_table_cases()):
         alone = {}
         for size in (2, 8, 32, 64, 200):
@@ -536,14 +549,14 @@ def test_streamed_flow_keeps_the_sample_peak_rule(a, monkeypatch):
     blocks give each formed row's top and argmax_x bit for bit as
     ``decay.sample_peak`` on its full row of squared moduli, formed from the
     same products, and on an even grid its frequency row's read at -x as
-    sample_peak gives them on the mirrored row: phi_k at K in {3, 40, 70,
-    81}, whose |psi_t| is even or odd in x so mirrored x tie exactly (the
-    first, negative, x wins), seeded expansions, and K = 120 on its wider
-    grid; T in {1, 8, 63, 64, 65, 200} (1, 4, 63, 32, 65 and 100 formed
-    times).  At a >= 1 (the degree rule) the grid is x = 0 and the one-pass
-    rule itself runs."""
+    sample_peak gives them on the mirrored row: seeded expansions of one
+    parity at K in {3, 40, 70, 81}, whose |psi_t| is even in x so mirrored x
+    tie exactly (the first, negative, x wins), seeded dense expansions, and
+    K = 120 on its wider grid; T in {1, 8, 63, 64, 65, 200} (1, 4, 63, 32, 65
+    and 100 formed times).  At a >= 1 (the degree rule) the grid is x = 0 and
+    the one-pass rule itself runs."""
     rng = np.random.default_rng(20261019)
-    phis = [unit_expansion(k) for k in (3, 40, 70, 81)]
+    phis = [_one_parity(rng, k) for k in (3, 40, 70, 81)]
     cases = phis + [HermiteExpansion(rng.normal(size=n) + 1j * rng.normal(size=n))
                     for n in (12, 60)]
     cases.append(HermiteExpansion((rng.normal(size=121) + 1j * rng.normal(size=121))
@@ -581,9 +594,10 @@ def test_streamed_flow_keeps_the_sample_peak_rule(a, monkeypatch):
 def test_degree_rule_blocks_stay_small_past_the_basis_budget():
     """At a >= 1 the grid is the one point x = 0, so K is not bounded by the
     basis budget: at K = 20000 a block holds the few times whose rows fit
-    ``_FLOW_ROW_BYTES``, not 64 (41 MB of rows), and each time reads as it
-    does alone."""
-    e = unit_expansion(20000)
+    ``_FLOW_ROW_BYTES``, not 64 (41 MB of rows), and each time of a seeded
+    dense expansion reads as it does alone."""
+    rng = np.random.default_rng(20261029)
+    e = HermiteExpansion(rng.normal(size=20001) + 1j * rng.normal(size=20001))
     ts = default_t_grid(64)
     tracemalloc.start()
     try:
@@ -595,6 +609,30 @@ def test_degree_rule_blocks_stay_small_past_the_basis_budget():
     for t, (_, mem) in zip(ts[:3], rows):
         (_, alone), = flow_envelopes(e, [t], 1.5)
         assert mem == alone and not mem.member
+
+
+@pytest.mark.parametrize("a", [0.3, 0.9, 1.5])
+def test_single_term_flow_is_its_t0_row_at_every_time(a):
+    """An expansion with at most one nonzero coefficient is stationary in
+    modulus: every row ``flow_envelopes`` yields, on ``default_t_grid(T)``
+    for T in {1, 7, 64, 200} and on an unsorted list with negative times, is
+    the row of ``ts = [0.0]``, ==.  phi_k for k in {0, 1, 3, 40, 81, 300},
+    (2 - 3i) phi_5 in a vector of 12, and the zero expansion.  A time whose
+    phase overflows is still refused before any row is yielded."""
+    cases = [unit_expansion(k) for k in (0, 1, 3, 40, 81, 300)]
+    cases += [HermiteExpansion(np.where(np.arange(12) == 5, 2.0 - 3.0j, 0.0)),
+              HermiteExpansion(np.zeros(4))]
+    times = [1, 7, 64, 200, np.array([1.3, -0.2, 5.0, -7.1, 0.0, 0.7, -2.5])]
+    for e in cases:
+        (want,) = flow_envelopes(e, [0.0], a)
+        for ts in times:
+            rows = list(flow_envelopes(e, ts, a))
+            assert len(rows) == (ts if isinstance(ts, int) else len(ts))
+            assert all(row == want for row in rows)
+        for bad in ([0.0, 1e308, 2.0], [0.0, math.inf]):
+            if len(e) > 1 or bad[1] == math.inf:  # (2K + 1) 1e308 overflows for K >= 1
+                with pytest.raises(NumericalDomainError, match="out of range"):
+                    next(flow_envelopes(e, bad, a))
 
 
 def test_expansion_past_a_equal_1_and_zero_expansion():
