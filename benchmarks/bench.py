@@ -73,12 +73,12 @@ PACKAGE_ROOT = ROOT
 def load_package(root: str) -> None:
     """Import gaussherm from ``root``/src into this module's namespace."""
     global PACKAGE_ROOT, bargmann, cli, gaussians, hermite, oscillator, verify, weighted
-    global DEFAULT_GRID, sample, analyze, fourier_sampled, hermite_phi_all, synthesize
+    global DEFAULT_GRID, SampledFunction, analyze, fourier_sampled, hermite_phi_all
     PACKAGE_ROOT = os.path.abspath(root)
     sys.path.insert(0, os.path.join(PACKAGE_ROOT, "src"))
     from gaussherm import bargmann, cli, gaussians, hermite, oscillator, verify, weighted
-    from gaussherm.grid import DEFAULT_GRID, sample
-    from gaussherm.hermite import analyze, fourier_sampled, hermite_phi_all, synthesize
+    from gaussherm.grid import DEFAULT_GRID, SampledFunction
+    from gaussherm.hermite import analyze, fourier_sampled, hermite_phi_all
 
 #: The 4,096-time evolve of hermite:k=1764: about a second a call where a
 #: single-term expansion forms its t = 0 row once, 30-45 s where it forms
@@ -157,7 +157,8 @@ def t_grid(size: int):
 def items():
     """(name, zero-argument callable) pairs, in report order."""
     grid = DEFAULT_GRID
-    f = sample(lambda xs: (1.0 + 0.5j * xs) * np.exp(-(0.4 - 0.3j) * xs * xs), grid)
+    xs = grid.xs
+    f = SampledFunction(grid, (1.0 + 0.5j * xs) * np.exp(-(0.4 - 0.3j) * xs * xs))
     state = gaussians.squeezed_state(0.5)
     squeezed = gaussians.hermite_coeffs(state, 81)
     state_k70 = gaussians.hermite_coeffs(state, 70)
@@ -188,15 +189,15 @@ def items():
         ("hermite_phi_all K=60 N=4096", lambda: hermite_phi_all(60, grid.xs)),
         ("hermite_phi_all K=81 N=4096", lambda: hermite_phi_all(81, grid.xs)),
         ("hermite_phi_all K=30 N=6144", lambda: hermite_phi_all(30, wide.xs)),
-        ("analyze+synthesize K=60 N=4096", lambda: synthesize(analyze(f, 60), grid)),
+        ("analyze K=60 N=4096", lambda: analyze(f, 60)),
         ("fourier_sampled N=4096", lambda: fourier_sampled(f)),
         ("fourier_rows F=25 N=4096", lambda: hermite.fourier_rows(stack, grid)),
         ("fourier_rows 21 real phi rows N=4096", lambda: hermite.fourier_rows(phis, grid)),
         ("fourier_rows Gaussian/chirp F=4 N=4096", lambda: hermite.fourier_rows(others, grid)),
-        ("bargmann_numeric W=10 N=4096", lambda: bargmann.bargmann_numeric(f, ring)),
-        ("bargmann_rows F=21 W=10 N=4096", lambda: bargmann.bargmann_rows(phis, grid, ring)),
-        ("bargmann_rows F=21 W=8 N=4096 (transformed rows)",
-         lambda: bargmann.bargmann_rows(phis_hat, grid, verify._REFLECTION_WS)),
+        ("bargmann_row_sets F=1 W=10 N=4096", lambda: bargmann.bargmann_row_sets([f.values], grid, ring)),
+        ("bargmann_row_sets F=21 W=10 N=4096", lambda: bargmann.bargmann_row_sets([phis], grid, ring)),
+        ("bargmann_row_sets F=21 W=8 N=4096 (transformed rows)",
+         lambda: bargmann.bargmann_row_sets([phis_hat], grid, verify._REFLECTION_WS)),
         ("weighted_energy_rows F=31 N=6144 a=0.5", lambda: weighted.weighted_energy_rows(wide_phis, wide, 0.5)),
         ("exact Uf Gaussian W=24", lambda: bargmann.bargmann_exact(state, ring24)),
         ("exact Uf expansion K=40 W=24", lambda: bargmann.bargmann_exact(expansion40, ring24)),

@@ -5,7 +5,7 @@ U sends phi_k to w^k/sqrt(2^k k!), so coefficient decay is entire-function
 growth.  For an envelope-class member, |Uf| obeys two quadratic-exponential
 bounds whose exponents depend on arg w; a Phragmen-Lindelof interpolation
 improves them inside the sector [theta0, theta1], and Cauchy's formula on
-an optimized contour squeezes the Taylor coefficients hardest.
+an optimized contour turns that growth into Taylor-coefficient decay.
 """
 
 import cmath
@@ -16,46 +16,44 @@ import numpy as np
 from gaussherm import (
     DEFAULT_GRID,
     SectorParams,
-    bargmann_numeric,
+    bargmann_exact,
     boundary_chirp,
     gaussian,
     hermite_coeffs,
+    hermite_phi_all,
     log_taylor_coeffs,
     optimal_contour,
     quadrant_bound,
-    reflection_rows,
-    sample,
     sector_bound,
+    unit_expansion,
 )
-from gaussherm.bargmann import log_cauchy_coeff_bound, log_contour_coeff_bound
-from gaussherm.hermite import hermite_phi
+from gaussherm.bargmann import bargmann_row_sets, log_contour_coeff_bound, reflection_row_sets
 
 grid = DEFAULT_GRID
+phis = hermite_phi_all(5, grid.xs)
 
 print("Bargmann images of the first Hermite functions at w = 1.5 + 0.5j:")
 w = 1.5 + 0.5j
+quad = bargmann_row_sets([phis[:4]], grid, [w])[0][:, 0]
 for k in range(4):
-    f = sample(lambda xs: hermite_phi(k, xs), grid)
-    val = bargmann_numeric(f, w)
-    target = w**k / math.sqrt(2**k * math.factorial(k))
-    print(f"  k = {k}: U phi_k = {val:.10f}   w^k/sqrt(2^k k!) = {target:.10f}")
+    target = bargmann_exact(unit_expansion(k), w)[0]
+    print(f"  k = {k}: U phi_k = {quad[k]:.10f}   w^k/sqrt(2^k k!) = {target:.10f}")
 
-f = sample(lambda xs: hermite_phi(5, xs), grid)
 ws = np.array([0.5, 1 + 1j, -2j, 1.5 - 0.5j])
-print(f"\nreflection identity U(fhat)(w) = Uf(-iw): max deviation "
-      f"{reflection_rows(f.values, grid, ws)[0]:.3e}")
+print(f"\nreflection identity U(fhat)(w) = Uf(-iw) for phi_5: max deviation "
+      f"{reflection_row_sets([phis[5:]], grid, ws)[0][0]:.3e}")
 
 a = 0.5
 s = SectorParams(a, big_c=1.0)
 print(f"\nsector geometry at a = {a}: mu = {s.mu:.4f}, "
       f"theta0 = {s.theta0:.6f} (= pi/6), theta1 = {s.theta1:.6f}")
 
-g = gaussian(a).sample(grid)
+g = gaussian(a)
 print("\n|Uf| against the growth bounds for f = e^{-x^2/4} (a member with C = 1):")
 print("   theta/pi     |Uf(2e^{i theta})|   sector bound   quadrant bound")
 for frac in (0.1, 0.17, 0.25, 0.33, 0.4):
     wq = 2.0 * cmath.exp(1j * math.pi * frac)
-    val = abs(bargmann_numeric(g, wq))
+    val = abs(bargmann_exact(g, wq)[0])
     sb = sector_bound(s, wq)  # nan outside [theta0, theta1]
     sb = "   (outside) " if math.isnan(sb) else f"{sb:12.6f}"
     print(f"   {frac:8.2f}   {val:16.6f}   {sb}   {quadrant_bound(s, wq):12.6f}")
@@ -63,16 +61,15 @@ for frac in (0.1, 0.17, 0.25, 0.33, 0.4):
 alpha = 0.27465
 a = math.tanh(2 * alpha)
 log_c = log_taylor_coeffs(hermite_coeffs(boundary_chirp(alpha), 60))
-s = SectorParams(a, 1.0)
+mu = (1 - a) / (1 + a)
 print("\nTaylor-coefficient bounds for the boundary chirp (the sharp case):")
-print("   n    |c_n|          circle bound   contour bound")
+print("   n    |c_n|          contour bound")
 for n in (4, 12, 24, 48):
     cn = math.exp(log_c[n])
-    print(f"  {n:3d}   {cn:12.6e}   {math.exp(log_cauchy_coeff_bound(s, n)):12.6e}"
-          f"   {math.exp(log_contour_coeff_bound(n, a, 1.0)):12.6e}")
+    print(f"  {n:3d}   {cn:12.6e}   {math.exp(log_contour_coeff_bound(n, a, 1.0)):12.6e}")
 
-cb = optimal_contour(50, s.mu)
-print(f"\noptimized contour at n = 50: the angular integrals split as")
-print(f"  I (hypothesis branch) = {math.exp(cb.log_i):.6e}")
-print(f"  J (sector branch)     = {math.exp(cb.log_j):.6e}   (I/J = {math.exp(cb.log_i - cb.log_j):.3e})")
+log_i, log_j, _ = optimal_contour(50, mu)
+print("\noptimized contour at n = 50: the angular integrals split as")
+print(f"  I (hypothesis branch) = {math.exp(log_i):.6e}")
+print(f"  J (sector branch)     = {math.exp(log_j):.6e}   (I/J = {math.exp(log_i - log_j):.3e})")
 print("the sector branch dominates, which is where the extra n^{-1/2} mu^{n/4} comes from")

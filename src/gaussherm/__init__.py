@@ -8,7 +8,7 @@ estimates; the harmonic-oscillator flow preserves the coefficient decay and
 hence stays confined in a slightly wider envelope; and weighted two-sided
 norms run the implication in reverse.  The submodules follow that story:
 
-``hermite``     dm-normalized Hermite basis, quadrature, Fourier, Mehler
+``hermite``     dm-normalized Hermite basis, quadrature, Fourier
 ``gaussians``   closed-form algebra on A exp(-b x^2/2)
 ``bargmann``    the transform, sector estimates, optimized contour bound
 ``decay``       the coefficient bound, envelope scans, classifier
@@ -17,7 +17,7 @@ norms run the implication in reverse.  The submodules follow that story:
 ``verify``      the end-to-end verification suite the CLI exposes
 """
 
-from .grid import DEFAULT_GRID, GridSpec, SampledFunction, norm_sq, sample
+from .grid import DEFAULT_GRID, GridSpec, SampledFunction, norm_sq
 from .hermite import (
     HermiteExpansion,
     analyze,
@@ -25,11 +25,7 @@ from .hermite import (
     fourier_expansion,
     fourier_rows,
     fourier_sampled,
-    hermite_phi,
     hermite_phi_all,
-    mehler_closed_form,
-    mehler_partial_sum,
-    synthesize,
     unit_expansion,
 )
 from .gaussians import (
@@ -46,15 +42,11 @@ from .gaussians import (
     weighted_norm_sq_gaussian,
 )
 from .bargmann import (
-    ContourBound,
     SectorParams,
     bargmann_exact,
-    bargmann_numeric,
-    bargmann_rows,
     log_taylor_coeffs,
     optimal_contour,
     quadrant_bound,
-    reflection_rows,
     sector_bound,
 )
 from .decay import (

@@ -13,8 +13,8 @@ member of the envelope class with parameter a the two
 one-sided hypotheses bound |Uf| by Gaussians of |w| whose exponents depend
 on arg w; a Phragmen-Lindelof argument applied to exp(i sqrt(mu) w^2/4) Uf
 interpolates them inside the sector [theta0, theta1], and Cauchy's formula
-on circles or on an optimized non-circular contour turns the resulting
-growth bound into coefficient decay.
+on an optimized non-circular contour turns the resulting growth bound into
+coefficient decay.
 """
 
 from __future__ import annotations
@@ -22,14 +22,13 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
 from .decay import check_weight
 from .errors import EdgeDecayError, NumericalDomainError
 from .gaussians import GeneralizedGaussian, bargmann_gaussian
-from .grid import GridSpec, SampledFunction, trapezoid_weights
+from .grid import GridSpec, trapezoid_weights
 from .hermite import EDGE_DECAY_REL, HermiteExpansion, fourier_rows, phase_ramp
 from .special import gammaln
 
@@ -92,19 +91,6 @@ def _check_edge_decay(rows: np.ndarray, mag: np.ndarray, w_arr: np.ndarray) -> N
         )
 
 
-def bargmann_rows(values, grid: GridSpec, w) -> np.ndarray:
-    """Uf at the points w for each row of samples on ``grid``, shape (F, W):
-    :func:`bargmann_row_sets` for the one set of rows."""
-    return bargmann_row_sets([values], grid, w)[0]
-
-
-def bargmann_numeric(f: SampledFunction, w):
-    """Uf at one complex point (a complex) or many (an array): row 0 of
-    :func:`bargmann_rows` for the single row f."""
-    out = bargmann_rows(f.values, f.grid, w)[0]
-    return complex(out[0]) if np.ndim(w) == 0 else out
-
-
 def reflection_row_sets(row_sets, grid: GridSpec, w_list) -> list[np.ndarray]:
     """max over the points w of |U(fhat)(w) - Uf(-i w)| for each row of each
     set of samples on ``grid``: one (F,) array per set of F rows.
@@ -119,13 +105,6 @@ def reflection_row_sets(row_sets, grid: GridSpec, w_list) -> list[np.ndarray]:
     lhs = bargmann_row_sets([fourier_rows(values, grid) for values in row_sets], grid, w_arr)
     rhs = bargmann_row_sets(row_sets, grid, -1j * w_arr)
     return [np.max(np.abs(u - v), axis=1) for u, v in zip(lhs, rhs)]
-
-
-def reflection_rows(values, grid: GridSpec, w_list) -> np.ndarray:
-    """max over the points w of |U(fhat)(w) - Uf(-i w)| for each row of
-    samples on ``grid``, shape (F,): :func:`reflection_row_sets` for the
-    one set of rows."""
-    return reflection_row_sets([values], grid, w_list)[0]
 
 
 def log_fock_norm(n):
@@ -275,22 +254,6 @@ def sector_bound(s: SectorParams, w):
     return float(bound) if np.ndim(w) == 0 else bound
 
 
-def log_cauchy_coeff_bound(s: SectorParams, n):
-    """Natural log of the Cauchy estimate on circles, optimized over the radius:
-
-        |c_n| <= C sqrt(2 pi/(1+a)) (e sqrt(mu) / (2n))**(n/2),
-
-    for one index n >= 1 (a float) or an integer array of them (an array)."""
-    n = np.asarray(n)
-    if n.min(initial=1) < 1:
-        raise NumericalDomainError(f"the optimized Cauchy bound needs n >= 1, got {n.min()}")
-    log_bound = (
-        math.log(_ray_prefactor(s))
-        + 0.5 * n * (1.0 + 0.5 * math.log(s.mu) - np.log(2.0 * n))
-    )
-    return float(log_bound) if np.ndim(n) == 0 else log_bound
-
-
 #: Contour rule: Gauss-Legendre nodes per sub-interval, halvings toward each end.
 _GL_NODES, _GRADING_DEPTH = 20, 16
 
@@ -317,33 +280,6 @@ def _graded_rule() -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
-@dataclass(frozen=True)
-class ContourBound:
-    """Coefficient bound from the Cauchy formula on the optimized contour
-    gamma_n(t) = r_n(t) e^{it}.
-
-    On [0, theta0) the radius equalizes the time-side hypothesis bound and
-    on [theta0, pi/4] the sector bound, both at exponent (n+1)/2; the radius
-    extends to all angles by reflection about pi/4 and (pi/2)-periodicity,
-    winding once around the origin.  I and J are the two angular integrals
-    (the first branch integrand includes the exact arclength factor
-    sqrt(mu^2 + (1-mu^2) sin^2 t)); the bound is
-
-        (4/pi) sqrt(2 pi/(1+a)) e^{(n+1)/2} (2n+2)^{-n/2} (I + J),
-
-    all three held in log scale (``log_i``, ``log_j``, ``log_bound``) because
-    both I and the bound underflow long before large-n studies finish.
-    """
-
-    n: int
-    mu: float
-    theta0: float
-    radius: Callable[[np.ndarray], np.ndarray] = field(repr=False)
-    log_i: float
-    log_j: float
-    log_bound: float
-
-
 #: Indices per block of :func:`_power_sums`: a (256, 640) array is 1.3 MB.
 _CONTOUR_BLOCK = 256
 
@@ -362,12 +298,24 @@ def _power_sums(exponents: np.ndarray, log_base: np.ndarray, weights: np.ndarray
 
 
 def _contour_logs(n: np.ndarray, mu: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """log I, log J and the log bound (C = 1) of :class:`ContourBound` for each
-    index in the array n, as arrays of its shape.
+    """log I, log J and the log coefficient bound (C = 1) of the optimized
+    contour for each index in the array n, as arrays of its shape.
 
-    Both integrals run over the shared :func:`_graded_rule` nodes as
-    (indices, nodes) arrays, each base raised to its exponent as
-    exp(half * log(base)), so a table of indices is one pass, not a loop."""
+    The bound comes from Cauchy's formula on gamma_n(t) = r_n(t) e^{it}.  On
+    [0, theta0) the radius equalizes the time-side hypothesis bound and on
+    [theta0, pi/4] the sector bound, both at exponent (n+1)/2; it extends to
+    all angles by reflection about pi/4 and (pi/2)-periodicity, winding once
+    around the origin.  I and J are the two angular integrals (the first
+    branch integrand includes the exact arclength factor
+    sqrt(mu^2 + (1-mu^2) sin^2 t)); the bound is
+
+        (4/pi) sqrt(2 pi/(1+a)) e^{(n+1)/2} (2n+2)^{-n/2} (I + J),
+
+    all three in log scale because both I and the bound underflow long
+    before large-n studies finish.  Both integrals run over the shared
+    :func:`_graded_rule` nodes as (indices, nodes) arrays, each base raised
+    to its exponent as exp(half * log(base)), so a table of indices is one
+    pass, not a loop."""
     if n.min(initial=2) < 2:
         raise NumericalDomainError(f"the contour bound needs n >= 2, got {n.min()}")
     if not 0.0 < mu < 1.0:
@@ -397,30 +345,17 @@ def _contour_logs(n: np.ndarray, mu: float) -> tuple[np.ndarray, np.ndarray, np.
     return log_i, log_j, log_bound
 
 
-def optimal_contour(n: int, mu: float) -> ContourBound:
-    """Construct the optimized contour and its coefficient bound (C = 1)."""
-    log_i, log_j, log_bound = (float(v[0]) for v in _contour_logs(np.array([n]), mu))
-    theta0 = _theta0(mu)
-    sqrt_mu = math.sqrt(mu)
-
-    def radius(t):
-        s = np.mod(t, 0.5 * math.pi)
-        s = np.where(s > 0.25 * math.pi, 0.5 * math.pi - s, s)
-        denom = np.where(s < theta0, mu + (1.0 - mu) * np.sin(s) ** 2, sqrt_mu * np.sin(2.0 * s))
-        return np.sqrt((2.0 * n + 2.0) / denom)
-
-    return ContourBound(
-        n=n, mu=mu, theta0=theta0, radius=radius,
-        log_i=log_i, log_j=log_j, log_bound=log_bound,
-    )
+def optimal_contour(n: int, mu: float) -> tuple[float, float, float]:
+    """log I, log J and the log coefficient bound (C = 1) of the optimized
+    contour at one index n >= 2 (:func:`_contour_logs`)."""
+    return tuple(float(v[0]) for v in _contour_logs(np.array([n]), mu))
 
 
 def log_contour_coeff_bound(n, a: float, big_c: float = 1.0):
     """Natural log of the contour-based bound on the Taylor coefficient |c_n|
-    of a member with constant C (:class:`ContourBound`, scaled by C), for
-    one index n >= 2 (a float) or an array of them (an array, from one pass
-    over the contour rule).  It beats the circle estimate
-    :func:`log_cauchy_coeff_bound` by a factor ~ n^{-1/2} for large n."""
+    of a member with constant C (:func:`_contour_logs`' bound scaled by C),
+    for one index n >= 2 (a float) or an array of them (an array, from one
+    pass over the contour rule)."""
     check_weight(a)
     mu = (1.0 - a) / (1.0 + a)
     log_bound = math.log(big_c) + _contour_logs(np.atleast_1d(n), mu)[2]

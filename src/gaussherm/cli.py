@@ -52,8 +52,10 @@ class CliParseError(ValueError):
 #: ring (whose Taylor terms form (W, K) arrays, so the ring's cap is set by
 #: memory rather than time).  An expansion past that band runs on the wider
 #: grid of its degree: at the largest K the basis budget admits (1764),
-#: evolve took 4.7 s at 64 times and 186 s at 4,096, with a 336 MB peak RSS
-#: (2 vCPU, one BLAS thread).
+#: evolve of a dense expansion (1765 seeded complex coefficients, --a 0.3)
+#: took 1.1-1.6 s at 64 times and 33-38 s at 4,096, with a 336-338 MB peak
+#: RSS (a subprocess, 2 vCPU, one BLAS thread); hermite:k=1764, one term,
+#: takes the stationary route and forms one time.
 KMAX_CAP = 100_000
 T_GRID_CAP = 4_096
 W_COUNT_CAP = 10_000
@@ -501,7 +503,7 @@ def cmd_bargmann(args, cfg: argparse.Namespace) -> tuple[str, int]:
 def cmd_evolve(args, cfg: argparse.Namespace) -> tuple[str, int]:
     inp = parse_input_spec(args.input)
     a = _envelope_weight(cfg, inp)
-    if cfg.times:
+    if cfg.times is not None:
         ts = times = _float_list(cfg.times, "--times")
     else:  # the grid's size: flow_envelopes forms half its times when it is even
         times = cfg.t_grid_size

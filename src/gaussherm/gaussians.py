@@ -118,9 +118,17 @@ def fourier_gaussian(g: GeneralizedGaussian) -> GeneralizedGaussian:
 def bargmann_gaussian(g: GeneralizedGaussian) -> BargmannGaussian:
     """Exact Bargmann transform of a Gaussian:
 
-        P = 2**0.25 * A * (1+b)**-0.5,   lam = (1-b) / (4(1+b)).
-    """
+        P = 2**0.25 * A * (1+b)**-0.5,   lam = (1-b) / (4(1+b)) = z / 4;
+
+    refused (``NumericalDomainError``) where |z| rounds to 1, as it does
+    once 1 - |z|^2 = 4 Re b / |1+b|^2 is below double precision."""
     b = g.width
+    z = moebius_ratio(g)
+    if not abs(z) < 1.0:
+        raise NumericalDomainError(
+            f"the Bargmann transform of the Gaussian of width b={b} has ratio "
+            f"z=(1-b)/(1+b)={z}, whose modulus rounds to 1: Re b is too small "
+            f"against |1+b|^2 for double precision")
     pref = 2.0 ** 0.25 * g.amplitude / cmath.sqrt(1.0 + b)
     return BargmannGaussian(pref, (1.0 - b) / (4.0 * (1.0 + b)))
 

@@ -68,11 +68,6 @@ class SampledFunction:
         object.__setattr__(self, "values", vals)
 
 
-def sample(fn, grid: GridSpec = DEFAULT_GRID) -> SampledFunction:
-    """Sample a vectorized callable on the grid."""
-    return SampledFunction(grid, np.asarray(fn(grid.xs), dtype=complex))
-
-
 def trapezoid(values: np.ndarray, spacing: float):
     """Trapezoid rule on uniformly spaced samples (spectrally accurate for
     smooth integrands that decay at both ends)."""

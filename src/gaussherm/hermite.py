@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BandLimitError, EdgeDecayError, NumericalDomainError
-from .grid import DEFAULT_GRID, SQRT_2PI, GridSpec, SampledFunction, trapezoid_weights
+from .grid import SQRT_2PI, GridSpec, SampledFunction, trapezoid_weights
 
 #: phi_0(0), pinned by Mehler's formula at w = 0.
 PHI0_AT_ZERO = 2.0 ** 0.25
@@ -133,14 +133,6 @@ def _phi_rows(out: np.ndarray, xs: np.ndarray, start: int = 0,
     return last
 
 
-def hermite_phi(k: int, xs) -> np.ndarray:
-    """Evaluate the k-th dm-normalized Hermite function at the given points
-    (row k of :func:`hermite_phi_all`)."""
-    if k < 0:
-        raise ValueError(f"k must be >= 0, got {k}")
-    return hermite_phi_all(k, xs)[k]
-
-
 def band_limit(grid: GridSpec) -> int:
     """Largest k whose classical turning point sqrt(2k+1) fits inside
     BAND_LIMIT_FRACTION of the grid half-width."""
@@ -218,23 +210,12 @@ def grid_basis(grid: GridSpec, kmax: int) -> np.ndarray:
     return rows
 
 
-def _dot_real(c: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """c @ m for complex c and real m, as two real products: a mixed-dtype
-    ``@`` would first copy m to complex."""
-    return c.real @ m + 1j * (c.imag @ m)
-
-
 def analyze(f: SampledFunction, kmax: int) -> HermiteExpansion:
     """Hermite coefficients <f, phi_k> for k = 0..kmax, by quadrature."""
     phi = grid_basis(f.grid, kmax)
-    w = trapezoid_weights(f.grid.num_points, f.grid.spacing)
-    return HermiteExpansion(_dot_real(f.values * w, phi.T) / SQRT_2PI)
-
-
-def synthesize(e: HermiteExpansion, grid: GridSpec = DEFAULT_GRID) -> SampledFunction:
-    """Pointwise sum_k coeffs[k] * phi_k(x) on the grid; refused, like
-    :func:`analyze`, when phi_{len(e)-1} is past the grid's band limit."""
-    return SampledFunction(grid, _dot_real(e.coeffs, grid_basis(grid, len(e) - 1)))
+    v = f.values * trapezoid_weights(f.grid.num_points, f.grid.spacing)
+    # two real products: a mixed-dtype ``@`` would first copy the basis to complex
+    return HermiteExpansion((v.real @ phi.T + 1j * (v.imag @ phi.T)) / SQRT_2PI)
 
 
 def fourier_expansion(e: HermiteExpansion) -> HermiteExpansion:
@@ -381,21 +362,3 @@ def fourier_sampled(f: SampledFunction) -> SampledFunction:
     """Unitary Fourier transform of f on its own grid: :func:`fourier_rows`
     for the single row f."""
     return SampledFunction(f.grid, fourier_rows(f.values, f.grid)[0])
-
-
-def mehler_closed_form(x: float, w: float) -> float:
-    """Closed form of sum_k phi_k(x)**2 w**k for |w| < 1:
-
-        sqrt(2) * (1 - w**2)**-0.5 * exp(-((1-w)/(1+w)) * x**2).
-    """
-    if not abs(w) < 1.0:
-        raise ValueError(f"|w| must be < 1, got w={w}")
-    return float(np.sqrt(2.0) / np.sqrt(1.0 - w * w) * np.exp(-(1.0 - w) / (1.0 + w) * x * x))
-
-
-def mehler_partial_sum(x: float, w: float, kmax: int) -> float:
-    """Partial sum sum_{k<=kmax} phi_k(x)**2 w**k of the Mehler identity."""
-    if not abs(w) < 1.0:
-        raise ValueError(f"|w| must be < 1, got w={w}")
-    phi = hermite_phi_all(kmax, [x])[:, 0]
-    return float(np.sum(phi * phi * w ** np.arange(kmax + 1)))

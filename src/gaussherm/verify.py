@@ -68,7 +68,7 @@ def criterion_normalization_pins(cfg: VerifyConfig) -> CriterionResult:
     pin_dev = abs(float(hermite_phi_all(0, [0.0])[0, 0]) - 2.0 ** 0.25)
     ws = 3.0 * np.exp(2j * math.pi * np.arange(10) / 10)
     k = np.arange(21)
-    num = bg.bargmann_rows(grid_basis(cfg.grid, 20), cfg.grid, ws)
+    num = bg.bargmann_row_sets([grid_basis(cfg.grid, 20)], cfg.grid, ws)[0]
     target = ws ** k[:, None] / np.exp(bg.log_fock_norm(k))[:, None]
     worst_rel = float(np.max(np.abs(num - target) / np.abs(target)))
     return _result(
@@ -188,7 +188,7 @@ def criterion_contour_machinery(cfg: VerifyConfig) -> CriterionResult:
     d2 = math.sqrt(mu) * math.sin(2 * theta0)
     cont_dev = abs(d1 - d2) / d1
     contours = {n: bg.optimal_contour(n, mu) for n in (10, 50, 200)}
-    ij = {n: math.exp(cb.log_i - cb.log_j) for n, cb in contours.items()}
+    ij = {n: math.exp(log_i - log_j) for n, (log_i, log_j, _) in contours.items()}
     decreasing = ij[10] > ij[50] > ij[200]
     alpha = 0.27465
     a = math.tanh(2 * alpha)

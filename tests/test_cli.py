@@ -583,6 +583,18 @@ def test_non_finite_list_values_exit_2(argv, capsys):
     assert captured.err.startswith("error:") and "finite" in captured.err
 
 
+@pytest.mark.parametrize("argv", [
+    ["evolve", "hermite:k=3", "--times="],
+    ["norms", "gaussian:b=0.5", "--a-list="],
+], ids=["evolve-times", "norms-a-list"])
+def test_empty_list_values_exit_2(argv, capsys):
+    """A list flag given empty is refused, not read as absent."""
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: bad {argv[-1][:-1]} list:")
+
+
 @pytest.mark.parametrize("argv, flag, value", [
     (["evolve", "squeezed:beta=0.5"], "--times", "-1,2"),
     (["evolve", "squeezed:beta=0.5", "--a", "0.5"], "--times", "-.25,1e-3"),
@@ -1341,6 +1353,26 @@ def test_the_fourier_side_past_double_precision_is_a_domain_error():
     with pytest.raises(NumericalDomainError, match=r"width b=\(5e-324\+2.5j\) at t=0.7 "):
         evolve_gaussian(g, 0.7)
     assert main(["norms", "gaussian:A=1,b=5e-324+2.5i", "--a-list", "0.1"]) == 3
+
+
+@pytest.mark.parametrize("argv, width", [
+    (["coeffs", "gaussian:b=1e-17"], "(1e-17+0j)"),
+    (["bargmann", "gaussian:b=1e-17"], "(1e-17+0j)"),
+    (["coeffs", "gaussian:b=1e300"], "(1e+300+0j)"),
+], ids=["coeffs-tiny-b", "bargmann-tiny-b", "coeffs-huge-b"])
+def test_a_bargmann_ratio_on_the_unit_circle_names_the_input_width(argv, width, capsys):
+    """Re b > 0 holds, but z = (1-b)/(1+b) rounds onto the unit circle: the
+    Bargmann side is refused (exit 3) naming the input width, not as the
+    refused construction of an internal Bargmann image.  envelope and evolve,
+    which do not take the Bargmann side, answer the same width."""
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: the Bargmann transform of the Gaussian of width b={width} ")
+    assert "quad_coeff" not in captured.err
+    for other in (["envelope", argv[1]], ["evolve", argv[1], "--t-grid", "4"]):
+        assert main(other) == 0
+        assert capsys.readouterr().err == ""
 
 
 def _strict_json(text: str):

@@ -24,8 +24,8 @@ from gaussherm.gaussians import (
     moebius_ratio,
     squeezed_state,
 )
-from gaussherm.grid import sample
-from gaussherm.hermite import hermite_phi
+from gaussherm.grid import SampledFunction
+from gaussherm.hermite import hermite_phi_all
 from gaussherm.weighted import (
     central_binomial,
     central_binomial_certificate,
@@ -146,20 +146,20 @@ def test_envelope_scan_divergent(grid):
 
 
 def test_envelope_scan_hermite_member(grid):
-    rep = envelope_scan(sample(lambda xs: hermite_phi(3, xs), grid), 0.9)
+    rep = envelope_scan(SampledFunction(grid, hermite_phi_all(3, grid.xs)[3]), 0.9)
     assert not rep.divergent
     assert rep.constant > 0
 
 
 def test_envelope_scan_zero_function(grid):
-    rep = envelope_scan(sample(lambda xs: np.zeros_like(xs), grid), 0.5)
+    rep = envelope_scan(SampledFunction(grid, np.zeros_like(grid.xs)), 0.5)
     assert rep.constant == 0.0 and not rep.divergent
 
 
 def test_envelope_monotone_in_class_parameter(grid):
     """Membership at a2 implies membership at a1 < a2, with a constant
     that can only shrink as the envelope loosens."""
-    f = sample(lambda xs: hermite_phi(4, xs), grid)
+    f = SampledFunction(grid, hermite_phi_all(4, grid.xs)[4])
     reports = [envelope_scan(f, a) for a in (0.2, 0.5, 0.7, 0.9)]
     assert all(not r.divergent for r in reports)
     consts = [r.constant for r in reports]
@@ -201,7 +201,7 @@ def test_hardy_classify_gaussian_at_threshold(grid):
 
 
 def test_hardy_classify_phi2_at_threshold(grid):
-    f = sample(lambda xs: hermite_phi(2, xs), grid)
+    f = SampledFunction(grid, hermite_phi_all(2, grid.xs)[2])
     rep = hardy_classify(f, 1.0)
     assert not rep.member
     assert rep.constant is None  # a non-member has no class constant
@@ -209,7 +209,7 @@ def test_hardy_classify_phi2_at_threshold(grid):
 
 
 def test_hardy_classify_phi2_below_threshold(grid):
-    f = sample(lambda xs: hermite_phi(2, xs), grid)
+    f = SampledFunction(grid, hermite_phi_all(2, grid.xs)[2])
     rep = hardy_classify(f, 0.9)
     assert rep.member
     assert rep.constant > 0

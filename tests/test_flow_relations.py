@@ -24,13 +24,31 @@ grid of their degree), and phi_k for k in {0, 3, 40, 81, 119}; a in
 tests meet (numpy with OpenBLAS, x86-64) are 8.0e-14 for the period, 4.9e-14
 for the scaling, 2.7e-14 for the quarter shift, 1.5e-15 between a Gaussian
 and its expansion and 5.6e-16 for the norms.
+
+The class constant C that the flow's t = 0 row gives a member also feeds
+the bounds that ``bargmann`` and ``coeffs`` print beside the state's own
+values, and the paper's estimates order them:
+
+- |Uf(w)| <= ``quadrant_bound`` at every ring point;
+- every ``log10_envelope_margin`` and ``log10_contour_margin`` is >= 0.
+
+These run over the same cases, at a in {0.3, 0.6, 0.9}, and over Gaussian
+inputs (centred Gaussians, boundary chirps, squeezed states) at those
+weights and at their own.  They hold with no slack.  The smallest margins
+these tests meet are 0.32 decades for ``bargmann`` (squeezed:beta=2 at its
+own weight, |w| = 0.5), 0.73 for the envelope bound and 0.63 for the contour
+bound.
 """
 
+import contextlib
+import io
+import json
 import math
 
 import numpy as np
 import pytest
 
+from gaussherm.cli import main
 from gaussherm.gaussians import GeneralizedGaussian, hermite_coeffs, moebius_ratio, squeezed_state
 from gaussherm.hermite import HermiteExpansion, unit_expansion
 from gaussherm.oscillator import default_t_grid, evolve_expansion, flow_envelopes
@@ -157,3 +175,68 @@ def test_a_gaussian_is_its_truncated_expansion(a):
                         assert _close(re.constant, rg.constant, GAUSSIAN_REL)
                 seen += 1
     assert seen >= 12
+
+
+#: Gaussian inputs of the bound relations, and the weights they are read at
+#: (None: the input's own).
+GAUSSIAN_SPECS = ["gaussian:b=1", "gaussian:A=0.7-0.4i,b=1.05+0.02i",
+                  "gaussian:A=1.2+0.3i,b=0.8+0.1i", "chirp:alpha=0.2", "chirp:alpha=0.27465",
+                  "chirp:alpha=0.5", "squeezed:beta=0.5", "squeezed:beta=2"]
+
+
+def _bound_inputs(tmp_path):
+    """(spec, weights) of every input of the bound relations: each case of
+    the net as an ``expansion:@`` file, then the Gaussian inputs."""
+    out = []
+    for i, e in enumerate(_cases()):
+        path = tmp_path / f"case{i}.json"
+        path.write_text(json.dumps({"coeffs": [[c.real, c.imag] for c in e.coeffs]}))
+        out.append((f"expansion:@{path}", A_VALUES))
+    return out + [(spec, [*A_VALUES, None]) for spec in GAUSSIAN_SPECS]
+
+
+def _table(argv, a):
+    """The JSON table the command prints at weight a (None: no --a)."""
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        assert main(argv + ([] if a is None else ["--a", str(a)]) + ["--format", "json"]) == 0
+    return json.loads(buf.getvalue())
+
+
+def _column(table, name):
+    i = table["columns"].index(name)
+    return np.array([float(row[i]) for row in table["rows"]])
+
+
+def test_bargmann_stays_under_the_quadrant_bound(tmp_path):
+    """|Uf(w)| <= quadrant_bound at each of 24 points on the rings |w| in
+    {0.5, 2, 5}, for every member input and weight."""
+    members = 0
+    for spec, weights in _bound_inputs(tmp_path):
+        for a in weights:
+            for ring in ("0.5", "2", "5"):
+                table = _table(["bargmann", spec, "--w-ring", ring, "--w-count", "24"], a)
+                if table["C"] is None:
+                    continue
+                members += 1
+                abs_u, bound = _column(table, "abs_u"), _column(table, "quadrant_bound")
+                assert np.all(abs_u <= bound), (spec, a, ring)
+    assert members == 189  # 63 member (input, weight) pairs on 3 rings
+
+
+def test_coeffs_margins_are_nonnegative_for_members(tmp_path):
+    """Every log10_envelope_margin (k >= 1) and log10_contour_margin
+    (k >= 2) is >= 0 up to k = 150, for every member input and weight; a
+    vanishing coefficient's margin is +inf."""
+    members = 0
+    for spec, weights in _bound_inputs(tmp_path):
+        for a in weights:
+            table = _table(["coeffs", spec, "--kmax", "150"], a)
+            if table["C"] is None:
+                continue
+            members += 1
+            for name, first in (("log10_envelope_margin", 1), ("log10_contour_margin", 2)):
+                margins = _column(table, name)
+                assert np.all(np.isnan(margins[:first])), (spec, a, name)
+                assert np.all(margins[first:] >= 0.0), (spec, a, name)
+    assert members == 63  # of 71 (input, weight) pairs

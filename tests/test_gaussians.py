@@ -80,13 +80,13 @@ def test_bargmann_gaussian_examples():
 
 @pytest.mark.parametrize("b", WIDTHS)
 def test_bargmann_gaussian_matches_numeric(grid, b):
-    from gaussherm.bargmann import bargmann_numeric
+    from gaussherm.bargmann import bargmann_row_sets
 
     g = GeneralizedGaussian(0.8 + 0.1j, b)
     closed = bargmann_gaussian(g)
     rng = np.random.default_rng(5)
     ws = 3.0 * (rng.random(20) * np.exp(2j * math.pi * rng.random(20)))
-    numeric = bargmann_numeric(g.sample(grid), ws)
+    numeric = bargmann_row_sets([g.sample(grid).values], grid, ws)[0][0]
     assert np.max(np.abs(numeric - closed(ws)) / np.abs(closed(ws))) < 1e-8
 
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from gaussherm.grid import GridSpec, SampledFunction, norm_sq, sample, trapezoid
+from gaussherm.grid import GridSpec, SampledFunction, norm_sq, trapezoid
 
 
 def test_grid_validation():
@@ -41,7 +41,7 @@ def test_sampled_function_validation():
 
 def test_trapezoid_and_norm():
     g = GridSpec(16.0, 2048)
-    f = sample(lambda xs: np.exp(-0.5 * xs ** 2), g)
+    f = SampledFunction(g, np.exp(-0.5 * g.xs ** 2))
     # integral of e^{-x^2} dx/sqrt(2 pi) = 2^{-1/2}
     assert norm_sq(f) == pytest.approx(2 ** -0.5, rel=1e-12)
     vals = np.ones(11)

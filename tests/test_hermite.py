@@ -11,7 +11,7 @@ import pytest
 import gaussherm.hermite as hermite
 import gaussherm.verify as verify
 from gaussherm.errors import BandLimitError, EdgeDecayError
-from gaussherm.grid import SQRT_2PI, GridSpec, SampledFunction, norm_sq, sample, trapezoid_weights
+from gaussherm.grid import SQRT_2PI, GridSpec, SampledFunction, norm_sq, trapezoid_weights
 from gaussherm.hermite import (
     HermiteExpansion,
     analyze,
@@ -20,13 +20,21 @@ from gaussherm.hermite import (
     fourier_rows,
     fourier_sampled,
     grid_basis,
-    hermite_phi,
     hermite_phi_all,
-    mehler_closed_form,
-    mehler_partial_sum,
-    synthesize,
     unit_expansion,
 )
+
+
+def synthesize(e, grid):
+    """Reference synthesis: sum_k c_k phi_k on the grid, over the grid's
+    cached basis rows (refused past the grid's band limit, as they are)."""
+    return SampledFunction(grid, e.coeffs @ grid_basis(grid, len(e) - 1))
+
+
+def mehler_closed_form(x, w):
+    """Mehler's closed form of sum_k phi_k(x)**2 w**k for |w| < 1:
+    sqrt(2) (1 - w**2)**-0.5 exp(-((1-w)/(1+w)) x**2)."""
+    return math.sqrt(2.0) / math.sqrt(1.0 - w * w) * math.exp(-(1.0 - w) / (1.0 + w) * x * x)
 
 
 def phi2_explicit(x):
@@ -36,16 +44,16 @@ def phi2_explicit(x):
 
 
 def test_phi0_at_zero_pin():
-    assert hermite_phi(0, [0.0])[0] == pytest.approx(2.0 ** 0.25, abs=1e-14)
+    assert hermite_phi_all(0, [0.0])[0, 0] == pytest.approx(2.0 ** 0.25, abs=1e-14)
 
 
 def test_phi1_odd():
-    assert hermite_phi(1, [0.0])[0] == 0.0
+    assert hermite_phi_all(1, [0.0])[1, 0] == 0.0
 
 
 def test_phi2_against_explicit_polynomial():
     xs = np.linspace(-4, 4, 17)
-    assert hermite_phi(2, xs) == pytest.approx(phi2_explicit(xs), abs=1e-14)
+    assert hermite_phi_all(2, xs)[2] == pytest.approx(phi2_explicit(xs), abs=1e-14)
 
 
 def test_phi_against_mpmath_closed_form():
@@ -56,7 +64,6 @@ def test_phi_against_mpmath_closed_form():
     xs = [0.0, 0.37, -1.3, 2.9, -5.5, 8.25, -11.0, 13.7, -18.0, 24.5, -30.0]
     table = hermite_phi_all(81, xs)
     for k in (0, 1, 5, 40, 81):
-        single = hermite_phi(k, xs)
         for j, x in enumerate(xs):
             xm = mp.mpf(x)
             expected = float(
@@ -64,10 +71,9 @@ def test_phi_against_mpmath_closed_form():
                 * mp.hermite(k, xm) * mp.exp(-xm * xm / 2)
             )
             if abs(expected) < np.finfo(float).tiny:
-                assert table[k, j] == 0.0 and single[j] == 0.0
+                assert table[k, j] == 0.0
             else:
                 assert abs(table[k, j] - expected) <= 1e-12 * abs(expected)
-                assert abs(single[j] - expected) <= 1e-12 * abs(expected)
 
 
 def test_recurrence_against_extended_precision():
@@ -94,7 +100,7 @@ def test_recurrence_against_extended_precision():
 
 
 def test_underflow_flushes_to_exact_zero():
-    vals = hermite_phi(0, [50.0])
+    vals = hermite_phi_all(0, [50.0])[0]
     assert vals[0] == 0.0
 
 
@@ -197,29 +203,27 @@ def test_grid_basis_rebuild_holds_one_basis(grid, monkeypatch):
     assert peak < 1.5 * nbytes
 
 
-def test_real_basis_products_match_complex_cast(grid, rng):
-    """analyze and synthesize against the products with a complex copy of
-    the basis they replaced."""
+def test_real_basis_products_match_complex_cast(grid):
+    """analyze against the product with a complex copy of the basis it
+    replaced."""
     k = 50
-    phi_c = hermite_phi_all(k, grid.xs).astype(complex)
-    f = sample(lambda xs: (1.0 + 0.5j * xs - 0.2 * xs ** 3) * np.exp(-(0.4 - 0.3j) * xs ** 2), grid)
+    xs = grid.xs
+    phi_c = hermite_phi_all(k, xs).astype(complex)
+    f = SampledFunction(grid, (1.0 + 0.5j * xs - 0.2 * xs ** 3) * np.exp(-(0.4 - 0.3j) * xs ** 2))
     w = trapezoid_weights(grid.num_points, grid.spacing)
     old = phi_c @ (f.values * w) / SQRT_2PI
     assert np.max(np.abs(analyze(f, k).coeffs - old)) <= 1e-14 * np.max(np.abs(old))
-    e = HermiteExpansion(rng.normal(size=k + 1) + 1j * rng.normal(size=k + 1))
-    old = e.coeffs @ phi_c
-    assert np.max(np.abs(synthesize(e, grid).values - old)) <= 1e-14 * np.max(np.abs(old))
 
 
 @pytest.mark.parametrize("k,expected", [(0, 2.0 ** -0.25), (2, 0.0)])
 def test_analyze_gaussian_oracle(grid, k, expected):
     # oracle: e^{-x^2/2} = 2^{-1/4} phi_0 exactly (Gaussian integral)
-    f = sample(lambda xs: np.exp(-0.5 * xs ** 2), grid)
+    f = SampledFunction(grid, np.exp(-0.5 * grid.xs ** 2))
     assert analyze(f, k).coeffs[k] == pytest.approx(expected, abs=1e-10)
 
 
 def test_analyze_band_limit(grid):
-    f = sample(lambda xs: np.exp(-0.5 * xs ** 2), grid)
+    f = SampledFunction(grid, np.exp(-0.5 * grid.xs ** 2))
     analyze(f, band_limit(grid))
     with pytest.raises(BandLimitError):
         analyze(f, band_limit(grid) + 1)
@@ -237,7 +241,7 @@ def test_synthesize_band_limit(grid):
 
 
 def test_analyze_parseval(grid):
-    f0 = sample(lambda xs: hermite_phi(0, xs), grid)
+    f0 = SampledFunction(grid, hermite_phi_all(0, grid.xs)[0])
     e = analyze(f0, 30)
     assert e.norm_sq() == pytest.approx(1.0, abs=1e-10)
     zero = analyze(SampledFunction(grid, np.zeros(grid.num_points)), 10)
@@ -245,14 +249,14 @@ def test_analyze_parseval(grid):
 
 
 def test_parseval_inequality_for_generic_function(grid, rng):
-    f = sample(lambda xs: (np.tanh(xs) + 0.3) * np.exp(-0.4 * xs ** 2), grid)
+    f = SampledFunction(grid, (np.tanh(grid.xs) + 0.3) * np.exp(-0.4 * grid.xs ** 2))
     e = analyze(f, 60)
     assert e.norm_sq() <= norm_sq(f) + 1e-10
 
 
 def test_synthesize_unit_is_phi(grid):
     f = synthesize(unit_expansion(5), grid)
-    assert f.values == pytest.approx(hermite_phi(5, grid.xs).astype(complex), abs=1e-14)
+    assert f.values == pytest.approx(hermite_phi_all(5, grid.xs)[5].astype(complex), abs=1e-14)
 
 
 def test_analyze_synthesize_round_trip(grid, rng):
@@ -286,19 +290,19 @@ def test_fourier_expansion_fourth_power_identity(rng):
 
 
 def test_fourier_sampled_gaussian_selfdual(grid):
-    f = sample(lambda xs: np.exp(-0.5 * xs ** 2), grid)
+    f = SampledFunction(grid, np.exp(-0.5 * grid.xs ** 2))
     assert np.max(np.abs(fourier_sampled(f).values - f.values)) < 1e-8
 
 
 def test_fourier_sampled_width_two_oracle(grid):
     # oracle: Gaussian integral, e^{-x^2} -> 2^{-1/2} e^{-xi^2/4}
-    f = sample(lambda xs: np.exp(-xs ** 2), grid)
+    f = SampledFunction(grid, np.exp(-grid.xs ** 2))
     target = 2 ** -0.5 * np.exp(-grid.xs ** 2 / 4)
     assert np.max(np.abs(fourier_sampled(f).values - target)) < 1e-8
 
 
 def test_fourier_sampled_phi1_eigenfunction(grid):
-    f = sample(lambda xs: hermite_phi(1, xs), grid)
+    f = SampledFunction(grid, hermite_phi_all(1, grid.xs)[1])
     assert np.max(np.abs(fourier_sampled(f).values - (-1j) * f.values)) < 1e-8
 
 
@@ -316,7 +320,7 @@ def fourier_sampled_direct(values, grid):
 
 def test_fourier_sampled_matches_direct_reference():
     g = GridSpec(12.0, 256)
-    f = sample(lambda xs: np.exp(-0.5 * xs ** 2) * (1 + 0.3 * xs + 0.2j * xs ** 2), g)
+    f = SampledFunction(g, np.exp(-0.5 * g.xs ** 2) * (1 + 0.3 * g.xs + 0.2j * g.xs ** 2))
     a = fourier_sampled(f).values
     b = fourier_sampled_direct(f.values[:, None], g)[:, 0]
     assert np.max(np.abs(a - b)) < 1e-12
@@ -466,7 +470,7 @@ def test_phase_ramp_rows_equal_single_angles():
 
 
 def test_fourier_sampled_fourth_power_identity(grid):
-    f = sample(lambda xs: np.exp(-0.4 * xs ** 2) * (1 + xs), grid)
+    f = SampledFunction(grid, np.exp(-0.4 * grid.xs ** 2) * (1 + grid.xs))
     out = f
     for _ in range(4):
         out = fourier_sampled(out)
@@ -474,7 +478,7 @@ def test_fourier_sampled_fourth_power_identity(grid):
 
 
 def test_fourier_commutes_with_analyze(grid):
-    f = sample(lambda xs: np.exp(-0.45 * xs ** 2) * (1 + 0.5 * xs), grid)
+    f = SampledFunction(grid, np.exp(-0.45 * grid.xs ** 2) * (1 + 0.5 * grid.xs))
     via_sampled = analyze(fourier_sampled(f), 40).coeffs
     via_expansion = fourier_expansion(analyze(f, 40)).coeffs
     assert np.max(np.abs(via_sampled - via_expansion)) < 1e-8
@@ -482,7 +486,7 @@ def test_fourier_commutes_with_analyze(grid):
 
 def test_fourier_sampled_rejects_undecayed_edges():
     g = GridSpec(4.0, 64)
-    f = sample(lambda xs: np.exp(-0.05 * xs ** 2), g)
+    f = SampledFunction(g, np.exp(-0.05 * g.xs ** 2))
     with pytest.raises(EdgeDecayError):
         fourier_sampled(f)
 
@@ -517,20 +521,13 @@ def test_mehler_closed_form_values():
     assert mehler_closed_form(0.0, 0.5) == pytest.approx(math.sqrt(2) / math.sqrt(0.75), rel=1e-14)
     x = 1.3
     assert mehler_closed_form(x, 0.0) == pytest.approx(math.sqrt(2) * math.exp(-x * x), rel=1e-14)
-    assert mehler_closed_form(x, 0.0) == pytest.approx(hermite_phi(0, [x])[0] ** 2, rel=1e-13)
+    assert mehler_closed_form(x, 0.0) == pytest.approx(hermite_phi_all(0, [x])[0, 0] ** 2, rel=1e-13)
 
 
 def test_mehler_partial_sum_converges():
-    assert mehler_partial_sum(1.0, 0.3, 60) == pytest.approx(
-        mehler_closed_form(1.0, 0.3), abs=1e-10
-    )
-
-
-def test_mehler_domain_error():
-    with pytest.raises(ValueError):
-        mehler_closed_form(0.0, 1.0)
-    with pytest.raises(ValueError):
-        mehler_partial_sum(0.0, -1.2, 10)
+    phi = hermite_phi_all(60, [1.0])[:, 0]
+    partial = float(np.sum(phi * phi * 0.3 ** np.arange(61)))
+    assert partial == pytest.approx(mehler_closed_form(1.0, 0.3), abs=1e-10)
 
 
 @pytest.mark.parametrize("w", [-0.3, 0.3, 0.5, 0.9])

@@ -22,7 +22,6 @@ from gaussherm.grid import DEFAULT_GRID, GridSpec
 from gaussherm.hermite import (
     BASIS_BYTES_CAP,
     HermiteExpansion,
-    _dot_real,
     analyze,
     band_limit,
     fourier_expansion,
@@ -45,6 +44,11 @@ from gaussherm.oscillator import (
 
 BETA = 0.5
 R = math.exp(-2 * BETA)
+
+
+def _dot_real(c, m):
+    """c @ m for complex c and real m, as two real products."""
+    return c.real @ m + 1j * (c.imag @ m)
 
 
 def test_evolve_expansion_quarter_period_phase():

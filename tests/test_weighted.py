@@ -14,13 +14,11 @@ from gaussherm.gaussians import (
     squeezed_state,
     weighted_norm_sq_gaussian,
 )
-from gaussherm.grid import DEFAULT_GRID, SQRT_2PI, GridSpec, sample
+from gaussherm.grid import DEFAULT_GRID, SQRT_2PI, GridSpec, SampledFunction
 from gaussherm.hermite import (
     HermiteExpansion,
     fourier_sampled,
-    hermite_phi,
     hermite_phi_all,
-    synthesize,
     unit_expansion,
 )
 from gaussherm.oscillator import default_t_grid, evolve_gaussian
@@ -119,7 +117,7 @@ def test_phi_norm_of_one_index_is_the_table_entry(a):
 
 def test_weighted_norm_sq_phi1_quadrature(wide_grid):
     # |phi_1 hat| = |phi_1|, so the time side alone is the two-sided norm
-    phi1 = hermite_phi(1, wide_grid.xs)
+    phi1 = hermite_phi_all(1, wide_grid.xs)[1]
     assert weighted_energy_rows(phi1, wide_grid, 0.5)[0] == pytest.approx(
         2 * math.sqrt(2), rel=1e-10
     )
@@ -128,7 +126,7 @@ def test_weighted_norm_sq_phi1_quadrature(wide_grid):
 @pytest.mark.parametrize("a", [0.2, 0.5, 0.8])
 @pytest.mark.parametrize("n", [0, 3, 12, 30])
 def test_closed_norm_matches_quadrature(wide_grid, a, n):
-    quad = weighted_energy_rows(hermite_phi(n, wide_grid.xs), wide_grid, a)[0]
+    quad = weighted_energy_rows(hermite_phi_all(n, wide_grid.xs)[n], wide_grid, a)[0]
     assert quad == pytest.approx(phi_weighted_norm_sq(n, a), rel=1e-10)
 
 
@@ -141,11 +139,12 @@ def test_sampled_and_expansion_routes_agree(grid):
     mixed = HermiteExpansion(rng.normal(size=9) + 1j * rng.normal(size=9))
     for a in (0.1, 0.2):
         for n in (0, 1, 4, 8):
-            f = sample(lambda xs: hermite_phi(n, xs), grid)
+            f = SampledFunction(grid, hermite_phi_all(n, grid.xs)[n])
             assert two_sided_quadrature(f, a) == pytest.approx(
                 expansion_weighted_norm_sq(unit_expansion(n), a), rel=1e-9
             )
-        assert two_sided_quadrature(synthesize(mixed, grid), a) == pytest.approx(
+        f = SampledFunction(grid, mixed.coeffs @ hermite_phi_all(len(mixed) - 1, grid.xs))
+        assert two_sided_quadrature(f, a) == pytest.approx(
             expansion_weighted_norm_sq(mixed, a), rel=1e-9
         )
 
@@ -325,14 +324,14 @@ def test_unweighted_limit_is_orthonormality():
 
 @pytest.mark.parametrize("n", [0, 1, 7, 20])
 def test_zero_weight_norm_is_plain_l2(grid, n):
-    f = sample(lambda xs: hermite_phi(n, xs), grid)
+    f = SampledFunction(grid, hermite_phi_all(n, grid.xs)[n])
     assert two_sided_quadrature(f, 0.0) == pytest.approx(1.0, rel=1e-10)
     assert weighted_energy_rows(f.values, grid, 0.0)[0] == pytest.approx(1.0, rel=1e-10)
 
 
 def test_norm_monotone_in_weight(grid):
     weights = (0.05, 0.2, 0.4, 0.6)
-    phi2 = hermite_phi(2, grid.xs)
+    phi2 = hermite_phi_all(2, grid.xs)[2]
     mixed = HermiteExpansion([1.0, 0.5j, -0.25, 0.0, 0.1 + 0.1j])
     for values in (
         [weighted_energy_rows(phi2, grid, a)[0] for a in weights],
