@@ -1,9 +1,11 @@
 """Timings of gaussherm's kernels and verify criteria, in-process, and of
 its import, ``verify-all``, the 4,096-time ``evolve`` and ``confine`` of
 ``hermite:k=81``, the 4,096-time ``evolve`` of a seeded dense 82-term
-expansion and the 64- and 4,096-time ``evolve`` of ``hermite:k=1764`` in
-fresh interpreters, plus the first ``verify-all`` of a fresh interpreter timed
-inside it after its import.
+expansion, the 64- and 4,096-time ``evolve`` of ``hermite:k=1764`` and the
+100,001-row ``coeffs`` tables in CSV and JSON in fresh interpreters, plus the
+first ``verify-all`` of a fresh interpreter timed inside it after its import.
+One cycle of perfbench's ``flow`` requests (its 17 argv, taken from
+``perfbench/workloads.py``) is replayed in-process as one item.
 
 Run from the root of a checkout (the package is taken from its ``src``)::
 
@@ -65,6 +67,7 @@ sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 
 import calibrate  # noqa: E402
 import numpy as np  # noqa: E402
+import workloads  # noqa: E402
 
 #: The checkout whose package is timed: this one, or a worker's.
 PACKAGE_ROOT = ROOT
@@ -86,8 +89,13 @@ def load_package(root: str) -> None:
 #: warmed up.
 LONG_EVOLVE = "evolve hermite:k=1764 --a 0.3 --t-grid 4096 (subprocess)"
 
+#: The 100,001-row coeffs tables, 1.5-2.5 s a call as a subprocess.
+WIDE_COEFFS = {fmt: f"coeffs hermite:k=40 --kmax 100000 --format {fmt} (subprocess)"
+               for fmt in ("csv", "json")}
+
 #: Items timed a fixed number of times, whatever ``--repeats`` says.
-FIXED_REPEATS = {"import gaussherm.cli (fresh interpreter)": 5, LONG_EVOLVE: 3}
+FIXED_REPEATS = {"import gaussherm.cli (fresh interpreter)": 5, LONG_EVOLVE: 3,
+                 WIDE_COEFFS["csv"]: 6, WIDE_COEFFS["json"]: 6}
 
 #: Untimed calls before timing (default 1).
 WARMUPS = {"import gaussherm.cli (fresh interpreter)": 3, LONG_EVOLVE: 0}
@@ -144,6 +152,23 @@ def dense_expansion_file() -> str:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump({"coeffs": coeffs.tolist()}, fh)
     return f"expansion:@{path}"
+
+
+def flow_cycle() -> list[list[str]]:
+    """The argv of one 17-request cycle of perfbench's ``flow`` workload (seed
+    1, the requests after its cold probe), its expansion files written to a
+    temporary directory that is removed when the process exits."""
+    folder = tempfile.mkdtemp(prefix="gaussherm-bench-flow-")
+    atexit.register(shutil.rmtree, folder, True)
+    return [req["argv"] for req in workloads.generate("flow", 1, folder)[1:18]]
+
+
+def replay(argvs: list[list[str]]) -> None:
+    """``cli.main`` on each argv in turn, stdout and stderr captured, as
+    perfbench's worker serves them (a refusal's exit code is a reply too)."""
+    for argv in argvs:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            cli.main(argv)
 
 
 def t_grid(size: int):
@@ -238,6 +263,17 @@ def items():
     for command in ("envelope", "coeffs", "bargmann"):
         for spec in ("squeezed:beta=0.5", "hermite:k=40"):
             out.append((f"cli {command} {spec}", lambda argv=[command, spec]: run_cli(argv)))
+    for fmt in ("csv", "json"):
+        out.append((f"cli evolve squeezed:beta=0.5 --format {fmt}",
+                    lambda fmt=fmt: run_cli(["evolve", "squeezed:beta=0.5", "--format", fmt])))
+    out.append(("cli confine squeezed:beta=0.5",
+                lambda: run_cli(["confine", "squeezed:beta=0.5", "--beta", "0.5",
+                                 "--gamma", "0.3"])))
+    cycle = flow_cycle()
+    out.append(("perfbench flow cycle, 17 requests (in-process)", lambda: replay(cycle)))
+    for fmt, name in WIDE_COEFFS.items():
+        out.append((name, lambda fmt=fmt: run_subprocess(["-m", "gaussherm", "coeffs", "hermite:k=40",
+                                                    "--kmax", "100000", "--format", fmt])))
     for fn in verify.ALL_CRITERIA:
         out.append((f"verify.{fn.__name__.removeprefix('criterion_')}",
                     lambda fn=fn: fn(cfg)))

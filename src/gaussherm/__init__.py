@@ -33,7 +33,6 @@ from .gaussians import (
     GeneralizedGaussian,
     bargmann_gaussian,
     boundary_chirp,
-    envelope_constant,
     envelope_membership,
     fourier_gaussian,
     gaussian,

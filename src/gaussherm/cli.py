@@ -15,8 +15,7 @@ divergence in confine.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
+import itertools
 import json
 import math
 import os
@@ -46,8 +45,9 @@ class CliParseError(ValueError):
 
 #: Largest --kmax, --t-grid and --w-count accepted (exit 2 above them).  At
 #: each cap the slowest command on an input within the default grid's band
-#: (K <= 81) ends within about 3 s: coeffs at kmax 100,000 (1.7 s, its
-#: columns one array call each; 2.4 s row by row), evolve of
+#: (K <= 81) ends within about 3 s: coeffs at kmax 100,000 (as a
+#: subprocess 1.9 s in CSV and 1.7 s in JSON, of which rendering the table
+#: is 0.3 and 0.4 s, each row formatted in one call), evolve of
 #: hermite:k=81 at 4,096 times, bargmann of hermite:k=81 on a 10,000-point
 #: ring (whose Taylor terms form (W, K) arrays, so the ring's cap is set by
 #: memory rather than time).  An expansion past that band runs on the wider
@@ -357,39 +357,105 @@ def _coefficients(inp: InputSpec, kmax: int) -> np.ndarray:
     return coeffs
 
 
-def _fmt(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        if math.isnan(value):
-            return "nan"
-        if math.isinf(value):
-            return "inf" if value > 0 else "-inf"
-        return f"{value:.17g}"
-    return str(value)
+#: A CSV field holding one of these is quoted, as csv's minimal quoting does.
+_CSV_SPECIAL = re.compile(r'[,"\r\n]')
+
+_BOOL_TEXT = {False: "false", True: "true"}
+
+
+def _csv_text(text: str) -> str:
+    """A text field as ``csv.writer`` (excel dialect) writes it."""
+    return '"%s"' % text.replace('"', '""') if _CSV_SPECIAL.search(text) else text
+
+
+def _csv_template(types: tuple) -> tuple[str, list]:
+    """The %-template of a CSV row whose cells have these types, and the
+    (index, converter) pairs of the cells that need one first: floats
+    print as %.17g (nan, inf and -inf too), ints as %d, bools as
+    true/false and anything else as its quoted str().  A row of one empty
+    field prints as "", as csv writes it."""
+    codes, convert = [], []
+    for i, kind in enumerate(types):
+        if kind is bool:
+            codes.append("%s")
+            convert.append((i, _BOOL_TEXT.__getitem__))
+        elif issubclass(kind, float):
+            codes.append("%.17g")
+        elif kind is int:
+            codes.append("%d")
+        else:
+            codes.append("%s")
+            convert.append((i, lambda v: _csv_text(str(v))))
+    if len(types) == 1 and convert:
+        (_, text), = convert
+        convert = [(0, lambda v: text(v) or '""')]
+    return ",".join(codes) + "\r\n", convert
+
+
+def _csv_table(header: list[str], rows) -> str:
+    """The CSV text of a table, each row one %-template call (RFC-4180
+    quoting, CRLF rows): one template per distinct row of cell types."""
+    templates = {}
+    out = []
+    for row in itertools.chain([header], rows):
+        types = tuple(map(type, row))
+        template = templates.get(types)
+        if template is None:
+            template = templates[types] = _csv_template(types)
+        text, convert = template
+        if convert:
+            row = list(row)
+            for i, fn in convert:
+                row[i] = fn(row[i])
+        out.append(text % tuple(row))
+    return "".join(out)
 
 
 def _json_safe(value):
+    """A non-finite float as its text (nan, inf, -inf), which a strict JSON
+    parser reads; any other value as it is."""
     if isinstance(value, float) and not math.isfinite(value):
-        return _fmt(value)
+        return "%.17g" % value
     return value
 
 
-def render_table(header: list[str], rows: list[list], fmt: str, meta: dict) -> str:
+#: The C encoder with the item separator of ``json.dumps(indent=2)`` at a
+#: row's cells, so all rows encode in one call.
+_JSON_ROWS = json.JSONEncoder(separators=(",\n      ", ": "))
+
+#: The encoder's tokens for non-finite floats and their text.
+_JSON_NON_FINITE = (("-Infinity", '"-inf"'), ("Infinity", '"inf"'), ("NaN", '"nan"'))
+
+
+def _json_rows(rows) -> str:
+    """The rows of a table, scalar cells, laid out as
+    ``json.dumps(indent=2)`` lays them out under the payload's "rows" key,
+    non-finite floats as their text."""
+    if not rows:
+        return "[]"
+    text = _JSON_ROWS.encode(rows)
+    if "NaN" in text or "Infinity" in text:
+        if '"' in text:  # a string cell may hold the words: map the cells instead
+            text = _JSON_ROWS.encode([[_json_safe(v) for v in row] for row in rows])
+        else:
+            for token, quoted in _JSON_NON_FINITE:
+                text = text.replace(token, quoted)
+    text = "[\n    [\n      %s\n    ]\n  ]" % text[2:-2].replace(
+        "],\n      [", "\n    ],\n    [\n      ")
+    return text if all(rows) else text.replace("[\n      \n    ]", "[]")
+
+
+def render_table(header: list[str], rows, fmt: str, meta: dict) -> str:
+    """A table as CSV or JSON text.  In JSON a non-finite float, in meta or
+    in a cell, prints as its text: the writer refuses NaN and Infinity,
+    which are not JSON."""
     if fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\r\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
-        return buf.getvalue()
-    # a non-finite float, in meta or in a cell, prints as its text: the
-    # writer refuses NaN and Infinity, which are not JSON
-    payload = {key: [_json_safe(v) for v in value] if isinstance(value, list) else _json_safe(value)
-               for key, value in meta.items()}
-    payload["columns"] = header
-    payload["rows"] = [[_json_safe(v) for v in row] for row in rows]
-    return json.dumps(payload, indent=2, allow_nan=False) + "\n"
+        return _csv_table(header, rows)
+    head = {key: [_json_safe(v) for v in value] if isinstance(value, list) else _json_safe(value)
+            for key, value in meta.items()}
+    head["columns"] = header
+    text = json.dumps(head, indent=2, allow_nan=False)
+    return '%s,\n  "rows": %s\n}\n' % (text[:-2], _json_rows(rows))
 
 
 def write_output(text: str, path: str | None) -> None:
@@ -413,10 +479,10 @@ def write_output(text: str, path: str | None) -> None:
 LOG10 = math.log(10.0)
 
 
-def _rows(*columns) -> list[list]:
+def _rows(*columns) -> list[tuple]:
     """Table rows from equal-length array columns, as Python ints, floats
     and bools (so JSON takes them)."""
-    return [list(row) for row in zip(*(np.asarray(c).tolist() for c in columns))]
+    return list(zip(*(np.asarray(c).tolist() for c in columns)))
 
 
 def _class_constant(cfg, inp: InputSpec) -> tuple[float | None, float | None]:

@@ -104,15 +104,20 @@ def squeezed_state(beta: float) -> GeneralizedGaussian:
     return GeneralizedGaussian(amp, b)
 
 
+def _fourier(amp: complex, width: complex) -> tuple[complex, complex]:
+    """:func:`fourier_gaussian` on the amplitude and width: (A b**-0.5, 1/b)."""
+    inv = 1.0 / width
+    if not inv.real > 0:
+        raise NumericalDomainError(
+            f"the Fourier transform of the Gaussian of width b={width} has width "
+            f"1/b={inv}, whose real part rounds to 0: Re b is too small for double precision")
+    return amp / cmath.sqrt(width), inv
+
+
 def fourier_gaussian(g: GeneralizedGaussian) -> GeneralizedGaussian:
     """Exact Fourier transform: (A, b) -> (A * b**-0.5, 1/b); refused
     (``NumericalDomainError``) where Re 1/b rounds to 0, as it can for a tiny Re b."""
-    width = 1.0 / g.width
-    if not width.real > 0:
-        raise NumericalDomainError(
-            f"the Fourier transform of the Gaussian of width b={g.width} has width "
-            f"1/b={width}, whose real part rounds to 0: Re b is too small for double precision")
-    return GeneralizedGaussian(g.amplitude / cmath.sqrt(g.width), width)
+    return GeneralizedGaussian(*_fourier(g.amplitude, g.width))
 
 
 def bargmann_gaussian(g: GeneralizedGaussian) -> BargmannGaussian:
@@ -167,8 +172,8 @@ def hermite_coeffs(g: GeneralizedGaussian, kmax: int) -> HermiteExpansion:
     return HermiteExpansion(coeffs)
 
 
-def envelope_constant(g: GeneralizedGaussian, a: float) -> EnvelopeReport:
-    """Best constant in |g(x)| <= C exp(-a x^2/2), in closed form.
+def _envelope_report(amp: complex, width: complex, a: float) -> EnvelopeReport:
+    """Best constant in |A e^{-b x^2/2}| <= C exp(-a x^2/2), in closed form.
 
     For Re b >= a the supremum of |A| exp((a - Re b) x^2 / 2) is |A|,
     attained at x = 0; for Re b < a the weighted modulus grows without
@@ -179,26 +184,35 @@ def envelope_constant(g: GeneralizedGaussian, a: float) -> EnvelopeReport:
     """
     if a <= 0:
         raise ValueError(f"a must be positive, got {a}")
-    divergent = g.width.real < a * (1.0 - 1e-12)
-    return EnvelopeReport(
-        a=a, constant=abs(g.amplitude), argmax_x=0.0, divergent=divergent
-    )
+    return EnvelopeReport(a, abs(amp), 0.0, width.real < a * (1.0 - 1e-12))
+
+
+def _membership(amp: complex, width: complex, a: float) -> Membership:
+    """:func:`envelope_membership` on the amplitude and width: the time side
+    and the Fourier side (A b**-0.5, 1/b), each by :func:`_envelope_report`."""
+    return Membership(_envelope_report(amp, width, a),
+                      _envelope_report(*_fourier(amp, width), a))
 
 
 def envelope_membership(g: GeneralizedGaussian, a: float) -> Membership:
     """Check |g| and |g_hat| against exp(-a x^2/2), both in closed form."""
-    return Membership(envelope_constant(g, a), envelope_constant(fourier_gaussian(g), a))
+    return _membership(g.amplitude, g.width, a)
+
+
+def _energy(amp: complex, width: complex, a: float = 0.0) -> float:
+    """:func:`gaussian_energy` on the amplitude and width."""
+    amp, root = abs(amp), math.sqrt(2.0 * (width.real - a))
+    try:
+        return amp ** 2 / root
+    except OverflowError:
+        return amp * (amp / root)
 
 
 def gaussian_energy(g: GeneralizedGaussian, a: float = 0.0) -> float:
     """The integral of |g|^2 e^{a x^2} dm, |A|^2 (2(Re b - a))**-0.5 (at a = 0
     the squared norm), for Re b > a; inf past the double range.  Where |A|^2
     alone is past it, |A| is divided out first, so a finite value is not lost."""
-    amp, root = abs(g.amplitude), math.sqrt(2.0 * (g.width.real - a))
-    try:
-        return amp ** 2 / root
-    except OverflowError:
-        return amp * (amp / root)
+    return _energy(g.amplitude, g.width, a)
 
 
 def weighted_norm_sq_gaussian(g: GeneralizedGaussian, a: float) -> float:

@@ -22,7 +22,7 @@ import numpy as np
 
 from .decay import EnvelopeReport, Membership, sample_peak
 from .errors import NumericalDomainError
-from .gaussians import GeneralizedGaussian, envelope_membership, gaussian_energy, moebius_ratio
+from .gaussians import GeneralizedGaussian, _energy, _membership, moebius_ratio
 from .grid import DEFAULT_GRID, GridSpec
 from .hermite import (BAND_LIMIT_FRACTION, HermiteExpansion, fourier_expansion, grid_basis,
                       hermite_phi_all)
@@ -44,6 +44,24 @@ def evolve_expansion(e: HermiteExpansion, t: float) -> HermiteExpansion:
     return HermiteExpansion(e.coeffs * np.exp(1j * (2 * n + 1) * t))
 
 
+def _evolve(amp: complex, b: complex, t: float, root: complex) -> tuple[complex, complex]:
+    """:func:`evolve_gaussian` on the amplitude and width: (A(t), b(t)),
+    ``root`` being sqrt(1+b)."""
+    if t == 0:
+        bt = b
+    else:
+        _check_phase(2.0, t)
+        c, s = math.cos(2.0 * t), math.sin(2.0 * t)
+        bt = (b * c - 1j * s) / (c - 1j * b * s)
+    if not (bt.real > 0 and (1.0 / bt).real > 0):
+        raise NumericalDomainError(
+            f"the flow of the Gaussian of width b={b} at t={t} has width b(t)={bt}, whose "
+            f"real part or that of 1/b(t) rounds to 0: Re b is too small for double precision")
+    if t == 0:
+        return amp, b
+    return amp * cmath.exp(1j * t) * cmath.sqrt(1.0 + bt) / root, bt
+
+
 def evolve_gaussian(g: GeneralizedGaussian, t: float) -> GeneralizedGaussian:
     """Closed-form flow of a generalized Gaussian.
 
@@ -58,21 +76,8 @@ def evolve_gaussian(g: GeneralizedGaussian, t: float) -> GeneralizedGaussian:
     side (the flow a quarter period back), rounds to 0 or below, as it can
     for a tiny Re b.
     """
-    b = g.width
-    if t == 0:
-        bt = b
-    else:
-        _check_phase(2.0, t)
-        c, s = math.cos(2.0 * t), math.sin(2.0 * t)
-        bt = (b * c - 1j * s) / (c - 1j * b * s)
-    if not (bt.real > 0 and (1.0 / bt).real > 0):
-        raise NumericalDomainError(
-            f"the flow of the Gaussian of width b={b} at t={t} has width b(t)={bt}, whose "
-            f"real part or that of 1/b(t) rounds to 0: Re b is too small for double precision")
-    if t == 0:
-        return g
-    amp = g.amplitude * cmath.exp(1j * t) * cmath.sqrt(1.0 + bt) / cmath.sqrt(1.0 + b)
-    return GeneralizedGaussian(amp, bt)
+    amp, bt = _evolve(g.amplitude, g.width, t, cmath.sqrt(1.0 + g.width))
+    return g if t == 0 else GeneralizedGaussian(amp, bt)
 
 
 def fourier_time_shift_check(e: HermiteExpansion, t: float) -> float:
@@ -166,7 +171,7 @@ def gaussian_flow_extremes(g: GeneralizedGaussian, a: float):
     frequency constants are |A| (|1+z| / |1 +- r e^{i theta}|)^{1/2}, with
     sup |A| (|1+z| / (1-r))^{1/2} at theta = pi and 0 (mod 2 pi).  Re b(t)
     and Re 1/b(t) stay >= a exactly when (1-r)/(1+r) >= a (to the 1e-12
-    relative tolerance of ``gaussians.envelope_constant``); otherwise one of
+    relative tolerance of ``gaussians.envelope_membership``); otherwise one of
     them is below a exactly while |cos theta| > ((1-r^2)/a - 1 - r^2) / (2r).
     """
     z = moebius_ratio(g)
@@ -281,10 +286,12 @@ def flow_envelopes(psi0: HermiteExpansion | GeneralizedGaussian, ts, a: float):
     refused before any row is yielded (``NumericalDomainError``)."""
     uniform = isinstance(ts, (int, np.integer))
     ts = default_t_grid(ts) if uniform else np.asarray(ts, dtype=float).ravel()
-    if isinstance(psi0, GeneralizedGaussian):
-        for t in ts:
-            gt = evolve_gaussian(psi0, float(t))
-            yield gaussian_energy(gt), envelope_membership(gt, a)
+    if isinstance(psi0, GeneralizedGaussian):  # no Gaussian is built per time
+        amp, b = psi0.amplitude, psi0.width
+        root = cmath.sqrt(1.0 + b)
+        for t in ts.tolist():
+            at, bt = _evolve(amp, b, t, root)
+            yield _energy(at, bt), _membership(at, bt, a)
         return
     norm, c, top = psi0.norm_sq(), psi0.coeffs, np.flatnonzero(psi0.coeffs)
     k = np.arange(len(c))

@@ -28,6 +28,7 @@ from gaussherm.cli import (
     parse_input_spec,
     render_table,
 )
+from gaussherm import oscillator as osc
 from gaussherm.errors import NumericalDomainError
 from gaussherm.gaussians import GeneralizedGaussian, fourier_gaussian
 from gaussherm.grid import GridSpec
@@ -1389,3 +1390,203 @@ def test_render_table_writes_non_finite_meta_as_text():
     data = _strict_json(render_table(["t", "c"], [[0.0, -math.inf]], "json", meta))
     assert data["sup_constant"] == "inf" and data["attained_ts"] == ["nan", 0.5]
     assert data["a"] == 0.25 and data["rows"] == [[0.0, "-inf"]]
+
+
+def _reference_fmt(value) -> str:
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        if math.isnan(value):
+            return "nan"
+        if math.isinf(value):
+            return "inf" if value > 0 else "-inf"
+        return f"{value:.17g}"
+    return str(value)
+
+
+def _reference_json_safe(value):
+    if isinstance(value, float) and not math.isfinite(value):
+        return _reference_fmt(value)
+    return value
+
+
+def _reference_render_table(header, rows, fmt, meta) -> str:
+    """render_table as it was first written, csv.writer over a format call
+    per cell and the pure-Python json.dumps(indent=2): the reference for
+    the writer that formats each row in one call."""
+    if fmt == "csv":
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\r\n")
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([_reference_fmt(v) for v in row])
+        return buf.getvalue()
+    payload = {key: [_reference_json_safe(v) for v in value] if isinstance(value, list)
+               else _reference_json_safe(value) for key, value in meta.items()}
+    payload["columns"] = header
+    payload["rows"] = [[_reference_json_safe(v) for v in row] for row in rows]
+    return json.dumps(payload, indent=2, allow_nan=False) + "\n"
+
+
+#: Cells of the writer's corpus: ints, floats at the double range's edges,
+#: non-finite floats, numpy float64s, bools and strings csv must quote.
+_CELLS = {
+    "int": [0, -1, 2 ** 53 + 1, 2 ** 63],
+    "float": [-0.0, 5e-324, 1e308, 1 / 3, math.nan, math.inf, -math.inf],
+    "float64": [np.float64(0.1), np.float64(-2.5e-300), np.float64(math.nan)],
+    "bool": [True, False],
+    "str": ["a,b", 'say "x"', "cr\rhere", "nl\nhere", "", "NaN", "-Infinity", "plain"],
+}
+
+
+def _corpus_table(rng, n_rows):
+    """A seeded table: each column of one cell kind, or of mixed kinds."""
+    kinds = [rng.choice([*_CELLS, "mixed"]) for _ in range(rng.randint(1, 6))]
+    pools = [sum(_CELLS.values(), []) if kind == "mixed" else _CELLS[kind] for kind in kinds]
+    header = [rng.choice(["t", "constant", "a,b", 'q"h', ""]) for _ in kinds]
+    rows = [[rng.choice(pool) for pool in pools] for _ in range(n_rows)]
+    meta = {"command": "test", "a": rng.choice([0.25, math.nan, None, "x"]),
+            "sup_constant": rng.choice([math.inf, -math.inf, 1 / 3]),
+            "attained_ts": [math.nan, 0.5, math.inf]}
+    return header, rows, meta
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("n_rows", [0, 1, 64])
+def test_render_table_equals_the_reference_writer(fmt, n_rows):
+    """The writer prints every byte the cell-by-cell writer prints, on a
+    seeded corpus of tables, as lists and as tuples of cells."""
+    rng = random.Random(f"render-{fmt}-{n_rows}")
+    for _ in range(60):
+        header, rows, meta = _corpus_table(rng, n_rows)
+        want = _reference_render_table(header, rows, fmt, meta)
+        assert render_table(header, rows, fmt, meta) == want
+        assert render_table(header, [tuple(row) for row in rows], fmt, meta) == want
+    for rows in ([[]], [[], [1.5]], [[1.5], [], [2]]):  # rows without cells
+        assert render_table(["a"], rows, fmt, {}) == _reference_render_table(["a"], rows, fmt, {})
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_render_table_of_100001_rows_equals_the_reference_writer(fmt):
+    rng = random.Random(100_001)
+    values = _CELLS["int"] + _CELLS["float"] + [np.float64(0.7)]
+    rows = [[k, rng.choice(values), rng.random(), k % 3 == 0] for k in range(100_001)]
+    header, meta = ["k", "v", "u", "flag"], {"command": "test", "C": math.nan}
+    assert render_table(header, rows, fmt, meta) == _reference_render_table(header, rows, fmt, meta)
+
+
+def _cli_tables(argv):
+    """The CSV and the JSON table of one command: (header, CSV rows, JSON rows)."""
+    out = {}
+    for fmt in ("csv", "json"):
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            assert main([*argv, "--format", fmt]) == 0
+        out[fmt] = buf.getvalue()
+    header, *rows = csv.reader(io.StringIO(out["csv"]))
+    data = _strict_json(out["json"])
+    assert data["columns"] == header
+    return header, rows, data["rows"]
+
+
+def _as_double(cell):
+    """A printed number as the double it parses to; true/false as bools."""
+    if isinstance(cell, str) and cell in ("true", "false"):
+        return cell == "true"
+    return cell if isinstance(cell, bool) else float(cell)
+
+
+@pytest.mark.parametrize("argv", [
+    ["evolve", "squeezed:beta=0.27236", "--a", "0.340408"],
+    ["evolve", "hermite:k=7", "--a", "0.3", "--t-grid", "8"],
+    ["confine", "squeezed:beta=0.854728", "--beta", "0.8", "--gamma", "0.3"],
+    ["confine", "hermite:k=5", "--beta", "0.6", "--gamma", "0.4", "--t-grid", "8"],
+    ["coeffs", "chirp:alpha=0.27465", "--kmax", "80"],
+    ["coeffs", "hermite:k=40", "--kmax", "60"],
+    ["bargmann", "gaussian:A=1.3-0.2i,b=0.7+1.1i", "--w-count", "12"],
+    ["bargmann", "hermite:k=9", "--a", "0.4"],
+], ids=lambda v: v[0] + "-" + v[1].partition(":")[0])
+def test_every_printed_number_parses_back_to_the_same_double(argv):
+    """CSV (%.17g) and JSON (the shortest repr) print each cell so that it
+    parses back to the double the command computed: both formats give the
+    same doubles, and evolve's equal the flow rows formed in-process."""
+    header, csv_rows, json_rows = _cli_tables(argv)
+    assert len(csv_rows) == len(json_rows) > 0
+    for csv_row, json_row in zip(csv_rows, json_rows):
+        for text, value in zip(csv_row, json_row):
+            got, want = _as_double(text), _as_double(value)
+            assert got == want or (math.isnan(got) and math.isnan(want))
+    if argv[0] == "evolve":
+        spec = parse_input_spec(argv[1])
+        times = int(argv[argv.index("--t-grid") + 1]) if "--t-grid" in argv else 64
+        flow = list(osc.flow_envelopes(spec.state, times, float(argv[argv.index("--a") + 1])))
+        for row, (norm, mem) in zip(csv_rows, flow):
+            assert [float(v) for v in row[1:4]] == [
+                norm, mem.time_report.constant, mem.frequency_report.constant]
+
+
+def _mp_flow_columns(g, t, mp):
+    """|A(t)|, |A(t)| |b(t)|^{-1/2} and |A(t)|^2 / sqrt(2 Re b(t)) of the
+    Gaussian's flow at t, in mpmath's precision."""
+    amp, b, t = mp.mpc(g.amplitude), mp.mpc(g.width), mp.mpf(t)
+    c, s = mp.cos(2 * t), mp.sin(2 * t)
+    bt = (b * c - 1j * s) / (c - 1j * b * s)
+    at = amp * mp.exp(1j * t) * mp.sqrt(1 + bt) / mp.sqrt(1 + b)
+    return abs(at), abs(at) / mp.sqrt(abs(bt)), abs(at) ** 2 / mp.sqrt(2 * bt.real)
+
+
+@pytest.mark.parametrize("spec", [
+    "squeezed:beta=0.2", "squeezed:beta=0.854728", "chirp:alpha=0.27465", "chirp:alpha=0.7",
+    "gaussian:A=1.3-0.2i,b=0.7+1.1i", "gaussian:A=0.8+0.4i,b=2.5-0.3i",
+])
+def test_gaussian_flow_columns_against_mpmath_closed_forms(spec):
+    """evolve's norm and constants and confine's constants of a Gaussian
+    agree with the closed forms at 30 digits, at the input's own A and b
+    and the printed t, to 2e-15 relative (the worst measured over these
+    inputs is 8.9e-16, four ulps)."""
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 30
+    g = parse_input_spec(spec).state
+    _, evolve_rows, _ = _cli_tables(["evolve", spec, "--a", "0.05"])
+    _, confine_rows, _ = _cli_tables(["confine", spec, "--beta", "2", "--gamma", "0.01"])
+    checked = 0
+    for rows, columns in ((evolve_rows, (2, 3, 1)), (confine_rows, (1, 2))):
+        assert len(rows) == 64
+        for row in rows:
+            want = _mp_flow_columns(g, float(row[0]), mp)
+            for col, closed in zip(columns, want):
+                assert abs(float(row[col]) - closed) <= 2e-15 * closed
+                checked += 1
+    assert checked == 64 * 5
+
+
+@pytest.mark.parametrize("argv", [
+    ["evolve", "gaussian:A=1,b=4e-324+1i", "--a", "0.1"],
+    ["confine", "gaussian:A=1,b=4e-324+1i", "--beta", "1", "--gamma", "0.5"],
+], ids=["evolve", "confine"])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_a_flow_whose_width_rounds_to_0_is_refused_at_its_first_time(argv, fmt, capsys):
+    """Re b(t) of b = 5e-324 + i rounds to 0 at t = 22 pi/128, the 23rd time
+    of the 64-time grid: the refusal names that time and b(t), exit 3, and
+    prints no table."""
+    assert main([*argv, "--format", fmt]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: the flow of the Gaussian of width b=(5e-324+1j) at t=0.5399612373357456 has "
+        "width b(t)=-0.3033466836073422j, whose real part or that of 1/b(t) rounds to 0: "
+        "Re b is too small for double precision\n")
+
+
+def test_gaussian_evolve_table_keeps_its_last_bits(capsys):
+    """The flow's closed form keeps its order of operations, so a table
+    prints the same last digits as when each time built its Gaussian:
+    A(t) = ((A e^{it}) sqrt(1+b(t))) / sqrt(1+b), |A(t)|^2 / sqrt(2 Re b(t))."""
+    assert main(["evolve", "gaussian:A=1.3-0.2i,b=0.7+1.1i", "--a", "0.2", "--t-grid", "4"]) == 0
+    assert capsys.readouterr().out == (
+        "t,norm_sq,envelope_constant_time,envelope_constant_frequency,"
+        "divergent_time,divergent_frequency\r\n"
+        "0,1.4621168606803341,1.3152946437965907,1.1518895045558628,false,false\r\n"
+        "0.39269908169872414,1.4621168606803332,1.0513117793737001,1.8601075237738269,false,false\r\n"
+        "0.78539816339744828,1.4621168606803336,1.1518895045558626,1.3152946437965904,false,false\r\n"
+        "1.1780972450961724,1.4621168606803336,1.8601075237738274,1.0513117793737004,false,false\r\n")

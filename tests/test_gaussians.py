@@ -11,7 +11,6 @@ from gaussherm.gaussians import (
     GeneralizedGaussian,
     bargmann_gaussian,
     boundary_chirp,
-    envelope_constant,
     envelope_membership,
     fourier_gaussian,
     gaussian,
@@ -160,20 +159,20 @@ def test_chirp_coefficient_magnitudes_realize_endpoint_rate():
 
 
 def test_envelope_constant_equality_case():
-    rep = envelope_constant(gaussian(0.5), 0.5)
+    rep = envelope_membership(gaussian(0.5), 0.5).time_report
     assert rep.constant == 1.0
     assert not rep.divergent
 
 
 def test_envelope_constant_divergent():
-    rep = envelope_constant(gaussian(0.3), 0.5)
+    rep = envelope_membership(gaussian(0.3), 0.5).time_report
     assert rep.divergent
 
 
 def test_envelope_constant_squeezed_initial_data():
     beta = 0.7
     r = math.exp(-2 * beta)
-    rep = envelope_constant(squeezed_state(beta), math.tanh(2 * beta))
+    rep = envelope_membership(squeezed_state(beta), math.tanh(2 * beta)).time_report
     assert rep.constant == pytest.approx((1 + r * r) ** -0.25, rel=1e-12)
     assert not rep.divergent
 

@@ -15,6 +15,7 @@ from gaussherm.gaussians import (
     boundary_chirp,
     envelope_membership,
     fourier_gaussian,
+    gaussian_energy,
     hermite_coeffs,
     squeezed_state,
 )
@@ -200,6 +201,35 @@ def test_flow_envelopes_gaussian_is_closed_form():
         assert mem == envelope_membership(evolve_gaussian(sq, t), 0.45)
         assert norm == pytest.approx(norm0, rel=1e-12)
     assert rows[0][1] == envelope_membership(sq, 0.45)  # the flow at t = 0 is g itself
+
+
+def _gaussian_family():
+    """Squeezed states, chirps and seeded Gaussians A e^{-b x^2/2}."""
+    rng = np.random.default_rng(31)
+    out = [squeezed_state(beta) for beta in (0.2, 0.5, 0.854728)]
+    out += [boundary_chirp(alpha) for alpha in (0.15, 0.27465, 0.7)]
+    for _ in range(6):
+        amp = complex(rng.uniform(0.5, 2.0), rng.uniform(-0.5, 0.5))
+        out.append(GeneralizedGaussian(amp, complex(rng.uniform(0.05, 3.0), rng.uniform(-2.0, 2.0))))
+    return out
+
+
+@pytest.mark.parametrize("size", [1, 7, 32, 64])
+@pytest.mark.parametrize("as_list", [False, True], ids=["int", "list"])
+def test_flow_envelopes_gaussian_rows_are_the_evolved_gaussians(size, as_list):
+    """Each row of a Gaussian's flow, formed from A and b without building
+    a Gaussian per time, equals the membership and energy of the Gaussian
+    that evolve_gaussian builds, exactly, on the t grid given as its size
+    and as its times."""
+    ts = default_t_grid(size)
+    for g in _gaussian_family():
+        for a in (0.1, 0.45, 0.9):
+            rows = list(flow_envelopes(g, list(ts) if as_list else size, a))
+            assert len(rows) == size
+            for t, (norm, mem) in zip(ts, rows):
+                gt = evolve_gaussian(g, float(t))
+                assert mem == envelope_membership(gt, a)
+                assert norm == gaussian_energy(gt)
 
 
 def _mp_weighted(coeffs, a, x, mp):
