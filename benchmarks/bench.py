@@ -179,6 +179,20 @@ def t_grid(size: int):
     return size if sig.parameters["t_grid"].default == 64 else oscillator.default_t_grid(size)
 
 
+def cold_band(grid):
+    """``grid_basis`` of ``grid``'s whole band with the cache emptied first."""
+    hermite._GRID_BASIS = None
+    return hermite.grid_basis(grid, hermite.band_limit(grid))
+
+
+def switch_back(wide, grid):
+    """``grid_basis`` rows phi_0..phi_30 on ``wide`` (which evicts ``grid``'s
+    basis), then phi_0..phi_40 on ``grid`` again, as a process serving
+    requests on two grids switches between them."""
+    hermite.grid_basis(wide, 30)
+    return hermite.grid_basis(grid, 40)
+
+
 def items():
     """(name, zero-argument callable) pairs, in report order."""
     grid = DEFAULT_GRID
@@ -214,6 +228,8 @@ def items():
         ("hermite_phi_all K=60 N=4096", lambda: hermite_phi_all(60, grid.xs)),
         ("hermite_phi_all K=81 N=4096", lambda: hermite_phi_all(81, grid.xs)),
         ("hermite_phi_all K=30 N=6144", lambda: hermite_phi_all(30, wide.xs)),
+        ("grid_basis cold, the default grid's band", lambda: cold_band(grid)),
+        ("grid_basis wide grid K=30, then the default grid K=40", lambda: switch_back(wide, grid)),
         ("analyze K=60 N=4096", lambda: analyze(f, 60)),
         ("fourier_sampled N=4096", lambda: fourier_sampled(f)),
         ("fourier_rows F=25 N=4096", lambda: hermite.fourier_rows(stack, grid)),

@@ -270,6 +270,15 @@ def _kv_params(body: str, spec: str) -> dict:
     return params
 
 
+#: Input kinds of one real parameter p: kind -> (p's name, the name of the
+#: state's constructor in ``gaussians``, looked up per call so a wrapper set
+#: on that module sees it); the default weight is a = tanh(2 p).
+_ONE_PARAMETER_KINDS = {
+    "chirp": ("alpha", "boundary_chirp"),
+    "squeezed": ("beta", "squeezed_state"),
+}
+
+
 def parse_input_spec(spec: str) -> InputSpec:
     """Parse the input mini-language:
 
@@ -307,26 +316,14 @@ def parse_input_spec(spec: str) -> InputSpec:
             if k < 0 or params:
                 raise CliParseError(f"hermite spec needs k=<nonnegative int>, got {spec!r}")
             return InputSpec(label=spec, state=unit_expansion(k), default_a=0.5)
-        if kind == "chirp":
+        if kind in _ONE_PARAMETER_KINDS:
+            param, constructor = _ONE_PARAMETER_KINDS[kind]
             params = _kv_params(body, spec)
-            alpha = float(params.pop("alpha"))
+            value = float(params.pop(param))
             if params:
-                raise CliParseError(f"unknown chirp parameters {sorted(params)}")
-            return InputSpec(
-                label=spec,
-                state=ga.boundary_chirp(alpha),
-                default_a=math.tanh(2.0 * alpha),
-            )
-        if kind == "squeezed":
-            params = _kv_params(body, spec)
-            beta = float(params.pop("beta"))
-            if params:
-                raise CliParseError(f"unknown squeezed parameters {sorted(params)}")
-            return InputSpec(
-                label=spec,
-                state=ga.squeezed_state(beta),
-                default_a=math.tanh(2.0 * beta),
-            )
+                raise CliParseError(f"unknown {kind} parameters {sorted(params)}")
+            return InputSpec(label=spec, state=getattr(ga, constructor)(value),
+                               default_a=math.tanh(2.0 * value))
         if kind == "expansion":
             if not body.startswith("@"):
                 raise CliParseError("expansion spec needs @<file.json>")

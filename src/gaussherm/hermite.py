@@ -15,7 +15,9 @@ under which phi_k_hat = (-i)**k phi_k.
 
 from __future__ import annotations
 
+import functools
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -68,10 +70,9 @@ class HermiteExpansion:
         return total
 
 
-def unit_expansion(k: int, length: int | None = None) -> HermiteExpansion:
+def unit_expansion(k: int) -> HermiteExpansion:
     """Expansion of phi_k itself (a unit vector at index k)."""
-    n = (k + 1) if length is None else length
-    c = np.zeros(n, dtype=complex)
+    c = np.zeros(k + 1, dtype=complex)
     c[k] = 1.0
     return HermiteExpansion(c)
 
@@ -86,7 +87,9 @@ def hermite_phi_all(kmax: int, xs) -> np.ndarray:
     which is stable upward: in the classically forbidden region the values
     grow monotonically toward the turning point, so early rounding does not
     amplify relative to the current value.  Values below the smallest normal
-    double are flushed to exact zero.
+    double are flushed to exact zero, after the recurrence: a flushed row can
+    feed a later row that is normal.  Each row is formed in place, so the
+    rows phi_0..phi_k of a larger build equal a build to kmax = k bit for bit.
 
     Returns an array of shape (kmax+1, len(xs)).
     """
@@ -94,49 +97,35 @@ def hermite_phi_all(kmax: int, xs) -> np.ndarray:
         raise ValueError(f"kmax must be >= 0, got {kmax}")
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
     out = np.empty((kmax + 1, xs.size))
-    _phi_rows(out, xs)
-    return out
-
-
-def _phi_rows(out: np.ndarray, xs: np.ndarray, start: int = 0,
-              tail: np.ndarray | None = None) -> np.ndarray:
-    """Form rows start.. of ``out`` in place as :func:`hermite_phi_all`
-    forms them, phi_k on xs in row k, and return a copy of the last two rows
-    before the flush.  Past row 0 the recurrence goes on from ``tail``, the
-    rows start-2 and start-1 (one row at start = 1) as an earlier call
-    returned them, so the rows equal a fresh build bit for bit; the rows
-    before ``start`` are not touched.  The flush comes after the recurrence,
-    and a flushed row can feed a later row that is normal."""
     spare = np.empty(xs.size)
-    if start == 0:
+    with np.errstate(over="ignore"):  # x**2/2 past the double range: phi_0 = e^{-inf} = 0
         np.multiply(xs, -0.5, out=out[0])
         out[0] *= xs
-        np.exp(out[0], out=out[0])
-        out[0] *= PHI0_AT_ZERO
-        prev, cur = None, out[0]
-    else:
-        prev, cur = (None, tail[0]) if start == 1 else tail
+    np.exp(out[0], out=out[0])
+    out[0] *= PHI0_AT_ZERO
     # each row is formed in place, in the order of x*sqrt(2/(k+1))*phi_k - sqrt(k/(k+1))*phi_{k-1}
-    for k in range(max(start, 1) - 1, len(out) - 1):
+    for k in range(kmax):
         row = out[k + 1]
         np.multiply(xs, np.sqrt(2.0 / (k + 1)), out=row)
-        row *= cur
+        row *= out[k]
         if k:
-            np.multiply(prev, np.sqrt(k / (k + 1)), out=spare)
+            np.multiply(out[k - 1], np.sqrt(k / (k + 1)), out=spare)
             row -= spare
-        prev, cur = cur, row
-    last = np.array([cur] if prev is None else [prev, cur])
     tiny = np.empty(xs.size, dtype=bool)
-    for row in out[start:]:  # row by row: no full-size temporary
+    for row in out:  # row by row: no full-size temporary
         np.less(np.abs(row, out=spare), _TINY, out=tiny)
         np.copyto(row, 0.0, where=tiny)
-    return last
+    return out
 
 
 def band_limit(grid: GridSpec) -> int:
     """Largest k whose classical turning point sqrt(2k+1) fits inside
     BAND_LIMIT_FRACTION of the grid half-width."""
-    return int(((BAND_LIMIT_FRACTION * grid.half_width) ** 2 - 1.0) // 2)
+    try:
+        square = (BAND_LIMIT_FRACTION * grid.half_width) ** 2
+    except OverflowError:  # past L ~ 1.68e154: the largest finite double stands in
+        square = sys.float_info.max
+    return int((square - 1.0) // 2)
 
 
 def _check_band_limit(grid: GridSpec, k: int):
@@ -154,19 +143,16 @@ def _check_band_limit(grid: GridSpec, k: int):
 BASIS_BYTES_CAP = 2 ** 28
 
 
-#: Bytes of room :func:`grid_basis` gives a grid's basis for rows not yet
-#: formed: the whole band of a grid whose whole band fits (the default grid's
-#: 82 x 4096 doubles, 2.6 MiB), else none.  Unformed rows are never written,
-#: so they take address space, not memory.  Room for the 9 MiB band of
-#: verify's wide grid measured up to 4 MB more peak RSS over 6,000 perfbench
-#: ``flow`` requests.
-_BASIS_ROOM_BYTES = 4 * 2 ** 20
+#: Bytes up to which :func:`grid_basis` builds a grid's whole band on a miss
+#: (4 MiB; the default grid's band is 82 x 4096 doubles, 2.6 MiB), so later
+#: calls on that grid only read it; a larger band is built only to the kmax
+#: asked for, as a whole band would hold up to the 256 MiB budget.
+_BAND_BUILD_BYTES = 4 * 2 ** 20
 
 
-#: (grid, rows, how many of them are formed, the last two formed rows before
-#: the flush) of :func:`grid_basis`.  Rows handed out are never written again,
-#: so a caller holding rows of an older basis still reads them.
-_GRID_BASIS: tuple[GridSpec, np.ndarray, int, np.ndarray] | None = None
+#: (grid, rows) of :func:`grid_basis`.  Rows handed out are never written
+#: again, so a caller holding rows of an older basis still reads them.
+_GRID_BASIS: tuple[GridSpec, np.ndarray] | None = None
 
 
 def grid_basis(grid: GridSpec, kmax: int) -> np.ndarray:
@@ -174,13 +160,10 @@ def grid_basis(grid: GridSpec, kmax: int) -> np.ndarray:
     refused past the grid's band limit (``BandLimitError``) and past
     ``BASIS_BYTES_CAP`` bytes (``NumericalDomainError``).
 
-    One basis is cached: that of the last grid asked for, extended when a
-    larger kmax is asked for on it and replaced when another grid is.  An
-    extension goes on with the recurrence from the last two formed rows
-    before the flush (:func:`_phi_rows`), so the rows equal a fresh
-    ``hermite_phi_all(kmax, grid.xs)`` bit for bit.  It forms its rows in
-    place where the basis has room for them (``_BASIS_ROOM_BYTES``), else it
-    first copies the formed rows to an array of kmax+1 rows.
+    One basis is cached: that of the last grid asked for.  When another grid
+    or more rows than it holds are asked for, it is let go, and the new one
+    is built in one :func:`hermite_phi_all` call: the grid's whole band where
+    that fits ``_BAND_BUILD_BYTES``, else rows phi_0..phi_kmax.
     """
     global _GRID_BASIS
     if kmax < 0:
@@ -192,22 +175,14 @@ def grid_basis(grid: GridSpec, kmax: int) -> np.ndarray:
             f"a Hermite basis of {kmax + 1} rows x N={grid.num_points} points needs "
             f"{math.ceil(size / 2 ** 20)} MiB, past the {BASIS_BYTES_CAP // 2 ** 20} MiB budget")
     cached = _GRID_BASIS
-    if cached is None or cached[0] != grid:
+    if cached is None or cached[0] != grid or kmax >= len(cached[1]):
         cached = _GRID_BASIS = None  # let the old basis go before the new one is made
-        room = band_limit(grid) + 1
-        room = room if room * grid.num_points * 8 <= _BASIS_ROOM_BYTES else kmax + 1
-        cached = (grid, np.empty((room, grid.num_points)), 0, None)
-    _, phi, formed, tail = cached
-    if kmax >= formed:
-        if kmax >= len(phi):
-            grown = np.empty((kmax + 1, grid.num_points))
-            grown[:formed] = phi[:formed]
-            phi = grown
-        tail = _phi_rows(phi[: kmax + 1], grid.xs, formed, tail)
-        _GRID_BASIS = (grid, phi, kmax + 1, tail)
-    rows = phi[: kmax + 1]
-    rows.flags.writeable = False
-    return rows
+        band = band_limit(grid)
+        top = band if (band + 1) * grid.num_points * 8 <= _BAND_BUILD_BYTES else kmax
+        phi = hermite_phi_all(top, grid.xs)
+        phi.flags.writeable = False
+        cached = _GRID_BASIS = (grid, phi)
+    return cached[1][: kmax + 1]
 
 
 def analyze(f: SampledFunction, kmax: int) -> HermiteExpansion:
@@ -265,39 +240,30 @@ def _real_parts(rows: np.ndarray):
                 yield i, factor, part
 
 
-#: (grid, FFT size, kernel FFT, pre ramp, post ramp) of :func:`fourier_rows`'
-#: chirp-z, read-only: that of the last grid asked for, replaced when another
-#: grid is asked for (256 KB on the default grid).
-_CHIRP_Z_PLAN: tuple[GridSpec, int, np.ndarray, np.ndarray, np.ndarray] | None = None
-
-
+@functools.lru_cache(maxsize=1)
 def _chirp_z_plan(grid: GridSpec) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
-    """(FFT size, kernel FFT, pre ramp, post ramp): the part of
-    :func:`fourier_rows`' chirp-z that depends on the grid alone, built once
-    per grid."""
-    global _CHIRP_Z_PLAN
-    plan = _CHIRP_Z_PLAN
-    if plan is None or plan[0] != grid:
-        h = grid.spacing
-        x0 = -grid.half_width
-        n = grid.num_points
-        # fhat(xi_m) = h/sqrt(2 pi) e^{-i x0^2} e^{-i m h x0}
-        #             * sum_j [f_j e^{-i j h x0}] e^{-i j m h^2}
-        # for m = 0..N, with xi_m = x0 + m h
-        j = np.arange(n + 1)
-        chirp = np.exp(-0.5j * h * h * (j * j))
-        size = 1 << (2 * n - 1).bit_length()  # >= 2N: N inputs, N+1 outputs
-        kernel = np.zeros(size, dtype=complex)
-        kernel[:n + 1] = chirp.conj()
-        kernel[size - n + 1:] = chirp[n - 1:0:-1].conj()
-        kernel_fft = np.fft.fft(kernel)
-        ramp = phase_ramp(-h * x0, n + 1) * chirp
-        pre = ramp[:n]
-        post = (h / SQRT_2PI) * np.exp(-1j * x0 * x0) * ramp
-        for arr in (kernel_fft, pre, post):
-            arr.flags.writeable = False
-        plan = _CHIRP_Z_PLAN = (grid, size, kernel_fft, pre, post)
-    return plan[1:]
+    """(FFT size, kernel FFT, pre ramp, post ramp), read-only: the part of
+    :func:`fourier_rows`' chirp-z that depends on the grid alone, held for
+    the last grid asked for (256 KB on the default grid)."""
+    h = grid.spacing
+    x0 = -grid.half_width
+    n = grid.num_points
+    # fhat(xi_m) = h/sqrt(2 pi) e^{-i x0^2} e^{-i m h x0}
+    #             * sum_j [f_j e^{-i j h x0}] e^{-i j m h^2}
+    # for m = 0..N, with xi_m = x0 + m h
+    j = np.arange(n + 1)
+    chirp = np.exp(-0.5j * h * h * (j * j))
+    size = 1 << (2 * n - 1).bit_length()  # >= 2N: N inputs, N+1 outputs
+    kernel = np.zeros(size, dtype=complex)
+    kernel[:n + 1] = chirp.conj()
+    kernel[size - n + 1:] = chirp[n - 1:0:-1].conj()
+    kernel_fft = np.fft.fft(kernel)
+    ramp = phase_ramp(-h * x0, n + 1) * chirp
+    pre = ramp[:n]
+    post = (h / SQRT_2PI) * np.exp(-1j * x0 * x0) * ramp
+    for arr in (kernel_fft, pre, post):
+        arr.flags.writeable = False
+    return size, kernel_fft, pre, post
 
 
 def fourier_rows(values, grid: GridSpec) -> np.ndarray:

@@ -17,7 +17,7 @@ import warnings
 import numpy as np
 import pytest
 
-from gaussherm import gaussians, hermite, verify
+from gaussherm import gaussians, hermite, oscillator, verify
 from gaussherm.verify import ALL_CRITERIA, VerifyConfig, run_all
 
 CRITERION_NAMES = [
@@ -210,17 +210,17 @@ def test_sharpness_fails_on_a_rate_moved_by_1e_9(monkeypatch, criterion, state, 
 
 
 def _count_builds(monkeypatch, cfg):
-    """Record (first row formed, kmax, on the run grid's points) of every
-    basis build: 0 for a build from phi_0, j + 1 for one that goes on from
-    phi_0..phi_j."""
-    build = hermite._phi_rows
+    """Record (kmax, on the run grid's points) of every basis build: every
+    ``hermite_phi_all`` call, ``grid_basis``'s among them."""
+    build = hermite.hermite_phi_all
     builds = []
 
-    def counted(out, xs, start=0, tail=None):
-        builds.append((start, len(out) - 1, np.array_equal(xs, cfg.grid.xs)))
-        return build(out, xs, start, tail)
+    def counted(kmax, xs):
+        builds.append((kmax, np.array_equal(np.atleast_1d(xs), cfg.grid.xs)))
+        return build(kmax, xs)
 
-    monkeypatch.setattr(hermite, "_phi_rows", counted)
+    for module in (hermite, oscillator, verify):
+        monkeypatch.setattr(module, "hermite_phi_all", counted)
     return builds
 
 
@@ -236,17 +236,14 @@ def test_warm_run_reads_the_run_grid_basis_from_the_cache(monkeypatch):
     assert len(builds) <= 3
 
 
-def test_cold_run_builds_the_run_grid_basis_in_one_chain(monkeypatch):
-    """A cold run builds the run grid's basis from phi_0 once; each later
-    build on that grid goes on from the rows before it (phi_0..phi_20, then
-    phi_21..phi_60, then phi_61..phi_70 today)."""
+def test_cold_run_builds_the_run_grid_band_once(monkeypatch):
+    """A cold run builds the run grid's basis once, its whole band (82 rows
+    on the default grid), and every later row on that grid is read from it."""
     cfg = VerifyConfig()
     monkeypatch.setattr(hermite, "_GRID_BASIS", None)
     builds = _count_builds(monkeypatch, cfg)
     assert all(r.passed for r in run_all(cfg))
-    chain = [(first, kmax) for first, kmax, on_grid in builds if on_grid]
-    assert chain[0][0] == 0 and len(chain) >= 2
-    assert all(first == last + 1 for (_, last), (first, _) in zip(chain, chain[1:]))
+    assert [kmax for kmax, on_grid in builds if on_grid] == [hermite.band_limit(cfg.grid)]
 
 
 def test_pinned_expansion_is_the_seeded_draw():

@@ -28,10 +28,11 @@ from gaussherm.cli import (
     parse_input_spec,
     render_table,
 )
+from gaussherm import gaussians as ga
 from gaussherm import oscillator as osc
 from gaussherm.errors import NumericalDomainError
 from gaussherm.gaussians import GeneralizedGaussian, fourier_gaussian
-from gaussherm.grid import GridSpec
+from gaussherm.grid import DEFAULT_GRID, GridSpec
 from gaussherm.hermite import BASIS_BYTES_CAP
 from gaussherm.oscillator import evolve_gaussian
 
@@ -91,6 +92,28 @@ def test_parse_input_spec_rejects(spec, tmp_path, monkeypatch):
     (tmp_path / "number.json").write_text("3")
     with pytest.raises(CliParseError):
         parse_input_spec(spec)
+
+
+@pytest.mark.parametrize("spec,message", [
+    ("chirp:alpha=0.2,x=1,b=2", "unknown chirp parameters ['b', 'x']"),
+    ("squeezed:beta=0.3,alpha=1", "unknown squeezed parameters ['alpha']"),
+    ("chirp:beta=1", "cannot parse input spec 'chirp:beta=1': 'alpha'"),
+    ("squeezed:alpha=1", "cannot parse input spec 'squeezed:alpha=1': 'beta'"),
+    ("squeezed:beta=x", "cannot parse input spec 'squeezed:beta=x': "
+                        "could not convert string to float: 'x'"),
+    ("chirp:alpha", "expected key=value pairs in 'chirp:alpha'"),
+])
+def test_one_parameter_specs_refuse_with_their_own_texts(spec, message):
+    with pytest.raises(CliParseError) as refused:
+        parse_input_spec(spec)
+    assert str(refused.value) == message
+
+
+def test_one_parameter_specs_take_a_from_their_parameter():
+    for spec, state in (("chirp:alpha=0.27465", ga.boundary_chirp(0.27465)),
+                        ("squeezed:beta=0.85", ga.squeezed_state(0.85))):
+        inp = parse_input_spec(spec)
+        assert (inp.state, inp.default_a) == (state, math.tanh(2 * float(spec.split("=")[1])))
 
 
 def test_load_config_precedence(tmp_path):
@@ -760,22 +783,24 @@ def test_non_finite_config_grid_l_exits_2(tmp_path, capsys):
     ["evolve", "hermite:k=4", "--a", "0.4"],
 ], ids=["confine", "evolve"])
 def test_expansion_flow_builds_basis_once(argv, monkeypatch, tmp_path):
+    """The flow of an expansion builds one basis, the default grid's whole
+    band, and a repeat on that grid reads it from the cache."""
     import gaussherm.hermite as hermite
 
-    build = hermite._phi_rows  # every basis build, hermite_phi_all's and grid_basis's
+    build = hermite.hermite_phi_all  # every basis build, grid_basis's among them
     kmaxes = []
 
-    def counting(out, *args):
-        kmaxes.append(len(out) - 1)
-        return build(out, *args)
+    def counting(kmax, xs):
+        kmaxes.append(kmax)
+        return build(kmax, xs)
 
-    monkeypatch.setattr(hermite, "_phi_rows", counting)
+    for module in (hermite, osc):
+        monkeypatch.setattr(module, "hermite_phi_all", counting)
     monkeypatch.setattr(hermite, "_GRID_BASIS", None)
     assert main([*argv, "--t-grid", "16", "--out", str(tmp_path / "o.csv")]) == 0
-    assert kmaxes == [4]
-    # a repeat on the same grid reads the cached basis
+    assert kmaxes == [hermite.band_limit(DEFAULT_GRID)]
     assert main([*argv, "--t-grid", "16", "--out", str(tmp_path / "o.csv")]) == 0
-    assert kmaxes == [4]
+    assert kmaxes == [hermite.band_limit(DEFAULT_GRID)]
 
 
 def test_single_term_flow_prints_its_envelope_at_every_time(capsys):
@@ -1315,22 +1340,34 @@ def _range_edge_argv(rng, tmp_path):
     return argv
 
 
+#: Grids past L ~ 1.68e154, where (0.8 L)**2 overflows a double, and those
+#: of their rows past |x| ~ 1.9e154, where x**2/2 does.
+_HUGE_GRID_ARGV = [[*argv, "--grid-L", grid_l, "--format", fmt]
+                   for grid_l in ("1.7e154", "1e200", "1e300") for fmt in ("csv", "json")
+                   for argv in (["norms", "--kmax", "3"], ["verify-all"])]
+
+
 def test_range_edge_sweep_has_no_internal_error_and_a_quiet_exit_0(tmp_path, capsys):
     """300 seeded argv of the state commands with 0, +-1e300 and 5e-324 in
-    their specs and weights: no reply is an internal error, and an exit 0
-    writes nothing to stderr and raises no warning."""
+    their specs and weights, then ``norms`` and ``verify-all`` on grids of
+    half-width 1.7e154, 1e200 and 1e300: no reply is an internal error, and
+    an exit 0 writes nothing to stderr and raises no warning."""
     rng = random.Random(20261019)
-    codes = []
-    for _ in range(300):
-        argv = _range_edge_argv(rng, tmp_path)
+
+    def quiet_exit_code(argv):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            codes.append(exit_code(argv))
+            code = exit_code(argv)
         err = capsys.readouterr().err
         assert "internal error" not in err, argv
-        if codes[-1] == 0:
+        if code == 0:
             assert err == "" and not caught, (argv, err, [str(w.message) for w in caught])
+        return code
+
+    codes = [quiet_exit_code(_range_edge_argv(rng, tmp_path)) for _ in range(300)]
     assert set(codes) <= {0, 2, 3, 4} and codes.count(0) >= 50
+    huge = [quiet_exit_code(argv) for argv in _HUGE_GRID_ARGV]
+    assert huge == [0, 1] * 6  # norms answers; verify-all's verdict fails there
 
 
 @pytest.mark.parametrize("argv", [

@@ -113,52 +113,54 @@ def test_orthonormality_on_default_grid(grid):
     assert np.max(np.abs(gram - np.eye(41))) < 1e-10
 
 
-@pytest.fixture()
-def counted_builds(monkeypatch):
-    """Empty the grid-basis cache and record (first row formed, kmax) of every
-    basis build: 0 for a build from phi_0, j + 1 for one that goes on from
-    phi_0..phi_j."""
-    build = hermite._phi_rows
+def _count_builds(monkeypatch):
+    """Record the kmax of every basis build, every :func:`hermite_phi_all`
+    call, :func:`grid_basis`'s among them."""
+    build = hermite.hermite_phi_all
     builds = []
 
-    def counting(out, xs, start=0, tail=None):
-        builds.append((start, len(out) - 1))
-        return build(out, xs, start, tail)
+    def counting(kmax, xs):
+        builds.append(kmax)
+        return build(kmax, xs)
 
-    monkeypatch.setattr(hermite, "_phi_rows", counting)
-    monkeypatch.setattr(hermite, "_GRID_BASIS", None)
+    monkeypatch.setattr(hermite, "hermite_phi_all", counting)
     return builds
+
+
+@pytest.fixture()
+def counted_builds(monkeypatch):
+    """Empty the grid-basis cache and record the kmax of every basis build."""
+    monkeypatch.setattr(hermite, "_GRID_BASIS", None)
+    return _count_builds(monkeypatch)
 
 
 def test_grid_basis_rows_match_a_fresh_build(grid, counted_builds):
     grid_basis(grid, 40)
-    for k in (0, 17, 40, 60, band_limit(grid)):  # below, at and above the cached size
+    for k in (0, 17, 40, 60, band_limit(grid)):
         assert np.array_equal(grid_basis(grid, k), hermite_phi_all(k, grid.xs))
-    assert [b for b in counted_builds if b[0] > 0] == [(41, 60), (61, band_limit(grid))]
-    assert counted_builds[0] == (0, 40)
+    # the default grid's band fits 4 MiB: the first call builds all of it
+    assert counted_builds == [band_limit(grid)]
 
 
 def test_grid_basis_extends_its_rows_bit_for_bit(grid, counted_builds):
     """kmax 20 -> 60 -> 70 -> 81 on the default grid, with a switch to a
-    40-wide grid (kmax 3 -> 50) between 60 and 70: each grid's first basis is
-    built from phi_0 and each larger kmax goes on from the cached rows, and
-    every basis equals a fresh ``hermite_phi_all(kmax, xs)`` bit for bit.  The
-    default grid's basis has room for its whole band, so it grows in place;
-    the wide grid's band is past that room, so its formed rows are copied to
-    a larger array.  On the wide grid the kept rows phi_2, phi_3 hold values
-    the flush zeroes and later rows are normal there, so the recurrence must
-    go on from the rows before the flush."""
-    assert band_limit(grid) * grid.num_points * 8 < hermite._BASIS_ROOM_BYTES
+    40-wide grid (kmax 3 -> 50) between 60 and 70: every basis equals a fresh
+    ``hermite_phi_all(kmax, xs)`` bit for bit.  The default grid's band fits
+    4 MiB, so each visit builds all of it once; the wide grid's band does
+    not, so it is built to the kmax asked for and built again for more rows.
+    On the wide grid phi_2 and phi_3 are flushed to 0 at points where phi_50
+    is normal, so the recurrence must run on the rows before the flush."""
+    assert (band_limit(grid) + 1) * grid.num_points * 8 <= hermite._BAND_BUILD_BYTES
     wide = GridSpec(40.0, 2048)
+    assert (band_limit(wide) + 1) * wide.num_points * 8 > hermite._BAND_BUILD_BYTES
     steps = [(grid, 20), (grid, 60), (wide, 3), (wide, 50), (grid, 70), (grid, band_limit(grid))]
     fresh = [hermite_phi_all(k, g.xs) for g, k in steps]
-    tail = hermite._phi_rows(np.empty((4, wide.num_points)), wide.xs)
-    assert np.any((tail != 0.0) & (np.abs(tail) < np.finfo(float).tiny))
+    assert np.any((fresh[3][2] == 0.0) & (fresh[3][3] == 0.0)
+                  & (np.abs(fresh[3][50]) >= np.finfo(float).tiny))
     del counted_builds[:]
     for (g, k), want in zip(steps, fresh):
         assert np.array_equal(grid_basis(g, k), want)
-    assert counted_builds == [(0, 20), (21, 60), (0, 3), (4, 50), (0, 70), (71, band_limit(grid))]
-    assert band_limit(wide) * wide.num_points * 8 > hermite._BASIS_ROOM_BYTES
+    assert counted_builds == [band_limit(grid), 3, 50, band_limit(grid)]
 
 
 def test_grid_basis_is_read_only(grid):
@@ -173,19 +175,33 @@ def test_grid_basis_holds_one_grid(grid, counted_builds):
     other = GridSpec(12.0, 2048)
     grid_basis(grid, 30)
     grid_basis(other, 20)
-    cached_grid, _, formed, _ = hermite._GRID_BASIS
-    assert cached_grid == other and formed == 21
+    cached_grid, rows = hermite._GRID_BASIS
+    assert cached_grid == other and len(rows) == band_limit(other) + 1
     grid_basis(grid, 10)  # the first grid was evicted: built again
-    assert counted_builds == [(0, 30), (0, 20), (0, 10)]
+    assert counted_builds == [band_limit(grid), band_limit(other), band_limit(grid)]
     assert hermite._GRID_BASIS[0] == grid
 
 
 def test_grid_basis_past_band_limit_builds_nothing(grid, counted_builds):
     grid_basis(grid, 5)
+    cached = hermite._GRID_BASIS
     with pytest.raises(BandLimitError):
         grid_basis(grid, band_limit(grid) + 1)
-    assert counted_builds == [(0, 5)]
-    assert hermite._GRID_BASIS[2] == 6
+    assert counted_builds == [band_limit(grid)]
+    assert hermite._GRID_BASIS is cached
+
+
+def _traced_peak(first, then) -> tuple[int, int]:
+    """(bytes of the basis ``then()`` returns, tracemalloc's peak over
+    ``first()`` and then ``then()``), nothing of ``first()`` held."""
+    tracemalloc.start()
+    try:
+        first()
+        nbytes = then().nbytes
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return nbytes, peak
 
 
 def test_grid_basis_rebuild_holds_one_basis(grid, monkeypatch):
@@ -193,13 +209,21 @@ def test_grid_basis_rebuild_holds_one_basis(grid, monkeypatch):
     and flushes subnormals row by row: the traced peak stays near one basis."""
     monkeypatch.setattr(hermite, "_GRID_BASIS", None)
     other = GridSpec(14.0, 4096)  # 63 rows, 0.77x the default grid's 82
-    tracemalloc.start()
-    try:
-        grid_basis(other, band_limit(other))
-        nbytes = grid_basis(grid, band_limit(grid)).nbytes
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    nbytes, peak = _traced_peak(lambda: grid_basis(other, band_limit(other)),
+                                lambda: grid_basis(grid, band_limit(grid)))
+    assert peak < 1.5 * nbytes
+
+
+def test_grid_basis_rebuild_for_more_rows_holds_one_basis(monkeypatch):
+    """On a grid whose band is past 4 MiB, a rebuild for more rows lets the
+    basis of fewer rows go before it builds: the traced peak stays near the
+    new basis (holding both would read 1.75x it)."""
+    monkeypatch.setattr(hermite, "_GRID_BASIS", None)
+    wide = GridSpec(40.0, 2048)  # a band of 512 rows, 8 MiB
+    assert (band_limit(wide) + 1) * wide.num_points * 8 > hermite._BAND_BUILD_BYTES
+    builds = _count_builds(monkeypatch)
+    nbytes, peak = _traced_peak(lambda: grid_basis(wide, 300), lambda: grid_basis(wide, 400))
+    assert builds == [300, 400] and nbytes == 401 * wide.num_points * 8
     assert peak < 1.5 * nbytes
 
 
@@ -237,7 +261,7 @@ def test_synthesize_band_limit(grid):
     with pytest.raises(BandLimitError):
         synthesize(unit_expansion(kmax + 1), grid)
     with pytest.raises(BandLimitError):
-        synthesize(unit_expansion(0, length=kmax + 2), grid)
+        synthesize(HermiteExpansion([1.0] + [0.0] * (kmax + 1)), grid)
 
 
 def test_analyze_parseval(grid):
@@ -275,9 +299,9 @@ def test_synthesize_gaussian_closed_form(grid):
 
 
 def test_fourier_expansion_phases():
-    e = fourier_expansion(unit_expansion(1, 4))
+    e = fourier_expansion(HermiteExpansion([0.0, 1.0, 0.0, 0.0]))
     assert e.coeffs[1] == pytest.approx(-1j)
-    e0 = unit_expansion(0, 4)
+    e0 = HermiteExpansion([1.0, 0.0, 0.0, 0.0])
     assert np.all(fourier_expansion(e0).coeffs == e0.coeffs)
 
 
@@ -397,16 +421,17 @@ def _plan_stacks(grid_):
 
 
 @pytest.mark.parametrize("grid_", DIRECT_GRIDS, ids=DIRECT_GRID_IDS)
-def test_chirp_z_plan_matches_a_fresh_plan(grid_, monkeypatch):
+def test_chirp_z_plan_matches_a_fresh_plan(grid_):
     """fourier_rows on grid_, on another grid, then on grid_ again (a held
     plan, a replaced one and a rebuilt one) equals, bit for bit, the same
     calls with the plan dropped before each."""
     other = DIRECT_GRIDS[(DIRECT_GRIDS.index(grid_) + 1) % len(DIRECT_GRIDS)]
     calls = [(g, stack) for g in (grid_, other, grid_) for stack in _plan_stacks(g)]
-    monkeypatch.setattr(hermite, "_CHIRP_Z_PLAN", None)
+    hermite._chirp_z_plan.cache_clear()
     held = [fourier_rows(stack, g) for g, stack in calls]
+    assert hermite._chirp_z_plan.cache_info()[:2] == (6, 3)  # (hits, misses)
     for (g, stack), got in zip(calls, held):
-        monkeypatch.setattr(hermite, "_CHIRP_Z_PLAN", None)
+        hermite._chirp_z_plan.cache_clear()
         assert np.array_equal(got, fourier_rows(stack, g))
 
 
@@ -419,21 +444,24 @@ def test_chirp_z_plan_holds_one_grid_read_only(grid, monkeypatch):
         return build(theta, n)
 
     monkeypatch.setattr(hermite, "phase_ramp", counting)
-    monkeypatch.setattr(hermite, "_CHIRP_Z_PLAN", None)
+    plan = hermite._chirp_z_plan
+    plan.cache_clear()
     other = GridSpec(12.0, 2048)
     f = np.exp(-0.5 * grid.xs ** 2)
     fourier_rows(f, grid)
     fourier_sampled(SampledFunction(grid, f))
-    plan_grid, size, *arrays = hermite._CHIRP_Z_PLAN
-    assert plan_grid == grid and size == 8192
+    assert plan.cache_info()[:2] == (1, 1)
+    size, *arrays = plan(grid)
+    assert size == 8192
     assert sum(a.nbytes for a in arrays) == (8192 + 4096 + 4097) * 16  # 256 KB
     for a in arrays:
         with pytest.raises(ValueError):
             a[0] = 0.0
     fourier_rows(np.exp(-0.5 * other.xs ** 2), other)
-    assert hermite._CHIRP_Z_PLAN[0] == other  # the first grid's plan was let go
-    fourier_rows(f, grid)  # so it is built again
+    assert plan.cache_info()[1:] == (2, 1, 1)  # (misses, maxsize, currsize)
+    fourier_rows(f, grid)  # the first grid's plan was let go, so it is built again
     assert built == [4097, 2049, 4097]
+    assert plan.cache_info()[:2] == (2, 3)
 
 
 def test_phase_ramp_matches_the_direct_exponential():
