@@ -239,6 +239,8 @@ def items():
         ("bargmann_row_sets F=21 W=10 N=4096", lambda: bargmann.bargmann_row_sets([phis], grid, ring)),
         ("bargmann_row_sets F=21 W=8 N=4096 (transformed rows)",
          lambda: bargmann.bargmann_row_sets([phis_hat], grid, verify._REFLECTION_WS)),
+        ("reflection_row_sets verify's rows F=21+4 W=8 N=4096",
+         lambda: bargmann.reflection_row_sets([phis, others], grid, verify._REFLECTION_WS)),
         ("weighted_energy_rows F=31 N=6144 a=0.5", lambda: weighted.weighted_energy_rows(wide_phis, wide, 0.5)),
         ("exact Uf Gaussian W=24", lambda: bargmann.bargmann_exact(state, ring24)),
         ("exact Uf expansion K=40 W=24", lambda: bargmann.bargmann_exact(expansion40, ring24)),

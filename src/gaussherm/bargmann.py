@@ -8,10 +8,12 @@ U maps L^2(dm) isometrically onto the Fock space of entire functions with
 sending phi_k to w^k / sqrt(2^k k!), so Hermite coefficients become Taylor
 coefficients.  :func:`bargmann_exact` evaluates Uf from the input's own form
 (a Gaussian's closed form or an expansion's Taylor polynomial); the grid
-quadrature :func:`bargmann_row_sets` is kept as an independent check.  For a
-member of the envelope class with parameter a the two
-one-sided hypotheses bound |Uf| by Gaussians of |w| whose exponents depend
-on arg w; a Phragmen-Lindelof argument applied to exp(i sqrt(mu) w^2/4) Uf
+quadrature :func:`bargmann_row_sets` is kept as an independent check, and
+:func:`reflection_row_sets` checks U(fhat)(w) = Uf(-iw) with the adjoint of
+the sampled Fourier transform, one transform of the quadrature kernels of w.
+For a member of the envelope class with parameter a the two one-sided
+hypotheses bound |Uf| by Gaussians of |w| whose exponents depend on arg w;
+a Phragmen-Lindelof argument applied to exp(i sqrt(mu) w^2/4) Uf
 interpolates them inside the sector [theta0, theta1], and Cauchy's formula
 on an optimized non-circular contour turns the resulting growth bound into
 coefficient decay.
@@ -29,7 +31,7 @@ from .decay import check_weight
 from .errors import EdgeDecayError, NumericalDomainError
 from .gaussians import GeneralizedGaussian, bargmann_gaussian
 from .grid import GridSpec, trapezoid_weights
-from .hermite import EDGE_DECAY_REL, HermiteExpansion, fourier_rows, phase_ramp
+from .hermite import EDGE_DECAY_REL, HermiteExpansion, check_decayed, fourier_rows, phase_ramp
 from .special import gammaln
 
 LOG2 = math.log(2.0)
@@ -40,55 +42,60 @@ def bargmann_row_sets(row_sets, grid: GridSpec, w) -> list[np.ndarray]:
     """Quadrature evaluation of Uf at the points w for each row of each set
     of samples on ``grid``: one (F, W) array per set of F rows, for W points.
 
-    The kernel e^{xw - x^2/2}, with the trapezoid weights folded in, is
-    built once per call as a (W, N) array, and each set's integrals are one
-    product with it (two real products for a set of real rows), so sets of
-    different dtypes share it.  Its modulus e^{x Re w - x^2/2} takes one
-    real exponential, which the edge guard reuses, and its phase
-    e^{ix Im w} a :func:`hermite.phase_ramp` per point.  Raises
-    :class:`EdgeDecayError` naming the row of the first set that has one
-    when the integrand e^{xw - x^2/2} f(x) of some row has not decayed at
-    the grid edges for some requested w (large |Re w| pushes the Gaussian
-    factor's peak toward the boundary).  The integrand's peak over the grid
-    is bounded below by its value at the row's largest |sample|, and the
-    full scan runs only for the (row, w) pairs whose edge samples that
-    bound does not clear, so no (F, W, N) array is formed.
+    The kernel (:func:`_kernel`) is built once per call and shared by the
+    sets, each set's integrals one product with it (:func:`_integrals`).
+    :class:`EdgeDecayError` names the row of the first set whose integrand
+    e^{xw - x^2/2} f(x) has not decayed at the grid edges for some w.
     """
     sets = [np.atleast_2d(values) for values in row_sets]
     w_arr = np.atleast_1d(np.asarray(w, dtype=complex))
+    return _integrals(sets, _kernel(grid, w_arr, sets), w_arr)
+
+
+def _kernel(grid: GridSpec, w_arr: np.ndarray, guarded=()) -> np.ndarray:
+    """The kernel e^{xw - x^2/2} on ``grid``, trapezoid weights folded in,
+    shape (W, N), after the edge guard of each set of rows in ``guarded``:
+    its modulus e^{x Re w - x^2/2} takes one real exponential, which the
+    guard reuses, and its phase e^{ix Im w} a :func:`hermite.phase_ramp`."""
     xs = grid.xs
     mag = np.exp(np.outer(w_arr.real, xs) - 0.5 * xs * xs)
-    for rows in sets:
-        _check_edge_decay(rows, mag, w_arr)
+    _check_edge_decay(guarded, mag, w_arr)
     mag *= trapezoid_weights(grid.num_points, grid.spacing)
     # e^{i x_j Im w} = e^{i x_0 Im w} e^{i h Im w j}
     kernel = phase_ramp(grid.spacing * w_arr.imag, grid.num_points)
     kernel *= mag
     kernel *= np.exp(1j * xs[0] * w_arr.imag)[:, None]
+    return kernel
+
+
+def _integrals(sets: list, kernel: np.ndarray, w_arr: np.ndarray) -> list[np.ndarray]:
+    """The prefactor e^{-w^2/4} / (2^{1/4} sqrt(pi)) times each set's product
+    with ``kernel``, two real products for a set of real rows."""
     pref = _BARGMANN_PREF * np.exp(-0.25 * w_arr * w_arr)
     return [pref * (rows @ kernel.T if np.iscomplexobj(rows)
                     else rows @ kernel.real.T + 1j * (rows @ kernel.imag.T))
             for rows in sets]
 
 
-def _check_edge_decay(rows: np.ndarray, mag: np.ndarray, w_arr: np.ndarray) -> None:
-    """The edge guard of :func:`bargmann_row_sets` for one set of rows, with
-    ``mag`` the kernel's modulus e^{x Re w - x^2/2}, shape (W, N)."""
-    moduli = np.abs(rows)
-    edges = [0, 1, -2, -1]
-    edge = (moduli[:, None, edges] * mag[:, edges]).max(axis=2)
-    top = moduli.argmax(axis=1)
-    peak = mag[:, top].T * moduli[np.arange(len(rows)), top][:, None]  # <= the peak
-    unclear = edge > EDGE_DECAY_REL * peak
-    for i in np.flatnonzero(unclear.any(axis=1)):
-        peak[i, unclear[i]] = (mag[unclear[i]] * moduli[i]).max(axis=1)
-    bad = (peak > 0) & (edge > EDGE_DECAY_REL * peak)
-    if bad.any():
-        i = int(np.argmax(bad.any(axis=1)))
-        raise EdgeDecayError(
-            f"Bargmann integrand of input row {i} not decayed at grid edges for "
-            f"w={w_arr[bad[i]][:3]}; reduce |Re w| or widen the grid"
-        )
+def _check_edge_decay(sets: list, mag: np.ndarray, w_arr: np.ndarray) -> None:
+    """The edge guard of the integrands, each set's rows times ``mag`` (W, N)
+    at each w.  A peak is bounded below by its value at the row's largest
+    |sample|; only the (row, w) pairs whose edges that does not clear are
+    scanned in full."""
+    for rows in sets:
+        moduli = np.abs(rows)
+        edges = [0, 1, -2, -1]
+        edge = (moduli[:, None, edges] * mag[:, edges]).max(axis=2)
+        top = moduli.argmax(axis=1)
+        peak = mag[:, top].T * moduli[np.arange(len(rows)), top][:, None]  # <= the peak
+        unclear = edge > EDGE_DECAY_REL * peak
+        for i in np.flatnonzero(unclear.any(axis=1)):
+            peak[i, unclear[i]] = (mag[unclear[i]] * moduli[i]).max(axis=1)
+        bad = (peak > 0) & (edge > EDGE_DECAY_REL * peak)
+        if bad.any():
+            i = int(np.argmax(bad.any(axis=1)))
+            raise EdgeDecayError(f"Bargmann integrand of input row {i} not decayed at grid edges "
+                                 f"for w={w_arr[bad[i]][:3]}; reduce |Re w| or widen the grid")
 
 
 def reflection_row_sets(row_sets, grid: GridSpec, w_list) -> list[np.ndarray]:
@@ -96,14 +103,22 @@ def reflection_row_sets(row_sets, grid: GridSpec, w_list) -> list[np.ndarray]:
     set of samples on ``grid``: one (F,) array per set of F rows.
 
     The reflection identity U(fhat)(w) = Uf(-iw) holds exactly for the
-    transform pair; the returned deviation is pure quadrature noise.  Each
-    set is transformed by its own :func:`hermite.fourier_rows` call, and
-    the sets share the kernel of w and that of -iw
-    (:func:`bargmann_row_sets`).
+    transform pair; the returned deviation is pure quadrature noise.  The
+    sampled fhat = F f (:func:`hermite.fourier_rows`) has a symmetric matrix,
+    F_mj = h/sqrt(2 pi) e^{-i x_m x_j}, so U(fhat)(w)'s quadrature K_w.(F f)
+    is (F K_w).f: one transform of the W kernels serves every row.  The rows
+    (:func:`hermite.check_decayed`, the transform's own refusal), the kernels
+    (refused by that check too, which then names the index of w) and the
+    integrands f (F K_w) must decay; Uf(-iw) is :func:`bargmann_row_sets`.
     """
-    w_arr = np.asarray(w_list, dtype=complex)
-    lhs = bargmann_row_sets([fourier_rows(values, grid) for values in row_sets], grid, w_arr)
-    rhs = bargmann_row_sets(row_sets, grid, -1j * w_arr)
+    sets = [np.atleast_2d(values) for values in row_sets]
+    w_arr = np.atleast_1d(np.asarray(w_list, dtype=complex))
+    for rows in sets:
+        check_decayed(rows)
+    transformed = fourier_rows(_kernel(grid, w_arr), grid)
+    _check_edge_decay(sets, np.abs(transformed), w_arr)
+    lhs = _integrals(sets, transformed, w_arr)
+    rhs = bargmann_row_sets(sets, grid, -1j * w_arr)
     return [np.max(np.abs(u - v), axis=1) for u, v in zip(lhs, rhs)]
 
 

@@ -647,27 +647,12 @@ def cmd_verify_all(args, cfg: argparse.Namespace) -> tuple[str, int]:
         rows = [[r.name, r.passed, r.measured, r.threshold, r.detail] for r in results]
         text = render_table(header, rows, "csv", {})
     else:
-        payload = {
-            "criteria": [
-                {
-                    "name": r.name,
-                    "pass": r.passed,
-                    "measured": _json_safe(r.measured),
-                    "threshold": r.threshold,
-                    "detail": r.detail,
-                }
-                for r in results
-            ],
-            "all_pass": all_pass,
-            "config": {
-                "grid_L": cfg.grid_l,
-                "grid_N": cfg.grid_n,
-                "kmax": vcfg.kmax,
-                "grid_kmax": vcfg.grid_kmax,
-                "wide_grid_L": WIDE_GRID.half_width,
-                "wide_grid_N": WIDE_GRID.num_points,
-            },
-        }
+        criteria = [{"name": r.name, "pass": r.passed, "measured": _json_safe(r.measured),
+                     "threshold": r.threshold, "detail": r.detail} for r in results]
+        config = {"grid_L": cfg.grid_l, "grid_N": cfg.grid_n, "kmax": vcfg.kmax,
+                  "grid_kmax": vcfg.grid_kmax, "wide_grid_L": WIDE_GRID.half_width,
+                  "wide_grid_N": WIDE_GRID.num_points}
+        payload = {"criteria": criteria, "all_pass": all_pass, "config": config}
         text = json.dumps(payload, indent=2, allow_nan=False) + "\n"
     return text, 0 if all_pass else 1
 

@@ -33,6 +33,8 @@ class GridSpec:
     def __post_init__(self):
         if not 0 < self.half_width < np.inf:
             raise ValueError(f"half_width must be positive and finite, got {self.half_width}")
+        if self.half_width > np.finfo(float).max / 2:  # 2L overflows
+            raise ValueError(f"half_width must give a finite spacing 2L/N, got {self.half_width}")
         if self.num_points < 16 or self.num_points % 2 != 0:
             raise ValueError(
                 f"num_points must be even and >= 16, got {self.num_points}"

@@ -248,6 +248,9 @@ def _chirp_z_plan(grid: GridSpec) -> tuple[int, np.ndarray, np.ndarray, np.ndarr
     h = grid.spacing
     x0 = -grid.half_width
     n = grid.num_points
+    if 2.0 * x0 * x0 == math.inf:
+        raise NumericalDomainError(f"the chirp-z phases of the sampled Fourier transform reach "
+                                   f"2L^2, past the double range at L={-x0:g}")
     # fhat(xi_m) = h/sqrt(2 pi) e^{-i x0^2} e^{-i m h x0}
     #             * sum_j [f_j e^{-i j h x0}] e^{-i j m h^2}
     # for m = 0..N, with xi_m = x0 + m h
@@ -264,6 +267,20 @@ def _chirp_z_plan(grid: GridSpec) -> tuple[int, np.ndarray, np.ndarray, np.ndarr
     for arr in (kernel_fft, pre, post):
         arr.flags.writeable = False
     return size, kernel_fft, pre, post
+
+
+def check_decayed(rows: np.ndarray) -> None:
+    """Refuse rows of samples, shape (F, N), undecayed for :func:`fourier_rows`: an EdgeDecayError
+    names the first with an edge sample (two per end) above EDGE_DECAY_REL times its peak."""
+    peaks = np.abs(rows).max(axis=1)
+    edges = np.maximum(np.abs(rows[:, :2]).max(axis=1), np.abs(rows[:, -2:]).max(axis=1))
+    undecayed = np.flatnonzero(edges > EDGE_DECAY_REL * peaks)
+    if undecayed.size:
+        i = undecayed[0]
+        raise EdgeDecayError(
+            f"input row {i} of the sampled Fourier transform has not decayed at the grid edges "
+            f"(edge/max = {edges[i] / peaks[i]:.3e} > {EDGE_DECAY_REL:.0e}); widen the grid"
+        )
 
 
 def fourier_rows(values, grid: GridSpec) -> np.ndarray:
@@ -284,20 +301,11 @@ def fourier_rows(values, grid: GridSpec) -> np.ndarray:
     fhat_a(xi_m) = (Z_m + conj Z_{N-m}) / 2.  Each part is first scaled by a
     power of two to unit peak, so neither of a pair leaks the other's
     rounding into it past its own scale.  Requires every row to have decayed
-    at the grid edges, its two outermost samples at each end within
-    EDGE_DECAY_REL of its peak (:class:`EdgeDecayError` names the first row
-    that has not).
+    at the grid edges (:func:`check_decayed`), and phases x xi up to 2 L^2
+    in the double range (:class:`NumericalDomainError` past L ~ 9.5e153).
     """
     rows = np.atleast_2d(values)
-    peaks = np.abs(rows).max(axis=1)
-    edges = np.maximum(np.abs(rows[:, :2]).max(axis=1), np.abs(rows[:, -2:]).max(axis=1))
-    undecayed = np.flatnonzero(edges > EDGE_DECAY_REL * peaks)
-    if undecayed.size:
-        i = undecayed[0]
-        raise EdgeDecayError(
-            f"input row {i} of the sampled Fourier transform has not decayed at the grid edges "
-            f"(edge/max = {edges[i] / peaks[i]:.3e} > {EDGE_DECAY_REL:.0e}); widen the grid"
-        )
+    check_decayed(rows)
     n = grid.num_points
     size, kernel_fft, pre, post = _chirp_z_plan(grid)
     out = np.zeros(rows.shape, dtype=complex)

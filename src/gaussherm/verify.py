@@ -20,6 +20,7 @@ from . import decay as dc
 from . import gaussians as ga
 from . import oscillator as osc
 from . import weighted as wt
+from .errors import NumericalDomainError
 from .grid import DEFAULT_GRID, GridSpec, SampledFunction
 from .hermite import HermiteExpansion, analyze, band_limit, grid_basis, hermite_phi_all
 
@@ -49,6 +50,15 @@ class VerifyConfig:
         grid runs its Hermite index k at min(k, grid_kmax)."""
         return band_limit(self.grid)
 
+    @property
+    def sampling_grid(self) -> GridSpec:
+        """The grid, for a criterion that samples on it: refused past
+        L ~ 1.34e154, where x^2 at its edge is past the double range."""
+        if self.grid.half_width * self.grid.half_width == math.inf:
+            raise NumericalDomainError(f"the run grid's samples cannot be formed: x^2 at its "
+                                       f"edge L={self.grid.half_width:g} is past the double range")
+        return self.grid
+
 
 def _result(name: str, parts: list[tuple[str, float]], detail: str) -> CriterionResult:
     measured = max(v for _, v in parts)
@@ -65,10 +75,11 @@ def _result(name: str, parts: list[tuple[str, float]], detail: str) -> Criterion
 def criterion_normalization_pins(cfg: VerifyConfig) -> CriterionResult:
     """phi_0(0) = 2**0.25 to 1e-12 and U(phi_k)(w) = w^k/sqrt(2^k k!) to
     1e-8 relative at ten points on the ring |w| = 3, k <= 20."""
+    grid = cfg.sampling_grid
     pin_dev = abs(float(hermite_phi_all(0, [0.0])[0, 0]) - 2.0 ** 0.25)
     ws = 3.0 * np.exp(2j * math.pi * np.arange(10) / 10)
     k = np.arange(21)
-    num = bg.bargmann_row_sets([grid_basis(cfg.grid, 20)], cfg.grid, ws)[0]
+    num = bg.bargmann_row_sets([grid_basis(grid, 20)], grid, ws)[0]
     target = ws ** k[:, None] / np.exp(bg.log_fock_norm(k))[:, None]
     worst_rel = float(np.max(np.abs(num - target) / np.abs(target)))
     return _result(
@@ -85,13 +96,14 @@ _REFLECTION_WS = np.array(
 
 
 def criterion_reflection_identity(cfg: VerifyConfig) -> CriterionResult:
-    """U(fhat)(w) = Uf(-iw) to 1e-8 for phi_k (k <= 20), the Gaussian of
-    width 0.5, and boundary chirps; the real phi_k and the complex samples
-    are two sets of rows that share the Bargmann kernels."""
+    """U(fhat)(w) = Uf(-iw) to 1e-8 at 8 points w for phi_k (k <= 20), the
+    Gaussian of width 0.5 and boundary chirps, U(fhat) of both sets of rows
+    from one sampled transform of the 8 Bargmann kernels (bargmann.reflection_row_sets)."""
+    grid = cfg.sampling_grid
     others = [ga.gaussian(0.5)] + [ga.boundary_chirp(alpha) for alpha in (0.2, 0.27465, 0.5)]
-    samples = [g.sample(cfg.grid).values for g in others]
+    samples = [g.sample(grid).values for g in others]
     worst = float(max(dev.max() for dev in bg.reflection_row_sets(
-        [grid_basis(cfg.grid, 20), samples], cfg.grid, _REFLECTION_WS)))
+        [grid_basis(grid, 20), samples], grid, _REFLECTION_WS)))
     return _result(
         "reflection_identity",
         [("max_deviation", worst / 1e-8)],
@@ -197,12 +209,8 @@ def criterion_contour_machinery(cfg: VerifyConfig) -> CriterionResult:
     worst_ratio = float(np.exp(margins.max()))
     return _result(
         "contour_machinery",
-        [
-            ("branch_continuity", cont_dev / 1e-12),
-            ("ij_ratio_at_200", ij[200] / 0.1),
-            ("ij_decreasing", 0.0 if decreasing else 2.0),
-            ("bound_dominance", worst_ratio),
-        ],
+        [("branch_continuity", cont_dev / 1e-12), ("ij_ratio_at_200", ij[200] / 0.1),
+         ("ij_decreasing", 0.0 if decreasing else 2.0), ("bound_dominance", worst_ratio)],
         f"continuity dev {cont_dev:.2e} (tol 1e-12); I/J = "
         f"{ij[10]:.3e}/{ij[50]:.3e}/{ij[200]:.3e} at n=10/50/200 (200-value tol 0.1); "
         f"max |c_n|/bound = {worst_ratio:.4f}",
@@ -235,6 +243,7 @@ def criterion_oscillator_evolution(cfg: VerifyConfig) -> CriterionResult:
     times, and once through the grid's analysis at k <= min(60, grid_kmax));
     unitarity to 1e-10; psi_{t+pi} = -psi_t to 1e-12; the Fourier
     time-shift identity to 1e-10."""
+    grid = cfg.sampling_grid
     sq = ga.squeezed_state(0.5)
     flow_dev = 0.0
     for t in (0.1, math.pi / 8, 1.0, 3.0):
@@ -242,8 +251,8 @@ def criterion_oscillator_evolution(cfg: VerifyConfig) -> CriterionResult:
         rhs = osc.evolve_expansion(ga.hermite_coeffs(sq, cfg.kmax), t).coeffs
         flow_dev = max(flow_dev, float(np.max(np.abs(lhs - rhs))))
     k_grid = min(cfg.kmax, cfg.grid_kmax)
-    lhs = analyze(osc.evolve_gaussian(sq, 1.0).sample(cfg.grid), k_grid).coeffs
-    rhs = osc.evolve_expansion(analyze(sq.sample(cfg.grid), k_grid), 1.0).coeffs
+    lhs = analyze(osc.evolve_gaussian(sq, 1.0).sample(grid), k_grid).coeffs
+    rhs = osc.evolve_expansion(analyze(sq.sample(grid), k_grid), 1.0).coeffs
     flow_dev = max(flow_dev, float(np.max(np.abs(lhs - rhs))))
     e = HermiteExpansion(_SEEDED_EXPANSION)
     unit_dev = abs(osc.evolve_expansion(e, 2.7).norm_sq() - e.norm_sq()) / e.norm_sq()
@@ -258,12 +267,8 @@ def criterion_oscillator_evolution(cfg: VerifyConfig) -> CriterionResult:
     )
     return _result(
         "oscillator_evolution",
-        [
-            ("flow_agreement", flow_dev / 1e-8),
-            ("unitarity", unit_dev / 1e-10),
-            ("pi_antiperiodicity", anti_dev / 1e-12),
-            ("fourier_time_shift", shift_dev / 1e-10),
-        ],
+        [("flow_agreement", flow_dev / 1e-8), ("unitarity", unit_dev / 1e-10),
+         ("pi_antiperiodicity", anti_dev / 1e-12), ("fourier_time_shift", shift_dev / 1e-10)],
         f"flow dev {flow_dev:.2e} (1e-8); unitarity {unit_dev:.2e} (1e-10); "
         f"antiperiodicity {anti_dev:.2e} (1e-12); time shift {shift_dev:.2e} (1e-10)",
     )
@@ -304,15 +309,11 @@ def criterion_confinement(cfg: VerifyConfig) -> CriterionResult:
                        for g in (ga.boundary_chirp(b), ga.squeezed_state(b)))
     return _result(
         "confinement",
-        [
-            ("no_divergence", 0.0 if first_bad is None else 2.0),
-            ("attained_at_minus_pi_8", dist / 1e-12),
-            ("sup_closed_form", sup_dev / 1e-8),
-            ("psi_constant_at_minus_pi_8", psi_dev / 1e-8),
-            ("dominated_by_constant", sup2 / c_sharp),
-            ("grid_scan_agreement", 2.0 if scan.divergent else scan_dev / 1e-10),
-            ("sharp_on_gaussians", 2.0 if sharp_misses else 0.0),
-        ],
+        [("no_divergence", 0.0 if first_bad is None else 2.0),
+         ("attained_at_minus_pi_8", dist / 1e-12), ("sup_closed_form", sup_dev / 1e-8),
+         ("psi_constant_at_minus_pi_8", psi_dev / 1e-8), ("dominated_by_constant", sup2 / c_sharp),
+         ("grid_scan_agreement", 2.0 if scan.divergent else scan_dev / 1e-10),
+         ("sharp_on_gaussians", 2.0 if sharp_misses else 0.0)],
         f"sup {sup:.8f} vs (1-r)^-1/2 dev {sup_dev:.2e}; attained dist to "
         f"3pi/8: {dist:.2e}; psi-side at 3pi/8 vs (1+r)^-1/2 dev {psi_dev:.2e}; "
         f"gamma=0.45 sup {sup2:.4f} <= sharp {c_sharp:.4f} <= loose {c_paper:.4f}; "
@@ -346,12 +347,8 @@ def criterion_weighted_norm_identities(cfg: VerifyConfig) -> CriterionResult:
     conv_dev = float(np.max(np.abs(wt.central_binomial_convolution(np.arange(31)) - 1.0)))
     return _result(
         "weighted_norm_identities",
-        [
-            ("closed_vs_gram", gram_rel / 1e-10),
-            ("closed_vs_quadrature", quad_rel / 1e-6),
-            ("generating_function", gf_dev / 1e-8),
-            ("mu_to_1_collapse", conv_dev / 1e-12),
-        ],
+        [("closed_vs_gram", gram_rel / 1e-10), ("closed_vs_quadrature", quad_rel / 1e-6),
+         ("generating_function", gf_dev / 1e-8), ("mu_to_1_collapse", conv_dev / 1e-12)],
         f"max rel dev closed vs Gram diagonal {gram_rel:.2e} (1e-10); closed vs "
         f"quadrature {quad_rel:.2e} (1e-6); generating-function "
         f"dev {gf_dev:.2e} (1e-8); collapse dev {conv_dev:.2e} (1e-12)",
@@ -368,10 +365,8 @@ def criterion_factorial_certificate(cfg: VerifyConfig) -> CriterionResult:
     wallis = float(wt.central_binomial(10_000) * math.sqrt(math.pi * 10_000))
     return _result(
         "factorial_certificate",
-        [
-            ("certificate_margin", 0.0 if min_margin >= -1e-12 else 2.0),
-            ("wallis_sanity", abs(wallis - 1.0) / 0.01),
-        ],
+        [("certificate_margin", 0.0 if min_margin >= -1e-12 else 2.0),
+         ("wallis_sanity", abs(wallis - 1.0) / 0.01)],
         f"B = {cert.b:.6f} (proof constant {cert.b_proof:.6f}, m = {cert.m}); min log "
         f"margin over n<=1e4: {min_margin:.3e}; Q(1e4) sqrt(pi 1e4) = {wallis:.6f}",
     )
@@ -407,11 +402,7 @@ def criterion_uniform_norm_coeff_bound(cfg: VerifyConfig) -> CriterionResult:
     sharp_parts, sharp_detail = _closed_form_sharpness(sq, beta)
     return _result(
         "uniform_norm_coeff_bound",
-        [
-            ("bound_dominance", worst_ratio),
-            ("gram_vs_closed_form", gram_dev / 1e-10),
-            *sharp_parts,
-        ],
+        [("bound_dominance", worst_ratio), ("gram_vs_closed_form", gram_dev / 1e-10), *sharp_parts],
         f"C = {big_c:.6f} (Gram form of 300 coefficients: rel dev {gram_dev:.2e}, tol "
         f"1e-10); max |coeff|/bound = {worst_ratio:.4f}; beta = {beta}: {sharp_detail}",
     )
@@ -421,21 +412,20 @@ def criterion_hardy_threshold(cfg: VerifyConfig) -> CriterionResult:
     """At the self-dual parameter a = 1: the Gaussian classifies as a member
     with ground-state residual < 1e-8, phi_2 is rejected by divergence, and
     the coefficient bound decreases toward 0 as a -> 1."""
-    rep = dc.hardy_classify(ga.gaussian(1.0).sample(cfg.grid), 1.0)
+    grid = cfg.sampling_grid
+    rep = dc.hardy_classify(ga.gaussian(1.0).sample(grid), 1.0)
     residual = rep.ground_state_residual if rep.member else math.inf
-    f2 = SampledFunction(cfg.grid, grid_basis(cfg.grid, 2)[2])
+    f2 = SampledFunction(grid, grid_basis(grid, 2)[2])
     rep2 = dc.hardy_classify(f2, 1.0)
     k = np.array([1, 2, 5, 10, 20])
     log_bounds = [dc.log_hardy_coeff_bound(k, av, 1.0) for av in (0.9, 0.99, 0.999)]
     monotone = bool(np.all(np.diff(log_bounds, axis=0) < 0))
     return _result(
         "hardy_threshold",
-        [
-            ("gaussian_member", 0.0 if rep.member else 2.0),
-            ("ground_state_residual", float(residual) / 1e-8),
-            ("phi2_divergence", 0.0 if not rep2.member else 2.0),
-            ("bound_vanishes", 0.0 if monotone else 2.0),
-        ],
+        [("gaussian_member", 0.0 if rep.member else 2.0),
+         ("ground_state_residual", float(residual) / 1e-8),
+         ("phi2_divergence", 0.0 if not rep2.member else 2.0),
+         ("bound_vanishes", 0.0 if monotone else 2.0)],
         f"g_1 member: {rep.member}, residual {residual:.2e} (1e-8); phi_2 rejected: "
         f"{not rep2.member}; bound decreasing at a = 0.9/0.99/0.999: {monotone}",
     )

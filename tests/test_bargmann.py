@@ -6,6 +6,8 @@ import math
 import numpy as np
 import pytest
 
+import gaussherm.bargmann as bargmann
+from gaussherm import verify
 from gaussherm.bargmann import (
     SectorParams,
     bargmann_exact,
@@ -30,6 +32,8 @@ from gaussherm.grid import GridSpec
 from gaussherm.hermite import (
     EDGE_DECAY_REL,
     HermiteExpansion,
+    fourier_rows,
+    grid_basis,
     hermite_phi_all,
     unit_expansion,
 )
@@ -239,6 +243,91 @@ def test_row_sets_name_the_undecayed_row_the_per_set_call_names(grid):
         bargmann_row_sets([good, bad], grid, ws)
     assert "input row 2 " in str(alone.value)
     assert str(shared.value) == str(alone.value)
+
+
+#: The grids verify-all is run on: the default, --grid-L 10, --grid-L 12 and --grid-N 2048.
+VERIFY_GRIDS = [GridSpec(16.0, 4096), GridSpec(10.0, 4096), GridSpec(12.0, 4096),
+                GridSpec(16.0, 2048)]
+
+
+def _reference_reflection_row_sets(row_sets, grid, w):
+    """The row-side formula: U(fhat)(w) from each set's own transformed rows
+    (one ``fourier_rows`` call per set), beside Uf(-iw); the U(fhat) values
+    and the deviations."""
+    lhs = bargmann_row_sets([fourier_rows(rows, grid) for rows in row_sets], grid, w)
+    rhs = bargmann_row_sets(row_sets, grid, -1j * np.asarray(w))
+    return lhs, [np.max(np.abs(u - v), axis=1) for u, v in zip(lhs, rhs)]
+
+
+def _verify_row_sets(grid):
+    """reflection_identity's two sets: phi_0..phi_20, then the Gaussian of
+    width 0.5 and the three boundary chirps."""
+    others = [gaussian(0.5)] + [boundary_chirp(alpha) for alpha in (0.2, 0.27465, 0.5)]
+    return [grid_basis(grid, 20), np.array([g.sample(grid).values for g in others])]
+
+
+@pytest.mark.parametrize("grid_", VERIFY_GRIDS, ids=["default", "L10", "L12", "N2048"])
+def test_reflection_row_sets_agree_with_the_row_side_formula(grid_):
+    """On verify's rows and points, the kernel-side U(fhat) matches the
+    row-side one to 1e-14 of its largest value, and the deviations agree to
+    1e-14 absolute."""
+    sets, ws = _verify_row_sets(grid_), verify._REFLECTION_WS
+    want_u, want = _reference_reflection_row_sets(sets, grid_, ws)
+    got_u = bargmann._integrals(sets, fourier_rows(bargmann._kernel(grid_, ws), grid_), ws)
+    for got_set, want_set in zip(got_u, want_u):
+        assert np.max(np.abs(got_set - want_set)) <= 1e-14 * np.max(np.abs(want_set))
+    for got_dev, want_dev in zip(reflection_row_sets(sets, grid_, ws), want):
+        assert got_dev.shape == want_dev.shape
+        assert np.max(np.abs(got_dev - want_dev)) <= 1e-14
+
+
+def test_reflection_row_sets_transform_the_kernels_once(grid, monkeypatch):
+    """One ``fourier_rows`` call per ``reflection_row_sets`` call, on the W
+    kernel rows, whatever the number of sets."""
+    transformed = []
+
+    def counted(values, grid_):
+        transformed.append(np.shape(values))
+        return fourier_rows(values, grid_)
+
+    monkeypatch.setattr(bargmann, "fourier_rows", counted)
+    for count in (1, 2, 3):
+        reflection_row_sets(_row_sets(grid)[:count], grid, WS)
+    assert transformed == [(len(WS), grid.num_points)] * 3
+
+
+def test_reflection_row_sets_name_the_undecayed_row_as_the_transform_does(grid):
+    """An undecayed row in the second set raises the EdgeDecayError text
+    that set raises on its own, which is what the transform of that set
+    raises (the refusal of the row-side formula)."""
+    xs = grid.xs
+    good = hermite_phi_all(2, xs)
+    bad = [*hermite_phi_all(1, xs), np.exp(-0.01 * xs ** 2), gaussian(0.5).sample(grid).values]
+    messages = []
+    for call in (lambda: reflection_row_sets([bad], grid, WS),
+                 lambda: reflection_row_sets([good, bad], grid, WS),
+                 lambda: fourier_rows(np.array(bad), grid)):
+        with pytest.raises(EdgeDecayError) as err:
+            call()
+        messages.append(str(err.value))
+    assert messages[0].startswith("input row 2 of the sampled Fourier transform has not decayed")
+    assert messages[0] == messages[1] == messages[2]
+
+
+def test_reflection_row_sets_refuse_an_undecayed_kernel_by_the_index_of_w(grid):
+    """A point w with Re w = 11, 5 from the edge of L = 16, has a kernel that
+    has not decayed there; the transform's check refuses it as row 1."""
+    with pytest.raises(EdgeDecayError, match="^input row 1 of the sampled Fourier transform"):
+        reflection_row_sets([hermite_phi_all(0, grid.xs)], grid, [0.5, 11.0])
+
+
+def test_reflection_row_sets_guard_the_transformed_integrand(grid):
+    """A row that passes the transform's edge check but whose integrand with
+    the transformed kernel of w = 14i peaks near the grid edge is refused,
+    naming the row and w."""
+    row = np.exp(-0.08 * grid.xs ** 2)  # its edge samples are 1.3e-9 of its peak
+    with pytest.raises(EdgeDecayError, match=r"input row 0 not decayed at grid edges for w=\[0\.\+14\.j\]"):
+        reflection_row_sets([row], grid, [14j])
 
 
 @pytest.mark.parametrize("k", [0, 1, 5, 12, 20])

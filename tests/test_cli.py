@@ -1370,6 +1370,36 @@ def test_range_edge_sweep_has_no_internal_error_and_a_quiet_exit_0(tmp_path, cap
     assert huge == [0, 1] * 6  # norms answers; verify-all's verdict fails there
 
 
+def test_a_grid_whose_spacing_overflows_is_a_parse_error(capsys):
+    """Past L ~ 8.99e307 the spacing 2L/N overflows: --grid-L there is
+    refused as --grid-L inf is (exit 2), before anything is sampled."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["norms", "--grid-L", "1.7976931348623157e308", "--kmax", "3"])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err == ("error: half_width must give a finite spacing 2L/N, "
+                   "got 1.7976931348623157e+308\n")
+
+
+@pytest.mark.parametrize("grid_l", ["1.6e154", "1e200", "1e300"])
+def test_verify_all_refuses_to_sample_a_grid_past_the_double_range(grid_l, capsys):
+    """On a grid where x^2 at the edge is past the double range, the four
+    criteria that sample the run grid fail with a detail naming that, and
+    the others still run: exit 1, nothing on stderr, no warning."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["verify-all", "--grid-L", grid_l, "--format", "json"])
+    out, err = capsys.readouterr()
+    assert code == 1 and err == "" and not caught, [str(w.message) for w in caught]
+    failed = {c["name"]: c["detail"] for c in json.loads(out)["criteria"] if not c["pass"]}
+    assert sorted(failed) == ["hardy_threshold", "normalization_pins", "oscillator_evolution",
+                              "reflection_identity"]
+    assert set(failed.values()) == {
+        f"raised NumericalDomainError: the run grid's samples cannot be formed: x^2 at its "
+        f"edge L={float(grid_l):g} is past the double range"}
+
+
 @pytest.mark.parametrize("argv", [
     ["confine", "gaussian:A=1,b=5e-324+2.5i", "--beta", "1", "--gamma", "0.5"],
     ["evolve", "gaussian:A=1,b=5e-324+2.5i", "--a", "0.1", "--t-grid", "4"],

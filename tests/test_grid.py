@@ -18,6 +18,9 @@ def test_grid_validation():
         GridSpec(8.0, 8)  # below the minimum point count
     with pytest.raises(ValueError):
         GridSpec(8.0, 65)  # odd
+    with pytest.raises(ValueError, match="finite spacing 2L/N, got 1.7976931348623157e"):
+        GridSpec(np.finfo(float).max, 4096)  # 2L overflows
+    assert GridSpec(np.finfo(float).max / 2, 4096).spacing < np.inf
 
 
 def test_grid_geometry():

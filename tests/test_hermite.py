@@ -4,13 +4,14 @@ Fourier transforms, Mehler's identity."""
 import functools
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
 import gaussherm.hermite as hermite
 import gaussherm.verify as verify
-from gaussherm.errors import BandLimitError, EdgeDecayError
+from gaussherm.errors import BandLimitError, EdgeDecayError, NumericalDomainError
 from gaussherm.grid import SQRT_2PI, GridSpec, SampledFunction, norm_sq, trapezoid_weights
 from gaussherm.hermite import (
     HermiteExpansion,
@@ -409,6 +410,35 @@ def test_fourier_rows_paired_parts_match_direct_sum(grid_):
     _assert_rows_match_direct(fourier_rows(zero_imag, grid_), ref[:, 13:14])
     zeros = fourier_rows(np.zeros((2, grid_.num_points), dtype=complex), grid_)
     assert zeros.shape == (2, grid_.num_points) and not zeros.any()  # no part to transform
+
+
+#: The grids verify-all is run on: the default, --grid-L 10, --grid-L 12 and --grid-N 2048.
+VERIFY_GRIDS = [GridSpec(16.0, 4096), GridSpec(10.0, 4096), GridSpec(12.0, 4096),
+                GridSpec(16.0, 2048)]
+VERIFY_GRID_IDS = ["default", "L10", "L12", "N2048"]
+
+
+@pytest.mark.parametrize("grid_", VERIFY_GRIDS, ids=VERIFY_GRID_IDS)
+def test_fourier_rows_is_a_symmetric_bilinear_form(grid_):
+    """sum g (F f) = sum f (F g) to 1e-14 relative for seeded complex rows f
+    and g: the matrix of the same-grid transform is symmetric, which lets
+    ``bargmann.reflection_row_sets`` transform its kernels, not its rows."""
+    rng = np.random.default_rng(3301)
+    coeffs = rng.normal(size=(2, 4, 13)) + 1j * rng.normal(size=(2, 4, 13))
+    f, g = coeffs @ hermite_phi_all(12, grid_.xs)
+    lhs = np.sum(g * fourier_rows(f, grid_), axis=1)
+    rhs = np.sum(f * fourier_rows(g, grid_), axis=1)
+    assert np.all(np.abs(lhs - rhs) <= 1e-14 * np.abs(lhs))
+
+
+def test_fourier_rows_refuse_a_grid_past_the_chirp_phases():
+    """Past L ~ 9.5e153 the chirp's phases, up to 2 L^2, leave the double
+    range: a grid there is refused before anything warns."""
+    huge = GridSpec(1e154, 4096)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalDomainError, match=r"reach 2L\^2, past the double range at L=1e\+154"):
+            fourier_rows(np.exp(-0.5 * huge.xs ** 2), huge)
 
 
 def _plan_stacks(grid_):
