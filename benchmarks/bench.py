@@ -1,5 +1,5 @@
 """Timings of gaussherm's kernels and verify criteria, in-process, and of
-its import, ``verify-all``, the 4,096-time ``evolve`` and ``confine`` of
+its import (with numpy's, and after it), ``verify-all``, the 4,096-time ``evolve`` and ``confine`` of
 ``hermite:k=81``, the 4,096-time ``evolve`` of a seeded dense 82-term
 expansion, the 64- and 4,096-time ``evolve`` of ``hermite:k=1764`` and the
 100,001-row ``coeffs`` tables in CSV and JSON in fresh interpreters, plus the
@@ -20,7 +20,11 @@ commands in fresh interpreters include starting Python; the import is run
 timed 5 times whatever ``--repeats`` says.  The first ``verify-all`` is timed by the fresh
 interpreter itself, from after ``import gaussherm.cli`` to the return of
 ``cli.main``: the cost a user pays once per process, which perfbench reads
-as ``cold_request_ms``.  The median, min and max of those repeats are printed
+as ``cold_request_ms``.  So is ``import gaussherm.cli`` in a fresh
+interpreter that has already imported numpy (20 times after 3 untimed
+runs): the package's own import, which perfbench reads as ``setup_s`` and
+which numpy's import, three to ten times longer, hides in the plain
+import item.  The median, min and max of those repeats are printed
 and written, with the machine's nproc, the Python and numpy versions and
 ``OPENBLAS_NUM_THREADS``, to ``BENCH_<label>.json`` at the checkout root.
 Timings are noisy on a shared machine: compare two labels only when both
@@ -93,12 +97,15 @@ LONG_EVOLVE = "evolve hermite:k=1764 --a 0.3 --t-grid 4096 (subprocess)"
 WIDE_COEFFS = {fmt: f"coeffs hermite:k=40 --kmax 100000 --format {fmt} (subprocess)"
                for fmt in ("csv", "json")}
 
+#: ``import gaussherm.cli`` timed by a fresh interpreter after its numpy import.
+IMPORT_AFTER_NUMPY = "import gaussherm.cli after numpy (fresh interpreter)"
+
 #: Items timed a fixed number of times, whatever ``--repeats`` says.
-FIXED_REPEATS = {"import gaussherm.cli (fresh interpreter)": 5, LONG_EVOLVE: 3,
-                 WIDE_COEFFS["csv"]: 6, WIDE_COEFFS["json"]: 6}
+FIXED_REPEATS = {"import gaussherm.cli (fresh interpreter)": 5, IMPORT_AFTER_NUMPY: 20,
+                 LONG_EVOLVE: 3, WIDE_COEFFS["csv"]: 6, WIDE_COEFFS["json"]: 6}
 
 #: Untimed calls before timing (default 1).
-WARMUPS = {"import gaussherm.cli (fresh interpreter)": 3, LONG_EVOLVE: 0}
+WARMUPS = {"import gaussherm.cli (fresh interpreter)": 3, IMPORT_AFTER_NUMPY: 3, LONG_EVOLVE: 0}
 
 #: Run in a fresh interpreter: one ``verify-all --format json`` after the
 #: import, printing its exit status and the seconds ``cli.main`` took.
@@ -111,8 +118,18 @@ with contextlib.redirect_stdout(io.StringIO()):
 print(status, time.perf_counter() - start)
 """
 
+#: Run in a fresh interpreter: numpy's import, then the package's, timed
+#: alone, as perfbench's ``setup_s`` times it.
+TIMED_IMPORT = """\
+import time
+import numpy
+start = time.perf_counter()
+import gaussherm.cli
+print(time.perf_counter() - start)
+"""
+
 #: Items whose callable returns its own time in seconds.
-SELF_TIMED = {"verify-all first run (fresh interpreter, import excluded)"}
+SELF_TIMED = {"verify-all first run (fresh interpreter, import excluded)", IMPORT_AFTER_NUMPY}
 
 
 def run_cli(argv: list[str]) -> None:
@@ -138,6 +155,12 @@ def first_verify_all_s() -> float:
     if status != b"0":
         raise RuntimeError(f"verify-all in a fresh interpreter returned {status!r}")
     return float(seconds)
+
+
+def import_after_numpy_s() -> float:
+    """Seconds of ``import gaussherm.cli`` in a fresh interpreter that has
+    already imported numpy."""
+    return float(run_subprocess(["-c", TIMED_IMPORT]))
 
 
 def dense_expansion_file() -> str:
@@ -222,6 +245,7 @@ def items():
         ("cli build_parser", cli.build_parser),
         ("import gaussherm.cli (fresh interpreter)",
          lambda: run_subprocess(["-c", "import gaussherm.cli"])),
+        (IMPORT_AFTER_NUMPY, import_after_numpy_s),
         ("verify-all --format json (subprocess)",
          lambda: run_subprocess(["-m", "gaussherm", "verify-all", "--format", "json"])),
         ("verify-all first run (fresh interpreter, import excluded)", first_verify_all_s),

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 import numpy as np
 
@@ -200,8 +200,7 @@ def _taylor_polynomial(e: HermiteExpansion, w: np.ndarray) -> np.ndarray:
     return np.exp(g_peak[:, 0]) * total
 
 
-@dataclass(frozen=True)
-class SectorParams:
+class SectorParams(namedtuple("SectorParams", "a big_c mu theta0 theta1")):
     """Geometry of the Phragmen-Lindelof sector for envelope parameter a.
 
     mu = (1-a)/(1+a); theta0 = arctan(sqrt(mu)) (equivalently half the
@@ -211,21 +210,18 @@ class SectorParams:
     the angles are derived.
     """
 
-    a: float
-    big_c: float = 1.0
-    mu: float = field(init=False)
-    theta0: float = field(init=False)
-    theta1: float = field(init=False)
+    __slots__ = ()
 
-    def __post_init__(self):
-        check_weight(self.a)
-        if not self.big_c > 0:
-            raise ValueError(f"C must be positive, got {self.big_c}")
-        mu = (1.0 - self.a) / (1.0 + self.a)
+    def __new__(cls, a: float, big_c: float = 1.0):
+        check_weight(a)
+        if not big_c > 0:
+            raise ValueError(f"C must be positive, got {big_c}")
+        mu = (1.0 - a) / (1.0 + a)
         theta0 = _theta0(mu)
-        object.__setattr__(self, "mu", mu)
-        object.__setattr__(self, "theta0", theta0)
-        object.__setattr__(self, "theta1", 0.5 * math.pi - theta0)
+        return super().__new__(cls, a, big_c, mu, theta0, 0.5 * math.pi - theta0)
+
+    def __getnewargs__(self):  # a copy or an unpickled one is built from a and C
+        return self[:2]
 
 
 def _theta0(mu: float) -> float:

@@ -23,8 +23,8 @@ import re
 import sys
 import tempfile
 from collections.abc import Callable
-from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import partial
+from typing import NamedTuple
 
 import numpy as np
 
@@ -80,8 +80,7 @@ def _check_finite(value, flag: str) -> None:
     _float_list(repr(value), flag)
 
 
-@dataclass(frozen=True)
-class Option:
+class Option(NamedTuple):
     """One option, declared once: its flag, the config-file key that may set
     it (None: the flag alone), its default, and its check, a callable taking
     the value and the flag, or a tuple of choices.  ``signed`` marks a value
@@ -98,7 +97,7 @@ class Option:
     signed: bool = False
     required: bool = False
 
-    @cached_property
+    @property
     def argparse_kwargs(self) -> dict:
         return {"dest": self.dest, "type": self.type, "choices": self.choices,
                 "required": self.required,
@@ -139,6 +138,9 @@ OPTIONS = {opt.dest: opt for opt in (
     Option("--out", "output_path", "output path ('-' or omitted: stdout)", key="out"),
     Option("--config", "config", "JSON config file; flags override file values"),
 )}
+
+#: Each option's ``add_argument`` keywords, formed once for every parser built.
+_ARGPARSE_KWARGS = {dest: opt.argparse_kwargs for dest, opt in OPTIONS.items()}
 
 #: The options every command takes.
 COMMON_OPTIONS = ("output_format", "output_path", "config")
@@ -251,8 +253,7 @@ def parse_complex(text: str) -> complex:
     return complex(re_part, float(im_text))
 
 
-@dataclass(frozen=True)
-class InputSpec:
+class InputSpec(NamedTuple):
     """A parsed input: a Gaussian-family object or a coefficient vector."""
 
     label: str
@@ -664,7 +665,7 @@ class _Divergence(RuntimeError):
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     for dest in COMMON_OPTIONS:
-        common.add_argument(OPTIONS[dest].flag, **OPTIONS[dest].argparse_kwargs)
+        common.add_argument(OPTIONS[dest].flag, **_ARGPARSE_KWARGS[dest])
     parser = argparse.ArgumentParser(
         prog="gaussherm",
         description="Hermite-coefficient decay, Bargmann bounds, and oscillator "
@@ -679,7 +680,7 @@ def build_parser() -> argparse.ArgumentParser:
             group.add_argument("input", nargs="?" if takes_input == "optional" else None,
                                help="input spec, e.g. gaussian:b=0.5 or chirp:alpha=0.27465")
         for dest in options:
-            group.add_argument(OPTIONS[dest].flag, **OPTIONS[dest].argparse_kwargs)
+            group.add_argument(OPTIONS[dest].flag, **_ARGPARSE_KWARGS[dest])
         p.set_defaults(fn=globals()["cmd_" + name.replace("-", "_")])
     return parser
 

@@ -12,7 +12,7 @@ is sharp is read from closed forms (``verify``), not fitted.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -25,8 +25,7 @@ from .special import gammaln
 DIVERGENCE_WINDOW = 0.10
 
 
-@dataclass(frozen=True)
-class EnvelopeReport:
+class EnvelopeReport(NamedTuple):
     """Result of comparing |f| against C * exp(-a x^2 / 2).
 
     ``constant`` is the supremum of |f(x)| exp(a x^2 / 2) (closed-form, or
@@ -41,8 +40,7 @@ class EnvelopeReport:
     divergent: bool
 
 
-@dataclass(frozen=True)
-class Membership:
+class Membership(NamedTuple):
     """Two-sided envelope verdict at parameter a: f is a member when neither
     |f| nor |fhat| diverges against exp(-a x^2/2), and the class constant is
     then the larger of the two one-sided constants (None for a non-member)."""
@@ -133,7 +131,10 @@ def envelope_scan(f: SampledFunction, a: float) -> EnvelopeReport:
     expansion's envelope from its own form (``oscillator.flow_envelopes``).
     """
     xs = f.grid.xs
-    weighted = np.abs(f.values) * np.exp(0.5 * a * xs * xs)
+    modulus = np.abs(f.values)
+    with np.errstate(over="ignore", invalid="ignore"):  # the weight is inf past |x| ~ 37.7 at a = 1
+        weighted = modulus * np.exp(0.5 * a * xs * xs)
+    weighted[modulus == 0.0] = 0.0  # a zero sample weighs 0, not 0 * inf
     top, argmax_x = sample_peak(weighted, xs)
     if top == 0.0:
         return EnvelopeReport(a=a, constant=0.0, argmax_x=0.0, divergent=False)
@@ -142,11 +143,16 @@ def envelope_scan(f: SampledFunction, a: float) -> EnvelopeReport:
     return EnvelopeReport(a=a, constant=top, argmax_x=argmax_x, divergent=divergent)
 
 
-@dataclass(frozen=True)
-class HardyReport(Membership):
-    """Verdict of the grid-based trichotomy check at parameter a."""
+class HardyReport(NamedTuple):
+    """Verdict of the grid-based trichotomy check at parameter a: a
+    :class:`Membership`'s two sides, verdict and constant, and the residual."""
 
+    time_report: EnvelopeReport
+    frequency_report: EnvelopeReport
     ground_state_residual: float | None  # only computed for members at a >= 1
+
+    member = Membership.member
+    constant = Membership.constant
 
 
 def hardy_classify(f: SampledFunction, a: float) -> HardyReport:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 
@@ -23,18 +23,15 @@ from .hermite import HermiteExpansion
 from .weighted import log_central_binomial
 
 
-@dataclass(frozen=True)
-class GeneralizedGaussian:
+class GeneralizedGaussian(namedtuple("GeneralizedGaussian", "amplitude width")):
     """A * exp(-b x^2 / 2) with complex amplitude A and width b, Re b > 0."""
 
-    amplitude: complex
-    width: complex
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not complex(self.width).real > 0:
-            raise ValueError(f"Re(width) must be positive, got {self.width}")
-        object.__setattr__(self, "amplitude", complex(self.amplitude))
-        object.__setattr__(self, "width", complex(self.width))
+    def __new__(cls, amplitude: complex, width: complex):
+        if not complex(width).real > 0:
+            raise ValueError(f"Re(width) must be positive, got {width}")
+        return super().__new__(cls, complex(amplitude), complex(width))
 
     def __call__(self, xs) -> np.ndarray:
         xs = np.asarray(xs, dtype=float)
@@ -44,24 +41,21 @@ class GeneralizedGaussian:
         return SampledFunction(grid, self(grid.xs))
 
 
-@dataclass(frozen=True)
-class BargmannGaussian:
+class BargmannGaussian(namedtuple("BargmannGaussian", "prefactor quad_coeff")):
     """Entire function P * exp(lam * w^2), the Bargmann image of a Gaussian.
 
     |4 lam| < 1 holds exactly when the preimage is integrable (Re b > 0);
     it is what makes the Taylor coefficients those of an L^2 function.
     """
 
-    prefactor: complex
-    quad_coeff: complex
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not abs(4.0 * complex(self.quad_coeff)) < 1.0:
+    def __new__(cls, prefactor: complex, quad_coeff: complex):
+        if not abs(4.0 * complex(quad_coeff)) < 1.0:
             raise ValueError(
-                f"|4*quad_coeff| must be < 1, got {abs(4 * self.quad_coeff)}"
+                f"|4*quad_coeff| must be < 1, got {abs(4 * quad_coeff)}"
             )
-        object.__setattr__(self, "prefactor", complex(self.prefactor))
-        object.__setattr__(self, "quad_coeff", complex(self.quad_coeff))
+        return super().__new__(cls, complex(prefactor), complex(quad_coeff))
 
     def __call__(self, w) -> np.ndarray:
         w = np.asarray(w, dtype=complex)

@@ -7,16 +7,18 @@ excluded; integrands are expected to have decayed there anyway).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 import numpy as np
 
 SQRT_2PI = np.sqrt(2.0 * np.pi)
 
 
-@dataclass(frozen=True)
-class GridSpec:
+class GridSpec(namedtuple("GridSpec", "half_width num_points")):
     """Uniform symmetric grid on [-L, L) with an even number of points.
+
+    Equal and hashable by value, so a cache keyed on a grid finds it again
+    from a fresh ``GridSpec`` of the same numbers.
 
     Parameters
     ----------
@@ -27,18 +29,18 @@ class GridSpec:
         with index N/2.
     """
 
-    half_width: float = 16.0
-    num_points: int = 4096
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not 0 < self.half_width < np.inf:
-            raise ValueError(f"half_width must be positive and finite, got {self.half_width}")
-        if self.half_width > np.finfo(float).max / 2:  # 2L overflows
-            raise ValueError(f"half_width must give a finite spacing 2L/N, got {self.half_width}")
-        if self.num_points < 16 or self.num_points % 2 != 0:
+    def __new__(cls, half_width: float = 16.0, num_points: int = 4096):
+        if not 0 < half_width < np.inf:
+            raise ValueError(f"half_width must be positive and finite, got {half_width}")
+        if half_width > np.finfo(float).max / 2:  # 2L overflows
+            raise ValueError(f"half_width must give a finite spacing 2L/N, got {half_width}")
+        if num_points < 16 or num_points % 2 != 0:
             raise ValueError(
-                f"num_points must be even and >= 16, got {self.num_points}"
+                f"num_points must be even and >= 16, got {num_points}"
             )
+        return super().__new__(cls, half_width, num_points)
 
     @property
     def spacing(self) -> float:
@@ -52,22 +54,30 @@ class GridSpec:
 DEFAULT_GRID = GridSpec()
 
 
-@dataclass(frozen=True)
 class SampledFunction:
-    """Complex values of a function on a :class:`GridSpec`."""
+    """Complex values of a function on a :class:`GridSpec`; immutable."""
 
-    grid: GridSpec
-    values: np.ndarray = field(repr=False)
+    __slots__ = ("grid", "values")
 
-    def __post_init__(self):
-        vals = np.asarray(self.values, dtype=complex)
-        if vals.shape != (self.grid.num_points,):
+    def __init__(self, grid: GridSpec, values):
+        vals = np.asarray(values, dtype=complex)
+        if vals.shape != (grid.num_points,):
             raise ValueError(
-                f"values has shape {vals.shape}, grid has {self.grid.num_points} points"
+                f"values has shape {vals.shape}, grid has {grid.num_points} points"
             )
         if not np.all(np.isfinite(vals)):
             raise ValueError("values must be finite")
+        object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "values", vals)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):  # a copy or an unpickled one is built, not assigned to
+        return SampledFunction, (self.grid, self.values)
 
 
 def trapezoid(values: np.ndarray, spacing: float):

@@ -18,7 +18,6 @@ from __future__ import annotations
 import functools
 import math
 import sys
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -39,19 +38,28 @@ EDGE_DECAY_REL = 1e-8
 _TINY = np.finfo(float).tiny
 
 
-@dataclass(frozen=True)
 class HermiteExpansion:
-    """Finite vector of Hermite coefficients <f, phi_k> in dm-normalization."""
+    """Finite vector of Hermite coefficients <f, phi_k> in dm-normalization;
+    immutable."""
 
-    coeffs: np.ndarray = field(repr=False)
+    __slots__ = ("coeffs",)
 
-    def __post_init__(self):
-        c = np.atleast_1d(np.asarray(self.coeffs, dtype=complex))
+    def __init__(self, coeffs):
+        c = np.atleast_1d(np.asarray(coeffs, dtype=complex))
         if c.ndim != 1 or c.size == 0:
             raise ValueError("coeffs must be a non-empty 1-d sequence")
         if not np.all(np.isfinite(c)):
             raise ValueError("coeffs must be finite")
         object.__setattr__(self, "coeffs", c)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):  # a copy or an unpickled one is built, not assigned to
+        return HermiteExpansion, (self.coeffs,)
 
     def __len__(self) -> int:
         return self.coeffs.size

@@ -16,7 +16,8 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
-from dataclasses import dataclass, field
+from collections import namedtuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -93,22 +94,22 @@ def fourier_time_shift_check(e: HermiteExpansion, t: float) -> float:
     return float(np.max(np.abs(lhs - rhs)))
 
 
-@dataclass(frozen=True)
-class ConfinementParams:
-    """Parameters of the confinement constant: 0 < gamma < gamma' < beta."""
+class ConfinementParams(namedtuple("ConfinementParams", "beta gamma gamma_prime r")):
+    """Parameters of the confinement constant: 0 < gamma < gamma' < beta;
+    r = gamma/gamma' is derived."""
 
-    beta: float
-    gamma: float
-    gamma_prime: float
-    r: float = field(init=False)
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not 0.0 < self.gamma < self.gamma_prime < self.beta:
+    def __new__(cls, beta: float, gamma: float, gamma_prime: float):
+        if not 0.0 < gamma < gamma_prime < beta:
             raise ValueError(
                 "need 0 < gamma < gamma_prime < beta, got "
-                f"gamma={self.gamma}, gamma_prime={self.gamma_prime}, beta={self.beta}"
+                f"gamma={gamma}, gamma_prime={gamma_prime}, beta={beta}"
             )
-        object.__setattr__(self, "r", self.gamma / self.gamma_prime)
+        return super().__new__(cls, beta, gamma, gamma_prime, gamma / gamma_prime)
+
+    def __getnewargs__(self):  # a copy or an unpickled one is built from beta, gamma, gamma'
+        return self[:3]
 
 
 def confinement_constant(
@@ -132,8 +133,7 @@ def confinement_constant(
     return coeff_bound * first * mehler
 
 
-@dataclass(frozen=True)
-class ConfinementReport:
+class ConfinementReport(NamedTuple):
     """Per-time envelope constants of a flow and their supremum.
 
     A Gaussian's sup, ``attained_ts`` (its times in [0, pi/2)) and
@@ -144,12 +144,12 @@ class ConfinementReport:
 
     gamma: float
     a: float
-    ts: np.ndarray = field(repr=False)
-    psi_constants: np.ndarray = field(repr=False)
-    fourier_constants: np.ndarray = field(repr=False)
+    ts: np.ndarray
+    psi_constants: np.ndarray
+    fourier_constants: np.ndarray
     sup_constant: float
     worst_t: float
-    attained_ts: np.ndarray = field(repr=False)
+    attained_ts: np.ndarray
     divergent: bool
     first_divergent_t: float | None
 

@@ -11,7 +11,7 @@ random draws, no wall-clock anywhere.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -25,8 +25,7 @@ from .grid import DEFAULT_GRID, GridSpec, SampledFunction
 from .hermite import HermiteExpansion, analyze, band_limit, grid_basis, hermite_phi_all
 
 
-@dataclass(frozen=True)
-class CriterionResult:
+class CriterionResult(NamedTuple):
     name: str
     passed: bool
     measured: float
@@ -39,8 +38,7 @@ class CriterionResult:
 WIDE_GRID = GridSpec(24.0, 6144)
 
 
-@dataclass(frozen=True)
-class VerifyConfig:
+class VerifyConfig(NamedTuple):
     grid: GridSpec = DEFAULT_GRID
     kmax: int = 60
 

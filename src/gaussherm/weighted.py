@@ -16,7 +16,8 @@ state to be a finite Hermite combination, i.e. a Gaussian.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections import namedtuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -284,8 +285,7 @@ def generating_function_check(a: float, w: float, nmax: int) -> tuple[float, flo
     return lhs, float(rhs)
 
 
-@dataclass(frozen=True)
-class CentralBinomialCertificate:
+class CentralBinomialCertificate(NamedTuple):
     """Explicit constant B with Q_n >= B * n^{-beta/2} for every n >= 1.
 
     Construction: take delta, a hair below the positive root of
@@ -403,29 +403,27 @@ def selfdual_norm_bound(b: float) -> float:
     return 2.0 ** -0.25 * (1.0 - b) ** -0.25
 
 
-@dataclass(frozen=True)
-class WeakConfinementParams:
+class WeakConfinementParams(namedtuple("WeakConfinementParams", "n_factor k_const beta a b")):
     """Hypothetical uniform bound ||psi_t||_{tanh beta} <= K ||psi_0||_{tanh(N beta)}.
 
     N and K are caller-supplied; a = tanh(beta) and b = tanh(N beta) are the
     derived envelope parameters (0 < a < b < 1).
     """
 
-    n_factor: float
-    k_const: float
-    beta: float
-    a: float = field(init=False)
-    b: float = field(init=False)
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.n_factor > 1.0:
-            raise ValueError(f"N must exceed 1, got {self.n_factor}")
-        if not self.k_const > 0:
-            raise ValueError(f"K must be positive, got {self.k_const}")
-        if not self.beta > 0:
-            raise ValueError(f"beta must be positive, got {self.beta}")
-        object.__setattr__(self, "a", math.tanh(self.beta))
-        object.__setattr__(self, "b", math.tanh(self.n_factor * self.beta))
+    def __new__(cls, n_factor: float, k_const: float, beta: float):
+        if not n_factor > 1.0:
+            raise ValueError(f"N must exceed 1, got {n_factor}")
+        if not k_const > 0:
+            raise ValueError(f"K must be positive, got {k_const}")
+        if not beta > 0:
+            raise ValueError(f"beta must be positive, got {beta}")
+        return super().__new__(cls, n_factor, k_const, beta, math.tanh(beta),
+                               math.tanh(n_factor * beta))
+
+    def __getnewargs__(self):  # a copy or an unpickled one is built from N, K, beta
+        return self[:3]
 
 
 def weak_confinement_chain(

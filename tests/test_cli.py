@@ -977,10 +977,12 @@ def test_csv_outputs_are_deterministic(tmp_path):
 
 
 def test_import_loads_no_scipy():
-    """Nor numpy.polynomial, a few ms of set-up nothing at import needs."""
+    """Nor numpy.polynomial, a few ms of set-up nothing at import needs, nor
+    dataclasses: the records are NamedTuple or slotted classes, because a
+    frozen dataclass generates and compiles its methods at import."""
     code = ("import sys, gaussherm.cli; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'"
-            " or m.startswith('numpy.polynomial')))")
+            " or m.startswith('numpy.polynomial') or m == 'dataclasses'))")
     res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert res.returncode == 0, res.stderr
     assert res.stdout.strip() == "[]"
