@@ -6,6 +6,10 @@ expansion, the 64- and 4,096-time ``evolve`` of ``hermite:k=1764`` and the
 first ``verify-all`` of a fresh interpreter timed inside it after its import.
 One cycle of perfbench's ``flow`` requests (its 17 argv, taken from
 ``perfbench/workloads.py``) is replayed in-process as one item.
+``fourier_rows 8 Bargmann kernels`` is the batch the program transforms
+(``reflection_row_sets``' kernels at verify's 8 points); nothing in the
+program sends ``fourier_rows`` the real rows of ``21 real phi rows`` or
+``F=25``, which are kept so earlier files stay comparable.
 
 Run from the root of a checkout (the package is taken from its ``src``)::
 
@@ -233,6 +237,7 @@ def items():
     others = [gaussians.gaussian(0.5)] + [gaussians.boundary_chirp(al) for al in (0.2, 0.27465, 0.5)]
     others = np.array([g.sample(grid).values for g in others])
     phis_hat = hermite.fourier_rows(phis, grid)
+    kernels = bargmann._kernel(grid, verify._REFLECTION_WS)
     wide = verify.WIDE_GRID
     wide_phis = hermite_phi_all(30, wide.xs)
     dense81 = dense_expansion_file()
@@ -259,6 +264,7 @@ def items():
         ("fourier_rows F=25 N=4096", lambda: hermite.fourier_rows(stack, grid)),
         ("fourier_rows 21 real phi rows N=4096", lambda: hermite.fourier_rows(phis, grid)),
         ("fourier_rows Gaussian/chirp F=4 N=4096", lambda: hermite.fourier_rows(others, grid)),
+        ("fourier_rows 8 Bargmann kernels N=4096", lambda: hermite.fourier_rows(kernels, grid)),
         ("bargmann_row_sets F=1 W=10 N=4096", lambda: bargmann.bargmann_row_sets([f.values], grid, ring)),
         ("bargmann_row_sets F=21 W=10 N=4096", lambda: bargmann.bargmann_row_sets([phis], grid, ring)),
         ("bargmann_row_sets F=21 W=8 N=4096 (transformed rows)",

@@ -12,6 +12,10 @@
 
 Run from the repository root: ``python3 benchmarks/size.py`` (it puts
 ``src`` on the path itself).  ``--root DIR`` counts another checkout.
+``--against CHECKOUT`` also counts a second checkout (the parent of a
+change) and prints each number as ``its -> this one's``::
+
+    python3 benchmarks/size.py --against ../parent
 """
 
 from __future__ import annotations
@@ -52,16 +56,26 @@ def public_names(src: Path) -> int:
     return int(out.stdout)
 
 
+def counts(root: Path) -> dict[str, int]:
+    """The three numbers of the checkout at ``root``, by name."""
+    files = sorted((root / "src" / "gaussherm").glob("*.py"))
+    sources = [p.read_text(encoding="utf-8") for p in files]
+    return {"src physical lines": sum(len(s.splitlines()) for s in sources),
+            "src code lines": sum(code_lines(s) for s in sources),
+            "public names": public_names(root / "src")}
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--root", type=Path, default=Path(__file__).resolve().parent.parent,
                         help="checkout to count (default: this one)")
-    root = parser.parse_args().root
-    files = sorted((root / "src" / "gaussherm").glob("*.py"))
-    sources = [p.read_text(encoding="utf-8") for p in files]
-    print(f"src physical lines: {sum(len(s.splitlines()) for s in sources)}")
-    print(f"src code lines: {sum(code_lines(s) for s in sources)}")
-    print(f"public names: {public_names(root / 'src')}")
+    parser.add_argument("--against", type=Path, metavar="CHECKOUT",
+                        help="second checkout to count; each number is printed as its -> this one's")
+    args = parser.parse_args()
+    this = counts(args.root)
+    before = counts(args.against) if args.against else None
+    for name, value in this.items():
+        print(f"{name}: {value}" if before is None else f"{name}: {before[name]} -> {value}")
 
 
 if __name__ == "__main__":

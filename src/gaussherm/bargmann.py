@@ -10,7 +10,8 @@ coefficients.  :func:`bargmann_exact` evaluates Uf from the input's own form
 (a Gaussian's closed form or an expansion's Taylor polynomial); the grid
 quadrature :func:`bargmann_row_sets` is kept as an independent check, and
 :func:`reflection_row_sets` checks U(fhat)(w) = Uf(-iw) with the adjoint of
-the sampled Fourier transform, one transform of the quadrature kernels of w.
+the sampled Fourier transform: one chirp-z of each quadrature kernel of w
+(:func:`hermite.fourier_rows`), its error relative to that kernel's peak.
 For a member of the envelope class with parameter a the two one-sided
 hypotheses bound |Uf| by Gaussians of |w| whose exponents depend on arg w;
 a Phragmen-Lindelof argument applied to exp(i sqrt(mu) w^2/4) Uf

@@ -82,8 +82,10 @@ class SampledFunction:
 
 def trapezoid(values: np.ndarray, spacing: float):
     """Trapezoid rule on uniformly spaced samples (spectrally accurate for
-    smooth integrands that decay at both ends)."""
-    return spacing * (values.sum() - 0.5 * (values[0] + values[-1]))
+    smooth integrands that decay at both ends); inf past the double range,
+    without a warning."""
+    with np.errstate(over="ignore"):
+        return spacing * (values.sum() - 0.5 * (values[0] + values[-1]))
 
 
 def trapezoid_weights(n: int, spacing: float) -> np.ndarray:

@@ -231,28 +231,13 @@ def phase_ramp(theta, n: int) -> np.ndarray:
     return ramp.reshape(theta.shape[:-1] + (m * q,))[..., :n]
 
 
-#: Pairs of real parts per block of :func:`fourier_rows`'s batched FFTs: a
-#: block's (pairs, 2N) complex buffer takes 512 KB at N = 4096.
-_FOURIER_BLOCK_PAIRS = 4
-
-
-def _real_parts(rows: np.ndarray):
-    """(row index, factor, real samples) for each nonzero real and imaginary
-    part of the rows, so row i is the sum of factor * samples over its parts."""
-    for i, row in enumerate(rows):
-        if not np.iscomplexobj(row):
-            yield i, 1.0, row
-            continue
-        for factor, part in ((1.0, row.real), (1j, row.imag)):
-            if part.any():
-                yield i, factor, part
-
-
 @functools.lru_cache(maxsize=1)
 def _chirp_z_plan(grid: GridSpec) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
     """(FFT size, kernel FFT, pre ramp, post ramp), read-only: the part of
-    :func:`fourier_rows`' chirp-z that depends on the grid alone, held for
-    the last grid asked for (256 KB on the default grid)."""
+    :func:`fourier_rows`' chirp-z that depends on the grid alone, one
+    N-point ramp on each side of the convolution, held for the last grid
+    asked for (256 KB on the default grid).  Each row takes one chirp-z
+    through it, its error relative to that row's peak."""
     h = grid.spacing
     x0 = -grid.half_width
     n = grid.num_points
@@ -261,17 +246,16 @@ def _chirp_z_plan(grid: GridSpec) -> tuple[int, np.ndarray, np.ndarray, np.ndarr
                                    f"2L^2, past the double range at L={-x0:g}")
     # fhat(xi_m) = h/sqrt(2 pi) e^{-i x0^2} e^{-i m h x0}
     #             * sum_j [f_j e^{-i j h x0}] e^{-i j m h^2}
-    # for m = 0..N, with xi_m = x0 + m h
-    j = np.arange(n + 1)
+    # for m = 0..N-1, with xi_m = x0 + m h
+    j = np.arange(n)
     chirp = np.exp(-0.5j * h * h * (j * j))
-    size = 1 << (2 * n - 1).bit_length()  # >= 2N: N inputs, N+1 outputs
+    size = 1 << (2 * n - 1).bit_length()  # >= 2N - 1: N inputs, N outputs
     kernel = np.zeros(size, dtype=complex)
-    kernel[:n + 1] = chirp.conj()
+    kernel[:n] = chirp.conj()
     kernel[size - n + 1:] = chirp[n - 1:0:-1].conj()
     kernel_fft = np.fft.fft(kernel)
-    ramp = phase_ramp(-h * x0, n + 1) * chirp
-    pre = ramp[:n]
-    post = (h / SQRT_2PI) * np.exp(-1j * x0 * x0) * ramp
+    pre = phase_ramp(-h * x0, n) * chirp
+    post = (h / SQRT_2PI) * np.exp(-1j * x0 * x0) * pre
     for arr in (kernel_fft, pre, post):
         arr.flags.writeable = False
     return size, kernel_fft, pre, post
@@ -303,40 +287,29 @@ def fourier_rows(values, grid: GridSpec) -> np.ndarray:
     FFT of the convolution kernel and the phase ramp before and after it
     (:func:`phase_ramp`) are built once per grid, and those of the last grid
     asked for are held (:func:`_chirp_z_plan`), so a call on that grid only
-    transforms.  The rows' nonzero real and imaginary parts are transformed
-    two at a time, a + ib in one chirp-z: N+1 outputs give xi_0 = -L its
-    mirror xi_N = +L, and a real part's transform is Hermitian,
-    fhat_a(xi_m) = (Z_m + conj Z_{N-m}) / 2.  Each part is first scaled by a
-    power of two to unit peak, so neither of a pair leaks the other's
-    rounding into it past its own scale.  Requires every row to have decayed
-    at the grid edges (:func:`check_decayed`), and phases x xi up to 2 L^2
-    in the double range (:class:`NumericalDomainError` past L ~ 9.5e153).
+    transforms.  Each row, real or complex, is one complex sequence of one
+    chirp-z, and all rows go through it as one batch.  Each row is scaled by
+    a power of two to unit peak first and back after (both exact), so a row
+    far smaller or larger than the others keeps its own accuracy: the error
+    is relative to that row's peak.  Requires every row to have decayed at
+    the grid edges (:func:`check_decayed`), and phases x xi up to 2 L^2 in
+    the double range (:class:`NumericalDomainError` past L ~ 9.5e153).
     """
     rows = np.atleast_2d(values)
     check_decayed(rows)
     n = grid.num_points
     size, kernel_fft, pre, post = _chirp_z_plan(grid)
-    out = np.zeros(rows.shape, dtype=complex)
-    parts = list(_real_parts(rows))
-    pairs = max(1, min(_FOURIER_BLOCK_PAIRS, (len(parts) + 1) // 2))  # 1 for no parts
-    buf = np.empty((pairs, size), dtype=complex)
-    for lo in range(0, len(parts), 2 * pairs):
-        block = parts[lo:lo + 2 * pairs]
-        exps = [math.frexp(float(np.max(np.abs(s))))[1] for _, _, s in block]
-        z = buf[:(len(block) + 1) // 2]
-        z[:] = 0.0
-        for p, ((_, _, s), e) in enumerate(zip(block, exps)):
-            np.ldexp(s, -e, out=(z.imag if p % 2 else z.real)[p // 2, :n])
-        z[:, :n] *= pre
-        np.fft.fft(z, axis=1, out=z)
-        z *= kernel_fft
-        np.fft.ifft(z, axis=1, out=z)
-        z[:, :n + 1] *= post
-        for p, (i, factor, _) in enumerate(block):
-            # a = Re z: (Z_m + conj Z_{N-m}) / 2;  b = Im z: (Z_m - conj Z_{N-m}) / 2i
-            mirror = z[p // 2, n:0:-1].conj()
-            half = z[p // 2, :n] - mirror if p % 2 else z[p // 2, :n] + mirror
-            out[i] += (factor * (-0.5j if p % 2 else 0.5) * math.ldexp(1.0, exps[p])) * half
+    exps = np.frexp(np.abs(rows).max(axis=1))[1][:, None]
+    z = np.zeros((len(rows), size), dtype=complex)
+    np.ldexp(rows.real, -exps, out=z.real[:, :n])
+    np.ldexp(rows.imag, -exps, out=z.imag[:, :n])
+    z[:, :n] *= pre
+    np.fft.fft(z, axis=1, out=z)
+    z *= kernel_fft
+    np.fft.ifft(z, axis=1, out=z)
+    out = z[:, :n] * post
+    np.ldexp(out.real, exps, out=out.real)
+    np.ldexp(out.imag, exps, out=out.imag)
     return out
 
 

@@ -122,7 +122,10 @@ def test_verify_all_fails_loudly_on_degraded_grid(tmp_path):
     flip the exit code to 1 (the suite does not pass vacuously).  The
     verdict is the output: nothing goes to stderr, on that grid nor on a
     wide one, where the Hardy scan's weight e^{x^2/2} overflows past
-    |x| ~ 37.7 (it wrote numpy's overflow and 0 * inf warnings)."""
+    |x| ~ 37.7 (it wrote numpy's overflow and 0 * inf warnings), nor on
+    two huge ones, where the Hardy ground-state residual's squared norm
+    passes the double range and reads inf (it wrote an overflow warning);
+    those two fail."""
     out = tmp_path / "bad.json"
     res = subprocess.run(
         [sys.executable, "-m", "gaussherm", "verify-all", "--format", "json",
@@ -141,6 +144,13 @@ def test_verify_all_fails_loudly_on_degraded_grid(tmp_path):
         text=True,
     )
     assert res.returncode in (0, 1) and res.stderr == ""
+    for grid_l in ("1e120", "9.4e153"):
+        res = subprocess.run(
+            [sys.executable, "-m", "gaussherm", "verify-all", "--grid-L", grid_l],
+            capture_output=True,
+            text=True,
+        )
+        assert res.returncode == 1 and res.stderr == ""
 
 
 def test_verify_all_passes_on_a_narrower_valid_grid(tmp_path):

@@ -389,11 +389,11 @@ def test_fourier_sampled_matches_direct_sum(grid_):
 
 @pytest.mark.parametrize("grid_", DIRECT_GRIDS, ids=DIRECT_GRID_IDS)
 def test_fourier_rows_paired_parts_match_direct_sum(grid_):
-    """Real rows go two to a transform and are split by Hermitian symmetry:
-    every stack shape (an odd row left alone, pairs, several blocks), a
-    stack mixing real and complex rows with a row 1e-30 smaller than its
-    partner, and a complex-typed row whose imaginary part is zero all match
-    the direct sum at 1e-14 of each row's peak."""
+    """Real rows take the complex rows' path, each row one chirp-z scaled to
+    its own peak: stacks of 1, 2, 3 and 21 real rows, a stack mixing real
+    and complex rows with a row 1e-30 smaller than the others, and a
+    complex-typed row whose imaginary part is zero all match the direct sum
+    at 1e-14 of each row's peak."""
     inputs, ref = _direct_case(grid_)
     phis = np.stack(inputs[6:])
     for count in (1, 2, 3, 21):
@@ -410,6 +410,43 @@ def test_fourier_rows_paired_parts_match_direct_sum(grid_):
     _assert_rows_match_direct(fourier_rows(zero_imag, grid_), ref[:, 13:14])
     zeros = fourier_rows(np.zeros((2, grid_.num_points), dtype=complex), grid_)
     assert zeros.shape == (2, grid_.num_points) and not zeros.any()  # no part to transform
+
+
+def _scaling_rows(grid_):
+    """A real row, a complex row whose imaginary part is 2^-12 of its real
+    part's scale, and an all-zero row; every part below 2^-20 of its row's
+    peak is set to zero, so the rows times 2^-1000 stay normal doubles."""
+    xs = grid_.xs
+    real = np.exp(-0.5 * xs ** 2) * (1 + xs)
+    mixed = np.exp(-0.4 * xs ** 2) + 1j * 2.0 ** -12 * np.sin(3 * xs) * np.exp(-0.5 * xs ** 2)
+    rows = np.stack([real, mixed, np.zeros_like(xs)])
+    for part in (rows.real, rows.imag):
+        part[np.abs(part) < 2.0 ** -20 * np.abs(rows).max(axis=1, keepdims=True)] = 0.0
+    return rows
+
+
+@pytest.mark.parametrize("grid_", DIRECT_GRIDS, ids=DIRECT_GRID_IDS)
+def test_fourier_rows_scale_each_row_to_its_own_peak(grid_):
+    """Each row is scaled to unit peak by a power of two before the chirp-z
+    and back after, so rows times 2^1000 or 2^-1000 transform to exactly
+    2^1000 or 2^-1000 times their transforms at every normal double, real
+    rows and complex ones, with nothing overflowing, turning nan or warning."""
+    tiny = np.finfo(float).tiny
+    rows = _scaling_rows(grid_)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for stack in (rows.real, rows):
+            base = fourier_rows(stack, grid_)
+            for e in (1000, -1000):
+                scaled = stack * 2.0 ** e
+                assert np.array_equal(scaled * 2.0 ** -e, stack)  # no sample was rounded
+                got = fourier_rows(scaled, grid_)
+                for part, base_part in ((got.real, base.real), (got.imag, base.imag)):
+                    want = np.ldexp(base_part, e)
+                    normal = np.abs(want) >= tiny
+                    assert np.array_equal(part[normal], want[normal])
+                    assert np.all(np.abs(part[~normal]) < tiny)
+                assert not got[2].any()
 
 
 #: The grids verify-all is run on: the default, --grid-L 10, --grid-L 12 and --grid-N 2048.
@@ -483,14 +520,14 @@ def test_chirp_z_plan_holds_one_grid_read_only(grid, monkeypatch):
     assert plan.cache_info()[:2] == (1, 1)
     size, *arrays = plan(grid)
     assert size == 8192
-    assert sum(a.nbytes for a in arrays) == (8192 + 4096 + 4097) * 16  # 256 KB
+    assert sum(a.nbytes for a in arrays) == (8192 + 4096 + 4096) * 16  # 256 KB
     for a in arrays:
         with pytest.raises(ValueError):
             a[0] = 0.0
     fourier_rows(np.exp(-0.5 * other.xs ** 2), other)
     assert plan.cache_info()[1:] == (2, 1, 1)  # (misses, maxsize, currsize)
     fourier_rows(f, grid)  # the first grid's plan was let go, so it is built again
-    assert built == [4097, 2049, 4097]
+    assert built == [4096, 2048, 4096]
     assert plan.cache_info()[:2] == (2, 3)
 
 
