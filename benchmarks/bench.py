@@ -47,7 +47,9 @@ loaded in a worker process of its own, which runs this file's items, and
 each item's timed calls alternate between the two workers (ABBA order,
 warm-ups first), so both sides see the same drift.  The file then holds
 both sides' median, min and max, the ratio of the medians (this / against)
-and how many of the repeats' pairs this checkout won::
+and how many of the repeats' pairs this checkout won; it names the other
+checkout by its short commit (``parent`` when it is not the root of a git
+checkout), not by its path::
 
     OPENBLAS_NUM_THREADS=1 python3 benchmarks/bench.py --label flow_half \\
         --against ../parent --only "K=63 T=64" --only hermite_phi_all
@@ -220,6 +222,36 @@ def switch_back(wide, grid):
     return hermite.grid_basis(grid, 40)
 
 
+def norm_items():
+    """``expansion_weighted_norm_sq`` of seeded dense complex expansions of
+    degree K (``np.random.default_rng(K)``), and of the 301 coefficients that
+    ``uniform_norm_coeff_bound`` sums, at weights where the norm is finite."""
+    beta = float(np.tanh(0.45))
+    state = gaussians.squeezed_state(0.5)
+    worst = max((oscillator.evolve_gaussian(state, float(t))
+                 for t in oscillator.gaussian_flow_extremes(state, beta)[1]),
+                key=lambda g: gaussians.weighted_norm_sq_gaussian(g, beta))
+    coeffs = gaussians.hermite_coeffs(worst, 300)
+    out = [("expansion_weighted_norm_sq K=300 a=tanh(0.45) (uniform_norm_coeff_bound)",
+            lambda: weighted.expansion_weighted_norm_sq(coeffs, beta))]
+    for k, a in ((4, 0.3), (40, 0.3), (300, 0.3), (800, 0.3), (1764, 0.05), (8000, 0.02)):
+        rng = np.random.default_rng(k)
+        e = hermite.HermiteExpansion(rng.normal(size=k + 1) + 1j * rng.normal(size=k + 1))
+        out.append((f"expansion_weighted_norm_sq dense K={k} a={a}",
+                    lambda e=e, a=a: weighted.expansion_weighted_norm_sq(e, a)))
+    return out
+
+
+def checkout_id(root: str) -> str:
+    """The short commit of the git checkout whose root is ``root``, else
+    ``parent``: what a results file names a checkout by, never its path."""
+    res = subprocess.run(["git", "-C", root, "rev-parse", "--show-toplevel", "--short", "HEAD"],
+                         capture_output=True, text=True, check=False)
+    top, _, commit = res.stdout.strip().partition("\n")
+    same = res.returncode == 0 and os.path.realpath(top) == os.path.realpath(root)
+    return commit if same else "parent"
+
+
 def items():
     """(name, zero-argument callable) pairs, in report order."""
     grid = DEFAULT_GRID
@@ -279,8 +311,7 @@ def items():
          lambda: weighted.central_binomial_certificate(1.1)),
         ("expansion_weighted_norm_sq K=81",
          lambda: weighted.expansion_weighted_norm_sq(squeezed, 0.4)),
-        ("scaled_gram_columns K=300 a=tanh(0.45)",
-         lambda: list(weighted.scaled_gram_columns(300, float(np.tanh(0.45))))),
+        *norm_items(),
         ("phi_weighted_norm_sq n<=60 a=0.5", lambda: weighted.phi_weighted_norm_sq(np.arange(61), 0.5)),
         ("generating_function_check a=0.5 w=0.25 nmax=400",
          lambda: weighted.generating_function_check(0.5, 0.25, 400)),
@@ -452,7 +483,7 @@ def main(argv=None) -> int:
         },
     }
     if args.against:
-        payload["against"] = args.against
+        payload["against"] = checkout_id(args.against)
         payload["timings"] = compare([name for name, _ in table], args.repeats, args.against)
     else:
         results = {}

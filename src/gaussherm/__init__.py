@@ -75,7 +75,6 @@ from .weighted import (
     generating_function_check,
     phi_weighted_norm_lower,
     phi_weighted_norm_sq,
-    scaled_gram_columns,
     selfdual_norm_bound,
     weak_confinement_chain,
     weighted_energy_rows,

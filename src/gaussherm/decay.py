@@ -132,9 +132,10 @@ def envelope_scan(f: SampledFunction, a: float) -> EnvelopeReport:
     """
     xs = f.grid.xs
     modulus = np.abs(f.values)
-    with np.errstate(over="ignore", invalid="ignore"):  # the weight is inf past |x| ~ 37.7 at a = 1
-        weighted = modulus * np.exp(0.5 * a * xs * xs)
-    weighted[modulus == 0.0] = 0.0  # a zero sample weighs 0, not 0 * inf
+    # weighed in the log: the weight alone is inf past |x| ~ 37.7 at a = 1, where
+    # the product may still be finite; a zero sample weighs e^{-inf} = 0
+    with np.errstate(over="ignore", divide="ignore"):
+        weighted = np.exp(np.log(modulus) + 0.5 * a * xs * xs)
     top, argmax_x = sample_peak(weighted, xs)
     if top == 0.0:
         return EnvelopeReport(a=a, constant=0.0, argmax_x=0.0, divergent=False)

@@ -201,7 +201,9 @@ def _log_dilation(kmax: int, a: float) -> np.ndarray:
     """log M (-inf off its support), 0 < a < 1: f(x) e^{a x^2/2} = sum_m (c @ M)_m phi_m(x/g) for
     f = sum_k c_k phi_k, g = (1-a)^{-1/2}; M[m+2i, m] = g^m (g^2-1)^i sqrt((m+2i)!/m!) / (2^i i!)
     by H_k(gy) = sum_i g^{k-2i} (g^2-1)^i k!/(i!(k-2i)!) H_{k-2i}(y).  The build holds one
-    index array beside it, both smaller than the basis of :func:`_expansion_grid`."""
+    index array beside it, both smaller than the basis of :func:`_expansion_grid`.  The same M
+    gives an expansion's weighted norm, g (||c M||^2 + ||chat M||^2)/2, which
+    :func:`~gaussherm.weighted._dilation_energies` forms by parity class in column blocks."""
     k = np.arange(kmax + 1)
     log_fact, i = gammaln(k + 1), k[: kmax // 2 + 1]
     by_offset = np.full(2 * kmax + 1, -np.inf)  # the i terms, at k - m + kmax = 2i + kmax

@@ -322,19 +322,17 @@ def criterion_confinement(cfg: VerifyConfig) -> CriterionResult:
 
 def criterion_weighted_norm_identities(cfg: VerifyConfig) -> CriterionResult:
     """Three computations of ||phi_n||_a^2 (n <= 30, a in {0.2, 0.5, 0.8})
-    agree: the closed-form sum, the diagonal of the ladder-recurrence Gram
-    matrix to 1e-10, and the time-side quadrature on the wide grid to 1e-6
-    (|phi_n hat| = |phi_n|); the generating function matches its partial
-    sums to 1e-8; the mu -> 1 collapse gives exactly 1."""
+    agree: the closed-form sum, the Gram diagonal g ||M_n||^2 from the rows
+    of the weighted dilation M (which shares no code with the sum) to 1e-10,
+    and the time-side quadrature on the wide grid to 1e-6 (|phi_n hat| =
+    |phi_n|); the generating function matches its partial sums to 1e-8; the
+    mu -> 1 collapse gives exactly 1."""
     n_max = 30
     phis = hermite_phi_all(n_max, WIDE_GRID.xs)  # not cached: the cache keeps the run grid's basis
     quad_rel = gram_rel = 0.0
     for a in (0.2, 0.5, 0.8):
         closed = wt.phi_weighted_norm_sq(np.arange(n_max + 1), a)
-        mu = (1.0 - a) / (1.0 + a)
-        gram = np.array([
-            col[n] for n, col in enumerate(wt.scaled_gram_columns(n_max, a))
-        ]) * mu ** -np.arange(n_max + 1.0)
+        gram = wt._dilation_energies(np.eye(n_max + 1), a)
         quad = wt.weighted_energy_rows(phis, WIDE_GRID, a)
         quad_rel = max(quad_rel, float(np.max(np.abs(quad - closed) / closed)))
         gram_rel = max(gram_rel, float(np.max(np.abs(gram - closed) / closed)))
@@ -347,7 +345,7 @@ def criterion_weighted_norm_identities(cfg: VerifyConfig) -> CriterionResult:
         "weighted_norm_identities",
         [("closed_vs_gram", gram_rel / 1e-10), ("closed_vs_quadrature", quad_rel / 1e-6),
          ("generating_function", gf_dev / 1e-8), ("mu_to_1_collapse", conv_dev / 1e-12)],
-        f"max rel dev closed vs Gram diagonal {gram_rel:.2e} (1e-10); closed vs "
+        f"max rel dev closed vs Gram diagonal g||M_n||^2 {gram_rel:.2e} (1e-10); closed vs "
         f"quadrature {quad_rel:.2e} (1e-6); generating-function "
         f"dev {gf_dev:.2e} (1e-8); collapse dev {conv_dev:.2e} (1e-12)",
     )
@@ -373,9 +371,10 @@ def criterion_factorial_certificate(cfg: VerifyConfig) -> CriterionResult:
 def criterion_uniform_norm_coeff_bound(cfg: VerifyConfig) -> CriterionResult:
     """With the squeezed state at beta = 0.5 and a = tanh(0.45): the bound
     from C = sup_t ||psi_t||_a (closed form) dominates |<psi_0, phi_k>| for
-    k <= 60; at the worst t the Gram form of the state's first 300 Hermite
-    coefficients gives C^2 to 1e-10; and the state's coefficients decay at
-    exactly the sharp rate e^{-beta k} (:func:`_closed_form_sharpness`).
+    k <= 60; at the worst t the norm g (||c M||^2 + ||chat M||^2) / 2 of the
+    state's first 300 Hermite coefficients c through the weighted dilation M
+    gives C^2 to 1e-10; and the state's coefficients decay at exactly the
+    sharp rate e^{-beta k} (:func:`_closed_form_sharpness`).
 
     With r = |z|, u = cos(4t + arg z), p = 1 - r^2 - a(1 + r^2) and q = 2ar,
     ||psi_t||_a^2 is a multiple of (p - qu)^{-1/2} + (p + qu)^{-1/2}, even
@@ -389,8 +388,8 @@ def criterion_uniform_norm_coeff_bound(cfg: VerifyConfig) -> CriterionResult:
     norms_sq = [ga.weighted_norm_sq_gaussian(g, a) for g in flow]
     worst = int(np.argmax(norms_sq))
     big_c = math.sqrt(norms_sq[worst])
-    # the same norm from the Gram form of the truncated expansion (the tail
-    # past k = 300 weighs ~e^{-30} here)
+    # the same norm of the truncated expansion through the weighted dilation
+    # (the tail past k = 300 weighs ~e^{-30} here)
     gram = wt.expansion_weighted_norm_sq(ga.hermite_coeffs(flow[worst], 300), a)
     gram_dev = abs(gram - norms_sq[worst]) / norms_sq[worst]
     with np.errstate(divide="ignore"):  # a vanishing coefficient: log 0 = -inf, ratio 0
@@ -401,7 +400,7 @@ def criterion_uniform_norm_coeff_bound(cfg: VerifyConfig) -> CriterionResult:
     return _result(
         "uniform_norm_coeff_bound",
         [("bound_dominance", worst_ratio), ("gram_vs_closed_form", gram_dev / 1e-10), *sharp_parts],
-        f"C = {big_c:.6f} (Gram form of 300 coefficients: rel dev {gram_dev:.2e}, tol "
+        f"C = {big_c:.6f} (300 coefficients through M: rel dev {gram_dev:.2e}, tol "
         f"1e-10); max |coeff|/bound = {worst_ratio:.4f}; beta = {beta}: {sharp_detail}",
     )
 

@@ -37,9 +37,10 @@ LOG2 = math.log(2.0)
 WEIGHTED_EDGE_REL = 1e-7
 
 
-#: Bytes of weighted samples per block of :func:`weighted_energy_rows`, so
-#: each block's passes run in cache.
-_ENERGY_BLOCK_BYTES = 256 * 1024
+#: Bytes of a block of weighted samples (:func:`weighted_energy_rows`) or of
+#: the weighted dilation (:func:`_dilation_energies`), so each block's passes
+#: run in cache.
+_BLOCK_BYTES = 256 * 1024
 
 
 def weighted_energy_rows(values: np.ndarray, grid: GridSpec, a: float) -> np.ndarray:
@@ -57,7 +58,7 @@ def weighted_energy_rows(values: np.ndarray, grid: GridSpec, a: float) -> np.nda
     rows = np.atleast_2d(values)
     with np.errstate(over="ignore"):
         weight = np.exp(a * grid.xs * grid.xs)
-    step = max(1, _ENERGY_BLOCK_BYTES // (8 * grid.num_points))
+    step = max(1, _BLOCK_BYTES // (8 * grid.num_points))
     return np.concatenate([
         _weighted_energy_block(rows[i:i + step], weight, grid.spacing)
         for i in range(0, max(rows.shape[0], 1), step)
@@ -66,7 +67,8 @@ def weighted_energy_rows(values: np.ndarray, grid: GridSpec, a: float) -> np.nda
 
 def _weighted_energy_block(rows: np.ndarray, weight: np.ndarray, h: float) -> np.ndarray:
     with np.errstate(invalid="ignore", divide="ignore"):  # 0 * inf, inf / inf: refused below
-        weighted = np.abs(rows) ** 2 * weight
+        weighted = np.abs(rows) ** 2
+        weighted *= weight
         peak = weighted.max(axis=1)
         edge = np.maximum.reduce([weighted[:, 0], weighted[:, 1], weighted[:, -2], weighted[:, -1]])
         ratio = np.where(peak > 0.0, edge / peak, 0.0)
@@ -75,60 +77,88 @@ def _weighted_energy_block(rows: np.ndarray, weight: np.ndarray, h: float) -> np
     return np.where(refused, math.nan, integral / SQRT_2PI)
 
 
-def scaled_gram_columns(kmax: int, a: float):
-    """Columns k = 0..kmax of H_jk = G_jk mu^{(j+k)/2}, j = 0..kmax, where
+def _dilation_energies(rows: np.ndarray, a: float) -> np.ndarray:
+    """g ||x M||^2 for each real row x of ``rows`` (coefficients of phi_0..phi_K),
+    M the weighted dilation of :func:`~gaussherm.oscillator._log_dilation`:
+    f(x) e^{a x^2/2} = sum_m (c M)_m phi_m(x/g) for f = sum_k c_k phi_k,
+    g = (1-a)^{-1/2}, so g ||c M||^2 = integral |f|^2 e^{a x^2} dm.  For a unit
+    row e_n this is ||phi_n||_a^2, the Gram diagonal g ||M_n||^2.
 
-        G_jk = integral phi_j phi_k e^{a x^2} dm,   mu = (1-a)/(1+a).
-
-    The ladder operators give G_00 = (1-a)^{-1/2} and
-
-        sqrt(k+1) (1-a) G_{j,k+1} = sqrt(j) G_{j-1,k} + a sqrt(k) G_{j,k-1},
-
-    which after the rescaling reads (1+a) sqrt(k+1) H_{j,k+1} =
-    sqrt(j) H_{j-1,k} + a sqrt(k) H_{j,k-1}.  Column 0 is row 0 (G is
-    symmetric), from the same relation at j = 0.  Every term is
-    non-negative, so nothing cancels; entries with j - k odd vanish; and
-    the rescaled entries stay below sqrt(H_jj H_kk), which is bounded, where
-    G itself grows like mu^{-k}.  Returns an iterator over the columns, each
-    a fresh array; only two are live at a time.
+    M[k, m] = g^k (a/2)^i sqrt(k!/m!) / i! where k = m + 2i >= m, so M keeps
+    the parity of the index.  Within a parity class (k = p + 2r, m = p + 2s)
+    log M is a Toeplitz term i log(a/2) - log i!, i = r - s, plus a row term
+    and a column term, so the classes are formed together from one window
+    over the Toeplitz term, on and below the diagonal, in column blocks of at
+    most ``_BLOCK_BYTES`` (of one column where a column alone takes more,
+    past K ~ 32768); a class the rows hold no coefficient of is skipped.
+    Row k is scaled by 2^{nu_k - shift}, nu_k nearest
+    -k log2(mu)/2, mu = (1-a)/(1+a), shift the largest exponent over the
+    rows, so the scaled entries of M stay below 2^{1/2} and those of x at
+    most about 1: nothing overflows before the energy does, and past the
+    double range it is inf.  The log terms are summed as exact multiples of
+    2^-24 (the large parts of log k! cancel without rounding) plus their
+    remainders, so an entry's error is that of the logs of the integers
+    within its span, not that of log k! itself.
     """
-    if kmax < 0:
-        raise ValueError(f"kmax must be >= 0, got {kmax}")
-    check_weight(a)
-    return _gram_columns(kmax, a)
-
-
-def _gram_columns(kmax: int, a: float):
-    root = np.sqrt(np.arange(kmax + 1, dtype=float))
-    a_root = a * root  # a sqrt(k), rounded as the scalar product a * root[k] is
-    scale = 1.0 / ((1.0 + a) * root[1:])  # 1 / ((1+a) sqrt(k+1)), k = 0..kmax-1
-    col = np.zeros(kmax + 1)
-    col[0] = (1.0 - a) ** -0.5
-    for k in range(1, kmax, 2):
-        col[k + 1] = a_root[k] * scale[k] * col[k - 1]
-    prev = np.zeros(kmax + 1)
-    spare = np.empty(kmax)  # sqrt(j) H_{j-1,k}, j = 1..kmax, reused by every column
-    yield col
-    for k in range(kmax):
-        nxt = np.multiply(prev, a_root[k])  # the column's one fresh array
-        nxt[1:] += np.multiply(root[1:], col[:-1], out=spare)
-        nxt *= scale[k]
-        prev, col = col, nxt
-        yield col
+    n = (rows.shape[1] + 1) // 2  # the even class; the odd one is padded to it
+    k = np.arange(2 * n)
+    nu = np.rint(-0.5 * math.log2((1.0 - a) / (1.0 + a)) * k).astype(int)
+    x = np.concatenate([rows, np.zeros((len(rows), 2 * n - rows.shape[1]))], axis=1)
+    top = np.abs(x).max(axis=0)
+    shift = int((np.frexp(top)[1] + nu)[top > 0.0].max(initial=-2 ** 20))
+    # hi: multiples of 2^-24, whose sums of three are exact below 2^28, so up to K ~ 10^5 at any a
+    logs = np.concatenate(([-0.5 * math.log1p(-a), math.log(0.5 * a), LOG2],
+                           np.log(np.maximum(k, 1.0))))
+    hi = np.ldexp(np.rint(np.ldexp(logs, 24)), -24)
+    lo = logs - hi
+    log_g, beta, log2 = np.array([hi[:3], lo[:3]]).T[:, :, None]  # each its hi over its lo
+    fact = np.array([hi[3:], lo[3:]]).cumsum(axis=1)  # log k!
+    row = k * log_g + 0.5 * fact - nu * log2
+    x *= np.exp(row[1])
+    np.ldexp(x, nu - shift, out=x)
+    # per live class p and index r, k = p + 2r: the scaled rows and the row and column terms
+    live = np.flatnonzero(x.reshape(-1, n, 2).any(axis=(0, 1)))
+    x, row_hi, col_hi, col_lo = (np.ascontiguousarray(v.reshape(-1, n, 2).transpose(2, 0, 1)[live])
+                                 for v in (x, row[0], -0.5 * fact[0], np.exp(-0.5 * fact[1])))
+    padded = np.empty((2, 2 * n - 1))
+    padded[:, n - 1:] = k[:n] * beta - fact[:, :n]
+    padded[:, :n - 1] = [[-np.inf], [0.0]]
+    # the bounds-checked window toeplitz[:, s, r] = padded[:, n-1+r-s]: the hi and lo
+    # Toeplitz terms at i = r - s, -inf and 0 above the diagonal; a block holds
+    # columns s..s+w-1 of each live class, each column's rows r >= s contiguous
+    toeplitz = np.ndarray((2, n, n), float, padded, 8 * (n - 1), (padded.strides[0], -8, 8))
+    energy, block, s = np.zeros(len(rows)), np.empty(max(_BLOCK_BYTES // 8, len(x) * n)), 0
+    while s < n and len(x):
+        w = min(n - s, max(1, len(block) // (len(x) * (n - s))))
+        m = block[:len(x) * w * (n - s)].reshape(len(x), w, n - s)
+        np.add(toeplitz[0, :w, :n - s], row_hi[:, :, s:], out=m)
+        m += col_hi[:, 0, s:s + w, None]
+        m += toeplitz[1, :w, :n - s]
+        # e^-700 adds nothing; exp is slow below it, and products with it are subnormal
+        # (up to ten times slower in the matrix product), so it is taken off every
+        # entry: the clamped ones read 0, and none above 1e-288 moves
+        np.exp(np.maximum(m, -700.0, out=m), out=m)
+        m -= math.exp(-700.0)
+        prod = (x[:, :, s:] @ m.transpose(0, 2, 1)) * col_lo[:, :, s:s + w]
+        energy += np.einsum("pij,pij->i", prod, prod)
+        s += w
+    with np.errstate(over="ignore"):
+        return np.ldexp(energy * (1.0 - a) ** -0.5, 2 * shift)
 
 
 def expansion_weighted_norm_sq(e: HermiteExpansion, a: float) -> float:
     """Exact ||f||_a^2 of the finite expansion f = sum_k c_k phi_k:
 
-        ( c* G c + chat* G chat ) / 2,   chat_k = (-i)^k c_k,
+        g ( ||c M||^2 + ||chat M||^2 ) / 2,   chat_k = (-i)^k c_k,
 
-    with the Gram matrix G of :func:`scaled_gram_columns`.  The two sides
-    cancel the entries with j - k = 2 mod 4, leaving the sum of
-    conj(c_j) c_k G_jk over j = k mod 4.  Runs column by column in O(K)
-    memory, with c_k mu^{-k/2} scaled by the power of two nearest its
-    largest modulus, so that nothing overflows before the norm itself does;
-    past the double range the value is inf.  A single nonzero coefficient takes
-    :func:`phi_weighted_norm_sq` directly.
+    with the weighted dilation M and g = (1-a)^{-1/2} of
+    :func:`_dilation_energies`.  M keeps the parity of the index, so the two
+    sides cancel the cross terms of indices j - k = 2 mod 4: the norm is
+    g ||x M||^2 summed over four real rows x, the real and the imaginary
+    parts of c at k = 0, 1 mod 4 and at k = 2, 3 mod 4.  Memory stays
+    within one column block of ``_BLOCK_BYTES`` (or one column, past
+    K ~ 32768) besides O(K); past the double range the value is inf.  A
+    single nonzero coefficient takes :func:`phi_weighted_norm_sq` directly.
     """
     check_weight(a)
     c = e.coeffs
@@ -139,23 +169,10 @@ def expansion_weighted_norm_sq(e: HermiteExpansion, a: float) -> float:
         k = int(nonzero[0])
         m = float(abs(c[k]))
         return m * m * phi_weighted_norm_sq(k, a)
-    kmax = int(nonzero[-1])
-    c = c[: kmax + 1]
-    k = np.arange(kmax + 1)
-    with np.errstate(divide="ignore"):
-        log_abs = np.log(np.abs(c)) - 0.5 * k * math.log((1.0 - a) / (1.0 + a))
-    shift = round(float(log_abs.max()) / LOG2)  # scale by 2^-shift, exactly
-    d = np.exp(log_abs - shift * LOG2) * np.exp(1j * np.angle(c))
-    # Re(conj(d_j) d_k) = re_j re_k + im_j im_k, summed over j = k mod 4
-    parts = [np.where(k % 4 == r, [d.real, d.imag], 0.0) for r in range(4)]
-    sums = np.array([
-        parts[kk % 4] @ col for kk, col in enumerate(scaled_gram_columns(kmax, a))
-    ])
-    terms = d.real * sums[:, 0] + d.imag * sums[:, 1]
-    try:
-        return math.ldexp(math.fsum(terms), 2 * shift)
-    except OverflowError:
-        return math.inf
+    c = c[: nonzero[-1] + 1]
+    low = np.arange(len(c)) % 4 < 2  # k = 0, 1 mod 4 apart from k = 2, 3
+    parts = np.array([c.real, c.imag])
+    return float(_dilation_energies(np.concatenate([parts * low, parts * ~low]), a).sum())
 
 
 #: Q_0..Q_{size-1} by the product recurrence.  Grown by replacement, never

@@ -173,6 +173,35 @@ def test_verify_all_passes_on_a_narrower_valid_grid(tmp_path):
         assert [c["name"] for c in data["criteria"] if c["pass"]] == CRITERION_NAMES
 
 
+def _verify_all_on(grid_l: str, grid_n: str) -> tuple[subprocess.CompletedProcess, list]:
+    res = subprocess.run(
+        [sys.executable, "-m", "gaussherm", "verify-all", "--format", "json",
+         "--grid-L", grid_l, "--grid-N", grid_n],
+        capture_output=True,
+        text=True,
+    )
+    return res, [c["name"] for c in json.loads(res.stdout)["criteria"] if c["pass"]]
+
+
+def test_verify_all_passes_on_a_wide_grid_at_the_default_spacing():
+    """At L = 40 and the default spacing 1/128 the Hardy scan weighs |f| by
+    e^{x^2/2} in the log: the weight alone is inf past |x| ~ 37.7, where the
+    Gaussian's samples are still nonzero, and their product read inf, so the
+    Gaussian was no member of g_1 (exit 1)."""
+    res, passed = _verify_all_on("40", "10240")
+    assert (res.returncode, res.stderr) == (0, "")
+    assert passed == CRITERION_NAMES
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1: phi_k from the recurrence is 0 past "
+                                       "|x| ~ 38.6, so phi_2's weighted profile stops growing "
+                                       "and phi2_divergence fails")
+def test_verify_all_passes_at_grid_l_60_and_the_default_spacing():
+    res, passed = _verify_all_on("60", "15360")
+    assert (res.returncode, res.stderr) == (0, "")
+    assert passed == CRITERION_NAMES
+
+
 @pytest.mark.parametrize("criterion", [
     verify.criterion_normalization_pins,
     verify.criterion_reflection_identity,

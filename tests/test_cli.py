@@ -398,6 +398,9 @@ def test_norms_with_input_is_the_closed_form(tmp_path, spec, a_list, expected, r
 
 
 def test_norms_with_expansion_file_is_the_gram_form(tmp_path):
+    """``norms`` of an expansion file is its Gram form, formed through the
+    weighted dilation as g (||c M||^2 + ||chat M||^2) / 2, and meets the
+    closed form of the squeezed state it truncates."""
     from gaussherm.gaussians import hermite_coeffs, squeezed_state, weighted_norm_sq_gaussian
 
     sq = squeezed_state(0.5)

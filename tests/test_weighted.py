@@ -2,6 +2,7 @@
 the confinement-implies-decay bounds."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from gaussherm.hermite import (
     hermite_phi_all,
     unit_expansion,
 )
-from gaussherm.oscillator import default_t_grid, evolve_gaussian
+from gaussherm.oscillator import _log_dilation, default_t_grid, evolve_gaussian
 from gaussherm.weighted import (
     WEIGHTED_EDGE_REL,
     WeakConfinementParams,
@@ -33,7 +34,6 @@ from gaussherm.weighted import (
     log_confined_coeff_bound,
     phi_weighted_norm_lower,
     phi_weighted_norm_sq,
-    scaled_gram_columns,
     selfdual_norm_bound,
     weak_confinement_chain,
     weak_confinement_chain_exact,
@@ -166,7 +166,7 @@ def test_weighted_energy_row_blocks_are_bit_identical(request, grid_name):
     """Row blocks of at most 256 KB give exactly the one-block values, nan
     rows included, for stacks just under, at and just over one block."""
     g = request.getfixturevalue(grid_name)
-    step = weighted_module._ENERGY_BLOCK_BYTES // (8 * g.num_points)
+    step = weighted_module._BLOCK_BYTES // (8 * g.num_points)
     rows = hermite_phi_all(30, g.xs)[np.random.default_rng(5).permutation(31)]
     nan_rows = 0
     for a in (0.5, 0.9):
@@ -183,17 +183,86 @@ def test_weighted_norm_rejects_nonmember(grid):
     assert weighted_norm_sq_gaussian(g, 0.7) == math.inf
 
 
+def gram_columns(kmax, a, dtype=float):
+    """Columns k = 0..kmax of H_jk = G_jk mu^{(j+k)/2}, j = 0..kmax, of the
+    Gram matrix G_jk = integral phi_j phi_k e^{a x^2} dm, mu = (1-a)/(1+a),
+    by the ladder recurrence: G_00 = (1-a)^{-1/2} and
+
+        (1+a) sqrt(k+1) H_{j,k+1} = sqrt(j) H_{j-1,k} + a sqrt(k) H_{j,k-1},
+
+    column 0 being row 0 (G is symmetric).  Every term is non-negative, so
+    nothing cancels.  The oracle of the weighted norm, which the package
+    forms from the weighted dilation instead; in ``dtype`` (np.longdouble
+    for an oracle finer than the double route it checks).  Each column is a
+    fresh array."""
+    a = dtype(a)
+    root = np.sqrt(np.arange(kmax + 1, dtype=dtype))
+    a_root = a * root
+    scale = 1 / ((1 + a) * root[1:])
+    col = np.zeros(kmax + 1, dtype)
+    col[0] = (1 - a) ** dtype(-0.5)
+    for k in range(1, kmax, 2):
+        col[k + 1] = a_root[k] * scale[k] * col[k - 1]
+    prev = np.zeros(kmax + 1, dtype)
+    spare = np.empty(kmax, dtype)
+    yield col
+    for k in range(kmax):
+        nxt = np.multiply(prev, a_root[k])
+        nxt[1:] += np.multiply(root[1:], col[:-1], out=spare)
+        nxt *= scale[k]
+        prev, col = col, nxt
+        yield col
+
+
+def gram_norm_sq(e, a):
+    """||f||_a^2 = (c* G c + chat* G chat)/2 from :func:`gram_columns`, in
+    doubles, each c_k mu^{-k/2} scaled by one power of two: the sum of
+    conj(c_j) c_k G_jk over j = k mod 4, as the package formed it before the
+    weighted dilation, bit for bit."""
+    c = e.coeffs
+    kmax = int(np.flatnonzero(c)[-1])
+    c = c[: kmax + 1]
+    k = np.arange(kmax + 1)
+    with np.errstate(divide="ignore"):
+        log_abs = np.log(np.abs(c)) - 0.5 * k * math.log((1.0 - a) / (1.0 + a))
+    shift = round(float(log_abs.max()) / math.log(2.0))
+    d = np.exp(log_abs - shift * math.log(2.0)) * np.exp(1j * np.angle(c))
+    parts = [np.where(k % 4 == r, [d.real, d.imag], 0.0) for r in range(4)]
+    sums = np.array([parts[kk % 4] @ col for kk, col in enumerate(gram_columns(kmax, a))])
+    return math.ldexp(math.fsum(d.real * sums[:, 0] + d.imag * sums[:, 1]), 2 * shift)
+
+
+def extended_gram_norm_sq(c, a):
+    """The same sum of conj(c_j) c_k G_jk over j = k mod 4, unscaled, in the
+    platform's extended precision (64-bit mantissa on x86-64): it drifts by
+    about 1e-19 per column where the double loop drifts by 1e-16, 1.3e-13 at
+    K = 1764."""
+    if np.finfo(np.longdouble).eps > 1e-18:
+        pytest.skip("the extended oracle needs a long double wider than a double")
+    c = np.asarray(c, dtype=complex)
+    kmax = len(c) - 1
+    a = np.longdouble(a)
+    k = np.arange(kmax + 1)
+    scale = ((1 - a) / (1 + a)) ** (-k / np.longdouble(2))
+    d = [np.asarray(c.real, np.longdouble) * scale, np.asarray(c.imag, np.longdouble) * scale]
+    total = np.longdouble(0)
+    for j, col in enumerate(gram_columns(kmax, a, np.longdouble)):
+        same = k % 4 == j % 4
+        total += sum(dj[j] * np.sum(dj[same] * col[same]) for dj in d)
+    return float(total)
+
+
 def _gram_matrix(kmax, a):
     """G_jk from the scaled columns H_jk = G_jk mu^{(j+k)/2}."""
     mu = (1 - a) / (1 + a)
-    h = np.array(list(scaled_gram_columns(kmax, a))).T
+    h = np.array(list(gram_columns(kmax, a))).T
     j = np.arange(kmax + 1)
     return h * mu ** (-0.5 * (j[:, None] + j[None, :]))
 
 
 def _reference_gram_columns(kmax, a):
-    """The ladder recurrence of scaled_gram_columns as it was first written,
-    with two fresh arrays per column: the reference for the leaner loop."""
+    """The ladder recurrence as it was first written, with two fresh arrays
+    per column: the reference for the leaner loop of the oracle."""
     root = np.sqrt(np.arange(kmax + 1, dtype=float))
     scale = 1.0 / ((1.0 + a) * root[1:])
     col = np.zeros(kmax + 1)
@@ -213,10 +282,10 @@ def _reference_gram_columns(kmax, a):
 @pytest.mark.parametrize("a", [0.2, math.tanh(0.45), 0.8])
 @pytest.mark.parametrize("kmax", [0, 1, 2, 30, 300])
 def test_gram_columns_equal_the_reference_loop_bit_for_bit(kmax, a):
-    """The loop that forms each column in one fresh array (a sqrt(k)
+    """The oracle's loop that forms each column in one fresh array (a sqrt(k)
     precomputed, sqrt(j) H_{j-1,k} in a reused scratch) gives the columns of
     the reference loop bit for bit, each column its own array."""
-    got = list(scaled_gram_columns(kmax, a))
+    got = list(gram_columns(kmax, a))
     want = list(_reference_gram_columns(kmax, a))
     assert len(got) == len(want) == kmax + 1
     for g, w in zip(got, want):
@@ -226,7 +295,7 @@ def test_gram_columns_equal_the_reference_loop_bit_for_bit(kmax, a):
 
 @pytest.mark.parametrize("a", [0.2, 0.5, 0.8])
 def test_gram_entries_against_mpmath_generating_function(a):
-    """Off-diagonal G_jk at 50 digits from the generating function
+    """Off-diagonal G_jk of the oracle at 50 digits from the generating function
     sum_jk G_jk s^j t^k / sqrt(j! k!) = (1-a)^{-1/2} exp(al s^2 + al t^2 + be s t),
     al = a/(2(1-a)), be = 1/(1-a): a finite sum of positive terms, independent
     of the ladder recurrence (measured worst: 5.6e-15 relative)."""
@@ -234,7 +303,7 @@ def test_gram_entries_against_mpmath_generating_function(a):
     mp.mp.dps = 50
     am = mp.mpf(a)
     al, be, mu = am / (2 * (1 - am)), 1 / (1 - am), (1 - am) / (1 + am)
-    h = np.array(list(scaled_gram_columns(120, a))).T
+    h = np.array(list(gram_columns(120, a))).T
     indices = sorted({*range(0, 121, 7), 1, 2, 3, 119, 120})
     for j in indices:
         for k in indices:
@@ -265,11 +334,87 @@ def test_gram_diagonal_symmetry_and_quadrature(wide_grid, a):
     assert np.max(np.abs(quad - g[:21, :21]) / scale) < 1e-12
 
 
+def seeded_expansion(kmax, seed=None):
+    rng = np.random.default_rng(kmax if seed is None else seed)
+    return HermiteExpansion(rng.normal(size=kmax + 1) + 1j * rng.normal(size=kmax + 1))
+
+
+@pytest.mark.parametrize("kmax, a", [
+    (10, 0.3), (40, 0.5), (81, 0.2), (120, 0.6), (300, math.tanh(0.45)), (800, 0.3),
+    (1764, 0.05),
+])
+def test_dilation_norm_matches_the_ladder_oracle(kmax, a):
+    """The weighted dilation's norm of a seeded dense complex expansion is
+    the Gram form of the extended-precision ladder oracle to 1e-13 relative
+    (measured worst: 4.0e-15, at K = 1764; the double ladder itself is
+    1.3e-13 off there)."""
+    e = seeded_expansion(kmax)
+    want = extended_gram_norm_sq(e.coeffs, a)
+    assert abs(expansion_weighted_norm_sq(e, a) - want) <= 1e-13 * want
+
+
+@pytest.mark.parametrize("parity", [0, 1])
+def test_dilation_norm_of_one_parity_class(parity):
+    """An even-only or odd-only expansion, whose other class the route skips,
+    and one whose nonzero indices lie in one residue mod 4."""
+    c = seeded_expansion(121, seed=parity).coeffs
+    c[1 - parity::2] = 0.0
+    for coeffs in (c, np.where(np.arange(122) % 4 == parity, c, 0.0)):
+        want = extended_gram_norm_sq(coeffs, 0.4)
+        assert abs(expansion_weighted_norm_sq(HermiteExpansion(coeffs), 0.4) - want) <= 1e-13 * want
+
+
+def test_dilation_rows_are_the_flow_operator():
+    """The energies g ||x M||^2 of rows x are those of the flow's dense M
+    (``oscillator._log_dilation``); for the unit rows they are the closed
+    form of ||phi_n||_a^2, the Gram diagonal."""
+    rows = np.vstack([np.eye(41), np.random.default_rng(3).normal(size=(3, 41))])
+    for a in (0.2, 0.5, 0.8):
+        dense = (rows @ np.exp(_log_dilation(40, a))) ** 2
+        want = (1 - a) ** -0.5 * dense.sum(axis=1)
+        got = weighted_module._dilation_energies(rows, a)
+        assert got == pytest.approx(want, rel=1e-12)
+        assert got[:41] == pytest.approx(phi_weighted_norm_sq(np.arange(41), a), rel=1e-13)
+
+
+def test_dilation_norm_past_one_column_per_block(monkeypatch):
+    """A block smaller than one column of the live classes (128 doubles,
+    against 2 x 151 for K = 300 dense and 151 for its even part) runs one
+    column at a time until the columns shrink to fit, and still meets the
+    ladder oracle: the shape K ~ 32768 takes with the real block."""
+    monkeypatch.setattr(weighted_module, "_BLOCK_BYTES", 1024)
+    c = seeded_expansion(300).coeffs
+    for coeffs in (c, np.where(np.arange(301) % 2 == 0, c, 0.0)):
+        want = extended_gram_norm_sq(coeffs, 0.3)
+        assert abs(expansion_weighted_norm_sq(HermiteExpansion(coeffs), 0.3) - want) <= 1e-13 * want
+
+
+def test_dilation_norm_memory_stays_within_one_block():
+    """At K = 8000 the route holds one column block of ``_BLOCK_BYTES``
+    besides O(K) vectors, where one parity class formed whole takes 128 MB:
+    its tracemalloc peak stays below the block plus 32 doubles a coefficient
+    (measured: 2.0 MiB; the Gram route read 2.3 MiB)."""
+    e = seeded_expansion(8000)
+    tracemalloc.start()
+    try:
+        value = expansion_weighted_norm_sq(e, 0.02)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert math.isfinite(value)
+    assert peak <= weighted_module._BLOCK_BYTES + 32 * 8 * 8001
+
+
 def test_gram_form_of_squeezed_state_equals_closed_form():
+    """The oracle's Gram form of 161 coefficients meets the closed form
+    exactly; the dilation route, which rounds otherwise, within the one ulp
+    it measures (it reads ...423)."""
     sq = squeezed_state(0.878998)
     closed = weighted_norm_sq_gaussian(sq, 0.561826)
     assert closed == 1.1297319581455425
-    assert expansion_weighted_norm_sq(hermite_coeffs(sq, 160), 0.561826) == closed
+    e = hermite_coeffs(sq, 160)
+    assert gram_norm_sq(e, 0.561826) == closed
+    assert abs(expansion_weighted_norm_sq(e, 0.561826) - closed) <= math.ulp(closed)
 
 
 def test_gram_form_single_term_and_zero():
@@ -285,8 +430,6 @@ def test_gram_form_domain():
     for a in (0.0, 1.0, 1.5, -0.2):
         with pytest.raises(NumericalDomainError):
             expansion_weighted_norm_sq(HermiteExpansion([1.0, 1.0]), a)
-        with pytest.raises(NumericalDomainError):
-            scaled_gram_columns(3, a)
 
 
 def test_norms_past_the_double_range_are_inf():
@@ -298,6 +441,9 @@ def test_norms_past_the_double_range_are_inf():
     e = HermiteExpansion([1e150, 1e150j, 1e150])
     ref = expansion_weighted_norm_sq(HermiteExpansion([1.0, 1j, 1.0]), 0.5)
     assert expansion_weighted_norm_sq(e, 0.5) == pytest.approx(1e300 * ref, rel=1e-13)
+    # and the small ones, whose squares underflow
+    e = HermiteExpansion([1e-150, 1e-150j, 1e-150])
+    assert expansion_weighted_norm_sq(e, 0.5) == pytest.approx(1e-300 * ref, rel=1e-13)
 
 
 def test_weighted_edge_guard_is_right_or_refused():
