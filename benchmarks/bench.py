@@ -10,6 +10,9 @@ One cycle of perfbench's ``flow`` requests (its 17 argv, taken from
 (``reflection_row_sets``' kernels at verify's 8 points); nothing in the
 program sends ``fourier_rows`` the real rows of ``21 real phi rows`` or
 ``F=25``, which are kept so earlier files stay comparable.
+``weighted_energy_rows ... a=0.2,0.5,0.8 (one call)`` is the three-weight
+call of ``weighted_norm_identities``; on a checkout whose function takes one
+weight a call, it is three calls.
 
 Run from the root of a checkout (the package is taken from its ``src``)::
 
@@ -242,6 +245,17 @@ def norm_items():
     return out
 
 
+def energy_rows_at(values, grid, weights):
+    """A call of ``weighted_energy_rows`` at each of ``weights``: one call
+    where the package takes a sequence of weights, else one call per weight
+    (a checkout whose function takes one)."""
+    try:
+        weighted.weighted_energy_rows(values[:1], grid, weights)
+    except ValueError:  # a tuple of weights does not broadcast against the grid
+        return lambda: [weighted.weighted_energy_rows(values, grid, a) for a in weights]
+    return lambda: weighted.weighted_energy_rows(values, grid, weights)
+
+
 def checkout_id(root: str) -> str:
     """The short commit of the git checkout whose root is ``root``, else
     ``parent``: what a results file names a checkout by, never its path."""
@@ -304,6 +318,8 @@ def items():
         ("reflection_row_sets verify's rows F=21+4 W=8 N=4096",
          lambda: bargmann.reflection_row_sets([phis, others], grid, verify._REFLECTION_WS)),
         ("weighted_energy_rows F=31 N=6144 a=0.5", lambda: weighted.weighted_energy_rows(wide_phis, wide, 0.5)),
+        ("weighted_energy_rows F=31 N=6144 a=0.2,0.5,0.8 (one call)",
+         energy_rows_at(wide_phis, wide, (0.2, 0.5, 0.8))),
         ("exact Uf Gaussian W=24", lambda: bargmann.bargmann_exact(state, ring24)),
         ("exact Uf expansion K=40 W=24", lambda: bargmann.bargmann_exact(expansion40, ring24)),
         ("contour column k=2..80 a=0.5", lambda: bargmann.log_contour_coeff_bound(np.arange(2, 81), 0.5)),

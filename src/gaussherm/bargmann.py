@@ -366,9 +366,10 @@ def optimal_contour(n: int, mu: float) -> tuple[float, float, float]:
 def log_contour_coeff_bound(n, a: float, big_c: float = 1.0):
     """Natural log of the contour-based bound on the Taylor coefficient |c_n|
     of a member with constant C (:func:`_contour_logs`' bound scaled by C),
-    for one index n >= 2 (a float) or an array of them (an array, from one
-    pass over the contour rule)."""
+    for one index n >= 2 (a float, :func:`optimal_contour`'s) or an array of
+    them (an array, from one pass over the contour rule)."""
     check_weight(a)
     mu = (1.0 - a) / (1.0 + a)
-    log_bound = math.log(big_c) + _contour_logs(np.atleast_1d(n), mu)[2]
-    return float(log_bound[0]) if np.ndim(n) == 0 else log_bound
+    if np.ndim(n) == 0:
+        return math.log(big_c) + optimal_contour(n, mu)[2]
+    return math.log(big_c) + _contour_logs(np.atleast_1d(n), mu)[2]

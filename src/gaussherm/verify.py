@@ -51,10 +51,21 @@ class VerifyConfig(NamedTuple):
     @property
     def sampling_grid(self) -> GridSpec:
         """The grid, for a criterion that samples on it: refused past
-        L ~ 1.34e154, where x^2 at its edge is past the double range."""
+        L ~ 1.34e154, where x^2 at its edge is past the double range, and
+        where its spacing h cannot resolve the highest index K =
+        min(kmax, grid_kmax), h sqrt(2K+1) > 2.35: over L in 12..40, kmax in
+        20..150 and every even N, the criteria that sample the grid first
+        failed there (the pins' k = 20 rows at K = 20; the flow's rows at
+        K = 60 from 3.93)."""
         if self.grid.half_width * self.grid.half_width == math.inf:
             raise NumericalDomainError(f"the run grid's samples cannot be formed: x^2 at its "
                                        f"edge L={self.grid.half_width:g} is past the double range")
+        k = min(self.kmax, self.grid_kmax)
+        if not (reach := self.grid.spacing * math.sqrt(2 * k + 1)) <= 2.35:
+            raise NumericalDomainError(
+                f"the run grid (L={self.grid.half_width:g}, N={self.grid.num_points}) cannot "
+                f"resolve phi_{k}: its spacing h={self.grid.spacing:.3g} has h sqrt(2K+1) = "
+                f"{reach:.3g} > 2.35")
         return self.grid
 
 
@@ -197,8 +208,8 @@ def criterion_contour_machinery(cfg: VerifyConfig) -> CriterionResult:
     d1 = mu + (1 - mu) * math.sin(theta0) ** 2
     d2 = math.sqrt(mu) * math.sin(2 * theta0)
     cont_dev = abs(d1 - d2) / d1
-    contours = {n: bg.optimal_contour(n, mu) for n in (10, 50, 200)}
-    ij = {n: math.exp(log_i - log_j) for n, (log_i, log_j, _) in contours.items()}
+    log_i, log_j, _ = bg._contour_logs(np.array([10, 50, 200]), mu)
+    ij = {n: math.exp(i - j) for n, i, j in zip((10, 50, 200), log_i, log_j)}
     decreasing = ij[10] > ij[50] > ij[200]
     alpha = 0.27465
     a = math.tanh(2 * alpha)
@@ -243,10 +254,11 @@ def criterion_oscillator_evolution(cfg: VerifyConfig) -> CriterionResult:
     time-shift identity to 1e-10."""
     grid = cfg.sampling_grid
     sq = ga.squeezed_state(0.5)
+    sq_coeffs = ga.hermite_coeffs(sq, cfg.kmax)
     flow_dev = 0.0
     for t in (0.1, math.pi / 8, 1.0, 3.0):
         lhs = ga.hermite_coeffs(osc.evolve_gaussian(sq, t), cfg.kmax).coeffs
-        rhs = osc.evolve_expansion(ga.hermite_coeffs(sq, cfg.kmax), t).coeffs
+        rhs = osc.evolve_expansion(sq_coeffs, t).coeffs
         flow_dev = max(flow_dev, float(np.max(np.abs(lhs - rhs))))
     k_grid = min(cfg.kmax, cfg.grid_kmax)
     lhs = analyze(osc.evolve_gaussian(sq, 1.0).sample(grid), k_grid).coeffs
@@ -329,11 +341,11 @@ def criterion_weighted_norm_identities(cfg: VerifyConfig) -> CriterionResult:
     mu -> 1 collapse gives exactly 1."""
     n_max = 30
     phis = hermite_phi_all(n_max, WIDE_GRID.xs)  # not cached: the cache keeps the run grid's basis
+    weights = (0.2, 0.5, 0.8)
     quad_rel = gram_rel = 0.0
-    for a in (0.2, 0.5, 0.8):
+    for a, quad in zip(weights, wt.weighted_energy_rows(phis, WIDE_GRID, weights)):
         closed = wt.phi_weighted_norm_sq(np.arange(n_max + 1), a)
         gram = wt._dilation_energies(np.eye(n_max + 1), a)
-        quad = wt.weighted_energy_rows(phis, WIDE_GRID, a)
         quad_rel = max(quad_rel, float(np.max(np.abs(quad - closed) / closed)))
         gram_rel = max(gram_rel, float(np.max(np.abs(gram - closed) / closed)))
     gf_dev = 0.0

@@ -37,44 +37,54 @@ LOG2 = math.log(2.0)
 WEIGHTED_EDGE_REL = 1e-7
 
 
-#: Bytes of a block of weighted samples (:func:`weighted_energy_rows`) or of
+#: Bytes of a block of squared samples (:func:`weighted_energy_rows`) or of
 #: the weighted dilation (:func:`_dilation_energies`), so each block's passes
 #: run in cache.
 _BLOCK_BYTES = 256 * 1024
 
 
-def weighted_energy_rows(values: np.ndarray, grid: GridSpec, a: float) -> np.ndarray:
+def weighted_energy_rows(values: np.ndarray, grid: GridSpec, a) -> np.ndarray:
     """Time-side quadrature of integral |f|^2 e^{a x^2} dm for each row of
-    samples on ``grid`` (trapezoid rule); nan for a row whose weighted
-    integrand has not decayed at the grid edges (edge/peak above
-    ``WEIGHTED_EDGE_REL``), and for one whose weighted samples are not all
-    finite doubles (e^{a x^2} overflows past |x| = sqrt(709/a)).
+    samples on ``grid`` (trapezoid rule), at one weight ``a`` (an (F,)
+    array) or at each of a sequence of them (an (A, F) array); nan for a
+    row whose weighted integrand has not decayed at the grid edges
+    (edge/peak above ``WEIGHTED_EDGE_REL``), and for one whose weighted
+    samples are not all finite doubles (e^{a x^2} overflows past
+    |x| = sqrt(709/a)).
 
-    The rows run in blocks of at most 256 KB of weighted samples; every
-    value is a function of its own row alone, so the result is the same,
-    bit for bit, as one block's.  For phi_n this is ||phi_n||_a^2 itself,
-    since |phi_n hat| = |phi_n|.
+    The rows run in blocks of at most 256 KB of samples, each squared once
+    for every weight.  A weighted row's peak is bounded below by its value
+    at the row's largest |sample|; only the (row, weight) pairs whose edges
+    that does not clear are scanned for the peak itself.  Every value is a
+    function of its own row and weight alone, so the result is the same,
+    bit for bit, as one block's at one weight.  For phi_n this is
+    ||phi_n||_a^2 itself, since |phi_n hat| = |phi_n|.
     """
     rows = np.atleast_2d(values)
     with np.errstate(over="ignore"):
-        weight = np.exp(a * grid.xs * grid.xs)
+        weights = np.exp(np.atleast_1d(a)[:, None] * grid.xs * grid.xs)
     step = max(1, _BLOCK_BYTES // (8 * grid.num_points))
-    return np.concatenate([
-        _weighted_energy_block(rows[i:i + step], weight, grid.spacing)
-        for i in range(0, max(rows.shape[0], 1), step)
-    ])
-
-
-def _weighted_energy_block(rows: np.ndarray, weight: np.ndarray, h: float) -> np.ndarray:
+    sums, top = np.empty((len(weights), len(rows))), np.empty(len(rows), int)
+    square = np.empty((min(step, len(rows)), grid.num_points))
+    weighted = np.empty_like(square) if len(weights) > 1 else square  # one weight: in place
     with np.errstate(invalid="ignore", divide="ignore"):  # 0 * inf, inf / inf: refused below
-        weighted = np.abs(rows) ** 2
-        weighted *= weight
-        peak = weighted.max(axis=1)
-        edge = np.maximum.reduce([weighted[:, 0], weighted[:, 1], weighted[:, -2], weighted[:, -1]])
+        for i in range(0, len(rows), step):
+            block = square[:len(rows[i:i + step])]
+            np.square(np.abs(rows[i:i + step], out=block), out=block)
+            top[i:i + step] = block.argmax(axis=1)
+            for j, weight in enumerate(weights):
+                w = np.multiply(block, weight, out=weighted[:len(block)])
+                sums[j, i:i + step] = w.sum(axis=1) - 0.5 * (w[:, 0] + w[:, -1])
+        edges = [0, 1, -2, -1]
+        edge = (np.abs(rows[:, edges]) ** 2 * weights[:, None, edges]).max(axis=2)
+        peak = np.abs(rows[np.arange(len(rows)), top]) ** 2 * weights[:, top]  # <= the peak
+        for j, unclear in enumerate(~(edge / peak <= WEIGHTED_EDGE_REL)):
+            peak[j, unclear] = (np.abs(rows[unclear]) ** 2 * weights[j]).max(axis=1)
         ratio = np.where(peak > 0.0, edge / peak, 0.0)
-        integral = h * (weighted.sum(axis=1) - 0.5 * (weighted[:, 0] + weighted[:, -1]))
+    integral = grid.spacing * sums
     refused = (ratio > WEIGHTED_EDGE_REL) | ~np.isfinite(integral)
-    return np.where(refused, math.nan, integral / SQRT_2PI)
+    energies = np.where(refused, math.nan, integral / SQRT_2PI)
+    return energies[0] if np.ndim(a) == 0 else energies
 
 
 def _dilation_energies(rows: np.ndarray, a: float) -> np.ndarray:

@@ -1405,6 +1405,40 @@ def test_verify_all_refuses_to_sample_a_grid_past_the_double_range(grid_l, capsy
         f"edge L={float(grid_l):g} is past the double range"}
 
 
+@pytest.mark.parametrize("grid_l, grid_n, detail", [
+    ("1e120", "4096", "(L=1e+120, N=4096) cannot resolve phi_60: its spacing h=4.88e+116 "
+                      "has h sqrt(2K+1) = 5.37e+117 > 2.35"),
+    ("1e105", "4096", "(L=1e+105, N=4096) cannot resolve phi_60: its spacing h=4.88e+101 "
+                      "has h sqrt(2K+1) = 5.37e+102 > 2.35"),
+    ("16", "128", "(L=16, N=128) cannot resolve phi_60: its spacing h=0.25 "
+                  "has h sqrt(2K+1) = 2.75 > 2.35"),
+])
+def test_verify_all_refuses_a_run_grid_too_coarse_for_its_highest_index(grid_l, grid_n, detail,
+                                                                        capsys):
+    """A run grid whose spacing h cannot resolve phi_K, K = min(kmax,
+    grid_kmax), h sqrt(2K+1) > 2.35, fails the four criteria that sample it
+    with a detail naming the grid, not a measured value: exit 1, nothing on
+    stderr."""
+    code = main(["verify-all", "--grid-L", grid_l, "--grid-N", grid_n, "--format", "json"])
+    out, err = capsys.readouterr()
+    assert code == 1 and err == ""
+    failed = {c["name"]: c["detail"] for c in json.loads(out)["criteria"] if not c["pass"]}
+    assert sorted(failed) == ["hardy_threshold", "normalization_pins", "oscillator_evolution",
+                              "reflection_identity"]
+    assert set(failed.values()) == {f"raised NumericalDomainError: the run grid {detail}"}
+
+
+def test_verify_all_samples_a_run_grid_that_resolves_its_highest_index(capsys):
+    """Below the rule the grid is sampled: at h sqrt(2K+1) = 2.34 (L = 12,
+    N = 98, K = 45) every criterion passes, and at 2.2 (L = 16, N = 160,
+    K = 60) the pins, the reflection check and the flow do."""
+    assert main(["verify-all", "--grid-L", "12", "--grid-N", "98"]) == 0
+    capsys.readouterr()
+    main(["verify-all", "--grid-L", "16", "--grid-N", "160", "--format", "json"])
+    passed = {c["name"] for c in json.loads(capsys.readouterr().out)["criteria"] if c["pass"]}
+    assert {"normalization_pins", "reflection_identity", "oscillator_evolution"} <= passed
+
+
 @pytest.mark.parametrize("argv", [
     ["confine", "gaussian:A=1,b=5e-324+2.5i", "--beta", "1", "--gamma", "0.5"],
     ["evolve", "gaussian:A=1,b=5e-324+2.5i", "--a", "0.1", "--t-grid", "4"],

@@ -164,17 +164,61 @@ def one_block_energy(values, grid, a):
 @pytest.mark.parametrize("grid_name", ["grid", "wide_grid"])
 def test_weighted_energy_row_blocks_are_bit_identical(request, grid_name):
     """Row blocks of at most 256 KB give exactly the one-block values, nan
-    rows included, for stacks just under, at and just over one block."""
+    rows included, for stacks just under, at and just over one block, at one
+    weight and at three in one call."""
     g = request.getfixturevalue(grid_name)
     step = weighted_module._BLOCK_BYTES // (8 * g.num_points)
     rows = hermite_phi_all(30, g.xs)[np.random.default_rng(5).permutation(31)]
     nan_rows = 0
-    for a in (0.5, 0.9):
-        for count in (1, step - 1, step, step + 1, 31):
+    for count in (1, step - 1, step, step + 1, 31):
+        three = weighted_energy_rows(rows[:count], g, (0.2, 0.5, 0.9))
+        assert three.shape == (3, count)
+        for a, got_three in zip((0.2, 0.5, 0.9), three):
+            expected = one_block_energy(rows[:count], g, a)
             got = weighted_energy_rows(rows[:count], g, a)
-            assert np.array_equal(got, one_block_energy(rows[:count], g, a), equal_nan=True)
+            assert np.array_equal(got, expected, equal_nan=True)
+            assert np.array_equal(got_three, expected, equal_nan=True)
             nan_rows += int(np.isnan(got).sum())
     assert nan_rows > 0
+
+
+@pytest.mark.parametrize("grid_spec", [(16, 4096), (12, 4096), (16, 2048), (24, 6144), (60, 16384)])
+def test_weighted_energy_rows_of_several_weights_are_the_one_weight_calls(grid_spec):
+    """Each row of a call at several weights is, bit for bit and nan rows
+    included, the call at that weight alone, whichever weights share it."""
+    g = GridSpec(float(grid_spec[0]), grid_spec[1])
+    rows = hermite_phi_all(40, g.xs)
+    weights = np.round(np.arange(0.2, 0.901, 0.05), 2)
+    singles = np.array([weighted_energy_rows(rows, g, a) for a in weights])
+    assert np.array_equal(weighted_energy_rows(rows, g, weights), singles, equal_nan=True)
+    some = weighted_energy_rows(rows, g, weights[::-3])
+    assert np.array_equal(some, singles[::-3], equal_nan=True)
+    assert np.isnan(singles).any()  # every row on L = 60, where e^{a x^2} overflows at the edges
+
+
+def test_weighted_edge_guard_scans_the_rows_its_peak_bound_does_not_clear(grid):
+    """The guard bounds a weighted row's peak below by its value at the
+    row's largest |sample|.  A row whose bound does not clear its edges is
+    scanned in full: accepted where its true peak clears them, refused where
+    it does not, as over the whole row at once (``one_block_energy``)."""
+    a, xs = 0.5, grid.xs
+    # |f| peaks at x = 0, where the bound is 1; the bump's |f|^2 e^{a x^2}
+    # peaks near x = 10.7 at 1e-6 e^{42.7} and falls to about 1e-6 at x -> 16
+    bump = np.exp(-0.5 * xs * xs) + 1e-3 * np.exp(-(xs - 8.0) ** 2)
+    edged = bump.copy()
+    edged[-1] = 1e-24  # weighted 1e-48 e^{128}, 1e-5 of the true peak
+    rows = np.array([bump, edged])
+    square = np.abs(rows) ** 2
+    weighted = square * np.exp(a * xs * xs)
+    edge = weighted[:, [0, 1, -2, -1]].max(axis=1)
+    bound = square.max(axis=1) * np.exp(a * xs[square.argmax(axis=1)] ** 2)
+    assert np.all(edge > WEIGHTED_EDGE_REL * bound)  # neither row's bound clears
+    assert edge[0] <= WEIGHTED_EDGE_REL * weighted[0].max()  # the first row's peak does
+    assert edge[1] > WEIGHTED_EDGE_REL * weighted[1].max()  # the second row's does not
+    got = weighted_energy_rows(rows, grid, a)
+    assert np.isfinite(got[0]) and np.isnan(got[1])
+    assert np.array_equal(got, one_block_energy(rows, grid, a), equal_nan=True)
+    assert np.array_equal(weighted_energy_rows(rows, grid, [0.3, a])[1], got, equal_nan=True)
 
 
 def test_weighted_norm_rejects_nonmember(grid):
